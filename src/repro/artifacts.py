@@ -30,10 +30,15 @@ def write_text(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def schedule_lines(events: Sequence[Tuple[float, str, str]]) -> List[str]:
+    """The canonical schedule rendering, one line per decision (what the
+    schedule digests hash and ``schedule.txt`` holds)."""
+    return [f"{time:.6f} {action} {detail}"
+            for time, action, detail in events]
+
+
 def render_schedule(events: Sequence[Tuple[float, str, str]]) -> str:
-    """The canonical one-line-per-decision schedule dump."""
-    return "\n".join(f"{time:.6f} {action} {detail}"
-                     for time, action, detail in events)
+    return "\n".join(schedule_lines(events))
 
 
 def render_availability_tsv(samples: Sequence[Tuple[float, int, bool]]) -> str:

@@ -83,7 +83,7 @@ class AuditCase:
     """
 
     case_id: str
-    kind: str  # "bench" | "chaos"
+    kind: str  # "bench", or a repro.faults.campaign kind
     params: Dict[str, Any] = field(default_factory=dict)
     axes: Tuple[str, ...] = ()
 
@@ -237,6 +237,19 @@ def _flatten(payload: Dict[str, Any]) -> Dict[str, Any]:
     return flat
 
 
+#: Equivalence axis -> (variant run next to "a", the campaign config
+#: field it flips, the digest keys the two runs must agree on).  The
+#: profiler wraps the event dispatch but must not change a single event,
+#: hence the full-key comparison there, not just the protocol subset.
+_AXES = {
+    "batching": ("no_batching", {"batching": False}, PROTOCOL_KEYS),
+    "obs": ("obs", {"observe": True}, PROTOCOL_KEYS),
+    "profile": ("profile", {"profile": True}, FULL_KEYS),
+}
+_VARIANT_OVERRIDE = {variant: override
+                     for variant, override, _keys in _AXES.values()}
+
+
 def _sabotaged(params: Dict[str, Any], variant: str) -> Dict[str, Any]:
     if variant == "b" and os.environ.get(SABOTAGE_ENV):
         params = dict(params)
@@ -265,55 +278,15 @@ def execute_variant(case_id: str, variant: str,
             return {"fleet_error": f"{case_id}: scenario returned no cluster"}
         return _collect(cluster, tracer=getattr(cluster, "tracer", None),
                         ok=result.completed, materials=materials)
-    if case.kind == "chaos":
-        from repro.faults.chaos import ChaosConfig, ChaosEngine
+    from repro.faults.campaign import campaign_for
 
-        params = _sabotaged(dict(case.params), variant)
-        if variant == "no_batching":
-            params["batching"] = False
-        if variant == "obs":
-            params["observe"] = True
-        if variant == "profile":
-            params["profile"] = True
-        engine = ChaosEngine(ChaosConfig(**params))
-        report = engine.run()
-        schedule = [f"{time:.6f} {action} {detail}"
-                    for time, action, detail in report.events]
-        return _collect(engine.cluster, tracer=report.tracer,
-                        schedule=schedule, ok=report.ok, materials=materials)
-    if case.kind == "endurance":
-        from repro.endurance import EnduranceConfig, EnduranceEngine
-
-        params = _sabotaged(dict(case.params), variant)
-        if variant == "no_batching":
-            params["batching"] = False
-        if variant == "obs":
-            params["observe"] = True
-        if variant == "profile":
-            params["profile"] = True
-        engine = EnduranceEngine(EnduranceConfig(**params))
-        report = engine.run()
-        schedule = [f"{time:.6f} {action} {detail}"
-                    for time, action, detail in report.events]
-        return _collect(engine.cluster, tracer=report.tracer,
-                        schedule=schedule, ok=report.ok, materials=materials)
-    if case.kind == "schedule":
-        from dataclasses import replace as dc_replace
-
-        from repro.search.executor import ScheduleExecutor
-        from repro.search.pinned import PINNED
-
-        genome = PINNED[case.params["pinned"]].genome
-        params = _sabotaged({"seed": genome.seed}, variant)
-        if params["seed"] != genome.seed:
-            genome = dc_replace(genome, seed=params["seed"])
-        executor = ScheduleExecutor(genome)
-        report = executor.run()
-        schedule = [f"{time:.6f} {action} {detail}"
-                    for time, action, detail in report.events]
-        return _collect(executor.cluster, tracer=report.tracer,
-                        schedule=schedule, ok=report.ok, materials=materials)
-    raise ValueError(f"unknown case kind {case.kind!r}")
+    params = _sabotaged(dict(case.params), variant)
+    params.update(_VARIANT_OVERRIDE.get(variant, {}))
+    engine = campaign_for(case.kind, **params)  # raises on unknown kinds
+    report = engine.run()
+    return _collect(engine.cluster, tracer=report.tracer,
+                    schedule=report.schedule_lines(), ok=report.ok,
+                    materials=materials)
 
 
 # ----------------------------------------------------------------------
@@ -388,14 +361,7 @@ def _compare(case_id: str, axis: str, keys: Sequence[str],
 
 
 def _variants_of(case: AuditCase) -> List[str]:
-    variants = ["a", "b"]
-    if "batching" in case.axes:
-        variants.append("no_batching")
-    if "obs" in case.axes:
-        variants.append("obs")
-    if "profile" in case.axes:
-        variants.append("profile")
-    return variants
+    return ["a", "b"] + [_AXES[axis][0] for axis in case.axes]
 
 
 def _clip(line: str, limit: int = 160) -> str:
@@ -517,24 +483,12 @@ def run_audit(case_ids: Optional[Sequence[str]] = None, jobs: int = 1,
                            runs["a"], runs["b"], "a", "b")
         if failure:
             failures.append((failure, ("a", "b")))
-        if "batching" in case.axes:
-            failure = _compare(case_id, "batching", PROTOCOL_KEYS,
-                               runs["a"], runs["no_batching"],
-                               "a", "no_batching")
+        for axis in case.axes:
+            variant, _override, keys = _AXES[axis]
+            failure = _compare(case_id, axis, keys,
+                               runs["a"], runs[variant], "a", variant)
             if failure:
-                failures.append((failure, ("a", "no_batching")))
-        if "obs" in case.axes:
-            failure = _compare(case_id, "obs", PROTOCOL_KEYS,
-                               runs["a"], runs["obs"], "a", "obs")
-            if failure:
-                failures.append((failure, ("a", "obs")))
-        if "profile" in case.axes:
-            # The profiler wraps the event dispatch but must not change
-            # a single event — full-key comparison, not just protocol.
-            failure = _compare(case_id, "profile", FULL_KEYS,
-                               runs["a"], runs["profile"], "a", "profile")
-            if failure:
-                failures.append((failure, ("a", "profile")))
+                failures.append((failure, ("a", variant)))
         # A case that "reproducibly fails" is still broken: the pinned
         # scenarios must complete and pass their invariant checks.
         base = runs["a"]

@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
 from repro.bench import SCENARIOS as BENCH_SCENARIOS
+from repro.faults.campaign import CampaignConfig
 from repro.reconfig.backends import ALL_BACKEND_NAMES
 from repro.reconfig.strategies import ALL_STRATEGY_NAMES
 from repro.replication.node import SiteStatus
@@ -261,40 +262,85 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import ChaosConfig, ChaosEngine
+#: Per-driver presentation of ``repro chaos``: the verdict line of a
+#: passing run, what a fleet counts, and the fleet table's metric
+#: columns (header, width, format, payload getter) and digest column.
+_CAMPAIGN_VIEWS = {
+    "chaos": {
+        "passed": "all correctness checks passed",
+        "noun": "storms",
+        "columns": (
+            ("faults", 7, "d", lambda p: p["fault_events"]),
+            ("commits", 8, "d", lambda p: p["metrics"].get("commits", 0)),
+            ("aborts", 7, "d", lambda p: p["metrics"].get("aborts", 0)),
+            ("tears", 6, "d", lambda p: p["wal_tears"]),
+        ),
+        "digest": "trace_digest",
+    },
+    "endurance": {
+        "passed": "all correctness checks passed; availability floor held",
+        "noun": "endurance runs",
+        "columns": (
+            ("sweeps", 7, "d", lambda p: p["sweeps"]),
+            ("restarts", 9, "d", lambda p: p["rolling_restarts"]),
+            ("cycles", 7, "d", lambda p: p["partition_cycles"]),
+            ("min/s", 7, ".1f", lambda p: p["availability"]["min_rate"]),
+            ("0-bins", 7, ".0f", lambda p: p["availability"]["zero_bins"]),
+        ),
+        "digest": "schedule_digest",
+    },
+}
 
-    if args.endurance:
-        return _cmd_endurance(args)
+#: ``repro chaos`` flags that only make sense for one in-process run.
+_SINGLE_RUN_FLAGS = ("--trace", "--metrics", "--profile", "--timeline")
+
+
+def _flag_value(args: argparse.Namespace, flag: str):
+    """The parsed value of one ``repro chaos`` flag; None when the flag
+    was not given (every such flag defaults to None or False)."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return None if value is False else value
+
+
+def campaign_config(args: argparse.Namespace):
+    """The campaign config a parsed ``repro chaos`` command line
+    describes (validated; raises ValueError on bad values and on flags
+    the selected mode would silently ignore)."""
+    from repro.faults.campaign import CLI_FLAGS, engine_class
+
+    cls = engine_class("endurance" if args.endurance else "chaos").CONFIG
+    kwargs = {"seed": args.seed,
+              "observe": args.trace is not None or args.metrics is not None}
+    for name, flag in CLI_FLAGS:
+        value = _flag_value(args, flag)
+        if value is None:
+            continue
+        if name not in cls.__dataclass_fields__:
+            needs = ("plain chaos (drop --endurance)" if args.endurance
+                     else "--endurance")
+            raise ValueError(f"{flag} has no effect here: it needs {needs}")
+        kwargs[name] = value
     if args.seeds is not None:
-        return _cmd_chaos_fleet(args)
-    observe = args.trace is not None or args.metrics is not None
-    config = ChaosConfig(
-        seed=args.seed, intensity=args.intensity, n_sites=args.sites,
-        db_size=args.db_size, duration=args.duration or 3.0, mode=args.mode,
-        backend=args.backend,
-        strategy=args.strategy, arrival_rate=args.rate, observe=observe,
-        clients=args.clients, sabotage_dedup=args.sabotage_dedup,
-        profile=args.profile,
-    )
-    engine = ChaosEngine(config)
-    report = engine.run()
+        for flag in _SINGLE_RUN_FLAGS:
+            if _flag_value(args, flag) is not None:
+                raise ValueError(f"{flag} has no effect on a --seeds fleet: "
+                                 f"it needs a single run (--seed)")
+    config = cls(**kwargs)
+    config.validate()
+    return config
+
+
+def _print_campaign_run(args: argparse.Namespace, engine) -> None:
+    """The detailed view of one in-process campaign run."""
+    report, config = engine.report, engine.config
+    kind = config.KIND
     if args.timeline and report.tracer is not None:
         print(report.tracer.timeline())
         print()
-    for time, action, detail in report.events:
-        print(f"{time:8.3f}  chaos  {action:14s} {detail}")
+    for when, action, detail in report.events:
+        print(f"{when:8.3f}  {kind}  {action:16s} {detail}")
     print()
     print(report.summary())
-    epochs = report.epochs()
-    if epochs:
-        from repro.obs import render_epoch_table
-
-        print()
-        print(render_epoch_table(epochs, limit=8))
-    if report.profiler is not None:
-        print()
-        print(report.profiler.render(limit=16))
     if config.clients:
         m = report.metrics
         print(f"clients: {m.get('client.requests', 0):.0f} requests, "
@@ -303,149 +349,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"{m.get('client.exhausted', 0):.0f} exhausted, "
               f"{m.get('client.failovers', 0):.0f} failovers, "
               f"{m.get('dedup.suppressed', 0):.0f} duplicates suppressed")
-    if report.obs is not None:
-        # Explicitly requested dumps — and, on an invariant failure, the
-        # full evidence regardless of which flag was passed.
-        name = f"chaos seed={args.seed} intensity={args.intensity}"
-        trace_path = args.trace or "chaos_trace.json"
-        metrics_path = args.metrics or "chaos_metrics.prom"
-        if args.trace is not None or not report.ok:
-            report.obs.export_chrome_trace(trace_path, name)
-            print(f"trace written to {trace_path}")
-        if args.metrics is not None or not report.ok:
-            report.obs.export_prometheus(metrics_path)
-            print(f"metrics written to {metrics_path}")
-    if report.ok:
-        print("all correctness checks passed")
-    else:
-        print(f"FAILURE: {report.error}", file=sys.stderr)
-        import os
+    if getattr(report, "samples", None):
+        from repro.obs.report import render_availability
 
-        from repro.artifacts import dump_run_artifacts
-
-        out_dir = os.path.join(args.artifacts_dir,
-                               f"chaos-seed{config.seed}-{config.mode}")
-        repro_cmd = (f"PYTHONPATH=src python -m repro chaos "
-                     f"--seed {config.seed} --intensity {config.intensity} "
-                     f"--mode {config.mode} --duration {config.duration} "
-                     f"--clients {config.clients}")
-        for path in dump_run_artifacts(
-            out_dir,
-            title=f"chaos seed={config.seed} FAILED: {report.error}",
-            repro_command=repro_cmd,
-            schedule=report.events,
-            tracer=report.tracer,
-            metrics=report.metrics,
-            cluster=engine.cluster,
-            obs=report.obs,
-        ):
-            print(f"  artifact: {path}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
-def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
-    """Run one storm per seed across worker processes; the per-seed
-    table is ordered by seed, never by completion."""
-    from repro.fleet import parse_seed_spec, run_chaos_fleet
-
-    try:
-        seeds = parse_seed_spec(args.seeds)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    results = run_chaos_fleet(
-        seeds, jobs=args.jobs, intensity=args.intensity, n_sites=args.sites,
-        db_size=args.db_size, duration=args.duration or 3.0, mode=args.mode,
-        backend=args.backend,
-        strategy=args.strategy, arrival_rate=args.rate,
-        clients=args.clients, sabotage_dedup=args.sabotage_dedup,
-    )
-    wall = time.perf_counter() - start
-    header = (f"{'seed':>6s} {'verdict':8s} {'faults':>7s} {'commits':>8s} "
-              f"{'aborts':>7s} {'tears':>6s}  trace digest")
-    print(header)
-    print("-" * len(header))
-    failed: List[int] = []
-    for seed in seeds:
-        payload = results[seed]
-        if "fleet_error" in payload:
-            failed.append(seed)
-            print(f"{seed:6d} ERROR    worker crashed:")
-            print("    " + payload["fleet_error"].strip().replace("\n", "\n    "))
-            continue
-        if not payload["ok"]:
-            failed.append(seed)
-        metrics = payload["metrics"]
-        print(f"{seed:6d} {'PASS' if payload['ok'] else 'FAIL':8s} "
-              f"{payload['fault_events']:7d} {metrics.get('commits', 0):8d} "
-              f"{metrics.get('aborts', 0):7d} {payload['wal_tears']:6d}  "
-              f"{payload['trace_digest'][:16]}")
-        if not payload["ok"]:
-            print(f"       error: {payload['error']}")
-    print(f"\n{len(seeds)} storms in {wall:.1f}s wall "
-          f"(--jobs {args.jobs}); {len(seeds) - len(failed)} passed, "
-          f"{len(failed)} failed")
-    if failed:
-        repro = ", ".join(
-            f"python -m repro chaos --seed {seed} --mode {args.mode}"
-            for seed in failed[:3]
-        )
-        print(f"reproduce: {repro}", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _endurance_config(args: argparse.Namespace):
-    """Build an EnduranceConfig from the chaos argument namespace."""
-    from repro.endurance import EnduranceConfig
-
-    observe = args.trace is not None or args.metrics is not None
-    kwargs = dict(
-        n_sites=args.sites, db_size=args.db_size,
-        duration=args.duration or 12.0, mode=args.mode,
-        backend=args.backend,
-        strategy=args.strategy, arrival_rate=args.rate,
-        # Endurance is always client-driven; --clients 0 (the chaos
-        # default) means "use the endurance default fleet size".
-        clients=args.clients or EnduranceConfig.clients,
-        observe=observe, profile=args.profile,
-        sabotage_outcome_merge=args.sabotage_outcome_merge,
-    )
-    if args.segments:
-        kwargs["segments"] = tuple(s for s in args.segments.split(",") if s)
-    config = EnduranceConfig(seed=args.seed, **kwargs)
-    config.validate()
-    return config, kwargs
-
-
-def _cmd_endurance(args: argparse.Namespace) -> int:
-    from repro.endurance import (EnduranceEngine, dump_artifacts,
-                                 repro_command)
-    from repro.obs.report import render_availability
-
-    try:
-        config, fleet_kwargs = _endurance_config(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.seeds is not None:
-        return _cmd_endurance_fleet(args, fleet_kwargs)
-    engine = EnduranceEngine(config)
-    report = engine.run()
-    if args.timeline and report.tracer is not None:
-        print(report.tracer.timeline())
-        print()
-    for time, action, detail in report.events:
-        print(f"{time:8.3f}  endurance  {action:16s} {detail}")
-    print()
-    print(report.summary())
-    m = report.metrics
-    print(f"clients: {m.get('client.requests', 0):.0f} requests, "
-          f"{m.get('client.committed', 0):.0f} committed, "
-          f"{m.get('client.failovers', 0):.0f} failovers, "
-          f"{m.get('dedup.suppressed', 0):.0f} duplicates suppressed")
-    print(render_availability(report.samples, report.bin_width,
-                              report.warmup))
+        print(render_availability(report.samples, report.bin_width,
+                                  report.warmup))
     epochs = report.epochs()
     if epochs:
         from repro.obs import render_epoch_table
@@ -456,74 +364,93 @@ def _cmd_endurance(args: argparse.Namespace) -> int:
         print()
         print(report.profiler.render(limit=16))
     if report.obs is not None:
-        name = f"endurance seed={args.seed} mode={args.mode}"
-        if args.trace is not None:
-            report.obs.export_chrome_trace(args.trace, name)
-            print(f"trace written to {args.trace}")
-        if args.metrics is not None:
-            report.obs.export_prometheus(args.metrics)
-            print(f"metrics written to {args.metrics}")
+        # Explicitly requested dumps — and, on an invariant failure, the
+        # full evidence regardless of which flag was passed.
+        if args.trace is not None or not report.ok:
+            trace_path = args.trace or "chaos_trace.json"
+            report.obs.export_chrome_trace(
+                trace_path, f"{kind} seed={config.seed} mode={config.mode}")
+            print(f"trace written to {trace_path}")
+        if args.metrics is not None or not report.ok:
+            metrics_path = args.metrics or "chaos_metrics.prom"
+            report.obs.export_prometheus(metrics_path)
+            print(f"metrics written to {metrics_path}")
     if report.ok:
-        print("all correctness checks passed; availability floor held")
-        return 0
-    print(f"FAILURE: {report.error}", file=sys.stderr)
-    out_dir = f"{args.artifacts_dir}/seed{config.seed}-{config.mode}"
-    for path in dump_artifacts(engine, out_dir):
-        print(f"  artifact: {path}", file=sys.stderr)
-    print(f"reproduce: {repro_command(config)}", file=sys.stderr)
-    return 1
+        print(_CAMPAIGN_VIEWS[kind]["passed"])
+    else:
+        print(f"FAILURE: {report.error}", file=sys.stderr)
 
 
-def _cmd_endurance_fleet(args: argparse.Namespace, fleet_kwargs) -> int:
-    """One endurance storm per seed across worker processes; failed
-    workers dump their artifacts under --artifacts-dir."""
-    from repro.fleet import parse_seed_spec, run_endurance_fleet
-
-    try:
-        seeds = parse_seed_spec(args.seeds)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    fleet_kwargs.pop("observe", None)
-    fleet_kwargs.pop("profile", None)
-    start = time.perf_counter()
-    results = run_endurance_fleet(seeds, jobs=args.jobs,
-                                  artifacts_dir=args.artifacts_dir,
-                                  **fleet_kwargs)
-    wall = time.perf_counter() - start
-    header = (f"{'seed':>6s} {'verdict':8s} {'sweeps':>7s} {'restarts':>9s} "
-              f"{'cycles':>7s} {'min/s':>7s} {'0-bins':>7s}  schedule digest")
+def _print_campaign_fleet(kind: str, seeds: List[int], results,
+                          wall: float, jobs: int) -> None:
+    """The per-seed table of a campaign fleet, in seed-spec order."""
+    view = _CAMPAIGN_VIEWS[kind]
+    header = (f"{'seed':>6s} {'verdict':8s} "
+              + " ".join(f"{name:>{width}s}"
+                         for name, width, _fmt, _get in view["columns"])
+              + f"  {view['digest'].replace('_', ' ')}")
     print(header)
     print("-" * len(header))
-    failed: List[int] = []
+    passed = 0
     for seed in seeds:
         payload = results[seed]
         if "fleet_error" in payload:
-            failed.append(seed)
             print(f"{seed:6d} ERROR    worker crashed:")
-            print("    " + payload["fleet_error"].strip().replace("\n", "\n    "))
+            print("    "
+                  + payload["fleet_error"].strip().replace("\n", "\n    "))
             continue
-        if not payload["ok"]:
-            failed.append(seed)
-        avail = payload["availability"]
         print(f"{seed:6d} {'PASS' if payload['ok'] else 'FAIL':8s} "
-              f"{payload['sweeps']:7d} {payload['rolling_restarts']:9d} "
-              f"{payload['partition_cycles']:7d} {avail['min_rate']:7.1f} "
-              f"{avail['zero_bins']:7.0f}  {payload['schedule_digest'][:16]}")
-        if not payload["ok"]:
+              + " ".join(format(get(payload), f"{width}{fmt}")
+                         for _name, width, fmt, get in view["columns"])
+              + f"  {payload[view['digest']][:16]}")
+        if payload["ok"]:
+            passed += 1
+        else:
             print(f"       error: {payload['error']}")
             for path in payload.get("artifacts", ()):
                 print(f"       artifact: {path}")
-    print(f"\n{len(seeds)} endurance runs in {wall:.1f}s wall "
-          f"(--jobs {args.jobs}); {len(seeds) - len(failed)} passed, "
-          f"{len(failed)} failed")
-    if failed:
-        repro = ", ".join(
-            f"python -m repro chaos --endurance --seed {seed} "
-            f"--mode {args.mode}"
-            for seed in failed[:3]
-        )
-        print(f"reproduce: {repro}", file=sys.stderr)
+    print(f"\n{len(seeds)} {view['noun']} in {wall:.1f}s wall "
+          f"(--jobs {jobs}); {passed} passed, "
+          f"{len(seeds) - passed} failed")
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """The one campaign command: ``chaos`` or ``chaos --endurance``, as
+    a single in-process run or — with ``--seeds`` — one run per seed
+    across worker processes, tabulated by seed, never by completion."""
+    from dataclasses import asdict, replace
+
+    from repro.faults.campaign import repro_command, run_cell
+    from repro.fleet import parse_seed_spec, run_seed_fleet
+
+    try:
+        config = campaign_config(args)
+        seeds = ([config.seed] if args.seeds is None
+                 else parse_seed_spec(args.seeds))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    kind = config.KIND
+    if args.seeds is None:
+        # A single run is a fleet of one that stays in this process, so
+        # the live report is still around for the detailed view.
+        engine, payload = run_cell(kind, args.artifacts_dir, **asdict(config))
+        _print_campaign_run(args, engine)
+        for path in payload.get("artifacts", ()):
+            print(f"  artifact: {path}", file=sys.stderr)
+        results = {config.seed: payload}
+    else:
+        params = asdict(config)
+        del params["seed"]
+        start = time.perf_counter()
+        results = run_seed_fleet(kind, seeds, jobs=args.jobs,
+                                 artifacts_dir=args.artifacts_dir, **params)
+        _print_campaign_fleet(kind, seeds, results,
+                              time.perf_counter() - start, args.jobs)
+    failed = [seed for seed in seeds if not results[seed].get("ok")]
+    for seed in failed[:3]:
+        print(f"reproduce: {repro_command(replace(config, seed=seed))}",
+              file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -639,13 +566,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     print(report.render())
     print(f"({wall:.1f}s wall at --jobs {args.jobs})")
     if not report.ok:
-        for path in report.artifacts:
+        first = report.first_failure()
+        for path in first.get("artifacts", ()):
             print(f"  artifact: {path}", file=sys.stderr)
-        first = report.seeds[0]
-        flag = "--endurance " if kind == "endurance" else ""
-        print("reproduce: "
-              f"python -m repro chaos {flag}--seed {first} "
-              f"--backend {report.backends[-1]}", file=sys.stderr)
+        if "repro" in first:  # a crashed worker has no payload to replay
+            print(f"reproduce: {first['repro']}", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -797,9 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded randomized fault storm + full invariant check"
     )
     common(chaos)
-    chaos.set_defaults(sites=4, db_size=40, rate=60.0)
-    chaos.add_argument("--intensity", type=float, default=0.5,
-                       help="fault event rate scale in [0, 1] (default 0.5)")
+    chaos.set_defaults(sites=CampaignConfig.n_sites,
+                       db_size=CampaignConfig.db_size,
+                       rate=CampaignConfig.arrival_rate)
+    chaos.add_argument("--intensity", type=float, default=None,
+                       help="fault event rate scale in [0, 1] (default 0.5; "
+                            "not with --endurance)")
     chaos.add_argument("--duration", type=float, default=None,
                        help="storm length in virtual seconds "
                             "(default 3.0, or 12.0 with --endurance)")
@@ -811,6 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "traffic, with quiescent invariant sweeps and "
                             "an availability-floor check (docs/ENDURANCE.md)")
     chaos.add_argument("--segments", default=None, metavar="LIST",
+                       type=lambda spec: tuple(s for s in spec.split(",") if s),
                        help="with --endurance: comma-separated segment "
                             "families to compose the schedule from "
                             "(default rolling,storm,churn,stabilize)")
@@ -821,10 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "a quiescent sweep (checker self-test)")
     chaos.add_argument("--artifacts-dir", default="endurance_out",
                        metavar="DIR",
-                       help="with --endurance: where failed runs dump "
-                            "their evidence (schedule, trace, WAL, "
-                            "availability timeline, repro command; "
-                            "default %(default)s)")
+                       help="where failed runs (single or --seeds fleet "
+                            "cells, chaos or --endurance) dump their "
+                            "evidence: schedule, trace, WAL, availability "
+                            "timeline, repro command (default %(default)s)")
     chaos.add_argument("--timeline", action="store_true",
                        help="also print the full trace timeline")
     chaos.add_argument("--trace", nargs="?", const="chaos_trace.json",
@@ -835,15 +764,16 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="PATH",
                        help="attach observability and write a Prometheus-style "
                             "metrics dump (default PATH: %(const)s)")
-    chaos.add_argument("--clients", type=int, default=0,
+    chaos.add_argument("--clients", type=int, default=None,
                        help="drive the storm with N closed-loop client "
                             "sessions (failover + exactly-once checking) "
-                            "instead of the open-loop generator")
+                            "instead of the open-loop generator "
+                            "(default 0, or 6 with --endurance)")
     chaos.add_argument("--sabotage-dedup", action="store_true",
-                       help="disable the replicated dedup table at every "
-                            "site; a client-mode run is then EXPECTED to "
-                            "fail the exactly-once check (checker "
-                            "self-test)")
+                       help="not with --endurance: disable the replicated "
+                            "dedup table at every site; a client-mode run "
+                            "is then EXPECTED to fail the exactly-once "
+                            "check (checker self-test)")
     chaos.add_argument("--profile", action="store_true",
                        help="attach the deterministic sim-loop profiler and "
                             "print the per-subsystem cost table "

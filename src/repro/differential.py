@@ -54,14 +54,22 @@ class DifferentialReport:
     #: ``rows[seed][backend]`` -> the engine's payload dict.
     rows: Dict[int, Dict[str, Dict[str, Any]]] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
-    #: Evidence bundle paths for the first failing cell (when the sweep
-    #: ran with an ``artifacts_dir``): the cell is re-executed in
-    #: process and dumped through the shared ``repro.artifacts`` path.
-    artifacts: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def first_failure(self) -> Dict[str, Any]:
+        """The payload of the first failing cell — its ``repro`` entry
+        is the command that replays it, its ``artifacts`` entry the
+        evidence bundle its worker dumped (when the sweep ran with an
+        ``artifacts_dir``).  Empty when every cell passed."""
+        for seed in self.seeds:
+            for backend in self.backends:
+                payload = self.rows.get(seed, {}).get(backend, {})
+                if not payload.get("ok"):
+                    return payload
+        return {}
 
     def metric(self, seed: int, backend: str, name: str) -> Any:
         payload = self.rows.get(seed, {}).get(backend, {})
@@ -124,73 +132,12 @@ class DifferentialReport:
                 + render_phase_comparison(summaries))
 
 
-def _chaos_params(seed: int, backend: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    params = {
-        "seed": seed,
-        "backend": backend,
-        "intensity": 0.5,
-        "n_sites": 4,
-        "db_size": 40,
-        "duration": 1.5,
-        "arrival_rate": 60.0,
-        "clients": 6,
-    }
-    params.update(overrides)
-    return params
-
-
-def _endurance_params(seed: int, backend: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    params = {"seed": seed, "backend": backend, "duration": 6.0}
-    params.update(overrides)
-    return params
-
-
-def _dump_first_failure(report: DifferentialReport, kind: str,
-                        overrides: Dict[str, Any],
-                        artifacts_dir: str) -> List[str]:
-    """Re-run the first failing cell in process and dump its evidence
-    through the shared artifact bundle (worker payloads only carry
-    digests, so the evidence must be regenerated — deterministically,
-    by construction)."""
-    import os
-
-    from repro.artifacts import dump_run_artifacts
-
-    failing = next(
-        ((seed, backend) for seed in report.seeds
-         for backend in report.backends
-         if not report.rows.get(seed, {}).get(backend, {}).get("ok")),
-        None,
-    )
-    if failing is None:
-        return []
-    seed, backend = failing
-    make = _chaos_params if kind == "chaos" else _endurance_params
-    params = make(seed, backend, dict(overrides))
-    if kind == "chaos":
-        from repro.faults.chaos import ChaosConfig, ChaosEngine
-
-        engine = ChaosEngine(ChaosConfig(**params))
-        flag = ""
-    else:
-        from repro.endurance import EnduranceConfig, EnduranceEngine
-
-        engine = EnduranceEngine(EnduranceConfig(**params))
-        flag = "--endurance "
-    run_report = engine.run()
-    out_dir = os.path.join(artifacts_dir, f"diff-{kind}-seed{seed}-{backend}")
-    return dump_run_artifacts(
-        out_dir,
-        title=(f"differential {kind} seed={seed} backend={backend} "
-               f"FAILED: {run_report.error}"),
-        repro_command=(f"PYTHONPATH=src python -m repro chaos {flag}"
-                       f"--seed {seed} --backend {backend}"),
-        schedule=run_report.events,
-        samples=getattr(run_report, "samples", None),
-        tracer=run_report.tracer,
-        metrics=run_report.metrics,
-        cluster=engine.cluster,
-    )
+#: The pinned cell shape per campaign kind (before caller overrides).
+CELL_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    "chaos": {"intensity": 0.5, "n_sites": 4, "db_size": 40,
+              "duration": 1.5, "arrival_rate": 60.0, "clients": 6},
+    "endurance": {"duration": 6.0},
+}
 
 
 def run_differential(
@@ -205,23 +152,25 @@ def run_differential(
 
     ``kind`` is ``"chaos"`` or ``"endurance"``; ``overrides`` feed the
     corresponding config (duration, intensity, clients, ...).  With
-    ``artifacts_dir``, a failing sweep re-runs its first failing cell
-    and leaves the shared evidence bundle there.
+    ``artifacts_dir``, every failing cell leaves the shared evidence
+    bundle there (see :meth:`DifferentialReport.first_failure`).
     """
-    if kind not in ("chaos", "endurance"):
-        raise ValueError(f"kind must be 'chaos' or 'endurance', got {kind!r}")
+    if kind not in CELL_DEFAULTS:
+        raise ValueError(f"kind must be one of {', '.join(CELL_DEFAULTS)}, "
+                         f"got {kind!r}")
     from repro.reconfig.backends import backend_by_name
 
     backends = tuple(backends)
     seeds = tuple(seeds)
     for backend in backends:
         backend_by_name(backend)  # raises on unknown names
-    make = _chaos_params if kind == "chaos" else _endurance_params
     tasks = [
         FleetTask(
             key=f"{backend}:{seed}",
             kind=kind,
-            params=make(seed, backend, dict(overrides)),
+            params={"seed": seed, "backend": backend,
+                    "artifacts_dir": artifacts_dir,
+                    **CELL_DEFAULTS[kind], **overrides},
         )
         for seed in seeds
         for backend in backends
@@ -253,9 +202,6 @@ def run_differential(
                 + ", ".join(f"{b}={'PASS' if v else 'FAIL'}"
                             for b, v in verdicts.items())
             )
-    if not report.ok and artifacts_dir is not None:
-        report.artifacts = _dump_first_failure(report, kind, dict(overrides),
-                                               artifacts_dir)
     return report
 
 

@@ -12,7 +12,10 @@ The subpackage groups everything that deliberately breaks a cluster:
 * :mod:`repro.faults.churn` — the membership-churn segment composers
   (rolling restarts, partition/merge cycles, join/leave churn,
   stabilization starts) driven by :mod:`repro.endurance`;
-* :mod:`repro.faults.chaos` — the seeded randomized chaos engine that
+* :mod:`repro.faults.campaign` — the campaign engine: the one run
+  life-cycle (build, instrument, inject, quiesce, check, report) the
+  chaos, endurance and schedule-search drivers share;
+* :mod:`repro.faults.chaos` — the seeded randomized chaos driver that
   combines all of the above and asserts the global invariants.
 """
 

@@ -36,6 +36,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
@@ -67,36 +68,16 @@ def _run_bench(params: Dict[str, Any]) -> Dict[str, Any]:
     return asdict(result)
 
 
-def _run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.faults.chaos import ChaosConfig, ChaosEngine
+def _run_campaign(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    from repro.faults.campaign import run_cell
 
-    config = ChaosConfig(**params)
-    return ChaosEngine(config).run().payload()
+    return run_cell(kind, **params)[1]
 
 
 def _run_recovery(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.scenarios import run_recovery_experiment
 
     return run_recovery_experiment(**recovery_kwargs(params)).payload()
-
-
-def _run_endurance(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.endurance import EnduranceConfig, EnduranceEngine, dump_artifacts
-
-    params = dict(params)
-    # Evidence directory for failed runs; workers dump their own
-    # artifacts because the report objects (tracer, cluster) never
-    # cross the process boundary — only this picklable payload does.
-    artifacts_dir = params.pop("artifacts_dir", None)
-    config = EnduranceConfig(**params)
-    engine = EnduranceEngine(config)
-    report = engine.run()
-    payload = report.payload()
-    if artifacts_dir is not None and not report.ok:
-        payload["artifacts"] = dump_artifacts(
-            engine, os.path.join(artifacts_dir,
-                                 f"seed{config.seed}-{config.mode}"))
-    return payload
 
 
 def _run_search_eval(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -123,8 +104,8 @@ def _run_probe(params: Dict[str, Any]) -> Dict[str, Any]:
 
 RUNNERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
     "bench": _run_bench,
-    "chaos": _run_chaos,
-    "endurance": _run_endurance,
+    "chaos": partial(_run_campaign, "chaos"),
+    "endurance": partial(_run_campaign, "endurance"),
     "recovery": _run_recovery,
     "search_eval": _run_search_eval,
     "audit": _run_audit,
@@ -200,33 +181,17 @@ def parse_seed_spec(spec: str) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Chaos seed fleets
+# Campaign seed fleets
 # ----------------------------------------------------------------------
-def run_chaos_fleet(seeds: Sequence[int], jobs: int = 1,
-                    **chaos_params: Any) -> Dict[int, Dict[str, Any]]:
-    """Run one chaos storm per seed; results keyed by seed, in the given
-    seed order.  ``chaos_params`` are :class:`repro.faults.ChaosConfig`
-    fields shared by every storm."""
+def run_seed_fleet(kind: str, seeds: Sequence[int], jobs: int = 1,
+                   **params: Any) -> Dict[int, Dict[str, Any]]:
+    """Run one ``kind`` campaign ("chaos" or "endurance") per seed;
+    results keyed by seed, in the given seed order.  ``params`` are the
+    campaign config fields shared by every run, plus an optional
+    ``artifacts_dir`` for the evidence of failing cells."""
     tasks = [
-        FleetTask(key=f"seed={seed}", kind="chaos",
-                  params={"seed": seed, **chaos_params})
-        for seed in seeds
-    ]
-    payloads = run_fleet(tasks, jobs=jobs)
-    return {seed: payloads[f"seed={seed}"] for seed in seeds}
-
-
-# ----------------------------------------------------------------------
-# Endurance seed fleets
-# ----------------------------------------------------------------------
-def run_endurance_fleet(seeds: Sequence[int], jobs: int = 1,
-                        **endurance_params: Any) -> Dict[int, Dict[str, Any]]:
-    """Run one endurance storm per seed; results keyed by seed, in the
-    given seed order.  ``endurance_params`` are
-    :class:`repro.endurance.EnduranceConfig` fields shared by every run."""
-    tasks = [
-        FleetTask(key=f"seed={seed}", kind="endurance",
-                  params={"seed": seed, **endurance_params})
+        FleetTask(key=f"seed={seed}", kind=kind,
+                  params={"seed": seed, **params})
         for seed in seeds
     ]
     payloads = run_fleet(tasks, jobs=jobs)

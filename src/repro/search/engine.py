@@ -61,10 +61,9 @@ def run_digest_of(executor: ScheduleExecutor) -> str:
     from repro import audit
 
     report = executor.report
-    schedule = [f"{time:.6f} {action} {detail}"
-                for time, action, detail in report.events]
     collected = audit._collect(executor.cluster, tracer=report.tracer,
-                               schedule=schedule, ok=report.ok)
+                               schedule=report.schedule_lines(),
+                               ok=report.ok)
     flat = audit._flatten(collected)
     return hashlib.sha256(
         json.dumps(flat, sort_keys=True).encode()).hexdigest()
@@ -83,9 +82,9 @@ def evaluate_genome(genome: ScheduleGenome,
     windows = availability_violations(
         report.samples,
         window=config.availability_window,
-        bin_width=config.availability_bin,
+        bin_width=report.bin_width,
         warmup=config.availability_warmup,
-        min_span=config.availability_bin,
+        min_span=report.bin_width,
         epochs=epochs,
     )
     damage = sum(w.duration for w in windows)
@@ -360,27 +359,20 @@ def dump_failure(genome: ScheduleGenome, out_dir: str, *,
     """Re-execute a (minimized) failing genome and dump the shared
     evidence bundle plus the schedule JSON itself (and the pre-shrink
     original, when given)."""
-    from repro.artifacts import dump_run_artifacts
+    from repro.faults.campaign import dump_artifacts
 
     executor = ScheduleExecutor(genome, sabotage=sabotage)
     report = executor.run()
-    verdict = "PASS" if report.ok else f"FAIL: {report.error}"
     replay = "PYTHONPATH=src python -m repro search --replay schedule.json"
     if sabotage:
         replay += " --sabotage"
     extra = {"schedule.json": genome.dumps()}
     if original is not None:
         extra["schedule_original.json"] = original.dumps()
-    return dump_run_artifacts(
-        out_dir,
-        title=f"search schedule {genome.digest()[:12]} — {verdict}",
-        repro_command=replay,
-        schedule=report.events,
-        samples=report.samples,
-        tracer=report.tracer,
-        metrics=report.metrics,
-        cluster=executor.cluster,
-        obs=report.obs,
+    return dump_artifacts(
+        executor, out_dir,
+        title=f"search schedule {genome.digest()[:12]} — {report.verdict()}",
+        repro=replay,
         extra=extra,
     )
 

@@ -1,14 +1,15 @@
-"""Deterministic genome execution on top of the endurance engine.
+"""Deterministic genome execution on the campaign engine.
 
-:class:`ScheduleExecutor` subclasses :class:`repro.endurance.EnduranceEngine`
-and replaces exactly two things: the random segment loop (``_drive``)
-becomes a literal interpretation of the genome's gene list, and the
-sabotage victim becomes a fixed site instead of an RNG draw.  Everything
-else — cluster build, client fleet, availability sampler, quiescent
-machinery, the final full-invariant quiesce, the availability-floor
-verdict, artifact dumping — is inherited verbatim, so a schedule found
-by the search fails (or passes) through exactly the code paths the
-endurance runs exercise.
+:class:`ScheduleExecutor` is the third campaign driver, beside
+:class:`repro.endurance.EnduranceEngine` on the shared
+:class:`repro.endurance.ChurnCampaign` base: where the endurance driver
+composes random churn segments, this one interprets the genome's gene
+list literally, and its sabotage victim is a fixed site instead of an
+RNG draw.  Everything else — cluster build, client fleet, availability
+sampler, the final full-invariant quiesce, the availability-floor
+verdict, artifact dumping — is the one campaign life-cycle
+(:mod:`repro.faults.campaign`), so a schedule found by the search fails
+(or passes) through exactly the code paths the endurance runs exercise.
 
 The interpreter consumes **zero** draws from the engine's schedule RNG:
 every decision (victims, hold times, corruption ops) is spelled out in
@@ -25,9 +26,10 @@ floor over the whole timeline.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from repro.endurance import EnduranceConfig, EnduranceEngine, EnduranceReport
+from repro.endurance import ChurnCampaign, EnduranceConfig, EnduranceReport
 from repro.search.genome import (
     CorruptGene,
     CrashGene,
@@ -36,11 +38,12 @@ from repro.search.genome import (
     RestartGene,
     ScheduleGenome,
 )
+from repro.search.pinned import PINNED
 
 #: Floor knobs for search runs: same bin as endurance, tighter window so
-#: short schedules can still register availability damage, no sweeps
-#: mid-run (the genome decides the fault timeline; verification happens
-#: once, at the end).
+#: short schedules can still register availability damage.  There are
+#: no sweeps mid-run: the genome decides the fault timeline and
+#: verification happens once, at the end.
 SEARCH_AVAILABILITY_WINDOW = 1.0
 SEARCH_WARMUP = 0.75
 
@@ -57,7 +60,6 @@ def config_for(genome: ScheduleGenome, *, sabotage: bool = False,
         strategy=genome.strategy,
         arrival_rate=genome.arrival_rate,
         clients=genome.clients,
-        sweep_interval=10_000.0,  # only the final quiesce checks
         availability_window=SEARCH_AVAILABILITY_WINDOW,
         availability_warmup=SEARCH_WARMUP,
         sabotage_outcome_merge=sabotage,
@@ -65,8 +67,9 @@ def config_for(genome: ScheduleGenome, *, sabotage: bool = False,
     )
 
 
-class ScheduleExecutor(EnduranceEngine):
-    """Runs one :class:`ScheduleGenome` deterministically."""
+class ScheduleExecutor(ChurnCampaign):
+    """The schedule driver: runs one :class:`ScheduleGenome`
+    deterministically."""
 
     def __init__(self, genome: ScheduleGenome, *, sabotage: bool = False,
                  observe: bool = False) -> None:
@@ -74,13 +77,23 @@ class ScheduleExecutor(EnduranceEngine):
                                     observe=observe))
         self.genome = genome
 
-    # -- deterministic overrides ---------------------------------------
-    def _sabotage_victim(self) -> str:
+    @classmethod
+    def from_params(cls, pinned: str,
+                    seed: Optional[int] = None) -> "ScheduleExecutor":
+        """The executor for one :data:`repro.search.pinned.PINNED`
+        schedule, optionally re-seeded."""
+        genome = PINNED[pinned].genome
+        if seed is not None:
+            genome = replace(genome, seed=seed)
+        return cls(genome)
+
+    def sabotage_victim(self) -> str:
         """Fixed victim (lowest site name): sabotage runs must replay
         identically, so no RNG draw here."""
         return sorted(self.cluster.universe)[0]
 
-    def _drive(self) -> None:
+    def drive(self) -> None:
+        self.start_sampler()
         for index, gene in enumerate(self.genome.segments):
             if self.report.error is not None:
                 break

@@ -58,6 +58,26 @@ def test_sabotaged_dedup_is_caught(mode, seed):
     assert "committed under 2 distinct gids" in report.error
 
 
+def test_failing_chaos_fleet_cell_leaves_evidence(capsys, tmp_path):
+    """The sabotage canary through the ``--seeds`` fleet path: the
+    failing cell's worker dumps the same evidence bundle a failing
+    single run does, and the table prints its paths."""
+    from repro.cli import main
+
+    code = main(["chaos", "--seeds", "12", "--mode", "evs", "--clients", "6",
+                 "--sabotage-dedup", "--artifacts-dir", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    bundle = tmp_path / "chaos-seed12-evs"
+    for name in ("repro.txt", "schedule.txt", "trace.txt", "metrics.txt",
+                 "wal_S1.log"):
+        assert (bundle / name).exists(), name
+        assert f"artifact: {bundle / name}" in captured.out
+    assert "--sabotage-dedup" in (bundle / "repro.txt").read_text()
+    assert "reproduce: PYTHONPATH=src python -m repro chaos --seed 12" \
+        in captured.err
+
+
 def test_resubmission_is_answered_from_the_table(backend):
     cluster = quick_cluster(backend=backend)
     node = cluster.nodes[cluster.active_sites()[0]]

@@ -180,18 +180,18 @@ class TestWiring:
         assert a["counters"]["ok"] is True
 
     def test_fleet_runs_seeds_in_order(self):
-        from repro.fleet import run_endurance_fleet
+        from repro.fleet import run_seed_fleet
 
-        results = run_endurance_fleet([1, 0], duration=4.0,
-                                      segments=("rolling",))
+        results = run_seed_fleet("endurance", [1, 0], duration=4.0,
+                                 segments=("rolling",))
         assert list(results) == [1, 0]
         assert all(payload["ok"] for payload in results.values())
 
     def test_fleet_dumps_artifacts_on_failure(self, tmp_path):
-        from repro.fleet import run_endurance_fleet
+        from repro.fleet import run_seed_fleet
 
-        results = run_endurance_fleet(
-            [0], duration=8.0, sabotage_outcome_merge=True,
+        results = run_seed_fleet(
+            "endurance", [0], duration=8.0, sabotage_outcome_merge=True,
             artifacts_dir=str(tmp_path))
         payload = results[0]
         assert not payload["ok"]

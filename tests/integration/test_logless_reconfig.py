@@ -240,6 +240,23 @@ class TestAuditAndSweepWiring:
         for backend in ("evs", "logless"):
             assert report.metric(9, backend, "commits") > 0
 
+    def test_differential_failure_names_evidence_and_repro(self, tmp_path):
+        """A failing cell's worker dumps the evidence; the report hands
+        back its paths and a command carrying the cell's real shape
+        (clients 6, not the CLI's 0)."""
+        from repro.differential import run_differential
+
+        report = run_differential([12], backends=("evs", "logless"),
+                                  duration=3.0, sabotage_dedup=True,
+                                  artifacts_dir=str(tmp_path))
+        assert not report.ok
+        first = report.first_failure()
+        assert first["repro"].endswith(
+            "chaos --seed 12 --backend evs --clients 6 --sabotage-dedup")
+        bundle = tmp_path / "chaos-seed12-evs"
+        assert str(bundle / "repro.txt") in first["artifacts"]
+        assert first["repro"] in (bundle / "repro.txt").read_text()
+
     def test_differential_runner_rejects_bad_input(self):
         from repro.differential import run_differential
 

@@ -54,3 +54,39 @@ def test_audit_fails_on_injected_nondeterminism(monkeypatch, tmp_path):
     # cleared the same case is deterministic again.
     monkeypatch.delenv(SABOTAGE_ENV)
     assert run_audit(["chaos:vs:23"], jobs=1).ok
+
+
+#: What every campaign payload carries, whichever driver produced it.
+PAYLOAD_CORE = {
+    "epochs", "seed", "ok", "error", "fault_events", "wal_tears",
+    "wal_corruptions", "metrics", "schedule_digest", "trace_digest",
+    "trace_events",
+}
+CHURN_EXTRAS = {
+    "sweeps", "rolling_restarts", "partition_cycles",
+    "transfers_interrupted", "churn_leaves", "stabilize_starts",
+    "availability", "availability_digest",
+}
+
+
+def test_campaign_payload_key_sets_are_pinned():
+    """The fleet tables, ``repro diff`` and the schedule search index
+    payloads by key across a process boundary; a silently dropped key
+    would surface as a KeyError in some worker's consumer much later."""
+    from repro.faults.campaign import campaign_for
+    from repro.search.engine import evaluate_genome
+    from repro.search.pinned import PINNED
+
+    chaos = campaign_for("chaos", seed=3, duration=1.0).run().payload()
+    endurance = campaign_for("endurance", seed=0,
+                             duration=2.0).run().payload()
+    schedule = campaign_for(
+        "schedule", pinned="shatter-corrupt-churn").run().payload()
+    assert set(chaos) == PAYLOAD_CORE | {"intensity"}
+    assert set(endurance) == PAYLOAD_CORE | CHURN_EXTRAS
+    assert set(schedule) == PAYLOAD_CORE | CHURN_EXTRAS
+    evaluation = evaluate_genome(PINNED["shatter-corrupt-churn"].genome)
+    assert set(evaluation) == {
+        "ok", "error", "score", "damage", "uncovered", "windows",
+        "signatures", "coverage", "run_digest", "virtual_time",
+    }

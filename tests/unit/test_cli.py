@@ -103,6 +103,44 @@ class TestChaosObservability:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestChaosFlagCombinations:
+    """A flag the selected mode would silently ignore exits 2 with one
+    line naming the flag and the mode it needs — before any run."""
+
+    @pytest.mark.parametrize("argv,flag,needs", [
+        (["--seeds", "1,2", "--trace"], "--trace", "single run"),
+        (["--seeds", "1,2", "--metrics", "m.prom"], "--metrics", "single run"),
+        (["--seeds", "1,2", "--profile"], "--profile", "single run"),
+        (["--seeds", "1,2", "--timeline"], "--timeline", "single run"),
+        (["--endurance", "--seeds", "0,1", "--profile"], "--profile",
+         "single run"),
+        (["--endurance", "--intensity", "0.9"], "--intensity", "plain chaos"),
+        (["--endurance", "--sabotage-dedup"], "--sabotage-dedup",
+         "plain chaos"),
+        (["--segments", "rolling"], "--segments", "--endurance"),
+        (["--sabotage-outcome-merge"], "--sabotage-outcome-merge",
+         "--endurance"),
+    ])
+    def test_ignored_flag_is_rejected(self, capsys, argv, flag, needs):
+        assert main(["chaos"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.strip()
+        assert "\n" not in message
+        assert flag in message and needs in message
+
+    @pytest.mark.parametrize("argv", [
+        ["--intensity", "1.5"],
+        ["--sites", "1"],
+        ["--duration", "-2"],
+        ["--endurance", "--clients", "0"],
+        ["--seeds", "3..1"],
+    ])
+    def test_bad_values_exit_2_without_a_traceback(self, capsys, argv):
+        assert main(["chaos"] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestAuditDumpDirGuard:
     """The audit CLI must refuse to clobber a non-empty --dump-dir."""
 

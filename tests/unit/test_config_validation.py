@@ -3,6 +3,8 @@
 import pytest
 
 from repro import ClusterBuilder, NodeConfig, WorkloadConfig
+from repro.endurance import EnduranceConfig
+from repro.faults import ChaosConfig
 from repro.gcs.config import GCSConfig
 
 
@@ -61,3 +63,50 @@ class TestGCSConfig:
     def test_unknown_primary_policy_rejected_at_member(self):
         with pytest.raises(ValueError):
             ClusterBuilder(gcs_config=GCSConfig(primary_policy="nope")).build()
+
+
+@pytest.mark.parametrize("config_class", [ChaosConfig, EnduranceConfig])
+class TestCampaignConfigs:
+    """The shared campaign fields are validated once
+    (repro.faults.campaign.CampaignConfig), so every bad value must be
+    rejected by both drivers' configs."""
+
+    def test_defaults_valid(self, config_class):
+        config_class().validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_sites", 1),
+        ("db_size", 0),
+        ("duration", 0.0),
+        ("duration", -1.0),
+        ("mode", "sync"),
+        ("backend", "bogus"),
+        ("arrival_rate", 0.0),
+        ("clients", -1),
+    ])
+    def test_bad_shared_values_rejected(self, config_class, field, value):
+        config = config_class(**{field: value})
+        with pytest.raises(ValueError):
+            config.validate()
+
+    def test_driver_defaults_fill_the_unset_shared_fields(self, config_class):
+        config = config_class()
+        assert config.duration == config_class.DEFAULT_DURATION
+        assert config.clients == config_class.DEFAULT_CLIENTS
+
+
+class TestDriverSpecificFields:
+    @pytest.mark.parametrize("config", [
+        ChaosConfig(intensity=1.5),
+        ChaosConfig(intensity=-0.1),
+        ChaosConfig(sabotage_dedup=True),  # needs clients > 0
+        EnduranceConfig(n_sites=2),
+        EnduranceConfig(clients=0),
+        EnduranceConfig(segments=()),
+        EnduranceConfig(segments=("bogus",)),
+        EnduranceConfig(sweep_interval=0.0),
+        EnduranceConfig(availability_window=0.1),
+    ])
+    def test_bad_values_rejected(self, config):
+        with pytest.raises(ValueError):
+            config.validate()

@@ -2,6 +2,8 @@
 the availability-floor checker, the CRC-valid stable-state corruptor,
 the RecTable purge floor, and the endurance helpers themselves."""
 
+import shlex
+
 import pytest
 
 from repro.checkers import ConsistencyViolation, check_availability_floor
@@ -11,7 +13,10 @@ from repro.db.wal import (
     BaselineRecord, CommitRecord, PersistentStorage, WriteRecord,
     record_checksum,
 )
+from repro.cli import build_parser, campaign_config
+from repro.differential import CELL_DEFAULTS
 from repro.endurance import EnduranceConfig, repro_command
+from repro.faults import ChaosConfig
 from repro.faults.storage import StableStateCorruptor
 from repro.obs.report import render_availability
 
@@ -194,20 +199,40 @@ class TestRecTablePurgeFloor:
         assert table.purge_floor == 4
 
 
+#: Configs whose printed repro command must rebuild them exactly.
+REPRO_CASES = [
+    EnduranceConfig(seed=3, mode="evs"),
+    EnduranceConfig(seed=0, duration=8.0, segments=("storm", "churn"),
+                    sabotage_outcome_merge=True),
+    # The cells `repro diff` runs (duration 1.5 / clients 6, not the
+    # CLI's 3.0 / 0): a printed command must carry them.
+    ChaosConfig(seed=9, backend="evs", **CELL_DEFAULTS["chaos"]),
+    EnduranceConfig(seed=0, backend="logless", **CELL_DEFAULTS["endurance"]),
+    ChaosConfig(seed=5, backend="logless", n_sites=5),
+    ChaosConfig(seed=12, mode="evs", clients=6, sabotage_dedup=True,
+                intensity=0.7, strategy="lazy", db_size=80,
+                arrival_rate=90.0),
+    EnduranceConfig(seed=2, n_sites=5, db_size=60, arrival_rate=45.5,
+                    clients=8, profile=True),
+]
+
+
 class TestEnduranceHelpers:
     def test_repro_command_minimal(self):
         command = repro_command(EnduranceConfig(seed=3, mode="evs"))
         assert command == ("PYTHONPATH=src python -m repro chaos "
                            "--endurance --seed 3 --mode evs")
 
-    def test_repro_command_carries_overrides(self):
-        config = EnduranceConfig(seed=0, duration=8.0,
-                                 segments=("storm", "churn"),
-                                 sabotage_outcome_merge=True)
+    @pytest.mark.parametrize("config", REPRO_CASES,
+                             ids=lambda c: f"{c.KIND}-{c.seed}")
+    def test_repro_command_rebuilds_the_config(self, config):
+        """shlex-split the printed command, parse it with the real
+        parser, rebuild the config the CLI would run: same config."""
         command = repro_command(config)
-        assert "--segments storm,churn" in command
-        assert "--duration 8" in command
-        assert "--sabotage-outcome-merge" in command
+        prefix = "PYTHONPATH=src python -m repro "
+        assert command.startswith(prefix)
+        args = build_parser().parse_args(shlex.split(command[len(prefix):]))
+        assert campaign_config(args) == config
 
     def test_render_availability_classifies_bins(self):
         samples = [(0.25, 0, False),   # warmup
