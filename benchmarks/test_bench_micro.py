@@ -54,6 +54,25 @@ def test_lock_manager_contended_queue(benchmark):
     assert benchmark(run) == 300
 
 
+def test_lock_manager_held_scan(benchmark):
+    """The recover_full shape: a transfer transaction holds shared locks
+    on everything and releases them one by one while writers queue.  Each
+    release must look only at the waiters of the object it frees."""
+    held = [f"obj{i}" for i in range(2_000)]
+
+    def run():
+        lm = LockManager()
+        for obj in held:
+            lm.request("transfer", obj, LockMode.SHARED)
+        for i in range(200):
+            lm.request(f"W{i}", held[i * 10], LockMode.EXCLUSIVE)
+        for obj in held:
+            lm.release("transfer", obj)
+        return lm.grants
+
+    assert benchmark(run) == 2_200
+
+
 def test_total_order_sequencing_throughput(benchmark):
     view = View(ViewId(1, "S1"), ("S1", "S2", "S3"))
 

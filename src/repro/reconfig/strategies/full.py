@@ -47,8 +47,9 @@ class FullTransferStrategy(TransferStrategy):
         if not objects:
             state["all_queued"] = True
             return
+        on_grant = self._make_grant_handler(session)
         for obj in objects:
-            session.request_read_lock(obj, self._make_grant_handler(session, obj))
+            session.request_read_lock(obj, on_grant)
 
     def _lock_by_partition(self, session) -> None:
         state = session.strategy_state
@@ -89,10 +90,13 @@ class FullTransferStrategy(TransferStrategy):
         # the accept arrived start flowing now; finish once all are in.
         self._maybe_finish(session)
 
-    def _make_grant_handler(self, session, obj):
-        def on_grant(_request) -> None:
+    def _make_grant_handler(self, session):
+        # The granted request names its object, so one handler serves
+        # every lock of the session.
+        def on_grant(request) -> None:
             if not session.active:
                 return
+            obj = request.resource
             value, version = session.db.store.read(obj)
             session.queue_item(obj, value, version, release_after_ack=True)
             session.strategy_state["remaining"] -= 1

@@ -1,4 +1,11 @@
-"""Strict two-phase lock manager with a coarse database-level lock.
+"""REFERENCE ONLY: the flat-list lock manager as it stood before the wait
+queue was indexed by resource, kept verbatim (below this paragraph) as the
+executable specification that ``test_lock_queue_equivalence.py`` drives
+``repro.db.locks.LockManager`` against.  Every ``release`` re-scans the
+whole ``_waiting`` list; that is the behaviour to match, not the cost.
+Never import this from ``src/``.
+
+Strict two-phase lock manager with a coarse database-level lock.
 
 Requirements taken directly from the paper:
 
@@ -28,8 +35,6 @@ import enum
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.db.partitions import PARTITION_PREFIX
-
 #: Resource name of the whole-database lock (section 4.5).
 DB_RESOURCE = "__DATABASE__"
 
@@ -56,7 +61,6 @@ class LockRequest:
         "on_grant",
         "enqueued_at",
         "granted_at",
-        "seq",
     )
 
     def __init__(
@@ -77,8 +81,6 @@ class LockRequest:
         self.on_grant = on_grant
         self.enqueued_at = enqueued_at
         self.granted_at: Optional[float] = None
-        #: Enqueue stamp; None for a request that never had to wait.
-        self.seq: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "granted" if self.granted else ("cancelled" if self.cancelled else "waiting")
@@ -102,21 +104,7 @@ class LockManager:
         # txn_id -> resources it holds; mirror of _holders so releasing
         # a whole transaction is O(locks held), not O(locks held by all).
         self._held_by: Dict[str, Set[str]] = {}
-        # resource -> its waiting requests in enqueue order.  A request's
-        # grantability depends only on holders and earlier waiters of
-        # *overlapping* resources, so a release re-examines just the
-        # queues overlapping what it freed, never every waiter on the site.
-        self._queues: Dict[str, List[LockRequest]] = {}
-        # txn_id -> its waiting requests; mirror of _queues, as _held_by
-        # is of _holders.
-        self._waiting_by: Dict[str, List[LockRequest]] = {}
-        self._waiting_count = 0
-        self._enqueue_seq = itertools.count()
-        # Resources freed (released, or dequeued by cancel) since the wait
-        # queues last reached a fixpoint.  Shared by nested pumps, so a
-        # release made from a grant handler sees the outer release's too.
-        self._dirty: Set[str] = set()
-        #: Time spent queued, one entry per grant that had to wait.
+        self._waiting: List[LockRequest] = []
         self.wait_times: List[float] = []
         self.grants = 0
         #: Requests that could not be granted immediately (conflicts).
@@ -151,26 +139,24 @@ class LockManager:
         return request.ticket
 
     def waiting_requests(self) -> List[LockRequest]:
-        """Every waiting request, in enqueue order."""
-        waiting = [r for queue in self._queues.values() for r in queue]
-        waiting.sort(key=lambda r: r.seq)
-        return waiting
+        return [r for r in self._waiting if not r.cancelled]
 
     def waiting_for(self, request: LockRequest) -> Set[str]:
         """Transaction ids this waiting request is blocked behind."""
         blockers: Set[str] = set()
-        for holders in self._overlapping(self._holders, request.resource):
+        for resource, holders in self._overlapping_items(request.resource):
             for txn_id, mode in holders.items():
                 if txn_id != request.txn_id and _conflicting(request.mode, mode):
                     blockers.add(txn_id)
-        for queue in self._overlapping(self._queues, request.resource):
-            for other in queue:
-                if (
-                    other.ticket < request.ticket
-                    and other.txn_id != request.txn_id
-                    and _conflicting(request.mode, other.mode)
-                ):
-                    blockers.add(other.txn_id)
+        for other in self._waiting:
+            if (
+                not other.cancelled
+                and other.ticket < request.ticket
+                and other.txn_id != request.txn_id
+                and self._resources_overlap(request.resource, other.resource)
+                and _conflicting(request.mode, other.mode)
+            ):
+                blockers.add(other.txn_id)
         return blockers
 
     # ------------------------------------------------------------------
@@ -207,10 +193,8 @@ class LockManager:
             self._grant(request)
         else:
             self.conflicts += 1
-            request.seq = next(self._enqueue_seq)
-            self._queues.setdefault(resource, []).append(request)
-            self._waiting_by.setdefault(txn_id, []).append(request)
-            self._waiting_count = depth = self._waiting_count + 1
+            self._waiting.append(request)
+            depth = len(self._waiting)
             if depth > self.max_waiting:
                 self.max_waiting = depth
             if self.obs is not None:
@@ -219,18 +203,31 @@ class LockManager:
 
     def release(self, txn_id: str, resource: Optional[str] = None) -> None:
         """Release one resource (or, with ``resource=None``, everything)
-        held by the transaction, then re-examine the waiters behind it."""
-        if self._unhold(txn_id, resource):
+        held by the transaction, then re-examine the wait queue."""
+        held = self._held_by.get(txn_id)
+        if resource is None:
+            resources = list(held) if held else []
+        else:
+            resources = [resource] if held and resource in held else []
+        for res in resources:
+            held.discard(res)
+            holders = self._holders[res]
+            holders.pop(txn_id, None)
+            if not holders:
+                del self._holders[res]
+        if held is not None and not held:
+            del self._held_by[txn_id]
+        if resources:
             self._pump()
 
     def cancel(self, txn_id: str) -> None:
         """Drop every waiting request of the transaction and release its
         holds (used when a local-phase reader is aborted)."""
-        for request in list(self._waiting_by.get(txn_id, ())):
-            request.cancelled = True
-            self._dequeue(request)
-            self._dirty.add(request.resource)
-        self._unhold(txn_id, None)
+        for req in self._waiting:
+            if req.txn_id == txn_id:
+                req.cancelled = True
+        self._waiting = [r for r in self._waiting if not r.cancelled]
+        self.release(txn_id)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -242,6 +239,8 @@ class LockManager:
         if a == b or a == DB_RESOURCE or b == DB_RESOURCE:
             return True
         if self._partition_fn is not None:
+            from repro.db.partitions import PARTITION_PREFIX
+
             a_part = a.startswith(PARTITION_PREFIX)
             b_part = b.startswith(PARTITION_PREFIX)
             if a_part and not b_part:
@@ -250,33 +249,34 @@ class LockManager:
                 return self._partition_fn(a) == b
         return False
 
-    def _overlapping(self, table: Dict[str, Any], resource: str) -> List[Any]:
-        """The entries of ``table`` (``_holders`` or ``_queues``) whose
-        resource can overlap ``resource``.  An object lock overlaps only
-        itself, the database-level lock and its partition's lock, so the
-        common case is dict lookups instead of a scan over the table."""
-        partition_fn = self._partition_fn
-        if resource == DB_RESOURCE or (
-            partition_fn is not None and resource.startswith(PARTITION_PREFIX)
-        ):
-            return [
-                entry
-                for other, entry in table.items()
-                if self._resources_overlap(resource, other)
-            ]
-        keys = [resource, DB_RESOURCE]
-        if partition_fn is not None:
-            keys.append(partition_fn(resource))
-        return [table[key] for key in keys if key in table]
+    def _overlapping_items(self, resource: str):
+        """The held (resource, holders) entries that can overlap
+        ``resource``.  Without partition locks, an object lock overlaps
+        only itself and the database-level lock, so the common case is
+        two dict lookups instead of a scan over everything held."""
+        if self._partition_fn is None and resource != DB_RESOURCE:
+            items = []
+            holders = self._holders.get(resource)
+            if holders is not None:
+                items.append((resource, holders))
+            db_holders = self._holders.get(DB_RESOURCE)
+            if db_holders is not None:
+                items.append((DB_RESOURCE, db_holders))
+            return items
+        return [
+            (other, holders)
+            for other, holders in self._holders.items()
+            if self._resources_overlap(resource, other)
+        ]
 
     def _grantable(self, request: LockRequest) -> bool:
         txn_id = request.txn_id
         mode = request.mode
         resource = request.resource
         if self._partition_fn is None and resource != DB_RESOURCE:
-            # Fast path mirroring _overlapping's common case, but with
-            # no list allocation: an object lock can only overlap itself
-            # and the database-level lock.
+            # Fast path mirroring _overlapping_items' common case, but
+            # with no list/tuple allocation: an object lock can only
+            # overlap itself and the database-level lock.
             exclusive = mode is LockMode.EXCLUSIVE
             holders = self._holders.get(resource)
             if holders:
@@ -293,25 +293,25 @@ class LockManager:
                     ):
                         return False
         else:
-            for holders in self._overlapping(self._holders, resource):
+            for _res, holders in self._overlapping_items(resource):
                 for other_txn, other_mode in holders.items():
                     if other_txn != txn_id and _conflicting(mode, other_mode):
                         return False
         # FIFO fairness across both levels: never overtake an earlier
         # conflicting waiter (this is what orders a transfer transaction's
-        # read locks between pre- and post-view-change writers).  Earlier
-        # means a lower *ticket*; a queue is in enqueue order, which an
-        # inherited ticket breaks, so the whole queue is read.
-        if self._queues:
+        # read locks between pre- and post-view-change writers).
+        waiting = self._waiting
+        if waiting:
             ticket = request.ticket
-            for queue in self._overlapping(self._queues, resource):
-                for other in queue:
-                    if (
-                        other.ticket < ticket
-                        and other.txn_id != txn_id
-                        and _conflicting(mode, other.mode)
-                    ):
-                        return False
+            for other in waiting:
+                if (
+                    not other.cancelled
+                    and other.ticket < ticket
+                    and other.txn_id != txn_id
+                    and self._resources_overlap(resource, other.resource)
+                    and _conflicting(mode, other.mode)
+                ):
+                    return False
         return True
 
     def _grant(self, request: LockRequest) -> None:
@@ -327,66 +327,24 @@ class LockManager:
         held.add(request.resource)
         request.granted = True
         request.granted_at = self._clock()
-        if request.seq is not None:
-            self.wait_times.append(request.granted_at - request.enqueued_at)
+        self.wait_times.append(request.granted_at - request.enqueued_at)
         self.grants += 1
         if self.obs is not None:
             self.obs.wait_time.observe(request.granted_at - request.enqueued_at)
         if request.on_grant is not None:
             request.on_grant(request)
 
-    def _unhold(self, txn_id: str, resource: Optional[str]) -> bool:
-        """Drop one hold (or all) of the transaction; True when that
-        freed a resource while someone waits, so a pump is due."""
-        held = self._held_by.get(txn_id)
-        if not held or (resource is not None and resource not in held):
-            return False
-        resources = list(held) if resource is None else [resource]
-        for res in resources:
-            held.discard(res)
-            holders = self._holders[res]
-            holders.pop(txn_id, None)
-            if not holders:
-                del self._holders[res]
-        if not held:
-            del self._held_by[txn_id]
-        if not self._queues:
-            return False
-        self._dirty.update(resources)
-        return True
-
-    def _dequeue(self, request: LockRequest) -> None:
-        for index, key in ((self._queues, request.resource), (self._waiting_by, request.txn_id)):
-            entries = index[key]
-            entries.remove(request)
-            if not entries:
-                del index[key]
-        self._waiting_count -= 1
-
     def _pump(self) -> None:
-        """Grant every waiting request that has become eligible, earliest
-        enqueued first, re-examining after each grant.
-
-        Between pumps no waiter is grantable, and a grant or an enqueue
-        never unblocks anyone (the new holder conflicts with exactly what
-        the waiter it was did), so an eligible request can only sit in a
-        queue overlapping a dirty resource.  A grant handler may release
-        or cancel: its nested pump works on the same dirty set and leaves
-        it empty, which ends this one.
-        """
-        dirty = self._dirty
-        while dirty and self._queues:
-            best = None
-            for resource in dirty:
-                for queue in self._overlapping(self._queues, resource):
-                    for request in queue:
-                        if best is not None and request.seq >= best.seq:
-                            break
-                        if self._grantable(request):
-                            best = request
-                            break
-            if best is None:
-                break
-            self._dequeue(best)
-            self._grant(best)
-        dirty.clear()
+        """Grant every waiting request that has become eligible, in order."""
+        progress = True
+        while progress:
+            progress = False
+            for request in list(self._waiting):
+                if request.cancelled:
+                    self._waiting.remove(request)
+                    continue
+                if self._grantable(request):
+                    self._waiting.remove(request)
+                    self._grant(request)
+                    progress = True
+                    break

@@ -158,6 +158,52 @@ class TestDatabaseLock:
         assert not fine.granted
 
 
+class TestWaitQueueIndex:
+    def test_simultaneously_eligible_granted_in_enqueue_order(self):
+        """One release frees two objects; the waiter queued first goes
+        first even though the other carries a lower (inherited) ticket."""
+        lm = LockManager()
+        order = []
+        coarse = lm.request("XFER", "z", LockMode.SHARED)
+        lm.request("T1", "a", LockMode.EXCLUSIVE)
+        lm.request("T1", "b", LockMode.EXCLUSIVE)
+        writer = lm.request("W", "a", LockMode.EXCLUSIVE, lambda r: order.append(r.txn_id))
+        fine = lm.request("XFER", "b", LockMode.SHARED, lambda r: order.append(r.txn_id),
+                          inherit_ticket=coarse.ticket)
+        assert fine.ticket < writer.ticket
+        lm.release("T1")
+        assert order == ["W", "XFER"]
+
+    def test_release_examines_only_overlapping_queues(self):
+        """The recover_full shape: a transfer transaction holds shared
+        locks on everything, writers queue on other objects, one object
+        is released.  The eligibility checks that release costs must not
+        grow with the number of unrelated waiters."""
+
+        def checks_for(unrelated_waiters: int) -> int:
+            lm = LockManager()
+            for i in range(500):
+                lm.request("XFER", f"obj{i}", LockMode.SHARED)
+            blocked = lm.request("W", "obj0", LockMode.EXCLUSIVE)
+            for i in range(unrelated_waiters):
+                lm.request(f"U{i}", f"obj{i + 1}", LockMode.EXCLUSIVE)
+            calls = []
+            grantable = lm._grantable
+            lm._grantable = lambda request: calls.append(request) or grantable(request)
+            lm.release("XFER", "obj0")
+            assert blocked.granted
+            assert len(lm.waiting_requests()) == unrelated_waiters
+            return len(calls)
+
+        assert checks_for(400) == checks_for(4) <= 2
+
+    def test_uncontended_grants_record_no_wait(self):
+        lm = LockManager()
+        lm.request("T1", "x", LockMode.SHARED)
+        lm.request("T2", "x", LockMode.SHARED)
+        assert lm.wait_times == []
+
+
 class TestMetrics:
     def test_wait_times_recorded(self):
         now = {"t": 0.0}
