@@ -276,7 +276,7 @@ def execute_variant(case_id: str, variant: str,
         cluster = result.cluster
         if cluster is None:
             return {"fleet_error": f"{case_id}: scenario returned no cluster"}
-        return _collect(cluster, tracer=getattr(cluster, "tracer", None),
+        return _collect(cluster, tracer=cluster.tracer,
                         ok=result.completed, materials=materials)
     from repro.faults.campaign import campaign_for
 

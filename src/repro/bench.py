@@ -117,12 +117,11 @@ def _result(name: str, completed: bool, wall: float, sim_seconds: float,
         events = cluster.sim.events_processed
         messages = cluster.network.messages_delivered
         transfer_bytes = cluster.metrics_summary()["bytes_transferred"]
-        tracer = getattr(cluster, "tracer", None)
-        if tracer is not None:
+        if cluster.tracer is not None:
             from repro.obs.epochs import epoch_summary, extract_epochs
 
-            epochs = epoch_summary(
-                extract_epochs(tracer.events, end_time=cluster.sim.now))
+            epochs = epoch_summary(extract_epochs(cluster.tracer.events,
+                                                  end_time=cluster.sim.now))
         profiler = getattr(cluster, "profiler", None)
         if profiler is not None:
             profile = profiler.top_buckets()

@@ -114,15 +114,26 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     return 0 if report.completed else 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _crash_and_recover(args: argparse.Namespace, attach=(), attach_late=()):
+    """The pinned crash + online-recovery run behind ``trace``, ``report``
+    and ``profile``: bootstrap, load, crash the last site, restart it
+    after ``--downtime``, wait for it to be ACTIVE again, settle, check.
+
+    ``attach`` callables observe the cluster from before ``start()``,
+    ``attach_late`` ones only once it is bootstrapped.  Returns
+    ``(cluster, victim, recovered)``, or None when bootstrap failed.
+    """
     cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
                              seed=args.seed, strategy=args.strategy,
                              mode=args.mode, backend=args.backend).build()
+    for observer in attach:
+        observer(cluster)
     cluster.start()
     if not cluster.await_all_active(timeout=15):
         print("bootstrap failed", file=sys.stderr)
-        return 1
-    tracer = attach_tracer(cluster)
+        return None
+    for observer in attach_late:
+        observer(cluster)
     load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=args.rate))
     load.start()
     cluster.run_for(0.5)
@@ -130,13 +141,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cluster.crash(victim)
     cluster.run_for(args.downtime)
     cluster.recover(victim)
-    ok = cluster.await_condition(
+    recovered = cluster.await_condition(
         lambda: cluster.nodes[victim].status is SiteStatus.ACTIVE, timeout=60
     )
     load.stop()
     cluster.settle(0.5)
     cluster.check()
-    print(tracer.timeline())
+    return cluster, victim, recovered
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    run = _crash_and_recover(args, attach_late=(attach_tracer,))
+    if run is None:
+        return 1
+    cluster, victim, ok = run
+    print(cluster.tracer.timeline())
     print(f"\nrecovery of {victim}: {'completed' if ok else 'TIMED OUT'}; "
           "all correctness checks passed")
     return 0 if ok else 1
@@ -146,7 +165,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     import os
 
     from repro.obs import (
-        load_jsonl, render_one_screen, render_summary,
+        attach_observability, load_jsonl, render_one_screen, render_summary,
         write_chrome_trace, write_jsonl, write_prometheus,
     )
 
@@ -156,33 +175,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(render(run))
         return 0
 
-    # A pinned crash + online-recovery run: the one scenario that
-    # exercises every span category (txn, apply, recovery, transfer).
-    cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
-                             seed=args.seed, strategy=args.strategy,
-                             mode=args.mode, backend=args.backend).build()
-    obs = cluster.attach_observability()
-    cluster.start()
-    if not cluster.await_all_active(timeout=15):
-        print("bootstrap failed", file=sys.stderr)
+    # The one scenario that exercises every span category (txn, apply,
+    # recovery, transfer).
+    outcome = _crash_and_recover(args, attach=(attach_observability,))
+    if outcome is None:
         return 1
-    load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=args.rate))
-    load.start()
-    cluster.run_for(0.5)
-    victim = f"S{args.sites}"
-    cluster.crash(victim)
-    cluster.run_for(args.downtime)
-    cluster.recover(victim)
-    ok = cluster.await_condition(
-        lambda: cluster.nodes[victim].status is SiteStatus.ACTIVE, timeout=60
-    )
-    load.stop()
-    cluster.settle(0.5)
-    cluster.check()
-
+    cluster, victim, ok = outcome
     name = (f"recover {victim} (seed={args.seed} strategy={args.strategy} "
             f"mode={args.mode})")
-    run = obs.run_data(name)
+    run = cluster.obs.run_data(name)
     print(render(run))
     if args.summary:
         # One-screen digest only; no artifact files.
@@ -215,30 +216,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         # Pinned reduced-scale scenario for the CI profile-smoke job.
         args.sites, args.db_size, args.rate = 3, 60, 80.0
         args.downtime = 0.4
-    cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
-                             seed=args.seed, strategy=args.strategy,
-                             mode=args.mode, backend=args.backend).build()
-    tracer = attach_tracer(cluster)
-    profiler = attach_profiler(cluster)
-    cluster.start()
-    if not cluster.await_all_active(timeout=15):
-        print("bootstrap failed", file=sys.stderr)
+    run = _crash_and_recover(args, attach=(attach_tracer, attach_profiler))
+    if run is None:
         return 1
-    load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=args.rate))
-    load.start()
-    cluster.run_for(0.5)
-    victim = f"S{args.sites}"
-    cluster.crash(victim)
-    cluster.run_for(args.downtime)
-    cluster.recover(victim)
-    ok = cluster.await_condition(
-        lambda: cluster.nodes[victim].status is SiteStatus.ACTIVE, timeout=60
-    )
-    load.stop()
-    cluster.settle(0.5)
-    cluster.check()
-
-    epochs = extract_epochs(tracer.events, end_time=cluster.sim.now)
+    cluster, victim, ok = run
+    profiler = cluster.profiler
+    epochs = extract_epochs(cluster.tracer.events, end_time=cluster.sim.now)
     print(f"profiled recovery of {victim} (seed={args.seed} "
           f"strategy={args.strategy} mode={args.mode} "
           f"backend={cluster.backend_name}): "

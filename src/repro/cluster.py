@@ -164,6 +164,9 @@ class Cluster:
         #: Observability handle (repro.obs.Observability), set by
         #: :meth:`attach_observability`.  None = no instrumentation cost.
         self.obs = None
+        #: Shared event sink (repro.tracing.Tracer), set by
+        #: ``attach_tracer``; None = untraced.
+        self.tracer = None
 
     def attach_observability(self):
         """Attach the unified observability layer (metrics + spans).
@@ -197,6 +200,10 @@ class Cluster:
         )
         node.configure_reconfig(self._backend.make_manager(node, self.strategy))
         node.on_txn_event = self.history.record
+        # A site added to a traced/observed cluster is traced/observed too.
+        node.tracer = self.tracer
+        if self.obs is not None:
+            self.obs.instrument(node)
         self.nodes[site] = node
         return node
 

@@ -272,6 +272,18 @@ class Observability:
         self.registry = registry
         self.spans = spans
         self.tracer = tracer
+        self._to_instruments = SequencerInstruments(registry)
+        self._lock_instruments = LockInstruments(registry)
+        self._node_instruments = NodeInstruments(registry)
+
+    def instrument(self, node) -> None:
+        """Point one site's layers at the shared push instruments
+        (``node.obs`` also switches on its per-transaction trace
+        events, the span sources)."""
+        node.obs = self._node_instruments
+        node.db.locks.obs = self._lock_instruments
+        node.member.to_obs = self._to_instruments
+        node.member.to.obs = self._to_instruments
 
     def snapshot(self) -> Dict[str, Any]:
         return self.registry.snapshot()
@@ -310,95 +322,22 @@ class Observability:
 
 
 def attach_observability(cluster) -> Observability:
-    """Instrument a cluster: metrics registry + spans + tracer.
+    """Observe a cluster: metrics registry + spans + tracer.
 
     Idempotent; reuses an already-attached tracer (e.g. from the chaos
     engine).  Attach before ``cluster.start()`` for complete coverage —
     late attachment still works, it just misses earlier events.
     """
-    existing = getattr(cluster, "obs", None)
-    if existing is not None:
-        return existing
-    tracer = getattr(cluster, "tracer", None)
-    if tracer is None:
-        tracer = attach_tracer(cluster)
+    if cluster.obs is not None:
+        return cluster.obs
+    tracer = cluster.tracer or attach_tracer(cluster)
     registry = MetricsRegistry()
     registry.add_collector(lambda: collect_cluster_metrics(cluster))
     spans = SpanTracker()
     tracer.add_listener(spans.on_trace_event)
 
     cluster.network.obs = NetInstruments(registry)
-    to_instruments = SequencerInstruments(registry)
-    lock_instruments = LockInstruments(registry)
-    node_instruments = NodeInstruments(registry)
+    cluster.obs = Observability(cluster, registry, spans, tracer)
     for node in cluster.nodes.values():
-        _instrument_node(node, tracer, to_instruments, lock_instruments,
-                         node_instruments)
-
-    obs = Observability(cluster, registry, spans, tracer)
-    cluster.obs = obs
-    return obs
-
-
-def _instrument_node(node, tracer, to_instruments, lock_instruments,
-                     node_instruments) -> None:
-    site = node.site_id
-    node.obs = node_instruments
-    node.db.locks.obs = lock_instruments
-    node.member.to_obs = to_instruments
-    node.member.to.obs = to_instruments
-
-    # A recovery rebuilds the Database (fresh LockManager) from the WAL;
-    # re-point the instruments at the replacement.
-    original_recover = node.recover
-
-    def observed_recover():
-        original_recover()
-        node.db.locks.obs = lock_instruments
-
-    node.recover = observed_recover
-
-    # Transaction lifecycle -> tracer events (span sources) --------------
-    original_submit = node.submit
-
-    def observed_submit(reads, writes, *args, **kwargs):
-        txn = original_submit(reads, writes, *args, **kwargs)
-        tracer.emit(site, "txn", "submit", data={"txn": txn.txn_id})
-        return txn
-
-    node.submit = observed_submit
-
-    original_process = node.process_delivered
-
-    def observed_process(gid, message):
-        tracer.emit(site, "txn", "deliver",
-                    data={"txn": message.local_id, "gid": gid})
-        original_process(gid, message)
-
-    node.process_delivered = observed_process
-
-    original_finish = node._finish_local
-
-    def observed_finish(txn, state, reason):
-        was_done = txn.done
-        original_finish(txn, state, reason)
-        if not was_done and txn.done:
-            tracer.emit(site, "txn", "done",
-                        data={"txn": txn.txn_id, "state": txn.state.value})
-
-    node._finish_local = observed_finish
-
-    original_tap = node.on_txn_event
-
-    def observed_tap(event_site, kind, gid, message):
-        if original_tap is not None:
-            original_tap(event_site, kind, gid, message)
-        tracer.emit(event_site, "txn", kind,
-                    data={"txn": message.local_id, "gid": gid})
-
-    node.on_txn_event = observed_tap
-
-    # Reconfiguration-phase events (transfer accept, replay start/end,
-    # crash/restart status) are emitted by the base tracer itself — see
-    # repro.tracing._instrument_node — so epoch analytics works on every
-    # traced run, not only fully-observed ones.
+        cluster.obs.instrument(node)
+    return cluster.obs

@@ -82,8 +82,8 @@ class EpochRecord:
     #: True when the run (or a second fault) cut the epoch short: the
     #: site never reached ACTIVE inside this epoch.
     truncated: bool = False
-    #: Transfer economics, from the counter snapshots the tracer embeds
-    #: in transfer events (deltas between accept and complete).
+    #: Transfer economics, from the counter snapshots the manager embeds
+    #: in its transfer events (deltas between accept and complete).
     bytes_received: int = 0
     objects_received: int = 0
     retransmissions: int = 0

@@ -16,8 +16,8 @@ causal stories the paper's evaluation needs to tell:
   visible in the Chrome trace.
 
 The tracker is a pure listener: it subscribes to ``Tracer`` events (the
-span-relevant ones carry a structured ``data`` payload, emitted by
-:func:`repro.obs.attach.attach_observability`) and never touches the
+span-relevant ones carry a structured ``data`` payload; the ``txn``
+ones are emitted only on observed clusters) and never touches the
 protocols.  Without an attached tracer it costs nothing.
 """
 

@@ -206,6 +206,15 @@ class BaseReconfigManager:
             # Already drained once but not active yet: keep up as we go.
             self._start_replay()
 
+    def _transfer_snapshot(self) -> Dict[str, int]:
+        """Receiver-side transfer counters at this instant (embedded in
+        transfer events so epoch analytics can diff them)."""
+        return {
+            "bytes_received": self.bytes_received_total,
+            "objects_received": self.objects_received_total,
+            "retransmissions": self.transfer_retransmissions,
+        }
+
     def _on_transfer_complete(self, msg: TransferComplete) -> None:
         session = self.joiner_session
         if session is None or session.session_id != msg.session_id:
@@ -224,6 +233,9 @@ class BaseReconfigManager:
         if session.complete:
             return  # duplicate delivery: baseline already installed
         session.on_complete(msg)
+        self.node.trace("transfer", "complete", f"baseline={msg.baseline_gid}",
+                        data={"baseline": msg.baseline_gid,
+                              **self._transfer_snapshot()})
         db = self.node.db
         # Adopt the peer's settled client-request outcomes through the
         # baseline.  A *replace* (not a merge): an up-to-date peer's table
@@ -249,6 +261,7 @@ class BaseReconfigManager:
         if self.replaying:
             return
         self.replaying = True
+        self.node.trace("replay", "start")
         self._replay_next()
 
     def _replay_next(self) -> None:
@@ -260,6 +273,8 @@ class BaseReconfigManager:
         if not self.enqueued:
             self.replaying = False
             self.caught_up = True
+            self.node.trace("replay", "caught_up",
+                            data={"replayed": self.replayed_transactions})
             self._on_caught_up()
             return
         gid, message = self.enqueued.pop(0)
@@ -351,10 +366,14 @@ class BaseReconfigManager:
         self.sessions_out[joiner] = PeerTransferSession(
             self.node, joiner, self.strategy, sync_gid, on_done=self._peer_session_done
         )
+        self.node.trace("transfer", "start", f"-> {joiner} sync={sync_gid}",
+                        data={"joiner": joiner, "sync": sync_gid})
 
     def cancel_session(self, joiner: str) -> None:
         session = self.sessions_out.pop(joiner, None)
         if session is not None:
+            self.node.trace("transfer", "cancel", f"-> {joiner}",
+                            data={"joiner": joiner})
             session.cancel()
 
     def cancel_all_sessions(self) -> None:
@@ -517,6 +536,8 @@ class BaseReconfigManager:
             if not self.strategy.lazy and not self.enqueue_mode:
                 self.enqueue_mode = True
             self.on_new_joiner_session()
+            self.node.trace("transfer", "accept",
+                            data={"peer": payload.peer, **self._transfer_snapshot()})
             self.joiner_session.accept()
             return
         if isinstance(payload, TransferDecline):
@@ -625,6 +646,7 @@ class BaseReconfigManager:
         self._creation_reports = {}
         db = self.node.db
         cover = db.cover_gid()
+        self.node.trace("creation", "report", f"cover={cover}")
         report = CreationReport(
             site=self.node.site_id,
             cover_gid=cover,

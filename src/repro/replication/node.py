@@ -256,10 +256,13 @@ class ReplicatedDatabaseNode:
         #: Optional storage fault model (repro.faults.storage) consulted
         #: at crash time to tear/corrupt the unflushed WAL tail.
         self.storage_faults = None
-        #: Optional tracer (repro.tracing) for fault/protocol events.
+        #: Optional event sink (repro.tracing.Tracer): every protocol,
+        #: fault and — while ``obs`` is set — transaction event leaves
+        #: the site through :meth:`trace`.
         self.tracer = None
         #: Optional observability instruments (repro.obs.NodeInstruments);
-        #: None keeps instrumented paths at one attribute check each.
+        #: None keeps instrumented paths at one attribute check each, and
+        #: the per-transaction trace events (span sources) off.
         self.obs = None
 
         # Metrics / event taps.
@@ -309,6 +312,8 @@ class ReplicatedDatabaseNode:
         self._quiescence_waiters.clear()
         self._serial_queue.clear()
         self._serial_current = None
+        if self.alive:
+            self.trace("status", "down", "crashed")
         self.status = SiteStatus.DOWN
         self.up_to_date = False
         self.proc.stop()
@@ -330,9 +335,12 @@ class ReplicatedDatabaseNode:
 
     def recover(self) -> None:
         """Restart after a crash: single-site recovery, then rejoin the group."""
+        lock_instruments = self.db.locks.obs
         self.db, recovery = Database.recover_from(
             self.storage, clock=lambda: self.sim.now, partition_fn=self._partition_fn
         )
+        # The rebuilt Database has a fresh LockManager: keep it observed.
+        self.db.locks.obs = lock_instruments
         if recovery.tail_torn:
             self.trace("fault", "wal_checksum",
                        f"torn tail detected; {recovery.corrupt_records} records "
@@ -348,6 +356,7 @@ class ReplicatedDatabaseNode:
         self.up_to_date = False
         if self.reconfig is not None:
             self.reconfig.on_recover(recovery)
+        self.trace("status", self.status.value, "restarted")
 
     def _start_common(self) -> None:
         self.status = SiteStatus.STALLED
@@ -401,6 +410,8 @@ class ReplicatedDatabaseNode:
             on_done=on_done,
         )
         self._local_txns[txn.txn_id] = txn
+        if self.obs is not None:
+            self.trace("txn", "submit", data={"txn": txn.txn_id})
         if self.config.protocol == "conservative":
             # No local read phase: everything executes at delivery time
             # in total order (no version check, no aborts).
@@ -550,6 +561,7 @@ class ReplicatedDatabaseNode:
                 self.up_to_date = False
             self._handle_membership_change(eview.view, states, eview)
         elif self.status is not SiteStatus.DOWN:
+            self.trace("eview", reason, repr(eview))
             self._refresh_structural_utd(eview)
         if reason != "view_change" and self.status is SiteStatus.SUSPENDED:
             # A merge e-view change can create the primary subview (e.g.
@@ -575,6 +587,7 @@ class ReplicatedDatabaseNode:
     ) -> None:
         if self.status is SiteStatus.DOWN:
             return
+        before = self.status
         if self.member.last_install_missed > 0 and self.up_to_date:
             # The total-order lineage delivered messages we never saw
             # (lost SYNC / stale view): our copy is silently behind, so
@@ -615,17 +628,15 @@ class ReplicatedDatabaseNode:
 
         if not primary:
             self._stall()
-            if self.mode == "vs" and self.reconfig is not None:
-                self.reconfig.on_view_change(view, states)
-            return
-
-        in_primary_component = self._in_primary_component(eview)
-        if in_primary_component and self.up_to_date:
+        elif self._in_primary_component(eview) and self.up_to_date:
             self.status = SiteStatus.ACTIVE
         elif self._any_up_to_date(view, eview):
             self._demote(SiteStatus.RECOVERING)
         else:
             self._demote(SiteStatus.SUSPENDED)
+        self.trace("view", "install", f"{view} primary={primary}")
+        if self.status is not before:
+            self.trace("status", self.status.value, f"was {before.value}")
         if self.mode == "vs" and self.reconfig is not None:
             self.reconfig.on_view_change(view, states)
 
@@ -723,12 +734,15 @@ class ReplicatedDatabaseNode:
         self.up_to_date = True
         self.site_utd[self.site_id] = True
         self.status = SiteStatus.ACTIVE
+        self.trace("status", "active", "up to date")
 
     # ------------------------------------------------------------------
     # Serialization / write / commit phases (III-V)
     # ------------------------------------------------------------------
     def process_delivered(self, gid: int, message: TransactionMessage) -> None:
         """Phase III, executed atomically at delivery."""
+        if self.obs is not None:
+            self.trace("txn", "deliver", data={"txn": message.local_id, "gid": gid})
         # Exactly-once dedup (before any execution): a request whose
         # outcome is already settled in the replicated table is answered
         # from the table, never re-executed.  The check is a
@@ -1033,6 +1047,8 @@ class ReplicatedDatabaseNode:
             # above).  Sessions only schedule follow-up work on the sim
             # clock here, they never re-enter the node synchronously.
             txn.on_done(txn)
+        if self.obs is not None:
+            self.trace("txn", "done", data={"txn": txn.txn_id, "state": state.value})
 
     # ------------------------------------------------------------------
     # Quiescence support for the transfer strategies
@@ -1096,13 +1112,17 @@ class ReplicatedDatabaseNode:
 
     # ------------------------------------------------------------------
     def trace(self, category: str, kind: str, detail: str = "", data=None) -> None:
-        """Record a protocol/fault event with the attached tracer, if any."""
+        """The site's one event sink: record a protocol/fault/transaction
+        event with the attached tracer, if any (catalogue of emit points:
+        docs/OBSERVABILITY.md)."""
         if self.tracer is not None:
             self.tracer.emit(self.site_id, category, kind, detail, data=data)
 
     def _emit(self, kind: str, gid: int, message: TransactionMessage) -> None:
         if self.on_txn_event is not None:
             self.on_txn_event(self.site_id, kind, gid, message)
+        if self.obs is not None:
+            self.trace("txn", kind, data={"txn": message.local_id, "gid": gid})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.site_id} {self.status.value}{' utd' if self.up_to_date else ''}>"

@@ -6,8 +6,12 @@ transfer lifecycle, creation-protocol steps — so that examples can print
 readable timelines and tests can assert event *sequences* rather than
 just end states.
 
-Attach with :func:`attach_tracer`, which instruments a cluster's nodes
-non-invasively (wrapping the existing callbacks).
+The protocol code emits these events itself, at its own decision points,
+through ``node.trace()`` — one ``tracer is not None`` check per emit
+point when nothing is attached.  :func:`attach_tracer` makes a
+:class:`Tracer` and points every node's ``tracer`` at it.  The catalogue
+of every ``(category, kind)`` and the function that emits it is in
+docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -96,167 +100,15 @@ class Tracer:
                 )
 
 
-def _transfer_snapshot(manager) -> Dict[str, int]:
-    """Receiver-side transfer counters at this instant (embedded in
-    transfer events so epoch analytics can diff them)."""
-    return {
-        "bytes_received": manager.bytes_received_total,
-        "objects_received": manager.objects_received_total,
-        "retransmissions": manager.transfer_retransmissions,
-    }
-
-
 def attach_tracer(cluster) -> Tracer:
-    """Instrument every node of a cluster with a shared tracer.
+    """Give every node of a cluster one shared event sink.
 
-    Wraps status transitions, view/e-view changes, transfer session
-    lifecycle and creation-protocol steps.  Returns the tracer; the
-    cluster keeps a reference in ``cluster.tracer``.
+    Returns the tracer; the cluster keeps it in ``cluster.tracer`` and
+    hands it to sites added later (``Cluster.add_site``).  Works before
+    or after ``cluster.start()`` — late attachment misses earlier events.
     """
     tracer = Tracer(clock=lambda: cluster.sim.now)
     cluster.tracer = tracer
-    for site, node in cluster.nodes.items():
-        _instrument_node(tracer, node)
+    for node in cluster.nodes.values():
+        node.tracer = tracer
     return tracer
-
-
-def _instrument_node(tracer: Tracer, node) -> None:
-    site = node.site_id
-    # Direct channel for layers that emit through node.trace() — fault
-    # injection, transfer retransmission/stall events.
-    node.tracer = tracer
-
-    # Status transitions -------------------------------------------------
-    original_handle = node._handle_membership_change
-
-    def traced_handle(view, states, eview=None):
-        before = node.status
-        original_handle(view, states, eview)
-        tracer.emit(site, "view", "install",
-                    f"{view} primary={node.member.is_primary()}")
-        if node.status is not before:
-            tracer.emit(site, "status", node.status.value, f"was {before.value}")
-
-    node._handle_membership_change = traced_handle
-
-    original_become_active = node._become_active
-
-    def traced_become_active():
-        original_become_active()
-        tracer.emit(site, "status", "active", "up to date")
-
-    node._become_active = traced_become_active
-
-    # Fail-stop lifecycle: crash and restart are direct status writes
-    # (no membership change fires at the crashed site), so wrap them to
-    # keep the status timeline complete — the epoch extractor anchors
-    # every crash-triggered epoch on these two events.
-    original_crash = node.crash
-
-    def traced_crash():
-        was_alive = node.alive
-        original_crash()
-        if was_alive:
-            tracer.emit(site, "status", "down", "crashed")
-
-    node.crash = traced_crash
-
-    original_recover = node.recover
-
-    def traced_recover():
-        original_recover()
-        tracer.emit(site, "status", node.status.value, "restarted")
-
-    node.recover = traced_recover
-
-    # E-view changes ------------------------------------------------------
-    if node.evs_member is not None:
-        original_eview = node.on_eview_change
-
-        def traced_eview(eview, reason, states, gseq=None):
-            if reason != "view_change":
-                tracer.emit(site, "eview", reason, repr(eview))
-            original_eview(eview, reason, states, gseq)
-
-        node.on_eview_change = traced_eview
-        node.evs_member.app = node  # callbacks route through the node itself
-
-    # Transfer lifecycle ---------------------------------------------------
-    manager = node.reconfig
-    if manager is None:
-        return
-
-    original_start = manager.start_session
-
-    def traced_start(joiner, sync_gid):
-        before = set(manager.sessions_out)
-        original_start(joiner, sync_gid)
-        if joiner not in before and joiner in manager.sessions_out:
-            tracer.emit(site, "transfer", "start", f"-> {joiner} sync={sync_gid}",
-                        data={"joiner": joiner, "sync": sync_gid})
-
-    manager.start_session = traced_start
-
-    original_cancel = manager.cancel_session
-
-    def traced_cancel(joiner):
-        if joiner in manager.sessions_out:
-            tracer.emit(site, "transfer", "cancel", f"-> {joiner}",
-                        data={"joiner": joiner})
-        original_cancel(joiner)
-
-    manager.cancel_session = traced_cancel
-
-    original_complete = manager._on_transfer_complete
-
-    def traced_complete(msg):
-        original_complete(msg)
-        if manager.joiner_session is not None and manager.joiner_session.complete:
-            tracer.emit(site, "transfer", "complete",
-                        f"baseline={msg.baseline_gid}",
-                        data={"baseline": msg.baseline_gid,
-                              **_transfer_snapshot(manager)})
-
-    manager._on_transfer_complete = traced_complete
-
-    # Joiner-side lifecycle: accepted offers and the replay that follows
-    # a completed transfer.  The counter snapshots in the event data let
-    # the epoch extractor compute per-epoch transfer economics (bytes,
-    # retransmissions) as deltas, purely from the event stream.
-    original_joiner = manager.on_new_joiner_session
-
-    def traced_joiner():
-        original_joiner()
-        session = manager.joiner_session
-        tracer.emit(site, "transfer", "accept",
-                    data={"peer": None if session is None else session.peer,
-                          **_transfer_snapshot(manager)})
-
-    manager.on_new_joiner_session = traced_joiner
-
-    original_replay = manager._start_replay
-
-    def traced_replay():
-        tracer.emit(site, "replay", "start")
-        original_replay()
-
-    manager._start_replay = traced_replay
-
-    original_caught_up = manager._on_caught_up
-
-    def traced_caught_up():
-        tracer.emit(site, "replay", "caught_up",
-                    data={"replayed": manager.replayed_transactions})
-        original_caught_up()
-
-    manager._on_caught_up = traced_caught_up
-
-    original_creation = manager.check_creation
-
-    def traced_creation(view):
-        started_before = manager._creation_started
-        original_creation(view)
-        if manager._creation_started and not started_before:
-            tracer.emit(site, "creation", "report", f"cover={node.db.cover_gid()}")
-
-    manager.check_creation = traced_creation

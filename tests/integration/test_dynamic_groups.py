@@ -58,6 +58,33 @@ class TestGrowth:
         assert len(node.db.store) == 60
         cluster.check()
 
+    def test_site_added_to_an_observed_cluster_is_observed(self):
+        """A site added after attach shares the cluster's event sink and
+        instruments, so its join shows up in the timeline, the spans and
+        the epoch analytics like any other recovery."""
+        from repro.obs.epochs import extract_epochs
+
+        cluster = dynamic_cluster()
+        obs = cluster.attach_observability()
+        node = cluster.add_site("S4")
+        assert node.tracer is cluster.tracer
+        assert node.obs is cluster.nodes["S1"].obs
+        assert node.db.locks.obs is cluster.nodes["S1"].db.locks.obs
+        assert cluster.await_condition(lambda: node.status is SiteStatus.ACTIVE,
+                                       timeout=30)
+        cluster.settle(0.3)
+        joined = [(e.category, e.kind) for e in obs.tracer.of(site="S4")
+                  if e.category in ("transfer", "replay", "status")]
+        wanted = [("transfer", "accept"), ("transfer", "complete"),
+                  ("replay", "start"), ("replay", "caught_up"),
+                  ("status", "active")]
+        assert [pair for pair in joined if pair in wanted] == wanted
+        epochs = [epoch for epoch in extract_epochs(obs.tracer.events,
+                                                    end_time=cluster.sim.now)
+                  if epoch.site == "S4"]
+        assert len(epochs) == 1 and not epochs[0].truncated
+        assert obs.spans.of(category="reconfig", site="S4")
+
     def test_universe_grows_at_every_member(self):
         cluster = dynamic_cluster()
         cluster.add_site("S4")

@@ -132,6 +132,17 @@ class TestAttachedTracer:
         )
         assert any(e.site == "S3" and e.kind == "recovering"
                    for e in tracer.of("status"))
+        # assert_order is site-blind; the joiner's own events, in causal
+        # order: the completed transfer triggers the replay, not vice versa.
+        joiner = [(e.category, e.kind) for e in tracer.of(site="S3")]
+        joiner = joiner[joiner.index(("transfer", "accept")):]
+        assert joiner == [
+            ("transfer", "accept"),
+            ("transfer", "complete"),
+            ("replay", "start"),
+            ("replay", "caught_up"),
+            ("status", "active"),
+        ]
 
     def test_evs_run_traces_merges(self):
         cluster = quick_cluster(mode="evs", n_sites=5, db_size=30)
@@ -153,3 +164,17 @@ class TestAttachedTracer:
             cluster.recover(site)
         assert cluster.await_all_active(timeout=30)
         assert tracer.of("creation")
+
+    def test_every_creation_round_is_traced(self):
+        """A creation round is per view: a re-round in the next view sends
+        a fresh report, and the trace says so (same view: no new round)."""
+        from repro.gcs.view import View, ViewId
+
+        cluster = quick_cluster(db_size=20)
+        tracer = attach_tracer(cluster)
+        manager = cluster.nodes["S1"].reconfig
+        view = cluster.nodes["S1"].member.view
+        later = View(ViewId(view.view_id.epoch + 1, "S1"), view.members)
+        for round_view in (view, view, later):
+            manager.check_creation(round_view)
+        assert len(tracer.of("creation", site="S1", kind="report")) == 2

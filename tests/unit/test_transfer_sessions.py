@@ -122,6 +122,25 @@ class TestJoinerSession:
         assert joiner.complete and joiner.baseline_gid == 77
         assert joiner.resume_through == 77
 
+    def test_duplicate_or_stale_complete_is_traced_once(self):
+        """``transfer/complete`` means "a baseline was installed": the
+        retransmitted notice is re-acked but not traced again, and a
+        notice for a superseded session is not traced at all."""
+        from repro.tracing import attach_tracer
+
+        cluster = quick_cluster()
+        tracer = attach_tracer(cluster)
+        manager = cluster.nodes["S3"].reconfig
+        manager.joiner_session = self.make_joiner(cluster)
+        baseline = cluster.nodes["S3"].db.cover_gid()
+        notice = TransferComplete(session_id="sess", baseline_gid=baseline)
+        stale = TransferComplete(session_id="older", baseline_gid=baseline)
+        for msg in (stale, notice, notice, stale):
+            manager.on_transfer_message("S1", msg)
+        assert manager.transfers_completed == 1
+        completes = tracer.of("transfer", site="S3", kind="complete")
+        assert [e.data["baseline"] for e in completes] == [baseline]
+
     def test_cancelled_session_ignores_batches(self):
         cluster = quick_cluster()
         joiner = self.make_joiner(cluster)
