@@ -49,3 +49,7 @@ def test_peer_interference_by_strategy(benchmark):
     assert wait["log_filter"] <= min(wait["full"], wait["gcs_level"])
     # Filtered locking beats whole-database locking.
     assert wait["rectable"] <= wait["full"] * 1.5
+    # The paper's order survives writers-first shipping of `full`: locking
+    # every object still delays writers more than locking the changed ones.
+    assert wait["full"] > wait["version_check"]
+    assert wait["version_check"] >= wait["rectable"] * 0.99

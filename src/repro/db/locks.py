@@ -156,6 +156,23 @@ class LockManager:
         waiting.sort(key=lambda r: r.seq)
         return waiting
 
+    def contended(self, txn_id: str) -> List[str]:
+        """Resources ``txn_id`` holds whose own wait queue is non-empty,
+        the one with the oldest waiter first.
+
+        A queue is in enqueue order, so its head carries its lowest
+        ``seq``.  Waiters on an overlapping coarser or finer resource
+        (the database lock, a partition lock) do not name an object.
+        """
+        if not self._queues:
+            return []
+        held = self._held_by.get(txn_id)
+        if not held:
+            return []
+        heads = [queue[0] for resource, queue in self._queues.items() if resource in held]
+        heads.sort(key=lambda request: request.seq)
+        return [request.resource for request in heads]
+
     def waiting_for(self, request: LockRequest) -> Set[str]:
         """Transaction ids this waiting request is blocked behind."""
         blockers: Set[str] = set()

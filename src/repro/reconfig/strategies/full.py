@@ -8,8 +8,11 @@ lock."
 
 Mandatory for new sites; attractive when the database is small or most
 of it changed while the joiner was down.  Reads continue unhindered on
-the peer; writes are delayed exactly until "their" object's batch has
-been acknowledged.
+the peer; a write is delayed until the batch carrying "its" object has
+been acknowledged.  The paper leaves the order objects leave in open:
+the session ships the objects writers are queued on first, so that delay
+is at most the batch in flight plus the writer's own, not the object's
+turn in a database-long queue.
 """
 
 from __future__ import annotations
@@ -26,20 +29,30 @@ class FullTransferStrategy(TransferStrategy):
     (section 4.3): one read lock per data partition instead of one per
     object.  Fewer lock-manager operations, but each lock covers more
     data and is held until the whole session completes — the classic
-    granularity trade-off.  Requires ``NodeConfig.partition_count > 0``.
+    granularity trade-off.  Requires ``NodeConfig.partition_count > 0``
+    (checked when the cluster is built).
     """
 
     name = "full"
+    writers_first = True
 
     def __init__(self, granularity: str = "object") -> None:
         if granularity not in ("object", "partition"):
             raise ValueError(f"granularity must be 'object' or 'partition', got {granularity!r}")
         self.granularity = granularity
 
+    def check_config(self, config) -> None:
+        if self.granularity == "partition" and config.partition_count <= 0:
+            raise ValueError(
+                "FullTransferStrategy(granularity='partition') needs data partitions to "
+                f"lock, but NodeConfig.partition_count is {config.partition_count}; set "
+                "partition_count > 0 or use granularity='object'"
+            )
+
     def on_session_created(self, session) -> None:
         state = {"remaining": 0, "all_queued": False}
         session.strategy_state = state
-        if self.granularity == "partition" and session.node.config.partition_count > 0:
+        if self.granularity == "partition":
             self._lock_by_partition(session)
             return
         objects = list(session.db.store.objects())

@@ -9,8 +9,8 @@ A :class:`PeerTransferSession` lives at the peer; the concrete
 :class:`repro.reconfig.strategies.TransferStrategy` decides *what* to
 send and under which locks, while the session provides the shared
 machinery: offer/accept handshake, batching with a single in-flight
-batch, per-object marshalling cost, lock release on acknowledgement and
-completion signalling.
+batch (and which queued objects it takes), per-object marshalling cost,
+lock release on acknowledgement and completion signalling.
 
 A :class:`JoinerTransferSession` lives at the joining site; it installs
 incoming batches, tracks lazy-transfer resume points for peer fail-over,
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -265,8 +266,9 @@ class PeerTransferSession:
         self.completed = False
         self.round_no = 1
 
-        self._outbox: List[Tuple[str, Any, int]] = []
-        self._release_on_ack: List[str] = []
+        # object -> (value, version, release_after_ack), in queueing order:
+        # a batch can take any object out without a pass over the rest.
+        self._outbox: "OrderedDict[str, Tuple[Any, int, bool]]" = OrderedDict()
         self._inflight: Optional[int] = None  # item count of the batch in flight
         self._inflight_release: List[str] = []
         self._finished_baseline: Optional[int] = None
@@ -438,12 +440,11 @@ class PeerTransferSession:
 
     def queue_item(self, obj: str, value: Any, version: int, release_after_ack: bool = False) -> None:
         """Queue one object for transfer; optionally keep its lock until
-        the batch carrying it is acknowledged (sections 4.3/4.4)."""
+        the batch carrying it is acknowledged (sections 4.3/4.4).  An
+        object is queued at most once between two drains of the outbox."""
         if not self.active:
             return
-        self._outbox.append((obj, value, version))
-        if release_after_ack:
-            self._release_on_ack.append(obj)
+        self._outbox[obj] = (value, version, release_after_ack)
         self._maybe_send_batch()
 
     def announce_partition_complete(self, partition: str, boundary_gid: int) -> None:
@@ -477,13 +478,28 @@ class PeerTransferSession:
     def _maybe_send_batch(self) -> None:
         if not self.active or not self.accepted or self._inflight is not None:
             return
-        if self._outbox:
-            size = min(len(self._outbox), self.node.config.transfer_batch_size)
-            items = tuple(self._outbox[:size])
-            del self._outbox[:size]
+        outbox = self._outbox
+        if outbox:
+            size = min(len(outbox), self.node.config.transfer_batch_size)
+            batch: List[Tuple[str, Tuple[Any, int, bool]]] = []
+            if self.strategy.writers_first:
+                # Section 4.3 fixes when an object is read (lock granted)
+                # and when its lock goes back (batch acknowledged), not
+                # the order objects leave in.  Objects a writer is queued
+                # behind go first, the longest-waiting writer's foremost;
+                # the batch is then filled in queueing order, so it is as
+                # full as ever and the transfer takes no longer.
+                for obj in self.db.locks.contended(self.owner):
+                    entry = outbox.pop(obj, None)
+                    if entry is not None:
+                        batch.append((obj, entry))
+                        if len(batch) == size:
+                            break
+            while len(batch) < size:
+                batch.append(outbox.popitem(last=False))
             self._inflight = size
-            self._inflight_release = self._release_on_ack[:size]
-            del self._release_on_ack[:size]
+            self._inflight_release = [obj for obj, entry in batch if entry[2]]
+            items = tuple([(obj, value, version) for obj, (value, version, _) in batch])
             delay = size * self.node.config.transfer_obj_time
             self.node.proc.after(delay, self._transmit_batch, items)
             return

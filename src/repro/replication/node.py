@@ -288,6 +288,7 @@ class ReplicatedDatabaseNode:
     # ------------------------------------------------------------------
     def configure_reconfig(self, manager) -> None:
         """Attach the reconfiguration manager (VS or EVS flavour)."""
+        manager.strategy.check_config(self.config)
         self.reconfig = manager
 
     # ------------------------------------------------------------------

@@ -126,6 +126,21 @@ class TestCoarseGranularity:
         with pytest.raises(ValueError):
             FullTransferStrategy(granularity="page")
 
+    def test_partition_granularity_without_partitions_rejected_at_build(self):
+        """Partition locks on an unpartitioned node would cover nothing;
+        the cluster refuses to be built instead of falling back."""
+        strategy = FullTransferStrategy(granularity="partition")
+        for node_config in (None, NodeConfig(partition_count=0)):
+            builder = ClusterBuilder(n_sites=3, db_size=20, strategy=strategy,
+                                     node_config=node_config)
+            with pytest.raises(ValueError) as error:
+                builder.build()
+            assert "granularity='partition'" in str(error.value)
+            assert "partition_count" in str(error.value)
+        ClusterBuilder(n_sites=3, db_size=20, strategy=strategy,
+                       node_config=NodeConfig(partition_count=4)).build()
+        ClusterBuilder(n_sites=3, db_size=20, strategy=FullTransferStrategy()).build()
+
 
 class TestPartitionedLazyFailover:
     def test_done_partitions_skipped_on_resume(self):
