@@ -32,14 +32,12 @@ membership of the primary subview, not of the primary view".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.gcs.evs import EView, SubviewId
 from repro.reconfig.manager import BaseReconfigManager
 from repro.reconfig.transfer import CatchUpComplete, PeerTransferSession
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.replication.node import ReplicatedDatabaseNode
+from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
 
 
 def elect_for(candidates, index: int) -> Optional[str]:
@@ -55,7 +53,10 @@ class EvsReconfigManager(BaseReconfigManager):
 
     backend_name = "evs"
 
-    def __init__(self, node: "ReplicatedDatabaseNode", strategy) -> None:
+    #: Settle time between deciding on a Subview-SetMerge and issuing it.
+    MERGE_DELAY = 0.02
+
+    def __init__(self, node: ReplicatedDatabaseNode, strategy) -> None:
         super().__init__(node, strategy)
         self._pending_svs_merges: Set[SubviewId] = set()
         self._caught_up_joiners: Set[str] = set()
@@ -99,28 +100,13 @@ class EvsReconfigManager(BaseReconfigManager):
     # Rule I: view changes
     # ------------------------------------------------------------------
     def _on_view_change(self, eview: EView) -> None:
-        from repro.replication.node import SiteStatus
-
         node = self.node
         primary = self._primary_subview(eview)
         self._caught_up_joiners &= set(eview.view.members)
 
         if node.status in (SiteStatus.STALLED, SiteStatus.DOWN):
             # Rule I.4: out of the primary component.
-            self.cancel_all_sessions()
-            if self.joiner_session is not None:
-                self.joiner_session.cancel()
-                self.joiner_session = None
-            self._abort_replay()
-            self.caught_up = False
-            self._catch_up_sent = False
-            self.activation_authorized = False
-            self._creation_source = False
-            self._creation_started = False
-            self._creation_view = None
-            self._creation_members = None
-            self._creation_reports = {}
-            self._caught_up_joiners.clear()
+            self.on_demoted()
             return
 
         if primary is None or node.site_id not in primary:
@@ -291,8 +277,7 @@ class EvsReconfigManager(BaseReconfigManager):
         if svs_id in self._pending_svs_merges:
             return
         self._pending_svs_merges.add(svs_id)
-        delay = getattr(self.node.config, "evs_merge_delay", 0.02)
-        self.node.proc.after(delay, self._issue_svs_merge, my_svs_id, svs_id)
+        self.node.proc.after(self.MERGE_DELAY, self._issue_svs_merge, my_svs_id, svs_id)
 
     def _issue_svs_merge(self, my_svs_id: SubviewId, svs_id: SubviewId) -> None:
         eview = self.evs.eview
@@ -386,23 +371,12 @@ class EvsReconfigManager(BaseReconfigManager):
         self._reconcile(eview, sync_gid=node.last_processed_gid)
 
     # ------------------------------------------------------------------
-    def maybe_activate(self) -> None:
+    def _join_settled(self) -> bool:
         # Under EVS the structural signal can arrive without a transfer
-        # session (e.g. nothing needed transferring after creation).
+        # session (e.g. nothing needed transferring after creation), and
+        # an empty replay queue is all the catch-up it asks for.
         session = self.joiner_session
-        transfer_done = session is not None and session.complete
-        if (
-            self.activation_authorized
-            and (transfer_done or self._creation_source)
-            and not self.replaying
-            and not self.enqueued
-        ):
-            self.joiner_session = None
-            self.enqueue_mode = False
-            self._creation_source = False
-            self._catch_up_sent = False
-            self.node._become_active()
-            self.on_activated()
+        return self._creation_source or (session is not None and session.complete)
 
     # ------------------------------------------------------------------
     # Creation protocol under EVS (total failure / bootstrap)
@@ -431,4 +405,5 @@ class EvsReconfigManager(BaseReconfigManager):
             self._reconcile(eview, sync_gid=gseq)
 
     def on_activated(self) -> None:
-        pass
+        self._creation_source = False
+        self._catch_up_sent = False

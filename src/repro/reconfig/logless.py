@@ -48,8 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.reconfig.manager import VsReconfigManager
+from repro.reconfig.manager import BaseReconfigManager, VsReconfigManager
 from repro.replication.messages import ConfigChange
+from repro.replication.node import SiteStatus
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ class LoglessReconfigManager(VsReconfigManager):
     """
 
     backend_name = "logless"
+
+    #: Config writes replace the vs announcements, which this backend
+    #: never multicasts (and therefore does not route).
+    CONTROL_ROUTES = {**BaseReconfigManager.CONTROL_ROUTES,
+                      ConfigChange: "on_config_message"}
 
     def __init__(self, node, strategy) -> None:
         super().__init__(node, strategy)
@@ -131,8 +137,6 @@ class LoglessReconfigManager(VsReconfigManager):
         """Re-propose add-self after our previous proposal lost a CAS
         race.  Triggered from config deliveries, so a lost race (which
         by definition delivered *some* change) always re-arms it."""
-        from repro.replication.node import SiteStatus
-
         node = self.node
         if (
             node.status is SiteStatus.RECOVERING
@@ -162,22 +166,21 @@ class LoglessReconfigManager(VsReconfigManager):
             members = tuple(sorted(merged))
         self.config = ReplicatedConfig(self.config.version + 1, members)
         self.config_changes_applied += 1
-        self._apply_membership_effects(payload, members)
+        self._apply_membership_effects(payload, members, gseq)
         self._maybe_repropose_add()
 
     def _apply_membership_effects(
-        self, change: ConfigChange, members: Tuple[str, ...]
+        self, change: ConfigChange, members: Tuple[str, ...], gseq: int
     ) -> None:
-        from repro.replication.node import SiteStatus
-
         node = self.node
         me = node.site_id
         joined = (
             tuple(change.replace) if change.replace is not None else change.add
         )
-        # Config membership is the backend's up-to-date set.
+        # Config membership is the backend's up-to-date set; joining it
+        # at ``gseq`` outranks staler flushed claims, like an announcement.
         for site in joined:
-            node.site_utd[site] = True
+            node.note_up_to_date(site, gseq)
         for site in change.remove:
             node.site_utd[site] = False
         if change.replace is not None:
@@ -213,26 +216,17 @@ class LoglessReconfigManager(VsReconfigManager):
         ):
             # Someone (e.g. the creation-protocol source) wrote a config
             # with serving members: we can recover from them.
-            node.status = SiteStatus.RECOVERING
+            node._set_status(SiteStatus.RECOVERING)
 
     # ------------------------------------------------------------------
     # Joiner / source hooks (vs announcements replaced by config writes)
     # ------------------------------------------------------------------
-    def _on_caught_up(self) -> None:
-        if not self._announced:
-            self._announced = True
-            self._propose_add_self()
-        self.maybe_activate()
-
-    def on_creation_source(self, gseq: int) -> None:
-        self.node._become_active()
+    def _announce(self, as_source: bool) -> None:
         self._announced = True
-        self._propose(replace=(self.node.site_id,), reason="creation")
-
-    def on_up_to_date(self, site: str) -> None:
-        """No-op: the logless backend never multicasts announcements, so
-        the only announcement-driven path left is the node-side cover
-        bookkeeping, which is backend-independent."""
+        if as_source:
+            self._propose(replace=(self.node.site_id,), reason="creation")
+        else:
+            self._propose_add_self()
 
     # ------------------------------------------------------------------
     # View changes: adopt flushed config, then coordinator repair
@@ -247,8 +241,6 @@ class LoglessReconfigManager(VsReconfigManager):
         installed view: add serving members the config misses (also the
         bootstrap path — the initial config is empty), drop members that
         left the view or were identified stale by the flush."""
-        from repro.replication.node import SiteStatus
-
         node = self.node
         if node.status is not SiteStatus.ACTIVE:
             return
@@ -271,10 +263,8 @@ class LoglessReconfigManager(VsReconfigManager):
     # Lifecycle: the config is volatile state
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        super().on_crash()
+        super().on_crash()  # resets the proposal state via _reset_joiner_state
         self.config = ReplicatedConfig()
-        self._add_proposed_version = None
-        self._add_attempts = 0
 
     def restart_join(self) -> None:
         super().restart_join()

@@ -1,9 +1,10 @@
 """Reconfiguration management: shared machinery plus the plain-VS manager.
 
-:class:`BaseReconfigManager` owns everything both flavours share: the
-peer-side session table, the joiner-side enqueue/replay machinery (the
-synchronization-point rule of section 4.2), lazy-transfer resume state,
-and the creation protocol after total failures (section 3).
+:class:`BaseReconfigManager` owns everything the ``vs``, ``evs`` and
+``logless`` backends share: the peer-side session table, the joiner-side
+enqueue/replay machinery (the synchronization-point rule of section
+4.2), lazy-transfer resume state, the creation protocol after total
+failures (section 3), and the routing tables of both message channels.
 
 :class:`VsReconfigManager` adds what *plain virtual synchrony* needs on
 top (section 5 / Figure 1): because a member of a primary view is not
@@ -16,10 +17,12 @@ protocol.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.db.recovery import RecoveryResult
 from repro.gcs.view import View
 from repro.replication.messages import CreationReport, TransactionMessage, UpToDateAnnouncement
+from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
 from repro.reconfig.strategies.base import TransferStrategy
 from repro.reconfig.transfer import (
     CatchUpComplete,
@@ -40,9 +43,29 @@ from repro.reconfig.transfer import (
     TransferSolicit,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.db.recovery import RecoveryResult
-    from repro.replication.node import ReplicatedDatabaseNode
+
+#: Transfer-channel routing: message type -> (side, method).  A ``peer``
+#: row goes to the active peer-side session the message's ``session_id``
+#: names, a ``joiner`` row to the current joiner-side session if the id
+#: is its own (anything else is a leftover of a dead session and is
+#: dropped); a ``manager`` row is a handler with logic of its own on the
+#: manager.  Every handler takes the message as its only argument.
+TRANSFER_ROUTES = {
+    TransferOffer: ("manager", "_on_transfer_offer"),
+    TransferSolicit: ("manager", "_on_transfer_solicit"),
+    TransferDecline: ("manager", "_on_transfer_decline"),
+    TransferComplete: ("manager", "_on_transfer_complete"),
+    LastRoundStart: ("manager", "_on_last_round_start"),
+    TransferAccept: ("peer", "on_accept"),
+    ReconcileAck: ("peer", "on_reconcile_ack"),
+    TransferBatchAck: ("peer", "on_batch_ack"),
+    LastRoundReady: ("peer", "on_last_round_ready"),
+    TransferCompleteAck: ("peer", "on_complete_ack"),
+    CatchUpComplete: ("peer", "on_catch_up_complete"),
+    PartitionComplete: ("joiner", "on_partition_complete"),
+    ReconcileNotice: ("joiner", "on_reconcile_notice"),
+    TransferBatch: ("joiner", "on_batch"),
+}
 
 
 def elect_peer(candidates: List[str], joiner: str, joiners: List[str]) -> Optional[str]:
@@ -63,7 +86,14 @@ class BaseReconfigManager:
     #: by subclasses and surfaced in reports/metrics.
     backend_name = "vs"
 
-    def __init__(self, node: "ReplicatedDatabaseNode", strategy: TransferStrategy) -> None:
+    #: Ordered-channel routing: the non-transaction messages of the
+    #: total-order stream this backend reacts to, message type -> method
+    #: taking ``(message, gseq)``.  A backend with a control message of
+    #: its own extends the table; the node routes through
+    #: :meth:`on_control` and never names the type.
+    CONTROL_ROUTES = {CreationReport: "on_creation_report"}
+
+    def __init__(self, node: ReplicatedDatabaseNode, strategy: TransferStrategy) -> None:
         self.node = node
         self.strategy = strategy
         self.sessions_out: Dict[str, PeerTransferSession] = {}
@@ -133,26 +163,29 @@ class BaseReconfigManager:
         self.sessions_out.clear()
         self._reset_joiner_state()
 
-    def on_recover(self, recovery: "RecoveryResult") -> None:
+    def on_recover(self, recovery: RecoveryResult) -> None:
         self._reset_joiner_state()
         self._resume_through = self.node.db.cover_gid()
         self._done_partitions = {}
 
+    def on_control(self, payload: Any, gseq: int) -> None:
+        """A delivered message that is neither a transaction nor pure
+        cover bookkeeping: hand it to the method the backend routes it to."""
+        method = self.CONTROL_ROUTES.get(type(payload))
+        if method is None:
+            raise TypeError(
+                f"{self.node.site_id}: the {self.backend_name} backend has no "
+                f"route for a delivered {type(payload).__name__} (gseq {gseq})"
+            )
+        getattr(self, method)(payload, gseq)
+
     def on_demoted(self) -> None:
-        """The site's view went stale (section 2.1's thin layer): stop
-        all reconfiguration activity, like leaving the primary component."""
+        """The site left the primary component — its view went stale
+        (section 2.1's thin layer) or a minority view was installed:
+        stop all reconfiguration activity."""
         self.cancel_all_sessions()
-        if self.joiner_session is not None:
-            self.joiner_session.cancel()
-            self.joiner_session = None
-        self._abort_replay()
-        self.caught_up = False
-        self.activation_authorized = False
-        self._announced = False
-        self._creation_started = False
-        self._creation_view = None
-        self._creation_members = None
-        self._creation_reports = {}
+        self._drop_join()
+        self._reset_creation()
 
     def note_partition_complete(self, partition: str, boundary_gid: int) -> None:
         """Record lazy round-1 progress so a replacement peer can skip
@@ -167,26 +200,30 @@ class BaseReconfigManager:
         Drop it and wait for a fresh offer anchored at the new view —
         already-installed transfer data stays (it is only ever a valid
         prefix of the lineage's state)."""
+        self._drop_join()
+        self.enqueued.clear()
+
+    def _reset_joiner_state(self) -> None:
+        self._drop_join()
+        self.enqueue_mode = False
+        self.enqueued = []
+        self.last_seen_gid = -1
+        self._reset_creation()
+
+    def _drop_join(self) -> None:
+        """Abandon the join in progress: the session, any running replay
+        and everything earned through them.  Leaves ``enqueued`` /
+        ``enqueue_mode`` to the caller."""
         if self.joiner_session is not None:
             self.joiner_session.cancel()
             self.joiner_session = None
-        self.enqueued.clear()
         self._abort_replay()
         self.caught_up = False
         self.activation_authorized = False
         self._announced = False
 
-    def _reset_joiner_state(self) -> None:
-        if self.joiner_session is not None:
-            self.joiner_session.cancel()
-        self.joiner_session = None
-        self.enqueue_mode = False
-        self.enqueued = []
-        self.last_seen_gid = -1
-        self._abort_replay()
-        self.caught_up = False
-        self.activation_authorized = False
-        self._announced = False
+    def _reset_creation(self) -> None:
+        """Forget the creation round (section 3) this site was part of."""
         self._creation_reports = {}
         self._creation_started = False
         self._creation_view = None
@@ -283,32 +320,15 @@ class BaseReconfigManager:
                              self._join_generation)
 
     def _apply_replayed(self, gid: int, message: TransactionMessage,
-                        generation: Optional[int] = None) -> None:
-        if generation is not None and generation != self._join_generation:
+                        generation: int) -> None:
+        if generation != self._join_generation:
             return  # stale step from before a join restart
         db = self.node.db
         node = self.node
-        # Same exactly-once dedup as the live delivery path: the replayed
-        # stream must reach the identical decisions the ACTIVE sites made
-        # for these gids, including the suppressions.
-        if message.request is not None and not node.dedup_disabled:
-            if db.outcomes.is_duplicate(message.request):
-                db.log_noop(gid)
-                node.last_processed_gid = gid
-                node.duplicates_suppressed += 1
-                self.replayed_transactions += 1
-                self._replay_next()
-                return
-        db.log_begin(gid)
-        node.last_processed_gid = gid
-        if not db.version_check(message.reads()):
-            if message.request is not None:
-                db.outcomes.record(message.request, gid, False)
-            db.abort(gid, message.request)
-            node._emit("abort", gid, message)
-        else:
-            if message.request is not None:
-                db.outcomes.record(message.request, gid, True)
+        # node.certify is the live delivery path's decision too, so the
+        # replayed stream reaches the identical decisions the ACTIVE
+        # sites made for these gids, including the suppressions.
+        if node.certify(gid, message):
             writes = message.writes()
             db.tag_writes(gid, writes.keys())
             for obj, value in sorted(writes.items()):
@@ -324,12 +344,9 @@ class BaseReconfigManager:
         raise NotImplementedError
 
     def maybe_activate(self) -> None:
-        session = self.joiner_session
-        transfer_done = session is not None and session.complete
         if (
             self.activation_authorized
-            and transfer_done
-            and self.caught_up
+            and self._join_settled()
             and not self.replaying
             and not self.enqueued
         ):
@@ -337,6 +354,12 @@ class BaseReconfigManager:
             self.enqueue_mode = False
             self.node._become_active()
             self.on_activated()
+
+    def _join_settled(self) -> bool:
+        """Hook: has this joiner's transfer delivered what activation
+        needs?  Here: the session completed and its stream was replayed."""
+        session = self.joiner_session
+        return session is not None and session.complete and self.caught_up
 
     def replay_pending(self) -> bool:
         """True while enqueued transaction messages have not been replayed.
@@ -395,12 +418,7 @@ class BaseReconfigManager:
     # ------------------------------------------------------------------
     # Joiner-side stall detection and peer fail-over (no view change)
     # ------------------------------------------------------------------
-    def _note_transfer_progress(self) -> None:
-        self._last_transfer_progress = self.node.sim.now
-
     def _stall_tick(self) -> None:
-        from repro.replication.node import SiteStatus
-
         node = self.node
         if node.status is not SiteStatus.RECOVERING:
             self._last_transfer_progress = None
@@ -456,8 +474,6 @@ class BaseReconfigManager:
 
         Served regardless of the view-change-time peer election — the
         elected peer is exactly the one that went silent."""
-        from repro.replication.node import SiteStatus
-
         node = self.node
         if node.status is not SiteStatus.ACTIVE or not node.up_to_date:
             return
@@ -475,139 +491,93 @@ class BaseReconfigManager:
     # Transfer channel dispatch
     # ------------------------------------------------------------------
     def on_transfer_message(self, src: str, payload: Any) -> None:
-        from repro.replication.node import SiteStatus
-
+        route = TRANSFER_ROUTES.get(type(payload))
+        if route is None:
+            raise TypeError(
+                f"{self.node.site_id}: no transfer route for a "
+                f"{type(payload).__name__} (from {src})"
+            )
+        side, method = route
+        joiner = self.joiner_session
+        session_id = getattr(payload, "session_id", None)
+        current = joiner is not None and joiner.session_id == session_id
         # Any inbound message for the current joiner session counts as
         # progress for the stall watchdog; fresh offers do too.
-        if isinstance(payload, TransferOffer) or (
-            self.joiner_session is not None
-            and getattr(payload, "session_id", None) == self.joiner_session.session_id
-        ):
-            self._note_transfer_progress()
-        if isinstance(payload, TransferSolicit):
-            self._on_transfer_solicit(payload)
-            return
-        if isinstance(payload, TransferCompleteAck):
-            session = self._session_by_id(payload.session_id)
+        if current or type(payload) is TransferOffer:
+            self._last_transfer_progress = self.node.sim.now
+        if side == "manager":
+            getattr(self, method)(payload)
+        elif side == "peer":
+            session = self._session_by_id(session_id)
             if session is not None:
-                session.on_complete_ack()
+                getattr(session, method)(payload)
+        elif current:
+            getattr(joiner, method)(payload)
+
+    def _on_transfer_offer(self, offer: TransferOffer) -> None:
+        node = self.node
+        if node.status not in (SiteStatus.RECOVERING, SiteStatus.SUSPENDED):
+            if node.status is SiteStatus.ACTIVE and node.up_to_date:
+                # The peer thinks we need a transfer but we are fully
+                # caught up (its utd knowledge lagged ours).  Decline
+                # explicitly so the session — which holds database
+                # locks from creation — is torn down now instead of
+                # dangling through the retransmission budget.
+                node.trace("view", "xfer_decline",
+                           f"declining offer from {offer.peer}: already active")
+                node.send_transfer(
+                    offer.peer,
+                    TransferDecline(session_id=offer.session_id, joiner=node.site_id))
             return
-        if isinstance(payload, TransferOffer):
-            if self.node.status not in (SiteStatus.RECOVERING, SiteStatus.SUSPENDED):
-                if self.node.status is SiteStatus.ACTIVE and self.node.up_to_date:
-                    # The peer thinks we need a transfer but we are fully
-                    # caught up (its utd knowledge lagged ours).  Decline
-                    # explicitly so the session — which holds database
-                    # locks from creation — is torn down now instead of
-                    # dangling through the retransmission budget.
-                    self.node.trace(
-                        "view", "xfer_decline",
-                        f"declining offer from {payload.peer}: already active")
-                    self.node.send_transfer(
-                        payload.peer,
-                        TransferDecline(session_id=payload.session_id,
-                                        joiner=self.node.site_id))
-                return
-            current = self.joiner_session
-            if current is not None and current.session_id == payload.session_id:
-                if not current.complete:
-                    current.accept()  # duplicate offer (retry): re-accept
-                return
-            if current is not None and payload.created_at <= current.offer_time:
-                # A duplicated or reordered offer from a *superseded*
-                # session: its peer session is long gone, so accepting
-                # would cancel the current (possibly completed) session
-                # in favour of one that can never finish.
-                return
-            if current is not None:
-                current.cancel()
-            # A replacement session's batches will rewrite the store to a
-            # newer synchronization point: any replay of the old stream
-            # must stop *now*, or it would check old messages against the
-            # newer state.  (The enqueued messages stay: those above the
-            # new baseline are still needed, the rest get skipped.)
-            if self.replaying or self.caught_up:
-                self._abort_replay()
-                self.caught_up = False
-            resume = max(self.node.db.cover_gid(), self._resume_through)
-            self.joiner_session = JoinerTransferSession(
-                self.node, payload, resume, done_partitions=self._done_partitions
+        current = self.joiner_session
+        if current is not None and current.session_id == offer.session_id:
+            if not current.complete:
+                current.accept()  # duplicate offer (retry): re-accept
+            return
+        if current is not None and offer.created_at <= current.offer_time:
+            # A duplicated or reordered offer from a *superseded*
+            # session: its peer session is long gone, so accepting
+            # would cancel the current (possibly completed) session
+            # in favour of one that can never finish.
+            return
+        if current is not None:
+            current.cancel()
+        # A replacement session's batches will rewrite the store to a
+        # newer synchronization point: any replay of the old stream
+        # must stop *now*, or it would check old messages against the
+        # newer state.  (The enqueued messages stay: those above the
+        # new baseline are still needed, the rest get skipped.)
+        if self.replaying or self.caught_up:
+            self._abort_replay()
+            self.caught_up = False
+        resume = max(node.db.cover_gid(), self._resume_through)
+        self.joiner_session = JoinerTransferSession(
+            node, offer, resume, done_partitions=self._done_partitions
+        )
+        if not self.strategy.lazy and not self.enqueue_mode:
+            self.enqueue_mode = True
+        self.on_new_joiner_session()
+        node.trace("transfer", "accept",
+                   data={"peer": offer.peer, **self._transfer_snapshot()})
+        self.joiner_session.accept()
+
+    def _on_transfer_decline(self, msg: TransferDecline) -> None:
+        session = self._session_by_id(msg.session_id)
+        if session is not None:
+            self.node.trace("view", "xfer_declined",
+                            f"{msg.joiner} is up to date; dropping session")
+            self.node.site_utd[msg.joiner] = True
+            self.cancel_session(msg.joiner)
+
+    def _on_last_round_start(self, msg: LastRoundStart) -> None:
+        session = self.joiner_session
+        if session is not None and session.session_id == msg.session_id:
+            self.enqueue_mode = True
+            self.node.send_transfer(
+                session.peer,
+                LastRoundReady(session_id=msg.session_id,
+                               last_discarded_gid=self.last_seen_gid),
             )
-            if not self.strategy.lazy and not self.enqueue_mode:
-                self.enqueue_mode = True
-            self.on_new_joiner_session()
-            self.node.trace("transfer", "accept",
-                            data={"peer": payload.peer, **self._transfer_snapshot()})
-            self.joiner_session.accept()
-            return
-        if isinstance(payload, TransferDecline):
-            session = self._session_by_id(payload.session_id)
-            if session is not None and session.active:
-                self.node.trace(
-                    "view", "xfer_declined",
-                    f"{payload.joiner} is up to date; dropping session")
-                self.node.site_utd[payload.joiner] = True
-                self.cancel_session(payload.joiner)
-            return
-        if isinstance(payload, TransferAccept):
-            session = self._session_by_id(payload.session_id)
-            if session is not None:
-                session.on_accept(payload)
-            return
-        if isinstance(payload, PartitionComplete):
-            if self.joiner_session is not None and (
-                self.joiner_session.session_id == payload.session_id
-            ):
-                self.joiner_session.on_partition_complete(payload)
-            return
-        if isinstance(payload, ReconcileNotice):
-            if self.joiner_session is not None and (
-                self.joiner_session.session_id == payload.session_id
-            ):
-                self.joiner_session.on_reconcile_notice(payload)
-            return
-        if isinstance(payload, ReconcileAck):
-            session = self._session_by_id(payload.session_id)
-            if session is not None:
-                session.on_reconcile_ack(payload)
-            return
-        if isinstance(payload, TransferBatch):
-            if self.joiner_session is not None and (
-                self.joiner_session.session_id == payload.session_id
-            ):
-                self.joiner_session.on_batch(payload)
-            return
-        if isinstance(payload, TransferBatchAck):
-            session = self._session_by_id(payload.session_id)
-            if session is not None:
-                session.on_batch_ack(payload)
-            return
-        if isinstance(payload, LastRoundStart):
-            if self.joiner_session is not None and (
-                self.joiner_session.session_id == payload.session_id
-            ):
-                self.enqueue_mode = True
-                self.node.send_transfer(
-                    self.joiner_session.peer,
-                    LastRoundReady(
-                        session_id=payload.session_id,
-                        last_discarded_gid=self.last_seen_gid,
-                    ),
-                )
-            return
-        if isinstance(payload, LastRoundReady):
-            session = self._session_by_id(payload.session_id)
-            if session is not None:
-                session.on_last_round_ready(payload)
-            return
-        if isinstance(payload, TransferComplete):
-            self._on_transfer_complete(payload)
-            return
-        if isinstance(payload, CatchUpComplete):
-            session = self._session_by_id(payload.session_id)
-            if session is not None:
-                session.on_catch_up_complete()
-            return
 
     def _session_by_id(self, session_id: str) -> Optional[PeerTransferSession]:
         for session in self.sessions_out.values():
@@ -665,10 +635,7 @@ class BaseReconfigManager:
         reports = self._creation_reports
         source = min(reports.values(), key=lambda r: (-r.cover_gid, r.site)).site
         if source != self.node.site_id:
-            self._creation_reports = {}
-            self._creation_started = False
-            self._creation_view = None
-            self._creation_members = None
+            self._reset_creation()
             return
         # I am the source: apply every committed transaction above my
         # cover found in any log, in gid order.
@@ -697,24 +664,6 @@ class BaseReconfigManager:
         """Hook: this site now holds the most current state system-wide."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Hooks with default no-op implementations
-    # ------------------------------------------------------------------
-    def on_transaction_terminated(self, gid: int) -> None:
-        """Called by the node whenever a delivered transaction commits."""
-
-    def on_up_to_date(self, site: str) -> None:
-        """An UpToDateAnnouncement for ``site`` was delivered."""
-
-    def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
-        """VS mode entry point."""
-
-    def on_eview_change(self, eview, reason: str, states, gseq=None) -> None:
-        """EVS mode entry point."""
-
-    def on_config_message(self, payload, gseq: int) -> None:
-        """A :class:`ConfigChange` was delivered (logless backend only)."""
-
     def flush_extra(self) -> Dict[str, Any]:
         """Extra keys a backend contributes to the view-change flush
         state (merged into the node's ``repl`` payload).  Must stay
@@ -733,25 +682,15 @@ class VsReconfigManager(BaseReconfigManager):
     and detection of primary views without any up-to-date member.
     """
 
-    def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
-        from repro.replication.node import SiteStatus
+    CONTROL_ROUTES = {**BaseReconfigManager.CONTROL_ROUTES,
+                      UpToDateAnnouncement: "on_up_to_date"}
 
+    def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
         node = self.node
         status = node.status
         if status in (SiteStatus.STALLED, SiteStatus.DOWN):
             # Rule: leaving the primary component stops everything.
-            self.cancel_all_sessions()
-            if self.joiner_session is not None:
-                self.joiner_session.cancel()
-                self.joiner_session = None
-            self._abort_replay()
-            self.caught_up = False
-            self._announced = False
-            self.activation_authorized = False
-            self._creation_started = False
-            self._creation_view = None
-            self._creation_members = None
-            self._creation_reports = {}
+            self.on_demoted()
             return
 
         if status is SiteStatus.ACTIVE:
@@ -792,10 +731,14 @@ class VsReconfigManager(BaseReconfigManager):
             if elect_peer(utd, joiner, joiners) == node.site_id:
                 self.start_session(joiner, sync_gid)
 
-    def on_up_to_date(self, site: str) -> None:
-        from repro.replication.node import SiteStatus
-
+    def on_up_to_date(self, msg: UpToDateAnnouncement, gseq: int) -> None:
         node = self.node
+        site = msg.site
+        node.note_up_to_date(site, gseq)
+        if node.status is SiteStatus.SUSPENDED and site != node.site_id:
+            # Someone (e.g. the creation-protocol source) is now up to
+            # date: we can recover from it.
+            node._set_status(SiteStatus.RECOVERING)
         if site == node.site_id:
             if node.status is SiteStatus.ACTIVE:
                 # Already active (creation source): the delivery of our
@@ -828,17 +771,18 @@ class VsReconfigManager(BaseReconfigManager):
 
     def _on_caught_up(self) -> None:
         if not self._announced:
-            self._announced = True
-            self.announcements_sent += 1
-            self.node._multicast(
-                UpToDateAnnouncement(site=self.node.site_id, cover_gid=self.node.db.cover_gid())
-            )
+            self._announce(as_source=False)
         self.maybe_activate()
 
     def on_creation_source(self, gseq: int) -> None:
         # The source is up-to-date by construction; announce so everyone
         # else switches to RECOVERING and awaits a transfer from us.
         self.node._become_active()
+        self._announce(as_source=True)
+
+    def _announce(self, as_source: bool) -> None:
+        """Tell the group, through the total order, that this site is up
+        to date: having caught up, or as the elected creation source."""
         self._announced = True
         self.announcements_sent += 1
         self.node._multicast(

@@ -24,12 +24,10 @@ import pickle
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.db.locks import LockMode
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.replication.node import ReplicatedDatabaseNode
+from repro.replication.node import ReplicatedDatabaseNode
 
 
 def encode_batch_items(items: Tuple[Tuple[str, Any, int], ...]) -> bytes:
@@ -248,7 +246,7 @@ class PeerTransferSession:
 
     def __init__(
         self,
-        node: "ReplicatedDatabaseNode",
+        node: ReplicatedDatabaseNode,
         joiner: str,
         strategy,
         sync_gid: int,
@@ -355,9 +353,7 @@ class PeerTransferSession:
             return
         if entry["attempts"]:
             self.retransmissions += 1
-            manager = self.node.reconfig
-            if manager is not None:
-                manager.transfer_retransmissions += 1
+            self.node.reconfig.transfer_retransmissions += 1
             self.node.trace(
                 "fault", "xfer_retransmit",
                 f"{kind} -> {self.joiner} attempt {entry['attempts'] + 1}",
@@ -383,10 +379,8 @@ class PeerTransferSession:
         self.stalled = True
         self.node.trace("fault", "xfer_stalled",
                         f"session -> {self.joiner} gave up on {kind}")
-        manager = self.node.reconfig
         self.cancel()
-        if manager is not None:
-            manager.on_peer_session_stalled(self)
+        self.node.reconfig.on_peer_session_stalled(self)
 
     def on_accept(self, accept: TransferAccept) -> None:
         if not self.active or self.accepted:
@@ -408,7 +402,7 @@ class PeerTransferSession:
         self._maybe_send_batch()
 
     def on_reconcile_ack(self, ack: "ReconcileAck") -> None:
-        accept = getattr(self, "_pending_accept", None)
+        accept = self._pending_accept
         if not self.active or accept is None:
             return
         self.ack_tracked("reconcile")
@@ -531,9 +525,8 @@ class PeerTransferSession:
         self.objects_sent += len(items)
         self.bytes_sent += payload_bytes
         manager = self.node.reconfig
-        if manager is not None:
-            manager.objects_sent_total += len(items)
-            manager.bytes_sent_total += payload_bytes
+        manager.objects_sent_total += len(items)
+        manager.bytes_sent_total += payload_bytes
         obs = self.node.obs
         if obs is not None:
             obs.chunk_objects.observe(len(items))
@@ -579,10 +572,10 @@ class PeerTransferSession:
             self.ack_tracked("last_round")
             self.strategy.on_last_round_ready(self, msg)
 
-    def on_complete_ack(self) -> None:
+    def on_complete_ack(self, ack: TransferCompleteAck) -> None:
         self.ack_tracked("complete")
 
-    def on_catch_up_complete(self) -> None:
+    def on_catch_up_complete(self, msg: CatchUpComplete) -> None:
         self.ack_tracked("complete")
         if self.on_done is not None:
             self.on_done(self)
@@ -621,7 +614,7 @@ class PeerTransferSession:
 class JoinerTransferSession:
     """Joiner-side transfer state: installs batches, tracks resume info."""
 
-    def __init__(self, node: "ReplicatedDatabaseNode", offer: TransferOffer,
+    def __init__(self, node: ReplicatedDatabaseNode, offer: TransferOffer,
                  resume_through: int,
                  done_partitions: Optional[Dict[str, int]] = None) -> None:
         self.node = node
@@ -668,9 +661,8 @@ class JoinerTransferSession:
             return
         current = self.done_partitions.get(msg.partition, -(2**60))
         self.done_partitions[msg.partition] = max(current, msg.boundary_gid)
-        manager = self.node.reconfig
-        if manager is not None:
-            manager.note_partition_complete(msg.partition, self.done_partitions[msg.partition])
+        self.node.reconfig.note_partition_complete(
+            msg.partition, self.done_partitions[msg.partition])
 
     def on_reconcile_notice(self, notice: ReconcileNotice) -> None:
         if not self.active:
@@ -703,9 +695,8 @@ class JoinerTransferSession:
             self.objects_received += len(items)
             self.bytes_received += batch.payload_bytes
             manager = self.node.reconfig
-            if manager is not None:
-                manager.objects_received_total += len(items)
-                manager.bytes_received_total += batch.payload_bytes
+            manager.objects_received_total += len(items)
+            manager.bytes_received_total += batch.payload_bytes
             if batch.round_boundary is not None:
                 self.resume_through = max(self.resume_through, batch.round_boundary)
         # Always (re-)ack — the previous ack may have been lost.

@@ -22,7 +22,7 @@ cover must not advance past transactions that may have committed
 elsewhere) and ignores deliveries until reconfiguration brings it back.
 
 Reconfiguration itself is delegated to a manager from
-:mod:`repro.reconfig` (one for plain virtual synchrony, one for EVS).
+:mod:`repro.reconfig` — one per backend: ``vs``, ``evs`` or ``logless``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from repro.gcs.member import GroupMember
 from repro.gcs.view import View
 from repro.net.network import Network
 from repro.replication.messages import (
-    ConfigChange,
     CoverAnnouncement,
-    CreationReport,
     TransactionMessage,
     UpToDateAnnouncement,
 )
@@ -219,6 +217,9 @@ class ReplicatedDatabaseNode:
         else:
             self.evs_member = None
             self.member = GroupMember(sim, network, site_id, self.universe, gcs_config, app=self)
+        #: The group-communication handle this site starts, crashes and
+        #: multicasts through: the EVS wrapper when there is one.
+        self.gcs = self.member if self.evs_member is None else self.evs_member
 
         self.xfer = network.endpoint(f"{site_id}:xfer")
         self.xfer.reliable = True  # "e.g., performed via TCP" (section 4.2)
@@ -234,7 +235,7 @@ class ReplicatedDatabaseNode:
         if has_initial_copy:
             self.db.bootstrap(self._initial_db)
 
-        self.status = SiteStatus.DOWN
+        self._status = SiteStatus.DOWN
         self.up_to_date = False
         self.proc = Process(sim)
 
@@ -287,7 +288,8 @@ class ReplicatedDatabaseNode:
     # Wiring
     # ------------------------------------------------------------------
     def configure_reconfig(self, manager) -> None:
-        """Attach the reconfiguration manager (VS or EVS flavour)."""
+        """Attach the reconfiguration manager (the ``vs``, ``evs`` or
+        ``logless`` backend's; ``Cluster._make_node`` always does)."""
         manager.strategy.check_config(self.config)
         self.reconfig = manager
 
@@ -296,32 +298,20 @@ class ReplicatedDatabaseNode:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Boot the site for the first time."""
-        self._start_common()
+        self._start_common("started")
         self.up_to_date = self.has_initial_copy
 
     def crash(self) -> None:
         """Fail-stop crash: volatile state is lost, stable storage survives."""
-        for txn in list(self._local_txns.values()):
-            if not txn.done:
-                self._finish_local(txn, TxnState.ABORTED, AbortReason.SITE_CRASHED)
+        self._drop_in_flight(AbortReason.SITE_CRASHED, rollback=False)
         self._local_txns.clear()
-        self._delivered.clear()
         # proc.stop() cancels the drain events; their staging lists must
         # go with them or a same-tick restart would append to dead lists.
         self._bulk_apply_batches.clear()
-        self.db.reset_version_tags()
-        self._quiescence_waiters.clear()
-        self._serial_queue.clear()
-        self._serial_current = None
-        if self.alive:
-            self.trace("status", "down", "crashed")
-        self.status = SiteStatus.DOWN
+        self._set_status(SiteStatus.DOWN, "crashed")
         self.up_to_date = False
         self.proc.stop()
-        if self.evs_member is not None:
-            self.evs_member.crash()
-        else:
-            self.member.crash()
+        self.gcs.crash()
         self.network.take_down(self.xfer.node_id)
         if self.storage_faults is not None:
             corrupt_before = self.storage.corrupt_records
@@ -331,8 +321,7 @@ class ReplicatedDatabaseNode:
                 self.trace("fault", "wal_torn",
                            f"{affected} unflushed records damaged"
                            + (", tail corrupted" if corrupted else ""))
-        if self.reconfig is not None:
-            self.reconfig.on_crash()
+        self.reconfig.on_crash()
 
     def recover(self) -> None:
         """Restart after a crash: single-site recovery, then rejoin the group."""
@@ -352,15 +341,13 @@ class ReplicatedDatabaseNode:
         # already identify transactions in stable storage.
         self.member.gseq_floor = max(self.member.gseq_floor, recovery.last_delivered_gid + 1)
         self.last_processed_gid = max(self.last_processed_gid, recovery.last_delivered_gid)
-        self._start_common()
+        self._start_common("restarted")
         self._delivered_gseq = recovery.last_delivered_gid
         self.up_to_date = False
-        if self.reconfig is not None:
-            self.reconfig.on_recover(recovery)
-        self.trace("status", self.status.value, "restarted")
+        self.reconfig.on_recover(recovery)
 
-    def _start_common(self) -> None:
-        self.status = SiteStatus.STALLED
+    def _start_common(self, why: str) -> None:
+        self._set_status(SiteStatus.STALLED, why)
         self.site_covers = {}
         self.site_utd = {}
         self._utd_asof = {}
@@ -370,12 +357,29 @@ class ReplicatedDatabaseNode:
         self.proc.every(self.config.rectable_flush_interval, self._rectable_tick)
         self.proc.every(self.config.cover_announce_interval, self._cover_announce_tick)
         self.network.bring_up(self.xfer.node_id)
-        if self.reconfig is not None:
-            self.reconfig.on_start()
-        if self.evs_member is not None:
-            self.evs_member.start()
-        else:
-            self.member.start()
+        self.reconfig.on_start()
+        self.gcs.start()
+
+    @property
+    def status(self) -> SiteStatus:
+        return self._status
+
+    def _set_status(self, new: SiteStatus, why: str = "") -> None:
+        """The one writer of the site status: a no-op when nothing
+        changes, otherwise a ``status/<new>`` event whose detail is
+        ``why`` or, by default, ``was <old>``.  Every ordered pair among
+        the four live statuses occurs in practice, so there is no
+        legality table; the one rule with content is checked here."""
+        old = self._status
+        if new is old:
+            return
+        if old is SiteStatus.DOWN and new is not SiteStatus.STALLED:
+            raise RuntimeError(
+                f"{self.site_id} is down and changes status only by restarting "
+                f"into stalled, not to {new.value} ({why or 'no reason given'})"
+            )
+        self._status = new
+        self.trace("status", new.value, why or f"was {old.value}")
 
     @property
     def alive(self) -> bool:
@@ -455,10 +459,7 @@ class ReplicatedDatabaseNode:
         self._multicast(message)
 
     def _multicast(self, payload: Any) -> None:
-        if self.evs_member is not None:
-            self.evs_member.multicast(payload)
-        else:
-            self.member.multicast(payload)
+        self.gcs.multicast(payload)
 
     # ------------------------------------------------------------------
     # GCS application callbacks
@@ -470,10 +471,9 @@ class ReplicatedDatabaseNode:
         # locally delivered announcements (see _handle_membership_change).
         repl = {"utd": self.up_to_date, "cover": self.db.cover_gid(),
                 "asof": self._delivered_gseq}
-        if self.reconfig is not None:
-            # Backend-specific flush keys (empty for vs/evs, so their
-            # flushed states stay byte-identical to the pre-backend code).
-            repl.update(self.reconfig.flush_extra())
+        # Backend-specific flush keys (empty for vs/evs, so their
+        # flushed states stay byte-identical to the pre-backend code).
+        repl.update(self.reconfig.flush_extra())
         return {"repl": repl}
 
     def on_message(self, sender: str, payload: Any, gseq: int) -> None:
@@ -482,45 +482,34 @@ class ReplicatedDatabaseNode:
         self._delivered_gseq = max(self._delivered_gseq, gseq)
         if isinstance(payload, TransactionMessage):
             if self.status is SiteStatus.RECOVERING:
-                if self.reconfig is not None:
-                    self.reconfig.on_recovering_message(gseq, payload)
-                return
-            if self.status is SiteStatus.ACTIVE:
+                self.reconfig.on_recovering_message(gseq, payload)
+            elif self.status is SiteStatus.ACTIVE:
                 if self.config.serial_processing:
                     self._serial_queue.append((gseq, payload))
                     self._serial_advance()
                 else:
                     self.process_delivered(gseq, payload)
             return
-        if isinstance(payload, ConfigChange):
-            # Logless backend: a config write in the total-order stream.
-            # Recorded as a no-op exactly like an announcement so the gid
-            # stream stays aligned; the apply rule lives in the manager.
-            if self.status is SiteStatus.ACTIVE:
-                self.db.log_noop(gseq)
-                self.last_processed_gid = gseq
-            if self.reconfig is not None:
-                self.reconfig.on_config_message(payload, gseq)
-            return
-        if isinstance(payload, (UpToDateAnnouncement, CoverAnnouncement, CreationReport)):
-            if self.status is SiteStatus.ACTIVE:
-                self.db.log_noop(gseq)
-                self.last_processed_gid = gseq
-            if isinstance(payload, CreationReport):
-                if self.reconfig is not None:
-                    self.reconfig.on_creation_report(payload, gseq)
-                return
+        # Everything else in the total-order stream (announcements,
+        # creation reports, the logless backend's config writes) is
+        # recorded as a no-op so the gid stream stays aligned across
+        # sites and backends; what it means lives in the manager.
+        if self.status is SiteStatus.ACTIVE:
+            self.db.log_noop(gseq)
+            self.last_processed_gid = gseq
+        if isinstance(payload, (UpToDateAnnouncement, CoverAnnouncement)):
             self.site_covers[payload.site] = payload.cover_gid
             self._purge_rectable()
-            if isinstance(payload, UpToDateAnnouncement):
-                self.site_utd[payload.site] = True
-                self._utd_asof[payload.site] = gseq
-                if self.status is SiteStatus.SUSPENDED and payload.site != self.site_id:
-                    # Someone (e.g. the creation-protocol source) is now
-                    # up to date: we can recover from it.
-                    self.status = SiteStatus.RECOVERING
-                if self.reconfig is not None:
-                    self.reconfig.on_up_to_date(payload.site)
+        if not isinstance(payload, CoverAnnouncement):
+            self.reconfig.on_control(payload, gseq)
+
+    def note_up_to_date(self, site: str, gseq: int) -> None:
+        """``site`` became up to date at the ordered point ``gseq`` (its
+        announcement, or the config write that added it, was delivered):
+        the stamp lets :meth:`_handle_membership_change` ignore flushed
+        ``utd: False`` claims that are older than this delivery."""
+        self.site_utd[site] = True
+        self._utd_asof[site] = gseq
 
     def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
         """Plain-VS mode entry point (EVS mode uses on_eview_change)."""
@@ -534,8 +523,7 @@ class ReplicatedDatabaseNode:
         believing it is an up-to-date primary member."""
         if self.status in (SiteStatus.ACTIVE, SiteStatus.RECOVERING, SiteStatus.SUSPENDED):
             self._stall()
-            if self.reconfig is not None:
-                self.reconfig.on_demoted()
+            self.reconfig.on_demoted()
 
     def on_eview_change(
         self,
@@ -548,13 +536,8 @@ class ReplicatedDatabaseNode:
         if reason == "view_change":
             # Up-to-dateness is structural under EVS: member of the
             # primary subview <=> up to date (section 5.2).
-            assert self.evs_member is not None
             self.up_to_date = self.evs_member.in_primary_subview()
-            if (
-                self.up_to_date
-                and self.reconfig is not None
-                and self.reconfig.replay_pending()
-            ):
+            if self.up_to_date and self.reconfig.replay_pending():
                 # Structurally current, but the replay queue has not
                 # drained: acting up to date now would drop the enqueued
                 # transactions.  Stay a joiner; maybe_activate promotes
@@ -576,8 +559,8 @@ class ReplicatedDatabaseNode:
             if primary is not None and (
                 self.site_id not in primary or not self.up_to_date
             ):
-                self.status = SiteStatus.RECOVERING
-        if self.reconfig is not None and self.status is not SiteStatus.DOWN:
+                self._set_status(SiteStatus.RECOVERING)
+        if self.status is not SiteStatus.DOWN:
             self.reconfig.on_eview_change(eview, reason, states, gseq)
 
     # ------------------------------------------------------------------
@@ -588,7 +571,6 @@ class ReplicatedDatabaseNode:
     ) -> None:
         if self.status is SiteStatus.DOWN:
             return
-        before = self.status
         if self.member.last_install_missed > 0 and self.up_to_date:
             # The total-order lineage delivered messages we never saw
             # (lost SYNC / stale view): our copy is silently behind, so
@@ -627,18 +609,18 @@ class ReplicatedDatabaseNode:
         self._refresh_structural_utd(eview)
         self.site_utd[self.site_id] = self.up_to_date
 
+        # Traced before the status decision, so the ``status/*`` event
+        # of this installation follows its ``view/install``.
+        self.trace("view", "install", f"{view} primary={primary}")
         if not primary:
             self._stall()
         elif self._in_primary_component(eview) and self.up_to_date:
-            self.status = SiteStatus.ACTIVE
+            self._set_status(SiteStatus.ACTIVE)
         elif self._any_up_to_date(view, eview):
             self._demote(SiteStatus.RECOVERING)
         else:
             self._demote(SiteStatus.SUSPENDED)
-        self.trace("view", "install", f"{view} primary={primary}")
-        if self.status is not before:
-            self.trace("status", self.status.value, f"was {before.value}")
-        if self.mode == "vs" and self.reconfig is not None:
+        if self.mode == "vs":
             self.reconfig.on_view_change(view, states)
 
     def _refresh_structural_utd(self, eview: Optional[EView]) -> None:
@@ -661,7 +643,6 @@ class ReplicatedDatabaseNode:
 
     def _in_primary_component(self, eview: Optional[EView]) -> bool:
         if self.mode == "evs":
-            assert self.evs_member is not None
             return self.evs_member.in_primary_subview()
         return True  # VS mode: being in the primary view suffices structurally
 
@@ -674,32 +655,12 @@ class ReplicatedDatabaseNode:
         """Leave the primary component: behave as if failed (section 2.3)."""
         if self.status is SiteStatus.DOWN:
             return
-        was_processing = self.status in (
-            SiteStatus.ACTIVE,
-            SiteStatus.RECOVERING,
-            SiteStatus.SUSPENDED,
-        )
-        self.status = SiteStatus.STALLED
+        was_stalled = self.status is SiteStatus.STALLED
+        self._set_status(SiteStatus.STALLED)
         self.up_to_date = False
-        if self.evs_member is not None:
-            self.evs_member.cancel_pending()
-        else:
-            self.member.cancel_pending()
-        if was_processing:
-            for txn in list(self._local_txns.values()):
-                if not txn.done:
-                    self._abort_local(txn, AbortReason.SITE_LEFT_PRIMARY)
-            # Roll back in-flight delivered transactions *without*
-            # terminating them: they may have committed elsewhere, so the
-            # cover must not advance past them.
-            for gid, delivered in list(self._delivered.items()):
-                if delivered.pending_writes or delivered.applied_writes:
-                    self._rollback_delivered(gid)
-            self._delivered.clear()
-            self.db.reset_version_tags()
-            self._quiescence_waiters.clear()
-            self._serial_queue.clear()
-            self._serial_current = None
+        self.gcs.cancel_pending()
+        if not was_stalled:
+            self._drop_in_flight(AbortReason.SITE_LEFT_PRIMARY, rollback=True)
 
     def _demote(self, status: SiteStatus) -> None:
         """Stop processing without leaving the primary component.
@@ -708,23 +669,34 @@ class ReplicatedDatabaseNode:
         is still the pre-change one, so lock requests and write phases
         for those transactions may be parked in lock queues or the event
         scheduler by the time the demotion happens.  They must be torn
-        down the same way :meth:`_stall` does it — rolled back *without*
-        terminating, so the unterminated Begin records keep the cover
-        below them and the upcoming transfer (or creation round) restores
-        them if they committed elsewhere.  Left alone, those write phases
-        would resume after reactivation and commit against a store that
-        was rebuilt as of an older gid, silently diverging the replica.
+        down the same way :meth:`_stall` does it.  Left alone, those
+        write phases would resume after reactivation and commit against
+        a store that was rebuilt as of an older gid, silently diverging
+        the replica.
         """
         was_active = self.status is SiteStatus.ACTIVE
-        self.status = status
-        if not was_active:
-            return
+        self._set_status(status)
+        if was_active:
+            self._drop_in_flight(AbortReason.SITE_LEFT_PRIMARY, rollback=True)
+
+    def _drop_in_flight(self, reason: AbortReason, rollback: bool) -> None:
+        """Abort the local transactions and forget the delivered ones.
+
+        A site that stops processing but keeps running (``rollback``)
+        rolls its in-flight delivered transactions back *without*
+        terminating them: they may have committed elsewhere, so the
+        unterminated Begin records keep the cover below them and the
+        upcoming transfer (or creation round) restores them if they
+        did.  A crash loses the volatile state anyway and leaves the
+        log to single-site recovery.
+        """
         for txn in list(self._local_txns.values()):
             if not txn.done:
-                self._abort_local(txn, AbortReason.SITE_LEFT_PRIMARY)
-        for gid, delivered in list(self._delivered.items()):
-            if delivered.pending_writes or delivered.applied_writes:
-                self._rollback_delivered(gid)
+                self._finish_local(txn, TxnState.ABORTED, reason)
+        if rollback:
+            for gid, delivered in list(self._delivered.items()):
+                if delivered.pending_writes or delivered.applied_writes:
+                    self._rollback_delivered(gid)
         self._delivered.clear()
         self.db.reset_version_tags()
         self._quiescence_waiters.clear()
@@ -734,37 +706,55 @@ class ReplicatedDatabaseNode:
     def _become_active(self) -> None:
         self.up_to_date = True
         self.site_utd[self.site_id] = True
-        self.status = SiteStatus.ACTIVE
-        self.trace("status", "active", "up to date")
+        self._set_status(SiteStatus.ACTIVE, "up to date")
 
     # ------------------------------------------------------------------
     # Serialization / write / commit phases (III-V)
     # ------------------------------------------------------------------
-    def process_delivered(self, gid: int, message: TransactionMessage) -> None:
-        """Phase III, executed atomically at delivery."""
-        if self.obs is not None:
-            self.trace("txn", "deliver", data={"txn": message.local_id, "gid": gid})
+    def certify(self, gid: int, message: TransactionMessage) -> Optional[bool]:
+        """The certification decision for ``gid``, taken identically by a
+        site processing the delivery live and by a joiner replaying it.
+
+        Returns ``None`` when the message is a duplicate of a settled
+        client request (the gid is consumed as a no-op), ``False`` when
+        the version check aborts it (logged and emitted here) and
+        ``True`` when the caller may go on to write.
+        """
+        db = self.db
+        request = message.request
         # Exactly-once dedup (before any execution): a request whose
         # outcome is already settled in the replicated table is answered
         # from the table, never re-executed.  The check is a
         # deterministic function of the gid prefix, so every site
         # suppresses (or executes) the same deliveries.
-        if message.request is not None and not self.dedup_disabled:
-            if self.db.outcomes.is_duplicate(message.request):
-                self._suppress_duplicate(gid, message)
-                return
-        self.db.log_begin(gid)
+        if request is not None and not self.dedup_disabled and db.outcomes.is_duplicate(request):
+            db.log_noop(gid)
+            self.last_processed_gid = gid
+            self.duplicates_suppressed += 1
+            return None
+        db.log_begin(gid)
         self.last_processed_gid = gid
-        delivered = DeliveredTxn(gid=gid, message=message)
-        self._delivered[gid] = delivered
-
-        # III.2 version check.
-        if not self.db.version_check(message.reads()):
-            if message.request is not None:
-                self.db.outcomes.record(message.request, gid, False)
-            self.db.abort(gid, message.request)
-            del self._delivered[gid]
+        # III.2 version check.  Either way the decision for this gid is
+        # now settled system-wide (the write phase only installs a
+        # commit), so the outcome is recorded immediately — a duplicate
+        # delivered in the very next slot must already see it.
+        passed = db.version_check(message.reads())
+        if request is not None:
+            db.outcomes.record(request, gid, passed)
+        if not passed:
+            db.abort(gid, request)
             self._emit("abort", gid, message)
+        return passed
+
+    def process_delivered(self, gid: int, message: TransactionMessage) -> None:
+        """Phase III, executed atomically at delivery."""
+        if self.obs is not None:
+            self.trace("txn", "deliver", data={"txn": message.local_id, "gid": gid})
+        verdict = self.certify(gid, message)
+        if verdict is None:
+            self._answer_duplicate(gid, message)
+            return
+        if not verdict:
             if message.origin == self.site_id:
                 txn = self._local_txns.get(message.local_id)
                 if txn is not None and not txn.done:
@@ -772,13 +762,8 @@ class ReplicatedDatabaseNode:
                     self._finish_local(txn, TxnState.ABORTED, AbortReason.VERSION_CHECK)
             self._check_quiescence()
             return
-
-        # The version check passed: the commit decision for this gid is
-        # now settled system-wide (the write phase only installs it), so
-        # the outcome is recorded immediately — a duplicate delivered in
-        # the very next slot must already see it.
-        if message.request is not None:
-            self.db.outcomes.record(message.request, gid, True)
+        delivered = DeliveredTxn(gid=gid, message=message)
+        self._delivered[gid] = delivered
 
         writes = message.writes()
         owner = message.local_id  # globally unique: "<origin>#<seq>"
@@ -797,7 +782,8 @@ class ReplicatedDatabaseNode:
                     and local.state in (TxnState.LOCAL_READ, TxnState.SENT)
                     and mode is LockMode.SHARED
                 ):
-                    self._abort_local(local, AbortReason.LOCAL_READER_CONFLICT)
+                    self._finish_local(local, TxnState.ABORTED,
+                                       AbortReason.LOCAL_READER_CONFLICT)
 
         if message.origin == self.site_id:
             txn = self._local_txns.get(message.local_id)
@@ -838,19 +824,16 @@ class ReplicatedDatabaseNode:
                     self._make_write_grant_handler(gid, obj, value),
                 )
 
-    def _suppress_duplicate(self, gid: int, message: TransactionMessage) -> None:
+    def _answer_duplicate(self, gid: int, message: TransactionMessage) -> None:
         """Answer a resubmitted request from the outcome table.
 
-        The gid is consumed as a no-op (cover continuity) and no history
-        events are emitted — every site suppresses the same delivery, so
-        the gid uniformly has no transaction.  If this site originated
-        the resubmission, its local attempt is resolved with the settled
-        outcome: the client sees the original commit, or a DUPLICATE
-        abort when it already gave up on a newer attempt.
+        :meth:`certify` consumed the gid as a no-op (cover continuity)
+        and no history events are emitted — every site suppresses the
+        same delivery, so the gid uniformly has no transaction.  If this
+        site originated the resubmission, its local attempt is resolved
+        with the settled outcome: the client sees the original commit,
+        or a DUPLICATE abort when it already gave up on a newer attempt.
         """
-        self.db.log_noop(gid)
-        self.last_processed_gid = gid
-        self.duplicates_suppressed += 1
         self.trace("client", "duplicate_suppressed",
                    f"gid={gid} request={message.request}")
         if message.origin == self.site_id:
@@ -866,12 +849,10 @@ class ReplicatedDatabaseNode:
             self.proc.after(self.config.write_op_time,
                             self._resolve_suppressed, gid, message)
         self._check_quiescence()
-        if self.reconfig is not None:
-            self.reconfig.on_transaction_terminated(gid)
 
     def _resolve_suppressed(self, gid: int, message: TransactionMessage) -> None:
         """Answer the origin's local attempt from the outcome table, one
-        write-phase after the suppression (see :meth:`_suppress_duplicate`)."""
+        write-phase after the suppression (see :meth:`_answer_duplicate`)."""
         txn = self._local_txns.get(message.local_id)
         if txn is not None and not txn.done:
             entry = self.db.outcomes.lookup(message.request)
@@ -989,8 +970,6 @@ class ReplicatedDatabaseNode:
         self._check_quiescence()
         if self.config.serial_processing:
             self._serial_done(gid)
-        if self.reconfig is not None:
-            self.reconfig.on_transaction_terminated(gid)
 
     # ------------------------------------------------------------------
     # Serial application mode (ablation)
@@ -1031,9 +1010,6 @@ class ReplicatedDatabaseNode:
     # ------------------------------------------------------------------
     # Local transaction termination
     # ------------------------------------------------------------------
-    def _abort_local(self, txn: Transaction, reason: AbortReason) -> None:
-        self._finish_local(txn, TxnState.ABORTED, reason)
-
     def _finish_local(self, txn: Transaction, state: TxnState, reason) -> None:
         if txn.done:
             return
@@ -1105,7 +1081,7 @@ class ReplicatedDatabaseNode:
     # Transfer channel
     # ------------------------------------------------------------------
     def _on_transfer_message(self, src: str, payload: Any) -> None:
-        if self.reconfig is not None and self.alive:
+        if self.alive:
             self.reconfig.on_transfer_message(src, payload)
 
     def send_transfer(self, site: str, payload: Any) -> None:
