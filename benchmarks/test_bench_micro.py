@@ -6,6 +6,8 @@ Useful for spotting accidental algorithmic regressions (e.g. a lock
 grant scan going quadratic).
 """
 
+import pytest
+
 from repro.db.locks import LockManager, LockMode
 from repro.gcs.messages import Ack, Data
 from repro.gcs.total_order import ViewTotalOrder
@@ -28,6 +30,31 @@ def test_simulator_event_throughput(benchmark):
         return count[0]
 
     assert benchmark(run) == 20_000
+
+
+@pytest.mark.parametrize("standing", [10, 100, 1000, 10000])
+def test_simulator_standing_queue(benchmark, standing):
+    """The kernel with ``standing`` events always queued: timers that
+    re-arm themselves 50-150 ms ahead, the spread over many ticks that
+    suits bucketed time best.  The benchmark workloads hold tens to a
+    few hundred events, where one heap wins; a calendar queue draws
+    level at about a thousand (EXPERIMENTS.md, "Hot path, round 2,
+    revisited") — this is the command that says where."""
+    events = 50_000
+
+    def run():
+        sim = Simulator(seed=1)
+        jitter = sim.rng.random
+
+        def tick():
+            sim.schedule(0.05 + 0.1 * jitter(), tick)
+
+        for _ in range(standing):
+            sim.schedule(0.1 * jitter(), tick)
+        sim.run(max_events=events)
+        return sim.events_processed
+
+    assert benchmark(run) == events
 
 
 def test_lock_manager_grant_release_throughput(benchmark):

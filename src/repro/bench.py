@@ -4,7 +4,7 @@ Five scenarios, fixed seeds and workloads, so successive runs (and CI
 runs against a committed baseline) measure the same simulation:
 
 * ``throughput`` — 5 sites, steady 900 txn/s OLTP load, no faults; the
-  hot-path scenario the batching and calendar-queue work targets.
+  hot-path scenario the batching and event-kernel work targets.
 * ``figure1``   — the paper's Figure 1 cascading reconfiguration (VS).
 * ``figure2_evs`` — the same schedule under EVS (Figure 2).
 * ``chaos``     — one pinned seeded fault storm (seed 3).
@@ -165,7 +165,7 @@ def bench_throughput(smoke: bool = False, batching: bool = True,
         attach_profiler(cluster)
     cluster.start()
     completed = cluster.await_all_active(timeout=15)
-    # 900 txn/s: up from the pre-calendar-queue 400 after the
+    # 900 txn/s: up from 400 after PR 9's
     # hot-path rewrite — the pinned deterministic commits_per_sim_second
     # target in BENCH_baseline.json more than doubles with it (see EXPERIMENTS.md
     # "Hot path, round 2").

@@ -174,12 +174,13 @@ class LazyTransferStrategy(TransferStrategy):
         state = session.strategy_state
         transfer_set = self.stale_objects_since(session, state["boundary_prev"])
         state["remaining"] = len(transfer_set)
+        on_grant = self._make_final_grant_handler(session, delimiter)
         for obj in transfer_set:
             session.db.locks.request(
                 session.owner,
                 obj,
                 LockMode.SHARED,
-                self._make_final_grant_handler(session, obj, delimiter),
+                on_grant,
                 inherit_ticket=state["db_ticket"],
             )
         session.db.locks.release(session.owner, DB_RESOURCE)
@@ -187,10 +188,12 @@ class LazyTransferStrategy(TransferStrategy):
             session.set_round_boundary(delimiter)
             session.finish(delimiter)
 
-    def _make_final_grant_handler(self, session, obj: str, delimiter: int):
-        def on_grant(_request) -> None:
+    def _make_final_grant_handler(self, session, delimiter: int):
+        # One handler per round: the granted request names its object.
+        def on_grant(request) -> None:
             if not session.active:
                 return
+            obj = request.resource
             value, version = session.db.store.read(obj)
             session.queue_item(obj, value, version, release_after_ack=True)
             state = session.strategy_state

@@ -59,22 +59,25 @@ class RecTableStrategy(TransferStrategy):
         state["remaining"] = len(transfer_set)
         # Downgrade: fine-grained locks inherit the database lock's queue
         # position, then the database lock is released (section 4.5).
+        on_grant = self._make_grant_handler(session)
         for obj in transfer_set:
             session.db.locks.request(
                 session.owner,
                 obj,
                 LockMode.SHARED,
-                self._make_grant_handler(session, obj),
+                on_grant,
                 inherit_ticket=state["db_ticket"],
             )
         session.db.locks.release(session.owner, DB_RESOURCE)
         if not transfer_set:
             session.finish(session.sync_gid)
 
-    def _make_grant_handler(self, session, obj):
-        def on_grant(_request) -> None:
+    def _make_grant_handler(self, session):
+        # One handler per session: the granted request names its object.
+        def on_grant(request) -> None:
             if not session.active:
                 return
+            obj = request.resource
             value, version = session.db.store.read(obj)
             session.queue_item(obj, value, version, release_after_ack=True)
             state = session.strategy_state

@@ -25,8 +25,9 @@ class VersionCheckStrategy(TransferStrategy):
         if not objects:
             state["all_queued"] = True
             return
+        on_grant = self._make_grant_handler(session)
         for obj in objects:
-            session.request_read_lock(obj, self._make_grant_handler(session, obj))
+            session.request_read_lock(obj, on_grant)
 
     def begin(self, session, accept) -> None:
         state = session.strategy_state
@@ -36,10 +37,12 @@ class VersionCheckStrategy(TransferStrategy):
         state["granted"] = None
         self._maybe_finish(session)
 
-    def _make_grant_handler(self, session, obj):
-        def on_grant(_request) -> None:
+    def _make_grant_handler(self, session):
+        # One handler per session: the granted request names its object.
+        def on_grant(request) -> None:
             if not session.active:
                 return
+            obj = request.resource
             state = session.strategy_state
             if state["cover"] is None:
                 # Lock granted before the accept arrived: remember it and

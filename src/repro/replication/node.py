@@ -304,7 +304,6 @@ class ReplicatedDatabaseNode:
     def crash(self) -> None:
         """Fail-stop crash: volatile state is lost, stable storage survives."""
         self._drop_in_flight(AbortReason.SITE_CRASHED, rollback=False)
-        self._local_txns.clear()
         # proc.stop() cancels the drain events; their staging lists must
         # go with them or a same-tick restart would append to dead lists.
         self._bulk_apply_batches.clear()
@@ -691,8 +690,7 @@ class ReplicatedDatabaseNode:
         log to single-site recovery.
         """
         for txn in list(self._local_txns.values()):
-            if not txn.done:
-                self._finish_local(txn, TxnState.ABORTED, reason)
+            self._finish_local(txn, TxnState.ABORTED, reason)
         if rollback:
             for gid, delivered in list(self._delivered.items()):
                 if delivered.pending_writes or delivered.applied_writes:
@@ -1016,6 +1014,8 @@ class ReplicatedDatabaseNode:
         txn.state = state
         txn.abort_reason = reason
         txn.finished_at = self.sim.now
+        # The submitter's handle outlives this; the table is what is in flight.
+        self._local_txns.pop(txn.txn_id, None)
         if state is TxnState.ABORTED:
             self.db.locks.cancel(txn.txn_id)
             self.local_aborts += 1

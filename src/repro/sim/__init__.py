@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation kernel."""
 
 from repro.sim.core import Event, Simulator
-from repro.sim.process import Process, Timer
+from repro.sim.process import Process
 
-__all__ = ["Event", "Process", "Simulator", "Timer"]
+__all__ = ["Event", "Process", "Simulator"]

@@ -6,36 +6,29 @@ generators all schedule callbacks on a single virtual clock.  The kernel is
 single-threaded and fully deterministic: given the same seed and the same
 sequence of ``schedule`` calls, a run always produces the same history.
 
-Ties on the virtual clock are broken by insertion order (a monotonically
-increasing sequence number), which is what makes the simulation
-reproducible even when many events share a timestamp.
+The ready queue is one ``heapq`` list of ``(time, seq, event)`` tuples,
+and its pop order is the kernel's whole contract: ``(time, seq)``
+lexicographic — strictly by virtual time and, among events sharing an
+exact timestamp, in insertion order (``seq`` grows with every
+``schedule`` call) — cancelled events skipped.  That tie-break keeps a
+run reproducible when many events share a timestamp, and it is the one
+key a tie-break fuzzer has to permute.
 
-The ready queue is a *calendar queue* rather than a single binary heap:
-virtual time is quantized into integer ticks of ``TICK`` seconds and
-near-future events land in a preallocated ring of per-tick buckets, so
-the common schedule path is a list append and the common pop path walks
-a tiny per-tick heap.  Events beyond the ring's horizon spill into a
-slow-path overflow heap and migrate into the ring as the clock advances.
-Pop order is identical to the old global heap: ``(time, seq)``
-lexicographic, i.e. FIFO among events sharing an exact timestamp.
+One heap is enough because the queue is short: sampled every 10 virtual
+ms, the four benchmark workloads hold 30-282 events at the median and
+never more than 433, where the C heap is as fast as or faster than the
+calendar queue (tick ring + overflow heap) this kernel carried from
+PR 9 to PR 18; bucketed time draws level at about a thousand standing
+events and pays beyond.  Numbers: EXPERIMENTS.md, "Hot path, round 2,
+revisited"; the crossover is one command away,
+``benchmarks/test_bench_micro.py::test_simulator_standing_queue``.
 """
 
 from __future__ import annotations
 
 import random
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterator, Optional, Tuple
-
-#: Width of one calendar tick in virtual seconds.  A power of two so
-#: ``time * _INV_TICK`` is exact float arithmetic: ``a < b`` implies
-#: ``tick(a) <= tick(b)`` with no rounding surprises.  At ~0.98ms per
-#: tick the default network latencies (0.5-2ms) span only a few ticks,
-#: which keeps per-tick buckets small and the ring walk short.
-_INV_TICK = 1024.0
-#: Number of preallocated buckets; ring horizon is RING/1024 ≈ 4 virtual
-#: seconds.  Power of two so ``tick & _RING_MASK`` replaces ``tick %``.
-_RING_SIZE = 4096
-_RING_MASK = _RING_SIZE - 1
+from heapq import heappop, heappush
+from typing import Any, Callable, Optional, Tuple
 
 #: Entries are ``(time, seq, event)`` tuples: heap comparisons stay in C
 #: (tuple __lt__ on floats/ints) and never call back into Python.
@@ -74,11 +67,6 @@ class Event:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} #{self.seq} {self.label or self.fn} {state}>"
@@ -101,28 +89,14 @@ class Simulator:
         self._seq = 0
         self._running = False
         self.events_processed = 0
-        self._trace_hooks: list[Callable[[Event], None]] = []
         #: Optional cost-attribution layer (repro.obs.profile.SimProfiler).
         #: When set, the kernel routes each event through
         #: ``profiler.run_event`` instead of calling it directly; when
         #: None (the default) the only per-event cost is one check of a
         #: local hoisted at the top of :meth:`run`.
         self.profiler: Optional[Any] = None
-        # --- calendar queue state -------------------------------------
-        #: Heapified entries for the tick currently being drained, plus
-        #: any entry scheduled at or before it (zero-delay events).
-        self._cur_heap: list[_Entry] = []
-        #: Tick whose bucket was most recently loaded into _cur_heap.
-        self._cur_tick = 0
-        #: Ring of per-tick buckets for ticks in (cur, cur + RING).
-        #: Lazily allocated lists; None = empty.  Each bucket holds only
-        #: entries of a single tick (distinct in-horizon ticks map to
-        #: distinct slots), appended in seq order.
-        self._ring: list[Optional[list[_Entry]]] = [None] * _RING_SIZE
-        #: Number of entries currently in the ring (cancelled included).
-        self._ring_count = 0
-        #: Slow-path heap for entries at or beyond the ring horizon.
-        self._overflow: list[_Entry] = []
+        #: The ready queue: a heapq list ordered by ``(time, seq)``.
+        self._heap: list[_Entry] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -141,25 +115,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args, label)
-        tick = int(time * _INV_TICK)
-        cur = self._cur_tick
-        if tick <= cur:
-            # At or before the tick being drained (zero/short delays):
-            # goes straight into the current heap.  Safe even when the
-            # entry sorts after everything in the ring — the heap orders
-            # by (time, seq) and a tick <= cur entry can never sort
-            # after an in-ring entry of a strictly later tick.
-            heappush(self._cur_heap, (time, seq, event))
-        elif tick - cur < _RING_SIZE:
-            slot = tick & _RING_MASK
-            bucket = self._ring[slot]
-            if bucket is None:
-                self._ring[slot] = [(time, seq, event)]
-            else:
-                bucket.append((time, seq, event))
-            self._ring_count += 1
-        else:
-            heappush(self._overflow, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(
@@ -177,60 +133,6 @@ class Simulator:
         return self.schedule(0.0, fn, *args, label=label)
 
     # ------------------------------------------------------------------
-    # Calendar-queue internals
-    # ------------------------------------------------------------------
-    def _advance(self) -> Optional[list[_Entry]]:
-        """Load the next non-empty tick bucket into ``_cur_heap``.
-
-        Called only when ``_cur_heap`` is empty.  Returns the freshly
-        loaded (heapified) bucket, or None when no events remain
-        anywhere.  Jumps over empty stretches: when the ring is empty it
-        warps straight to the overflow head's tick instead of scanning.
-        """
-        ring = self._ring
-        overflow = self._overflow
-        tick = self._cur_tick
-        while True:
-            if self._ring_count == 0:
-                if not overflow:
-                    return None
-                # Warp to the earliest far-future entry.
-                tick = int(overflow[0][0] * _INV_TICK)
-            else:
-                tick += 1
-            # Pull overflow entries that fall inside the new horizon.
-            while overflow:
-                otick = int(overflow[0][0] * _INV_TICK)
-                if otick - tick >= _RING_SIZE:
-                    break
-                entry = heappop(overflow)
-                slot = otick & _RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    ring[slot] = [entry]
-                else:
-                    bucket.append(entry)
-                self._ring_count += 1
-            slot = tick & _RING_MASK
-            bucket = ring[slot]
-            if bucket is not None:
-                ring[slot] = None
-                self._ring_count -= len(bucket)
-                heapify(bucket)
-                self._cur_heap = bucket
-                self._cur_tick = tick
-                return bucket
-            self._cur_tick = tick
-
-    def _entries(self) -> Iterator[_Entry]:
-        """Every queued entry, in no particular order (introspection)."""
-        yield from self._cur_heap
-        for bucket in self._ring:
-            if bucket is not None:
-                yield from bucket
-        yield from self._overflow
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -245,23 +147,15 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         processed = 0
-        # Hoisted locals: when no profiler/hooks are attached the only
-        # per-event overhead beyond the pop itself is two falsy checks.
-        # (Attaching a profiler or hook mid-run takes effect next run.)
+        # Hoisted local: with no profiler attached the only per-event
+        # overhead beyond the pop itself is one ``is None`` check.
+        # (Attaching a profiler mid-run takes effect next run.)
         profiler = self.profiler
-        hooks = self._trace_hooks
         budget = max_events if max_events is not None else 0x7FFFFFFFFFFFFFFF
         pop = heappop
-        heap = self._cur_heap
+        heap = self._heap
         try:
-            while True:
-                if processed >= budget:
-                    break
-                if not heap:
-                    heap = self._advance()
-                    if heap is None:
-                        break
-                    continue
+            while heap and processed < budget:
                 entry = heap[0]
                 event = entry[2]
                 if event.cancelled:
@@ -272,9 +166,6 @@ class Simulator:
                     break
                 pop(heap)
                 self.now = time
-                if hooks:
-                    for hook in hooks:
-                        hook(event)
                 if profiler is None:
                     event.fn(*event.args)
                 else:
@@ -285,54 +176,3 @@ class Simulator:
             self._running = False
         if until is not None and self.now < until:
             self.now = until
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Drain every pending event (bounded by ``max_events`` as a safety net)."""
-        self.run(max_events=max_events)
-        if any(not entry[2].cancelled for entry in self._entries()):
-            raise SimulationError(
-                f"run_until_idle exceeded {max_events} events; "
-                "likely a livelock in the protocol under test"
-            )
-
-    def step(self) -> bool:
-        """Process a single event.  Returns False when nothing is pending."""
-        heap = self._cur_heap
-        while True:
-            if not heap:
-                heap = self._advance()
-                if heap is None:
-                    return False
-                continue
-            time, _seq, event = heappop(heap)
-            if event.cancelled:
-                continue
-            self.now = time
-            for hook in self._trace_hooks:
-                hook(event)
-            if self.profiler is None:
-                event.fn(*event.args)
-            else:
-                self.profiler.run_event(event)
-            self.events_processed += 1
-            return True
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for entry in self._entries() if not entry[2].cancelled)
-
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the earliest pending event, or None."""
-        best: Optional[float] = None
-        for time, _seq, event in self._entries():
-            if not event.cancelled and (best is None or time < best):
-                best = time
-        return best
-
-    def add_trace_hook(self, hook: Callable[[Event], None]) -> None:
-        """Register a callable invoked just before each event fires."""
-        self._trace_hooks.append(hook)

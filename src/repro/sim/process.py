@@ -1,4 +1,4 @@
-"""Process and timer helpers on top of the raw event heap.
+"""The process helper on top of the raw event heap.
 
 A :class:`Process` is a convenience base class for protocol actors (group
 members, database nodes, workload clients): it owns its scheduled events so
@@ -8,45 +8,9 @@ exactly what a crash must do.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.core import Event, Simulator
-
-
-class Timer:
-    """A restartable one-shot timer.
-
-    Used for heartbeat timeouts, protocol round timeouts, etc.  ``restart``
-    cancels any pending expiry and re-arms the timer, which is the common
-    "push back the deadline" idiom of failure detectors.
-    """
-
-    def __init__(self, sim: Simulator, interval: float, callback: Callable[[], Any]) -> None:
-        self.sim = sim
-        self.interval = interval
-        self.callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
-
-    def start(self) -> None:
-        if not self.armed:
-            self._event = self.sim.schedule(self.interval, self._fire, label="timer")
-
-    def restart(self) -> None:
-        self.cancel()
-        self._event = self.sim.schedule(self.interval, self._fire, label="timer")
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self.callback()
 
 
 class Process:

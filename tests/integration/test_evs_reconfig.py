@@ -12,6 +12,9 @@ pytestmark = pytest.mark.skipif(
 )
 
 from repro import LoadGenerator, NodeConfig, WorkloadConfig
+from repro.checkers import ConsistencyViolation, run_all_checks
+from repro.client import ClientFleet
+from repro.net.latency import FixedLatency
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster
 
@@ -164,3 +167,47 @@ class TestEvsVsPlainVs:
         assert vs_report.svs_merges == vs_report.sv_merges == 0
         assert evs_report.announcements == 0
         assert evs_report.svs_merges > 0 and evs_report.sv_merges > 0
+
+
+class TestKnownDivergence:
+    @pytest.mark.xfail(strict=True, raises=ConsistencyViolation,
+                       reason="ROADMAP item 1")
+    def test_cascade_with_client_sessions_converges(self):
+        """The Figure-1 cascade under closed-loop clients on fixed 1 ms
+        links leaves S5 ACTIVE with a stale object.  Strict: the fix of
+        ROADMAP item 1 turns this XPASS into a failure until the mark
+        goes, so the suite tells whoever fixes it."""
+        cluster = quick_cluster(
+            seed=17, mode="evs", n_sites=5, db_size=2000,
+            latency=FixedLatency(0.001),
+            node_config=NodeConfig(transfer_obj_time=0.002,
+                                   transfer_batch_size=25))
+        fleet = ClientFleet(cluster, 16, WorkloadConfig(
+            arrival_rate=400.0, reads_per_txn=1, writes_per_txn=2))
+
+        def await_active(sites):
+            nodes = [cluster.nodes[site] for site in sites]
+            assert cluster.await_condition(
+                lambda: all(n.status is SiteStatus.ACTIVE for n in nodes),
+                timeout=60, step=0.01), f"{sites} not ACTIVE"
+
+        fleet.start()
+        cluster.run_for(0.5)
+        cluster.crash("S5")
+        cluster.run_for(0.5)
+        cluster.recover("S5")
+        cluster.run_for(0.15)
+        cluster.crash("S1")  # S5's transfer is in flight
+        await_active(["S5"])
+        cluster.recover("S1")
+        await_active(cluster.universe)
+        cluster.run_for(0.3)
+        cluster.partition([["S1", "S2", "S3"], ["S4", "S5"]])
+        cluster.run_for(1.0)
+        cluster.heal()
+        await_active(cluster.universe)
+        fleet.stop()
+        assert cluster.await_condition(fleet.drained, timeout=60, step=0.01)
+        cluster.settle(1.0)
+        run_all_checks(cluster.history, list(cluster.nodes.values()),
+                       sessions=fleet.sessions)

@@ -143,3 +143,33 @@ class TestMetricsSummary:
         assert summary["aborts"] == 0
         assert summary["network_messages"] > 0
         assert summary["virtual_time"] == cluster.sim.now
+
+
+class TestLocalTransactionTable:
+    def test_table_is_bounded_by_transactions_in_flight(self):
+        """A site forgets a local transaction when it terminates: the
+        table holds what is in flight, not everything ever submitted."""
+        cluster = quick_cluster()
+        node = cluster.nodes["S1"]
+        done = []
+        for wave in range(100):
+            txns = [
+                cluster.submit_via("S1", [f"obj{5 * k}"], {f"obj{5 * k + 1}": wave})
+                for k in range(5)
+            ]
+            assert len(node._local_txns) <= len(txns)
+            cluster.settle(0.05)
+            assert len(node._local_txns) <= sum(not t.done for t in txns)
+            done.extend(txns)
+        assert sum(t.committed for t in done) == 500
+        assert len(node._local_txns) == 0
+
+    def test_crash_terminates_and_forgets_everything_in_flight(self):
+        cluster = quick_cluster()
+        node = cluster.nodes["S1"]
+        txns = [cluster.submit_via("S1", ["obj0"], {f"obj{k + 1}": k})
+                for k in range(3)]
+        assert len(node._local_txns) == 3
+        cluster.crash("S1")
+        assert all(t.abort_reason is AbortReason.SITE_CRASHED for t in txns)
+        assert not node._local_txns

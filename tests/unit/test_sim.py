@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import Event, SimulationError, Simulator
-from repro.sim.process import Process, Timer
+from repro.sim.process import Process
 
 
 class TestSimulator:
@@ -92,31 +92,6 @@ class TestSimulator:
         assert fired == [0, 1, 2, 3]
         assert sim.now == 3.0
 
-    def test_step_processes_single_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step()
-        assert fired == ["a"]
-        assert sim.step()
-        assert not sim.step()
-
-    def test_pending_count_excludes_cancelled(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        event = sim.schedule(2.0, lambda: None)
-        event.cancel()
-        assert sim.pending == 1
-
-    def test_next_event_time(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.next_event_time() == 1.0
-        first.cancel()
-        assert sim.next_event_time() == 2.0
-
     def test_max_events_limit(self):
         sim = Simulator()
         fired = []
@@ -125,28 +100,10 @@ class TestSimulator:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
-    def test_run_until_idle_raises_on_livelock(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(0.0, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=100)
-
     def test_seeded_rng_is_deterministic(self):
         a = Simulator(seed=7).rng.random()
         b = Simulator(seed=7).rng.random()
         assert a == b
-
-    def test_trace_hook_sees_events(self):
-        sim = Simulator()
-        seen = []
-        sim.add_trace_hook(lambda e: seen.append(e.time))
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert seen == [1.0]
 
     def test_not_reentrant(self):
         sim = Simulator()
@@ -161,52 +118,6 @@ class TestSimulator:
         sim.schedule(0.0, nested)
         sim.run()
         assert len(errors) == 1
-
-
-class TestTimer:
-    def test_fires_after_interval(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, 1.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run()
-        assert fired == [1.0]
-
-    def test_restart_pushes_deadline(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, 1.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.schedule(0.5, timer.restart)
-        sim.run()
-        assert fired == [1.5]
-
-    def test_cancel_prevents_firing(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, 1.0, lambda: fired.append(1))
-        timer.start()
-        timer.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_start_is_noop_when_armed(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, 1.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.schedule(0.5, timer.start)  # should not re-arm
-        sim.run()
-        assert fired == [1.0]
-
-    def test_armed_property(self):
-        sim = Simulator()
-        timer = Timer(sim, 1.0, lambda: None)
-        assert not timer.armed
-        timer.start()
-        assert timer.armed
-        sim.run()
-        assert not timer.armed
 
 
 class TestProcess:
@@ -278,8 +189,7 @@ class TestHotPathOverhead:
         def noop() -> None:
             pass
 
-        # Spread across ticks, same-tick bursts, and the overflow heap
-        # (> 4 virtual seconds ahead) so every queue path is exercised.
+        # Spread timestamps, same-timestamp bursts and delays of seconds.
         for i in range(2000):
             sim.schedule((i % 50) * 0.0007 + (i % 3) * 2.5, noop)
         gc.collect()
