@@ -42,7 +42,7 @@ def verify_scenario_reports():
             report.cluster.check()
             # The metric snapshot is a pure pull over existing counters;
             # sanity-check it here so no benchmarked run can produce an
-            # inconsistent or empty snapshot for BENCH_results.json.
+            # inconsistent or empty snapshot (perf/ reads the same dict).
             snapshot = collect_cluster_metrics(report.cluster)
             assert snapshot["sim.virtual_time"] > 0
             assert snapshot["txn.commits"] <= snapshot["txn.site_commits"]

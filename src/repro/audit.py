@@ -1,8 +1,9 @@
-"""Determinism audit: verify what the bench and chaos gates assume.
+"""Determinism audit: verify what every pinned run and benchmark assumes.
 
-Everything in this repository — the regression gate, the pinned chaos
-regression seeds, the batching-equivalence claim, the observability
-no-effect claim — rests on one property: a simulation is a pure function
+Everything in this repository — the benchmark's exact sim-axis
+comparison (``perf/run.py --compare``), the pinned chaos regression
+seeds, the batching-equivalence claim, the observability no-effect
+claim — rests on one property: a simulation is a pure function
 of its seed and configuration.  Nothing used to *verify* that property;
 this module does, as ``python -m repro audit``.
 
@@ -241,6 +242,9 @@ def _flatten(payload: Dict[str, Any]) -> Dict[str, Any]:
 #: field it flips, the digest keys the two runs must agree on).  The
 #: profiler wraps the event dispatch but must not change a single event,
 #: hence the full-key comparison there, not just the protocol subset.
+#: ``batching`` is an argument of ``bench.run_scenario`` only; no
+#: campaign config has that field, so a campaign case given the axis
+#: crashes in ``campaign_for`` instead of comparing a run with itself.
 _AXES = {
     "batching": ("no_batching", {"batching": False}, PROTOCOL_KEYS),
     "obs": ("obs", {"observe": True}, PROTOCOL_KEYS),
@@ -270,14 +274,11 @@ def execute_variant(case_id: str, variant: str,
     if case.kind == "bench":
         from repro import bench
 
-        result = bench.run_scenario(case.params["scenario"],
-                                    smoke=case.params.get("smoke", True),
-                                    batching=variant != "no_batching")
-        cluster = result.cluster
-        if cluster is None:
-            return {"fleet_error": f"{case_id}: scenario returned no cluster"}
-        return _collect(cluster, tracer=cluster.tracer,
-                        ok=result.completed, materials=materials)
+        cluster, completed = bench.run_scenario(
+            case.params["scenario"], smoke=case.params.get("smoke", True),
+            batching=variant != "no_batching")
+        return _collect(cluster, tracer=cluster.tracer, ok=completed,
+                        materials=materials)
     from repro.faults.campaign import campaign_for
 
     params = _sabotaged(dict(case.params), variant)

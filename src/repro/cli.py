@@ -11,7 +11,6 @@ Usage::
     python -m repro chaos --seeds 0..15 --jobs 4     # parallel seed fleet
     python -m repro chaos --endurance --seed 0       # long-horizon churn run
     python -m repro chaos --endurance --seeds 0..3 --jobs 4   # endurance fleet
-    python -m repro bench --jobs 4                   # pinned benchmark matrix
     python -m repro sweep --study db_size --jobs 4   # parameter-study grid
     python -m repro sweep --study E7                 # backend head-to-head
     python -m repro diff --seeds 9,23 --jobs 2       # cross-backend differential
@@ -34,7 +33,6 @@ import time
 from typing import List, Optional
 
 from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
-from repro.bench import SCENARIOS as BENCH_SCENARIOS
 from repro.faults.campaign import CampaignConfig
 from repro.reconfig.backends import ALL_BACKEND_NAMES
 from repro.reconfig.strategies import ALL_STRATEGY_NAMES
@@ -607,23 +605,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    only = args.scenario or None
-    return bench.main(
-        smoke=args.smoke,
-        batching=not args.no_batching,
-        output=args.output,
-        baseline=args.baseline,
-        tolerance=args.tolerance,
-        only=only,
-        best_of=args.best_of,
-        jobs=args.jobs,
-        profile=args.profile,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -769,40 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for --seeds fleets "
                             "(default %(default)s)")
     chaos.set_defaults(fn=_cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark matrix, write BENCH_results.json",
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="reduced scale for CI (shorter durations)")
-    bench.add_argument("--no-batching", action="store_true",
-                       help="disable hot-path batching (baseline measurement)")
-    bench.add_argument("--output", default="BENCH_results.json",
-                       help="where to write the JSON results (default %(default)s)")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline JSON to compare against; exit 1 on "
-                            "commits/s regression beyond the tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed fractional regression vs the baseline "
-                            "(default %(default)s)")
-    bench.add_argument("--scenario", action="append",
-                       choices=BENCH_SCENARIOS, metavar="NAME",
-                       help="run only the given scenario (repeatable); "
-                            f"choices: {', '.join(BENCH_SCENARIOS)}")
-    bench.add_argument("--best-of", type=int, default=1,
-                       help="repeat each scenario N times, report the fastest "
-                            "(wall-clock noise reduction; default %(default)s)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the scenario matrix; the "
-                            "merged payload is identical to --jobs 1 modulo "
-                            "wall-clock fields (default %(default)s)")
-    bench.add_argument("--profile", action="store_true",
-                       help="attach the deterministic profiler to every "
-                            "scenario and embed the top cost buckets in the "
-                            "results JSON (wall-clock fields only; the "
-                            "deterministic payload is unchanged)")
-    bench.set_defaults(fn=_cmd_bench)
 
     sweep = sub.add_parser(
         "sweep",

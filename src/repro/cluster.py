@@ -97,8 +97,9 @@ class ClusterBuilder:
         #: Master switch for the hot-path batching layers (network
         #: same-tick coalescing, sequencer OrderedBatch staging, bulk
         #: write application).  Batching is behaviour-preserving — the
-        #: switch exists for the equivalence tests and for measuring the
-        #: wall-clock speedup (``python -m repro bench``).
+        #: switch exists as the reference the equivalence property
+        #: (tests/properties/test_batching_equivalence.py) and the
+        #: audit's ``batching`` axis compare against.
         self.batching = batching
 
     def site_names(self) -> Tuple[str, ...]:

@@ -101,10 +101,6 @@ class CampaignConfig:
     #: exactly-once checking; 0 drives the run with the open-loop
     #: LoadGenerator instead.
     clients: Optional[int] = None
-    #: Hot-path batching (sequencer, network, bulk writes).  Off gives
-    #: the pre-batching event schedule; histories and final states are
-    #: identical either way (see tests/properties/test_batching_equivalence).
-    batching: bool = True
     #: Attach the full observability layer (metrics registry + causal
     #: spans, repro.obs) instead of the bare tracer; the report then
     #: carries an ``obs`` handle whose trace/metrics can be exported.
@@ -309,7 +305,6 @@ class Campaign:
             strategy=config.strategy,
             mode=config.mode,
             backend=config.backend,
-            batching=config.batching,
             node_config=NodeConfig(creation_majority=self.CREATION_MAJORITY),
         ).build()
         self.cluster = cluster

@@ -1,4 +1,4 @@
-"""Deterministic parallel run engine for benchmark, chaos and sweep fleets.
+"""Deterministic parallel run engine for chaos, sweep and audit fleets.
 
 Every experiment in this repository is a seeded, deterministic
 simulation — which makes the *fleet* of experiments embarrassingly
@@ -11,10 +11,9 @@ that property into throughput:
   order — never by completion order**.  A fleet at ``--jobs 8`` produces
   the same payload dictionary as ``--jobs 1``, byte for byte (modulo
   fields that measure the wall clock itself).
-* The pinned bench matrix (``python -m repro bench --jobs N``), chaos
-  seed fleets (``python -m repro chaos --seeds A..B --jobs N``), the
-  parameter-study sweeps (``python -m repro sweep``) and the determinism
-  audit (``python -m repro audit``) all dispatch through it.
+* Chaos seed fleets (``python -m repro chaos --seeds A..B --jobs N``),
+  the parameter-study sweeps (``python -m repro sweep``) and the
+  determinism audit (``python -m repro audit``) all dispatch through it.
 
 Workers are started with the ``spawn`` context: each worker is a fresh
 interpreter with its own (randomised) string-hash seed.  That is a
@@ -35,7 +34,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,16 +57,6 @@ class FleetTask:
 # ----------------------------------------------------------------------
 # Task runners (executed inside worker processes)
 # ----------------------------------------------------------------------
-def _run_bench(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro import bench
-
-    result = bench.run_scenario(params["scenario"],
-                                smoke=params.get("smoke", False),
-                                batching=params.get("batching", True),
-                                profile=params.get("profile", False))
-    return asdict(result)
-
-
 def _run_campaign(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.faults.campaign import run_cell
 
@@ -103,7 +92,6 @@ def _run_probe(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 RUNNERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    "bench": _run_bench,
     "chaos": partial(_run_campaign, "chaos"),
     "endurance": partial(_run_campaign, "endurance"),
     "recovery": _run_recovery,

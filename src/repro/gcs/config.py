@@ -71,6 +71,11 @@ class GCSConfig:
     dynamic_universe: bool = False
 
     def validate(self) -> None:
+        for name in ("presence_interval", "retransmit_interval"):
+            if getattr(self, name) <= 0:
+                # Process.every(0, ...) re-arms at the same instant, so
+                # the run would spin at one virtual time forever.
+                raise ValueError(f"{name} must be positive")
         if self.suspect_timeout <= self.presence_interval:
             raise ValueError("suspect_timeout must exceed presence_interval")
         if self.round_timeout <= self.flush_timeout:

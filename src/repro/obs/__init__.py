@@ -13,7 +13,8 @@ One attach call instruments a whole cluster::
 
 See docs/OBSERVABILITY.md for the metric catalog, the span model and
 the exporter formats.  :func:`collect_cluster_metrics` is the zero-cost
-pull-only path used by ``python -m repro bench``.
+pull-only path the benchmark (``perf/workloads.py``) reads its counters
+through.
 """
 
 from repro.obs.attach import (

@@ -4,8 +4,8 @@ Two entry points with very different costs:
 
 * :func:`collect_cluster_metrics` is a pure **pull**: it reads the plain
   integer counters every subsystem maintains anyway and returns a flat
-  dict.  It never touches a hot path, so ``python -m repro bench`` can
-  embed a snapshot per scenario without perturbing the measurement.
+  dict.  It never touches a hot path, so the benchmark (``perf/``) can
+  take a snapshot per workload without perturbing the measurement.
 * :func:`attach_observability` additionally installs the **push**
   instruments (histograms the plain counters cannot provide: batch
   sizes, lock waits, transfer chunk sizes, ack lag) and the span
@@ -43,7 +43,7 @@ from repro.tracing import attach_tracer
 
 #: Backend-specific reconfiguration counters, read with ``getattr(..., 0)``
 #: so every backend reports the full set (absent counters as 0) and
-#: bench/diff metric tables stay column-stable across ``--backend``.
+#: diff metric tables stay column-stable across ``--backend``.
 BACKEND_COUNTER_KEYS: Dict[str, str] = {
     "reconfig.svs_merges": "svs_merges_issued",          # EVS backend
     "reconfig.sv_merges": "sv_merges_issued",            # EVS backend
@@ -171,7 +171,7 @@ def collect_cluster_metrics(cluster) -> Dict[str, float]:
 
 
 #: Every key :func:`collect_cluster_metrics` emits, in order — the
-#: column set bench/diff tables can rely on for any backend.
+#: column set diff tables can rely on for any backend.
 _CANONICAL_METRIC_KEYS: tuple = (
     "sim.virtual_time", "sim.events_processed",
     "net.messages_sent", "net.messages_delivered", "net.messages_dropped",

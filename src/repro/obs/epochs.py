@@ -414,8 +414,8 @@ def epoch_signatures(epochs: Sequence[EpochRecord],
 # Summaries and rendering
 # ----------------------------------------------------------------------
 def epoch_summary(epochs: Sequence[EpochRecord]) -> Dict[str, Any]:
-    """Aggregate, JSON-safe roll-up of a run's epochs — what bench
-    results, chaos/endurance payloads and the differential runner embed."""
+    """Aggregate, JSON-safe roll-up of a run's epochs — what
+    chaos/endurance payloads and the differential runner embed."""
     phase_totals = {name: 0.0 for name in PHASE_ORDER}
     for epoch in epochs:
         for name, seconds in epoch.phase_durations().items():

@@ -11,9 +11,9 @@ Two acquisition paths feed one registry:
 * **Pull collectors** read the plain integer counters the subsystems
   maintain anyway (``network.messages_delivered``,
   ``manager.bytes_sent_total``, ...) at :meth:`MetricsRegistry.snapshot`
-  time.  They cost nothing during the run, which is why
-  ``python -m repro bench`` can embed metric snapshots without touching
-  the measured hot paths at all.
+  time.  They cost nothing during the run, which is why the benchmark
+  (``perf/``) can read metric snapshots without touching the measured
+  hot paths at all.
 
 Metric names use dots as namespace separators (``net.messages_sent``);
 the Prometheus exporter sanitizes them to underscores.

@@ -21,7 +21,7 @@ and audit results.  When no profiler is attached the kernel pays a
 single ``is not None`` attribute check per event.
 
 Output: a sorted cost table (:meth:`SimProfiler.render`), machine rows
-(:meth:`cost_table`, :meth:`top_buckets`) and a collapsed-stack file
+(:meth:`cost_table`) and a collapsed-stack file
 (:meth:`write_collapsed`) directly consumable by flamegraph tooling
 (``subsystem;kind weight`` per line, weight in integer microseconds).
 """
@@ -151,10 +151,6 @@ class SimProfiler:
         rows.sort(key=lambda r: (-r["wall_seconds"], -r["count"],
                                  r["subsystem"], r["kind"]))
         return rows
-
-    def top_buckets(self, k: int = 8) -> List[Dict[str, Any]]:
-        """Top-``k`` rows by wall cost (bench embeds these per scenario)."""
-        return self.cost_table()[:k]
 
     def deterministic_summary(self) -> Dict[str, Any]:
         """Only the reproducible fields: per-subsystem event counts and

@@ -144,6 +144,12 @@ class NodeConfig:
                      "transfer_obj_time"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("checkpoint_interval", "rectable_flush_interval",
+                     "cover_announce_interval"):
+            if getattr(self, name) <= 0:
+                # Process.every(0, ...) re-arms at the same instant, so
+                # the run would spin at one virtual time forever.
+                raise ValueError(f"{name} must be positive")
         if self.transfer_batch_size < 1:
             raise ValueError("transfer_batch_size must be at least 1")
         if self.transfer_ack_timeout <= 0:

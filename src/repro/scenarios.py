@@ -138,7 +138,6 @@ def run_figure1_scenario(
     check: bool = True,
     batching: bool = True,
     backend: Optional[str] = None,
-    profile: bool = False,
 ) -> ScenarioReport:
     """The cascading reconfiguration of Figure 1 (and, in EVS mode, the
     encapsulated equivalent of Figure 2) on five sites:
@@ -158,10 +157,6 @@ def run_figure1_scenario(
     from repro.tracing import attach_tracer
 
     attach_tracer(cluster)
-    if profile:
-        from repro.obs.profile import attach_profiler
-
-        attach_profiler(cluster)
     cluster.start()
     if not cluster.await_all_active(timeout=15):
         raise RuntimeError("bootstrap failed")
@@ -229,7 +224,6 @@ def run_recovery_experiment(
     node_config: Optional[NodeConfig] = None,
     rejoin_timeout: float = 60.0,
     check: bool = True,
-    batching: bool = True,
     backend: Optional[str] = None,
     fault_storm: str = "none",
 ) -> ScenarioReport:
@@ -252,11 +246,11 @@ def run_recovery_experiment(
     node_config = node_config or NodeConfig(transfer_obj_time=0.0005)
     cluster = ClusterBuilder(
         n_sites=n_sites, db_size=db_size, seed=seed, strategy=strategy, mode=mode,
-        node_config=node_config, batching=batching, backend=backend,
+        node_config=node_config, backend=backend,
     ).build()
     # The bare tracer is observation-equivalent (no RNG draws, no
     # scheduling) and feeds the epoch phase decomposition the E7 sweep
-    # and the bench payloads report.
+    # reports.
     from repro.tracing import attach_tracer
 
     tracer = attach_tracer(cluster)

@@ -141,7 +141,9 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so back-to-back ``run`` calls
-        compose predictably.
+        compose predictably — unless ``max_events`` ran out first: events
+        before ``until`` may then still be pending, and the clock stays at
+        the last one processed so that time never runs backwards.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
@@ -174,5 +176,5 @@ class Simulator:
                 self.events_processed += 1
         finally:
             self._running = False
-        if until is not None and self.now < until:
+        if until is not None and self.now < until and processed < budget:
             self.now = until

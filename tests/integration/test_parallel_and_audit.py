@@ -2,11 +2,11 @@
 
 Three end-to-end guarantees:
 
-* ``bench --jobs N`` is *invisible* in the output: the deterministic
-  payload produced by a 2-worker run is byte-identical to the serial
-  run's (only wall-clock fields may differ, and they are stripped).
+* ``--jobs N`` is *invisible* in the output: the payloads of a
+  2-worker chaos seed fleet — real campaign payloads that crossed the
+  spawn boundary — equal the serial run's, key for key.
 * ``repro audit`` passes on a pinned chaos regression case — the
-  determinism claim the whole gate rests on actually holds.
+  determinism claim every pinned result rests on actually holds.
 * The auditor is not vacuous: with the ``REPRO_AUDIT_SABOTAGE`` hook
   injecting real nondeterminism (a perturbed seed on the second run),
   the audit must fail, name the diverging digests, write dump
@@ -15,19 +15,28 @@ Three end-to-end guarantees:
 
 import json
 
+import pytest
+
 from repro.audit import SABOTAGE_ENV, run_audit
-from repro.bench import deterministic_payload, run_matrix
+from repro.bench import run_scenario
+from repro.fleet import run_seed_fleet
 
 
-def canonical(results):
-    return json.dumps(deterministic_payload(results), sort_keys=True,
-                      indent=2)
+def test_chaos_fleet_jobs_payload_identical_to_serial():
+    """Chaos payloads carry no wall-clock field, so the whole payload
+    must survive pickling and the task-order merge unchanged."""
+    serial = run_seed_fleet("chaos", [3, 9], jobs=1, duration=1.0)
+    fleet = run_seed_fleet("chaos", [3, 9], jobs=2, duration=1.0)
+    assert json.dumps(fleet, sort_keys=True) == \
+        json.dumps(serial, sort_keys=True)
+    assert all(payload["ok"] for payload in fleet.values())
 
 
-def test_bench_jobs_payload_identical_to_serial():
-    serial = run_matrix(smoke=True, only=["figure1", "chaos"], jobs=1)
-    fleet = run_matrix(smoke=True, only=["figure1", "chaos"], jobs=2)
-    assert canonical(fleet) == canonical(serial)
+def test_storm_scenarios_refuse_the_batching_axis():
+    """Silently running a storm with batching on as its own
+    ``no_batching`` twin would make that audit comparison vacuous."""
+    with pytest.raises(ValueError, match="no batching axis"):
+        run_scenario("chaos", smoke=True, batching=False)
 
 
 def test_audit_passes_on_pinned_chaos_case():

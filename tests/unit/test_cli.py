@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestParser:
@@ -21,6 +26,25 @@ class TestParser:
     def test_strategy_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["recover", "--strategy", "magic"])
+
+    def test_documented_commands_exist(self):
+        """Every ``python -m repro <word>`` in the how-to docs, CI and the
+        verify notes is a registered subcommand.  Dated records
+        (EXPERIMENTS.md, CHANGES.md) are history and are not scanned."""
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        files = [REPO / "README.md", REPO / "DESIGN.md",
+                 REPO / ".github/workflows/ci.yml",
+                 REPO / ".claude/skills/verify/SKILL.md",
+                 *sorted((REPO / "docs").glob("*.md"))]
+        unknown = sorted(
+            f"{path.relative_to(REPO)}:{number}: {word}"
+            for path in files
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            for words in re.findall(r"python -m repro ([\w|]+)", line)
+            for word in words.split("|")
+            if word not in subparsers.choices)
+        assert not unknown, "\n".join(unknown)
 
 
 class TestCommands:
@@ -54,6 +78,13 @@ class TestCommands:
                      "--rate", "60"]) == 0
         out = capsys.readouterr().out
         assert "transfer" in out and "recovery of S3: completed" in out
+
+    def test_audit_rejects_unknown_case_listing_valid_ids(self, capsys):
+        from repro.audit import CASES
+
+        assert main(["audit", "--case", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and all(case_id in err for case_id in CASES)
 
 
 class TestReportCommand:

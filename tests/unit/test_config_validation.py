@@ -26,6 +26,16 @@ class TestNodeConfig:
         with pytest.raises(ValueError):
             config.validate()
 
+    @pytest.mark.parametrize("field", [
+        "checkpoint_interval", "rectable_flush_interval",
+        "cover_announce_interval"])
+    def test_zero_periodic_interval_rejected(self, field):
+        """A zero period re-arms ``Process.every`` at the same instant and
+        the run never advances; only ``validate()`` is called here, so
+        the test fails without hanging where the check is missing."""
+        with pytest.raises(ValueError, match=field):
+            NodeConfig(**{field: 0.0}).validate()
+
     def test_node_constructor_validates(self):
         with pytest.raises(ValueError):
             ClusterBuilder(node_config=NodeConfig(transfer_batch_size=0)).build()
@@ -59,6 +69,12 @@ class TestGCSConfig:
     def test_timeout_ordering_enforced(self):
         with pytest.raises(ValueError):
             GCSConfig(flush_timeout=2.0, round_timeout=1.0).validate()
+
+    @pytest.mark.parametrize("field", ["presence_interval",
+                                       "retransmit_interval"])
+    def test_zero_periodic_interval_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            GCSConfig(**{field: 0.0}).validate()
 
     def test_unknown_primary_policy_rejected_at_member(self):
         with pytest.raises(ValueError):

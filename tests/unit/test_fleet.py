@@ -78,13 +78,13 @@ class TestRunFleet:
         assert "unknown task kind" in result["k"]["fleet_error"]
 
     def test_crashing_runner_becomes_fleet_error_payload(self):
-        # A bench task with a bogus scenario raises inside the runner;
+        # An audit task with a bogus case id raises inside the runner;
         # the fleet must capture it instead of aborting the whole run.
-        task = FleetTask(key="bad", kind="bench",
-                         params={"scenario": "no-such-scenario"})
+        task = FleetTask(key="bad", kind="audit",
+                         params={"case_id": "no-such-case", "variant": "a"})
         result = run_fleet([task], jobs=1)
         assert "fleet_error" in result["bad"]
-        assert "no-such-scenario" in result["bad"]["fleet_error"]
+        assert "no-such-case" in result["bad"]["fleet_error"]
 
 
 class TestSweepPlumbing:

@@ -252,7 +252,7 @@ class TestExporters:
 
 class TestMetricKeyPadding:
     """Metric snapshots are padded to one fixed key set across backends
-    so bench/diff tables stay column-stable (missing counters read 0)."""
+    so diff tables stay column-stable (missing counters read 0)."""
 
     def build(self, backend):
         from repro import ClusterBuilder

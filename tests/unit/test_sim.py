@@ -100,6 +100,23 @@ class TestSimulator:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_budget_stopped_run_does_not_jump_past_pending_events(self):
+        """``run(until=T, max_events=N)`` stopped by the budget leaves
+        the clock at the last event processed — advancing it to ``T``
+        would make the next ``run`` set it back to the pending events."""
+        sim = Simulator()
+        seen = []
+        for at in (0.1, 0.2, 0.3):
+            sim.schedule(at, lambda: seen.append(sim.now))
+        sim.run(until=1.0, max_events=1)
+        stopped_at = sim.now
+        assert stopped_at == 0.1
+        sim.run()
+        assert seen == [0.1, 0.2, 0.3] and min(seen[1:]) >= stopped_at
+        # Not stopped by the budget: the clock still advances to ``until``.
+        sim.run(until=1.0, max_events=5)
+        assert sim.now == 1.0
+
     def test_seeded_rng_is_deterministic(self):
         a = Simulator(seed=7).rng.random()
         b = Simulator(seed=7).rng.random()
