@@ -35,13 +35,6 @@ which batching legitimately changes):
 Any divergence fails loudly: the report names the case, the digest keys
 that differ, the first divergent line (from the ``--dump-dir``
 artifacts), and a **minimal repro command**.
-
-Test hook: setting ``REPRO_AUDIT_SABOTAGE=1`` in the environment
-perturbs the seed of the second determinism run of every chaos case.
-That makes the two runs genuinely different simulations, which the audit
-must report as a divergence — the integration tests use it to prove the
-auditor actually fails when determinism breaks.  Never set it outside a
-test.
 """
 
 from __future__ import annotations
@@ -66,8 +59,6 @@ FULL_KEYS = ("state", "history", "aborts", "trace", "schedule",
 #: there, but never *where* the system ends up.
 PROTOCOL_KEYS = ("state", "history", "aborts", "commits", "txn_aborts",
                  "virtual_time", "ok")
-
-SABOTAGE_ENV = "REPRO_AUDIT_SABOTAGE"
 
 #: Which material list backs each digest key (for first-divergence
 #: reporting from dump artifacts).
@@ -144,8 +135,6 @@ def _build_cases() -> Dict[str, AuditCase]:
     # The logless reconfiguration backend (config-as-replicated-state,
     # docs/RECONFIG_BACKENDS.md): one pinned chaos storm and one
     # endurance churn run must replay byte-for-byte, like the EVS ones.
-    # The variant-"b" sabotage hook (REPRO_AUDIT_SABOTAGE) perturbs the
-    # seed for these kinds too, so the non-vacuity self-test covers them.
     cases.append(AuditCase(case_id="backend:logless:chaos", kind="chaos",
                            params={"seed": 9, "backend": "logless",
                                    "intensity": 0.5, "n_sites": 4,
@@ -158,8 +147,7 @@ def _build_cases() -> Dict[str, AuditCase]:
     # Schedules pinned by the adversarial search (repro.search.pinned):
     # each is one exact genome whose replay — the very property the
     # search's corpus and minimal-repro artifacts rely on — must stay
-    # byte-identical.  The variant-"b" sabotage hook perturbs the
-    # genome's seed, so the non-vacuity self-test covers this kind too.
+    # byte-identical.
     for pinned_name in ("utd-flush-clobber", "shatter-corrupt-churn"):
         cases.append(AuditCase(case_id=f"schedule:{pinned_name}",
                                kind="schedule",
@@ -254,21 +242,14 @@ _VARIANT_OVERRIDE = {variant: override
                      for variant, override, _keys in _AXES.values()}
 
 
-def _sabotaged(params: Dict[str, Any], variant: str) -> Dict[str, Any]:
-    if variant == "b" and os.environ.get(SABOTAGE_ENV):
-        params = dict(params)
-        params["seed"] = params.get("seed", 0) + 100003
-    return params
-
-
 def execute_variant(case_id: str, variant: str,
                     materials: bool = False) -> Dict[str, Any]:
     """Run one (case, variant) cell and return its digest payload.
 
-    Variants: ``a``/``b`` — two identical determinism runs (``b`` is the
-    one the sabotage test hook perturbs); ``no_batching`` — batching
-    layers disabled; ``obs`` — full observability attached; ``profile``
-    — the deterministic sim-loop profiler attached.
+    Variants: ``a``/``b`` — two identical determinism runs;
+    ``no_batching`` — batching layers disabled; ``obs`` — full
+    observability attached; ``profile`` — the deterministic sim-loop
+    profiler attached.
     """
     case = CASES[case_id]
     if case.kind == "bench":
@@ -281,8 +262,7 @@ def execute_variant(case_id: str, variant: str,
                         materials=materials)
     from repro.faults.campaign import campaign_for
 
-    params = _sabotaged(dict(case.params), variant)
-    params.update(_VARIANT_OVERRIDE.get(variant, {}))
+    params = {**case.params, **_VARIANT_OVERRIDE.get(variant, {})}
     engine = campaign_for(case.kind, **params)  # raises on unknown kinds
     report = engine.run()
     return _collect(engine.cluster, tracer=report.tracer,

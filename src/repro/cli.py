@@ -561,7 +561,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     if args.replay is not None:
         try:
-            payload = replay_schedule(args.replay, sabotage=args.sabotage)
+            payload = replay_schedule(args.replay)
         except (OSError, ValueError, KeyError) as error:
             print(f"error: cannot replay {args.replay}: {error}",
                   file=sys.stderr)
@@ -583,7 +583,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                                 population=args.population,
                                 shrink_budget=args.shrink_budget))
     config.jobs = args.jobs
-    config.sabotage = args.sabotage
     config.corpus_dir = args.corpus_dir
     config.artifacts_dir = args.artifacts_dir
     config.space = SearchSpace(n_sites=args.sites, mode=args.mode,
@@ -707,11 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --endurance: comma-separated segment "
                             "families to compose the schedule from "
                             "(default rolling,storm,churn,stabilize)")
-    chaos.add_argument("--sabotage-outcome-merge", action="store_true",
-                       help="with --endurance: one site skips merging the "
-                            "peer's exactly-once outcome table at transfer "
-                            "completion; the run is then EXPECTED to fail "
-                            "a quiescent sweep (checker self-test)")
     chaos.add_argument("--artifacts-dir", default="endurance_out",
                        metavar="DIR",
                        help="where failed runs (single or --seeds fleet "
@@ -733,11 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sessions (failover + exactly-once checking) "
                             "instead of the open-loop generator "
                             "(default 0, or 6 with --endurance)")
-    chaos.add_argument("--sabotage-dedup", action="store_true",
-                       help="not with --endurance: disable the replicated "
-                            "dedup table at every site; a client-mode run "
-                            "is then EXPECTED to fail the exactly-once "
-                            "check (checker self-test)")
     chaos.add_argument("--profile", action="store_true",
                        help="attach the deterministic sim-loop profiler and "
                             "print the per-subsystem cost table "
@@ -833,10 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "exits 0 iff the run digest matches the "
                              "recorded one (or, for bare genomes, iff the "
                              "run passes)")
-    search.add_argument("--sabotage", action="store_true",
-                        help="canary: run with the outcome-merge sabotage "
-                             "enabled; the search MUST find and shrink a "
-                             "violation, proving it is not vacuous")
     search.set_defaults(fn=_cmd_search)
 
     audit = sub.add_parser(

@@ -70,11 +70,6 @@ class EnduranceConfig(CampaignConfig):
     availability_window: float = 1.5
     #: Grace prefix while the cluster bootstraps and clients ramp up.
     availability_warmup: float = 1.0
-    #: Sabotage hook: one site skips adopting the peer's outcome table at
-    #: transfer completion (the ``--sabotage-outcome-merge`` CLI flag).
-    #: A sabotaged run is EXPECTED to fail — it proves the quiescent
-    #: sweeps actually catch a broken merge path.
-    sabotage_outcome_merge: bool = False
 
     def validate(self) -> None:
         super().validate()
@@ -187,15 +182,6 @@ class ChurnCampaign(Campaign):
         # Always-on wire realism, mild enough for a long horizon.
         return 0.05, 0.10, None
 
-    def sabotage(self) -> None:
-        if self.config.sabotage_outcome_merge:
-            victim = self.sabotage_victim()
-            self.cluster.nodes[victim].outcome_merge_disabled = True
-            self.note("sabotage", f"outcome merge disabled at {victim}")
-
-    def sabotage_victim(self) -> str:
-        raise NotImplementedError
-
     def start_sampler(self) -> None:
         """Sample committed client requests per bin for the rest of the
         run: trace events, plus ``endurance.availability`` gauges when
@@ -258,9 +244,6 @@ class ChurnCampaign(Campaign):
 class EnduranceEngine(ChurnCampaign):
     """The endurance driver: random segment composition for the given
     duration, with quiescent sweeps at a fixed cadence."""
-
-    def sabotage_victim(self) -> str:
-        return self.rng.choice(list(self.cluster.universe))
 
     def drive(self) -> None:
         cluster, config = self.cluster, self.config

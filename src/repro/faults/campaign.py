@@ -64,8 +64,6 @@ CLI_FLAGS: Tuple[Tuple[str, str], ...] = (
     ("duration", "--duration"),
     ("clients", "--clients"),
     ("segments", "--segments"),
-    ("sabotage_dedup", "--sabotage-dedup"),
-    ("sabotage_outcome_merge", "--sabotage-outcome-merge"),
     ("profile", "--profile"),
 )
 
@@ -217,8 +215,8 @@ class Campaign:
     """One campaign run against a freshly built cluster.
 
     Subclasses are *drivers*: they implement :meth:`drive` (which fault
-    happens when) and :meth:`injector_rates`, may add :meth:`sabotage`
-    and :meth:`verdict`, and set the data block below.
+    happens when) and :meth:`injector_rates`, may add :meth:`verdict`,
+    and set the data block below.
     """
 
     CONFIG: ClassVar[type]
@@ -276,9 +274,6 @@ class Campaign:
         """Inject the fault schedule; the workload is already running
         on an all-ACTIVE cluster."""
         raise NotImplementedError
-
-    def sabotage(self) -> None:
-        """Apply the config's checker self-test sabotage, if any."""
 
     def verdict(self) -> None:
         """Checks beyond the invariant battery, run once the final
@@ -346,7 +341,6 @@ class Campaign:
             )
         else:
             self.load = LoadGenerator(cluster, workload)
-        self.sabotage()
         if not cluster.await_all_active(timeout=15):
             self.report.error = "bootstrap failed"
             return False

@@ -39,17 +39,11 @@ class ChaosConfig(CampaignConfig):
     MIN_SITES: ClassVar[int] = 2
 
     intensity: float = 0.5
-    #: Sabotage hook: disable the replicated dedup table at every site.
-    #: Used by tests/CI to prove check_exactly_once actually catches
-    #: double execution — a sabotaged run is expected to FAIL.
-    sabotage_dedup: bool = False
 
     def validate(self) -> None:
         super().validate()
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError(f"intensity must be in [0, 1], got {self.intensity}")
-        if self.sabotage_dedup and self.clients == 0:
-            raise ValueError("sabotage_dedup only makes sense with clients > 0")
 
 
 @dataclass
@@ -100,11 +94,6 @@ class ChaosEngine(Campaign):
     def injector_rates(self):
         intensity = self.config.intensity
         return 0.10 * intensity, 0.25 * intensity, 0.01 * intensity
-
-    def sabotage(self) -> None:
-        if self.config.sabotage_dedup:
-            for node in self.cluster.nodes.values():
-                node.dedup_disabled = True
 
     def drive(self) -> None:
         cluster = self.cluster

@@ -73,8 +73,7 @@ def _run_search_eval(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.search.engine import evaluate_genome
     from repro.search.genome import ScheduleGenome
 
-    genome = ScheduleGenome.from_dict(params["genome"])
-    return evaluate_genome(genome, sabotage=params.get("sabotage", False))
+    return evaluate_genome(ScheduleGenome.from_dict(params["genome"]))
 
 
 def _run_audit(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -102,12 +102,10 @@ class BaseReconfigManager:
         self.enqueued: List[Tuple[int, TransactionMessage]] = []
         self.last_seen_gid = -1
         self.replaying = False
-        #: Joiner generation: bumped whenever the enqueued stream is
-        #: invalidated (restart, stall, crash).  In-flight scheduled
-        #: replay steps carry their generation and drop themselves when
-        #: it no longer matches — otherwise a step scheduled before a
-        #: restart could apply an old-stream message to the new state.
-        self._join_generation = 0
+        #: The scheduled replay step, if one is in flight.  Its message
+        #: stays at the head of ``enqueued`` until the step runs, so a
+        #: cancelled step loses nothing.
+        self._replay_step = None
         self.caught_up = False
         self.activation_authorized = False
         self._announced = False
@@ -279,8 +277,7 @@ class BaseReconfigManager:
         # is complete, and any local entry it lacks was decided outside
         # the new primary lineage (a phantom or a rolled-back in-flight
         # delivery) and must not survive the rejoin.
-        if not self.node.outcome_merge_disabled:
-            db.outcomes.reset_to(msg.outcomes)
+        db.outcomes.reset_to(msg.outcomes)
         # Persist the transferred state before moving the baseline, so a
         # crash right after recovers to a consistent (state, cover) pair.
         db.checkpoint()
@@ -290,8 +287,11 @@ class BaseReconfigManager:
         self._start_replay()
 
     def _abort_replay(self) -> None:
-        """Invalidate the enqueued stream and any in-flight replay step."""
-        self._join_generation += 1
+        """Stop the running replay, in-flight step included.  ``enqueued``
+        is the caller's to keep or clear."""
+        if self._replay_step is not None:
+            self._replay_step.cancel()
+            self._replay_step = None
         self.replaying = False
 
     def _start_replay(self) -> None:
@@ -314,15 +314,13 @@ class BaseReconfigManager:
                             data={"replayed": self.replayed_transactions})
             self._on_caught_up()
             return
-        gid, message = self.enqueued.pop(0)
+        _gid, message = self.enqueued[0]
         delay = max(len(message.write_set), 1) * self.node.config.replay_op_time
-        self.node.proc.after(delay, self._apply_replayed, gid, message,
-                             self._join_generation)
+        self._replay_step = self.node.proc.after(delay, self._apply_replayed)
 
-    def _apply_replayed(self, gid: int, message: TransactionMessage,
-                        generation: int) -> None:
-        if generation != self._join_generation:
-            return  # stale step from before a join restart
+    def _apply_replayed(self) -> None:
+        self._replay_step = None
+        gid, message = self.enqueued.pop(0)
         db = self.node.db
         node = self.node
         # node.certify is the live delivery path's decision too, so the

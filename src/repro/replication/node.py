@@ -278,15 +278,6 @@ class ReplicatedDatabaseNode:
         self.local_aborts = 0
         #: Deliveries suppressed by the exactly-once outcome table.
         self.duplicates_suppressed = 0
-        #: Sabotage hook (chaos --sabotage-dedup): skip the dedup check so
-        #: resubmitted requests re-execute — check_exactly_once must catch
-        #: the resulting double commits, proving it non-vacuous.
-        self.dedup_disabled = False
-        #: Sabotage hook (chaos --endurance --sabotage-outcome-merge):
-        #: skip adopting the peer's outcome table at transfer completion,
-        #: so a rejoining site replays with a stale dedup view — the
-        #: endurance sweeps must catch the resulting divergence.
-        self.outcome_merge_disabled = False
         self.enqueue_high_watermark = 0
         self.last_processed_gid = -1
 
@@ -731,7 +722,7 @@ class ReplicatedDatabaseNode:
         # from the table, never re-executed.  The check is a
         # deterministic function of the gid prefix, so every site
         # suppresses (or executes) the same deliveries.
-        if request is not None and not self.dedup_disabled and db.outcomes.is_duplicate(request):
+        if request is not None and db.outcomes.is_duplicate(request):
             db.log_noop(gid)
             self.last_processed_gid = gid
             self.duplicates_suppressed += 1

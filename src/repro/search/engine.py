@@ -69,13 +69,12 @@ def run_digest_of(executor: ScheduleExecutor) -> str:
         json.dumps(flat, sort_keys=True).encode()).hexdigest()
 
 
-def evaluate_genome(genome: ScheduleGenome,
-                    sabotage: bool = False) -> Dict[str, Any]:
+def evaluate_genome(genome: ScheduleGenome) -> Dict[str, Any]:
     """Execute one genome and return its picklable evaluation payload."""
     from repro.checkers import availability_violations
     from repro.obs.epochs import epoch_signatures
 
-    executor = ScheduleExecutor(genome, sabotage=sabotage)
+    executor = ScheduleExecutor(genome)
     report = executor.run()
     epochs = report.epochs()
     config = executor.config
@@ -120,7 +119,6 @@ class SearchConfig:
     #: is shrunk and dumped before the search continues/stops).
     max_failures: int = 2
     shrink_budget: int = 80
-    sabotage: bool = False
     corpus_dir: Optional[str] = None
     artifacts_dir: Optional[str] = None
     space: SearchSpace = field(default_factory=SearchSpace)
@@ -256,8 +254,7 @@ class SearchEngine:
                 self._seen_genomes.add(genome.digest())
             tasks = [
                 FleetTask(key=f"g{generation}c{index}", kind="search_eval",
-                          params={"genome": genome.to_dict(),
-                                  "sabotage": config.sabotage})
+                          params={"genome": genome.to_dict()})
                 for index, genome in enumerate(batch)
             ]
             payloads = run_fleet(tasks, jobs=config.jobs)
@@ -307,11 +304,8 @@ class SearchEngine:
     # -- failures: shrink + artifacts ----------------------------------
     def _handle_failure(self, genome: ScheduleGenome,
                         payload: Dict[str, Any]) -> None:
-        sabotage = self.config.sabotage
-
         def still_fails(candidate: ScheduleGenome) -> bool:
-            return not ScheduleExecutor(candidate,
-                                        sabotage=sabotage).run().ok
+            return not ScheduleExecutor(candidate).run().ok
 
         minimal, spent = shrink(genome, still_fails,
                                 budget=self.config.shrink_budget)
@@ -325,7 +319,6 @@ class SearchEngine:
             out_dir = os.path.join(self.config.artifacts_dir,
                                    f"failure-{minimal.digest()[:12]}")
             failure.artifacts = dump_failure(minimal, out_dir,
-                                             sabotage=sabotage,
                                              original=genome)
         self.report.failures.append(failure)
 
@@ -354,25 +347,21 @@ class SearchEngine:
 # Failure artifacts and schedule replay
 # ----------------------------------------------------------------------
 def dump_failure(genome: ScheduleGenome, out_dir: str, *,
-                 sabotage: bool = False,
                  original: Optional[ScheduleGenome] = None) -> List[str]:
     """Re-execute a (minimized) failing genome and dump the shared
     evidence bundle plus the schedule JSON itself (and the pre-shrink
     original, when given)."""
     from repro.faults.campaign import dump_artifacts
 
-    executor = ScheduleExecutor(genome, sabotage=sabotage)
+    executor = ScheduleExecutor(genome)
     report = executor.run()
-    replay = "PYTHONPATH=src python -m repro search --replay schedule.json"
-    if sabotage:
-        replay += " --sabotage"
     extra = {"schedule.json": genome.dumps()}
     if original is not None:
         extra["schedule_original.json"] = original.dumps()
     return dump_artifacts(
         executor, out_dir,
         title=f"search schedule {genome.digest()[:12]} — {report.verdict()}",
-        repro=replay,
+        repro="PYTHONPATH=src python -m repro search --replay schedule.json",
         extra=extra,
     )
 
@@ -389,13 +378,12 @@ def load_schedule(path: str) -> Tuple[ScheduleGenome, Optional[str]]:
     return ScheduleGenome.from_dict(payload), None
 
 
-def replay_schedule(path: str,
-                    sabotage: bool = False) -> Dict[str, Any]:
+def replay_schedule(path: str) -> Dict[str, Any]:
     """Replay one schedule file and compare against its recorded run
     digest (when the file carries one).  ``matches`` is None when there
     is nothing recorded to compare against."""
     genome, recorded = load_schedule(path)
-    payload = evaluate_genome(genome, sabotage=sabotage)
+    payload = evaluate_genome(genome)
     payload["genome_digest"] = genome.digest()
     payload["recorded_digest"] = recorded
     payload["matches"] = (None if recorded is None

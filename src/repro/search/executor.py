@@ -4,10 +4,9 @@
 :class:`repro.endurance.EnduranceEngine` on the shared
 :class:`repro.endurance.ChurnCampaign` base: where the endurance driver
 composes random churn segments, this one interprets the genome's gene
-list literally, and its sabotage victim is a fixed site instead of an
-RNG draw.  Everything else — cluster build, client fleet, availability
-sampler, the final full-invariant quiesce, the availability-floor
-verdict, artifact dumping — is the one campaign life-cycle
+list literally.  Everything else — cluster build, client fleet,
+availability sampler, the final full-invariant quiesce, the
+availability-floor verdict, artifact dumping — is the one campaign life-cycle
 (:mod:`repro.faults.campaign`), so a schedule found by the search fails
 (or passes) through exactly the code paths the endurance runs exercise.
 
@@ -26,8 +25,7 @@ floor over the whole timeline.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.endurance import ChurnCampaign, EnduranceConfig, EnduranceReport
 from repro.search.genome import (
@@ -48,7 +46,7 @@ SEARCH_AVAILABILITY_WINDOW = 1.0
 SEARCH_WARMUP = 0.75
 
 
-def config_for(genome: ScheduleGenome, *, sabotage: bool = False,
+def config_for(genome: ScheduleGenome, *,
                observe: bool = False) -> EnduranceConfig:
     """The endurance config a genome runs under (fixed knobs + genome)."""
     return EnduranceConfig(
@@ -62,7 +60,6 @@ def config_for(genome: ScheduleGenome, *, sabotage: bool = False,
         clients=genome.clients,
         availability_window=SEARCH_AVAILABILITY_WINDOW,
         availability_warmup=SEARCH_WARMUP,
-        sabotage_outcome_merge=sabotage,
         observe=observe,
     )
 
@@ -71,26 +68,16 @@ class ScheduleExecutor(ChurnCampaign):
     """The schedule driver: runs one :class:`ScheduleGenome`
     deterministically."""
 
-    def __init__(self, genome: ScheduleGenome, *, sabotage: bool = False,
+    def __init__(self, genome: ScheduleGenome, *,
                  observe: bool = False) -> None:
-        super().__init__(config_for(genome, sabotage=sabotage,
-                                    observe=observe))
+        super().__init__(config_for(genome, observe=observe))
         self.genome = genome
 
     @classmethod
-    def from_params(cls, pinned: str,
-                    seed: Optional[int] = None) -> "ScheduleExecutor":
+    def from_params(cls, pinned: str) -> "ScheduleExecutor":
         """The executor for one :data:`repro.search.pinned.PINNED`
-        schedule, optionally re-seeded."""
-        genome = PINNED[pinned].genome
-        if seed is not None:
-            genome = replace(genome, seed=seed)
-        return cls(genome)
-
-    def sabotage_victim(self) -> str:
-        """Fixed victim (lowest site name): sabotage runs must replay
-        identically, so no RNG draw here."""
-        return sorted(self.cluster.universe)[0]
+        schedule."""
+        return cls(PINNED[pinned].genome)
 
     def drive(self) -> None:
         self.start_sampler()
@@ -186,8 +173,7 @@ class ScheduleExecutor(ChurnCampaign):
         self.cluster.run_for(gene.duration_s)
 
 
-def run_schedule(genome: ScheduleGenome, *, sabotage: bool = False,
+def run_schedule(genome: ScheduleGenome, *,
                  observe: bool = False) -> EnduranceReport:
     """Execute one genome and return its endurance-style report."""
-    return ScheduleExecutor(genome, sabotage=sabotage,
-                            observe=observe).run()
+    return ScheduleExecutor(genome, observe=observe).run()

@@ -93,6 +93,34 @@ def backend(request):
     return request.param
 
 
+@pytest.fixture
+def activation_monitor(monkeypatch):
+    """Every cluster built during the test is watched by
+    :func:`tests.monitors.activation_monitor`: a site activated on stale
+    data fails the test at the activation.  Suites opt in with
+    ``pytestmark = pytest.mark.usefixtures("activation_monitor")``.
+
+    The listener rides on the tracer, so it is re-added whenever a
+    scenario swaps in a tracer of its own (``attach_tracer``)."""
+    from repro import tracing
+    from tests.monitors import activation_monitor as monitor_for
+
+    real_attach, real_build = tracing.attach_tracer, ClusterBuilder.build
+
+    def attach_tracer(cluster):
+        tracer = real_attach(cluster)
+        tracer.add_listener(monitor_for(cluster))
+        return tracer
+
+    def build(builder):
+        cluster = real_build(builder)
+        attach_tracer(cluster)
+        return cluster
+
+    monkeypatch.setattr(tracing, "attach_tracer", attach_tracer)
+    monkeypatch.setattr(ClusterBuilder, "build", build)
+
+
 def quick_cluster(**kwargs):
     """A started, bootstrapped cluster with sensible test defaults."""
     defaults = dict(n_sites=3, db_size=40, seed=42, strategy="rectable")

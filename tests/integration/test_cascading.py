@@ -8,6 +8,9 @@ from repro.replication.node import SiteStatus
 from repro.scenarios import run_figure1_scenario
 from tests.conftest import quick_cluster
 
+# Every activation in this suite is checked as it happens (tests/monitors.py).
+pytestmark = pytest.mark.usefixtures("activation_monitor")
+
 
 def slow_transfer_cluster(mode="vs", strategy="full", n_sites=5, seed=5):
     node_config = NodeConfig(transfer_obj_time=0.002, transfer_batch_size=20)

@@ -5,9 +5,10 @@ Three layers of evidence:
 * the pinned chaos regression seeds re-run in client mode (closed-loop
   ClientSession fleets with failover) must satisfy the full invariant
   suite *plus* ``check_exactly_once`` over the session ledger;
-* a sabotaged run — dedup table disabled at every site — must FAIL the
-  exactly-once checker, proving the checker actually catches double
-  execution (a checker that cannot fail verifies nothing);
+* a mutated run — ``tests.mutations.no_dedup``: no site recognises a
+  resubmission — must FAIL the exactly-once checker, proving the checker
+  actually catches double execution (a checker that cannot fail verifies
+  nothing);
 * the replicated dedup table answers a resubmitted request from the
   table instead of re-executing it, observable on a healthy cluster.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from repro.faults.chaos import run_chaos
 from repro.replication.messages import RequestId
+from tests import mutations
 from tests.conftest import quick_cluster
 
 #: Same pinned storms as test_chaos_regressions, driven by 6 sessions.
@@ -50,22 +52,27 @@ def test_pinned_seeds_are_exactly_once_per_backend(backend, seed):
 
 
 @pytest.mark.parametrize("mode,seed", [("evs", 12), ("vs", 23)])
-def test_sabotaged_dedup_is_caught(mode, seed):
-    """With the outcome table disabled, resubmission after an in-doubt
-    crash re-executes the request; the checker must call it out."""
-    report = run_chaos(seed=seed, mode=mode, clients=6, sabotage_dedup=True)
+def test_sabotaged_dedup_is_caught(monkeypatch, mode, seed):
+    """With the outcome table answering "never seen", resubmission after
+    an in-doubt crash re-executes the request; the checker must call it
+    out."""
+    mutations.no_dedup(monkeypatch)
+    report = run_chaos(seed=seed, mode=mode, clients=6)
     assert not report.ok
     assert "committed under 2 distinct gids" in report.error
 
 
-def test_failing_chaos_fleet_cell_leaves_evidence(capsys, tmp_path):
-    """The sabotage canary through the ``--seeds`` fleet path: the
-    failing cell's worker dumps the same evidence bundle a failing
-    single run does, and the table prints its paths."""
+def test_failing_chaos_fleet_cell_leaves_evidence(monkeypatch, capsys,
+                                                  tmp_path):
+    """A failing cell on the ``--seeds`` fleet path (one seed, so the
+    fleet runs inline and the mutation reaches it): the cell dumps the
+    same evidence bundle a failing single run does, and the table prints
+    its paths."""
     from repro.cli import main
 
+    mutations.no_dedup(monkeypatch)
     code = main(["chaos", "--seeds", "12", "--mode", "evs", "--clients", "6",
-                 "--sabotage-dedup", "--artifacts-dir", str(tmp_path)])
+                 "--artifacts-dir", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
     bundle = tmp_path / "chaos-seed12-evs"
@@ -73,7 +80,8 @@ def test_failing_chaos_fleet_cell_leaves_evidence(capsys, tmp_path):
                  "wal_S1.log"):
         assert (bundle / name).exists(), name
         assert f"artifact: {bundle / name}" in captured.out
-    assert "--sabotage-dedup" in (bundle / "repro.txt").read_text()
+    assert "--seed 12 --mode evs --clients 6" in \
+        (bundle / "repro.txt").read_text()
     assert "reproduce: PYTHONPATH=src python -m repro chaos --seed 12" \
         in captured.err
 

@@ -6,6 +6,9 @@ from repro.reconfig.strategies import ALL_STRATEGY_NAMES
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster, run_load
 
+# Every activation in this suite is checked as it happens (tests/monitors.py).
+pytestmark = pytest.mark.usefixtures("activation_monitor")
+
 
 def crash_recover_cycle(cluster, victim="S3", down=0.6, rate=120.0):
     from repro import LoadGenerator, WorkloadConfig

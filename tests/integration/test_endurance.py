@@ -2,7 +2,7 @@
 
 Pinned-seed regression tests: one run per churn-scenario family, the
 composed storm in both delivery modes, byte-stable payload digests, the
-availability floor, the sabotage self-test, and the audit/fleet/CLI
+availability floor, the mutation self-test, and the audit/fleet/CLI
 wiring.  Seeds and durations are pinned — a failure here is a behaviour
 change, not flakiness.
 """
@@ -14,6 +14,7 @@ from repro.endurance import (
     run_endurance,
 )
 from repro.replication.node import NodeConfig, SiteStatus
+from tests import mutations
 from tests.conftest import quick_cluster, run_load
 
 
@@ -109,15 +110,18 @@ class TestStrategyAndBackendCoverage:
 
 
 class TestSabotage:
-    def test_skipped_outcome_merge_fails_the_run(self):
-        """The sabotage hook proves the sweeps have teeth: a site that
-        silently drops the peer's outcome table must be caught."""
+    def test_skipped_outcome_merge_fails_the_run(self, monkeypatch):
+        """The mutation proves the sweeps have teeth: a site that
+        silently drops the peer's outcome table must be caught — by
+        ``check_decision_agreement``, at the first sweep after S1's
+        stale table decides a replayed request differently."""
         clean = run_endurance(0, duration=8.0)
         assert clean.ok, clean.error
-        sabotaged = run_endurance(0, duration=8.0,
-                                  sabotage_outcome_merge=True)
-        assert not sabotaged.ok
-        assert sabotaged.error is not None
+        mutations.skip_outcome_merge(monkeypatch, "S1")
+        mutated = run_endurance(0, duration=8.0)
+        assert not mutated.ok
+        assert "quiescent sweep" in mutated.error
+        assert "commit at one site but abort at S1" in mutated.error
 
 
 class TestMajorityCreation:
@@ -187,12 +191,12 @@ class TestWiring:
         assert list(results) == [1, 0]
         assert all(payload["ok"] for payload in results.values())
 
-    def test_fleet_dumps_artifacts_on_failure(self, tmp_path):
+    def test_fleet_dumps_artifacts_on_failure(self, monkeypatch, tmp_path):
         from repro.fleet import run_seed_fleet
 
+        mutations.skip_outcome_merge(monkeypatch, "S1")
         results = run_seed_fleet(
-            "endurance", [0], duration=8.0, sabotage_outcome_merge=True,
-            artifacts_dir=str(tmp_path))
+            "endurance", [0], duration=8.0, artifacts_dir=str(tmp_path))
         payload = results[0]
         assert not payload["ok"]
         assert payload["artifacts"], "failed worker left no evidence"
@@ -211,12 +215,13 @@ class TestCli:
         assert "availability timeline" in out
         assert "availability floor held" in out
 
-    def test_endurance_failure_dumps_artifacts(self, capsys, tmp_path):
+    def test_endurance_failure_dumps_artifacts(self, monkeypatch, capsys,
+                                               tmp_path):
         from repro.cli import main
 
+        mutations.skip_outcome_merge(monkeypatch, "S1")
         code = main(["chaos", "--endurance", "--seed", "0",
-                     "--duration", "8", "--sabotage-outcome-merge",
-                     "--artifacts-dir", str(tmp_path)])
+                     "--duration", "8", "--artifacts-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert "FAILURE" in err

@@ -8,10 +8,14 @@ import pytest
 # structure and merge rules that only the EVS backend has.  When the
 # CI backend matrix forces a different backend via REPRO_BACKEND the
 # whole file is skipped rather than silently re-testing EVS.
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_BACKEND", "evs") not in ("", "evs"),
-    reason="EVS rules (section 5.2) are specific to the evs backend",
-)
+# Every activation in this suite is checked as it happens (tests/monitors.py).
+pytestmark = [
+    pytest.mark.skipif(
+        os.environ.get("REPRO_BACKEND", "evs") not in ("", "evs"),
+        reason="EVS rules (section 5.2) are specific to the evs backend",
+    ),
+    pytest.mark.usefixtures("activation_monitor"),
+]
 
 from repro import LoadGenerator, NodeConfig, WorkloadConfig
 from repro.replication.node import SiteStatus

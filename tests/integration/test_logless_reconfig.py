@@ -190,8 +190,9 @@ class TestAuditAndSweepWiring:
         """Non-vacuity: the audit must be able to fail on this backend
         (a comparator that cannot fail audits nothing)."""
         from repro import audit
+        from tests import mutations
 
-        monkeypatch.setenv(audit.SABOTAGE_ENV, "1")
+        mutations.reseed_second_run(monkeypatch)
         outcome = audit.run_audit(["backend:logless:chaos"], jobs=1,
                                   dump_dir=str(tmp_path))
         assert not outcome.ok
@@ -240,19 +241,22 @@ class TestAuditAndSweepWiring:
         for backend in ("evs", "logless"):
             assert report.metric(9, backend, "commits") > 0
 
-    def test_differential_failure_names_evidence_and_repro(self, tmp_path):
-        """A failing cell's worker dumps the evidence; the report hands
-        back its paths and a command carrying the cell's real shape
-        (clients 6, not the CLI's 0)."""
+    def test_differential_failure_names_evidence_and_repro(
+            self, monkeypatch, tmp_path):
+        """A failing cell dumps the evidence; the report hands back its
+        paths and a command carrying the cell's real shape (clients 6,
+        not the CLI's 0).  The cells fail under the *no dedup* mutation,
+        which reaches them because ``jobs=1`` runs inline."""
         from repro.differential import run_differential
+        from tests import mutations
 
+        mutations.no_dedup(monkeypatch)
         report = run_differential([12], backends=("evs", "logless"),
-                                  duration=3.0, sabotage_dedup=True,
-                                  artifacts_dir=str(tmp_path))
+                                  duration=3.0, artifacts_dir=str(tmp_path))
         assert not report.ok
         first = report.first_failure()
         assert first["repro"].endswith(
-            "chaos --seed 12 --backend evs --clients 6 --sabotage-dedup")
+            "chaos --seed 12 --backend evs --clients 6")
         bundle = tmp_path / "chaos-seed12-evs"
         assert str(bundle / "repro.txt") in first["artifacts"]
         assert first["repro"] in (bundle / "repro.txt").read_text()

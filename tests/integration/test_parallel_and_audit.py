@@ -7,7 +7,7 @@ Three end-to-end guarantees:
   spawn boundary — equal the serial run's, key for key.
 * ``repro audit`` passes on a pinned chaos regression case — the
   determinism claim every pinned result rests on actually holds.
-* The auditor is not vacuous: with the ``REPRO_AUDIT_SABOTAGE`` hook
+* The auditor is not vacuous: with ``tests.mutations.reseed_second_run``
   injecting real nondeterminism (a perturbed seed on the second run),
   the audit must fail, name the diverging digests, write dump
   artifacts, and print a minimal repro command.
@@ -17,9 +17,10 @@ import json
 
 import pytest
 
-from repro.audit import SABOTAGE_ENV, run_audit
+from repro.audit import run_audit
 from repro.bench import run_scenario
 from repro.fleet import run_seed_fleet
+from tests import mutations
 
 
 def test_chaos_fleet_jobs_payload_identical_to_serial():
@@ -45,9 +46,10 @@ def test_audit_passes_on_pinned_chaos_case():
     assert outcome.passed == ["chaos:vs:23"]
 
 
-def test_audit_fails_on_injected_nondeterminism(monkeypatch, tmp_path):
-    monkeypatch.setenv(SABOTAGE_ENV, "1")
-    outcome = run_audit(["chaos:vs:23"], jobs=1, dump_dir=str(tmp_path))
+def test_audit_fails_on_injected_nondeterminism(tmp_path):
+    with pytest.MonkeyPatch.context() as mutated:
+        mutations.reseed_second_run(mutated)
+        outcome = run_audit(["chaos:vs:23"], jobs=1, dump_dir=str(tmp_path))
     assert not outcome.ok
     failure = outcome.failures[0]
     assert failure.axis == "determinism"
@@ -59,9 +61,7 @@ def test_audit_fails_on_injected_nondeterminism(monkeypatch, tmp_path):
     dumps = sorted(p.name for p in tmp_path.iterdir())
     assert len(dumps) == 2
     assert "dumps:" in failure.detail
-    # The sabotage hook must not leak into ordinary runs: with the env
-    # cleared the same case is deterministic again.
-    monkeypatch.delenv(SABOTAGE_ENV)
+    # With the mutation lifted the same case is deterministic again.
     assert run_audit(["chaos:vs:23"], jobs=1).ok
 
 

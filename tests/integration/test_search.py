@@ -1,5 +1,5 @@
 """End-to-end tests for the adversarial chaos search: campaign
-determinism, corpus replay, the sabotage canary (find + shrink a seeded
+determinism, corpus replay, the mutation canary (find + shrink a seeded
 bug), and the pinned regression/determinism schedules."""
 
 import json
@@ -16,6 +16,7 @@ from repro.search.engine import (
 )
 from repro.search.executor import ScheduleExecutor
 from repro.search.pinned import PINNED
+from tests import mutations
 
 
 def smoke_config(**overrides):
@@ -53,9 +54,13 @@ class TestSearchDeterminism:
 
 
 class TestSabotageCanary:
-    def test_search_finds_and_shrinks_the_seeded_bug(self, tmp_path):
-        config = smoke_config(sabotage=True,
-                              artifacts_dir=str(tmp_path / "out"))
+    def test_search_finds_and_shrinks_the_seeded_bug(self, monkeypatch,
+                                                     tmp_path):
+        """The seeded bug is a test-side mutation — S1 skips the outcome
+        merge — and the search runs at ``jobs=1``, inline, so every
+        candidate, shrink step and replay below is mutated."""
+        mutations.skip_outcome_merge(monkeypatch, "S1")
+        config = smoke_config(artifacts_dir=str(tmp_path / "out"))
         report = SearchEngine(config).run()
         assert not report.ok
         assert report.failures
@@ -63,13 +68,13 @@ class TestSabotageCanary:
         # The shrinker made demonstrable progress: strictly smaller.
         assert failure.minimal.schedule_size() < failure.genome.schedule_size()
         # The minimal schedule still fails on its own.
-        replay = ScheduleExecutor(failure.minimal, sabotage=True).run()
+        replay = ScheduleExecutor(failure.minimal).run()
         assert not replay.ok
         # ... and the artifact bundle carries the replayable genome.
         schedule_files = [p for p in failure.artifacts
                           if p.endswith("schedule.json")]
         assert schedule_files
-        payload = replay_schedule(schedule_files[0], sabotage=True)
+        payload = replay_schedule(schedule_files[0])
         assert payload["ok"] is False
 
 
@@ -101,10 +106,8 @@ class TestPinnedSchedules:
         assert flat_a["ok"] is True
 
     def test_audit_sabotage_hook_perturbs_schedule_runs(self, monkeypatch):
-        # Non-vacuity: the REPRO_AUDIT_SABOTAGE hook must actually
-        # change the run, or the audit could silently compare nothing.
-        case_id = "schedule:utd-flush-clobber"
-        flat_a = audit._flatten(audit.execute_variant(case_id, "a"))
-        monkeypatch.setenv(audit.SABOTAGE_ENV, "1")
-        flat_b = audit._flatten(audit.execute_variant(case_id, "b"))
-        assert flat_a != flat_b
+        # Non-vacuity: the re-seeded second run must actually change the
+        # run, or the audit could silently compare nothing.
+        mutations.reseed_second_run(monkeypatch)
+        outcome = audit.run_audit(["schedule:utd-flush-clobber"], jobs=1)
+        assert [f.axis for f in outcome.failures] == ["determinism"]

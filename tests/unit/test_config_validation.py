@@ -115,7 +115,7 @@ class TestDriverSpecificFields:
     @pytest.mark.parametrize("config", [
         ChaosConfig(intensity=1.5),
         ChaosConfig(intensity=-0.1),
-        ChaosConfig(sabotage_dedup=True),  # needs clients > 0
+        ChaosConfig(intensity=float("nan")),
         EnduranceConfig(n_sites=2),
         EnduranceConfig(clients=0),
         EnduranceConfig(segments=()),

@@ -21,6 +21,8 @@ from repro.reconfig.transfer import (
     TransferComplete,
     TransferOffer,
 )
+from repro.replication.messages import TransactionMessage
+from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster
 
 
@@ -453,3 +455,49 @@ class TestJoinerSession:
             ReconcileNotice(session_id="sess", phantom_gids=(500,))
         )
         assert node.db.store.value("obj1") == 0
+
+
+class TestJoinerReplay:
+    """The replay queue owns its messages: a message leaves ``enqueued``
+    when its step runs, not when the step is scheduled."""
+
+    def test_superseding_offer_keeps_the_in_flight_replay_step(self):
+        """One replay step is scheduled when a newer session's offer
+        arrives with a baseline *below* the step's gid: the step is
+        cancelled, its message waits in the queue, and the new session's
+        replay applies it — once."""
+        cluster = quick_cluster()
+        node = cluster.nodes["S3"]
+        manager = node.reconfig
+        base = node.db.cover_gid()
+        in_flight, behind = base + 1, base + 2
+        node._set_status(SiteStatus.RECOVERING, "scripted joiner")
+        manager.enqueue_mode = True
+        for gid, obj in ((in_flight, "obj1"), (behind, "obj2")):
+            manager.on_recovering_message(gid, TransactionMessage(
+                origin="S1", local_id=f"T{gid}", read_set=(),
+                write_set=((obj, f"by-{gid}"),)))
+
+        def offer(session_id, created_at):
+            manager.on_transfer_message("S1", TransferOffer(
+                session_id=session_id, peer="S1", strategy="rectable",
+                sync_gid=base, created_at=created_at))
+            assert manager.joiner_session.session_id == session_id
+
+        def complete(session_id):
+            manager.on_transfer_message("S1", TransferComplete(
+                session_id=session_id, baseline_gid=base))
+
+        offer("first", created_at=1.0)
+        complete("first")
+        assert manager.replaying  # the step for ``in_flight`` is scheduled
+        offer("second", created_at=2.0)  # supersedes mid-step
+        assert not manager.replaying
+        cluster.run_for(0.01)  # past the cancelled step's time
+        assert node.db.store.version("obj1") < in_flight
+        complete("second")
+        cluster.run_for(0.01)
+        assert not manager.enqueued and manager.replayed_transactions == 2
+        assert node.db.store.read("obj1") == (f"by-{in_flight}", in_flight)
+        assert node.db.store.read("obj2") == (f"by-{behind}", behind)
+        assert cluster.history.commits_of("S3").count(in_flight) == 1
