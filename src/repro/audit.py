@@ -136,13 +136,13 @@ def _build_cases() -> Dict[str, AuditCase]:
     # docs/RECONFIG_BACKENDS.md): one pinned chaos storm and one
     # endurance churn run must replay byte-for-byte, like the EVS ones.
     cases.append(AuditCase(case_id="backend:logless:chaos", kind="chaos",
-                           params={"seed": 9, "backend": "logless",
+                           params={"seed": 9, "mode": "logless",
                                    "intensity": 0.5, "n_sites": 4,
                                    "db_size": 40, "duration": 1.5,
                                    "arrival_rate": 60.0}))
     cases.append(AuditCase(case_id="backend:logless:endurance",
                            kind="endurance",
-                           params={"seed": 0, "backend": "logless",
+                           params={"seed": 0, "mode": "logless",
                                    "duration": 6.0}))
     # Schedules pinned by the adversarial search (repro.search.pinned):
     # each is one exact genome whose replay — the very property the

@@ -54,9 +54,6 @@ class HistoryRecorder:
     def commits_of(self, site: str) -> List[int]:
         return [e.gid for e in self.by_site.get(site, []) if e.kind == "commit"]
 
-    def decided_gids(self) -> Set[int]:
-        return {e.gid for e in self.events}
-
 
 class ConsistencyViolation(AssertionError):
     """Raised when a checker finds a violated guarantee."""

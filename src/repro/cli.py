@@ -44,7 +44,7 @@ from repro.tracing import attach_tracer
 def _cmd_demo(args: argparse.Namespace) -> int:
     cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
                              seed=args.seed, strategy=args.strategy,
-                             mode=args.mode, backend=args.backend).build()
+                             mode=args.mode).build()
     cluster.start()
     if not cluster.await_all_active(timeout=15):
         print("bootstrap failed", file=sys.stderr)
@@ -56,7 +56,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     cluster.settle(0.5)
     cluster.check()
     print(f"sites: {args.sites}  db: {args.db_size} objects  "
-          f"strategy: {args.strategy}  backend: {cluster.backend_name}")
+          f"strategy: {args.strategy}  backend: {args.mode}")
     print(f"ran {args.duration}s at {args.rate} txn/s: "
           f"{len(load.committed())} commits, {len(load.aborted())} aborts, "
           f"abort rate {load.abort_rate():.1%}")
@@ -82,7 +82,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     report = run_recovery_experiment(
         strategy=args.strategy, mode=args.mode, db_size=args.db_size,
         downtime=args.downtime, arrival_rate=args.rate, seed=args.seed,
-        backend=args.backend,
     )
     print(f"strategy={report.strategy} mode={report.mode} "
           f"db={args.db_size} downtime={args.downtime}s rate={args.rate}/s")
@@ -96,7 +95,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
     report = run_figure1_scenario(mode=args.mode, strategy=args.strategy,
-                                  seed=args.seed, backend=args.backend)
+                                  seed=args.seed)
     print(f"Figure-{'2 (EVS)' if args.mode == 'evs' else '1 (plain VS)'} "
           f"cascading scenario — strategy {args.strategy}")
     print(f"  completed:             {report.completed}")
@@ -123,7 +122,7 @@ def _crash_and_recover(args: argparse.Namespace, attach=(), attach_late=()):
     """
     cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
                              seed=args.seed, strategy=args.strategy,
-                             mode=args.mode, backend=args.backend).build()
+                             mode=args.mode).build()
     for observer in attach:
         observer(cluster)
     cluster.start()
@@ -221,8 +220,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = cluster.profiler
     epochs = extract_epochs(cluster.tracer.events, end_time=cluster.sim.now)
     print(f"profiled recovery of {victim} (seed={args.seed} "
-          f"strategy={args.strategy} mode={args.mode} "
-          f"backend={cluster.backend_name}): "
+          f"strategy={args.strategy} mode={args.mode}): "
           f"{'completed' if ok else 'TIMED OUT'}")
     print()
     print(profiler.render(limit=args.top))
@@ -585,8 +583,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     config.jobs = args.jobs
     config.corpus_dir = args.corpus_dir
     config.artifacts_dir = args.artifacts_dir
-    config.space = SearchSpace(n_sites=args.sites, mode=args.mode,
-                               backend=args.backend)
+    config.space = SearchSpace(n_sites=args.sites, mode=args.mode)
     start = time.perf_counter()
     report = SearchEngine(config).run()
     wall = time.perf_counter() - start
@@ -614,9 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, strategy_default: str = "rectable") -> None:
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--mode", choices=("vs", "evs"), default="vs")
-        p.add_argument("--backend", choices=ALL_BACKEND_NAMES, default=None,
-                       help="reconfiguration backend; overrides --mode "
+        p.add_argument("--mode", choices=ALL_BACKEND_NAMES, default="vs",
+                       help="reconfiguration backend "
                             "(docs/RECONFIG_BACKENDS.md)")
         p.add_argument("--strategy", choices=ALL_STRATEGY_NAMES,
                        default=strategy_default)
@@ -805,9 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default %(default)s)")
     search.add_argument("--sites", type=int, default=5,
                         help="cluster size searched over (default %(default)s)")
-    search.add_argument("--mode", choices=("vs", "evs"), default="vs")
-    search.add_argument("--backend", choices=ALL_BACKEND_NAMES, default=None,
-                        help="reconfiguration backend; overrides --mode")
+    search.add_argument("--mode", choices=ALL_BACKEND_NAMES, default="vs",
+                        help="reconfiguration backend searched over")
     search.add_argument("--corpus-dir", default=None, metavar="DIR",
                         help="write the corpus (one schedule JSON per entry "
                              "+ corpus.json index) here")

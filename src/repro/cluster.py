@@ -16,7 +16,7 @@ from repro.checkers import HistoryRecorder, run_all_checks
 from repro.gcs.config import GCSConfig
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.network import Network
-from repro.reconfig.backends import ReconfigBackend, backend_by_name, resolve_backend
+from repro.reconfig.backends import ReconfigBackend, backend_by_name
 from repro.reconfig.strategies import TransferStrategy, strategy_by_name
 from repro.replication.node import NodeConfig, ReplicatedDatabaseNode, SiteStatus
 from repro.replication.transaction import Transaction
@@ -59,8 +59,9 @@ class ClusterBuilder:
     """Fluent construction of a :class:`Cluster`.
 
     Parameters mirror the paper's experiment dimensions: number of
-    sites, database size, transfer strategy, VS vs EVS mode, and the
-    cost model.
+    sites, database size, transfer strategy, reconfiguration backend
+    (``mode``: a :mod:`repro.reconfig.backends` name — ``vs``, ``evs``
+    or ``logless``), and the cost model.
     """
 
     def __init__(
@@ -77,17 +78,12 @@ class ClusterBuilder:
         initial_sites: Optional[Sequence[str]] = None,
         initial_value: Any = 0,
         batching: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         self.n_sites = n_sites
         self.db_size = db_size
         self.seed = seed
         self.strategy = strategy
         self.mode = mode
-        #: Reconfiguration backend name (repro.reconfig.backends).  When
-        #: None the legacy ``mode`` selects the backend ("vs"/"evs"),
-        #: keeping all pre-backend call sites byte-identical.
-        self.backend = backend
         self.gcs_config = gcs_config
         self.node_config = node_config
         self.latency = latency or FixedLatency(0.001)
@@ -125,12 +121,11 @@ class ClusterBuilder:
             gcs_config = replace(gcs_config or GCSConfig(), sequencer_batching=False)
             node_config = replace(node_config or NodeConfig(), batch_writes=False)
 
-        backend = resolve_backend(self.mode, self.backend)
+        backend = backend_by_name(self.mode)
         history = HistoryRecorder(clock=lambda: sim.now)
         cluster = Cluster(sim, network, {}, history, strategy, initial_db)
         cluster._gcs_config = gcs_config
         cluster._node_config = node_config
-        cluster._mode = backend.gcs_mode
         cluster._backend = backend
         for site in universe:
             cluster._make_node(site, universe, has_initial_copy=site in initial_sites)
@@ -160,7 +155,6 @@ class Cluster:
         self._fault_schedule: Optional[FaultSchedule] = None
         self._gcs_config: Optional[GCSConfig] = None
         self._node_config = None
-        self._mode = "vs"
         self._backend: ReconfigBackend = backend_by_name("vs")
         #: Observability handle (repro.obs.Observability), set by
         #: :meth:`attach_observability`.  None = no instrumentation cost.
@@ -179,11 +173,6 @@ class Cluster:
 
         return attach_observability(self)
 
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the reconfiguration backend in use."""
-        return self._backend.name
-
     # ------------------------------------------------------------------
     # Node construction (used by the builder and by add_site)
     # ------------------------------------------------------------------
@@ -193,9 +182,9 @@ class Cluster:
             self.network,
             site,
             universe,
+            self._backend.gcs_factory,
             gcs_config=self._gcs_config,
             config=self._node_config,
-            mode=self._mode,
             has_initial_copy=has_initial_copy,
             initial_db=self.initial_db,
         )
@@ -340,9 +329,6 @@ class Cluster:
     def submit_via(self, site: str, reads: List[str], writes: Dict[str, Any]) -> Transaction:
         return self.nodes[site].submit(reads, writes)
 
-    def total_commits(self) -> int:
-        return len({e.gid for e in self.history.events if e.kind == "commit"})
-
     def check(self) -> None:
         """Run the full correctness checker battery."""
         run_all_checks(self.history, list(self.nodes.values()))
@@ -392,17 +378,3 @@ class Cluster:
             "transfer_failovers": transfer_failovers,
             "transfer_solicits": solicits,
         }
-
-    # ------------------------------------------------------------------
-    def reconfig_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-site reconfiguration counters, for the benchmarks."""
-        stats = {}
-        for site, node in self.nodes.items():
-            manager = node.reconfig
-            stats[site] = {
-                "transfers_started": manager.transfers_started,
-                "transfers_completed": manager.transfers_completed,
-                "announcements_sent": manager.announcements_sent,
-                "replayed": manager.replayed_transactions,
-            }
-        return stats

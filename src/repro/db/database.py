@@ -299,9 +299,6 @@ class Database:
             if gid in committed and gid > cover_gid
         )
 
-    def pending_version_tags(self) -> Dict[str, int]:
-        return dict(self._tagged_version)
-
     def reset_version_tags(self) -> None:
         """Drop all pending version tags.
 

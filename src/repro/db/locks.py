@@ -147,9 +147,6 @@ class LockManager:
     def holds(self, txn_id: str, resource: str) -> bool:
         return txn_id in self._holders.get(resource, {})
 
-    def ticket_of(self, request: "LockRequest") -> int:
-        return request.ticket
-
     def waiting_requests(self) -> List[LockRequest]:
         """Every waiting request, in enqueue order."""
         waiting = [r for queue in self._queues.values() for r in queue]

@@ -239,7 +239,3 @@ class PersistentStorage:
         # Rewriting the log is itself a durable operation.
         self.durable_length = len(self.log)
         return removed
-
-    def log_bytes(self, record_size: int = 64) -> int:
-        """Approximate log volume, for benchmark accounting."""
-        return len(self.log) * record_size

@@ -168,9 +168,8 @@ def run_differential(
         FleetTask(
             key=f"{backend}:{seed}",
             kind=kind,
-            params={"seed": seed, "backend": backend,
-                    "artifacts_dir": artifacts_dir,
-                    **CELL_DEFAULTS[kind], **overrides},
+            params={"seed": seed, "artifacts_dir": artifacts_dir,
+                    **CELL_DEFAULTS[kind], **overrides, "mode": backend},
         )
         for seed in seeds
         for backend in backends

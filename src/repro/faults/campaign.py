@@ -33,6 +33,7 @@ from repro.faults.injectors import (
     ReorderInjector,
 )
 from repro.faults.storage import TornTailFaults
+from repro.reconfig.backends import backend_by_name
 from repro.replication.node import NodeConfig, SiteStatus
 from repro.tracing import Tracer, attach_tracer
 from repro.workload.generator import LoadGenerator, WorkloadConfig
@@ -55,7 +56,6 @@ _ENGINES = {
 #: command always rebuilds the config it was printed from.
 CLI_FLAGS: Tuple[Tuple[str, str], ...] = (
     ("mode", "--mode"),
-    ("backend", "--backend"),
     ("strategy", "--strategy"),
     ("n_sites", "--sites"),
     ("db_size", "--db-size"),
@@ -89,10 +89,8 @@ class CampaignConfig:
     db_size: int = 40
     #: Storm length in virtual seconds.
     duration: Optional[float] = None
+    #: Reconfiguration backend: a repro.reconfig.backends registry name.
     mode: str = "vs"
-    #: Reconfiguration backend (repro.reconfig.backends); None lets the
-    #: legacy ``mode`` select it ("vs"/"evs").
-    backend: Optional[str] = None
     strategy: str = "rectable"
     arrival_rate: float = 60.0
     #: Closed-loop client sessions (repro.client) with failover and
@@ -122,12 +120,7 @@ class CampaignConfig:
             raise ValueError("db_size must be at least 1")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.mode not in ("vs", "evs"):
-            raise ValueError(f"mode must be 'vs' or 'evs', got {self.mode!r}")
-        if self.backend is not None:
-            from repro.reconfig.backends import backend_by_name
-
-            backend_by_name(self.backend)  # raises on unknown names
+        backend_by_name(self.mode)  # raises on unknown names
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
         if self.clients < 0:
@@ -238,7 +231,7 @@ class Campaign:
     SETTLE: ClassVar[Tuple[float, float]]
     #: The schedule entry announcing the final quiesce.
     FINAL_NOTE: ClassVar[Tuple[str, str]]
-    #: A failed run dumps its evidence under ``<dir>/<prefix><seed>-<backend>``.
+    #: A failed run dumps its evidence under ``<dir>/<prefix><seed>-<mode>``.
     ARTIFACT_PREFIX: ClassVar[str]
 
     def __init__(self, config: Optional[CampaignConfig] = None) -> None:
@@ -299,7 +292,6 @@ class Campaign:
             seed=config.seed,
             strategy=config.strategy,
             mode=config.mode,
-            backend=config.backend,
             node_config=NodeConfig(creation_majority=self.CREATION_MAJORITY),
         ).build()
         self.cluster = cluster
@@ -435,8 +427,7 @@ class Campaign:
 
     def artifact_dir(self, root: str) -> str:
         config = self.config
-        return os.path.join(root, f"{self.ARTIFACT_PREFIX}{config.seed}-"
-                                  f"{config.backend or config.mode}")
+        return os.path.join(root, f"{self.ARTIFACT_PREFIX}{config.seed}-{config.mode}")
 
 
 # ----------------------------------------------------------------------

@@ -266,7 +266,7 @@ def _build_sweeps() -> Dict[str, SweepStudy]:
     ])
     backends = _grid([
         (f"{backend}/storm={storm}",
-         {"backend": backend, "fault_storm": storm, "n_sites": 5,
+         {"mode": backend, "fault_storm": storm, "n_sites": 5,
           "db_size": 300, "downtime": 0.8, "arrival_rate": 120.0,
           "seed": 23})
         for backend in ("vs", "evs", "logless")

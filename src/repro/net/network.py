@@ -175,19 +175,12 @@ class Network:
             self._component.append(0)
         return ep
 
-    @property
-    def node_ids(self) -> List[str]:
-        return sorted(self._endpoints)
-
     def bring_up(self, node_id: str) -> None:
         self.endpoint(node_id).up = True
 
     def take_down(self, node_id: str) -> None:
         """Crash a node's network presence; in-flight messages to it are lost."""
         self.endpoint(node_id).up = False
-
-    def is_up(self, node_id: str) -> bool:
-        return node_id in self._endpoints and self._endpoints[node_id].up
 
     def set_partitions(self, groups: Iterable[Iterable[str]]) -> None:
         """Split the network into the given components.

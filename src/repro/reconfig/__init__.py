@@ -29,7 +29,6 @@ from repro.reconfig.backends import (
     ALL_BACKEND_NAMES,
     ReconfigBackend,
     backend_by_name,
-    resolve_backend,
 )
 from repro.reconfig.evs_manager import EvsReconfigManager
 from repro.reconfig.logless import LoglessReconfigManager, ReplicatedConfig
@@ -60,6 +59,5 @@ __all__ = [
     "VersionCheckStrategy",
     "VsReconfigManager",
     "backend_by_name",
-    "resolve_backend",
     "strategy_by_name",
 ]

@@ -3,11 +3,12 @@
 A *backend* bundles the two decisions that together define how the
 cluster reconfigures itself online:
 
-* which GCS membership layer the node runs (``gcs_mode``): plain
-  virtual synchrony (``"vs"``) or Enriched View Synchrony (``"evs"``,
-  section 5.2 of the paper); and
-* which reconfiguration manager drives joins, transfer sessions,
-  activation, and the creation protocol on top of it.
+* which group-communication handle a site runs on (``gcs_factory``):
+  a plain virtually synchronous group member, or one wrapped in
+  Enriched View Synchrony (section 5.2 of the paper); and
+* which reconfiguration manager decides who is up to date and drives
+  joins, transfer sessions, activation, and the creation protocol on
+  top of it.
 
 Three backends ship today:
 
@@ -36,7 +37,7 @@ of them under the conformance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,36 @@ class ReconfigBackend:
     """One named reconfiguration strategy: membership layer + manager."""
 
     name: str
-    #: GCS membership layer the node instantiates: ``"vs"`` or ``"evs"``.
-    gcs_mode: str
+    #: ``(sim, network, site_id, universe, gcs_config, app) -> (handle,
+    #: member)``: the object the site starts, crashes and multicasts
+    #: through, and the ``GroupMember`` underneath it.
+    gcs_factory: Callable
     #: ``(node, strategy) -> BaseReconfigManager``
     manager_factory: Callable
     description: str
 
     def make_manager(self, node, strategy):
         return self.manager_factory(node, strategy)
+
+
+def _plain_member(sim, network, site_id, universe, gcs_config, app):
+    from repro.gcs.member import GroupMember
+
+    member = GroupMember(sim, network, site_id, universe, gcs_config, app=app)
+    return member, member
+
+
+def _enriched_member(sim, network, site_id, universe, gcs_config, app):
+    from repro.gcs.evs import EnrichedGroupMember
+
+    if gcs_config is not None and gcs_config.dynamic_universe:
+        raise ValueError(
+            "dynamic_universe needs a backend on the plain group member "
+            "('vs' or 'logless'): the primary subview of section 5.2 is "
+            "defined against a static universe"
+        )
+    handle = EnrichedGroupMember(sim, network, site_id, universe, gcs_config, app=app)
+    return handle, handle.member
 
 
 def _vs_manager(node, strategy):
@@ -77,21 +100,21 @@ _REGISTRY = {
     for backend in (
         ReconfigBackend(
             name="vs",
-            gcs_mode="vs",
+            gcs_factory=_plain_member,
             manager_factory=_vs_manager,
             description="plain virtual synchrony with explicit "
             "up-to-date announcements (section 5.1)",
         ),
         ReconfigBackend(
             name="evs",
-            gcs_mode="evs",
+            gcs_factory=_enriched_member,
             manager_factory=_evs_manager,
             description="Enriched View Synchrony: structural "
             "up-to-dateness via subview merges (section 5.2)",
         ),
         ReconfigBackend(
             name="logless",
-            gcs_mode="vs",
+            gcs_factory=_plain_member,
             manager_factory=_logless_manager,
             description="logless reconfiguration: versioned config as "
             "replicated state in the total-order stream "
@@ -113,19 +136,8 @@ def backend_by_name(name: str) -> ReconfigBackend:
         ) from None
 
 
-def resolve_backend(mode: str, backend: Optional[str]) -> ReconfigBackend:
-    """Resolve the effective backend from a (mode, backend) pair.
-
-    ``backend`` wins when given; otherwise the legacy ``mode`` names the
-    backend directly ("vs" / "evs"), which keeps every pre-backend call
-    site byte-identical in behaviour.
-    """
-    return backend_by_name(backend if backend is not None else mode)
-
-
 __all__ = [
     "ALL_BACKEND_NAMES",
     "ReconfigBackend",
     "backend_by_name",
-    "resolve_backend",
 ]

@@ -69,9 +69,8 @@ class EvsReconfigManager(BaseReconfigManager):
     # ------------------------------------------------------------------
     @property
     def evs(self):
-        member = self.node.evs_member
-        assert member is not None, "EvsReconfigManager requires an EVS member"
-        return member
+        """The enriched group member this backend's sites run on."""
+        return self.node.gcs
 
     def _primary_subview(self, eview: EView):
         return eview.primary_subview(len(self.node.universe))
@@ -84,9 +83,65 @@ class EvsReconfigManager(BaseReconfigManager):
         return self._creation_source
 
     # ------------------------------------------------------------------
+    # Membership policy: up-to-dateness is structural (section 5.2)
+    # ------------------------------------------------------------------
+    def in_primary_component(self) -> bool:
+        return self.evs.in_primary_subview()
+
+    def any_up_to_date(self, view) -> bool:
+        return self._primary_subview(self.evs.eview) is not None
+
+    def view_up_to_date(self) -> Dict[str, bool]:
+        """Every site observing an e-view — including a recovering
+        joiner — can refresh its map of who is up to date from it; the
+        flushed states can predate a Rule III promotion (they were
+        captured while everyone was still suspended).  Without this, a
+        joiner whose flushed states predate the merge that activated the
+        primary subview sees no up-to-date member and its transfer-stall
+        watchdog has no peer to solicit from.  A site wrongly presumed
+        up to date (a data-stale companion inside the primary subview)
+        is harmless: the serving side re-checks its own status before
+        honouring a solicit."""
+        eview = self.evs.eview
+        primary = self._primary_subview(eview)
+        if primary is None:
+            return {}
+        return {site: site in primary for site in eview.view.members}
+
+    # ------------------------------------------------------------------
     # E-view change dispatch
     # ------------------------------------------------------------------
     def on_eview_change(self, eview: EView, reason: str, states, gseq=None) -> None:
+        node = self.node
+        if not node.alive:
+            return
+        if reason == "view_change":
+            # Up-to-dateness is structural under EVS: member of the
+            # primary subview <=> up to date (section 5.2) — unless the
+            # replay queue has not drained: acting up to date then would
+            # drop the enqueued transactions.  Such a site stays a
+            # joiner; maybe_activate promotes it once the replay finishes.
+            node.up_to_date = (self.in_primary_component()
+                               and not self.replay_pending())
+            node._handle_membership_change(eview.view, states)
+        else:
+            node.trace("eview", reason, repr(eview))
+            node.site_utd.update(self.view_up_to_date())
+            primary = self._primary_subview(eview)
+            if (
+                node.status is SiteStatus.SUSPENDED
+                and primary is not None
+                and (node.site_id not in primary or not node.up_to_date)
+            ):
+                # A merge e-view change can create the primary subview
+                # (e.g. after the creation protocol): sites outside it
+                # switch to RECOVERING so they enqueue instead of
+                # dropping messages.  So does a data-stale site *inside*
+                # it — a companion of the creation source was carried
+                # into the primary subview by the merge without holding
+                # the source's merged state, and it catches up via
+                # transfer like any other joiner.
+                node._set_status(SiteStatus.RECOVERING)
         self._pending_svs_merges.clear()
         self._sv_merges_requested.clear()
         if reason == "view_change":

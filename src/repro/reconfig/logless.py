@@ -80,8 +80,10 @@ class LoglessReconfigManager(VsReconfigManager):
     def __init__(self, node, strategy) -> None:
         super().__init__(node, strategy)
         self.config = ReplicatedConfig()
-        #: Base version of our in-flight add-self proposal (None when no
-        #: proposal is outstanding for the current join attempt).
+        #: Base version of our in-flight add-self proposal, and how many
+        #: this join attempt has made.  A join attempt is what one
+        #: ``_announce`` starts; both are read only while ``_announced``,
+        #: which everything that abandons the attempt clears.
         self._add_proposed_version: Optional[int] = None
         self._add_attempts = 0
         self.config_proposals_sent = 0
@@ -226,6 +228,7 @@ class LoglessReconfigManager(VsReconfigManager):
         if as_source:
             self._propose(replace=(self.node.site_id,), reason="creation")
         else:
+            self._add_attempts = 0  # the re-proposal limit is per join attempt
             self._propose_add_self()
 
     # ------------------------------------------------------------------
@@ -263,18 +266,8 @@ class LoglessReconfigManager(VsReconfigManager):
     # Lifecycle: the config is volatile state
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        super().on_crash()  # resets the proposal state via _reset_joiner_state
+        super().on_crash()
         self.config = ReplicatedConfig()
-
-    def restart_join(self) -> None:
-        super().restart_join()
-        self._add_proposed_version = None
-        self._add_attempts = 0
-
-    def _reset_joiner_state(self) -> None:
-        super()._reset_joiner_state()
-        self._add_proposed_version = None
-        self._add_attempts = 0
 
 
 __all__ = ["LoglessReconfigManager", "ReplicatedConfig"]

@@ -185,6 +185,25 @@ class BaseReconfigManager:
         self._drop_join()
         self._reset_creation()
 
+    # ------------------------------------------------------------------
+    # Membership policy: what the node asks while folding a view change
+    # ------------------------------------------------------------------
+    def in_primary_component(self) -> bool:
+        """Is this site, a member of a primary view, structurally in the
+        primary component?  Here the primary view is all the structure
+        there is."""
+        return True
+
+    def any_up_to_date(self, view: View) -> bool:
+        """Does the installed view hold a member to recover from?"""
+        site_utd = self.node.site_utd
+        return any(site_utd.get(site, False) for site in view.members)
+
+    def view_up_to_date(self) -> Dict[str, bool]:
+        """What the installed (e-)view itself says about who is up to
+        date, overriding the flushed claims.  Here: nothing."""
+        return {}
+
     def note_partition_complete(self, partition: str, boundary_gid: int) -> None:
         """Record lazy round-1 progress so a replacement peer can skip
         already-shipped partitions (section 4.7)."""
@@ -685,8 +704,11 @@ class VsReconfigManager(BaseReconfigManager):
 
     def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
         node = self.node
+        if not node.alive:
+            return
+        node._handle_membership_change(view, states)
         status = node.status
-        if status in (SiteStatus.STALLED, SiteStatus.DOWN):
+        if status is SiteStatus.STALLED:
             # Rule: leaving the primary component stops everything.
             self.on_demoted()
             return

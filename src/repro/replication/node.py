@@ -14,15 +14,18 @@ IV.  *Write phase* — writes execute as locks are granted (concurrently
      when they do not conflict), each costing ``write_op_time``.
 V.   *Commit phase* — locks released, commit logged, RecTable updated.
 
-Failure handling (section 2.3): processing only in the primary view
-(plain VS mode) or primary subview (EVS mode); a site landing in a
-minority view "behaves as if it had failed": it withdraws its pending
-multicasts, rolls back in-flight work (without terminating it — the
-cover must not advance past transactions that may have committed
-elsewhere) and ignores deliveries until reconfiguration brings it back.
+Failure handling (section 2.3): processing only in the primary
+component (the primary view or, under EVS, the primary subview); a site
+landing in a minority view "behaves as if it had failed": it withdraws
+its pending multicasts, rolls back in-flight work (without terminating
+it — the cover must not advance past transactions that may have
+committed elsewhere) and ignores deliveries until reconfiguration brings
+it back.
 
 Reconfiguration itself is delegated to a manager from
 :mod:`repro.reconfig` — one per backend: ``vs``, ``evs`` or ``logless``.
+The backend also supplies the group-communication handle and decides who
+is up to date; this module knows neither (docs/RECONFIG_BACKENDS.md).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from repro.db.database import Database
 from repro.db.locks import LockMode
 from repro.db.wal import PersistentStorage
 from repro.gcs.config import GCSConfig
-from repro.gcs.evs import EnrichedGroupMember, EView
 from repro.gcs.member import GroupMember
 from repro.gcs.view import View
 from repro.net.network import Network
@@ -192,40 +194,26 @@ class ReplicatedDatabaseNode:
         network: Network,
         site_id: str,
         universe: Tuple[str, ...],
+        gcs_factory: Callable[..., Tuple[Any, GroupMember]],
         gcs_config: Optional[GCSConfig] = None,
         config: Optional[NodeConfig] = None,
-        mode: str = "vs",
         has_initial_copy: bool = True,
         initial_db: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if mode not in ("vs", "evs"):
-            raise ValueError(f"mode must be 'vs' or 'evs', got {mode!r}")
         self.sim = sim
         self.network = network
         self.site_id = site_id
         self.universe = tuple(sorted(universe))
         self.config = config or NodeConfig()
         self.config.validate()
-        self.mode = mode
         self.has_initial_copy = has_initial_copy
         self._initial_db = dict(initial_db or {})
 
-        if gcs_config is not None and gcs_config.dynamic_universe and mode == "evs":
-            raise ValueError(
-                "dynamic_universe is supported in 'vs' mode only (the primary "
-                "subview of section 5.2 is defined against a static universe)"
-            )
-        if mode == "evs":
-            self.evs_member: Optional[EnrichedGroupMember] = EnrichedGroupMember(
-                sim, network, site_id, self.universe, gcs_config, app=self
-            )
-            self.member: GroupMember = self.evs_member.member
-        else:
-            self.evs_member = None
-            self.member = GroupMember(sim, network, site_id, self.universe, gcs_config, app=self)
         #: The group-communication handle this site starts, crashes and
-        #: multicasts through: the EVS wrapper when there is one.
-        self.gcs = self.member if self.evs_member is None else self.evs_member
+        #: multicasts through, and the group member underneath it (the
+        #: same object unless the backend's handle wraps one).
+        self.gcs, self.member = gcs_factory(
+            sim, network, site_id, self.universe, gcs_config, app=self)
 
         self.xfer = network.endpoint(f"{site_id}:xfer")
         self.xfer.reliable = True  # "e.g., performed via TCP" (section 4.2)
@@ -507,9 +495,16 @@ class ReplicatedDatabaseNode:
         self.site_utd[site] = True
         self._utd_asof[site] = gseq
 
+    # A membership change goes to the manager first: it asks
+    # :meth:`_handle_membership_change` for the backend-agnostic fold and
+    # applies its own policy around it.
     def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
-        """Plain-VS mode entry point (EVS mode uses on_eview_change)."""
-        self._handle_membership_change(view, states)
+        """The plain group member installed a view."""
+        self.reconfig.on_view_change(view, states)
+
+    def on_eview_change(self, eview, reason: str, states, gseq: Optional[int] = None) -> None:
+        """The enriched group member installed a view or changed its e-view."""
+        self.reconfig.on_eview_change(eview, reason, states, gseq)
 
     def on_primary_demoted(self) -> None:
         """The GCS detected that our view went stale (the rest of the
@@ -521,50 +516,16 @@ class ReplicatedDatabaseNode:
             self._stall()
             self.reconfig.on_demoted()
 
-    def on_eview_change(
-        self,
-        eview: EView,
-        reason: str,
-        states: Dict[str, Dict[str, Any]],
-        gseq: Optional[int] = None,
-    ) -> None:
-        """EVS mode entry point: view changes and e-view changes."""
-        if reason == "view_change":
-            # Up-to-dateness is structural under EVS: member of the
-            # primary subview <=> up to date (section 5.2).
-            self.up_to_date = self.evs_member.in_primary_subview()
-            if self.up_to_date and self.reconfig.replay_pending():
-                # Structurally current, but the replay queue has not
-                # drained: acting up to date now would drop the enqueued
-                # transactions.  Stay a joiner; maybe_activate promotes
-                # once the replay finishes.
-                self.up_to_date = False
-            self._handle_membership_change(eview.view, states, eview)
-        elif self.status is not SiteStatus.DOWN:
-            self.trace("eview", reason, repr(eview))
-            self._refresh_structural_utd(eview)
-        if reason != "view_change" and self.status is SiteStatus.SUSPENDED:
-            # A merge e-view change can create the primary subview (e.g.
-            # after the creation protocol): sites outside it switch to
-            # RECOVERING so they enqueue instead of dropping messages.
-            # So does a data-stale site *inside* it — a companion of the
-            # creation source was carried into the primary subview by
-            # the merge without holding the source's merged state, and
-            # it catches up via transfer like any other joiner.
-            primary = eview.primary_subview(len(self.universe))
-            if primary is not None and (
-                self.site_id not in primary or not self.up_to_date
-            ):
-                self._set_status(SiteStatus.RECOVERING)
-        if self.status is not SiteStatus.DOWN:
-            self.reconfig.on_eview_change(eview, reason, states, gseq)
-
     # ------------------------------------------------------------------
     # Membership change handling
     # ------------------------------------------------------------------
-    def _handle_membership_change(
-        self, view: View, states: Dict[str, Dict[str, Any]], eview: Optional[EView] = None
-    ) -> None:
+    def _handle_membership_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
+        """Fold an installed view into this site's knowledge and status.
+
+        Called by the manager from its GCS callback.  What differs
+        between backends is asked of the manager: whether this site is
+        structurally in the primary component, whether any member is up
+        to date, and what the (e-)view itself says about who is."""
         if self.status is SiteStatus.DOWN:
             return
         if self.member.last_install_missed > 0 and self.up_to_date:
@@ -599,10 +560,9 @@ class ReplicatedDatabaseNode:
         # their own (possibly outdated) up-to-date claims.
         for site in self.member.stale_members:
             self.site_utd[site] = False
-        # Under EVS the flushed states can predate a Rule III promotion
-        # (they were captured while everyone was still suspended); the
-        # e-view itself is the authoritative source.
-        self._refresh_structural_utd(eview)
+        # Where up-to-dateness is structural the view itself outranks
+        # the flushed claims.
+        self.site_utd.update(self.reconfig.view_up_to_date())
         self.site_utd[self.site_id] = self.up_to_date
 
         # Traced before the status decision, so the ``status/*`` event
@@ -610,42 +570,12 @@ class ReplicatedDatabaseNode:
         self.trace("view", "install", f"{view} primary={primary}")
         if not primary:
             self._stall()
-        elif self._in_primary_component(eview) and self.up_to_date:
+        elif self.reconfig.in_primary_component() and self.up_to_date:
             self._set_status(SiteStatus.ACTIVE)
-        elif self._any_up_to_date(view, eview):
+        elif self.reconfig.any_up_to_date(view):
             self._demote(SiteStatus.RECOVERING)
         else:
             self._demote(SiteStatus.SUSPENDED)
-        if self.mode == "vs":
-            self.reconfig.on_view_change(view, states)
-
-    def _refresh_structural_utd(self, eview: Optional[EView]) -> None:
-        """EVS: up-to-dateness is structural (primary subview membership,
-        section 5.2), so every site observing an e-view — including a
-        recovering joiner — can refresh its map of who is up to date.
-        Without this, a joiner whose flushed states predate the merge
-        that activated the primary subview sees no up-to-date member and
-        its transfer-stall watchdog has no peer to solicit from.  A site
-        wrongly presumed up to date (a data-stale companion inside the
-        primary subview) is harmless: the serving side re-checks its own
-        status before honouring a solicit."""
-        if eview is None:
-            return
-        primary = eview.primary_subview(len(self.universe))
-        if primary is None:
-            return
-        for site in eview.view.members:
-            self.site_utd[site] = site in primary
-
-    def _in_primary_component(self, eview: Optional[EView]) -> bool:
-        if self.mode == "evs":
-            return self.evs_member.in_primary_subview()
-        return True  # VS mode: being in the primary view suffices structurally
-
-    def _any_up_to_date(self, view: View, eview: Optional[EView]) -> bool:
-        if self.mode == "evs" and eview is not None:
-            return eview.primary_subview(len(self.universe)) is not None
-        return any(self.site_utd.get(site, False) for site in view.members)
 
     def _stall(self) -> None:
         """Leave the primary component: behave as if failed (section 2.3)."""

@@ -137,10 +137,10 @@ def run_figure1_scenario(
     arrival_rate: float = 80.0,
     check: bool = True,
     batching: bool = True,
-    backend: Optional[str] = None,
 ) -> ScenarioReport:
-    """The cascading reconfiguration of Figure 1 (and, in EVS mode, the
-    encapsulated equivalent of Figure 2) on five sites:
+    """The cascading reconfiguration of Figure 1 (and, under ``evs``, the
+    encapsulated equivalent of Figure 2) on five sites; ``mode`` names
+    the reconfiguration backend:
 
     1. all five sites process a steady workload;
     2. S5 crashes and later recovers; a peer starts the data transfer;
@@ -152,7 +152,7 @@ def run_figure1_scenario(
     node_config = NodeConfig(transfer_obj_time=0.002, transfer_batch_size=25)
     cluster = ClusterBuilder(
         n_sites=5, db_size=db_size, seed=seed, strategy=strategy, mode=mode,
-        node_config=node_config, batching=batching, backend=backend,
+        node_config=node_config, batching=batching,
     ).build()
     from repro.tracing import attach_tracer
 
@@ -204,9 +204,7 @@ def run_figure1_scenario(
     completed = ok_s5 and ok_all
     if check:
         cluster.check()
-    report = _collect_report(
-        cluster, load, cluster.backend_name if backend is not None else mode,
-        strategy, completed)
+    report = _collect_report(cluster, load, mode, strategy, completed)
     report.notes.append(f"first peer was {peer}")
     return report
 
@@ -224,15 +222,14 @@ def run_recovery_experiment(
     node_config: Optional[NodeConfig] = None,
     rejoin_timeout: float = 60.0,
     check: bool = True,
-    backend: Optional[str] = None,
     fault_storm: str = "none",
 ) -> ScenarioReport:
     """One site crashes, stays down for ``downtime``, recovers, rejoins.
 
     This is the parameterised experiment behind benchmarks E3-E7: the
     sweep dimensions (database size, throughput, read/write ratio,
-    downtime -> update fraction, reconfiguration backend) are all
-    arguments.  ``fault_storm="partition"`` adds a *pinned* storm on top
+    downtime -> update fraction, reconfiguration backend = ``mode``) are
+    all arguments.  ``fault_storm="partition"`` adds a *pinned* storm on top
     of the crash: a bystander site is partitioned away while the victim
     is still down and healed mid-rejoin, at fixed virtual times — the
     same storm byte-for-byte regardless of backend, which is what makes
@@ -246,7 +243,7 @@ def run_recovery_experiment(
     node_config = node_config or NodeConfig(transfer_obj_time=0.0005)
     cluster = ClusterBuilder(
         n_sites=n_sites, db_size=db_size, seed=seed, strategy=strategy, mode=mode,
-        node_config=node_config, backend=backend,
+        node_config=node_config,
     ).build()
     # The bare tracer is observation-equivalent (no RNG draws, no
     # scheduling) and feeds the epoch phase decomposition the E7 sweep
@@ -292,11 +289,7 @@ def run_recovery_experiment(
     if check:
         cluster.check()
 
-    # When a backend is selected explicitly, the report's mode column
-    # names it (the legacy mode string would misreport logless as "vs").
-    report = _collect_report(
-        cluster, load, cluster.backend_name if backend is not None else mode,
-        strategy, rejoined)
+    report = _collect_report(cluster, load, mode, strategy, rejoined)
     node = cluster.nodes[victim]
     objects_sent = sum(n.reconfig.objects_sent_total for n in cluster.nodes.values())
     bytes_sent = sum(n.reconfig.bytes_sent_total for n in cluster.nodes.values())

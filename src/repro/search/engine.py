@@ -97,8 +97,7 @@ def evaluate_genome(genome: ScheduleGenome) -> Dict[str, Any]:
         "damage": round(damage, 6),
         "uncovered": round(uncovered, 6),
         "windows": [w.describe() for w in windows],
-        "signatures": epoch_signatures(epochs,
-                                       backend=genome.backend_name()),
+        "signatures": epoch_signatures(epochs, backend=genome.mode),
         "coverage": coverage,
         "run_digest": run_digest_of(executor),
         "virtual_time": report.virtual_time,

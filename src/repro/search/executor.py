@@ -54,7 +54,6 @@ def config_for(genome: ScheduleGenome, *,
         n_sites=genome.n_sites,
         duration=max(genome.total_duration(), 1.0),
         mode=genome.mode,
-        backend=genome.backend,
         strategy=genome.strategy,
         arrival_rate=genome.arrival_rate,
         clients=genome.clients,
@@ -92,7 +91,7 @@ class ScheduleExecutor(ChurnCampaign):
     # -- gene interpreters ---------------------------------------------
     def _limit(self) -> int:
         return max(1, self.genome.policy.concurrency_limit(
-            self.config.n_sites, self.genome.backend_name(),
+            self.config.n_sites, self.genome.mode,
             creation_majority=True))
 
     def _pick(self, indices: Tuple[int, ...]) -> List[str]:

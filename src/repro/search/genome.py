@@ -226,8 +226,8 @@ class ScheduleGenome:
 
     seed: int
     n_sites: int
+    #: Reconfiguration backend: a repro.reconfig.backends registry name.
     mode: str = "vs"
-    backend: Optional[str] = None
     strategy: str = "rectable"
     clients: int = 6
     arrival_rate: float = 60.0
@@ -239,9 +239,6 @@ class ScheduleGenome:
     def policy(self) -> ChurnPolicy:
         return ChurnPolicy(max_down=self.max_down,
                            respect_creation_majority=self.respect_creation_majority)
-
-    def backend_name(self) -> str:
-        return self.backend or self.mode
 
     def total_duration(self) -> float:
         return round(sum(gene.duration() for gene in self.segments), 6)
@@ -258,7 +255,6 @@ class ScheduleGenome:
             "seed": self.seed,
             "n_sites": self.n_sites,
             "mode": self.mode,
-            "backend": self.backend,
             "strategy": self.strategy,
             "clients": self.clients,
             "arrival_rate": self.arrival_rate,
@@ -270,6 +266,13 @@ class ScheduleGenome:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScheduleGenome":
         data = dict(payload)
+        valid = [field.name for field in fields(cls)]
+        unknown = sorted(set(data) - set(valid))
+        if unknown:
+            hint = ("; 'backend' is retired: 'mode' now takes the backend "
+                    "name" if "backend" in unknown else "")
+            raise ValueError(f"unknown schedule key(s) {', '.join(unknown)}; "
+                             f"valid: {', '.join(valid)}{hint}")
         data["segments"] = tuple(gene_from_dict(g)
                                  for g in data.get("segments", ()))
         return cls(**data)
@@ -287,7 +290,7 @@ class ScheduleGenome:
 
     def describe(self) -> str:
         genes = "; ".join(gene.describe() for gene in self.segments)
-        return (f"seed={self.seed} {self.backend_name()} "
+        return (f"seed={self.seed} {self.mode} "
                 f"n={self.n_sites} [{genes}]")
 
 
@@ -300,7 +303,6 @@ class SearchSpace:
 
     n_sites: int = 5
     mode: str = "vs"
-    backend: Optional[str] = None
     strategy: str = "rectable"
     clients: int = 6
     arrival_rate: float = 60.0
@@ -315,7 +317,7 @@ class SearchSpace:
 
     def concurrency_limit(self) -> int:
         return max(1, self.policy.concurrency_limit(
-            self.n_sites, self.backend or self.mode, self.creation_majority))
+            self.n_sites, self.mode, self.creation_majority))
 
 
 def _victims(rng: random.Random, space: SearchSpace,
@@ -350,7 +352,6 @@ def random_genome(rng: random.Random, space: SearchSpace) -> ScheduleGenome:
         seed=rng.randrange(space.seeds),
         n_sites=space.n_sites,
         mode=space.mode,
-        backend=space.backend,
         strategy=space.strategy,
         clients=space.clients,
         arrival_rate=space.arrival_rate,

@@ -44,7 +44,6 @@ UTD_FLUSH_CLOBBER = {
     "seed": 6,
     "n_sites": 5,
     "mode": "vs",
-    "backend": None,
     "strategy": "rectable",
     "clients": 6,
     "arrival_rate": 60.0,
@@ -69,7 +68,6 @@ SHATTER_CORRUPT_CHURN = {
     "seed": 11,
     "n_sites": 5,
     "mode": "vs",
-    "backend": None,
     "strategy": "rectable",
     "clients": 6,
     "arrival_rate": 60.0,

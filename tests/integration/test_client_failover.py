@@ -45,7 +45,7 @@ def test_pinned_seeds_are_exactly_once(mode, seed):
 def test_pinned_seeds_are_exactly_once_per_backend(backend, seed):
     """Conformance: the exactly-once ledger holds under the heaviest
     pinned storms on every reconfiguration backend."""
-    report = run_chaos(seed=seed, backend=backend, clients=6)
+    report = run_chaos(seed=seed, mode=backend, clients=6)
     assert report.ok, f"chaos {backend} seed={seed} clients=6: {report.error}"
     assert report.metrics["client.requests"] > 0
     assert report.metrics["client.unresolved"] == 0
@@ -87,7 +87,7 @@ def test_failing_chaos_fleet_cell_leaves_evidence(monkeypatch, capsys,
 
 
 def test_resubmission_is_answered_from_the_table(backend):
-    cluster = quick_cluster(backend=backend)
+    cluster = quick_cluster(mode=backend)
     node = cluster.nodes[cluster.active_sites()[0]]
     results = []
     first = node.submit(["obj0"], {"obj1": 111},

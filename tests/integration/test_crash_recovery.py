@@ -46,7 +46,7 @@ class TestAllStrategies:
     @pytest.mark.parametrize("strategy", ["rectable", "lazy"])
     def test_rejoin_and_consistency_backends(self, backend, strategy):
         """Conformance: rejoin + 1CS hold on every backend."""
-        cluster = quick_cluster(db_size=80, strategy=strategy, backend=backend)
+        cluster = quick_cluster(db_size=80, strategy=strategy, mode=backend)
         _, rejoined = crash_recover_cycle(cluster)
         assert rejoined
         cluster.check()
@@ -54,7 +54,7 @@ class TestAllStrategies:
 
 class TestRecoverySemantics:
     def test_recovered_site_serves_reads_of_new_state(self, backend):
-        cluster = quick_cluster(db_size=30, backend=backend)
+        cluster = quick_cluster(db_size=30, mode=backend)
         cluster.submit_via("S1", [], {"obj0": "pre-crash"})
         cluster.settle(0.3)
         cluster.crash("S3")
@@ -142,7 +142,7 @@ class TestRecoverySemantics:
         from repro import LoadGenerator, WorkloadConfig
 
         cluster = quick_cluster(n_sites=5, db_size=80, strategy="rectable",
-                                backend=backend)
+                                mode=backend)
         load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=100,
                                                      reads_per_txn=1, writes_per_txn=2))
         load.start()

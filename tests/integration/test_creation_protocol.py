@@ -32,7 +32,7 @@ class TestCreation:
 
     def test_total_failure_recovery_backends(self, backend):
         """Conformance: the creation protocol holds on every backend."""
-        cluster = quick_cluster(backend=backend, db_size=50,
+        cluster = quick_cluster(mode=backend, db_size=50,
                                 strategy="version_check")
         ok = total_failure_and_recovery(cluster, ["S3", "S1", "S2"])
         assert ok
@@ -54,7 +54,7 @@ class TestCreation:
     def test_creation_waits_for_all_sites(self, backend):
         """Section 3: neither a majority nor the last primary view
         suffices — the logs of *all* sites must be considered."""
-        cluster = quick_cluster(db_size=30, backend=backend)
+        cluster = quick_cluster(db_size=30, mode=backend)
         run_load(cluster, duration=0.4)
         for site in cluster.universe:
             cluster.crash(site)
@@ -98,7 +98,7 @@ class TestCreation:
         cluster.check()
 
     def test_processing_resumes_after_creation(self, backend):
-        cluster = quick_cluster(db_size=30, backend=backend)
+        cluster = quick_cluster(db_size=30, mode=backend)
         assert total_failure_and_recovery(cluster, ["S1", "S2", "S3"])
         txn = cluster.submit_via("S2", [], {"obj0": "post-creation"})
         cluster.settle(0.5)

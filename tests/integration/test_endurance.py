@@ -63,7 +63,7 @@ class TestComposedStorm:
     def test_composed_run_per_backend(self, backend):
         """Conformance: the churn schedule passes its sweeps and the
         availability floor on every reconfiguration backend."""
-        report = run_endurance(0, duration=4.0, backend=backend)
+        report = run_endurance(0, duration=4.0, mode=backend)
         assert report.ok, report.error
         assert report.sweeps >= 1
 
@@ -84,7 +84,7 @@ class TestStrategyAndBackendCoverage:
         assert report.sweeps >= 1
 
     def test_logless_backend_composed_run(self):
-        report = run_endurance(0, duration=6.0, backend="logless")
+        report = run_endurance(0, duration=6.0, mode="logless")
         assert report.ok, report.error
         assert report.sweeps >= 2
         avail = report.availability()
@@ -92,21 +92,20 @@ class TestStrategyAndBackendCoverage:
         assert avail["mean_rate"] > 0
 
     def test_logless_payload_digests_are_byte_stable(self):
-        payloads = [run_endurance(0, duration=5.0,
-                                  backend="logless").payload()
+        payloads = [run_endurance(0, duration=5.0, mode="logless").payload()
                     for _ in range(2)]
         assert payloads[0] == payloads[1]
 
     def test_repro_command_names_backend_and_strategy(self):
-        config = EnduranceConfig(seed=3, duration=5.0, backend="logless",
+        config = EnduranceConfig(seed=3, duration=5.0, mode="logless",
                                  strategy="log_filter")
         command = repro_command(config)
-        assert "--backend logless" in command
+        assert "--mode logless" in command
         assert "--strategy log_filter" in command
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            EnduranceConfig(seed=0, backend="bogus").validate()
+            EnduranceConfig(seed=0, mode="bogus").validate()
 
 
 class TestSabotage:

@@ -23,7 +23,7 @@ class TestStructuralUpToDate:
     def test_processing_only_in_primary_subview(self):
         cluster = quick_cluster(mode="evs", n_sites=5, db_size=40)
         for node in cluster.nodes.values():
-            assert node.evs_member.in_primary_subview()
+            assert node.gcs.in_primary_subview()
             assert node.up_to_date
 
     def test_rejoiner_outside_primary_subview_until_merged(self):
@@ -42,7 +42,7 @@ class TestStructuralUpToDate:
             lambda: cluster.nodes["S5"].member.view.is_primary(5), timeout=10
         )
         node5 = cluster.nodes["S5"]
-        assert not node5.evs_member.in_primary_subview()
+        assert not node5.gcs.in_primary_subview()
         assert node5.status is not SiteStatus.ACTIVE
         ok = cluster.await_condition(
             lambda: node5.status is SiteStatus.ACTIVE, timeout=30
@@ -50,7 +50,7 @@ class TestStructuralUpToDate:
         load.stop()
         cluster.settle(0.5)
         assert ok
-        assert node5.evs_member.in_primary_subview()
+        assert node5.gcs.in_primary_subview()
         cluster.check()
 
     def test_no_announcements_under_evs(self):

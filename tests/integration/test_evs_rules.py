@@ -56,7 +56,7 @@ class TestRuleI1:
         cluster, load, victim = recovering_evs_cluster()
         ok = cluster.await_condition(
             lambda: all(
-                len(n.evs_member.eview.subview_sets()) == 1
+                len(n.gcs.eview.subview_sets()) == 1
                 for n in cluster.nodes.values() if n.alive
             ),
             timeout=15,
@@ -76,7 +76,7 @@ class TestRuleII:
 
         assert cluster.await_condition(transfer_started, timeout=15)
         # At this point the joiner's subview-set must contain the primary.
-        eview = node.evs_member.eview
+        eview = node.gcs.eview
         primary = eview.primary_subview(5)
         assert primary is not None
         assert primary <= eview.subview_set_of(victim)
@@ -100,7 +100,7 @@ class TestRuleIII:
         )
         # By the time the merge made it active, it had fully caught up.
         assert not node.reconfig.enqueued
-        assert node.evs_member.in_primary_subview()
+        assert node.gcs.in_primary_subview()
         load.stop()
         cluster.settle(0.5)
         cluster.check()
@@ -112,7 +112,7 @@ class TestRuleIII:
         )
         cluster.settle(0.2)
         for node in cluster.nodes.values():
-            primary = node.evs_member.eview.primary_subview(5)
+            primary = node.gcs.eview.primary_subview(5)
             assert primary is not None and victim in primary
         load.stop()
 

@@ -11,9 +11,11 @@ operation, flush-state re-learning, and the audit/sweep wiring.
 
 import pytest
 
-from repro.reconfig.backends import (
-    ALL_BACKEND_NAMES, backend_by_name, resolve_backend,
-)
+from repro import ClusterBuilder
+from repro.gcs.evs import EnrichedGroupMember
+from repro.gcs.member import GroupMember
+from repro.reconfig import backends
+from repro.reconfig.backends import ALL_BACKEND_NAMES, backend_by_name
 from repro.reconfig.evs_manager import EvsReconfigManager
 from repro.reconfig.logless import LoglessReconfigManager, ReplicatedConfig
 from repro.reconfig.manager import VsReconfigManager
@@ -31,26 +33,31 @@ class TestRegistry:
             backend_by_name("paxos")
 
     def test_explicit_backend_overrides_mode(self):
-        assert resolve_backend("evs", "logless").name == "logless"
-        assert resolve_backend("vs", "evs").name == "evs"
+        """Nothing overrides ``mode`` any more: the retired second
+        selector is rejected, not resolved against it."""
+        with pytest.raises(TypeError, match="backend"):
+            ClusterBuilder(mode="evs", backend="logless")
+        assert not hasattr(backends, "resolve_backend")
 
     def test_mode_names_the_backend_when_unset(self):
-        assert resolve_backend("vs", None).name == "vs"
-        assert resolve_backend("evs", None).name == "evs"
+        assert ClusterBuilder().mode == "vs"
+        for name in ALL_BACKEND_NAMES:
+            cluster = ClusterBuilder(mode=name).build()
+            assert cluster.nodes["S1"].reconfig.backend_name == name
 
     def test_gcs_modes(self):
         # logless replaces the reconfiguration layer, not the GCS: it
-        # runs on the plain virtual-synchrony membership layer.
-        assert backend_by_name("vs").gcs_mode == "vs"
-        assert backend_by_name("evs").gcs_mode == "evs"
-        assert backend_by_name("logless").gcs_mode == "vs"
+        # runs on the plain virtual-synchrony group member, like vs.
+        handles = {name: type(ClusterBuilder(mode=name).build().nodes["S1"].gcs)
+                   for name in ALL_BACKEND_NAMES}
+        assert handles == {"vs": GroupMember, "logless": GroupMember,
+                           "evs": EnrichedGroupMember}
 
     def test_cluster_gets_the_right_manager(self):
         expected = {"vs": VsReconfigManager, "evs": EvsReconfigManager,
                     "logless": LoglessReconfigManager}
         for name, manager_type in expected.items():
-            cluster = quick_cluster(backend=name)
-            assert cluster.backend_name == name
+            cluster = quick_cluster(mode=name)
             for node in cluster.nodes.values():
                 assert type(node.reconfig) is manager_type
                 assert node.reconfig.backend_name == name
@@ -58,7 +65,7 @@ class TestRegistry:
 
 class TestReplicatedConfig:
     def test_bootstrap_installs_full_membership(self):
-        cluster = quick_cluster(backend="logless")
+        cluster = quick_cluster(mode="logless")
         configs = {site: node.reconfig.config
                    for site, node in cluster.nodes.items()}
         assert len({(c.version, c.members) for c in configs.values()}) == 1
@@ -67,7 +74,7 @@ class TestReplicatedConfig:
         assert config.members == tuple(sorted(cluster.universe))
 
     def test_crash_recover_cycle_advances_config(self):
-        cluster = quick_cluster(backend="logless", db_size=30)
+        cluster = quick_cluster(mode="logless", db_size=30)
         v0 = cluster.nodes["S1"].reconfig.config.version
         cluster.crash("S3")
         run_load(cluster, duration=0.4)
@@ -86,7 +93,7 @@ class TestReplicatedConfig:
         cluster.check()
 
     def test_stale_proposal_is_discarded_by_the_cas(self):
-        cluster = quick_cluster(backend="logless")
+        cluster = quick_cluster(mode="logless")
         manager = cluster.nodes["S1"].reconfig
         before = manager.config
         conflicts = manager.config_conflicts
@@ -100,7 +107,7 @@ class TestReplicatedConfig:
     def test_replace_installs_membership_wholesale(self):
         # Unit-level on a throwaway cluster: the creation path's
         # replace-proposal semantics.
-        cluster = quick_cluster(backend="logless")
+        cluster = quick_cluster(mode="logless")
         manager = cluster.nodes["S1"].reconfig
         version = manager.config.version
         manager.on_config_message(
@@ -113,7 +120,7 @@ class TestReplicatedConfig:
     def test_no_up_to_date_announcements_multicast(self):
         """The backend's whole point: membership travels as ConfigChange
         state updates, never as UpToDateAnnouncement log entries."""
-        cluster = quick_cluster(backend="logless", db_size=30)
+        cluster = quick_cluster(mode="logless", db_size=30)
         cluster.crash("S3")
         run_load(cluster, duration=0.3)
         cluster.recover("S3")
@@ -127,7 +134,7 @@ class TestReplicatedConfig:
             assert manager.config_changes_applied >= 1
 
     def test_flush_extra_carries_the_config(self):
-        cluster = quick_cluster(backend="logless")
+        cluster = quick_cluster(mode="logless")
         extra = cluster.nodes["S1"].reconfig.flush_extra()
         assert extra["config_version"] >= 1
         assert tuple(extra["config_members"]) == tuple(
@@ -139,11 +146,11 @@ class TestReplicatedConfig:
         # Byte-identity guarantee for the pre-existing backends: the
         # refactor's hooks must add nothing to their flush state.
         for name in ("vs", "evs"):
-            cluster = quick_cluster(backend=name)
+            cluster = quick_cluster(mode=name)
             assert cluster.nodes["S1"].reconfig.flush_extra() == {}
 
     def test_total_failure_relearns_config_from_flush_state(self):
-        cluster = quick_cluster(backend="logless", db_size=30,
+        cluster = quick_cluster(mode="logless", db_size=30,
                                 strategy="version_check")
         run_load(cluster, duration=0.4)
         for site in ("S3", "S1", "S2"):
@@ -166,6 +173,38 @@ class TestReplicatedConfig:
         with pytest.raises(ValueError, match="logless_repropose_limit"):
             NodeConfig(logless_repropose_limit=0).validate()
 
+    def test_repropose_budget_is_per_join_attempt(self):
+        """A site that re-joins without crashing (partition churn) gets
+        the whole ``logless_repropose_limit`` for every join attempt:
+        attempts it made in earlier joins do not stop it re-proposing
+        after a lost compare-and-swap race."""
+        from repro.replication.node import NodeConfig
+
+        limit = 2
+        cluster = quick_cluster(
+            mode="logless",
+            node_config=NodeConfig(logless_repropose_limit=limit))
+        node = cluster.nodes["S3"]
+        manager = node.reconfig
+        node.up_to_date = False
+        node._set_status(SiteStatus.RECOVERING, "re-joining after a partition")
+        manager.caught_up = True
+        for attempt in range(limit + 1):
+            # The view change that re-admits the joiner voids the
+            # previous attempt's announcement; the drained replay then
+            # announces again: one add-self proposal.
+            node.on_view_change(node.member.view, {})
+            manager._on_caught_up()
+            sent = manager.config_proposals_sent
+            # The proposal loses the race: a competing change is
+            # delivered first and moves the version past its base.
+            manager.on_config_message(
+                ConfigChange(proposer="S1",
+                             base_version=manager.config.version),
+                gseq=1000 + attempt)
+            assert manager.config_proposals_sent == sent + 1, (
+                f"join attempt {attempt} did not re-propose")
+
 
 class TestAuditAndSweepWiring:
     def test_logless_audit_cases_registered(self):
@@ -173,7 +212,7 @@ class TestAuditAndSweepWiring:
 
         for case_id in ("backend:logless:chaos", "backend:logless:endurance"):
             assert case_id in audit.CASES
-            assert audit.CASES[case_id].params["backend"] == "logless"
+            assert audit.CASES[case_id].params["mode"] == "logless"
 
     def test_logless_audit_case_replays_identically(self):
         from repro import audit
@@ -218,7 +257,7 @@ class TestAuditAndSweepWiring:
         from repro.scenarios import run_recovery_experiment
 
         report = run_recovery_experiment(
-            backend="logless", fault_storm="partition", n_sites=5,
+            mode="logless", fault_storm="partition", n_sites=5,
             db_size=120, downtime=0.6, arrival_rate=100.0, seed=23)
         assert report.completed
         assert report.mode == "logless"
@@ -256,7 +295,7 @@ class TestAuditAndSweepWiring:
         assert not report.ok
         first = report.first_failure()
         assert first["repro"].endswith(
-            "chaos --seed 12 --backend evs --clients 6")
+            "chaos --seed 12 --mode evs --clients 6")
         bundle = tmp_path / "chaos-seed12-evs"
         assert str(bundle / "repro.txt") in first["artifacts"]
         assert first["repro"] in (bundle / "repro.txt").read_text()

@@ -7,10 +7,9 @@ from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster
 
 
-def partitioned_cluster(mode="vs", strategy="rectable", n_sites=5, seed=21,
-                        backend=None):
+def partitioned_cluster(mode="vs", strategy="rectable", n_sites=5, seed=21):
     cluster = quick_cluster(n_sites=n_sites, db_size=60, strategy=strategy,
-                            mode=mode, seed=seed, backend=backend)
+                            mode=mode, seed=seed)
     load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=100, reads_per_txn=1,
                                                  writes_per_txn=2))
     load.start()
@@ -32,7 +31,7 @@ class TestMinorityBehaviour:
 
     def test_minority_stalls_on_every_backend(self, backend):
         """Conformance: quorum stall semantics are backend-independent."""
-        cluster, load = partitioned_cluster(backend=backend)
+        cluster, load = partitioned_cluster(mode=backend)
         for site in ("S1", "S2", "S3"):
             assert cluster.nodes[site].status is SiteStatus.ACTIVE
         for site in ("S4", "S5"):
@@ -85,7 +84,7 @@ class TestMergeRecovery:
 
     def test_heal_brings_minority_back_backends(self, backend):
         """Conformance: merge recovery works on every backend."""
-        cluster, load = partitioned_cluster(backend=backend)
+        cluster, load = partitioned_cluster(mode=backend)
         cluster.heal()
         ok = cluster.await_all_active(timeout=30)
         load.stop()
@@ -94,7 +93,7 @@ class TestMergeRecovery:
         cluster.check()
 
     def test_minority_receives_partition_era_writes(self, backend):
-        cluster, load = partitioned_cluster(backend=backend)
+        cluster, load = partitioned_cluster(mode=backend)
         load.stop()
         marker = cluster.submit_via("S1", [], {"obj0": "during-partition"})
         cluster.settle(0.5)

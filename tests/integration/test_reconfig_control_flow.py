@@ -44,7 +44,7 @@ def observed_cluster(backend):
     site, that the status reconstructed from that site's ``status/*``
     events is the status the node really has."""
     cluster = ClusterBuilder(n_sites=3, db_size=40, seed=42,
-                             strategy="version_check", backend=backend).build()
+                             strategy="version_check", mode=backend).build()
     tracer = attach_tracer(cluster)
     told = {}
     lies = []
@@ -150,7 +150,7 @@ def test_a_down_site_only_restarts_into_stalled():
 # (c) The logless config write stamps ``asof`` like the vs announcement
 # ----------------------------------------------------------------------
 def test_logless_add_outranks_a_staler_flushed_claim():
-    cluster = quick_cluster(backend="logless")
+    cluster = quick_cluster(mode="logless")
     node = cluster.nodes["S1"]
     manager = node.reconfig
     node.site_utd["S3"] = False
@@ -163,7 +163,7 @@ def test_logless_add_outranks_a_staler_flushed_claim():
     # delivered: a negative claim, but older than what S1 delivered.
     states = {site: other.flush_state() for site, other in cluster.nodes.items()}
     states["S3"]["repl"].update(utd=False, asof=499)
-    node._handle_membership_change(node.member.view, states)
+    node.on_view_change(node.member.view, states)
     assert node.site_utd["S3"] is True
     assert "S3" not in manager.sessions_out
 
@@ -211,7 +211,7 @@ class Bogus:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_an_unrouted_message_fails_loudly_on_both_channels(backend):
-    node = quick_cluster(backend=backend).nodes["S1"]
+    node = quick_cluster(mode=backend).nodes["S1"]
     with pytest.raises(TypeError, match=r"S1.*Bogus"):
         node.reconfig.on_transfer_message("S2", Bogus())
     with pytest.raises(TypeError, match=r"S1.*Bogus"):
@@ -219,7 +219,7 @@ def test_an_unrouted_message_fails_loudly_on_both_channels(backend):
 
 
 def test_logless_does_not_route_the_announcements_it_never_sends():
-    node = quick_cluster(backend="logless").nodes["S1"]
+    node = quick_cluster(mode="logless").nodes["S1"]
     with pytest.raises(TypeError, match=r"S1.*logless.*UpToDateAnnouncement"):
         node.on_message("S2", UpToDateAnnouncement(site="S2", cover_gid=0), 10_000)
 

@@ -29,7 +29,7 @@ class XferBlackout(FaultInjector):
 
 def test_stalled_transfer_fails_over_without_view_change(backend):
     cluster = ClusterBuilder(n_sites=3, db_size=40, seed=5150,
-                             strategy="rectable", backend=backend).build()
+                             strategy="rectable", mode=backend).build()
     cluster.start()
     assert cluster.await_all_active(timeout=10)
 
@@ -88,7 +88,7 @@ def test_peer_failover_serves_solicited_joiner(backend):
     up-to-date member answers the joiner's solicit (fail-over), observed
     through the serving-side counter."""
     cluster = ClusterBuilder(n_sites=3, db_size=40, seed=4242,
-                             strategy="rectable", backend=backend).build()
+                             strategy="rectable", mode=backend).build()
     cluster.start()
     assert cluster.await_all_active(timeout=10)
 

@@ -135,9 +135,6 @@ class LockManager:
     def holds(self, txn_id: str, resource: str) -> bool:
         return txn_id in self._holders.get(resource, {})
 
-    def ticket_of(self, request: "LockRequest") -> int:
-        return request.ticket
-
     def waiting_requests(self) -> List[LockRequest]:
         return [r for r in self._waiting if not r.cancelled]
 

@@ -47,7 +47,7 @@ SCHEDULES = st.lists(_STEP, min_size=2, max_size=8)
 def apply_schedule(backend, steps):
     """Run one schedule on one backend; return the converged store digest."""
     cluster = ClusterBuilder(n_sites=5, db_size=30, seed=7,
-                             strategy="rectable", backend=backend).build()
+                             strategy="rectable", mode=backend).build()
     cluster.start()
     assert cluster.await_all_active(timeout=15), f"{backend}: bootstrap failed"
 

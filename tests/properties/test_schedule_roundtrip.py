@@ -10,6 +10,7 @@ import json
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.search.engine import evaluate_genome
@@ -54,6 +55,31 @@ def test_round_trip_preserves_derived_metrics(draw_seed, steps):
     assert again.schedule_size() == genome.schedule_size()
     assert again.total_duration() == genome.total_duration()
     assert again.policy == genome.policy
+
+
+# ----------------------------------------------------------------------
+# Keys the schedule format does not have fail loudly
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("load", [
+    ScheduleGenome.from_dict,
+    lambda payload: ScheduleGenome.loads(json.dumps(payload)),
+], ids=["from_dict", "loads"])
+def test_retired_backend_key_is_rejected_pointing_at_mode(load):
+    """A schedule written before ``mode`` took the backend name still
+    carries the second selector: refuse it, do not guess."""
+    payload = {**genomes(7, 0).to_dict(), "backend": "logless"}
+    with pytest.raises(ValueError) as caught:
+        load(payload)
+    message = str(caught.value)
+    assert "backend" in message and "'mode' now takes the backend name" in message
+    assert all(key in message for key in genomes(7, 0).to_dict())
+
+
+def test_unknown_key_is_a_value_error_naming_it_and_the_valid_keys():
+    payload = {**genomes(7, 0).to_dict(), "sites": 5}
+    with pytest.raises(ValueError, match=r"unknown schedule key\(s\) sites; "
+                                         r"valid: seed, n_sites, mode, "):
+        ScheduleGenome.from_dict(payload)
 
 
 # ----------------------------------------------------------------------

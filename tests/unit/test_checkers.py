@@ -103,11 +103,6 @@ class TestRecorder:
         history.record("S1", "abort", 1, txn(local_id="x"))
         assert history.commits_of("S1") == [0]
 
-    def test_decided_gids(self):
-        history = HistoryRecorder()
-        history.record("S1", "commit", 3, txn())
-        assert history.decided_gids() == {3}
-
     def test_timestamps_from_clock(self):
         now = {"t": 1.5}
         history = HistoryRecorder(clock=lambda: now["t"])

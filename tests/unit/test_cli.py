@@ -27,6 +27,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["recover", "--strategy", "magic"])
 
+    @pytest.mark.parametrize("command", ["demo", "recover", "figure1", "trace",
+                                         "report", "profile", "chaos", "search"])
+    def test_retired_backend_flag_exits_2_everywhere(self, command, capsys):
+        """``--mode`` takes the backend name; the second selector is
+        gone from every subcommand that used to carry both."""
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--backend", "logless"])
+        assert caught.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_mode_takes_every_registered_backend(self):
+        from repro.reconfig.backends import ALL_BACKEND_NAMES
+
+        for name in ALL_BACKEND_NAMES:
+            assert build_parser().parse_args(["chaos", "--mode", name]).mode == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--mode", "paxos"])
+
     def test_documented_commands_exist(self):
         """Every ``python -m repro <word>`` in the how-to docs, CI and the
         verify notes is a registered subcommand, and every ``--flag``

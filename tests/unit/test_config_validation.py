@@ -6,6 +6,7 @@ from repro import ClusterBuilder, NodeConfig, WorkloadConfig
 from repro.endurance import EnduranceConfig
 from repro.faults import ChaosConfig
 from repro.gcs.config import GCSConfig
+from repro.reconfig.backends import ALL_BACKEND_NAMES
 
 
 class TestNodeConfig:
@@ -101,9 +102,11 @@ class TestCampaignConfigs:
         ("clients", -1),
     ])
     def test_bad_shared_values_rejected(self, config_class, field, value):
-        config = config_class(**{field: value})
-        with pytest.raises(ValueError):
-            config.validate()
+        # ``backend`` is the retired second selector (``mode`` takes the
+        # backend name now): not a bad value but no field at all.
+        error = TypeError if field == "backend" else ValueError
+        with pytest.raises(error):
+            config_class(**{field: value}).validate()
 
     def test_driver_defaults_fill_the_unset_shared_fields(self, config_class):
         config = config_class()
@@ -126,3 +129,33 @@ class TestDriverSpecificFields:
     def test_bad_values_rejected(self, config):
         with pytest.raises(ValueError):
             config.validate()
+
+
+def _executor_for(mode):
+    from repro.search.executor import ScheduleExecutor
+    from repro.search.genome import ScheduleGenome
+
+    return ScheduleExecutor(ScheduleGenome(seed=0, n_sites=5, mode=mode))
+
+
+def _differential_over(mode):
+    from repro.differential import run_differential
+
+    return run_differential([9], backends=("vs", mode))
+
+
+@pytest.mark.parametrize("surface", [
+    lambda mode: ClusterBuilder(mode=mode).build(),
+    lambda mode: ChaosConfig(mode=mode).validate(),
+    lambda mode: EnduranceConfig(mode=mode).validate(),
+    _executor_for,
+    _differential_over,
+], ids=["ClusterBuilder.build", "ChaosConfig.validate",
+        "EnduranceConfig.validate", "ScheduleExecutor", "run_differential"])
+def test_unknown_mode_is_rejected_listing_the_backends(surface):
+    """One selector, one failure: every surface that takes ``mode``
+    names the registry's backends when handed anything else."""
+    with pytest.raises(ValueError) as caught:
+        surface("bogus")
+    assert "'bogus'" in str(caught.value)
+    assert all(name in str(caught.value) for name in ALL_BACKEND_NAMES)

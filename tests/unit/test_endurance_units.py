@@ -205,9 +205,9 @@ REPRO_CASES = [
     EnduranceConfig(seed=0, duration=8.0, segments=("storm", "churn")),
     # The cells `repro diff` runs (duration 1.5 / clients 6, not the
     # CLI's 3.0 / 0): a printed command must carry them.
-    ChaosConfig(seed=9, backend="evs", **CELL_DEFAULTS["chaos"]),
-    EnduranceConfig(seed=0, backend="logless", **CELL_DEFAULTS["endurance"]),
-    ChaosConfig(seed=5, backend="logless", n_sites=5),
+    ChaosConfig(seed=9, mode="evs", **CELL_DEFAULTS["chaos"]),
+    EnduranceConfig(seed=0, mode="logless", **CELL_DEFAULTS["endurance"]),
+    ChaosConfig(seed=5, mode="logless", n_sites=5),
     ChaosConfig(seed=12, mode="evs", clients=6, intensity=0.7,
                 strategy="lazy", db_size=80, arrival_rate=90.0),
     EnduranceConfig(seed=2, n_sites=5, db_size=60, arrival_rate=45.5,

@@ -21,7 +21,7 @@ def shadowed_methods(cluster):
             site: node,
             f"{site}.reconfig": node.reconfig,
             f"{site}.member": node.member,
-            f"{site}.evs_member": node.evs_member,
+            f"{site}.gcs": node.gcs,
             f"{site}.db.locks": node.db.locks,
         })
     return sorted(
@@ -36,7 +36,7 @@ def shadowed_methods(cluster):
 @pytest.mark.parametrize("backend", ("vs", "evs", "logless"))
 def test_attaching_observers_patches_no_method(backend, attach_after_start):
     cluster = ClusterBuilder(n_sites=3, db_size=20, seed=3,
-                             backend=backend).build()
+                             mode=backend).build()
     if attach_after_start:
         cluster.start()
     obs = attach_observability(cluster)

@@ -258,7 +258,7 @@ class TestMetricKeyPadding:
         from repro import ClusterBuilder
 
         cluster = ClusterBuilder(n_sites=3, db_size=20, seed=5,
-                                 backend=backend).build()
+                                 mode=backend).build()
         cluster.start()
         assert cluster.await_all_active(timeout=15)
         return cluster

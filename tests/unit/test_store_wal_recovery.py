@@ -160,9 +160,3 @@ class TestRecovery:
         storage.append(AbortRecord(1))
         result = run_single_site_recovery(storage)
         assert result.committed_gids == {0}
-
-    def test_log_bytes_accounting(self):
-        storage = PersistentStorage()
-        storage.append(BeginRecord(0))
-        storage.append(CommitRecord(0))
-        assert storage.log_bytes(record_size=10) == 20

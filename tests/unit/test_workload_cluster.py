@@ -112,18 +112,6 @@ class TestFaultSchedule:
 
 
 class TestClusterHelpers:
-    def test_reconfig_stats_shape(self):
-        cluster = quick_cluster()
-        stats = cluster.reconfig_stats()
-        assert set(stats) == set(cluster.universe)
-        assert "transfers_started" in stats["S1"]
-
-    def test_total_commits_deduplicates_gids(self):
-        cluster = quick_cluster()
-        cluster.submit_via("S1", [], {"obj0": 1})
-        cluster.settle(0.3)
-        assert cluster.total_commits() == 1  # one gid, three sites
-
     def test_await_condition_times_out(self):
         cluster = quick_cluster()
         assert not cluster.await_condition(lambda: False, timeout=0.3)
