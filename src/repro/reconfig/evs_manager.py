@@ -181,15 +181,10 @@ class EvsReconfigManager(BaseReconfigManager):
             # I'm a joiner.  Enqueueing starts once my subview-set has
             # been merged with the primary's (rule II); re-check here for
             # the cascaded / resume case.
-            if node.member.last_install_missed > 0:
-                self.restart_join()
+            if self._joiner_view_rule(eview.view):
                 self._catch_up_sent = False
-            my_svs = eview.subview_set_of(node.site_id)
-            if primary <= my_svs and not self.strategy.lazy:
-                self.enqueue_mode = True
-            if self.joiner_session is not None and self.joiner_session.peer not in eview.view:
-                self.joiner_session.cancel()
-                self.joiner_session = None
+            if primary <= eview.subview_set_of(node.site_id):
+                self._enqueue_from_sync_point()
             return
 
         self._reconcile(eview, sync_gid=node.member.to.base_gseq - 1)
@@ -210,8 +205,8 @@ class EvsReconfigManager(BaseReconfigManager):
         # but switching to enqueue mode is the safe equivalent.
         my_svs = eview.subview_set_of(node.site_id)
         merged_with_primary = primary is not None and primary <= my_svs
-        if (merged_with_primary or primary is None) and not self.strategy.lazy:
-            self.enqueue_mode = True
+        if merged_with_primary or primary is None:
+            self._enqueue_from_sync_point()
 
     # ------------------------------------------------------------------
     # Rule III: subview merged -> recovery of those sites completed
@@ -269,7 +264,7 @@ class EvsReconfigManager(BaseReconfigManager):
         # Rule I.3: stop transfers to joiners that left the view; also
         # re-anchor transfers whose joiner missed part of the lineage.
         for joiner in list(self.sessions_out):
-            if joiner not in eview.view or joiner in node.member.stale_members:
+            if self._joiner_lost(joiner, eview.view):
                 self.cancel_session(joiner)
 
         # Rule I.1: merge foreign subview-sets into ours.

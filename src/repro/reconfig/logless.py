@@ -176,48 +176,27 @@ class LoglessReconfigManager(VsReconfigManager):
     ) -> None:
         node = self.node
         me = node.site_id
-        joined = (
-            tuple(change.replace) if change.replace is not None else change.add
-        )
-        # Config membership is the backend's up-to-date set; joining it
-        # at ``gseq`` outranks staler flushed claims, like an announcement.
-        for site in joined:
-            node.note_up_to_date(site, gseq)
         for site in change.remove:
             node.site_utd[site] = False
         if change.replace is not None:
             for site in list(node.site_utd):
                 if site not in members:
                     node.site_utd[site] = False
-
+        joined = (
+            tuple(change.replace) if change.replace is not None else change.add
+        )
         if me in joined:
-            if node.status is SiteStatus.ACTIVE:
-                # Creation source / bootstrap coordinator: the delivery
-                # of our own config write is the ordered point from
-                # which we serve the still-recovering members.
-                self.on_activated()
-            else:
-                self._add_proposed_version = None
-                self.activation_authorized = True
-                self.maybe_activate()
-        for site in joined:
-            # A joiner we were serving is now a config member: its
-            # transfer completed (possibly via another peer).
-            if site != me and site in self.sessions_out:
-                self.cancel_session(site)
-        if (
-            any(site != me for site in joined)
-            and node.status is SiteStatus.RECOVERING
-            and not self.strategy.lazy
-        ):
-            self.enqueue_mode = True
+            self._add_proposed_version = None
+        # Config membership is the backend's up-to-date set: joining it
+        # at ``gseq`` is this backend's up-to-date marker.
+        self._became_up_to_date(joined, gseq)
         if (
             node.status is SiteStatus.SUSPENDED
             and members
             and me not in members
         ):
-            # Someone (e.g. the creation-protocol source) wrote a config
-            # with serving members: we can recover from them.
+            # A write that adds nobody still leaves a config with serving
+            # members: we can recover from them.
             node._set_status(SiteStatus.RECOVERING)
 
     # ------------------------------------------------------------------
@@ -247,7 +226,7 @@ class LoglessReconfigManager(VsReconfigManager):
         node = self.node
         if node.status is not SiteStatus.ACTIVE:
             return
-        utd = sorted(s for s in view.members if node.site_utd.get(s, False))
+        utd, _joiners = self._split_view(view)
         if not utd or utd[0] != node.site_id:
             return
         current = set(self.config.members)

@@ -220,6 +220,27 @@ class BaseReconfigManager:
         self._drop_join()
         self.enqueued.clear()
 
+    def _joiner_view_rule(self, view: View) -> bool:
+        """Joiner side of a view change: an install that skipped
+        sequence numbers restarts the join; a peer that left the view
+        takes its session with it — enqueued messages and resume state
+        stay, a newly elected peer will contact us.  Returns whether the
+        join was restarted."""
+        restarted = self.node.member.last_install_missed > 0
+        if restarted:
+            self.restart_join()
+        if self.joiner_session is not None and self.joiner_session.peer not in view:
+            self.joiner_session.cancel()
+            self.joiner_session = None
+        return restarted
+
+    def _enqueue_from_sync_point(self) -> None:
+        """Section 4.2: this joiner stands at or past its synchronization
+        point, so an eager strategy keeps every transaction delivered
+        from here on for replay (lazy discards until its last round)."""
+        if not self.strategy.lazy:
+            self.enqueue_mode = True
+
     def _reset_joiner_state(self) -> None:
         self._drop_join()
         self.enqueue_mode = False
@@ -372,6 +393,37 @@ class BaseReconfigManager:
             self.node._become_active()
             self.on_activated()
 
+    def _became_up_to_date(self, sites: Tuple[str, ...], gseq: int) -> None:
+        """The ordered up-to-date marker of ``sites`` — an announcement,
+        or the config write that made them members — was delivered at
+        ``gseq``."""
+        node = self.node
+        me = node.site_id
+        for site in sites:
+            node.note_up_to_date(site, gseq)
+        others = [site for site in sites if site != me]
+        if others and node.status is SiteStatus.SUSPENDED:
+            # Someone (e.g. the creation-protocol source) is now up to
+            # date: we can recover from it.
+            node._set_status(SiteStatus.RECOVERING)
+        if me in sites:
+            if node.status is SiteStatus.ACTIVE:
+                # Already active (creation source, bootstrap): the
+                # delivery of our own marker is the ordered point from
+                # which we can serve the still-recovering members.
+                self.on_activated()
+            else:
+                self.activation_authorized = True
+                self.maybe_activate()
+        for site in others:
+            # A joiner I was serving completed (possibly via another peer).
+            self.cancel_session(site)
+        if others and node.status is SiteStatus.RECOVERING:
+            # Tested after the flip above: the marker is the
+            # synchronization point of the site it just turned
+            # RECOVERING, whose transfer will be anchored at ``gseq``.
+            self._enqueue_from_sync_point()
+
     def _join_settled(self) -> bool:
         """Hook: has this joiner's transfer delivered what activation
         needs?  Here: the session completed and its stream was replayed."""
@@ -408,6 +460,20 @@ class BaseReconfigManager:
         )
         self.node.trace("transfer", "start", f"-> {joiner} sync={sync_gid}",
                         data={"joiner": joiner, "sync": sync_gid})
+
+    def _split_view(self, view: View) -> Tuple[List[str], List[str]]:
+        """The view's members as (up to date, joiners), each sorted."""
+        site_utd = self.node.site_utd
+        utd = sorted(s for s in view.members if site_utd.get(s, False))
+        joiners = sorted(s for s in view.members if not site_utd.get(s, False))
+        return utd, joiners
+
+    def _joiner_lost(self, joiner: str, view: View) -> bool:
+        """Peer side of a view change: the joiner left the view, or it
+        missed part of the lineage during this transfer (it restarted its
+        join) and must be re-anchored at the new view's synchronization
+        point.  Either way its session is cancelled."""
+        return joiner not in view or joiner in self.node.member.stale_members
 
     def cancel_session(self, joiner: str) -> None:
         session = self.sessions_out.pop(joiner, None)
@@ -467,10 +533,8 @@ class BaseReconfigManager:
         node = self.node
         now = node.sim.now
         cooloff = node.config.transfer_stall_timeout * 4.0
-        candidates = sorted(
-            site for site in node.member.view.members
-            if site != node.site_id and node.site_utd.get(site, False)
-        )
+        utd, _joiners = self._split_view(node.member.view)
+        candidates = [site for site in utd if site != node.site_id]
         fresh = [
             site for site in candidates
             if site != exclude and now - self._stalled_peers.get(site, -1e18) >= cooloff
@@ -571,8 +635,7 @@ class BaseReconfigManager:
         self.joiner_session = JoinerTransferSession(
             node, offer, resume, done_partitions=self._done_partitions
         )
-        if not self.strategy.lazy and not self.enqueue_mode:
-            self.enqueue_mode = True
+        self._enqueue_from_sync_point()
         self.on_new_joiner_session()
         node.trace("transfer", "accept",
                    data={"peer": offer.peer, **self._transfer_snapshot()})
@@ -718,33 +781,20 @@ class VsReconfigManager(BaseReconfigManager):
         elif status is SiteStatus.RECOVERING:
             self.activation_authorized = False  # re-earned via announcement
             self._announced = False
-            if node.member.last_install_missed > 0:
-                self.restart_join()
-            if not self.strategy.lazy:
-                self.enqueue_mode = True
-            if self.joiner_session is not None and self.joiner_session.peer not in view:
-                # Peer failed mid-transfer: keep enqueued messages and
-                # resume state; a newly elected peer will contact us.
-                self.joiner_session.cancel()
-                self.joiner_session = None
+            self._joiner_view_rule(view)
+            self._enqueue_from_sync_point()
         elif status is SiteStatus.SUSPENDED:
             self.check_creation(view)
 
     def _manage_peers(self, view: View) -> None:
         node = self.node
-        utd = sorted(s for s in view.members if node.site_utd.get(s, False))
-        joiners = sorted(s for s in view.members if not node.site_utd.get(s, False))
+        utd, joiners = self._split_view(view)
         for joiner in list(self.sessions_out):
-            if (joiner not in view.members or joiner not in joiners
+            if (self._joiner_lost(joiner, view) or joiner not in joiners
                     or elect_peer(utd, joiner, joiners) != node.site_id):
-                # Rule: joiner left, already became up to date (its
-                # announcement can land before this view's peer review),
-                # or was re-elected away.
-                self.cancel_session(joiner)
-            elif joiner in node.member.stale_members:
-                # The joiner missed part of the lineage during this
-                # transfer (it restarted its join): re-anchor the session
-                # at the new view's synchronization point.
+                # Rule: joiner left or restarted its join, already became
+                # up to date (its announcement can land before this
+                # view's peer review), or was re-elected away.
                 self.cancel_session(joiner)
         sync_gid = node.member.to.base_gseq - 1
         for joiner in joiners:
@@ -752,39 +802,16 @@ class VsReconfigManager(BaseReconfigManager):
                 self.start_session(joiner, sync_gid)
 
     def on_up_to_date(self, msg: UpToDateAnnouncement, gseq: int) -> None:
-        node = self.node
-        site = msg.site
-        node.note_up_to_date(site, gseq)
-        if node.status is SiteStatus.SUSPENDED and site != node.site_id:
-            # Someone (e.g. the creation-protocol source) is now up to
-            # date: we can recover from it.
-            node._set_status(SiteStatus.RECOVERING)
-        if site == node.site_id:
-            if node.status is SiteStatus.ACTIVE:
-                # Already active (creation source): the delivery of our
-                # own announcement is the ordered point from which we can
-                # serve the still-recovering members.
-                self.on_activated()
-            else:
-                self.activation_authorized = True
-                self.maybe_activate()
-            return
-        # A joiner I was serving announced completion.
-        if site in self.sessions_out:
-            self.cancel_session(site)
-        if node.status is SiteStatus.RECOVERING and not self.strategy.lazy:
-            self.enqueue_mode = True
+        self._became_up_to_date((msg.site,), gseq)
 
     def on_activated(self) -> None:
         """On becoming active *as the only up-to-date member* (creation
         source), serve everyone else; otherwise the already-active
         members keep their view-change-time peer assignments."""
         node = self.node
-        view = node.member.view
-        utd = sorted(s for s in view.members if node.site_utd.get(s, False))
+        utd, joiners = self._split_view(node.member.view)
         if utd != [node.site_id]:
             return
-        joiners = sorted(s for s in view.members if not node.site_utd.get(s, False))
         sync_gid = node.last_processed_gid
         for joiner in joiners:
             self.start_session(joiner, sync_gid)

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from repro.db.locks import LockMode
 from repro.db.partitions import partition_of, partition_resource
-from repro.reconfig.strategies.base import TransferStrategy
+from repro.reconfig.strategies.base import NO_COVER
+from repro.reconfig.strategies.version_check import VersionCheckStrategy
 
 
-class FullTransferStrategy(TransferStrategy):
-    """Entire-database transfer.
+class FullTransferStrategy(VersionCheckStrategy):
+    """Entire-database transfer: the version-check scan with the cover
+    fixed at ``NO_COVER`` from session creation, so every object is
+    read and queued the moment its lock is granted.
 
     ``granularity="partition"`` uses coarse locks "e.g., on relations"
     (section 4.3): one read lock per data partition instead of one per
@@ -50,22 +53,14 @@ class FullTransferStrategy(TransferStrategy):
             )
 
     def on_session_created(self, session) -> None:
-        state = {"remaining": 0, "all_queued": False}
-        session.strategy_state = state
         if self.granularity == "partition":
             self._lock_by_partition(session)
-            return
-        objects = list(session.db.store.objects())
-        state["remaining"] = len(objects)
-        if not objects:
-            state["all_queued"] = True
-            return
-        on_grant = self._make_grant_handler(session)
-        for obj in objects:
-            session.request_read_lock(obj, on_grant)
+        else:
+            self._lock_every_object(session, cover=NO_COVER)
 
     def _lock_by_partition(self, session) -> None:
-        state = session.strategy_state
+        state = {"remaining": 0, "all_queued": False}
+        session.strategy_state = state
         partition_count = session.node.config.partition_count
         by_partition = {}
         for obj in session.db.store.objects():
@@ -102,23 +97,3 @@ class FullTransferStrategy(TransferStrategy):
         # Nothing cover-dependent: everything goes.  Items queued before
         # the accept arrived start flowing now; finish once all are in.
         self._maybe_finish(session)
-
-    def _make_grant_handler(self, session):
-        # The granted request names its object, so one handler serves
-        # every lock of the session.
-        def on_grant(request) -> None:
-            if not session.active:
-                return
-            obj = request.resource
-            value, version = session.db.store.read(obj)
-            session.queue_item(obj, value, version, release_after_ack=True)
-            session.strategy_state["remaining"] -= 1
-            if session.strategy_state["remaining"] == 0:
-                session.strategy_state["all_queued"] = True
-                self._maybe_finish(session)
-
-        return on_grant
-
-    def _maybe_finish(self, session) -> None:
-        if session.accepted and session.strategy_state["all_queued"]:
-            session.finish(session.sync_gid)

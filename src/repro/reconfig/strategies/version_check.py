@@ -6,7 +6,9 @@ peer transfers exactly the objects whose version exceeds the cover and
 "ignores X and releases the lock immediately" otherwise.
 
 Still scans (and briefly locks) the entire database — the shortcoming
-the RecTable strategy removes.
+the RecTable strategy removes.  The scan is also section 4.3's: a full
+transfer is this one with the cover known before the joiner answers
+(``full.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ class VersionCheckStrategy(TransferStrategy):
     name = "version_check"
 
     def on_session_created(self, session) -> None:
-        state = {"remaining": 0, "all_queued": False, "cover": None, "granted": []}
+        self._lock_every_object(session, cover=None)
+
+    def _lock_every_object(self, session, cover) -> None:
+        """Request, in one atomic step, a read lock per object in store
+        order.  ``cover=None``: not known before the accept."""
+        state = {"remaining": 0, "all_queued": False, "cover": cover, "granted": []}
         session.strategy_state = state
         objects = list(session.db.store.objects())
         state["remaining"] = len(objects)

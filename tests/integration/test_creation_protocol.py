@@ -4,7 +4,11 @@ import pytest
 
 from repro import LoadGenerator, WorkloadConfig
 from repro.replication.node import SiteStatus
-from tests.conftest import quick_cluster, run_load
+from tests.conftest import _backend_params, quick_cluster, run_load
+
+# A site activated on stale data fails at the activation, with the site,
+# gid and object named (tests/monitors.py).
+pytestmark = pytest.mark.usefixtures("activation_monitor")
 
 
 def total_failure_and_recovery(cluster, order):
@@ -19,6 +23,28 @@ def total_failure_and_recovery(cluster, order):
         cluster.recover(site)
         cluster.run_for(0.3)
     return cluster.await_all_active(timeout=30)
+
+
+def total_failure_under_load(cluster):
+    """The same total failure with 800 txn/s running from start to end:
+    through the crashes, the creation round and the transfers."""
+    load = LoadGenerator(cluster, WorkloadConfig(
+        arrival_rate=800.0, reads_per_txn=1, writes_per_txn=2))
+    load.start()
+    cluster.run_for(0.6)
+    cluster.crash("S3")
+    cluster.run_for(0.3)  # S1, S2 get ahead of S3
+    cluster.crash("S1")
+    cluster.crash("S2")
+    cluster.run_for(0.5)
+    for site in ("S3", "S1", "S2"):
+        cluster.recover(site)
+        cluster.run_for(0.1)
+    ok = cluster.await_all_active(timeout=30)
+    cluster.run_for(0.5)
+    load.stop()
+    cluster.settle(1.0)
+    return ok
 
 
 class TestCreation:
@@ -37,6 +63,19 @@ class TestCreation:
         ok = total_failure_and_recovery(cluster, ["S3", "S1", "S2"])
         assert ok
         cluster.settle(1.0)
+        cluster.check()
+
+    @pytest.mark.parametrize("seed", (3, 13, 28))
+    @pytest.mark.parametrize(
+        "backend", dict.fromkeys(("vs",) + _backend_params()), indirect=True)
+    def test_total_failure_under_continuous_load(self, backend, seed):
+        """Load keeps running through the creation episode: the marker
+        that turns a suspended site RECOVERING — the source's
+        announcement, or its ``replace`` config write — is that site's
+        synchronization point, and nothing delivered after it may be
+        dropped while the transfer offer is on its way."""
+        cluster = quick_cluster(mode=backend, db_size=50, seed=seed)
+        assert total_failure_under_load(cluster)
         cluster.check()
 
     def test_source_is_most_current_site(self):

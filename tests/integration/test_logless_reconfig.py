@@ -23,6 +23,8 @@ from repro.replication.messages import ConfigChange
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster, run_load
 
+pytestmark = pytest.mark.usefixtures("activation_monitor")
+
 
 class TestRegistry:
     def test_registry_names_are_pinned(self):

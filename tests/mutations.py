@@ -27,6 +27,7 @@ import pytest
 from repro import audit
 from repro.db.outcomes import OutcomeTable
 from repro.reconfig.manager import BaseReconfigManager
+from repro.replication.node import SiteStatus
 from repro.sim.core import Simulator
 
 
@@ -91,6 +92,27 @@ def skip_first_replayed_gid(monkeypatch, site: str) -> list:
     patch_where(monkeypatch, BaseReconfigManager, "_replay_next",
                 at_site(site), drop_the_head)
     return skipped
+
+
+def discard_until_the_offer(monkeypatch, site: str) -> list:
+    """*One site discards past its synchronization point*: when an
+    up-to-date marker turns ``site`` from SUSPENDED to RECOVERING it does
+    not start enqueueing, so what is delivered until its transfer offer
+    arrives is lost (the logless backend before PR 23, whose copy of the
+    marker rule tested the status before flipping it).  Returns the list
+    the markers' gids are appended to.  Killed by the activation monitor."""
+    markers: list = []
+
+    def forget_to_enqueue(real, manager, sites, gseq):
+        was_suspended = manager.node.status is SiteStatus.SUSPENDED
+        real(manager, sites, gseq)
+        if was_suspended and manager.node.status is SiteStatus.RECOVERING:
+            manager.enqueue_mode = False
+            markers.append(gseq)
+
+    patch_where(monkeypatch, BaseReconfigManager, "_became_up_to_date",
+                at_site(site), forget_to_enqueue)
+    return markers
 
 
 def reseed_second_run(monkeypatch, offset: int = 100003) -> None:
