@@ -132,6 +132,10 @@ def run_single_site_recovery(storage: PersistentStorage) -> RecoveryResult:
                 redone += 1
 
     discarded = sum(len(v) for gid, v in writes_by_gid.items() if gid not in committed)
+    # The same rule as the live ``Database.set_baseline``: a transfer
+    # baseline subsumes every gid at or below it, so a transaction left
+    # in flight by an earlier crash must not hold the cover down.
+    delivered = [gid for gid in delivered if gid > baseline_gid]
     cover = compute_cover(baseline_gid, delivered, terminated)
     last = max([baseline_gid] + delivered)
     return RecoveryResult(

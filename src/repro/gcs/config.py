@@ -21,10 +21,13 @@ class GCSConfig:
     suspect_timeout:
         Silence threshold after which a node is suspected by the failure
         detector.  Must be comfortably larger than ``presence_interval``.
+        The membership decision is re-taken at the exact instant a
+        suspicion expires, not at the next maintenance period.
     stabilization_delay:
         Debounce between detecting a membership mismatch and initiating a
         view change round, so that bursts of suspicions/joins coalesce
-        into a single view change.
+        into a single view change.  Honoured exactly: the round starts
+        ``stabilization_delay`` after the mismatch first appeared.
     flush_timeout:
         How long a round initiator waits for FLUSH replies before
         abandoning the round, force-suspecting the silent members and
@@ -35,7 +38,10 @@ class GCSConfig:
     retransmit_interval:
         Period of the maintenance task that re-sends unsequenced DATA,
         NAKs sequence gaps and re-broadcasts ACKs while messages are
-        buffered undelivered.  Only matters under message loss.
+        buffered undelivered, and checks for a stale view.  Drives loss
+        repair only: membership decisions are taken when their inputs
+        change or a deadline falls due, never on this period, so it
+        matters only under message loss.
     uniform:
         If True (default, and required by the paper's section 2.1),
         messages are delivered only when every view member has

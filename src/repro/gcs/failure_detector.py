@@ -17,6 +17,7 @@ from typing import Dict, Optional, Set
 from repro.gcs.messages import Presence
 from repro.gcs.view import ViewId
 from repro.sim.core import Simulator
+from repro.sim.process import delay_until
 
 
 class FailureDetector:
@@ -60,16 +61,32 @@ class FailureDetector:
         self._claimed_members.pop(node_id, None)
 
     # ------------------------------------------------------------------
+    def _fresh(self, heard: float, now: float) -> bool:
+        """The one liveness comparison: heard within ``suspect_timeout``."""
+        return heard >= now - self.suspect_timeout
+
     def is_alive(self, node_id: str) -> bool:
         if node_id == self.node_id:
             return True
         heard = self._last_heard.get(node_id)
-        return heard is not None and self.sim.now - heard <= self.suspect_timeout
+        return heard is not None and self._fresh(heard, self.sim.now)
 
     def alive_nodes(self) -> Set[str]:
         """All nodes currently considered reachable-and-alive (excl. self)."""
-        deadline = self.sim.now - self.suspect_timeout
-        return {n for n, t in self._last_heard.items() if t >= deadline}
+        now = self.sim.now
+        return {n for n, t in self._last_heard.items() if self._fresh(t, now)}
+
+    def suspicion_delay(self) -> Optional[float]:
+        """Delay until the next alive node turns suspected: the first
+        instant :meth:`_fresh` calls the longest-silent one stale.  None
+        while no other node is alive."""
+        now = self.sim.now
+        oldest = min((t for t in self._last_heard.values() if self._fresh(t, now)),
+                     default=None)
+        if oldest is None:
+            return None
+        return delay_until(now, oldest + self.suspect_timeout,
+                           lambda t: not self._fresh(oldest, t))
 
     def claimed_view(self, node_id: str) -> Optional[ViewId]:
         """The view the node last advertised (None if never heard)."""

@@ -218,7 +218,6 @@ class GroupMember(Process):
         if not self._blocked:
             for msg_id, payload in list(self._pending.items()):
                 self._transmit(msg_id, payload)
-        self.membership.tick()
 
     def _check_stale_view(self) -> None:
         """The paper's "thin software layer" (section 2.1): concurrent
@@ -275,6 +274,7 @@ class GroupMember(Process):
             if self.config.dynamic_universe and payload.sender not in self.universe:
                 self.universe = tuple(sorted(set(self.universe) | {payload.sender}))
             self.fd.on_presence(payload)
+            self.membership.decide()
         elif isinstance(payload, Nak):
             self.to.on_nak(payload)
         elif isinstance(payload, Propose):
@@ -360,3 +360,4 @@ class GroupMember(Process):
             self.app.on_view_change(view, states)
         for msg_id, payload in list(self._pending.items()):
             self._transmit(msg_id, payload)
+        self.membership.decide()

@@ -22,6 +22,11 @@ with a higher epoch); participants abandon a round when SYNC does not
 arrive and resume their previous view.  Competing rounds are resolved by
 round priority (higher epoch wins, ties broken toward the smaller
 initiator id) with explicit NACKs.
+
+Rounds are started and abandoned only by :meth:`MembershipEngine.decide`,
+which runs whenever one of its inputs changes and at the instants a
+suspicion, the debounce or a round deadline falls due — never on a
+period.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from repro.gcs.messages import (
 )
 from repro.gcs.primary import PrimaryLineage, most_recent
 from repro.gcs.view import View, ViewId
+from repro.sim.core import Event
+from repro.sim.process import delay_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.member import GroupMember
@@ -58,7 +65,7 @@ class MembershipEngine:
         self._flush_deadline = 0.0
         self._sync_deadline = 0.0
         self._mismatch_since: Optional[float] = None
-        self._pending_reply_round: Optional[RoundId] = None
+        self._wake: Optional[Event] = None
         self.rounds_initiated = 0
         self.rounds_completed = 0
         self.rounds_aborted = 0
@@ -72,12 +79,19 @@ class MembershipEngine:
         self._round_members = ()
         self._flushes = {}
         self._mismatch_since = None
-        self._pending_reply_round = None
+        self._wake = None  # cancelled with the member's other events
 
     # ------------------------------------------------------------------
-    # Periodic driver
+    # The decision and its wake-up
     # ------------------------------------------------------------------
-    def tick(self) -> None:
+    def decide(self) -> None:
+        """Take the membership decision that is due now, and arm the
+        wake-up for the earliest instant it can next change.
+
+        Called when an input changes — a Presence, the end of a view
+        installation, an aborted or resumed round — and by the wake-up
+        itself at the next suspicion expiry, end of the debounce, flush
+        deadline or sync deadline; never on a period."""
         member = self.member
         if self.current_round is not None:
             now = member.sim.now
@@ -92,10 +106,38 @@ class MembershipEngine:
                     for node in pending:
                         member.fd.force_suspect(node)
                     self._abort_round()
+                else:
+                    self._arm_deadline(self._flush_deadline)
             elif now >= self._sync_deadline:
                 self._abort_round()
-            return
-        self._maybe_initiate()
+            else:
+                self._arm_deadline(self._sync_deadline)
+        suspicion = member.fd.suspicion_delay()
+        if suspicion is not None:
+            self._arm(suspicion)
+        if self.current_round is None:
+            self._maybe_initiate()
+
+    def _arm_deadline(self, deadline: float) -> None:
+        now = self.member.sim.now
+        self._arm(delay_until(now, deadline, lambda t: t >= deadline))
+
+    def _arm(self, delay: float) -> None:
+        """Wake at ``now + delay`` unless an earlier wake-up is armed.
+
+        One owned timer serves every condition: waking before one falls
+        due only re-evaluates and re-arms, and a crash cancels it."""
+        member = self.member
+        wake = self._wake
+        if wake is not None and not wake.cancelled:
+            if wake.time <= member.sim.now + delay:
+                return
+            wake.cancel()
+        self._wake = member.after(delay, self._on_wake)
+
+    def _on_wake(self) -> None:
+        self._wake = None
+        self.decide()
 
     def _maybe_initiate(self) -> None:
         member = self.member
@@ -115,8 +157,10 @@ class MembershipEngine:
         now = member.sim.now
         if self._mismatch_since is None:
             self._mismatch_since = now
-            return
-        if now - self._mismatch_since < member.config.stabilization_delay:
+        since = self._mismatch_since
+        delay = member.config.stabilization_delay
+        if now - since < delay:
+            self._arm(delay_until(now, since + delay, lambda t: t - since >= delay))
             return
         self._initiate(tuple(sorted(desired)))
 
@@ -129,6 +173,7 @@ class MembershipEngine:
         self._round_members = members
         self._flushes = {}
         self._flush_deadline = member.sim.now + member.config.flush_timeout
+        self._arm_deadline(self._flush_deadline)
         self._mismatch_since = None
         self.rounds_initiated += 1
         propose = Propose(round_id=round_id, members=members)
@@ -227,6 +272,7 @@ class MembershipEngine:
         if not self.initiating or self.current_round != msg.round_id:
             self.current_round = msg.round_id
             self._sync_deadline = member.sim.now + member.config.round_timeout
+            self._arm_deadline(self._sync_deadline)
         self._freeze_and_reply(msg.round_id)
 
     def _freeze_and_reply(self, round_id: RoundId) -> None:
@@ -262,6 +308,7 @@ class MembershipEngine:
         self.member.fd.note_epoch(msg.better_round[0])
         if self.initiating and msg.round_id == self.current_round:
             self._abort_round()
+            self.decide()
 
     def on_round_abort(self, src: str, msg: RoundAbort) -> None:
         """The initiator abandoned the round we are frozen for: resume
@@ -276,6 +323,7 @@ class MembershipEngine:
         self._round_members = ()
         self._flushes = {}
         self.member.resume_after_aborted_round()
+        self.decide()
 
     def _complete_round(self) -> None:
         member = self.member
@@ -310,12 +358,20 @@ class MembershipEngine:
             for reply in replies:
                 for ordered in reply.received:
                     union[ordered.seq] = ordered
-            if not new_view_primary and member.config.uniform:
+            generation = max(
+                (reply.lineage.generation for reply in replies if reply.lineage),
+                default=0,
+            )
+            superseded = best is not None and generation < best.generation
+            if (not new_view_primary or superseded) and member.config.uniform:
                 # Uniformity adaptation (section 2.1): a flush into a
                 # non-primary view may only deliver messages provably
                 # received by *every* member of the previous view, so the
                 # deliveries of sites leaving the primary component stay a
-                # subset of the next primary view's.
+                # subset of the next primary view's.  The same holds for a
+                # previous view whose lineage a later primary view already
+                # continued without these members: its unstable tail may
+                # sit at gseqs that later view reused.
                 stable_cut = max(reply.stable_seq for reply in replies)
                 union = {s: m for s, m in union.items() if s <= stable_cut}
             ordered_union = tuple(union[s] for s in sorted(union))

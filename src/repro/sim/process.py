@@ -8,9 +8,25 @@ exactly what a crash must do.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.sim.core import Event, Simulator
+
+
+def delay_until(now: float, instant: float, reached: Callable[[float], bool]) -> float:
+    """The delay to arm at ``now`` so that a wake-up fires at the first
+    instant from ``instant`` on where ``reached`` holds.
+
+    ``reached`` is the condition's own comparison, monotone in time, and
+    it is tested at ``now + delay`` rounded exactly as the kernel rounds
+    a scheduled time: so the wake-up can never fire at an instant the
+    condition still calls false, and no epsilon is needed.
+    """
+    target = max(instant, now)
+    while not reached(now + (target - now)):
+        target = math.nextafter(target, math.inf)
+    return target - now
 
 
 class Process:

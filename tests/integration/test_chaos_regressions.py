@@ -24,6 +24,9 @@ CASES = [
     ("evs", 12),  # stale version tags of rolled-back writers diverged a
                   # later version check across sites
     ("vs", 23),   # VS-mode smoke over the same storm shape
+    ("vs", 48),   # gid bound to two different transactions: S1, cut off
+                  # in view 2, coordinated view 5 and delivered its
+                  # unstable view-2 tail at gseqs view 4 had already used
 ]
 
 

@@ -232,15 +232,17 @@ def test_skipped_replay_step_is_caught_at_the_activation(monkeypatch):
 @pytest.mark.usefixtures("activation_monitor")
 def test_discarding_past_the_marker_is_caught_at_the_activation(monkeypatch):
     """*One site discards past its synchronization point*, on ``vs``:
-    S2 drops what is delivered between the creation source's
+    S3 drops what is delivered between the creation source's
     announcement and its transfer offer, accepts a baseline older than
     the dropped writes, and the monitor raises out of its activation.
-    Unmutated, the run is ``test_total_failure_under_continuous_load[vs-3]``."""
-    cluster = quick_cluster(db_size=50, seed=3)
-    markers = mutations.discard_until_the_offer(monkeypatch, "S2")
+    Unmutated, the run is ``test_total_failure_under_continuous_load[vs-10]``.
+    (S2 at seed 3 lost this schedule when the membership decision
+    stopped waiting for the maintenance tick.)"""
+    cluster = quick_cluster(db_size=50, seed=10)
+    markers = mutations.discard_until_the_offer(monkeypatch, "S3")
     with pytest.raises(ConsistencyViolation) as caught:
         total_failure_under_load(cluster)
     holds, writer = map(int, re.search(
         r"version (-?\d+) < committed writer (\d+)", str(caught.value)).groups())
     assert len(markers) == 1 and holds <= markers[0] < writer
-    assert f"S2 activated at t={cluster.sim.now:.4f}" in str(caught.value)
+    assert f"S3 activated at t={cluster.sim.now:.4f}" in str(caught.value)

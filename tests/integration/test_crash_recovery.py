@@ -124,6 +124,34 @@ class TestRecoverySemantics:
         assert rejoined
         assert len(load.committed()) > 100
 
+    def test_second_transfer_ships_only_what_was_written_since(self):
+        """A transaction left in flight by the first crash is subsumed by
+        the first transfer's baseline: after the second crash the site
+        recovers with the cover it had, and the peer ships only the
+        objects written while it was down the second time."""
+        cluster = quick_cluster(db_size=60, strategy="rectable")
+        s3 = cluster.nodes["S3"]
+        cluster.submit_via("S1", [], {"obj0": "in-flight"})
+        while not s3.db.delivered_gids or s3.db.cover_gid() == s3.db.delivered_gids[-1]:
+            cluster.sim.run(max_events=1)  # until the writer is delivered, not committed
+        cluster.crash("S3")
+        cluster.settle(0.3)
+        cluster.recover("S3")
+        assert cluster.await_all_active(timeout=20)
+        for i in range(10, 15):
+            cluster.submit_via("S1", [], {f"obj{i}": "while-up"})
+        cluster.settle(0.3)
+        cluster.crash("S3")
+        cluster.submit_via("S1", [], {"obj20": "while-down"})
+        cluster.settle(0.3)
+        sent_before = sum(n.reconfig.objects_sent_total for n in cluster.nodes.values())
+        cluster.recover("S3")
+        assert cluster.await_all_active(timeout=20)
+        sent = sum(n.reconfig.objects_sent_total for n in cluster.nodes.values())
+        assert sent - sent_before == 1
+        assert cluster.nodes["S3"].db.store.value("obj20") == "while-down"
+        cluster.check()
+
     def test_repeated_crash_recover_cycles(self):
         cluster = quick_cluster(db_size=60, strategy="rectable")
         for _ in range(3):

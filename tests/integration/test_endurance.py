@@ -113,11 +113,13 @@ class TestSabotage:
         """The mutation proves the sweeps have teeth: a site that
         silently drops the peer's outcome table must be caught — by
         ``check_decision_agreement``, at the first sweep after S1's
-        stale table decides a replayed request differently."""
-        clean = run_endurance(0, duration=8.0)
+        stale table decides a replayed request differently.  (Seed 0,
+        the seed before the membership decision stopped waiting for the
+        maintenance tick, is now caught first as replica divergence.)"""
+        clean = run_endurance(29, duration=8.0)
         assert clean.ok, clean.error
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        mutated = run_endurance(0, duration=8.0)
+        mutated = run_endurance(29, duration=8.0)
         assert not mutated.ok
         assert "quiescent sweep" in mutated.error
         assert "commit at one site but abort at S1" in mutated.error

