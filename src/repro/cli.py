@@ -691,16 +691,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="storm length in virtual seconds "
                             "(default 3.0, or 12.0 with --endurance)")
     chaos.add_argument("--endurance", action="store_true",
-                       help="run the long-horizon churn engine instead of "
-                            "the single storm: composed rolling-restart / "
-                            "partition-storm / join-leave-churn / "
-                            "self-stabilization segments under client "
-                            "traffic, with quiescent invariant sweeps and "
-                            "an availability-floor check (docs/ENDURANCE.md)")
+                       help="run the long-horizon churn schedule instead "
+                            "of the single storm: a genome derived from "
+                            "rolling-restart / partition-storm / "
+                            "join-leave-churn / self-stabilization families "
+                            "under client traffic, with quiescent invariant "
+                            "sweeps and an availability-floor check "
+                            "(docs/ENDURANCE.md)")
     chaos.add_argument("--segments", default=None, metavar="LIST",
                        type=lambda spec: tuple(s for s in spec.split(",") if s),
                        help="with --endurance: comma-separated segment "
-                            "families to compose the schedule from "
+                            "families to derive the schedule from "
                             "(default rolling,storm,churn,stabilize)")
     chaos.add_argument("--artifacts-dir", default="endurance_out",
                        metavar="DIR",

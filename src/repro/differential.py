@@ -1,7 +1,7 @@
 """Cross-backend differential runner.
 
 Replays *pinned* fault storms — the chaos engine's seeded storms or the
-endurance engine's composed churn — once per reconfiguration backend,
+endurance runs' derived churn genomes — once per reconfiguration backend,
 then diffs the outcomes:
 
 * **Invariant battery (hard gate).**  Every backend run must pass the

@@ -1,51 +1,51 @@
 """Long-horizon reconfiguration-churn endurance runs.
 
 Where :mod:`repro.faults.chaos` throws one short random storm at a
-cluster and checks the wreckage once, the endurance engine holds a
-cluster under *continuous* membership churn for a long virtual horizon
-while a :class:`repro.client.ClientFleet` keeps serving traffic, and
-audits it repeatedly along the way:
+cluster and checks the wreckage once, an endurance run holds a cluster
+under *continuous* membership churn for a long virtual horizon while
+client sessions keep serving traffic, and audits it along the way.
+:func:`derive_genome` turns the config into a schedule genome
+(:mod:`repro.search.genome`), family by family, and
+:class:`repro.search.executor.ScheduleExecutor` runs it:
 
-* **segments** — the storm is composed from the scenario families of
-  :mod:`repro.faults.churn`: rolling restarts, repeated partition/merge
-  cycles paced to interrupt state transfers, continuous join/leave
-  churn, and self-stabilization starts (sites rebooted from
-  corrupted-but-CRC-valid stable state);
-* **quiescent sweeps** — at a fixed cadence the engine pauses the fault
-  schedule, heals and recovers everything, drains the client fleet, and
-  asserts the *full* invariant suite plus ``check_exactly_once`` — then
-  resumes the churn.  A long run is therefore checked at every quiescent
-  point, not only at the end;
-* **availability timeline** — committed client requests are sampled per
-  time bin for the whole run (trace events + an ``endurance.availability``
-  gauge when observability is attached), and the final verdict includes
-  :func:`repro.checkers.check_availability_floor`: the cluster must never
-  stop serving for a whole window, churn or not.
+* ``rolling`` — a rolling restart over every site;
+* ``storm`` — 2–4 partition/merge cycles against one victim, paced so
+  the next cut lands while the rejoin transfer is still in flight (the
+  paper's cascading reconfiguration, Figure 1);
+* ``churn`` — single-site leaves and rejoins under live traffic, some
+  struck again while still recovering;
+* ``stabilize`` — a site rebooted from corrupted-but-CRC-valid stable
+  state (the arXiv:1606.00195 recover-from-plausible-state model).
 
-Every storm decision draws from a dedicated ``random.Random`` keyed on
-the endurance seed, so one seed is one exact schedule — pinned seeds
-become regression tests and determinism-audit cases.  Exposed as
-``python -m repro chaos --endurance``.
+Every ``sweep_interval`` of gene time a **quiescent sweep** heals and
+recovers everything, drains the clients and asserts the full invariant
+suite plus ``check_exactly_once``.  Committed client requests are
+sampled per time bin, and the verdict includes
+:func:`repro.checkers.check_availability_floor`: the cluster must never
+stop serving for a whole window.
+
+One seed is one exact genome — replayable with ``python -m repro search
+--replay`` and shrinkable with :func:`repro.search.shrink.shrink` like
+any found schedule.  Exposed as ``python -m repro chaos --endurance``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Tuple
 
-from repro.checkers import ConsistencyViolation, check_availability_floor
-from repro.faults.campaign import (  # noqa: F401  (re-exported entry points)
-    Campaign,
-    CampaignConfig,
-    CampaignReport,
-    dump_artifacts,
-    repro_command,
-)
-from repro.faults.churn import SEGMENTS
+from repro.faults.campaign import CampaignConfig, CampaignReport
 from repro.faults.storage import StableStateCorruptor
+
+if TYPE_CHECKING:
+    from repro.search.genome import ScheduleGenome
 
 #: Availability sampling bin width (virtual seconds).
 AVAILABILITY_BIN = 0.25
+
+#: The scenario families an endurance genome is derived from.
+FAMILIES = ("rolling", "storm", "churn", "stabilize")
 
 
 @dataclass
@@ -59,11 +59,11 @@ class EnduranceConfig(CampaignConfig):
     #: A majority must survive one site down.
     MIN_SITES: ClassVar[int] = 3
 
-    #: Which scenario families the storm is composed from (see
-    #: :data:`repro.faults.churn.SEGMENTS`).  A single-element tuple
-    #: pins a run to one family — the regression tests use this.
+    #: Which scenario families (:data:`FAMILIES`) the genome is derived
+    #: from.  A single-element tuple pins a run to one family — the
+    #: regression tests use this.
     segments: Tuple[str, ...] = ("rolling", "storm", "churn", "stabilize")
-    #: Virtual seconds between quiescent invariant sweeps.
+    #: Gene time (virtual seconds) between quiescent invariant sweeps.
     sweep_interval: float = 4.0
     #: Longest tolerated span with zero committed client requests
     #: (outside maintenance windows) before the run fails.
@@ -77,11 +77,11 @@ class EnduranceConfig(CampaignConfig):
             raise ValueError("endurance is client-driven: clients must be >= 1")
         if not self.segments:
             raise ValueError("segments must not be empty")
-        unknown = sorted(set(self.segments) - set(SEGMENTS))
+        unknown = sorted(set(self.segments) - set(FAMILIES))
         if unknown:
             raise ValueError(
                 f"unknown segment(s) {', '.join(unknown)}; "
-                f"valid: {', '.join(sorted(SEGMENTS))}"
+                f"valid: {', '.join(sorted(FAMILIES))}"
             )
         if self.sweep_interval <= 0:
             raise ValueError("sweep_interval must be positive")
@@ -153,126 +153,80 @@ class EnduranceReport(CampaignReport):
         return payload
 
 
-class ChurnCampaign(Campaign):
-    """What the two churn drivers share: a client-driven run whose
-    committed requests are sampled into an availability timeline, with
-    the availability floor added to the verdict.  The drivers differ in
-    where the schedule comes from — :class:`EnduranceEngine` composes
-    random segments, :class:`repro.search.executor.ScheduleExecutor`
-    interprets a genome."""
 
-    CONFIG = EnduranceConfig
-    REPORT = EnduranceReport
-    RNG_STREAM = "endurance"
-    TRACE_CATEGORY = "endurance"
-    # A flapping straggler must not starve a suspended majority: allow
-    # creation from any primary view (uniform delivery).
-    CREATION_MAJORITY = True
-    BACKOFF_JITTER = 0.5
-    SETTLE = (0.0, 0.3)
-    FINAL_NOTE = ("final_quiesce", "")
-    ARTIFACT_PREFIX = "seed"
+# ----------------------------------------------------------------------
+# Derivation: the config is a genome
+# ----------------------------------------------------------------------
+def derive_genome(config: EnduranceConfig) -> ScheduleGenome:
+    """The schedule genome one endurance config describes.
 
-    def __init__(self, config: Optional[EnduranceConfig] = None) -> None:
-        super().__init__(config)
-        self.report.warmup = self.config.availability_warmup
-        self.corruptor = StableStateCorruptor(self.config.seed)
+    Draws from ``random.Random(f"endurance-{seed}")``: pick a family,
+    emit its genes, and insert a :class:`~repro.search.genome.SweepGene`
+    whenever ``sweep_interval`` of gene time has passed since the last
+    one — until the genes' total duration reaches ``config.duration``.
+    A pure function of the config."""
+    # Call-time import: repro.search imports this module.
+    from repro.search.genome import (
+        CorruptGene, CrashGene, PartitionGene, RestartGene, ScheduleGenome,
+        SweepGene, _q,
+    )
 
-    def injector_rates(self):
-        # Always-on wire realism, mild enough for a long horizon.
-        return 0.05, 0.10, None
+    config.validate()
+    rng = random.Random(f"endurance-{config.seed}")
+    n_sites = config.n_sites
 
-    def start_sampler(self) -> None:
-        """Sample committed client requests per bin for the rest of the
-        run: trace events, plus ``endurance.availability`` gauges when
-        observability is attached."""
-        cluster, report = self.cluster, self.report
-        warmup = self.config.availability_warmup
-        gauge = min_gauge = None
-        if report.obs is not None:
-            gauge = report.obs.registry.gauge(
-                "endurance.availability",
-                "committed client requests per virtual second, last bin")
-            min_gauge = report.obs.registry.gauge(
-                "endurance.availability_min",
-                "lowest serving-bin commit rate seen so far")
-        last_committed = 0
-        min_rate = None
+    def rolling() -> List[Any]:
+        return [RestartGene(victims=tuple(range(n_sites)),
+                            hold=_q(0.10 + 0.20 * rng.random()))]
 
-        def sample() -> None:
-            nonlocal last_committed, min_rate
-            now = cluster.sim.now
-            committed = len(self.fleet.committed())
-            delta = committed - last_committed
-            last_committed = committed
-            maintenance = self.maintenance
-            report.samples.append((now, delta, maintenance))
-            rate = delta / AVAILABILITY_BIN
-            if cluster.tracer is not None:
-                cluster.tracer.emit(
-                    "--", "endurance", "availability_sample",
-                    f"{rate:.0f}/s" + (" [maintenance]" if maintenance else ""),
-                    data={"t": now, "commits": delta, "rate": rate,
-                          "maintenance": maintenance},
-                )
-            if gauge is not None:
-                gauge.set(rate)
-                if not maintenance and now > warmup:
-                    if min_rate is None or rate < min_rate:
-                        min_rate = rate
-                        min_gauge.set(rate)
-            cluster.sim.schedule(AVAILABILITY_BIN, sample,
-                                 label="endurance availability sample")
+    def storm() -> List[Any]:
+        # The hold lets the majority view install and serve; the settle
+        # lets the rejoin transfer start but rarely finish, so the next
+        # cut interrupts it.
+        victim = rng.randrange(n_sites)
+        return [PartitionGene(minority=(victim,),
+                              hold=_q(0.20 + 0.20 * rng.random()),
+                              settle=_q(0.12 + 0.12 * rng.random()))
+                for _ in range(2 + rng.randrange(3))]
 
-        cluster.sim.schedule(AVAILABILITY_BIN, sample,
-                             label="endurance availability sample")
+    def churn() -> List[Any]:
+        genes = []
+        for _ in range(1 + rng.randrange(3)):
+            victim = rng.randrange(n_sites)
+            downtime = _q(0.08 + 0.12 * rng.random())
+            restrike = (_q(0.08 + 0.12 * rng.random())
+                        if rng.random() < 0.4 else 0.0)
+            genes.append(CrashGene(victims=(victim,), downtime=downtime,
+                                   restrike=restrike))
+        return genes
 
-    def verdict(self) -> None:
-        report, config = self.report, self.config
-        report.sweeps += 1  # the final quiesce is the last sweep
-        try:
-            check_availability_floor(
-                report.samples,
-                window=config.availability_window,
-                bin_width=AVAILABILITY_BIN,
-                warmup=config.availability_warmup,
-            )
-        except ConsistencyViolation as violation:
-            report.error = str(violation)
+    def stabilize() -> List[Any]:
+        return [CorruptGene(victim=rng.randrange(n_sites),
+                            op=rng.choice(StableStateCorruptor.OPS),
+                            downtime=_q(0.05 + 0.10 * rng.random()))]
 
-
-class EnduranceEngine(ChurnCampaign):
-    """The endurance driver: random segment composition for the given
-    duration, with quiescent sweeps at a fixed cadence."""
-
-    def drive(self) -> None:
-        cluster, config = self.cluster, self.config
-        self.start_sampler()
-        end = cluster.sim.now + config.duration
-        next_sweep = cluster.sim.now + config.sweep_interval
-        while cluster.sim.now < end and self.report.error is None:
-            name = self.rng.choice(config.segments)
-            self.note("segment", name)
-            detail = SEGMENTS[name](self)
-            self.note("segment_done", f"{name}: {detail}")
-            if self.report.error is not None:
-                break
-            if cluster.sim.now >= next_sweep:
-                self._quiescent_sweep()
-                next_sweep = cluster.sim.now + config.sweep_interval
-
-    def _quiescent_sweep(self) -> None:
-        """Pause the schedule, check everything, resume the churn."""
-        self.note("sweep", f"#{self.report.sweeps + 1}")
-        if not self.settle_and_check("quiescent sweep"):
-            return
-        self.report.sweeps += 1
-        self.note("sweep_ok", f"t={self.cluster.sim.now:.2f}")
-        self.fleet.start()
-        self.maintenance = False
+    families = {"rolling": rolling, "storm": storm, "churn": churn,
+                "stabilize": stabilize}
+    genes: List[Any] = []
+    elapsed = since_sweep = 0.0
+    while elapsed < config.duration:
+        span = families[rng.choice(config.segments)]()
+        genes.extend(span)
+        length = sum(gene.duration() for gene in span)
+        elapsed = round(elapsed + length, 6)
+        since_sweep = round(since_sweep + length, 6)
+        if since_sweep >= config.sweep_interval:
+            genes.append(SweepGene())
+            since_sweep = 0.0
+    return ScheduleGenome(
+        seed=config.seed, n_sites=n_sites, mode=config.mode,
+        strategy=config.strategy, clients=config.clients,
+        arrival_rate=config.arrival_rate, db_size=config.db_size,
+        segments=tuple(genes))
 
 
 def run_endurance(seed: int, **overrides: Any) -> EnduranceReport:
     """One-call entry point: run an endurance schedule, return its report."""
-    config = EnduranceConfig(seed=seed, **overrides)
-    return EnduranceEngine(config).run()
+    from repro.search.executor import ScheduleExecutor
+
+    return ScheduleExecutor.from_params(seed=seed, **overrides).run()

@@ -9,9 +9,6 @@ The subpackage groups everything that deliberately breaks a cluster:
   (:class:`TornTailFaults`), detected at recovery via per-record
   checksums, and CRC-valid stable-state damage
   (:class:`StableStateCorruptor`) for self-stabilization starts;
-* :mod:`repro.faults.churn` — the membership-churn segment composers
-  (rolling restarts, partition/merge cycles, join/leave churn,
-  stabilization starts) driven by :mod:`repro.endurance`;
 * :mod:`repro.faults.campaign` — the campaign engine: the one run
   life-cycle (build, instrument, inject, quiesce, check, report) the
   chaos, endurance and schedule-search drivers share;
@@ -20,7 +17,6 @@ The subpackage groups everything that deliberately breaks a cluster:
 """
 
 from repro.faults.chaos import ChaosConfig, ChaosEngine, ChaosReport, run_chaos
-from repro.faults.churn import SEGMENTS
 from repro.faults.injectors import (
     DuplicateInjector,
     FaultInjector,
@@ -40,7 +36,6 @@ __all__ = [
     "LatencySpikeInjector",
     "OneWayLinkInjector",
     "ReorderInjector",
-    "SEGMENTS",
     "StableStateCorruptor",
     "TornTailFaults",
     "run_chaos",

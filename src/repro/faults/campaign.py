@@ -5,9 +5,9 @@ wire and storage faults, attaches a workload, lets a *driver* decide
 which fault happens when, then heals everything, drains the clients,
 asserts the full :mod:`repro.checkers` battery and packs the outcome
 into a report.  :class:`Campaign` holds the only copy of that
-life-cycle; the drivers (:class:`repro.faults.chaos.ChaosEngine`,
-:class:`repro.endurance.EnduranceEngine`,
-:class:`repro.search.executor.ScheduleExecutor`) subclass it with a
+life-cycle; the two drivers (:class:`repro.faults.chaos.ChaosEngine`
+and :class:`repro.search.executor.ScheduleExecutor`, which runs both
+endurance configs and found schedules as genomes) subclass it with a
 ``drive()`` method and a small block of class-level data.
 
 Every consumer (CLI, seed fleets, determinism audit, differential
@@ -46,7 +46,7 @@ QUIESCE_TIMEOUT = 60.0
 #: modules import this one.
 _ENGINES = {
     "chaos": ("repro.faults.chaos", "ChaosEngine"),
-    "endurance": ("repro.endurance", "EnduranceEngine"),
+    "endurance": ("repro.search.executor", "ScheduleExecutor"),
     "schedule": ("repro.search.executor", "ScheduleExecutor"),
 }
 
@@ -357,7 +357,7 @@ class Campaign:
         return report
 
     # ------------------------------------------------------------------
-    # Helpers the drivers (and the churn segment composers) call
+    # Helpers the drivers call
     # ------------------------------------------------------------------
     def note(self, action: str, detail: str = "") -> None:
         self.report.events.append((self.cluster.sim.now, action, detail))
@@ -495,13 +495,22 @@ def dump_artifacts(engine: Campaign, out_dir: str, *,
     """Write the evidence for one campaign run to ``out_dir`` through
     the shared :func:`repro.artifacts.dump_run_artifacts` bundle
     (schedule, trace timeline, availability timeline when the driver
-    samples one, per-site WALs, metrics, repro command).  Returns the
-    paths written."""
+    samples one, per-site WALs, metrics, repro command).  A genome-driven
+    run also leaves its genome as ``schedule.json``, which ``repro
+    search --replay`` runs.  Returns the paths written."""
     report, config = engine.report, engine.config
+    genome = getattr(engine, "genome", None)
+    if repro is None:
+        repro = repro_command(config)
+        if genome is not None:
+            repro += ("\nPYTHONPATH=src python -m repro search --replay "
+                      + os.path.join(out_dir, "schedule.json"))
+    if genome is not None:
+        extra = {"schedule.json": genome.dumps(), **(extra or {})}
     return dump_run_artifacts(
         out_dir,
         title=title or f"{config.KIND} seed={report.seed} — {report.verdict()}",
-        repro_command=repro or repro_command(config),
+        repro_command=repro,
         schedule=report.events,
         samples=getattr(report, "samples", None),
         tracer=report.tracer,

@@ -36,7 +36,7 @@ until heal (``down``), then heal until the next view installation
 (``membership``) — is what explains those outage windows.
 
 Blocked-window coverage (:func:`blocked_windows`,
-:func:`uncovered_blocked_time`) mirrors the gap logic of
+:func:`uncovered_blocked_time`) reuses the gap rule of
 ``repro.checkers.check_availability_floor`` so the client-visible
 outage bins of an endurance run can be checked against the epoch
 intervals that explain them.
@@ -46,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.checkers import availability_violations
 
 #: Canonical phase order.  Every epoch's ``phases`` list is a subset of
 #: these names, in this order; summary tables always show all of them.
@@ -75,7 +77,7 @@ class EpochRecord:
     """One reconstructed reconfiguration epoch of one site."""
 
     site: str
-    trigger: str          # "crash" | "partition" | "join" | "churn:<segment>"
+    trigger: str          # "crash" | "partition" | "join" | "partition_storm"
     start: float
     end: float
     phases: List[PhaseSlice] = field(default_factory=list)
@@ -177,18 +179,14 @@ class _OpenEpoch:
         return record
 
 
-def _classify_trigger(kind: str, context: Optional[str]) -> str:
-    """Trigger of an epoch from its opening status kind plus the nearest
-    preceding chaos/endurance context event."""
+def _classify_trigger(kind: str) -> str:
+    """Trigger of an epoch from its opening status kind."""
     if kind == "down":
         return "crash"
     if kind == "suspended":
         return "partition"
-    # "recovering" without a preceding local DOWN: a fresh joiner, a
-    # scripted recover of a site crashed before tracing started, or a
-    # churn restart.
-    if context:
-        return context
+    # "recovering" without a preceding local DOWN: a fresh joiner or a
+    # scripted recover of a site crashed before tracing started.
     return "join"
 
 
@@ -206,8 +204,6 @@ def extract_epochs(events: Iterable[Any],
         end_time = events[-1].time if events else 0.0
     open_epochs: Dict[str, _OpenEpoch] = {}
     records: List[EpochRecord] = []
-    #: Most recent chaos/endurance context, used to classify triggers.
-    segment: Optional[str] = None
     #: Cluster-level partition-storm epoch (site "--"), open while the
     #: network is split or a post-heal view is still being agreed.
     storm: Optional[_OpenEpoch] = None
@@ -215,13 +211,6 @@ def extract_epochs(events: Iterable[Any],
     for event in events:
         site, category, kind = event.site, event.category, event.kind
         data = event.data or {}
-
-        if category == "endurance" and kind == "segment":
-            segment = f"churn:{event.detail}" if event.detail else "churn"
-            continue
-        if category == "endurance" and kind == "segment_done":
-            segment = None
-            continue
 
         if (category, kind) in (("endurance", "partition"),
                                 ("fault", "chaos_partition")):
@@ -246,7 +235,7 @@ def extract_epochs(events: Iterable[Any],
                     # current epoch truncated and chain a new one.
                     records.append(epoch.close(event.time, truncated=True))
                 open_epochs[site] = _OpenEpoch(
-                    site, _classify_trigger("down", segment), event.time)
+                    site, _classify_trigger("down"), event.time)
             elif kind in ("stalled", "recovering", "suspended"):
                 # "stalled" is the restart instant (node.recover());
                 # "recovering"/"suspended" come from the first view
@@ -256,7 +245,7 @@ def extract_epochs(events: Iterable[Any],
                 if epoch is None:
                     if kind != "stalled":
                         open_epochs[site] = _OpenEpoch(
-                            site, _classify_trigger(kind, segment), event.time)
+                            site, _classify_trigger(kind), event.time)
                 elif epoch.restart is None:
                     epoch.restart = event.time
             elif kind == "active":
@@ -315,15 +304,15 @@ def extract_epochs(events: Iterable[Any],
 
 
 # ----------------------------------------------------------------------
-# Blocked-window coverage (mirrors checkers.check_availability_floor)
+# Blocked-window coverage (the checkers.check_availability_floor gap rule)
 # ----------------------------------------------------------------------
 def blocked_windows(events: Iterable[Any], warmup: float = 0.0
                     ) -> List[Tuple[float, float]]:
     """Client-visible zero-commit windows from ``availability_sample``
-    trace events, using the same gap rule as
-    ``check_availability_floor``: a zero-commit non-maintenance bin
-    ending at ``t`` covers ``[t - bin_width, t]``; adjacent zero bins
-    merge into one window."""
+    trace events, in time order: every span
+    :func:`repro.checkers.availability_violations` finds (the gap rule
+    of ``check_availability_floor``), down to a single zero bin (a
+    half-bin ``min_span`` absorbs float rounding)."""
     samples = [(float(e.data["t"]), int(e.data["commits"]),
                 bool(e.data["maintenance"]))
                for e in events
@@ -334,21 +323,10 @@ def blocked_windows(events: Iterable[Any], warmup: float = 0.0
     deltas = sorted(b[0] - a[0] for a, b in zip(samples, samples[1:])
                     if b[0] > a[0])
     bin_width = deltas[len(deltas) // 2]
-    windows: List[Tuple[float, float]] = []
-    gap_start: Optional[float] = None
-    for t, commits, maintenance in samples:
-        if t <= warmup or maintenance:
-            continue
-        if commits == 0:
-            if gap_start is None:
-                gap_start = t - bin_width
-        else:
-            if gap_start is not None:
-                windows.append((gap_start, t - bin_width))
-                gap_start = None
-    if gap_start is not None:
-        windows.append((gap_start, samples[-1][0]))
-    return [(s, e) for s, e in windows if e > s]
+    spans = availability_violations(samples, window=bin_width,
+                                    bin_width=bin_width, warmup=warmup,
+                                    min_span=bin_width / 2)
+    return sorted((w.start, w.end) for w in spans)
 
 
 def uncovered_blocked_time(epochs: Sequence[EpochRecord],

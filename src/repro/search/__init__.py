@@ -3,10 +3,10 @@
 Public surface:
 
 * :mod:`repro.search.genome` — typed fault-schedule genomes (JSON
-  round-trippable, :class:`~repro.faults.churn.ChurnPolicy`-bounded
-  generation and mutation);
-* :mod:`repro.search.executor` — deterministic genome execution on the
-  endurance harness;
+  round-trippable generation and mutation bounded by the majority
+  concurrency limit);
+* :mod:`repro.search.executor` — deterministic genome execution, the
+  one churn driver (endurance runs are derived genomes);
 * :mod:`repro.search.engine` — the mutation/score/corpus loop, failure
   shrinking and replay;
 * :mod:`repro.search.shrink` — delta-debugging schedule minimization;
@@ -32,6 +32,7 @@ from repro.search.genome import (
     RestartGene,
     ScheduleGenome,
     SearchSpace,
+    SweepGene,
     mutate,
     random_genome,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "SearchEngine",
     "SearchReport",
     "SearchSpace",
+    "SweepGene",
     "evaluate_genome",
     "load_schedule",
     "mutate",

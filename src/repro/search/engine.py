@@ -348,15 +348,14 @@ class SearchEngine:
 def dump_failure(genome: ScheduleGenome, out_dir: str, *,
                  original: Optional[ScheduleGenome] = None) -> List[str]:
     """Re-execute a (minimized) failing genome and dump the shared
-    evidence bundle plus the schedule JSON itself (and the pre-shrink
-    original, when given)."""
+    evidence bundle (which includes the schedule JSON itself) plus the
+    pre-shrink original, when given."""
     from repro.faults.campaign import dump_artifacts
 
     executor = ScheduleExecutor(genome)
     report = executor.run()
-    extra = {"schedule.json": genome.dumps()}
-    if original is not None:
-        extra["schedule_original.json"] = original.dumps()
+    extra = ({} if original is None
+             else {"schedule_original.json": original.dumps()})
     return dump_artifacts(
         executor, out_dir,
         title=f"search schedule {genome.digest()[:12]} — {report.verdict()}",

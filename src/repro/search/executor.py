@@ -1,33 +1,32 @@
-"""Deterministic genome execution on the campaign engine.
+"""Deterministic genome execution: the one churn driver.
 
-:class:`ScheduleExecutor` is the third campaign driver, beside
-:class:`repro.endurance.EnduranceEngine` on the shared
-:class:`repro.endurance.ChurnCampaign` base: where the endurance driver
-composes random churn segments, this one interprets the genome's gene
-list literally.  Everything else — cluster build, client fleet,
-availability sampler, the final full-invariant quiesce, the
-availability-floor verdict, artifact dumping — is the one campaign life-cycle
-(:mod:`repro.faults.campaign`), so a schedule found by the search fails
-(or passes) through exactly the code paths the endurance runs exercise.
+:class:`ScheduleExecutor` interprets a :class:`ScheduleGenome` literally
+on the campaign engine (:mod:`repro.faults.campaign`), under client
+load sampled into an availability timeline, with the availability floor
+added to the verdict.  Found schedules and endurance runs (genomes
+derived by :func:`repro.endurance.derive_genome`) take the same code
+paths.  The interpreter draws nothing from the schedule RNG: the only
+randomness is the simulation itself, keyed on ``genome.seed``, so one
+genome is one exact run, replayable byte-identically from its JSON form.
 
-The interpreter consumes **zero** draws from the engine's schedule RNG:
-every decision (victims, hold times, corruption ops) is spelled out in
-the genome.  The only remaining randomness is the simulation itself,
-keyed on ``genome.seed`` — so one genome is one exact run, replayable
-byte-identically from its JSON form.
-
-Mid-gene convergence stalls are *noted*, not failed: a schedule is
-allowed to wedge a site temporarily (that is often the interesting
-part).  The verdict comes from the final quiesce — heal everything,
-drain clients, run the full invariant suite — plus the availability
-floor over the whole timeline.
+Mid-gene convergence stalls are *noted*, not failed: wedging a site
+temporarily is often the interesting part.  The verdict comes from the
+sweeps and the final quiesce, plus the availability floor.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.endurance import ChurnCampaign, EnduranceConfig, EnduranceReport
+from repro.checkers import ConsistencyViolation, check_availability_floor
+from repro.endurance import (
+    AVAILABILITY_BIN,
+    EnduranceConfig,
+    EnduranceReport,
+    derive_genome,
+)
+from repro.faults.campaign import Campaign
+from repro.faults.storage import StableStateCorruptor
 from repro.search.genome import (
     CorruptGene,
     CrashGene,
@@ -35,23 +34,22 @@ from repro.search.genome import (
     QuietGene,
     RestartGene,
     ScheduleGenome,
+    SweepGene,
+    concurrency_limit,
 )
-from repro.search.pinned import PINNED
 
 #: Floor knobs for search runs: same bin as endurance, tighter window so
-#: short schedules can still register availability damage.  There are
-#: no sweeps mid-run: the genome decides the fault timeline and
-#: verification happens once, at the end.
+#: short schedules can still register availability damage.
 SEARCH_AVAILABILITY_WINDOW = 1.0
 SEARCH_WARMUP = 0.75
 
 
-def config_for(genome: ScheduleGenome, *,
-               observe: bool = False) -> EnduranceConfig:
-    """The endurance config a genome runs under (fixed knobs + genome)."""
+def config_for(genome: ScheduleGenome) -> EnduranceConfig:
+    """The config a found schedule runs under (search floor + genome)."""
     return EnduranceConfig(
         seed=genome.seed,
         n_sites=genome.n_sites,
+        db_size=genome.db_size,
         duration=max(genome.total_duration(), 1.0),
         mode=genome.mode,
         strategy=genome.strategy,
@@ -59,24 +57,51 @@ def config_for(genome: ScheduleGenome, *,
         clients=genome.clients,
         availability_window=SEARCH_AVAILABILITY_WINDOW,
         availability_warmup=SEARCH_WARMUP,
-        observe=observe,
     )
 
 
-class ScheduleExecutor(ChurnCampaign):
-    """The schedule driver: runs one :class:`ScheduleGenome`
-    deterministically."""
+class ScheduleExecutor(Campaign):
+    """The churn driver: runs one :class:`ScheduleGenome`
+    deterministically.  ``config`` supplies the run's floor and
+    instrumentation knobs; its cluster shape must be the genome's."""
 
-    def __init__(self, genome: ScheduleGenome, *,
-                 observe: bool = False) -> None:
-        super().__init__(config_for(genome, observe=observe))
+    CONFIG = EnduranceConfig
+    REPORT = EnduranceReport
+    RNG_STREAM = "endurance"
+    TRACE_CATEGORY = "endurance"
+    # A flapping straggler must not starve a suspended majority: allow
+    # creation from any primary view (uniform delivery).
+    CREATION_MAJORITY = True
+    BACKOFF_JITTER = 0.5
+    SETTLE = (0.0, 0.3)
+    FINAL_NOTE = ("final_quiesce", "")
+    ARTIFACT_PREFIX = "seed"
+
+    def __init__(self, genome: ScheduleGenome,
+                 config: Optional[EnduranceConfig] = None) -> None:
+        super().__init__(config or config_for(genome))
         self.genome = genome
+        self.report.warmup = self.config.availability_warmup
+        self.corruptor = StableStateCorruptor(self.config.seed)
+        #: Unfinished transfers when the last fault was lifted; None
+        #: once a strike has consumed it.
+        self._lifted: Optional[int] = None
 
     @classmethod
-    def from_params(cls, pinned: str) -> "ScheduleExecutor":
-        """The executor for one :data:`repro.search.pinned.PINNED`
-        schedule."""
-        return cls(PINNED[pinned].genome)
+    def from_params(cls, pinned: Optional[str] = None,
+                    **params: Any) -> "ScheduleExecutor":
+        """A :data:`repro.search.pinned.PINNED` schedule by name, or the
+        genome an endurance config derives to."""
+        if pinned is not None:
+            from repro.search.pinned import PINNED
+
+            return cls(PINNED[pinned].genome)
+        config = EnduranceConfig(**params)
+        return cls(derive_genome(config), config)
+
+    def injector_rates(self):
+        # Always-on wire realism, mild enough for a long horizon.
+        return 0.05, 0.10, None
 
     def drive(self) -> None:
         self.start_sampler()
@@ -88,36 +113,116 @@ class ScheduleExecutor(ChurnCampaign):
             handler(gene)
             self.note("gene_done", f"#{index} {gene.kind}")
 
+    def verdict(self) -> None:
+        report, config = self.report, self.config
+        report.sweeps += 1  # the final quiesce is the last sweep
+        try:
+            check_availability_floor(
+                report.samples,
+                window=config.availability_window,
+                bin_width=AVAILABILITY_BIN,
+                warmup=config.availability_warmup,
+            )
+        except ConsistencyViolation as violation:
+            report.error = str(violation)
+
+    def start_sampler(self) -> None:
+        """Sample committed client requests per bin for the rest of the
+        run: trace events, plus ``endurance.availability`` gauges when
+        observability is attached."""
+        cluster, report = self.cluster, self.report
+        warmup = self.config.availability_warmup
+        gauge = min_gauge = None
+        if report.obs is not None:
+            gauge = report.obs.registry.gauge(
+                "endurance.availability",
+                "committed client requests per virtual second, last bin")
+            min_gauge = report.obs.registry.gauge(
+                "endurance.availability_min",
+                "lowest serving-bin commit rate seen so far")
+        last_committed = 0
+        min_rate = None
+
+        def sample() -> None:
+            nonlocal last_committed, min_rate
+            now = cluster.sim.now
+            committed = len(self.fleet.committed())
+            delta = committed - last_committed
+            last_committed = committed
+            maintenance = self.maintenance
+            report.samples.append((now, delta, maintenance))
+            rate = delta / AVAILABILITY_BIN
+            if cluster.tracer is not None:
+                cluster.tracer.emit(
+                    "--", "endurance", "availability_sample",
+                    f"{rate:.0f}/s" + (" [maintenance]" if maintenance else ""),
+                    data={"t": now, "commits": delta, "rate": rate,
+                          "maintenance": maintenance},
+                )
+            if gauge is not None:
+                gauge.set(rate)
+                if not maintenance and now > warmup:
+                    if min_rate is None or rate < min_rate:
+                        min_rate = rate
+                        min_gauge.set(rate)
+            cluster.sim.schedule(AVAILABILITY_BIN, sample,
+                                 label="endurance availability sample")
+
+        cluster.sim.schedule(AVAILABILITY_BIN, sample,
+                             label="endurance availability sample")
+
+    # -- coverage counters ---------------------------------------------
+    def _unfinished_transfers(self) -> int:
+        return sum(node.reconfig.transfers_started
+                   - node.reconfig.transfers_completed
+                   for node in self.cluster.nodes.values())
+
+    def _lift(self) -> None:
+        """A fault was just lifted (heal or recover): rejoin transfers
+        start from here."""
+        self._lifted = self._unfinished_transfers()
+
+    def _strike(self) -> None:
+        """A fault lands: count the transfers started since the last
+        lift that are still in flight — the cascade being tested."""
+        if self._lifted is not None:
+            self.report.transfers_interrupted += max(
+                0, self._unfinished_transfers() - self._lifted)
+            self._lifted = None
+
     # -- gene interpreters ---------------------------------------------
-    def _limit(self) -> int:
-        return max(1, self.genome.policy.concurrency_limit(
-            self.config.n_sites, self.genome.mode,
-            creation_majority=True))
+    def _sites(self, indices: Tuple[int, ...]) -> List[str]:
+        """Map victim indices to distinct site names, in order."""
+        universe = sorted(self.cluster.universe)
+        return list(dict.fromkeys(universe[i % len(universe)] for i in indices))
 
     def _pick(self, indices: Tuple[int, ...]) -> List[str]:
-        """Map victim indices to site names, clamped to the churn
-        policy's concurrency limit (hand-edited schedules may exceed it;
-        the clamp keeps execution inside the admissible envelope)."""
-        universe = sorted(self.cluster.universe)
-        seen: List[str] = []
-        for index in indices:
-            site = universe[index % len(universe)]
-            if site not in seen:
-                seen.append(site)
-        return seen[: self._limit()]
+        """Victims taken out *concurrently*, clamped to the concurrency
+        limit (hand-edited schedules may exceed it; the clamp keeps
+        execution inside the admissible envelope)."""
+        return self._sites(indices)[: concurrency_limit(self.config.n_sites)]
 
-    def _play_crash(self, gene: CrashGene) -> None:
+    def _crash_and_recover(self, victims: List[str], gene: CrashGene) -> None:
         cluster = self.cluster
-        victims = self._pick(gene.victims)
+        self._strike()
         for site in victims:
             cluster.crash(site)
             self.note("crash", site)
+            self.report.churn_leaves += 1
             if gene.stagger > 0:
                 cluster.run_for(gene.stagger)
         cluster.run_for(gene.downtime)
         for site in victims:
             cluster.recover(site)
             self.note("recover", site)
+        self._lift()
+
+    def _play_crash(self, gene: CrashGene) -> None:
+        victims = self._pick(gene.victims)
+        self._crash_and_recover(victims, gene)
+        if gene.restrike:
+            self.cluster.run_for(gene.restrike)
+            self._crash_and_recover(victims, gene)
         for site in victims:
             if not self.await_site_active(site):
                 self.note("stuck", f"{site} not ACTIVE after crash gene")
@@ -126,29 +231,32 @@ class ScheduleExecutor(ChurnCampaign):
         cluster = self.cluster
         minority = self._pick(gene.minority)
         majority = [s for s in sorted(cluster.universe) if s not in minority]
-        if not majority:  # degenerate hand-written gene: nothing to cut
-            self.note("skip", "partition would isolate every site")
-            return
         if gene.shatter:
             groups = [majority] + [[site] for site in minority]
         else:
             groups = [majority, minority]
+        self._strike()
         cluster.partition(groups)
         style = "shatter" if gene.shatter else "cut"
         self.note("partition", f"{style} {majority} | {minority}")
+        self.report.partition_cycles += 1
         cluster.run_for(gene.hold)
         cluster.heal()
         self.note("merge", ",".join(minority))
+        self._lift()
         cluster.run_for(gene.settle)
 
     def _play_restart(self, gene: RestartGene) -> None:
+        # One site down at a time, so every victim may be named.
         cluster = self.cluster
-        for site in self._pick(gene.victims):
+        for site in self._sites(gene.victims):
+            self._strike()
             cluster.crash(site)
             self.note("restart_crash", site)
             cluster.run_for(gene.hold)
             cluster.recover(site)
             self.note("restart_recover", site)
+            self._lift()
             if self.await_site_active(site):
                 self.report.rolling_restarts += 1
             else:
@@ -157,12 +265,14 @@ class ScheduleExecutor(ChurnCampaign):
     def _play_corrupt(self, gene: CorruptGene) -> None:
         cluster = self.cluster
         site = self._pick((gene.victim,))[0]
+        self._strike()
         cluster.crash(site)
         detail = self.corruptor.corrupt(cluster.nodes[site].storage, site,
                                         op=gene.op)
         self.note("corrupt", f"{site} {detail}")
         cluster.run_for(gene.downtime)
         cluster.recover(site)
+        self._lift()
         if self.await_site_active(site):
             self.report.stabilize_starts += 1
         else:
@@ -171,8 +281,17 @@ class ScheduleExecutor(ChurnCampaign):
     def _play_quiet(self, gene: QuietGene) -> None:
         self.cluster.run_for(gene.duration_s)
 
+    def _play_sweep(self, gene: SweepGene) -> None:
+        """Pause the schedule, check everything, resume the churn."""
+        self.note("sweep", f"#{self.report.sweeps + 1}")
+        if not self.settle_and_check("quiescent sweep"):
+            return
+        self.report.sweeps += 1
+        self.note("sweep_ok", f"t={self.cluster.sim.now:.2f}")
+        self.fleet.start()
+        self.maintenance = False
 
-def run_schedule(genome: ScheduleGenome, *,
-                 observe: bool = False) -> EnduranceReport:
+
+def run_schedule(genome: ScheduleGenome) -> EnduranceReport:
     """Execute one genome and return its endurance-style report."""
-    return ScheduleExecutor(genome, observe=observe).run()
+    return ScheduleExecutor(genome).run()

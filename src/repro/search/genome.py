@@ -14,21 +14,21 @@ shrinker (:mod:`repro.search.shrink`).
 
 All generation and mutation randomness comes from the caller's
 ``random.Random`` — the search engine owns exactly one, keyed on the
-search seed.  Victim counts are bounded by a
-:class:`repro.faults.churn.ChurnPolicy`, which the mutator deliberately
-pushes to its limit: on a 5-site majority cluster, two sites crash or
-partition away *concurrently*.
+search seed.  Victim counts are bounded by :func:`concurrency_limit`,
+which the mutator deliberately pushes to its limit: on a 5-site majority
+cluster, two sites crash or partition away *concurrently*.  Endurance
+runs are genomes too (:func:`repro.endurance.derive_genome`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.faults.churn import ChurnPolicy
 from repro.faults.storage import StableStateCorruptor
 
 #: Duration quantum (virtual seconds): every gene time is a multiple,
@@ -41,29 +41,64 @@ def _q(value: float, minimum: float = TICK) -> float:
     return max(minimum, round(round(value / TICK) * TICK, 6))
 
 
+def concurrency_limit(n_sites: int) -> int:
+    """Most sites churn may take out of service at once: every backend
+    (vs, evs, logless) serves from a majority, so ``n - (n // 2 + 1)``,
+    but never below one — a gene always has a victim."""
+    if n_sites < 1:
+        raise ValueError("n_sites must be >= 1")
+    return max(1, (n_sites - 1) // 2)
+
+
 # ----------------------------------------------------------------------
 # Genes
 # ----------------------------------------------------------------------
+class _Gene:
+    """Loud failure for hand-edited schedules: every duration finite and
+    non-negative, every victim tuple non-empty, every index >= 0."""
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not (math.isfinite(value)
+                                              and value >= 0):
+                rule = "a finite duration >= 0"
+            elif field.type == "int" and value < 0:
+                rule = "an index >= 0"
+            elif field.type == "Tuple[int, ...]" and (not value
+                                                      or min(value) < 0):
+                rule = "a non-empty list of indices >= 0"
+            else:
+                continue
+            raise ValueError(f"{self.kind} gene: {field.name} must be "
+                             f"{rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
-class CrashGene:
+class CrashGene(_Gene):
     """Crash ``victims`` concurrently (staggered by ``stagger``), hold
-    them down for ``downtime``, then recover them all."""
+    them down for ``downtime``, then recover them all.  A ``restrike``
+    > 0 crashes them again that long after the recovery — usually while
+    they are still catching up — for another ``downtime``."""
 
     victims: Tuple[int, ...]
     downtime: float
     stagger: float = 0.0
+    restrike: float = 0.0
 
     kind = "crash"
 
     def duration(self) -> float:
-        return self.downtime + self.stagger * len(self.victims)
+        again = self.restrike + self.downtime if self.restrike else 0.0
+        return self.downtime + self.stagger * len(self.victims) + again
 
     def size(self) -> float:
         return len(self.victims) + self.duration()
 
     def describe(self) -> str:
         return (f"crash {list(self.victims)} down={self.downtime:g}"
-                + (f" stagger={self.stagger:g}" if self.stagger else ""))
+                + (f" stagger={self.stagger:g}" if self.stagger else "")
+                + (f" restrike={self.restrike:g}" if self.restrike else ""))
 
     def reductions(self) -> Iterator["CrashGene"]:
         if len(self.victims) > 1:
@@ -72,10 +107,12 @@ class CrashGene:
             yield replace(self, downtime=_q(self.downtime / 2))
         if self.stagger > 0:
             yield replace(self, stagger=0.0)
+        if self.restrike > 0:
+            yield replace(self, restrike=0.0)
 
 
 @dataclass(frozen=True)
-class PartitionGene:
+class PartitionGene(_Gene):
     """Cut ``minority`` sites off for ``hold`` seconds, then heal and
     run ``settle`` more.  ``shatter`` isolates each minority site alone
     (no minority subgroup), the harsher cut."""
@@ -110,7 +147,7 @@ class PartitionGene:
 
 
 @dataclass(frozen=True)
-class RestartGene:
+class RestartGene(_Gene):
     """Rolling restart: bounce each victim in sequence, holding each
     down for ``hold`` before recovering and awaiting ACTIVE."""
 
@@ -136,7 +173,7 @@ class RestartGene:
 
 
 @dataclass(frozen=True)
-class CorruptGene:
+class CorruptGene(_Gene):
     """Self-stabilization start: crash ``victim``, apply the CRC-valid
     corruption ``op`` (:data:`StableStateCorruptor.OPS`) to its stable
     state, hold ``downtime``, then reboot it."""
@@ -148,6 +185,7 @@ class CorruptGene:
     kind = "corrupt"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.op not in StableStateCorruptor.OPS:
             raise ValueError(f"unknown corruption op {self.op!r}")
 
@@ -166,7 +204,7 @@ class CorruptGene:
 
 
 @dataclass(frozen=True)
-class QuietGene:
+class QuietGene(_Gene):
     """Run faults-free for ``duration`` seconds — serving windows
     between cuts are what lets a following cut interrupt an in-flight
     transfer instead of a cold, already-converged cluster."""
@@ -189,8 +227,29 @@ class QuietGene:
             yield replace(self, duration_s=_q(self.duration_s / 2))
 
 
+@dataclass(frozen=True)
+class SweepGene(_Gene):
+    """Quiescent sweep: pause the schedule, heal and recover everything,
+    drain the clients, run the full invariant battery, resume."""
+
+    kind = "sweep"
+
+    def duration(self) -> float:
+        return 0.0
+
+    def size(self) -> float:
+        return 0.0
+
+    def describe(self) -> str:
+        return "sweep"
+
+    def reductions(self) -> Iterator["SweepGene"]:
+        return iter(())
+
+
 GENE_KINDS = {cls.kind: cls for cls in
-              (CrashGene, PartitionGene, RestartGene, CorruptGene, QuietGene)}
+              (CrashGene, PartitionGene, RestartGene, CorruptGene, QuietGene,
+               SweepGene)}
 
 Gene = Any  # union of the gene dataclasses above
 
@@ -232,13 +291,7 @@ class ScheduleGenome:
     clients: int = 6
     arrival_rate: float = 60.0
     segments: Tuple[Gene, ...] = ()
-    max_down: Optional[int] = None
-    respect_creation_majority: bool = True
-
-    @property
-    def policy(self) -> ChurnPolicy:
-        return ChurnPolicy(max_down=self.max_down,
-                           respect_creation_majority=self.respect_creation_majority)
+    db_size: int = 40
 
     def total_duration(self) -> float:
         return round(sum(gene.duration() for gene in self.segments), 6)
@@ -258,8 +311,7 @@ class ScheduleGenome:
             "strategy": self.strategy,
             "clients": self.clients,
             "arrival_rate": self.arrival_rate,
-            "max_down": self.max_down,
-            "respect_creation_majority": self.respect_creation_majority,
+            "db_size": self.db_size,
             "segments": [gene_to_dict(gene) for gene in self.segments],
         }
 
@@ -269,8 +321,12 @@ class ScheduleGenome:
         valid = [field.name for field in fields(cls)]
         unknown = sorted(set(data) - set(valid))
         if unknown:
-            hint = ("; 'backend' is retired: 'mode' now takes the backend "
-                    "name" if "backend" in unknown else "")
+            hint = ""
+            if "backend" in unknown:
+                hint += "; 'backend' is retired: 'mode' now takes the backend name"
+            if {"max_down", "respect_creation_majority"} & set(unknown):
+                hint += ("; 'max_down' and 'respect_creation_majority' are "
+                         "retired: the concurrency limit is the majority rule")
             raise ValueError(f"unknown schedule key(s) {', '.join(unknown)}; "
                              f"valid: {', '.join(valid)}{hint}")
         data["segments"] = tuple(gene_from_dict(g)
@@ -309,15 +365,10 @@ class SearchSpace:
     min_genes: int = 2
     max_genes: int = 6
     max_hold: float = 0.6
-    policy: ChurnPolicy = ChurnPolicy()
-    #: The executor always runs with creation_majority=True (as the
-    #: endurance engine does); the policy limit is derived against it.
-    creation_majority: bool = True
     seeds: int = 8  # distinct cluster seeds the generator picks from
 
     def concurrency_limit(self) -> int:
-        return max(1, self.policy.concurrency_limit(
-            self.n_sites, self.mode, self.creation_majority))
+        return concurrency_limit(self.n_sites)
 
 
 def _victims(rng: random.Random, space: SearchSpace,
@@ -355,14 +406,12 @@ def random_genome(rng: random.Random, space: SearchSpace) -> ScheduleGenome:
         strategy=space.strategy,
         clients=space.clients,
         arrival_rate=space.arrival_rate,
-        max_down=space.policy.max_down,
-        respect_creation_majority=space.policy.respect_creation_majority,
         segments=tuple(random_gene(rng, space) for _ in range(count)),
     )
 
 
 def _perturb(rng: random.Random, space: SearchSpace, gene: Gene) -> Gene:
-    """One small change to one gene, staying inside the policy bounds."""
+    """One small change to one gene, staying inside the concurrency limit."""
     if isinstance(gene, CrashGene):
         return replace(gene, victims=_victims(rng, space),
                        downtime=_q(gene.downtime * (0.5 + rng.random())))

@@ -47,8 +47,6 @@ UTD_FLUSH_CLOBBER = {
     "strategy": "rectable",
     "clients": 6,
     "arrival_rate": 60.0,
-    "max_down": None,
-    "respect_creation_majority": True,
     "segments": [
         {"kind": "crash", "victims": [1, 4], "downtime": 0.12,
          "stagger": 0.02},
@@ -71,8 +69,6 @@ SHATTER_CORRUPT_CHURN = {
     "strategy": "rectable",
     "clients": 6,
     "arrival_rate": 60.0,
-    "max_down": None,
-    "respect_creation_majority": True,
     "segments": [
         {"kind": "partition", "minority": [1, 3], "hold": 0.4,
          "settle": 0.15, "shatter": True},

@@ -9,11 +9,10 @@ change, not flakiness.
 
 import pytest
 
-from repro.endurance import (
-    EnduranceConfig, EnduranceEngine, dump_artifacts, repro_command,
-    run_endurance,
-)
+from repro.endurance import EnduranceConfig, derive_genome, run_endurance
+from repro.faults.campaign import dump_artifacts, repro_command
 from repro.replication.node import NodeConfig, SiteStatus
+from repro.search.executor import ScheduleExecutor
 from tests import mutations
 from tests.conftest import quick_cluster, run_load
 
@@ -108,18 +107,43 @@ class TestStrategyAndBackendCoverage:
             EnduranceConfig(seed=0, mode="bogus").validate()
 
 
+class TestDerivedGenome:
+    @pytest.mark.parametrize("case_id", ["endurance:vs:0", "endurance:evs:0",
+                                         "backend:logless:endurance"])
+    def test_endurance_run_is_its_genome_replayed(self, case_id):
+        """An endurance run and the schedule search's replay of its
+        derived genome are the same run; only the verdict may differ
+        (the search keeps its tighter availability floor)."""
+        from repro import audit
+
+        params = audit.CASES[case_id].params
+        direct = ScheduleExecutor.from_params(**params)
+        replayed = ScheduleExecutor(derive_genome(EnduranceConfig(**params)))
+        assert replayed.config.availability_window < \
+            direct.config.availability_window
+        digests = []
+        for engine in (direct, replayed):
+            report = engine.run()
+            collected = audit._collect(engine.cluster, tracer=report.tracer,
+                                       schedule=report.schedule_lines())
+            digests.append({**collected["digests"],
+                            "availability": report.payload()[
+                                "availability_digest"]})
+        assert digests[0] == digests[1]
+        assert set(digests[0]) >= {"state", "history", "trace", "schedule",
+                                   "availability"}
+
+
 class TestSabotage:
     def test_skipped_outcome_merge_fails_the_run(self, monkeypatch):
         """The mutation proves the sweeps have teeth: a site that
         silently drops the peer's outcome table must be caught — by
         ``check_decision_agreement``, at the first sweep after S1's
-        stale table decides a replayed request differently.  (Seed 0,
-        the seed before the membership decision stopped waiting for the
-        maintenance tick, is now caught first as replica divergence.)"""
-        clean = run_endurance(29, duration=8.0)
+        stale table decides a replayed request differently."""
+        clean = run_endurance(25, duration=8.0)
         assert clean.ok, clean.error
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        mutated = run_endurance(29, duration=8.0)
+        mutated = run_endurance(25, duration=8.0)
         assert not mutated.ok
         assert "quiescent sweep" in mutated.error
         assert "commit at one site but abort at S1" in mutated.error
@@ -154,7 +178,7 @@ class TestMajorityCreation:
 
 class TestArtifacts:
     def test_dump_writes_the_full_evidence_set(self, tmp_path):
-        engine = EnduranceEngine(EnduranceConfig(seed=0, duration=4.0))
+        engine = ScheduleExecutor.from_params(seed=0, duration=4.0)
         engine.run()
         written = dump_artifacts(engine, str(tmp_path))
         names = {path.rsplit("/", 1)[-1] for path in written}
@@ -193,16 +217,24 @@ class TestWiring:
         assert all(payload["ok"] for payload in results.values())
 
     def test_fleet_dumps_artifacts_on_failure(self, monkeypatch, tmp_path):
+        from repro.cli import main
         from repro.fleet import run_seed_fleet
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
         results = run_seed_fleet(
-            "endurance", [0], duration=8.0, artifacts_dir=str(tmp_path))
-        payload = results[0]
+            "endurance", [25], duration=8.0, artifacts_dir=str(tmp_path))
+        payload = results[25]
         assert not payload["ok"]
         assert payload["artifacts"], "failed worker left no evidence"
         assert any(path.endswith("repro.txt")
                    for path in payload["artifacts"])
+        # The bundle carries the derived genome: the search replays it
+        # to the same failure.
+        schedule = tmp_path / "seed25-vs" / "schedule.json"
+        assert str(schedule) in payload["artifacts"]
+        replay = f"python -m repro search --replay {schedule}"
+        assert replay in (tmp_path / "seed25-vs" / "repro.txt").read_text()
+        assert main(["search", "--replay", str(schedule)]) == 1
 
 
 class TestCli:
@@ -221,13 +253,13 @@ class TestCli:
         from repro.cli import main
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        code = main(["chaos", "--endurance", "--seed", "0",
+        code = main(["chaos", "--endurance", "--seed", "25",
                      "--duration", "8", "--artifacts-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert "FAILURE" in err
         assert "reproduce: PYTHONPATH=src python -m repro chaos" in err
-        assert (tmp_path / "seed0-vs" / "schedule.txt").exists()
+        assert (tmp_path / "seed25-vs" / "schedule.txt").exists()
 
     def test_endurance_fleet_table(self, capsys):
         from repro.cli import main

@@ -10,7 +10,7 @@ pinned chaos and endurance runs:
 
 import pytest
 
-from repro.endurance import EnduranceConfig, EnduranceEngine
+from repro import endurance
 from repro.faults.chaos import ChaosConfig, ChaosEngine
 from repro.obs.epochs import (
     blocked_windows,
@@ -27,9 +27,8 @@ def run_chaos(seed, mode, **overrides):
     return ChaosEngine(ChaosConfig(**params)).run()
 
 
-def run_endurance(seed, mode):
-    return EnduranceEngine(
-        EnduranceConfig(seed=seed, mode=mode, duration=6.0)).run()
+def run_endurance(seed, mode, **overrides):
+    return endurance.run_endurance(seed, mode=mode, duration=6.0, **overrides)
 
 
 class TestPhaseSums:
@@ -95,11 +94,8 @@ class TestProfilerObservationEquivalence:
         assert plain_payload["epochs"] == profiled_payload["epochs"]
 
     def test_profiled_endurance_run_is_byte_identical(self):
-        plain = EnduranceEngine(
-            EnduranceConfig(seed=1, mode="vs", duration=6.0)).run()
-        profiled = EnduranceEngine(
-            EnduranceConfig(seed=1, mode="vs", duration=6.0,
-                            profile=True)).run()
+        plain = run_endurance(1, "vs")
+        profiled = run_endurance(1, "vs", profile=True)
         assert profiled.profiler is not None
         assert (plain.payload()["schedule_digest"]
                 == profiled.payload()["schedule_digest"])

@@ -54,7 +54,6 @@ def test_round_trip_preserves_derived_metrics(draw_seed, steps):
     again = ScheduleGenome.from_dict(genome.to_dict())
     assert again.schedule_size() == genome.schedule_size()
     assert again.total_duration() == genome.total_duration()
-    assert again.policy == genome.policy
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +72,33 @@ def test_retired_backend_key_is_rejected_pointing_at_mode(load):
     message = str(caught.value)
     assert "backend" in message and "'mode' now takes the backend name" in message
     assert all(key in message for key in genomes(7, 0).to_dict())
+
+
+@pytest.mark.parametrize("key", ["max_down", "respect_creation_majority"])
+def test_retired_policy_keys_are_rejected_naming_the_majority_rule(key):
+    payload = {**genomes(7, 0).to_dict(), key: None}
+    with pytest.raises(ValueError, match=rf"unknown schedule key\(s\) {key};"
+                                         r".*are retired: the concurrency "
+                                         r"limit is the majority rule"):
+        ScheduleGenome.from_dict(payload)
+
+
+@pytest.mark.parametrize("gene,field", [
+    ({"kind": "quiet", "duration_s": -5.0}, "duration_s"),
+    ({"kind": "partition", "minority": [], "hold": 0.1}, "minority"),
+    ({"kind": "crash", "victims": [1], "downtime": float("nan")}, "downtime"),
+    ({"kind": "crash", "victims": [1], "downtime": 0.1,
+      "restrike": float("inf")}, "restrike"),
+    ({"kind": "restart", "victims": [0, -1], "hold": 0.1}, "victims"),
+    ({"kind": "corrupt", "victim": -2, "op": "lost_suffix",
+      "downtime": 0.1}, "victim"),
+])
+def test_malformed_gene_is_a_value_error_naming_kind_and_field(gene, field):
+    """A hand-edited schedule with a negative time or an empty victim
+    list must not load and run to a vacuous PASS."""
+    payload = {**genomes(7, 0).to_dict(), "segments": [gene]}
+    with pytest.raises(ValueError, match=rf"^{gene['kind']} gene: {field} "):
+        ScheduleGenome.from_dict(payload)
 
 
 def test_unknown_key_is_a_value_error_naming_it_and_the_valid_keys():

@@ -1,74 +1,42 @@
-"""ChurnPolicy edges: quorum-boundary caps, the creation-majority
-fallback, explicit tightening, and the per-backend quorum registry."""
+"""The churn concurrency limit: how many sites a schedule may take out
+of service at once.  Every backend serves from a majority, so the limit
+is ``n - (n // 2 + 1)``, floored at one so a gene always has a victim."""
 
 import pytest
 
-from repro.faults.churn import ChurnPolicy, backend_quorum
+from repro.reconfig.backends import ALL_BACKEND_NAMES
+from repro.search.genome import SearchSpace, concurrency_limit
 
 
 class TestBackendQuorum:
     def test_majority_for_all_registered_backends(self):
-        for backend in ("vs", "evs", "logless"):
-            assert backend_quorum(backend, 5) == 3
-            assert backend_quorum(backend, 4) == 3
-            assert backend_quorum(backend, 3) == 2
-
-    def test_unknown_and_none_default_to_majority(self):
-        assert backend_quorum(None, 5) == 3
-        assert backend_quorum("someday-paxos", 5) == 3
+        # Sites that must stay connected = n - limit: a strict majority.
+        for n_sites in range(3, 10):
+            assert n_sites - concurrency_limit(n_sites) == n_sites // 2 + 1
 
 
 class TestConcurrencyLimit:
     def test_five_site_majority_allows_two_down(self):
-        assert ChurnPolicy().concurrency_limit(5, "vs") == 2
+        assert concurrency_limit(5) == 2
 
     def test_even_cluster_is_tighter_than_odd(self):
         # 4 sites: majority is 3, so only one may churn — the boundary
         # the storm composers historically hard-coded.
-        assert ChurnPolicy().concurrency_limit(4, "vs") == 1
+        assert concurrency_limit(4) == 1
 
     def test_quorum_boundary_small_clusters(self):
-        policy = ChurnPolicy()
-        assert policy.concurrency_limit(1, "vs") == 0
-        assert policy.concurrency_limit(2, "vs") == 0
-        assert policy.concurrency_limit(3, "vs") == 1
+        # Below three sites no site may go without losing the majority,
+        # but a gene still names one victim.
+        assert concurrency_limit(1) == 1
+        assert concurrency_limit(2) == 1
+        assert concurrency_limit(3) == 1
 
     def test_per_backend_limits_agree_today(self):
-        # Every current backend is majority-based; the assertion pins
-        # that a future non-majority rule must come with its own tests.
-        policy = ChurnPolicy()
-        for backend in ("vs", "evs", "logless"):
-            assert policy.concurrency_limit(5, backend) == 2
-
-    def test_creation_majority_fallback(self):
-        # Paper §3 all-sites creation rule: multi-site churn can wedge a
-        # post-partition creation round, so the cap falls back to 1.
-        policy = ChurnPolicy()
-        assert policy.concurrency_limit(5, "vs", creation_majority=False) == 1
-        relaxed = ChurnPolicy(respect_creation_majority=False)
-        assert relaxed.concurrency_limit(5, "vs", creation_majority=False) == 2
-
-    def test_max_down_only_tightens(self):
-        assert ChurnPolicy(max_down=1).concurrency_limit(5, "vs") == 1
-        assert ChurnPolicy(max_down=0).concurrency_limit(5, "vs") == 0
-        # A wider explicit cap never exceeds the quorum-derived one.
-        assert ChurnPolicy(max_down=4).concurrency_limit(5, "vs") == 2
+        # The limit does not depend on the backend; a future
+        # non-majority backend must come with its own rule and tests.
+        for mode in ALL_BACKEND_NAMES:
+            assert SearchSpace(n_sites=5, mode=mode).concurrency_limit() == 2
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            ChurnPolicy(max_down=-1)
-        with pytest.raises(ValueError):
-            ChurnPolicy().concurrency_limit(0, "vs")
-
-
-class TestAdmits:
-    def test_admits_below_and_rejects_at_limit(self):
-        policy = ChurnPolicy()
-        assert policy.admits(0, 5, "vs")
-        assert policy.admits(1, 5, "vs")
-        assert not policy.admits(2, 5, "vs")
-
-    def test_admits_respects_creation_majority(self):
-        policy = ChurnPolicy()
-        assert policy.admits(0, 5, "vs", creation_majority=False)
-        assert not policy.admits(1, 5, "vs", creation_majority=False)
+            concurrency_limit(0)

@@ -15,7 +15,8 @@ from repro.db.wal import (
 )
 from repro.cli import build_parser, campaign_config
 from repro.differential import CELL_DEFAULTS
-from repro.endurance import EnduranceConfig, repro_command
+from repro.endurance import EnduranceConfig
+from repro.faults.campaign import repro_command
 from repro.faults import ChaosConfig
 from repro.faults.storage import StableStateCorruptor
 from repro.obs.report import render_availability

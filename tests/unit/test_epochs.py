@@ -2,9 +2,9 @@
 
 Covers the edge cases the reconstruction must survive: overlapping
 epochs during partition storms, aborted transfers with peer fail-over,
-epochs truncated at run end or chained by a second crash, churn-context
-trigger classification, the exact phase-sum property, and the
-blocked-window coverage logic.
+epochs truncated at run end or chained by a second crash, trigger
+classification, the exact phase-sum property, and the blocked-window
+coverage logic.
 """
 
 import pytest
@@ -199,18 +199,16 @@ class TestEdgeCases:
         assert len(epochs) == 1
         assert epochs[0].truncated and epochs[0].end == 3.0
 
-    def test_churn_segment_context_classifies_trigger(self):
+    def test_recovering_without_a_crash_is_a_join(self):
         events = [
-            ev(0.5, "--", "endurance", "segment", "rolling"),
+            ev(0.5, "--", "endurance", "gene", "#0 restart [0] hold=0.1"),
             ev(1.0, "S1", "status", "recovering", ""),
             ev(1.5, "S1", "status", "active", ""),
-            ev(2.0, "--", "endurance", "segment_done", "rolling"),
             ev(3.0, "S2", "status", "recovering", ""),
             ev(3.5, "S2", "status", "active", ""),
         ]
         epochs = extract_epochs(events)
-        assert epochs[0].trigger == "churn:rolling"
-        assert epochs[1].trigger == "join"
+        assert [epoch.trigger for epoch in epochs] == ["join", "join"]
 
 
 class TestBlockedWindows:
@@ -233,6 +231,20 @@ class TestBlockedWindows:
             (pytest.approx(0.25), pytest.approx(0.75)),
             (pytest.approx(1.0), pytest.approx(1.25)),
         ]
+
+    def test_maintenance_bin_breaks_a_window_like_the_floor(self):
+        from repro.checkers import availability_violations
+
+        rows = [(0.25, 3, False), (0.50, 3, False), (0.75, 0, False),
+                (1.00, 0, True), (1.25, 0, False), (1.50, 4, False)]
+        # A maintenance bin ends a zero-commit span; it does not bridge
+        # the zero bins on either side into one window.
+        assert blocked_windows(self.samples(rows)) == [(0.5, 0.75),
+                                                       (1.0, 1.25)]
+        floor = availability_violations(rows, window=0.25, bin_width=0.25,
+                                        min_span=0.25)
+        assert sorted((w.start, w.end) for w in floor) == [(0.5, 0.75),
+                                                           (1.0, 1.25)]
 
     def test_warmup_and_maintenance_bins_skipped(self):
         events = self.samples([
