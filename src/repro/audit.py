@@ -112,7 +112,8 @@ def _build_cases() -> Dict[str, AuditCase]:
     # test_chaos_regressions.py) — each once exposed a real protocol bug,
     # so each must also be exactly reproducible.
     for mode, seed in (("evs", 9), ("evs", 2), ("evs", 14), ("evs", 23),
-                       ("evs", 12), ("vs", 23), ("vs", 48)):
+                       ("evs", 12), ("evs", 55), ("evs", 84), ("evs", 24),
+                       ("vs", 23), ("vs", 48), ("vs", 157), ("logless", 30)):
         cases.append(_chaos_case(mode, seed))
     # One storm carrying the observability-equivalence axis (PR 3's
     # claim) and the profiler-equivalence axis on top of determinism.

@@ -9,10 +9,12 @@ section 2.1 and 5.1 assume:
 * a **total order multicast**: all sites deliver all messages in the same
   order (fixed sequencer per view, gap-free in-order delivery);
 * **uniform reliable delivery** adapted to partitionable systems: a
-  message is delivered only once every view member holds a copy
-  ("safe"/all-ack delivery), hence messages delivered by a site that
+  message is delivered only once a majority of a primary view's members
+  hold a copy (every member's in other views and under EVS), and the
+  next primary view trusts nobody unless enough members flush straight
+  out of the previous one, hence messages delivered by a site that
   leaves the primary component are a subset of those delivered by the
-  members of the next consecutive primary view;
+  up-to-date members of the next consecutive primary view;
 * a **primary view** notion (majority of the static universe) with
   non-overlapping concurrent views;
 * the **EVS** extension: subviews and subview-sets inside a view, with

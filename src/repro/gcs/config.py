@@ -44,10 +44,11 @@ class GCSConfig:
         matters only under message loss.
     uniform:
         If True (default, and required by the paper's section 2.1),
-        messages are delivered only when every view member has
-        acknowledged receipt (safe delivery).  Setting it to False gives
-        plain reliable delivery and is used by the atomicity-violation
-        ablation (experiment E9c).
+        messages are delivered only when the view's delivery quorum has
+        acknowledged receipt (safe delivery): a majority in a primary
+        view, every member elsewhere and under EVS.  Setting it to False
+        gives plain reliable delivery and is used by the
+        atomicity-violation ablation (experiment E9c).
     primary_policy:
         How view primacy is decided (section 2.1): ``"static"`` — a
         majority of the static universe (the paper's default) — or

@@ -151,7 +151,11 @@ class EnrichedGroupMember:
     ) -> None:
         self.node_id = node_id
         self.app = app
-        self.member = GroupMember(sim, network, node_id, universe, config, app=self)
+        # All-ack delivery in every view: quorum delivery broke decision
+        # agreement and replica convergence in EVS chaos storms
+        # (DESIGN.md, "Quorum-stable delivery").
+        self.member = GroupMember(sim, network, node_id, universe, config, app=self,
+                                  quorum_delivery=False)
         self.sv_id: SubviewId = ("sv", node_id, 0)
         self.svs_id: SubviewId = ("svs", node_id, 0)
         self._incarnation = 0

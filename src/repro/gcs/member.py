@@ -24,6 +24,7 @@ from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.membership import MembershipEngine
 from repro.gcs.messages import (
     Ack,
+    AckSolicit,
     Data,
     FlushNack,
     FlushReply,
@@ -68,9 +69,14 @@ class GroupMember(Process):
         universe: Tuple[str, ...],
         config: Optional[GCSConfig] = None,
         app: Optional[GroupApplication] = None,
+        quorum_delivery: bool = True,
     ) -> None:
         super().__init__(sim)
         self.node_id = node_id
+        #: Deliver at a majority of acks in primary views (see
+        #: :meth:`delivery_quorum`); False keeps all-ack everywhere, which
+        #: the EVS layer needs.
+        self.quorum_delivery = quorum_delivery
         self.universe = tuple(sorted(universe))
         if node_id not in self.universe:
             raise ValueError(f"{node_id} not in universe {universe}")
@@ -94,6 +100,14 @@ class GroupMember(Process):
 
         self.primary_policy = policy_by_name(self.config.primary_policy)
         self.lineage: Optional[PrimaryLineage] = None
+        #: The lineage this member claimed in the round that installed
+        #: its current view: its knowledge before that view, and None
+        #: unless this incarnation had installed a primary view by then.
+        #: A restarted member inherits the best claim of any non-primary
+        #: round it passes through, which cannot tell whether it was in
+        #: a newer primary view before the crash.
+        self.lineage_claim: Optional[PrimaryLineage] = None
+        self._installed_primary = False
         self._view_primary = False
 
         #: Observability instruments handed to every per-view total-order
@@ -137,6 +151,9 @@ class GroupMember(Process):
         self._pending = {}
         self._next_msg_id = 0
         self.lineage = None  # volatile group knowledge, lost in the crash
+        self.lineage_claim = None
+        self._installed_primary = False
+        self.stale_members = ()
         self.sync_evs_requests = {}
         self.view = singleton_view(self.node_id, self.epoch_floor)
         self._view_primary = self.primary_policy.decide(
@@ -277,6 +294,8 @@ class GroupMember(Process):
             self.membership.decide()
         elif isinstance(payload, Nak):
             self.to.on_nak(payload)
+        elif isinstance(payload, AckSolicit):
+            self.to.on_ack_solicit(payload)
         elif isinstance(payload, Propose):
             self.membership.on_propose(src, payload)
         elif isinstance(payload, FlushReply):
@@ -298,6 +317,14 @@ class GroupMember(Process):
         if self.app is not None:
             self.app.on_message(ordered.sender, ordered.payload, ordered.gseq)
 
+    def delivery_quorum(self, size: int, primary: bool) -> int:
+        """How many acks of a view of ``size`` members make a message
+        deliverable: a majority in a primary view, every member anywhere
+        else (and always without quorum delivery or uniformity)."""
+        if primary and self.quorum_delivery and self.config.uniform:
+            return size // 2 + 1
+        return size
+
     def _new_total_order(self, view: View, base_gseq: int) -> ViewTotalOrder:
         return ViewTotalOrder(
             view=view,
@@ -310,6 +337,7 @@ class GroupMember(Process):
             batch=self.config.sequencer_batching,
             send_many=self.endpoint.send_many,
             obs=self.to_obs,
+            quorum=self.delivery_quorum(len(view.members), self._view_primary),
         )
 
     def freeze_for_flush(self) -> None:
@@ -343,6 +371,8 @@ class GroupMember(Process):
         if primary is None:
             primary = view.is_primary(len(self.universe))
         self._view_primary = primary
+        self.lineage_claim = self.lineage if self._installed_primary else None
+        self._installed_primary = self._installed_primary or primary
         if lineage is not None:
             self.lineage = lineage
         # A positive gap between the agreed base and what we actually

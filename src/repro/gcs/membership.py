@@ -350,6 +350,10 @@ class MembershipEngine:
             new_lineage = PrimaryLineage(generation, new_view.members)
         else:
             new_lineage = best
+        # The direct-member rule (:meth:`_carries_lineage`): a flush that
+        # cannot vouch for what the newest primary view delivered leaves
+        # nobody up to date, and delivers no union beyond a quorum cut.
+        vouched = best is None or self._carries_lineage(best)
         sync_messages: Dict[ViewId, Tuple[Ordered, ...]] = {}
         base_gseq = 0
         final_gseq: Dict[str, int] = {}
@@ -363,15 +367,19 @@ class MembershipEngine:
                 default=0,
             )
             superseded = best is not None and generation < best.generation
-            if (not new_view_primary or superseded) and member.config.uniform:
+            if (not new_view_primary or superseded or not vouched) and member.config.uniform:
                 # Uniformity adaptation (section 2.1): a flush into a
-                # non-primary view may only deliver messages provably
-                # received by *every* member of the previous view, so the
-                # deliveries of sites leaving the primary component stay a
-                # subset of the next primary view's.  The same holds for a
-                # previous view whose lineage a later primary view already
-                # continued without these members: its unstable tail may
-                # sit at gseqs that later view reused.
+                # non-primary view may only deliver messages the previous
+                # view's delivery quorum provably holds — what some member
+                # may have delivered anyway — so the deliveries of sites
+                # leaving the primary component stay a subset of the next
+                # primary view's.  The same holds for a previous view
+                # whose lineage a later primary view already continued
+                # without these members, and for every previous view when
+                # the flush cannot vouch for the newest one: an
+                # undeliverable tail may sit at gseqs another view used
+                # (a coordinator that alone installed a primary view its
+                # members had abandoned flushes its own tail here).
                 stable_cut = max(reply.stable_seq for reply in replies)
                 union = {s: m for s, m in union.items() if s <= stable_cut}
             ordered_union = tuple(union[s] for s in sorted(union))
@@ -388,6 +396,10 @@ class MembershipEngine:
                 final_gseq[reply.sender] = gseq
                 base_gseq = max(base_gseq, gseq)
 
+        stale = tuple(sorted(
+            sender for sender, gseq in final_gseq.items() if gseq < base_gseq))
+        if new_view_primary and not vouched:
+            stale = new_view.members
         states = {reply.sender: reply.app_state for reply in self._flushes.values()}
         sync = Sync(
             round_id=round_id,
@@ -397,9 +409,7 @@ class MembershipEngine:
             states=states,
             primary=new_view_primary,
             lineage=new_lineage,
-            stale=tuple(sorted(
-                sender for sender, gseq in final_gseq.items() if gseq < base_gseq
-            )),
+            stale=stale,
         )
         self.rounds_completed += 1
         # Ship SYNC to the remote members *before* processing our own:
@@ -411,6 +421,24 @@ class MembershipEngine:
             if node != member.node_id:
                 member.endpoint.send(node, sync)
         self.on_sync(member.node_id, sync)
+
+    def _carries_lineage(self, newest: PrimaryLineage) -> bool:
+        """The direct-member rule: does this round's flush hold
+        everything the newest primary view V delivered?
+
+        A message V delivered is held by a delivery quorum of q(V) of
+        its members, but a member's flush carries it only if the member
+        replies straight out of V: a recovered incarnation lost its
+        buffer, and one that passed through a non-primary view delivered
+        a trimmed union.  Any |V| − q(V) + 1 such direct members meet
+        every q(V)-set; with fewer, the round marks every member stale,
+        and the replication layer compares logs instead."""
+        size = len(newest.members)
+        direct = sum(
+            1 for reply in self._flushes.values()
+            if reply.lineage == newest and reply.prev_view.members == newest.members
+        )
+        return direct > size - self.member.delivery_quorum(size, primary=True)
 
     def on_sync(self, src: str, msg: Sync) -> None:
         member = self.member

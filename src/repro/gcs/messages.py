@@ -195,6 +195,16 @@ class Nak:
 
 
 @dataclass(frozen=True)
+class AckSolicit:
+    """Request for the receiver's cumulative :class:`Ack`, from a member
+    whose held messages have waited a whole maintenance period on the
+    delivery horizon."""
+
+    sender: str
+    view_id: ViewId
+
+
+@dataclass(frozen=True)
 class Propose:
     """Phase 1 of a membership round: the initiator proposes a composition."""
 
@@ -207,8 +217,8 @@ class FlushReply:
     """Phase 2: a participant's flush contribution.
 
     ``received`` carries every Ordered message the participant holds
-    beyond its delivered prefix, so the initiator can compute the
-    synchronization set for virtual synchrony.
+    that some member may lack (:meth:`ViewTotalOrder.flush_cut`), so the
+    initiator can compute the synchronization set for virtual synchrony.
     ``app_state`` is opaque per-layer state (EVS structure, replication
     status) exchanged through the view change.
     """
@@ -220,12 +230,12 @@ class FlushReply:
     next_gseq: int
     received: Tuple[Ordered, ...]
     app_state: Dict[str, Any] = field(default_factory=dict)
-    #: Highest sequence number this member can prove every previous-view
-    #: member holds (its local all-ack knowledge).  When the *new* view is
-    #: not primary, only the union prefix up to the group's best stable
-    #: cut may be delivered — otherwise a minority site could deliver a
-    #: message the next primary view never received, violating the
-    #: paper's uniformity adaptation (section 2.1).
+    #: This member's delivery horizon in the previous view: the highest
+    #: sequence number it knows the view's delivery quorum holds.  When
+    #: the *new* view is not primary, only the union prefix up to the
+    #: group's best horizon may be delivered — a prefix some member of
+    #: the previous view may deliver anyway, and which the next primary
+    #: view therefore carries (section 2.1's uniformity adaptation).
     stable_seq: int = -1
     #: This member's knowledge of the most recent primary view (a
     #: PrimaryLineage or None); feeds the dynamic primary-view policy.
@@ -277,7 +287,9 @@ class Sync:
     lineage: Any = None
     #: Members whose delivery position after SYNC is behind the agreed
     #: base gseq: the lineage delivered messages they never saw, so the
-    #: application must not treat them as up to date.
+    #: application must not treat them as up to date.  Every member when
+    #: the flush cannot vouch for the newest primary view's deliveries
+    #: (the direct-member rule of :mod:`repro.gcs.membership`).
     stale: Tuple[str, ...] = ()
 
 

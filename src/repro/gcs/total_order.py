@@ -8,16 +8,29 @@ Protocol (per view):
    number (gseq), and multicasts ``Ordered`` to every member.
 3. Every member, upon holding ``Ordered`` s, broadcasts a cumulative
    ``Ack`` (highest gap-free sequence it holds).
-4. A message is **delivered** in sequence order once *all* view members
-   have acknowledged it (safe / uniform delivery).  This is what makes
+4. A message is **delivered** in sequence order once the view's
+   *delivery quorum* has acknowledged it (safe / uniform delivery): in a
+   primary view of a quorum-delivering member, q = ⌊n/2⌋ + 1 of the n
+   members; everywhere else — non-primary views, the EVS layer — all n.
+   The horizon is the q-th highest cumulative ack.  This is what makes
    the multicast uniform in the sense of the paper's section 2.1:
    anything delivered by any member — including one that crashes or
-   walks into a minority partition right after — is physically present
-   at every member, so the flush at the next view change can hand it to
-   all survivors.
+   walks into a minority partition right after — is held by q members,
+   and every later primary view either counts one of them among the
+   members it flushes directly out of this view (n − q + 1 of those meet
+   every q-set) or marks all its members stale
+   (:mod:`repro.gcs.membership`), so the flush hands it to every survivor
+   that is treated as up to date.  A crashed member therefore stalls no
+   delivery in a primary view.
 
 With ``uniform=False`` step 4 degrades to plain in-order delivery upon
 receipt, which is the setting used by the atomicity ablation (E9c).
+
+Liveness of the ack horizon: a member that has delivered everything it
+holds never re-acks on its own, so a member whose held messages wait a
+whole maintenance period on the same horizon solicits the cumulative
+acks of the members below it (``AckSolicit``) — one lost ``Ack`` would
+otherwise strand it for as long as the view lasts.
 
 Global sequence numbers: each ``Ordered`` carries ``gseq``; the view's
 ``base_gseq`` is agreed during the view change (max of the participants'
@@ -30,7 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.gcs.messages import Ack, Data, Nak, Ordered, OrderedBatch
+from repro.gcs.messages import Ack, AckSolicit, Data, Nak, Ordered, OrderedBatch
 from repro.gcs.view import View
 
 DeliverFn = Callable[[Ordered], None]
@@ -55,6 +68,9 @@ class ViewTotalOrder:
     end-of-tick flush, before any delivery can fire.  Local
     self-delivery stays immediate, so the sequencer's own protocol state
     is identical either way.
+
+    ``quorum`` is the number of members whose acks make a message
+    deliverable (step 4); None means every member.
     """
 
     def __init__(
@@ -69,6 +85,7 @@ class ViewTotalOrder:
         batch: bool = False,
         send_many: Optional[SendManyFn] = None,
         obs: Optional[object] = None,
+        quorum: Optional[int] = None,
     ) -> None:
         self.view = view
         self.me = me
@@ -76,6 +93,7 @@ class ViewTotalOrder:
         self._send = send
         self._deliver = deliver
         self.uniform = uniform
+        self.quorum = len(view.members) if quorum is None else quorum
         self.sequencer = min(view.members)
         self.closed = False
         #: Observability instruments (repro.obs.SequencerInstruments),
@@ -112,10 +130,14 @@ class ViewTotalOrder:
         self.recv_highwater = -1  # highest gap-free seq held
         self.delivered_seq = -1  # highest seq delivered to the app
         self.ack_high: Dict[str, int] = {m: -1 for m in view.members}
-        #: Cached min(ack_high.values()); ack_high entries only ever
-        #: increase (in :meth:`on_ack`), so the min is maintained
-        #: incrementally instead of recomputed per ack.
-        self._stable_cache = -1
+        #: The delivery horizon: the quorum-th highest of ack_high.
+        #: ack_high entries only ever increase (in
+        #: :meth:`on_ack`), so it is maintained incrementally instead of
+        #: recomputed per ack.
+        self._horizon = -1
+        #: delivered_seq at the last maintenance period that found held
+        #: messages undeliverable (None: nothing was waiting).
+        self._stuck_at: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Sequencer side
@@ -261,16 +283,25 @@ class ViewTotalOrder:
         if prev is None or msg.highwater <= prev:
             return
         self.ack_high[msg.sender] = msg.highwater
-        if prev == self._stable_cache:
-            # The sender may have been the (sole) straggler pinning the
-            # stability horizon: recompute, and only then can a delivery
-            # become possible.
-            stable = min(self.ack_high.values())
-            if stable != self._stable_cache:
-                self._stable_cache = stable
+        if prev <= self._horizon:
+            # The sender crossed the delivery horizon, so it may have been
+            # one of the acks the horizon waited for: recompute, and only
+            # then can a delivery become possible.  (A sender already
+            # above the horizon moves no order statistic below it.)
+            horizon = sorted(self.ack_high.values())[-self.quorum]
+            if horizon != self._horizon:
+                self._horizon = horizon
                 self._maybe_deliver()
         elif not self.uniform:
             self._maybe_deliver()
+
+    def on_ack_solicit(self, msg: AckSolicit) -> None:
+        """A member stuck on the ack horizon asks for our cumulative ack
+        (see :meth:`maintenance`)."""
+        if self.closed or msg.view_id != self.view.view_id:
+            return
+        self._send(msg.sender, Ack(sender=self.me, view_id=self.view.view_id,
+                                   highwater=self.recv_highwater))
 
     def _broadcast_ack(self) -> None:
         ack = Ack(sender=self.me, view_id=self.view.view_id, highwater=self.recv_highwater)
@@ -282,17 +313,15 @@ class ViewTotalOrder:
             return
         self._send_many(self._others, ack)
 
-    def _stable_seq(self) -> int:
-        """Highest seq acknowledged by every view member."""
-        return self._stable_cache if self.ack_high else -1
-
     @property
     def stable_seq(self) -> int:
-        """Public view of the all-ack stability horizon (for flush)."""
-        return self._stable_seq()
+        """The delivery horizon: the highest seq the view's delivery
+        quorum has acknowledged (what the flush may cut a trimmed union
+        at)."""
+        return self._horizon
 
     def _maybe_deliver(self) -> None:
-        limit = self._stable_seq() if self.uniform else self.recv_highwater
+        limit = self._horizon if self.uniform else self.recv_highwater
         while not self.closed and self.delivered_seq + 1 <= limit:
             nxt = self.received.get(self.delivered_seq + 1)
             if nxt is None:
@@ -329,6 +358,16 @@ class ViewTotalOrder:
             self._send(self.sequencer, Nak(sender=self.me, view_id=self.view.view_id, missing=missing))
         if self.recv_highwater > self.delivered_seq:
             self._broadcast_ack()
+            if self._stuck_at == self.delivered_seq:
+                # A whole period on the same horizon: the missing acks may
+                # be lost for good, so ask the members below it.
+                solicit = AckSolicit(sender=self.me, view_id=self.view.view_id)
+                for member, high in self.ack_high.items():
+                    if high <= self.delivered_seq and member != self.me:
+                        self._send(member, solicit)
+            self._stuck_at = self.delivered_seq
+        else:
+            self._stuck_at = None
         if self.obs is not None:
             # Delivery lag: messages held but not yet deliverable (the
             # uniform-delivery ack horizon or a sequence gap is behind).
@@ -348,10 +387,15 @@ class ViewTotalOrder:
                         self._send(member, ordered)
 
     def flush_cut(self) -> Tuple[Ordered, ...]:
-        """Everything received beyond the delivered prefix, for FLUSH."""
-        return tuple(
-            self.received[s] for s in sorted(self.received) if s > self.delivered_seq
-        )
+        """Everything received that some member may lack, for FLUSH:
+        beyond the delivered prefix and, under uniform delivery, beyond
+        the all-ack horizon too — under quorum delivery another survivor
+        may not hold what this member already delivered (under all-ack
+        that horizon is never below the delivered prefix)."""
+        floor = self.delivered_seq
+        if self.uniform:
+            floor = min(floor, min(self.ack_high.values()))
+        return tuple(self.received[s] for s in sorted(self.received) if s > floor)
 
     def deliver_sync(self, union: Tuple[Ordered, ...]) -> None:
         """Deliver the gap-free continuation of the flush union, then close.

@@ -173,7 +173,6 @@ class EvsReconfigManager(BaseReconfigManager):
             # Primary view but no operational primary subview: every site
             # realizes locally that processing must be suspended, and the
             # creation protocol runs once all sites are present.
-            self.cancel_all_sessions()
             self.check_creation(eview.view)
             return
 

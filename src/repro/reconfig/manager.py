@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.recovery import RecoveryResult
+from repro.gcs.primary import most_recent
 from repro.gcs.view import View
 from repro.replication.messages import CreationReport, TransactionMessage, UpToDateAnnouncement
 from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
@@ -672,16 +673,25 @@ class BaseReconfigManager:
         """In a primary view with no up-to-date member, compare the
         surviving logs to elect the most current site (section 3).
 
-        With uniform (safe) delivery the logs of any *primary* view
-        suffice: no site can process — let alone expose — a transaction
-        before every member of the delivering view holds it, so a
-        majority's logs jointly cover every transaction any site ever
-        processed.  Without uniformity a minority site may have
-        processed ahead of the stability horizon, and only comparing
-        *all* logs is safe (the paper's argument for why a majority is
-        not enough).  Waiting for the full universe is exactly what a
-        flapping straggler starves: the suspended majority would sit
-        dark until the one absent site happens to be reachable."""
+        A committed transaction is certain to be in one log only: its
+        committer's (commit is the WAL force point).  Uniform delivery
+        puts it in the *memory* of a delivery quorum, which a crash
+        erases — so after a total failure the one site that committed it
+        may be the absent one, and only comparing *all* logs is safe
+        (the paper's rule).  ``NodeConfig.creation_majority`` lets a
+        primary view start the round anyway, so a flapping straggler
+        cannot starve a suspended majority, but the reports elect a
+        source only when :meth:`majority_covers` proves they hold every
+        commit."""
+        # No member is up to date, so no transfer or replay in progress
+        # can finish with state the lineage keeps: creation settles what
+        # was in flight from the reports alone, and every joiner is then
+        # re-anchored at the source.  Neither serve nor complete one, and
+        # keep nothing enqueued (a joiner replaying a late TransferComplete
+        # here committed transactions the creation source rolled back:
+        # chaos --seed 84 --mode evs).
+        self.cancel_all_sessions()
+        self.restart_join()
         members = frozenset(view.members)
         if self.node.config.creation_majority and self.node.member.config.uniform:
             if not view.is_primary(len(self.node.member.universe)):
@@ -703,8 +713,31 @@ class BaseReconfigManager:
             last_delivered_gid=self.node.last_processed_gid,
             committed_above_cover=db.committed_writes_above(cover),
             outcomes=db.outcomes.rows(),
+            lineage=self.node.member.lineage_claim,
+            utd_lineage=self.node.utd_lineage,
         )
         self.node._multicast(report)
+
+    def majority_covers(self, reports: Dict[str, CreationReport]) -> bool:
+        """Do the reports of a view short of the universe hold every
+        commit?  Yes when (1) every member claims a lineage it knows
+        first-hand — it has been in a primary view since its last
+        restart, so by majority intersection the newest claim L is the
+        newest primary view there ever was; (2) all of L's members are
+        here, so every commit made in L is in a log here; and (3) one
+        member was up to date in L, so its state holds everything
+        committed before L.  A member with no first-hand claim (a
+        restarted one inherits the claim of any non-primary view it
+        passes through, and may have been in a newer primary view before
+        the crash), an absent member of L, or an L that never had an
+        up-to-date member (it was suspended from the start) leaves the
+        round to wait for the universe."""
+        claims = [report.lineage for report in reports.values()]
+        if None in claims:
+            return False
+        newest = most_recent(claims)
+        return set(newest.members) <= set(reports) and any(
+            report.utd_lineage == newest for report in reports.values())
 
     def on_creation_report(self, report: CreationReport, gseq: int) -> None:
         self._creation_reports[report.site] = report
@@ -713,6 +746,13 @@ class BaseReconfigManager:
         if set(self._creation_reports) != self._creation_members:
             return
         reports = self._creation_reports
+        if (self._creation_members != set(self.node.member.universe)
+                and not self.majority_covers(reports)):
+            # This view's round is over without a source; the next view
+            # change starts another.
+            self._creation_reports = {}
+            self._creation_members = None
+            return
         source = min(reports.values(), key=lambda r: (-r.cover_gid, r.site)).site
         if source != self.node.site_id:
             self._reset_creation()
@@ -730,6 +770,10 @@ class BaseReconfigManager:
         for gid in sorted(merged):
             for obj, value in sorted(merged[gid].items()):
                 db.store.write(obj, value, gid)
+                # The merge bypasses the commit path: register it, or a
+                # RecTable transfer to a joiner whose cover is below gid
+                # omits the object (chaos --seed 157 --mode vs).
+                db.rectable.register(obj, gid)
             applied_max = gid
         # Complete the outcome table the same way: every settled client
         # request known to any surviving log is settled system-wide.

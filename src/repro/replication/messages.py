@@ -139,3 +139,10 @@ class CreationReport:
     #: ``(client_id, seq, attempt, gid, committed)`` rows, so the elected
     #: creation source also completes the exactly-once outcome table.
     outcomes: Tuple[Tuple[str, int, int, int, bool], ...] = ()
+    #: What decides whether a majority's reports suffice
+    #: (``BaseReconfigManager.majority_covers``): the newest primary view
+    #: this site knew of before the creation view (a PrimaryLineage; None
+    #: until it has been in a primary view since its last restart), and
+    #: the newest primary view it was an up-to-date member of.
+    lineage: Any = None
+    utd_lineage: Any = None

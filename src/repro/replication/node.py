@@ -39,6 +39,7 @@ from repro.db.locks import LockMode
 from repro.db.wal import PersistentStorage
 from repro.gcs.config import GCSConfig
 from repro.gcs.member import GroupMember
+from repro.gcs.primary import PrimaryLineage
 from repro.gcs.view import View
 from repro.net.network import Network
 from repro.replication.messages import (
@@ -113,12 +114,16 @@ class NodeConfig:
     object_size_bytes: int = 256
     #: Let the creation protocol run from any *primary* (majority) view
     #: instead of waiting for the full universe (the paper's section 3
-    #: rule).  Only honoured under uniform (safe) delivery, where no site
-    #: can process a transaction before every member of the delivering
-    #: view holds it, so a majority's logs jointly cover everything any
-    #: site ever processed.  Off by default: the all-sites rule is the
-    #: paper's documented behaviour; endurance runs enable this so a
-    #: flapping straggler cannot starve a suspended majority.
+    #: rule), under uniform delivery.  Uniformity only puts a delivered
+    #: transaction in the memory of a delivery quorum, and a commit is
+    #: certain to be in its committer's log alone, so the majority's
+    #: reports elect a source only when they provably hold every commit
+    #: (``BaseReconfigManager.majority_covers``: every member has been in
+    #: a primary view since its last restart, the newest primary view is
+    #: all present and had an up-to-date member) — never after a total
+    #: failure.  Off by default: the all-sites rule
+    #: is the paper's documented behaviour; endurance runs enable this so
+    #: a flapping straggler cannot starve a suspended majority.
     creation_majority: bool = False
     checkpoint_interval: float = 1.0
     #: Truncate the WAL prefix the checkpoint image subsumes (bounded log
@@ -231,6 +236,9 @@ class ReplicatedDatabaseNode:
 
         self._status = SiteStatus.DOWN
         self.up_to_date = False
+        #: Lineage of the newest primary view this site was an up-to-date
+        #: member of (volatile: a restart forgets it).
+        self.utd_lineage: Optional[PrimaryLineage] = None
         self.proc = Process(sim)
 
         self._local_txns: Dict[str, Transaction] = {}
@@ -332,6 +340,7 @@ class ReplicatedDatabaseNode:
 
     def _start_common(self, why: str) -> None:
         self._set_status(SiteStatus.STALLED, why)
+        self.utd_lineage = None
         self.site_covers = {}
         self.site_utd = {}
         self._utd_asof = {}
@@ -528,11 +537,12 @@ class ReplicatedDatabaseNode:
         to date, and what the (e-)view itself says about who is."""
         if self.status is SiteStatus.DOWN:
             return
-        if self.member.last_install_missed > 0 and self.up_to_date:
+        if self.site_id in self.member.stale_members and self.up_to_date:
             # The total-order lineage delivered messages we never saw
-            # (lost SYNC / stale view): our copy is silently behind, so
-            # up-to-date status is lost and a data transfer must refresh
-            # us like any other joiner.
+            # (lost SYNC / stale view), or the flush cannot vouch that we
+            # saw them (the direct-member rule): our copy may be silently
+            # behind, so up-to-date status is lost and a data transfer or
+            # the creation protocol must refresh us like any other joiner.
             self.up_to_date = False
         primary = self.member.is_primary()
         # Update knowledge about other sites from the flushed states.
@@ -572,6 +582,7 @@ class ReplicatedDatabaseNode:
             self._stall()
         elif self.reconfig.in_primary_component() and self.up_to_date:
             self._set_status(SiteStatus.ACTIVE)
+            self.utd_lineage = self.member.lineage
         elif self.reconfig.any_up_to_date(view):
             self._demote(SiteStatus.RECOVERING)
         else:
@@ -632,6 +643,7 @@ class ReplicatedDatabaseNode:
         self.up_to_date = True
         self.site_utd[self.site_id] = True
         self._set_status(SiteStatus.ACTIVE, "up to date")
+        self.utd_lineage = self.member.lineage
 
     # ------------------------------------------------------------------
     # Serialization / write / commit phases (III-V)

@@ -69,8 +69,8 @@ class ScheduleExecutor(Campaign):
     REPORT = EnduranceReport
     RNG_STREAM = "endurance"
     TRACE_CATEGORY = "endurance"
-    # A flapping straggler must not starve a suspended majority: allow
-    # creation from any primary view (uniform delivery).
+    # A flapping straggler must not starve a suspended majority: let a
+    # primary view create when its reports provably hold every commit.
     CREATION_MAJORITY = True
     BACKOFF_JITTER = 0.5
     SETTLE = (0.0, 0.3)

@@ -121,6 +121,20 @@ def activation_monitor(monkeypatch):
     monkeypatch.setattr(ClusterBuilder, "build", build)
 
 
+class DropMessages:
+    """Network fault injector: drop every message of the given types on
+    the given directed site links, ``{(src, dst): (type, ...)}``.  Cuts a
+    single kind of traffic — the batches one member would receive, the
+    acks another would send — where a partition would cut it all."""
+
+    def __init__(self, rules) -> None:
+        self.rules = rules
+
+    def transform(self, src, dst, payload, delays, rng, now):
+        kinds = self.rules.get((src.split(":")[0], dst.split(":")[0]), ())
+        return [] if isinstance(payload, kinds) else delays
+
+
 def quick_cluster(**kwargs):
     """A started, bootstrapped cluster with sensible test defaults."""
     defaults = dict(n_sites=3, db_size=40, seed=42, strategy="rectable")

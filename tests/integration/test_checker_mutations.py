@@ -8,7 +8,10 @@ through the production seam ``cluster.install_storage_faults`` — after
 which that checker, called directly on the run's history and nodes,
 raises.  The same run without the mutation passes the whole battery, so
 it is the mutation that kills.  ``test_every_checker_has_a_killing_mutation``
-fails when ``run_all_checks`` gains a checker without a row.
+fails when ``run_all_checks`` gains a checker without a row.  A protocol
+rule with no checker of its own gets a row too, under its own name: the
+majority-ack delivery quorum, one too small, is killed by gid
+consistency.
 
 The run-level proofs ride elsewhere, on full campaigns: *no dedup* on a
 client-mode chaos storm (``test_client_failover``), *one site skips the
@@ -28,11 +31,12 @@ from repro.checkers import ConsistencyViolation, run_all_checks
 from repro.db.database import Database
 from repro.db.wal import WriteRecord
 from repro.gcs.member import GroupMember
+from repro.gcs.messages import OrderedBatch
 from repro.gcs.view import View
 from repro.replication.messages import RequestId
 from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
 from tests import mutations
-from tests.conftest import quick_cluster
+from tests.conftest import DropMessages, quick_cluster
 from tests.integration.test_creation_protocol import total_failure_under_load
 
 
@@ -54,6 +58,33 @@ def crash_and_rejoin(cluster, load_through_the_crash=True):
     cluster.crash("S3")
     cluster.run_for(0.6)
     cluster.recover("S3")
+    cluster.run_for(1.5)
+    load.stop()
+    cluster.settle(0.5)
+
+
+def crash_the_sequencer_at_its_commit(cluster):
+    """Under load, S3 restarts (so the view it rejoins is built after a
+    mutation applied at boot); then S1's batches stop reaching S2 and S3
+    (its retransmission push still does), S1 submits m and crashes the
+    moment m commits there, and rejoins.  With the right quorum S1
+    commits m only once S2 acked it, so S2 carries m into the next view."""
+    load = LoadGenerator(cluster, WorkloadConfig(
+        arrival_rate=300.0, reads_per_txn=2, writes_per_txn=2))
+    load.start()
+    cluster.run_for(0.2)
+    cluster.crash("S3")
+    cluster.run_for(0.4)
+    cluster.recover("S3")
+    assert cluster.await_all_active(timeout=5)
+    cut = cluster.add_injector(DropMessages(
+        {("S1", "S2"): (OrderedBatch,), ("S1", "S3"): (OrderedBatch,)}))
+    m = cluster.submit_via("S1", [], {"obj0": "m"})
+    cluster.await_condition(lambda: m.done, timeout=1.0, step=0.0001)
+    cluster.crash("S1")
+    cluster.remove_injector(cut)
+    cluster.run_for(0.6)
+    cluster.recover("S1")
     cluster.run_for(1.5)
     load.stop()
     cluster.settle(0.5)
@@ -158,45 +189,56 @@ def call_checker(name, cluster):
               for parameter in inspect.signature(checker).parameters))
 
 
-#: checker -> (run, mutation, what the violation says)
+def delivery_quorum_one_too_small(monkeypatch, cluster):
+    mutations.delivery_quorum_one_too_small(monkeypatch)
+
+
+#: row -> (checker, run, mutation, what the violation says); a row per
+#: checker is named after it.
 KILLS = {
     "check_gid_consistency": (
-        crash_and_rejoin, delivers_another_message,
+        "check_gid_consistency", crash_and_rejoin, delivers_another_message,
         "bound to two different transactions"),
     "check_processing_order": (
-        crash_and_rejoin, emits_every_commit_twice,
+        "check_processing_order", crash_and_rejoin, emits_every_commit_twice,
         r"S2 terminated gid \d+ twice"),
     "check_decision_agreement": (
-        crash_and_rejoin, version_check_answers(False),
+        "check_decision_agreement", crash_and_rejoin, version_check_answers(False),
         r"commit at one site but abort at S2|abort at one site but commit"),
     "check_one_copy_serializability": (
-        crash_and_rejoin, version_check_answers(True),
+        "check_one_copy_serializability", crash_and_rejoin, version_check_answers(True),
         "but the serial execution has version"),
     "check_view_synchrony": (
-        crash_and_rejoin, installs_a_view_with_the_dead_member,
+        "check_view_synchrony", crash_and_rejoin, installs_a_view_with_the_dead_member,
         r"installed with members \('S1', 'S2'\) at S1 but "
         r"\('S1', 'S2', 'S3'\) at S2"),
     "check_convergence": (
-        crash_and_rejoin, applies_another_value,
+        "check_convergence", crash_and_rejoin, applies_another_value,
         "replica divergence among up-to-date sites"),
     "check_atomicity_durability": (
+        "check_atomicity_durability",
         lambda cluster: crash_and_rejoin(cluster, load_through_the_crash=False),
         loses_a_durable_write_at_the_crash,
         r"S3 has obj\d+ at version -?\d+ < committed writer"),
     "check_exactly_once": (
-        resubmit_one_request, no_dedup,
+        "check_exactly_once", resubmit_one_request, no_dedup,
         "request CX:1 committed under 2 distinct gids"),
+    "delivery_quorum_one_too_small": (
+        "check_gid_consistency", crash_the_sequencer_at_its_commit,
+        delivery_quorum_one_too_small, "bound to two different transactions"),
 }
 
 
 def test_every_checker_has_a_killing_mutation():
     battery = re.findall(r"\b(check_\w+)\(", inspect.getsource(run_all_checks))
-    assert sorted(battery) == sorted(KILLS) and len(battery) == 8
+    assert len(battery) == 8
+    assert {row[0] for row in KILLS.values()} == set(battery)
+    assert all(KILLS[name][0] == name for name in battery)
 
 
 @pytest.mark.parametrize("name", sorted(KILLS))
 def test_mutation_kills_its_checker(monkeypatch, name):
-    run, mutate, says = KILLS[name]
+    checker, run, mutate, says = KILLS[name]
     # Contended on purpose (12 objects): version-check aborts must occur
     # for a certification mutation to have something to get wrong.
     clean = quick_cluster(db_size=12)
@@ -207,7 +249,7 @@ def test_mutation_kills_its_checker(monkeypatch, name):
     mutate(monkeypatch, mutated)
     run(mutated)
     with pytest.raises(ConsistencyViolation, match=says):
-        call_checker(name, mutated)
+        call_checker(checker, mutated)
 
 
 # ----------------------------------------------------------------------

@@ -51,11 +51,13 @@ def test_pinned_seeds_are_exactly_once_per_backend(backend, seed):
     assert report.metrics["client.unresolved"] == 0
 
 
-@pytest.mark.parametrize("mode,seed", [("evs", 12), ("vs", 23)])
+@pytest.mark.parametrize("mode,seed", [("evs", 12), ("vs", 25)])
 def test_sabotaged_dedup_is_caught(monkeypatch, mode, seed):
     """With the outcome table answering "never seen", resubmission after
     an in-doubt crash re-executes the request; the checker must call it
-    out."""
+    out.  (``vs`` 23 stopped re-executing one when primary views began
+    delivering on a majority of acks: no request is in doubt across its
+    crash any more.  20 of ``vs`` seeds 0..39 still bite; 25 is pinned.)"""
     mutations.no_dedup(monkeypatch)
     report = run_chaos(seed=seed, mode=mode, clients=6)
     assert not report.ok

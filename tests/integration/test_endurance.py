@@ -11,10 +11,11 @@ import pytest
 
 from repro.endurance import EnduranceConfig, derive_genome, run_endurance
 from repro.faults.campaign import dump_artifacts, repro_command
+from repro.gcs.messages import Ack, Ordered, OrderedBatch
 from repro.replication.node import NodeConfig, SiteStatus
 from repro.search.executor import ScheduleExecutor
 from tests import mutations
-from tests.conftest import quick_cluster, run_load
+from tests.conftest import DropMessages, quick_cluster, run_load
 
 
 class TestSegmentFamilies:
@@ -139,11 +140,13 @@ class TestSabotage:
         """The mutation proves the sweeps have teeth: a site that
         silently drops the peer's outcome table must be caught — by
         ``check_decision_agreement``, at the first sweep after S1's
-        stale table decides a replayed request differently."""
-        clean = run_endurance(25, duration=8.0)
+        stale table decides a replayed request differently.  (Seed 25
+        bit until primary views began delivering on a majority of acks;
+        of seeds 0..59, 3, 5 and 11 bite now.)"""
+        clean = run_endurance(3, duration=8.0)
         assert clean.ok, clean.error
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        mutated = run_endurance(25, duration=8.0)
+        mutated = run_endurance(3, duration=8.0)
         assert not mutated.ok
         assert "quiescent sweep" in mutated.error
         assert "commit at one site but abort at S1" in mutated.error
@@ -154,26 +157,110 @@ class TestMajorityCreation:
         assert NodeConfig().creation_majority is False
 
     def test_majority_view_creates_when_enabled(self):
-        """With creation_majority on (and uniform delivery), two of three
-        recovered sites suffice — the §3 all-sites wait is waived."""
+        """With creation_majority on, a majority creates when its reports
+        provably hold every commit: S4 and S5 are down for good, the
+        primary view {S1,S2,S3} shatters into three non-primary views,
+        and when it re-forms every member still carries its lineage, all
+        of it is present and its members were up to date in it — the §3
+        all-sites wait for S4 and S5 is waived."""
         cluster = quick_cluster(
-            db_size=30, node_config=NodeConfig(creation_majority=True))
+            n_sites=5, db_size=30, node_config=NodeConfig(creation_majority=True))
+        cluster.crash("S4")
+        cluster.crash("S5")
         run_load(cluster, duration=0.4)
-        for site in cluster.universe:
-            cluster.crash(site)
-        cluster.run_for(0.3)
-        cluster.recover("S1")
-        cluster.recover("S2")  # majority present, S3 still down
+        cluster.partition([["S1"], ["S2"], ["S3"]])
+        cluster.run_for(0.5)
+        assert all(cluster.nodes[s].status is SiteStatus.STALLED
+                   for s in ("S1", "S2", "S3"))
+        cluster.heal()
         ok = cluster.await_condition(
             lambda: all(cluster.nodes[s].status is SiteStatus.ACTIVE
-                        for s in ("S1", "S2")),
+                        for s in ("S1", "S2", "S3")),
             timeout=30,
         )
         assert ok, "majority view did not run the creation protocol"
-        cluster.recover("S3")
+        cluster.recover("S4")
+        cluster.recover("S5")
         assert cluster.await_all_active(timeout=30)
         cluster.settle(0.5)
         cluster.check()
+
+    def test_majority_after_a_total_failure_waits_for_the_committer(self):
+        """S1 commits m while S2 and S3 only hold it — S1's batches and
+        every ack towards them are cut, so m reaches them by S1's
+        retransmission push, unacknowledged — and all three crash.  S2
+        and S3 recover with creation_majority on: m is in S1's log alone,
+        so they stay suspended (once they elected S2, and m was lost)
+        until S1 is back and the all-sites round elects it."""
+        cluster = quick_cluster(
+            db_size=30, node_config=NodeConfig(creation_majority=True))
+        run_load(cluster, duration=0.4)
+        cut = cluster.add_injector(DropMessages({
+            ("S1", "S2"): (OrderedBatch, Ack), ("S1", "S3"): (OrderedBatch, Ack),
+            ("S2", "S3"): (Ack,), ("S3", "S2"): (Ack,)}))
+        m = cluster.submit_via("S1", [], {"obj0": "m"})
+        assert cluster.await_condition(lambda: m.committed, timeout=1, step=0.001)
+        assert all(m.gid > cluster.nodes[s].last_processed_gid for s in ("S2", "S3"))
+        for site in cluster.universe:
+            cluster.crash(site)
+        cluster.remove_injector(cut)
+        cluster.run_for(0.3)
+        cluster.recover("S2")
+        cluster.recover("S3")
+        cluster.run_for(2.0)
+        assert all(cluster.nodes[s].status is SiteStatus.SUSPENDED
+                   for s in ("S2", "S3"))
+        cluster.recover("S1")
+        assert cluster.await_all_active(timeout=30)
+        cluster.settle(0.5)
+        cluster.check()
+        assert all(node.db.store.read("obj0") == ("m", m.gid)
+                   for node in cluster.nodes.values())
+
+    def test_inherited_lineage_claim_does_not_vouch(self):
+        """L = {S1,S2,S3}, then S1, S2 and the joiner S4 form P.  S4
+        commits m on the quorum {S4, S1} — S1 holds it undelivered (S4's
+        acks to it are cut), S2 never receives it — and S1, S2, S4 crash.
+        S1 and S2 restart, each through a non-primary view with S3, and
+        inherit S3's claim L.  When {S1,S2,S3} forms, every claim is L,
+        all of L is here and S3 was up to date in L, yet m is in S4's
+        log alone: a restarted incarnation's inherited claim must not
+        count, so the view stays suspended until S4 is back."""
+        cluster = quick_cluster(
+            n_sites=5, db_size=30, node_config=NodeConfig(creation_majority=True))
+        cluster.crash("S4")
+        cluster.crash("S5")
+        run_load(cluster, duration=0.3)
+        cluster.partition([["S1", "S2", "S4"], ["S3"], ["S5"]])
+        cluster.recover("S4")
+        assert cluster.await_all_active(sites=["S1", "S2", "S4"], timeout=10)
+        cut = cluster.add_injector(DropMessages({
+            ("S1", "S2"): (OrderedBatch, Ordered), ("S4", "S1"): (Ack,)}))
+        m = cluster.submit_via("S4", [], {"obj0": "m"})
+        assert cluster.await_condition(lambda: m.committed, timeout=1, step=0.001)
+        assert all(m.gid > cluster.nodes[s].last_processed_gid for s in ("S1", "S2"))
+        for site in ("S1", "S2", "S4"):
+            cluster.crash(site)
+        cluster.remove_injector(cut)
+        cluster.run_for(0.3)
+        cluster.partition([["S1", "S3"], ["S2"], ["S4"], ["S5"]])
+        cluster.recover("S1")
+        cluster.recover("S2")
+        cluster.run_for(1.0)
+        cluster.partition([["S1"], ["S2", "S3"], ["S4"], ["S5"]])
+        cluster.run_for(1.0)
+        cluster.heal()
+        cluster.run_for(2.0)
+        assert cluster.nodes["S1"].member.view.members == ("S1", "S2", "S3")
+        assert all(cluster.nodes[s].status is SiteStatus.SUSPENDED
+                   for s in ("S1", "S2", "S3"))
+        cluster.recover("S4")
+        cluster.recover("S5")
+        assert cluster.await_all_active(timeout=30)
+        cluster.settle(0.5)
+        cluster.check()
+        assert all(node.db.store.read("obj0") == ("m", m.gid)
+                   for node in cluster.nodes.values())
 
 
 class TestArtifacts:
@@ -222,18 +309,18 @@ class TestWiring:
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
         results = run_seed_fleet(
-            "endurance", [25], duration=8.0, artifacts_dir=str(tmp_path))
-        payload = results[25]
+            "endurance", [3], duration=8.0, artifacts_dir=str(tmp_path))
+        payload = results[3]
         assert not payload["ok"]
         assert payload["artifacts"], "failed worker left no evidence"
         assert any(path.endswith("repro.txt")
                    for path in payload["artifacts"])
         # The bundle carries the derived genome: the search replays it
         # to the same failure.
-        schedule = tmp_path / "seed25-vs" / "schedule.json"
+        schedule = tmp_path / "seed3-vs" / "schedule.json"
         assert str(schedule) in payload["artifacts"]
         replay = f"python -m repro search --replay {schedule}"
-        assert replay in (tmp_path / "seed25-vs" / "repro.txt").read_text()
+        assert replay in (tmp_path / "seed3-vs" / "repro.txt").read_text()
         assert main(["search", "--replay", str(schedule)]) == 1
 
 
@@ -253,13 +340,13 @@ class TestCli:
         from repro.cli import main
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        code = main(["chaos", "--endurance", "--seed", "25",
+        code = main(["chaos", "--endurance", "--seed", "3",
                      "--duration", "8", "--artifacts-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert "FAILURE" in err
         assert "reproduce: PYTHONPATH=src python -m repro chaos" in err
-        assert (tmp_path / "seed25-vs" / "schedule.txt").exists()
+        assert (tmp_path / "seed3-vs" / "schedule.txt").exists()
 
     def test_endurance_fleet_table(self, capsys):
         from repro.cli import main

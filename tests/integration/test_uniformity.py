@@ -11,9 +11,11 @@ These tests construct exactly that interleaving and show that uniform
 
 import pytest
 
-from repro import ClusterBuilder, NodeConfig
+from repro import ClusterBuilder, LoadGenerator, NodeConfig, WorkloadConfig
 from repro.gcs.config import GCSConfig
+from repro.gcs.messages import Ack, Ordered, OrderedBatch
 from repro.replication.node import SiteStatus
+from tests.conftest import DropMessages
 
 
 def build(uniform: bool, seed=3):
@@ -72,3 +74,64 @@ class TestUniformDelivery:
 
     def test_uniform_is_the_default(self):
         assert GCSConfig().uniform is True
+
+
+def commit_on_a_quorum_then_crash(cluster):
+    """Under load, S2 commits m on the quorum {S1, S2} while S3 is cut
+    off from S1's total-order traffic and S2's acks never reach S1: S1
+    (the sequencer) holds m undelivered, S3 never hears of it.  Then S1
+    and S2 crash.  Returns m."""
+    load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=100.0, reads_per_txn=1,
+                                                 writes_per_txn=2))
+    load.start()
+    cluster.run_for(0.3)
+    cut = cluster.add_injector(DropMessages({
+        ("S1", "S3"): (OrderedBatch, Ordered, Ack), ("S2", "S1"): (Ack,)}))
+    m = cluster.submit_via("S2", [], {"obj0": "m"})
+    assert cluster.await_condition(lambda: m.committed, timeout=1, step=0.001)
+    assert cluster.nodes["S1"].last_processed_gid < m.gid
+    assert all(held.gseq != m.gid
+               for held in cluster.nodes["S3"].member.to.received.values())
+    cluster.crash("S1")
+    cluster.crash("S2")
+    cluster.remove_injector(cut)
+    return m
+
+
+class TestQuorumAcrossViews:
+    """A primary view delivers on a majority of acks, so the next
+    primary view is trusted only if it holds a member of every such
+    majority: |V| − q + 1 members flushing straight out of V (the
+    direct-member rule).  {S1, S3} after the crash of {S1, S2} holds
+    none — S1 restarted, S3 was cut off — so nobody in it is up to date
+    and the view waits for the logs instead of reusing m's gid."""
+
+    @pytest.mark.parametrize("first_back", ["S1", "S2"])
+    def test_two_crashes_leave_no_up_to_date_member(self, first_back):
+        """``S1`` back first: its log stops below m, S3 never saw m, so
+        only the direct-member rule keeps {S1, S3} from continuing at
+        m's gid (``chaos --seed 30 --mode logless`` bound one gid to two
+        transactions that way).  ``S2`` back first: its log holds m, so
+        S3 is stale by the gid gap anyway, and {S2, S3} stays suspended
+        even with creation_majority on — S2 restarted, so nothing proves
+        the two logs hold every commit.  Either way the third site's
+        return runs the creation round, which elects S2, m's one log."""
+        cluster = ClusterBuilder(n_sites=3, db_size=40, seed=42, strategy="rectable",
+                                 node_config=NodeConfig(creation_majority=True)).build()
+        cluster.start()
+        assert cluster.await_all_active(timeout=10)
+        m = commit_on_a_quorum_then_crash(cluster)
+        cluster.run_for(0.05)
+        cluster.recover(first_back)
+        cluster.run_for(1.0)
+        pair = cluster.nodes[first_back].member.view.members
+        assert pair == tuple(sorted((first_back, "S3")))
+        assert [e.site for e in cluster.history.events if e.gid == m.gid] == ["S2"]
+        assert all(cluster.nodes[s].status is SiteStatus.SUSPENDED for s in pair)
+        assert "S3" in cluster.nodes["S3"].member.stale_members
+        cluster.recover("S1" if first_back == "S2" else "S2")
+        assert cluster.await_all_active(timeout=30)
+        cluster.settle(0.5)
+        cluster.check()
+        assert all(node.db.store.read("obj0")[1] >= m.gid
+                   for node in cluster.nodes.values())

@@ -2,7 +2,8 @@
 non-vacuous without a switch in production code.
 
 Each helper monkeypatches **one** method so that one site (or, for
-``no_dedup``, every site) misbehaves in one precise way; the test then
+``no_dedup`` and the delivery quorum, every site) misbehaves in one
+precise way; the test then
 asserts that the checker whose job it is to notice does notice.
 ``src/repro`` has no sabotage flag, config field, environment variable
 or node attribute: a run is mutated from here or not at all.
@@ -26,6 +27,7 @@ import pytest
 
 from repro import audit
 from repro.db.outcomes import OutcomeTable
+from repro.gcs.total_order import ViewTotalOrder
 from repro.reconfig.manager import BaseReconfigManager
 from repro.replication.node import SiteStatus
 from repro.sim.core import Simulator
@@ -113,6 +115,22 @@ def discard_until_the_offer(monkeypatch, site: str) -> list:
     patch_where(monkeypatch, BaseReconfigManager, "_became_up_to_date",
                 at_site(site), forget_to_enqueue)
     return markers
+
+
+def delivery_quorum_one_too_small(monkeypatch) -> None:
+    """*The delivery quorum is one too small*: a primary view of n
+    members delivers what ⌊n/2⌋ of them hold instead of ⌊n/2⌋ + 1, while
+    the next view's direct-member rule still counts on the right quorum,
+    so a delivery can miss every member the next view trusts.  Killed by
+    ``check_gid_consistency``."""
+    real = ViewTotalOrder.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        if self.quorum < len(self.view.members):
+            self.quorum -= 1
+
+    monkeypatch.setattr(ViewTotalOrder, "__init__", init)
 
 
 def reseed_second_run(monkeypatch, offset: int = 100003) -> None:

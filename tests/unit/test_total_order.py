@@ -1,6 +1,6 @@
 """Unit tests for the per-view total order state machine (sequencer)."""
 
-from repro.gcs.messages import Ack, Data, Nak, Ordered
+from repro.gcs.messages import Ack, AckSolicit, Data, Nak, Ordered
 from repro.gcs.total_order import ViewTotalOrder
 from repro.gcs.view import View, ViewId
 
@@ -8,7 +8,8 @@ from repro.gcs.view import View, ViewId
 class Harness:
     """Drives one member's ViewTotalOrder with a loopback transport."""
 
-    def __init__(self, me="S1", members=("S1", "S2", "S3"), base_gseq=0, uniform=True):
+    def __init__(self, me="S1", members=("S1", "S2", "S3"), base_gseq=0, uniform=True,
+                 quorum=None):
         self.sent = []  # (dst, msg)
         self.delivered = []
         view = View(ViewId(1, "S1"), members)
@@ -19,6 +20,7 @@ class Harness:
             send=lambda dst, msg: self.sent.append((dst, msg)),
             deliver=self.delivered.append,
             uniform=uniform,
+            quorum=quorum,
         )
 
     def ordered(self, seq, sender="S2", payload=None, gseq=None):
@@ -119,6 +121,46 @@ class TestUniformDelivery:
         h = Harness(me="S2", uniform=False)
         h.to.on_ordered(h.ordered(0))
         assert [m.seq for m in h.delivered] == [0]
+
+    def test_quorum_delivers_on_the_quorum_th_highest_ack(self):
+        h = Harness(me="S2", members=("S1", "S2", "S3", "S4", "S5"), quorum=3)
+        h.to.on_ordered(h.ordered(0))
+        h.to.on_ordered(h.ordered(1))
+        h.to.on_ack(Ack(sender="S1", view_id=h.to.view.view_id, highwater=1))
+        assert [m.seq for m in h.delivered] == []  # S1 and S2 hold 1: two acks
+        h.to.on_ack(Ack(sender="S4", view_id=h.to.view.view_id, highwater=0))
+        assert [m.seq for m in h.delivered] == [0]  # 0 is held by three
+        assert h.to.stable_seq == 0
+        h.to.on_ack(Ack(sender="S5", view_id=h.to.view.view_id, highwater=1))
+        assert [m.seq for m in h.delivered] == [0, 1]
+
+    def test_quorum_flush_cut_reaches_below_the_delivered_prefix(self):
+        """A survivor may lack what this member delivered on a quorum it
+        was not part of, so the cut starts at the all-ack horizon."""
+        h = Harness(me="S2", quorum=2)
+        h.to.on_ordered(h.ordered(0))
+        h.to.on_ack(Ack(sender="S1", view_id=h.to.view.view_id, highwater=0))
+        assert [m.seq for m in h.delivered] == [0]
+        assert [m.seq for m in h.to.flush_cut()] == [0]
+
+
+class TestAckSolicitation:
+    def test_a_member_stuck_a_whole_period_solicits_the_members_below(self):
+        h = Harness(me="S2")
+        h.to.on_ordered(h.ordered(0))
+        h.to.on_ack(Ack(sender="S1", view_id=h.to.view.view_id, highwater=0))
+        h.to.maintenance()  # first period on this horizon: re-ack only
+        assert not [m for _, m in h.sent if isinstance(m, AckSolicit)]
+        h.to.maintenance()
+        assert [dst for dst, m in h.sent if isinstance(m, AckSolicit)] == ["S3"]
+
+    def test_solicit_is_answered_with_the_cumulative_ack(self):
+        h = Harness(me="S3")
+        h.to.on_ordered(h.ordered(0))
+        h.sent.clear()
+        h.to.on_ack_solicit(AckSolicit(sender="S2", view_id=h.to.view.view_id))
+        assert h.sent == [("S2", Ack(sender="S3", view_id=h.to.view.view_id,
+                                     highwater=0))]
 
 
 class TestFlushSupport:
