@@ -113,8 +113,12 @@ def _build_cases() -> Dict[str, AuditCase]:
     # so each must also be exactly reproducible.
     for mode, seed in (("evs", 9), ("evs", 2), ("evs", 14), ("evs", 23),
                        ("evs", 12), ("evs", 55), ("evs", 84), ("evs", 24),
-                       ("vs", 23), ("vs", 48), ("vs", 157), ("logless", 30)):
+                       ("vs", 23), ("vs", 48), ("vs", 157), ("logless", 30),
+                       ("evs", 196)):
         cases.append(_chaos_case(mode, seed))
+    # These went wrong after the 1.5 s storm ends: run the chaos default.
+    for mode, seed in (("evs", 106), ("vs", 47), ("logless", 27)):
+        cases.append(_chaos_case(mode, seed, duration=3.0))
     # One storm carrying the observability-equivalence axis (PR 3's
     # claim) and the profiler-equivalence axis on top of determinism.
     cases.append(_chaos_case("vs", 7, axes=("obs", "profile"),

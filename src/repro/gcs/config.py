@@ -22,12 +22,11 @@ class GCSConfig:
         Silence threshold after which a node is suspected by the failure
         detector.  Must be comfortably larger than ``presence_interval``.
         The membership decision is re-taken at the exact instant a
-        suspicion expires, not at the next maintenance period.
-    stabilization_delay:
-        Debounce between detecting a membership mismatch and initiating a
-        view change round, so that bursts of suspicions/joins coalesce
-        into a single view change.  Honoured exactly: the round starts
-        ``stabilization_delay`` after the mismatch first appeared.
+        suspicion expires, not at the next maintenance period.  A
+        removal starts its round then; any other mismatch (a newcomer,
+        a foreign or stale view claim) waits one ``presence_interval``
+        from when it appeared, so that the beacons of a concurrent
+        restart or merge coalesce into a single view change.
     flush_timeout:
         How long a round initiator waits for FLUSH replies before
         abandoning the round, force-suspecting the silent members and
@@ -58,7 +57,6 @@ class GCSConfig:
 
     presence_interval: float = 0.05
     suspect_timeout: float = 0.22
-    stabilization_delay: float = 0.06
     flush_timeout: float = 0.5
     round_timeout: float = 1.0
     retransmit_interval: float = 0.1

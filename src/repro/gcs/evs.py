@@ -283,14 +283,17 @@ class EnrichedGroupMember:
     def _replay_sync_requests(self, view: View, claims: Dict[str, Dict[str, Any]]) -> None:
         """Apply the SYNC union's EVS requests on top of the flush-time
         structure claims, per previous-view group, in gseq order."""
-        tails = self.member.sync_evs_requests
+        unions = self.member.sync_unions
         by_pv: Dict[Any, List[str]] = {}
         for node in view.members:
             by_pv.setdefault(claims[node]["pv"], []).append(node)
         for pv, nodes in by_pv.items():
             if pv is None:
                 continue
-            for gseq, request in tails.get(pv, ()):
+            for ordered in unions.get(pv, ()):
+                request, gseq = ordered.payload, ordered.gseq
+                if not isinstance(request, EvsRequest):
+                    continue
                 if request.kind == "subview_set_merge":
                     key, new_id = "svs", ("svsm", gseq)
                 elif request.kind == "subview_merge":

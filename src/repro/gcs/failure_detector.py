@@ -88,6 +88,14 @@ class FailureDetector:
         return delay_until(now, oldest + self.suspect_timeout,
                            lambda t: not self._fresh(oldest, t))
 
+    def suspicion_due_within(self, delay: float) -> bool:
+        """Does some alive node turn suspected within ``delay`` from now
+        (by :meth:`_fresh`, at ``now + delay``)?"""
+        now = self.sim.now
+        then = now + delay
+        return any(self._fresh(t, now) and not self._fresh(t, then)
+                   for t in self._last_heard.values())
+
     def claimed_view(self, node_id: str) -> Optional[ViewId]:
         """The view the node last advertised (None if never heard)."""
         if not self.is_alive(node_id):

@@ -39,7 +39,7 @@ from repro.gcs.messages import (
 )
 from repro.gcs.primary import PrimaryLineage, policy_by_name
 from repro.gcs.total_order import ViewTotalOrder
-from repro.gcs.view import View, singleton_view
+from repro.gcs.view import View, ViewId, singleton_view
 from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.process import Process
@@ -119,6 +119,9 @@ class GroupMember(Process):
         self._blocked = False
         self._next_msg_id = 0
         self._pending: Dict[int, Any] = {}  # msg_id -> payload, until self-delivery
+        #: Messages of the view a running round would install, received
+        #: before its SYNC (see :meth:`_hold`).
+        self._held: List[Any] = []
         self.views_installed: List[View] = []
         self.messages_delivered = 0
         #: How many global sequence numbers the lineage delivered that this
@@ -129,13 +132,16 @@ class GroupMember(Process):
         #: All members the last view change identified as stale (their
         #: delivery position was behind the agreed base).
         self.stale_members: Tuple[str, ...] = ()
-        #: EVS merge requests found in the last SYNC's per-previous-view
-        #: unions, as ``{prev_view_id: ((gseq, EvsRequest), ...)}``.  The
-        #: EVS layer replays them over the flush-time structure claims at
-        #: installation: a merge delivered between a member's flush reply
-        #: and the install is otherwise invisible to the claims, and a
-        #: structurally merged majority would wrongly fragment apart.
-        self.sync_evs_requests: Dict[Any, Tuple[Any, ...]] = {}
+        #: The last SYNC's per-previous-view unions, ``{prev_view_id:
+        #: (Ordered, ...)}``: what each group of installers delivered
+        #: between its flush reply and the install.  The flushed
+        #: application states cannot show those messages, and members of
+        #: another group never deliver them, so the layers above read them
+        #: here at installation: EVS merge requests (else a merged majority
+        #: fragments apart) and up-to-date announcements (else a stale
+        #: member sees nobody up to date, see
+        #: ``VsReconfigManager.view_up_to_date``).
+        self.sync_unions: Dict[ViewId, Tuple[Ordered, ...]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -149,12 +155,13 @@ class GroupMember(Process):
         self.epoch_floor += 1
         self._blocked = False
         self._pending = {}
+        self._held = []
         self._next_msg_id = 0
         self.lineage = None  # volatile group knowledge, lost in the crash
         self.lineage_claim = None
         self._installed_primary = False
         self.stale_members = ()
-        self.sync_evs_requests = {}
+        self.sync_unions = {}
         self.view = singleton_view(self.node_id, self.epoch_floor)
         self._view_primary = self.primary_policy.decide(
             self.view.members, len(self.universe), [self.lineage]
@@ -287,6 +294,8 @@ class GroupMember(Process):
         elif isinstance(payload, Data):
             if not self._blocked and payload.view_id == self.view.view_id:
                 self.to.on_data(payload)
+            else:
+                self._hold(payload)
         elif isinstance(payload, Presence):
             if self.config.dynamic_universe and payload.sender not in self.universe:
                 self.universe = tuple(sorted(set(self.universe) | {payload.sender}))
@@ -338,7 +347,19 @@ class GroupMember(Process):
             send_many=self.endpoint.send_many,
             obs=self.to_obs,
             quorum=self.delivery_quorum(len(view.members), self._view_primary),
+            stray=self._hold,
         )
+
+    def _hold(self, msg: Any) -> None:
+        """Keep a turned-away ``Data``/``Ordered``/``OrderedBatch``/``Ack``
+        if it is stamped with the view the round this member is frozen in
+        would install: on jittered links the new sequencer's first batch
+        can overtake SYNC, and a dropped one waits for the sequencer's
+        next maintenance push.  :meth:`install_view` replays what it
+        holds."""
+        round_id = self.membership.current_round
+        if round_id is not None and msg.view_id == ViewId(*round_id):
+            self._held.append(msg)
 
     def freeze_for_flush(self) -> None:
         """Stop sending and delivering while a membership round runs."""
@@ -388,6 +409,13 @@ class GroupMember(Process):
         self.views_installed.append(view)
         if self.app is not None:
             self.app.on_view_change(view, states)
+        # Replay what arrived for this view before SYNC, once the
+        # application has seen the view; a different view's are dropped.
+        # (``src`` is read by membership messages only.)
+        held, self._held = self._held, []
+        for msg in held:
+            if msg.view_id == view.view_id:
+                self._on_network(self.to.sequencer, msg)
         for msg_id, payload in list(self._pending.items()):
             self._transmit(msg_id, payload)
         self.membership.decide()

@@ -25,7 +25,7 @@ initiator id) with explicit NACKs.
 
 Rounds are started and abandoned only by :meth:`MembershipEngine.decide`,
 which runs whenever one of its inputs changes and at the instants a
-suspicion, the debounce or a round deadline falls due — never on a
+suspicion, the join wait or a round deadline falls due — never on a
 period.
 """
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.gcs.messages import (
-    EvsRequest,
     FlushNack,
     FlushReply,
     Ordered,
@@ -90,7 +89,7 @@ class MembershipEngine:
 
         Called when an input changes — a Presence, the end of a view
         installation, an aborted or resumed round — and by the wake-up
-        itself at the next suspicion expiry, end of the debounce, flush
+        itself at the next suspicion expiry, end of the join wait, flush
         deadline or sync deadline; never on a period."""
         member = self.member
         if self.current_round is not None:
@@ -140,15 +139,26 @@ class MembershipEngine:
         self.decide()
 
     def _maybe_initiate(self) -> None:
+        """Start a round once the view differs from what the failure
+        detector sees, and the difference has had time to settle.
+
+        A removal — the alive set a strict subset of the view, every
+        remaining member advertising this view — starts at once: a crash
+        has already cost its detection.  It waits only while another
+        alive node's suspicion falls due within one ``presence_interval``
+        of the mismatch (a partition silences several nodes, and their
+        expiries spread over one beacon period).  Every other mismatch —
+        a newcomer, a foreign or stale view claim — waits one
+        ``presence_interval`` from when it appeared (the join wait):
+        every beacon of a concurrent restart or merge arrives within one
+        period."""
         member = self.member
-        desired = member.fd.alive_nodes() | {member.node_id}
+        fd = member.fd
+        view_id = member.view.view_id
+        desired = fd.alive_nodes() | {member.node_id}
         view_members = set(member.view.members)
-        mismatch = desired != view_members or any(
-            member.fd.claimed_view(n) not in (None, member.view.view_id)
-            for n in desired
-            if n != member.node_id
-        )
-        if not mismatch:
+        claims = [fd.claimed_view(n) for n in desired if n != member.node_id]
+        if desired == view_members and all(c in (None, view_id) for c in claims):
             self._mismatch_since = None
             return
         if member.node_id != min(desired):
@@ -158,9 +168,11 @@ class MembershipEngine:
         if self._mismatch_since is None:
             self._mismatch_since = now
         since = self._mismatch_since
-        delay = member.config.stabilization_delay
-        if now - since < delay:
-            self._arm(delay_until(now, since + delay, lambda t: t - since >= delay))
+        window = member.config.presence_interval
+        removal = desired < view_members and all(c == view_id for c in claims)
+        if (fd.suspicion_due_within(since + window - now) if removal
+                else now - since < window):
+            self._arm(delay_until(now, since + window, lambda t: t - since >= window))
             return
         self._initiate(tuple(sorted(desired)))
 
@@ -413,10 +425,10 @@ class MembershipEngine:
         )
         self.rounds_completed += 1
         # Ship SYNC to the remote members *before* processing our own:
-        # installing the view locally resubmits pending messages, and
-        # those sends must not outrace SYNC to a member still in the old
-        # view (it would drop them as view-mismatched, stalling delivery
-        # until the sequencer's maintenance push repairs the gap).
+        # installing the view locally resubmits pending messages, which
+        # then leave after SYNC.  On jittered links they can still
+        # overtake it; a member frozen in this round holds them until it
+        # installs (``GroupMember._hold``).
         for node in self._round_members:
             if node != member.node_id:
                 member.endpoint.send(node, sync)
@@ -451,13 +463,6 @@ class MembershipEngine:
         union = msg.sync_messages.get(member.view.view_id, ())
         member.to.deliver_sync(union)
         member.stale_members = msg.stale
-        member.sync_evs_requests = {
-            vid: tuple(
-                (o.gseq, o.payload)
-                for o in msgs
-                if isinstance(o.payload, EvsRequest)
-            )
-            for vid, msgs in msg.sync_messages.items()
-        }
+        member.sync_unions = msg.sync_messages
         member.install_view(msg.view, msg.base_gseq, msg.states,
                             primary=msg.primary, lineage=msg.lineage)

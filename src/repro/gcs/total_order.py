@@ -50,6 +50,7 @@ DeliverFn = Callable[[Ordered], None]
 SendFn = Callable[[str, object], None]
 SendManyFn = Callable[[Tuple[str, ...], object], None]
 DeferFn = Callable[[Callable[[], None]], object]
+StrayFn = Callable[[object], None]
 
 
 class ViewTotalOrder:
@@ -71,6 +72,11 @@ class ViewTotalOrder:
 
     ``quorum`` is the number of members whose acks make a message
     deliverable (step 4); None means every member.
+
+    ``stray`` receives every ``Ordered``, ``OrderedBatch`` and ``Ack``
+    this instance turns away — stamped with another view, or arriving
+    while it is closed — so the member can keep those of the view it is
+    about to install; None drops them.
     """
 
     def __init__(
@@ -86,6 +92,7 @@ class ViewTotalOrder:
         send_many: Optional[SendManyFn] = None,
         obs: Optional[object] = None,
         quorum: Optional[int] = None,
+        stray: Optional[StrayFn] = None,
     ) -> None:
         self.view = view
         self.me = me
@@ -96,6 +103,7 @@ class ViewTotalOrder:
         self.quorum = len(view.members) if quorum is None else quorum
         self.sequencer = min(view.members)
         self.closed = False
+        self._stray = stray if stray is not None else (lambda msg: None)
         #: Observability instruments (repro.obs.SequencerInstruments),
         #: shared across the per-view instances of one member; ``None``
         #: keeps every hook to a single attribute check.
@@ -226,6 +234,7 @@ class ViewTotalOrder:
     # ------------------------------------------------------------------
     def on_ordered(self, msg: Ordered) -> None:
         if msg.view_id != self.view.view_id:
+            self._stray(msg)
             return
         if msg.seq in self.received:
             return
@@ -253,9 +262,13 @@ class ViewTotalOrder:
         one, so skipping the intermediates changes no receiver state at
         any virtual time.  A piggybacked sequencer ack is applied last,
         in the position its separate wire message would have had."""
+        vid = batch.view_id
+        if vid is not self.view.view_id and vid != self.view.view_id:
+            self._stray(batch)
+            return
         advanced = False
         for msg in batch.items:
-            if msg.view_id != self.view.view_id or msg.seq in self.received:
+            if msg.seq in self.received:
                 continue
             self.received[msg.seq] = msg
             while self.recv_highwater + 1 in self.received:
@@ -272,12 +285,14 @@ class ViewTotalOrder:
 
     def on_ack(self, msg: Ack) -> None:
         if self.closed:
+            self._stray(msg)
             return
         vid = msg.view_id
         # Identity check first: in-process, every message of this view
         # carries the very ViewId instance the Sync installed, so the
         # dataclass comparison only runs for cross-view stragglers.
         if vid is not self.view.view_id and vid != self.view.view_id:
+            self._stray(msg)
             return
         prev = self.ack_high.get(msg.sender)
         if prev is None or msg.highwater <= prev:

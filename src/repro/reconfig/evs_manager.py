@@ -169,14 +169,19 @@ class EvsReconfigManager(BaseReconfigManager):
             # view change that leaves me outside a primary subview voids it.
             self.activation_authorized = False
 
-        if primary is None and not self._creation_source:
+        if primary is None:
             # Primary view but no operational primary subview: every site
             # realizes locally that processing must be suspended, and the
-            # creation protocol runs once all sites are present.
+            # creation protocol runs once all sites are present.  The
+            # previous round's source runs it too: every joiner drops its
+            # transfer here, so sessions the source kept would retransmit
+            # into the void while the new round waits for its report
+            # (chaos --seed 196 --mode evs).
+            self._creation_source = False
             self.check_creation(eview.view)
             return
 
-        if primary is not None and node.site_id not in primary:
+        if node.site_id not in primary:
             # I'm a joiner.  Enqueueing starts once my subview-set has
             # been merged with the primary's (rule II); re-check here for
             # the cascaded / resume case.

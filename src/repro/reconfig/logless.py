@@ -80,10 +80,12 @@ class LoglessReconfigManager(VsReconfigManager):
     def __init__(self, node, strategy) -> None:
         super().__init__(node, strategy)
         self.config = ReplicatedConfig()
-        #: Base version of our in-flight add-self proposal, and how many
-        #: this join attempt has made.  A join attempt is what one
-        #: ``_announce`` starts; both are read only while ``_announced``,
-        #: which everything that abandons the attempt clears.
+        #: Base version of our in-flight write adding ourselves (add-self,
+        #: or the creation source's replace), and how many add-self
+        #: proposals this join attempt has made.  A join attempt is what
+        #: one ``_announce`` starts; both are read only while
+        #: ``_announced``, which everything that abandons the attempt
+        #: clears.
         self._add_proposed_version: Optional[int] = None
         self._add_attempts = 0
         self.config_proposals_sent = 0
@@ -205,6 +207,7 @@ class LoglessReconfigManager(VsReconfigManager):
     def _announce(self, as_source: bool) -> None:
         self._announced = True
         if as_source:
+            self._add_proposed_version = self.config.version
             self._propose(replace=(self.node.site_id,), reason="creation")
         else:
             self._add_attempts = 0  # the re-proposal limit is per join attempt
@@ -225,6 +228,14 @@ class LoglessReconfigManager(VsReconfigManager):
         left the view or were identified stale by the flush."""
         node = self.node
         if node.status is not SiteStatus.ACTIVE:
+            return
+        if self._announced and self._add_proposed_version == self.config.version:
+            # Our own membership write is in flight on the current
+            # version: a repair sequenced first would discard it by CAS.
+            # Lost, the creation source's replace flips no suspended
+            # site to recovering, and one listed in the config keeps
+            # dropping what its transfer needs (chaos --seed 27 --mode
+            # logless).  The next view change repairs.
             return
         utd, _joiners = self._split_view(view)
         if not utd or utd[0] != node.site_id:

@@ -845,6 +845,22 @@ class VsReconfigManager(BaseReconfigManager):
             if elect_peer(utd, joiner, joiners) == node.site_id:
                 self.start_session(joiner, sync_gid)
 
+    def view_up_to_date(self) -> Dict[str, bool]:
+        """The announcements the installing SYNC delivered to any group
+        of installers, except for members it found stale.  A flushed
+        claim predates the union, and a member from another previous
+        view never delivers that union: it would see nobody up to date,
+        stay SUSPENDED and drop what a transfer from that very site needs
+        it to enqueue (chaos --seed 47 --mode vs)."""
+        member = self.node.member
+        return {
+            ordered.payload.site: True
+            for union in member.sync_unions.values()
+            for ordered in union
+            if isinstance(ordered.payload, UpToDateAnnouncement)
+            and ordered.payload.site not in member.stale_members
+        }
+
     def on_up_to_date(self, msg: UpToDateAnnouncement, gseq: int) -> None:
         self._became_up_to_date((msg.site,), gseq)
 

@@ -42,6 +42,22 @@ CASES = [
                       # prototype of majority-ack delivery that trusted a
                       # flush without a member carrying the newest
                       # primary view's deliveries (the direct-member rule)
+    ("evs", 196),  # bootstrap never ended: the creation source kept its
+    ("evs", 302),  # role and sessions in a view with no primary subview
+                   # while every other site dropped its transfer and
+                   # started a creation round the source never joined
+    ("evs", 106),  # decision disagreement, same first step: a joiner
+    ("evs", 139),  # left in the primary subview with its join dropped
+    ("evs", 316),  # replica divergence and quiesce timeout at an earlier
+    ("evs", 346),  # timing, same first step
+    ("vs", 47),    # decision disagreement: S3, stale after missing a
+                   # view, never delivered S2's announcement in the other
+                   # group's SYNC union, stayed SUSPENDED and dropped what
+                   # S2's transfer to it needed it to enqueue
+    ("logless", 27),  # decision disagreement: the creation source's own
+                      # repair write won the CAS over its replace, so a
+                      # suspended site listed in the config never turned
+                      # RECOVERING and dropped what its transfer needed
 ]
 
 

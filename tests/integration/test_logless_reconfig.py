@@ -292,13 +292,13 @@ class TestAuditAndSweepWiring:
         from tests import mutations
 
         mutations.no_dedup(monkeypatch)
-        report = run_differential([12], backends=("evs", "logless"),
+        report = run_differential([23], backends=("evs", "logless"),
                                   duration=3.0, artifacts_dir=str(tmp_path))
         assert not report.ok
         first = report.first_failure()
         assert first["repro"].endswith(
-            "chaos --seed 12 --mode evs --clients 6")
-        bundle = tmp_path / "chaos-seed12-evs"
+            "chaos --seed 23 --mode evs --clients 6")
+        bundle = tmp_path / "chaos-seed23-evs"
         assert str(bundle / "repro.txt") in first["artifacts"]
         assert first["repro"] in (bundle / "repro.txt").read_text()
 

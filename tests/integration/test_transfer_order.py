@@ -23,8 +23,12 @@ LINK_DELAY_S = (0.0008, 0.0012)
 #: (0.758 / 0.708 / 0.770 before); and again when primary views began
 #: delivering on a majority of acks: writers no longer stall in S3's
 #: crash window, so the joiner meets a different lock queue at the
-#: sync point (0.625 / 0.681 / 0.670 before).
-FIFO_RECOVERY_S = {1: 0.622, 2: 0.618, 3: 0.662}
+#: sync point (0.625 / 0.681 / 0.670 before); and again when a join
+#: stopped waiting the 60 ms debounce for one ``presence_interval``: the
+#: join installs 10 ms sooner, and at seed 1 the peer's first offer now
+#: reaches S3 just before S3's SYNC, is dropped and is retried 50 ms
+#: later (0.622 / 0.618 / 0.662 before).
+FIFO_RECOVERY_S = {1: 0.666, 2: 0.601, 3: 0.659}
 
 
 def watch_transfer_lock_waits(cluster):

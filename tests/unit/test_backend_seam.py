@@ -140,5 +140,9 @@ def test_view_change_rules_are_read_in_one_method_each():
     assert methods_where(reads("last_install_missed")) == [
         "manager.py:_joiner_view_rule"]
     assert methods_where(peer_left) == ["manager.py:_joiner_view_rule"]
+    # The vs backend's override of the flushed claims must not mark a
+    # member up to date that the round found stale: the node applies the
+    # stale list first, and the EVS structure, which outranks it, last.
     assert methods_where(reads("stale_members")) == [
-        "logless.py:_coordinator_repair", "manager.py:_joiner_lost"]
+        "logless.py:_coordinator_repair", "manager.py:_joiner_lost",
+        "manager.py:view_up_to_date"]

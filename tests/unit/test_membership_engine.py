@@ -1,11 +1,20 @@
 """Targeted tests for membership-round edge cases: competing rounds,
 NACKs, timeouts, force-suspicion, round metrics, when the decision is
-taken, and how a round merges previous views."""
+taken, messages of the next view that overtake its SYNC, and how a
+round merges previous views."""
 
 import pytest
 
 from repro.gcs.config import GCSConfig
-from repro.gcs.messages import FlushReply, Ordered, Presence, Propose, round_priority
+from repro.gcs.messages import (
+    FlushReply,
+    Ordered,
+    OrderedBatch,
+    Presence,
+    Propose,
+    Sync,
+    round_priority,
+)
 from repro.gcs.primary import PrimaryLineage
 from repro.gcs.view import View, ViewId
 from tests.conftest import make_group
@@ -123,20 +132,27 @@ def install_times(sim, app):
     return installs
 
 
+def beacons_heard(sim, net, srcs, dst):
+    """Record the arrival time of every Presence from ``srcs`` at ``dst``."""
+    heard = []
+    net.add_tap(lambda src, to, payload: heard.append(sim.now)
+                if src in srcs and to == dst and isinstance(payload, Presence)
+                else None)
+    return heard
+
+
 @pytest.mark.parametrize("retransmit_interval", [0.1, 0.5])
 class TestDecisionTiming:
     """The membership decision is taken when an input changes or a
     deadline falls due — never on the maintenance period, which only
-    drives loss repair."""
+    drives loss repair.  A removal costs its detection and one round; a
+    join waits one ``presence_interval`` for concurrent beacons."""
 
-    def test_crash_installed_out_within_detection_and_debounce(
+    def test_crash_installed_out_within_detection_and_one_round(
             self, retransmit_interval):
         config = GCSConfig(retransmit_interval=retransmit_interval)
         sim, net, members, apps = make_group(3, seed=1, latency=LINK_S, config=config)
-        heard = []
-        net.add_tap(lambda src, dst, payload: heard.append(sim.now)
-                    if (src, dst) == ("S3", "S1") and isinstance(payload, Presence)
-                    else None)
+        heard = beacons_heard(sim, net, ("S3",), "S1")
         sim.run(until=2.0)
         installs = install_times(sim, apps["S1"])
         members["S3"].crash()
@@ -144,24 +160,110 @@ class TestDecisionTiming:
         (installed, view), = installs
         assert view.members == ("S1", "S2")
         blocked = installed - heard[-1]
-        detect_and_debounce = config.suspect_timeout + config.stabilization_delay
-        assert detect_and_debounce <= blocked <= detect_and_debounce + ROUND_S
+        assert config.suspect_timeout <= blocked <= config.suspect_timeout + ROUND_S
 
     def test_join_installed_within_debounce_and_one_beacon(self, retransmit_interval):
+        """The join wait — the debounce of every mismatch but a removal —
+        is one ``presence_interval``, counted from the first beacon the
+        initiator hears."""
         config = GCSConfig(retransmit_interval=retransmit_interval)
         sim, net, members, apps = make_group(3, seed=1, latency=LINK_S, config=config)
         sim.run(until=2.0)
         members["S1"].crash()  # the restarted site is the initiator:
         sim.run(until=3.0)     # it must first hear the others' beacons
         installs = install_times(sim, apps["S2"])
+        heard = beacons_heard(sim, net, ("S2", "S3"), "S1")
         restarted = sim.now
         members["S1"].start()
         sim.run(until=4.0)
         (installed, view), = installs
         assert view.members == ("S1", "S2", "S3")
-        joined = installed - restarted
-        assert config.stabilization_delay <= joined
-        assert joined <= config.stabilization_delay + config.presence_interval + ROUND_S
+        wait = config.presence_interval
+        assert wait <= installed - restarted <= 2 * wait + ROUND_S
+        assert wait <= installed - heard[0] <= wait + ROUND_S
+
+
+def staggered_group(n, config=None):
+    """:func:`make_group`, but member i boots at i · 7 ms, so the beacon
+    phases spread over one ``presence_interval`` instead of coinciding."""
+    sim, net, members, apps = make_group(n, seed=1, latency=LINK_S, config=config)
+    for index, member in enumerate(members.values()):
+        member.crash()
+        sim.schedule(0.007 * index, member.start)
+    return sim, net, members, apps
+
+
+class TestPartitionDecision:
+    def test_split_installs_one_view_per_side_at_detection(self):
+        """A 3 | 2 partition silences several nodes at once; their
+        suspicions fall due within one beacon period, and each side waits
+        for them all: one round and one view per side, installed one round
+        after the last suspicion — no round that proposes a silent node
+        (it could only be abandoned, freezing its members meanwhile), and
+        no fixed wait on top."""
+        config = GCSConfig()
+        sim, net, members, apps = staggered_group(5, config)
+        sides = (("S1", "S2", "S3"), ("S4", "S5"))
+        heard = {side[0]: beacons_heard(sim, net, other, side[0])
+                 for side, other in (sides, sides[::-1])}
+        sim.run(until=2.0)
+        assert {m.view.members for m in members.values()} == {sum(sides, ())}
+        installs = {site: install_times(sim, apps[site]) for site in members}
+        started = {site: m.membership.rounds_initiated for site, m in members.items()}
+        net.set_partitions(sides)
+        sim.run(until=3.0)
+        for side in sides:
+            for site in side:
+                (_, view), = installs[site]
+                assert view.members == side
+            initiator = members[side[0]].membership
+            assert initiator.rounds_initiated == started[side[0]] + 1
+            (installed, _), = installs[side[0]]
+            blocked = installed - heard[side[0]][-1]
+            assert config.suspect_timeout <= blocked <= config.suspect_timeout + ROUND_S
+
+
+class DelaySync:
+    """Network injector: every SYNC from ``src`` to ``dst`` takes
+    ``extra`` seconds longer, so traffic sent after it overtakes it."""
+
+    def __init__(self, src, dst, extra):
+        self.link, self.extra = (src, dst), extra
+
+    def transform(self, src, dst, payload, delays, rng, now):
+        if (src, dst) == self.link and isinstance(payload, Sync):
+            return [delay + self.extra for delay in delays]
+        return delays
+
+
+class TestNextViewHold:
+    def test_first_batch_before_sync_is_delivered_at_the_install(self):
+        """The sequencer S1 crashes with S2's message unsequenced.  S2
+        coordinates {S2, S3}, installs, becomes the sequencer and ships
+        the message at once; its SYNC to S3 is late, so the batch reaches
+        S3 first, while S3 is frozen in the round.  S3 holds the batch
+        and delivers it at the install, instead of dropping it as
+        view-mismatched and waiting for S2's next maintenance push."""
+        sim, net, members, apps = make_group(3, seed=1, latency=LINK_S)
+        sim.run(until=2.0)
+        members["S1"].crash()
+        members["S2"].multicast("m")  # lost with the sequencer
+        net.add_injector(DelaySync("S2", "S3", 5 * LINK_S))
+        batches = []
+        net.add_tap(lambda src, dst, payload: batches.append(sim.now)
+                    if (src, dst) == ("S2", "S3") and isinstance(payload, OrderedBatch)
+                    else None)
+        installs = install_times(sim, apps["S3"])
+        delivered = []
+        real = apps["S3"].on_message
+        apps["S3"].on_message = lambda sender, payload, gseq: (
+            delivered.append(sim.now), real(sender, payload, gseq))
+        sim.run(until=3.0)
+        (installed, view), = installs
+        assert view.members == ("S2", "S3")
+        assert batches[0] < installed
+        assert apps["S3"].payloads() == ["m"]
+        assert delivered[0] - installed <= LINK_S
 
 
 class TestCompleteRound:
