@@ -45,15 +45,15 @@ def run_one(seed: int, mode: str) -> bool:
               f"{report.wal_corruptions} with a corrupt record — "
               "detected by CRC32 at recovery, truncated, rejoined via transfer")
     metrics = report.metrics
-    print(f"  workload: {metrics.get('commits', 0)} commits, "
-          f"{metrics.get('aborts', 0)} aborts, "
-          f"{metrics.get('view_changes', 0)} view changes")
-    print(f"  network: {metrics.get('network_dropped', 0)} dropped, "
-          f"{metrics.get('network_duplicated', 0)} duplicated; "
-          f"transfers: {metrics.get('transfers_completed', 0)}/"
-          f"{metrics.get('transfers_started', 0)} completed, "
-          f"{metrics.get('transfer_stalls', 0)} stalls, "
-          f"{metrics.get('transfer_failovers', 0)} fail-overs")
+    print(f"  workload: {metrics['txn.commits']} commits, "
+          f"{metrics['txn.aborts']} aborts, "
+          f"{metrics['gcs.views_installed']} view changes")
+    print(f"  network: {metrics['net.messages_dropped']} dropped, "
+          f"{metrics['net.messages_duplicated']} duplicated; "
+          f"transfers: {metrics['xfer.transfers_completed']}/"
+          f"{metrics['xfer.transfers_started']} completed, "
+          f"{metrics['xfer.stalls']} stalls, "
+          f"{metrics['xfer.failovers']} fail-overs")
     print(f"  {report.summary()}")
     return report.ok
 

@@ -250,8 +250,8 @@ _CAMPAIGN_VIEWS = {
         "noun": "storms",
         "columns": (
             ("faults", 7, "d", lambda p: p["fault_events"]),
-            ("commits", 8, "d", lambda p: p["metrics"].get("commits", 0)),
-            ("aborts", 7, "d", lambda p: p["metrics"].get("aborts", 0)),
+            ("commits", 8, "d", lambda p: p["metrics"]["txn.commits"]),
+            ("aborts", 7, "d", lambda p: p["metrics"]["txn.aborts"]),
             ("tears", 6, "d", lambda p: p["wal_tears"]),
         ),
         "digest": "trace_digest",
@@ -322,12 +322,12 @@ def _print_campaign_run(args: argparse.Namespace, engine) -> None:
     print(report.summary())
     if config.clients:
         m = report.metrics
-        print(f"clients: {m.get('client.requests', 0):.0f} requests, "
-              f"{m.get('client.committed', 0):.0f} committed, "
-              f"{m.get('client.aborted', 0):.0f} aborted, "
-              f"{m.get('client.exhausted', 0):.0f} exhausted, "
-              f"{m.get('client.failovers', 0):.0f} failovers, "
-              f"{m.get('dedup.suppressed', 0):.0f} duplicates suppressed")
+        print(f"clients: {m['client.requests']:.0f} requests, "
+              f"{m['client.committed']:.0f} committed, "
+              f"{m['client.aborted']:.0f} aborted, "
+              f"{m['client.exhausted']:.0f} exhausted, "
+              f"{m['client.failovers']:.0f} failovers, "
+              f"{m['client.duplicates_suppressed']:.0f} duplicates suppressed")
     if getattr(report, "samples", None):
         from repro.obs.report import render_availability
 

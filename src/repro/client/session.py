@@ -336,7 +336,6 @@ class ClientFleet:
         self._running = False
         self._objects = sorted(cluster.initial_db)
         self._value_counter = 0
-        self._latency_hist = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -386,17 +385,6 @@ class ClientFleet:
         return self._objects[rng.randrange(n)]
 
     def _on_request_done(self, record: RequestRecord) -> None:
-        latency = record.latency
-        if latency is not None:
-            obs = getattr(self.cluster, "obs", None)
-            if obs is not None:
-                if self._latency_hist is None:
-                    from repro.obs.metrics import TIME_BUCKETS
-
-                    self._latency_hist = obs.registry.histogram(
-                        "client.request_latency", TIME_BUCKETS,
-                        "end-to-end client request latency (submit -> settled)")
-                self._latency_hist.observe(latency)
         if self._running:
             session = next(
                 s for s in self.sessions if s.client_id == record.client_id

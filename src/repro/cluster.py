@@ -157,14 +157,14 @@ class Cluster:
         self._node_config = None
         self._backend: ReconfigBackend = backend_by_name("vs")
         #: Observability handle (repro.obs.Observability), set by
-        #: :meth:`attach_observability`.  None = no instrumentation cost.
+        #: :meth:`attach_observability`.  None = no ``txn`` span events.
         self.obs = None
         #: Shared event sink (repro.tracing.Tracer), set by
         #: ``attach_tracer``; None = untraced.
         self.tracer = None
 
     def attach_observability(self):
-        """Attach the unified observability layer (metrics + spans).
+        """Attach the unified observability layer (tracer + spans).
 
         Idempotent; returns the :class:`repro.obs.Observability` handle.
         Call before :meth:`start` to capture the whole run.
@@ -192,8 +192,7 @@ class Cluster:
         node.on_txn_event = self.history.record
         # A site added to a traced/observed cluster is traced/observed too.
         node.tracer = self.tracer
-        if self.obs is not None:
-            self.obs.instrument(node)
+        node.obs = self.obs
         self.nodes[site] = node
         return node
 
@@ -332,49 +331,3 @@ class Cluster:
     def check(self) -> None:
         """Run the full correctness checker battery."""
         run_all_checks(self.history, list(self.nodes.values()))
-
-    def metrics_summary(self) -> Dict[str, Any]:
-        """One-call summary of a run: workload outcome, transfer volume,
-        lock pressure and membership churn — what a dashboard would show."""
-        from repro.workload.metrics import summarize_latencies
-
-        commits = {e.gid for e in self.history.events if e.kind == "commit"}
-        aborts = {e.gid for e in self.history.events if e.kind == "abort"}
-        latencies: List[float] = []
-        lock_wait = 0.0
-        views = 0
-        transfers_started = transfers_completed = 0
-        objects_sent = bytes_sent = replayed = announcements = 0
-        transfer_stalls = transfer_failovers = solicits = 0
-        for node in self.nodes.values():
-            lock_wait += sum(node.db.locks.wait_times)
-            views = max(views, len(node.member.views_installed))
-            manager = node.reconfig
-            transfers_started += manager.transfers_started
-            transfers_completed += manager.transfers_completed
-            objects_sent += manager.objects_sent_total
-            bytes_sent += manager.bytes_sent_total
-            replayed += manager.replayed_transactions
-            announcements += manager.announcements_sent
-            transfer_stalls += manager.transfer_stalls
-            transfer_failovers += manager.transfer_failovers
-            solicits += manager.solicits_sent
-        return {
-            "virtual_time": self.sim.now,
-            "commits": len(commits),
-            "aborts": len(aborts),
-            "lock_wait_total": lock_wait,
-            "view_changes": views,
-            "transfers_started": transfers_started,
-            "transfers_completed": transfers_completed,
-            "objects_transferred": objects_sent,
-            "bytes_transferred": bytes_sent,
-            "transactions_replayed": replayed,
-            "announcements": announcements,
-            "network_messages": self.network.messages_delivered,
-            "network_dropped": self.network.messages_dropped,
-            "network_duplicated": self.network.messages_duplicated,
-            "transfer_stalls": transfer_stalls,
-            "transfer_failovers": transfer_failovers,
-            "transfer_solicits": solicits,
-        }

@@ -123,9 +123,6 @@ class LockManager:
         self.conflicts = 0
         #: High-watermark of the wait-queue depth.
         self.max_waiting = 0
-        #: Observability instruments (repro.obs.LockInstruments); None
-        #: keeps the request/grant paths at one attribute check each.
-        self.obs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -227,8 +224,6 @@ class LockManager:
             self._waiting_count = depth = self._waiting_count + 1
             if depth > self.max_waiting:
                 self.max_waiting = depth
-            if self.obs is not None:
-                self.obs.queue_depth.observe(depth)
         return request
 
     def release(self, txn_id: str, resource: Optional[str] = None) -> None:
@@ -344,8 +339,6 @@ class LockManager:
         if request.seq is not None:
             self.wait_times.append(request.granted_at - request.enqueued_at)
         self.grants += 1
-        if self.obs is not None:
-            self.obs.wait_time.observe(request.granted_at - request.enqueued_at)
         if request.on_grant is not None:
             request.on_grant(request)
 

@@ -33,14 +33,14 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.fleet import FleetTask, run_fleet
 
 #: Metrics tabulated per backend in the report (keys of
-#: ``Cluster.metrics_summary``).
+#: :func:`repro.obs.collect_cluster_metrics`).
 _DIFF_METRICS = (
-    "commits",
-    "aborts",
-    "transactions_replayed",
-    "bytes_transferred",
-    "view_changes",
-    "announcements",
+    "txn.commits",
+    "txn.aborts",
+    "xfer.replayed_transactions",
+    "xfer.bytes_sent",
+    "gcs.views_installed",
+    "xfer.announcements",
 )
 
 
@@ -72,8 +72,10 @@ class DifferentialReport:
         return {}
 
     def metric(self, seed: int, backend: str, name: str) -> Any:
-        payload = self.rows.get(seed, {}).get(backend, {})
-        return payload.get("metrics", {}).get(name)
+        """One collected metric of a cell; None only for a cell that
+        produced no metrics at all (a crashed worker)."""
+        metrics = self.rows.get(seed, {}).get(backend, {}).get("metrics")
+        return None if metrics is None else metrics[name]
 
     def render(self) -> str:
         lines = [

@@ -33,6 +33,7 @@ from repro.faults.injectors import (
     ReorderInjector,
 )
 from repro.faults.storage import TornTailFaults
+from repro.obs.attach import collect_cluster_metrics
 from repro.reconfig.backends import backend_by_name
 from repro.replication.node import NodeConfig, SiteStatus
 from repro.tracing import Tracer, attach_tracer
@@ -97,9 +98,10 @@ class CampaignConfig:
     #: exactly-once checking; 0 drives the run with the open-loop
     #: LoadGenerator instead.
     clients: Optional[int] = None
-    #: Attach the full observability layer (metrics registry + causal
-    #: spans, repro.obs) instead of the bare tracer; the report then
-    #: carries an ``obs`` handle whose trace/metrics can be exported.
+    #: Attach the full observability layer (causal spans and their
+    #: ``txn`` event sources, repro.obs) instead of the bare tracer; the
+    #: report then carries an ``obs`` handle whose trace/metrics can be
+    #: exported.
     observe: bool = False
     #: Attach the deterministic event-loop profiler
     #: (repro.obs.profile.SimProfiler).  Observation-equivalent: the
@@ -343,15 +345,8 @@ class Campaign:
         cluster, report = self.cluster, self.report
         report.wal_tears = self.storage_faults.tears
         report.wal_corruptions = self.storage_faults.corruptions
-        report.metrics = cluster.metrics_summary()
-        report.metrics["workload_commits"] = len(self.load.committed())
-        report.metrics["workload_aborts"] = len(self.load.aborted())
+        report.metrics = collect_cluster_metrics(cluster)
         report.metrics.update(self.load.metrics())
-        if self.fleet is not None:
-            report.metrics["dedup.suppressed"] = sum(
-                node.duplicates_suppressed for node in cluster.nodes.values()
-            )
-        report.metrics["events_processed"] = cluster.sim.events_processed
         report.virtual_time = cluster.sim.now
         report.ok = report.error is None
         return report

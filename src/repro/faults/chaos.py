@@ -59,7 +59,7 @@ class ChaosReport(CampaignReport):
             f"chaos seed={self.seed} intensity={self.intensity}: "
             f"{self.verdict()} — "
             f"{len(self.events)} fault events, "
-            f"{self.metrics.get('commits', 0)} commits, "
+            f"{self.metrics['txn.commits']} commits, "
             f"{self.wal_tears} WAL tears "
             f"({self.wal_corruptions} with corruption)"
         )

@@ -110,10 +110,6 @@ class GroupMember(Process):
         self._installed_primary = False
         self._view_primary = False
 
-        #: Observability instruments handed to every per-view total-order
-        #: instance (set by repro.obs.attach; None = not observed).
-        self.to_obs = None
-
         self.view: View = singleton_view(node_id, 0)
         self.to: ViewTotalOrder = self._new_total_order(self.view, 0)
         self._blocked = False
@@ -345,7 +341,6 @@ class GroupMember(Process):
             defer=lambda fn: self.after(0.0, fn),
             batch=self.config.sequencer_batching,
             send_many=self.endpoint.send_many,
-            obs=self.to_obs,
             quorum=self.delivery_quorum(len(view.members), self._view_primary),
             stray=self._hold,
         )

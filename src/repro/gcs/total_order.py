@@ -90,7 +90,6 @@ class ViewTotalOrder:
         defer: Optional[DeferFn] = None,
         batch: bool = False,
         send_many: Optional[SendManyFn] = None,
-        obs: Optional[object] = None,
         quorum: Optional[int] = None,
         stray: Optional[StrayFn] = None,
     ) -> None:
@@ -104,10 +103,6 @@ class ViewTotalOrder:
         self.sequencer = min(view.members)
         self.closed = False
         self._stray = stray if stray is not None else (lambda msg: None)
-        #: Observability instruments (repro.obs.SequencerInstruments),
-        #: shared across the per-view instances of one member; ``None``
-        #: keeps every hook to a single attribute check.
-        self.obs = obs
         #: Ordered messages re-sent by the sequencer (NAK answers plus
         #: maintenance pushes to lagging members).
         self.retransmissions = 0
@@ -210,8 +205,6 @@ class ViewTotalOrder:
             batch.ack_high = ack_high
             self._stage.clear()
             self.batches_sent += 1
-            if self.obs is not None:
-                self.obs.batch_size.observe(len(batch.items))
             return
         if ack_high >= 0:
             ack = Ack(sender=self.me, view_id=self.view.view_id, highwater=ack_high)
@@ -225,8 +218,6 @@ class ViewTotalOrder:
             ordered = self._history.get(seq)
             if ordered is not None:
                 self.retransmissions += 1
-                if self.obs is not None:
-                    self.obs.retransmissions.inc()
                 self._send(msg.sender, ordered)
 
     # ------------------------------------------------------------------
@@ -383,10 +374,6 @@ class ViewTotalOrder:
             self._stuck_at = self.delivered_seq
         else:
             self._stuck_at = None
-        if self.obs is not None:
-            # Delivery lag: messages held but not yet deliverable (the
-            # uniform-delivery ack horizon or a sequence gap is behind).
-            self.obs.delivery_lag.observe(self.recv_highwater - self.delivered_seq)
         if self.me == self.sequencer:
             top = self._next_seq - 1
             for member, high in self.ack_high.items():
@@ -397,8 +384,6 @@ class ViewTotalOrder:
                     ordered = self._history.get(seq)
                     if ordered is not None:
                         self.retransmissions += 1
-                        if self.obs is not None:
-                            self.obs.retransmissions.inc()
                         self._send(member, ordered)
 
     def flush_cut(self) -> Tuple[Ordered, ...]:

@@ -129,9 +129,6 @@ class Network:
         self.messages_duplicated = 0
         self.messages_injector_dropped = 0
         self.delivery_batches = 0  # coalesced events that carried > 1 message
-        #: Push-side observability instruments (repro.obs); ``None`` means
-        #: not attached and the delivery paths pay one attribute check.
-        self.obs = None
         self._taps: List[Callable[[str, str, Any], None]] = []
         #: Pluggable fault injectors (see :mod:`repro.faults.injectors`):
         #: each transforms the planned delivery schedule of a message.
@@ -355,9 +352,6 @@ class Network:
         count = len(batch) >> 1
         if count > 1:
             self.delivery_batches += 1
-        obs = self.obs
-        if obs is not None:
-            obs.on_batch(count)
         self.messages_in_flight -= count
         endpoint = self._eps[key[0]]
         dst = endpoint.node_id
@@ -384,8 +378,6 @@ class Network:
                 dropped += 1
                 continue
             delivered += 1
-            if obs is not None:
-                obs.on_deliver(payload)
             if taps:
                 for tap in taps:
                     tap(source.node_id, dst, payload)
@@ -408,10 +400,6 @@ class Network:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        obs = self.obs
-        if obs is not None:
-            obs.on_batch(1)
-            obs.on_deliver(payload)
         if self._taps:
             for tap in self._taps:
                 tap(src, dst, payload)

@@ -12,9 +12,9 @@ One attach call instruments a whole cluster::
     obs.export_prometheus("metrics.prom")  # text exposition snapshot
 
 See docs/OBSERVABILITY.md for the metric catalog, the span model and
-the exporter formats.  :func:`collect_cluster_metrics` is the zero-cost
-pull-only path the benchmark (``perf/workloads.py``) reads its counters
-through.
+the exporter formats.  Every metric comes from one pull collector,
+:func:`collect_cluster_metrics`, which needs nothing attached; the
+benchmark (``perf/workloads.py``) reads its counters through it.
 """
 
 from repro.obs.attach import (
@@ -50,36 +50,20 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SIZE_BUCKETS,
-    TIME_BUCKETS,
-)
 from repro.obs.report import (availability_samples, render_availability,
                               render_one_screen, render_summary,
                               span_durations)
 from repro.obs.spans import Span, SpanTracker
 
 __all__ = [
-    "COUNT_BUCKETS",
-    "Counter",
     "EpochRecord",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Observability",
     "PHASE_ORDER",
     "PhaseSlice",
     "RunData",
-    "SIZE_BUCKETS",
     "SimProfiler",
     "Span",
     "SpanTracker",
-    "TIME_BUCKETS",
     "attach_observability",
     "attach_profiler",
     "blocked_windows",

@@ -1,20 +1,15 @@
 """Attach the observability layer to a cluster.
 
-Two entry points with very different costs:
+Metrics are pulled, never pushed: :func:`collect_cluster_metrics` reads
+the plain integer counters every subsystem maintains anyway and returns
+a flat dict.  It never touches a hot path, so the benchmark (``perf/``)
+can take a snapshot per workload without perturbing the measurement,
+and it needs nothing attached.
 
-* :func:`collect_cluster_metrics` is a pure **pull**: it reads the plain
-  integer counters every subsystem maintains anyway and returns a flat
-  dict.  It never touches a hot path, so the benchmark (``perf/``) can
-  take a snapshot per workload without perturbing the measurement.
-* :func:`attach_observability` additionally installs the **push**
-  instruments (histograms the plain counters cannot provide: batch
-  sizes, lock waits, transfer chunk sizes, ack lag) and the span
-  pipeline.  Each instrumented layer guards its hook with a single
-  ``if self.obs is not None`` attribute check — the only cost an
-  unobserved cluster ever pays.
-
-Both are reachable as ``cluster.attach_observability()`` /
-``cluster.obs`` once attached.
+:func:`attach_observability` attaches the event side: the tracer, the
+span tracker listening on it, and ``node.obs``, which switches on the
+per-transaction ``txn`` events the spans are built from.  Reachable as
+``cluster.attach_observability()`` / ``cluster.obs`` once attached.
 """
 
 from __future__ import annotations
@@ -27,19 +22,9 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    MetricsRegistry,
-    SIZE_BUCKETS,
-    TIME_BUCKETS,
-)
 from repro.obs.spans import SpanTracker
 from repro.tracing import attach_tracer
 
-
-# ----------------------------------------------------------------------
-# Pull side: read the counters the subsystems keep anyway
-# ----------------------------------------------------------------------
 
 #: Backend-specific reconfiguration counters, read with ``getattr(..., 0)``
 #: so every backend reports the full set (absent counters as 0) and
@@ -56,8 +41,7 @@ BACKEND_COUNTER_KEYS: Dict[str, str] = {
 def metric_key_set() -> tuple:
     """The canonical, backend-independent key set every snapshot from
     :func:`collect_cluster_metrics` contains — in emission order."""
-    probe = _CANONICAL_METRIC_KEYS
-    return tuple(probe)
+    return _CANONICAL_METRIC_KEYS
 
 
 def collect_cluster_metrics(cluster) -> Dict[str, float]:
@@ -194,107 +178,28 @@ _CANONICAL_METRIC_KEYS: tuple = (
 
 
 # ----------------------------------------------------------------------
-# Push side: the per-layer instrument bundles
-# ----------------------------------------------------------------------
-class NetInstruments:
-    """Hooks the network calls when observability is attached."""
-
-    __slots__ = ("batch_size", "bytes_delivered")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.batch_size = registry.histogram(
-            "net.delivery_batch_size", COUNT_BUCKETS,
-            "messages per coalesced delivery event")
-        self.bytes_delivered = registry.counter(
-            "net.bytes_delivered", "approximate payload bytes delivered")
-
-    def on_batch(self, count: int) -> None:
-        self.batch_size.observe(count)
-
-    def on_deliver(self, payload: Any) -> None:
-        # repr length as a deterministic stand-in for wire size; only
-        # evaluated while observability is attached.
-        self.bytes_delivered.inc(len(repr(payload)))
-
-
-class SequencerInstruments:
-    """Per-view total-order instruments (shared across view instances)."""
-
-    __slots__ = ("batch_size", "retransmissions", "delivery_lag")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.batch_size = registry.histogram(
-            "to.ordered_batch_size", COUNT_BUCKETS,
-            "Ordered messages per sequencer flush")
-        self.retransmissions = registry.counter(
-            "to.retransmissions", "Ordered retransmissions (NAK + push)")
-        self.delivery_lag = registry.histogram(
-            "to.ack_lag", COUNT_BUCKETS,
-            "received-but-undeliverable backlog at maintenance ticks")
-
-
-class LockInstruments:
-    __slots__ = ("wait_time", "queue_depth")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.wait_time = registry.histogram(
-            "locks.wait_time", TIME_BUCKETS, "lock wait (grant - enqueue)")
-        self.queue_depth = registry.histogram(
-            "locks.queue_depth", COUNT_BUCKETS,
-            "waiters in queue when a request had to wait")
-
-
-class NodeInstruments:
-    """Transfer-path instruments (reached through ``node.obs``)."""
-
-    __slots__ = ("chunk_objects", "chunk_bytes", "raw_bytes", "wire_bytes")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.chunk_objects = registry.histogram(
-            "xfer.chunk_objects", COUNT_BUCKETS, "objects per transfer batch")
-        self.chunk_bytes = registry.histogram(
-            "xfer.chunk_bytes", SIZE_BUCKETS, "wire bytes per transfer batch")
-        self.raw_bytes = registry.counter(
-            "xfer.raw_bytes", "uncompressed transfer payload bytes")
-        self.wire_bytes = registry.counter(
-            "xfer.wire_bytes", "on-the-wire (possibly compressed) bytes")
-
-
-# ----------------------------------------------------------------------
 # The handle
 # ----------------------------------------------------------------------
 class Observability:
-    """Everything attached to one cluster: registry, spans, tracer."""
+    """Everything attached to one cluster: the tracer and the spans it
+    feeds.  Metrics are read from the cluster on demand."""
 
-    def __init__(self, cluster, registry: MetricsRegistry,
-                 spans: SpanTracker, tracer) -> None:
+    def __init__(self, cluster, spans: SpanTracker, tracer) -> None:
         self.cluster = cluster
-        self.registry = registry
         self.spans = spans
         self.tracer = tracer
-        self._to_instruments = SequencerInstruments(registry)
-        self._lock_instruments = LockInstruments(registry)
-        self._node_instruments = NodeInstruments(registry)
-
-    def instrument(self, node) -> None:
-        """Point one site's layers at the shared push instruments
-        (``node.obs`` also switches on its per-transaction trace
-        events, the span sources)."""
-        node.obs = self._node_instruments
-        node.db.locks.obs = self._lock_instruments
-        node.member.to_obs = self._to_instruments
-        node.member.to.obs = self._to_instruments
 
     def snapshot(self) -> Dict[str, Any]:
-        return self.registry.snapshot()
+        return {"counters": collect_cluster_metrics(self.cluster)}
 
     def run_data(self, name: str = "repro run",
                  meta: Optional[Dict[str, Any]] = None) -> RunData:
-        """Snapshot the whole run (closes still-open spans at now)."""
-        self.spans.finalize(self.cluster.sim.now)
+        """Snapshot the whole run; still-open spans are exported closed
+        at now, and stay open in the tracker."""
+        now = self.cluster.sim.now
         merged: Dict[str, Any] = {
             "name": name,
-            "virtual_time": self.cluster.sim.now,
+            "virtual_time": now,
             "sites": list(self.cluster.universe),
         }
         if meta:
@@ -302,7 +207,7 @@ class Observability:
         return RunData(
             meta=merged,
             events=list(self.tracer.events),
-            spans=list(self.spans.spans),
+            spans=self.spans.finalize(now),
             metrics=self.snapshot(),
         )
 
@@ -322,7 +227,7 @@ class Observability:
 
 
 def attach_observability(cluster) -> Observability:
-    """Observe a cluster: metrics registry + spans + tracer.
+    """Observe a cluster: tracer + spans, and the ``txn`` span sources.
 
     Idempotent; reuses an already-attached tracer (e.g. from the chaos
     engine).  Attach before ``cluster.start()`` for complete coverage —
@@ -331,13 +236,9 @@ def attach_observability(cluster) -> Observability:
     if cluster.obs is not None:
         return cluster.obs
     tracer = cluster.tracer or attach_tracer(cluster)
-    registry = MetricsRegistry()
-    registry.add_collector(lambda: collect_cluster_metrics(cluster))
     spans = SpanTracker()
     tracer.add_listener(spans.on_trace_event)
-
-    cluster.network.obs = NetInstruments(registry)
-    cluster.obs = Observability(cluster, registry, spans, tracer)
+    cluster.obs = Observability(cluster, spans, tracer)
     for node in cluster.nodes.values():
-        cluster.obs.instrument(node)
+        node.obs = cluster.obs
     return cluster.obs

@@ -168,27 +168,14 @@ def _prom_name(name: str) -> str:
 
 
 def prometheus_text(snapshot: Dict[str, Any]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` in text exposition
-    format (the format a /metrics endpoint would serve)."""
+    """Render an :meth:`Observability.snapshot` in text exposition
+    format (the format a /metrics endpoint would serve): one counter
+    family per collected key."""
     lines: List[str] = []
     for name in sorted(snapshot.get("counters", {})):
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom} {snapshot['counters'][name]}")
-    for name in sorted(snapshot.get("gauges", {})):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {snapshot['gauges'][name]}")
-    for name in sorted(snapshot.get("histograms", {})):
-        histogram = snapshot["histograms"][name]
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        cumulative = 0
-        for bound, count in histogram.get("buckets", {}).items():
-            cumulative += count
-            lines.append(f'{prom}_bucket{{le="{bound}"}} {cumulative}')
-        lines.append(f"{prom}_sum {histogram.get('sum', 0.0)}")
-        lines.append(f"{prom}_count {histogram.get('count', 0)}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ protocols.  Without an attached tracer it costs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -72,8 +72,9 @@ class SpanTracker:
     """Builds the span forest from trace events.
 
     Attach with ``tracer.add_listener(tracker.on_trace_event)`` (done by
-    ``attach_observability``).  Spans still open when the run ends are
-    closed by :meth:`finalize`.
+    ``attach_observability``).  An export reads :meth:`finalize`, which
+    closes copies of the still-open spans and leaves the tracker's own
+    open, so the run can go on and a later export sees their real end.
     """
 
     def __init__(self) -> None:
@@ -102,12 +103,14 @@ class SpanTracker:
             span.end = end
         span.attrs.update(attrs)
 
-    def finalize(self, now: float) -> None:
-        """Close every still-open span at ``now`` (end of run)."""
-        for span in self.spans:
-            if span.end is None:
-                span.end = now
-                span.attrs.setdefault("open_at_end", True)
+    def finalize(self, now: float) -> List[Span]:
+        """Every span, each still-open one as a copy closed at ``now``
+        and marked ``open_at_end``; the tracker's spans are untouched."""
+        return [
+            span if span.end is not None else replace(
+                span, end=now, attrs={**span.attrs, "open_at_end": True})
+            for span in self.spans
+        ]
 
     # ------------------------------------------------------------------
     # Queries

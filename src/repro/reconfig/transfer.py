@@ -527,12 +527,6 @@ class PeerTransferSession:
         manager = self.node.reconfig
         manager.objects_sent_total += len(items)
         manager.bytes_sent_total += payload_bytes
-        obs = self.node.obs
-        if obs is not None:
-            obs.chunk_objects.observe(len(items))
-            obs.chunk_bytes.observe(payload_bytes)
-            obs.raw_bytes.inc(len(items) * self.node.config.object_size_bytes)
-            obs.wire_bytes.inc(payload_bytes)
         self.send_tracked(
             "batch",
             TransferBatch(

@@ -263,9 +263,9 @@ class ReplicatedDatabaseNode:
         #: fault and — while ``obs`` is set — transaction event leaves
         #: the site through :meth:`trace`.
         self.tracer = None
-        #: Optional observability instruments (repro.obs.NodeInstruments);
-        #: None keeps instrumented paths at one attribute check each, and
-        #: the per-transaction trace events (span sources) off.
+        #: Observability handle (repro.obs.Observability) when attached:
+        #: switches on the per-transaction ``txn`` trace events, the span
+        #: sources.  None keeps them at one attribute check each.
         self.obs = None
 
         # Metrics / event taps.
@@ -317,12 +317,9 @@ class ReplicatedDatabaseNode:
 
     def recover(self) -> None:
         """Restart after a crash: single-site recovery, then rejoin the group."""
-        lock_instruments = self.db.locks.obs
         self.db, recovery = Database.recover_from(
             self.storage, clock=lambda: self.sim.now, partition_fn=self._partition_fn
         )
-        # The rebuilt Database has a fresh LockManager: keep it observed.
-        self.db.locks.obs = lock_instruments
         if recovery.tail_torn:
             self.trace("fault", "wal_checksum",
                        f"torn tail detected; {recovery.corrupt_records} records "

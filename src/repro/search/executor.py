@@ -128,23 +128,13 @@ class ScheduleExecutor(Campaign):
 
     def start_sampler(self) -> None:
         """Sample committed client requests per bin for the rest of the
-        run: trace events, plus ``endurance.availability`` gauges when
-        observability is attached."""
+        run, into ``report.samples`` and as ``availability_sample`` trace
+        events."""
         cluster, report = self.cluster, self.report
-        warmup = self.config.availability_warmup
-        gauge = min_gauge = None
-        if report.obs is not None:
-            gauge = report.obs.registry.gauge(
-                "endurance.availability",
-                "committed client requests per virtual second, last bin")
-            min_gauge = report.obs.registry.gauge(
-                "endurance.availability_min",
-                "lowest serving-bin commit rate seen so far")
         last_committed = 0
-        min_rate = None
 
         def sample() -> None:
-            nonlocal last_committed, min_rate
+            nonlocal last_committed
             now = cluster.sim.now
             committed = len(self.fleet.committed())
             delta = committed - last_committed
@@ -159,12 +149,6 @@ class ScheduleExecutor(Campaign):
                     data={"t": now, "commits": delta, "rate": rate,
                           "maintenance": maintenance},
                 )
-            if gauge is not None:
-                gauge.set(rate)
-                if not maintenance and now > warmup:
-                    if min_rate is None or rate < min_rate:
-                        min_rate = rate
-                        min_gauge.set(rate)
             cluster.sim.schedule(AVAILABILITY_BIN, sample,
                                  label="endurance availability sample")
 

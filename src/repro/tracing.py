@@ -44,7 +44,6 @@ class Tracer:
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self.events: List[TraceEvent] = []
-        self.enabled = True
         self._listeners: List[Callable[[TraceEvent], None]] = []
 
     def add_listener(self, listener: Callable[[TraceEvent], None]) -> None:
@@ -54,11 +53,10 @@ class Tracer:
 
     def emit(self, site: str, category: str, kind: str, detail: str = "",
              data: Optional[Dict[str, Any]] = None) -> None:
-        if self.enabled:
-            event = TraceEvent(self._clock(), site, category, kind, detail, data)
-            self.events.append(event)
-            for listener in self._listeners:
-                listener(event)
+        event = TraceEvent(self._clock(), site, category, kind, detail, data)
+        self.events.append(event)
+        for listener in self._listeners:
+            listener(event)
 
     # ------------------------------------------------------------------
     # Queries

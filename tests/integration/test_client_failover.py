@@ -119,6 +119,6 @@ def test_client_metrics_surface_in_report():
     assert report.ok
     for key in ("client.sessions", "client.requests", "client.committed",
                 "client.failovers", "client.in_doubt_resolved",
-                "dedup.suppressed"):
+                "client.duplicates_suppressed"):
         assert key in report.metrics, key
     assert report.metrics["client.sessions"] == 6.0

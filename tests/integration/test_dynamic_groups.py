@@ -60,16 +60,15 @@ class TestGrowth:
 
     def test_site_added_to_an_observed_cluster_is_observed(self):
         """A site added after attach shares the cluster's event sink and
-        instruments, so its join shows up in the timeline, the spans and
-        the epoch analytics like any other recovery."""
+        observability handle, so its join shows up in the timeline, the
+        spans and the epoch analytics like any other recovery."""
         from repro.obs.epochs import extract_epochs
 
         cluster = dynamic_cluster()
         obs = cluster.attach_observability()
         node = cluster.add_site("S4")
         assert node.tracer is cluster.tracer
-        assert node.obs is cluster.nodes["S1"].obs
-        assert node.db.locks.obs is cluster.nodes["S1"].db.locks.obs
+        assert node.obs is obs and cluster.nodes["S1"].obs is obs
         assert cluster.await_condition(lambda: node.status is SiteStatus.ACTIVE,
                                        timeout=30)
         cluster.settle(0.3)

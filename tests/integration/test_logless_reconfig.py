@@ -280,7 +280,7 @@ class TestAuditAndSweepWiring:
         rendered = report.render()
         assert "PASS" in rendered and "FAIL" not in rendered
         for backend in ("evs", "logless"):
-            assert report.metric(9, backend, "commits") > 0
+            assert report.metric(9, backend, "txn.commits") > 0
 
     def test_differential_failure_names_evidence_and_repro(
             self, monkeypatch, tmp_path):

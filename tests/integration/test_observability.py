@@ -29,6 +29,10 @@ def observed_recovery_run(seed=7, observe=True):
     return cluster, obs
 
 
+def s3_recoveries(run):
+    return [s for s in run.spans if s.category == "reconfig" and s.site == "S3"]
+
+
 class TestObservedRecovery:
     def test_spans_cover_transactions_and_reconfiguration(self):
         cluster, obs = observed_recovery_run()
@@ -63,13 +67,34 @@ class TestObservedRecovery:
         assert all("ts" in e for e in events if e["ph"] != "M")
 
         snapshot = obs.snapshot()
+        assert snapshot == {"counters": collect_cluster_metrics(cluster)}
         counters = snapshot["counters"]
         assert counters["txn.commits"] > 0
         assert counters["xfer.transfers_completed"] >= 1
-        # Push-side histograms saw traffic while attached.
-        histograms = snapshot["histograms"]
-        assert histograms["net.delivery_batch_size"]["count"] > 0
-        assert histograms["xfer.chunk_objects"]["count"] >= 1
+
+    def test_mid_run_export_leaves_live_spans_open(self):
+        """An export while S3 is still recovering closes the exported
+        copy of its recovery span, not the span itself: the final export
+        shows where the recovery really ended."""
+        cluster = ClusterBuilder(n_sites=3, db_size=1000, seed=3,
+                                 strategy="full").build()
+        obs = attach_observability(cluster)
+        cluster.start()
+        assert cluster.await_all_active(timeout=10)
+        load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=80.0))
+        load.start()
+        cluster.run_until(0.3)
+        cluster.crash("S3")
+        cluster.run_until(0.8)
+        cluster.recover("S3")
+        cluster.run_until(1.0)
+        [early] = s3_recoveries(obs.run_data())
+        assert early.end == 1.0 and early.attrs["open_at_end"]
+        cluster.run_until(1.5)
+        assert cluster.nodes["S3"].status is SiteStatus.ACTIVE
+        [final] = s3_recoveries(obs.run_data())
+        assert 1.0 < final.end <= 1.5
+        assert "open_at_end" not in final.attrs
 
     def test_attach_is_idempotent(self):
         cluster, obs = observed_recovery_run()

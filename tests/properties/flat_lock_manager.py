@@ -105,15 +105,13 @@ class LockManager:
         # a whole transaction is O(locks held), not O(locks held by all).
         self._held_by: Dict[str, Set[str]] = {}
         self._waiting: List[LockRequest] = []
+        #: Time spent queued, one entry per grant that had to wait.
         self.wait_times: List[float] = []
         self.grants = 0
         #: Requests that could not be granted immediately (conflicts).
         self.conflicts = 0
         #: High-watermark of the wait-queue depth.
         self.max_waiting = 0
-        #: Observability instruments (repro.obs.LockInstruments); None
-        #: keeps the request/grant paths at one attribute check each.
-        self.obs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -194,8 +192,6 @@ class LockManager:
             depth = len(self._waiting)
             if depth > self.max_waiting:
                 self.max_waiting = depth
-            if self.obs is not None:
-                self.obs.queue_depth.observe(depth)
         return request
 
     def release(self, txn_id: str, resource: Optional[str] = None) -> None:
@@ -311,7 +307,7 @@ class LockManager:
                     return False
         return True
 
-    def _grant(self, request: LockRequest) -> None:
+    def _grant(self, request: LockRequest, waited: bool = False) -> None:
         holders = self._holders.get(request.resource)
         if holders is None:
             holders = self._holders[request.resource] = {}
@@ -324,10 +320,9 @@ class LockManager:
         held.add(request.resource)
         request.granted = True
         request.granted_at = self._clock()
-        self.wait_times.append(request.granted_at - request.enqueued_at)
+        if waited:
+            self.wait_times.append(request.granted_at - request.enqueued_at)
         self.grants += 1
-        if self.obs is not None:
-            self.obs.wait_time.observe(request.granted_at - request.enqueued_at)
         if request.on_grant is not None:
             request.on_grant(request)
 
@@ -342,6 +337,6 @@ class LockManager:
                     continue
                 if self._grantable(request):
                     self._waiting.remove(request)
-                    self._grant(request)
+                    self._grant(request, waited=True)
                     progress = True
                     break

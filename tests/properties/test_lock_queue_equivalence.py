@@ -3,8 +3,9 @@
 (``flat_lock_manager.py``, the executable specification).
 
 Both managers are driven with the same generated operation sequence and
-must agree, after every operation, on the grant *sequence*, the counters,
-the holders, the waiters and their blockers, and what they told ``obs``.
+must agree, after every operation, on the grant *sequence*, the counters
+(``conflicts``, ``max_waiting``, one ``wait_times`` entry per grant that
+had to wait), the holders, and the waiters and their blockers.
 That pins what the index must not change: simultaneously eligible waiters
 are granted in enqueue order (not ticket order: ``inherit_ticket`` makes
 the two differ), fairness stays on the ticket, and a grant handler that
@@ -28,20 +29,6 @@ RESOURCES = OBJECTS + [indexed.DB_RESOURCE, partition_resource("part0"), partiti
 TXNS = ["T1", "T2", "T3", "T4", "T5"]
 
 
-class _Recorder:
-    def __init__(self):
-        self.values = []
-
-    def observe(self, value):
-        self.values.append(value)
-
-
-class _Obs:
-    def __init__(self):
-        self.queue_depth = _Recorder()
-        self.wait_time = _Recorder()
-
-
 class Driver:
     """One lock manager plus everything observable about it."""
 
@@ -52,7 +39,6 @@ class Driver:
             clock=lambda: self.now,
             partition_fn=make_partition_fn(2) if partitioned else None,
         )
-        self.locks.obs = _Obs()
         self.requests = []
         self.granted = []
 
@@ -93,8 +79,7 @@ class Driver:
                 (_describe(r), sorted(locks.waiting_for(r))) for r in locks.waiting_requests()
             ],
             "request_flags": [(r.granted, r.cancelled) for r in self.requests],
-            "wait_sum": sum(locks.wait_times),
-            "obs": (list(locks.obs.queue_depth.values), list(locks.obs.wait_time.values)),
+            "wait_times": list(locks.wait_times),
         }
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db.locks import LockMode
+from repro.obs import collect_cluster_metrics
 from repro.replication.transaction import AbortReason, TxnState
 from tests.conftest import quick_cluster
 
@@ -138,11 +139,11 @@ class TestMetricsSummary:
         cluster = quick_cluster()
         cluster.submit_via("S1", [], {"obj0": 1})
         cluster.settle(0.3)
-        summary = cluster.metrics_summary()
-        assert summary["commits"] == 1
-        assert summary["aborts"] == 0
-        assert summary["network_messages"] > 0
-        assert summary["virtual_time"] == cluster.sim.now
+        summary = collect_cluster_metrics(cluster)
+        assert summary["txn.commits"] == 1
+        assert summary["txn.aborts"] == 0
+        assert summary["net.messages_delivered"] > 0
+        assert summary["sim.virtual_time"] == cluster.sim.now
 
 
 class TestLocalTransactionTable:

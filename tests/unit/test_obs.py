@@ -5,13 +5,9 @@ import json
 import pytest
 
 from repro.obs import (
-    COUNT_BUCKETS,
-    Histogram,
-    MetricsRegistry,
     RunData,
     Span,
     SpanTracker,
-    TIME_BUCKETS,
     chrome_trace,
     load_jsonl,
     prometheus_text,
@@ -19,52 +15,6 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.tracing import TraceEvent
-
-
-class TestMetricsRegistry:
-    def test_counter_and_gauge(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("net.messages", "help text")
-        counter.inc()
-        counter.inc(4)
-        gauge = registry.gauge("queue.depth")
-        gauge.set(7)
-        gauge.dec(2)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["net.messages"] == 5
-        assert snapshot["gauges"]["queue.depth"] == 5
-
-    def test_instruments_are_idempotent_by_name(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("h") is registry.histogram("h")
-        registry.counter("a").inc()
-        assert registry.snapshot()["counters"]["a"] == 1
-
-    def test_histogram_buckets(self):
-        histogram = Histogram("sizes", bounds=(10, 100))
-        for value in (5, 10, 50, 1000):
-            histogram.observe(value)
-        data = histogram.to_dict()
-        assert data["count"] == 4
-        assert data["sum"] == 1065
-        # Per-bucket (non-cumulative): <=10 gets 5 and 10, <=100 gets 50,
-        # +Inf gets 1000.
-        assert data["buckets"]["10"] == 2
-        assert data["buckets"]["100"] == 1
-        assert data["buckets"]["+Inf"] == 1
-        assert histogram.mean == pytest.approx(1065 / 4)
-
-    def test_collectors_merge_into_counters(self):
-        registry = MetricsRegistry()
-        registry.add_collector(lambda: {"pull.value": 42})
-        registry.counter("push.value").inc(3)
-        counters = registry.snapshot()["counters"]
-        assert counters == {"push.value": 3, "pull.value": 42}
-
-    def test_bucket_presets_are_sorted(self):
-        assert list(COUNT_BUCKETS) == sorted(COUNT_BUCKETS)
-        assert list(TIME_BUCKETS) == sorted(TIME_BUCKETS)
 
 
 def event(time, site, category, kind, **data):
@@ -159,11 +109,18 @@ class TestSpanTracker:
         assert root.end == 2.2 and root.attrs["abandoned"] is True
 
     def test_finalize_closes_open_spans(self):
+        """``finalize`` exports closed copies; the tracker's own span
+        stays open, so a later event still ends it at its real time."""
         tracker = SpanTracker()
         tracker.on_trace_event(event(1.0, "S1", "txn", "submit", txn="S1#0"))
-        tracker.finalize(9.0)
+        exported = tracker.finalize(9.0)[0]
+        assert exported.end == 9.0 and exported.attrs["open_at_end"] is True
         span = tracker.spans[0]
-        assert span.end == 9.0 and span.attrs["open_at_end"] is True
+        assert span.end is None and "open_at_end" not in span.attrs
+        tracker.on_trace_event(event(12.0, "S1", "txn", "done", txn="S1#0",
+                                     state="committed"))
+        final = tracker.finalize(20.0)[0]
+        assert final.end == 12.0 and "open_at_end" not in final.attrs
 
     def test_events_without_data_are_ignored(self):
         tracker = SpanTracker()
@@ -185,14 +142,11 @@ def make_run():
         TraceEvent(1.0, "S1", "txn", "submit", data={"txn": "S1#0"}),
         TraceEvent(2.0, "S2", "status", "recovering", "was down"),
     ]
-    registry = MetricsRegistry()
-    registry.counter("net.messages").inc(12)
-    registry.histogram("locks.wait_time", (0.001, 0.01)).observe(0.002)
     return RunData(
         meta={"name": "unit run", "virtual_time": 3.0, "sites": ["S1", "S2"]},
         events=events,
         spans=list(tracker.spans),
-        metrics=registry.snapshot(),
+        metrics={"counters": {"net.messages": 12, "locks.wait_time_total": 0.5}},
     )
 
 
@@ -229,12 +183,10 @@ class TestExporters:
     def test_prometheus_text(self):
         run = make_run()
         text = prometheus_text(run.metrics)
-        assert "# TYPE repro_net_messages counter" in text
-        assert "repro_net_messages 12" in text
-        # Cumulative buckets with le labels and +Inf.
-        assert 'le="+Inf"' in text
-        assert "repro_locks_wait_time_count 1" in text
-        assert text.endswith("\n")
+        assert text == ("# TYPE repro_locks_wait_time_total counter\n"
+                        "repro_locks_wait_time_total 0.5\n"
+                        "# TYPE repro_net_messages counter\n"
+                        "repro_net_messages 12\n")
 
     def test_render_summary(self):
         run = make_run()
@@ -270,6 +222,20 @@ class TestMetricKeyPadding:
         for backend in ("vs", "evs", "logless"):
             metrics = collect_cluster_metrics(self.build(backend))
             assert set(metrics) == set(canonical), backend
+
+    @pytest.mark.parametrize("backend", ("vs", "evs", "logless"))
+    def test_campaign_payload_carries_every_key(self, backend):
+        """A campaign's metrics are the collector's keys plus the load
+        driver's, so every reader can index a canonical key."""
+        from repro.faults.campaign import run_cell
+        from repro.obs import metric_key_set
+
+        _engine, payload = run_cell("chaos", seed=1, mode=backend,
+                                    duration=0.5, clients=2)
+        metrics = payload["metrics"]
+        assert set(metric_key_set()) <= set(metrics), backend
+        assert metrics["client.sessions"] == 2
+        assert metrics["txn.commits"] > 0
 
     def test_missing_backend_counters_read_zero(self):
         from repro.obs import collect_cluster_metrics
