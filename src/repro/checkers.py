@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.replication.messages import TransactionMessage
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnEvent:
     site: str
     kind: str  # "commit" | "abort"

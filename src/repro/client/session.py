@@ -88,7 +88,7 @@ class RequestState(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """One logical client request across all its attempts."""
 

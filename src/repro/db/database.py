@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.locks import LockManager
 from repro.db.outcomes import OutcomeTable
-from repro.db.recovery import RecoveryResult, compute_cover, run_single_site_recovery
+from repro.db.recovery import RecoveryResult, run_single_site_recovery
 from repro.db.rectable import RecTable
 from repro.db.store import INITIAL_VERSION, ObjectStore
 from repro.db.wal import (
@@ -33,13 +33,6 @@ from repro.db.wal import (
     ReconcileRecord,
     WriteRecord,
 )
-
-
-def _request_tuple(request):
-    """Wire/log shape of a request id (``None`` passes through)."""
-    if request is None:
-        return None
-    return (request.client_id, request.seq, request.attempt)
 
 
 class Database:
@@ -59,7 +52,10 @@ class Database:
         self._snapshots: Dict[int, Dict[str, Tuple[Any, int]]] = {}
         self._snapshot_refs: Dict[int, int] = {}
         self.baseline_gid = -1
-        self.delivered_gids: List[int] = []
+        #: Last gid delivered (logged as begin or no-op) above the
+        #: baseline; ``None`` when nothing above it was delivered.
+        self.last_delivered_gid: Optional[int] = None
+        #: Delivered gids above the baseline not yet committed or aborted.
         self._unterminated: Set[int] = set()
         self.commits = 0
         self.aborts = 0
@@ -103,13 +99,13 @@ class Database:
     # ------------------------------------------------------------------
     def log_begin(self, gid: int) -> None:
         self.storage.append(BeginRecord(gid))
-        self.delivered_gids.append(gid)
+        self.last_delivered_gid = gid
         self._unterminated.add(gid)
 
     def log_noop(self, gid: int) -> None:
         """Record a delivered non-transactional message (cover continuity)."""
         self.storage.append(NoopRecord(gid))
-        self.delivered_gids.append(gid)
+        self.last_delivered_gid = gid
 
     def version_check(self, read_set: Dict[str, int]) -> bool:
         """True iff every read version is still current (section 2.2, III.2)."""
@@ -172,7 +168,7 @@ class Database:
         # record before it must survive a crash (write-ahead rule), so a
         # torn tail can only ever lose begin/write records of in-flight
         # transactions — work that never externally took effect.
-        self.storage.append(CommitRecord(gid, _request_tuple(request)))
+        self.storage.append(CommitRecord(gid, request))
         self.storage.flush()
         for obj, _, _ in self._uncommitted_writes.pop(gid, ()):
             self.rectable.register(obj, gid)
@@ -183,7 +179,7 @@ class Database:
         """Undo any installed writes and terminate the transaction."""
         for obj, before_value, before_version in reversed(self._uncommitted_writes.pop(gid, [])):
             self.store.write(obj, before_value, before_version)
-        self.storage.append(AbortRecord(gid, _request_tuple(request)))
+        self.storage.append(AbortRecord(gid, request))
         self.storage.flush()
         self._unterminated.discard(gid)
         self.aborts += 1
@@ -203,15 +199,23 @@ class Database:
     # Cover transaction (section 4.4)
     # ------------------------------------------------------------------
     def cover_gid(self) -> int:
-        return compute_cover(self.baseline_gid, self.delivered_gids,
-                             set(self.delivered_gids) - self._unterminated)
+        """:func:`repro.db.recovery.compute_cover` of the gids delivered
+        since the baseline, in O(transactions in flight): delivery is in
+        gid order, so the last delivered gid is the highest."""
+        if self._unterminated:
+            return max(self.baseline_gid, min(self._unterminated) - 1)
+        if self.last_delivered_gid is None:
+            return self.baseline_gid
+        return max(self.baseline_gid, self.last_delivered_gid)
 
     def set_baseline(self, gid: int) -> None:
         """The store now incorporates everything up to ``gid`` (data transfer)."""
         self.storage.append(BaselineRecord(gid))
         self.storage.flush()
         self.baseline_gid = gid
-        self.delivered_gids = [g for g in self.delivered_gids if g > gid]
+        self._unterminated = {g for g in self._unterminated if g > gid}
+        if self.last_delivered_gid is not None and self.last_delivered_gid <= gid:
+            self.last_delivered_gid = None
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -35,11 +35,16 @@ OutcomeRow = Tuple[str, int, int, int, bool]
 
 
 class OutcomeTable:
-    """Per-site replica of the settled client-request outcomes."""
+    """Per-site replica of the settled client-request outcomes.
+
+    Each entry is stored as its wire row, so the rows handed to a
+    checkpoint image, a transfer snapshot or a creation report are the
+    table's own tuples, and a table installed from such rows keeps them.
+    """
 
     def __init__(self) -> None:
-        #: ``(client_id, seq) -> (attempt, gid, committed)``
-        self._entries: Dict[Tuple[str, int], Tuple[int, int, bool]] = {}
+        #: ``(client_id, seq) -> (client_id, seq, attempt, gid, committed)``
+        self._entries: Dict[Tuple[str, int], OutcomeRow] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -47,19 +52,18 @@ class OutcomeTable:
     # ------------------------------------------------------------------
     # Delivery-time protocol
     # ------------------------------------------------------------------
-    def lookup(self, request) -> Optional[Tuple[int, int, bool]]:
-        """Settled ``(attempt, gid, committed)`` for the request, if any."""
+    def lookup(self, request) -> Optional[OutcomeRow]:
+        """Settled row for the request, if any."""
         return self._entries.get((request.client_id, request.seq))
 
     def is_duplicate(self, request) -> bool:
         """Apply the dedup rule from the module docstring."""
-        entry = self._entries.get((request.client_id, request.seq))
-        if entry is None:
+        row = self._entries.get((request.client_id, request.seq))
+        if row is None:
             return False
-        attempt, _gid, committed = entry
-        if committed:
+        if row[4]:
             return True
-        return request.attempt <= attempt
+        return request.attempt <= row[2]
 
     def record(self, request, gid: int, committed: bool) -> None:
         """Record the deterministic delivery decision for the request.
@@ -69,20 +73,17 @@ class OutcomeTable:
         """
         key = (request.client_id, request.seq)
         existing = self._entries.get(key)
-        if existing is not None and existing[2] and not committed:
+        if existing is not None and existing[4] and not committed:
             return
-        self._entries[key] = (request.attempt, gid, committed)
+        self._entries[key] = (request.client_id, request.seq, request.attempt, gid, committed)
 
     # ------------------------------------------------------------------
     # Transfer / recovery / creation plumbing
     # ------------------------------------------------------------------
     def rows(self) -> Tuple[OutcomeRow, ...]:
-        """All entries as sorted wire rows (deterministic)."""
-        return tuple(
-            (client_id, seq, attempt, gid, committed)
-            for (client_id, seq), (attempt, gid, committed)
-            in sorted(self._entries.items())
-        )
+        """All entries as sorted wire rows (deterministic).  Keys are
+        unique, so sorting the rows sorts by ``(client_id, seq)``."""
+        return tuple(sorted(self._entries.values()))
 
     def snapshot_through(self, baseline_gid: int) -> Tuple[OutcomeRow, ...]:
         """Rows whose deciding gid is at or below the transfer baseline.
@@ -92,24 +93,22 @@ class OutcomeTable:
         decisions — handing it the outcome early would make it suppress
         its own first replay of the message and skip the writes.
         """
-        return tuple(
-            row for row in self.rows() if row[3] <= baseline_gid
-        )
+        return tuple(row for row in self.rows() if row[3] <= baseline_gid)
 
     def merge(self, rows: Iterable[OutcomeRow]) -> int:
         """Install rows from a peer, preferring settled-committed entries
         and higher attempts.  Returns how many entries changed."""
         changed = 0
-        for client_id, seq, attempt, gid, committed in rows:
-            key = (client_id, seq)
-            existing = self._entries.get(key)
+        entries = self._entries
+        for row in rows:
+            key = (row[0], row[1])
+            existing = entries.get(key)
             if existing is not None:
-                e_attempt, _e_gid, e_committed = existing
-                if e_committed:
+                if existing[4]:
                     continue
-                if not committed and attempt <= e_attempt:
+                if not row[4] and row[2] <= existing[2]:
                     continue
-            self._entries[key] = (attempt, gid, committed)
+            entries[key] = row
             changed += 1
         return changed
 
@@ -122,19 +121,14 @@ class OutcomeTable:
         delivery outside the new primary lineage (a phantom) or to an
         in-flight transaction rolled back at stall time.
         """
-        self._entries = {
-            (client_id, seq): (attempt, gid, committed)
-            for client_id, seq, attempt, gid, committed in rows
-        }
+        self._entries = {(row[0], row[1]): row for row in rows}
 
     def expunge_gids(self, gids) -> int:
         """Drop entries decided at the given (phantom) gids."""
         doomed = set(gids)
         if not doomed:
             return 0
-        victims = [
-            key for key, (_a, gid, _c) in self._entries.items() if gid in doomed
-        ]
+        victims = [key for key, row in self._entries.items() if row[3] in doomed]
         for key in victims:
             del self._entries[key]
         return len(victims)

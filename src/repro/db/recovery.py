@@ -102,17 +102,15 @@ def run_single_site_recovery(storage: PersistentStorage) -> RecoveryResult:
             terminated.add(record.gid)
         elif isinstance(record, WriteRecord):
             writes_by_gid.setdefault(record.gid, []).append(record)
-        elif isinstance(record, CommitRecord):
+        elif isinstance(record, (CommitRecord, AbortRecord)):
             terminated.add(record.gid)
-            committed.add(record.gid)
-            if record.request is not None:
-                client_id, seq, attempt = record.request
-                outcomes.merge(((client_id, seq, attempt, record.gid, True),))
-        elif isinstance(record, AbortRecord):
-            terminated.add(record.gid)
-            if record.request is not None:
-                client_id, seq, attempt = record.request
-                outcomes.merge(((client_id, seq, attempt, record.gid, False),))
+            commit = isinstance(record, CommitRecord)
+            if commit:
+                committed.add(record.gid)
+            request = record.request
+            if request is not None:
+                outcomes.merge(((request.client_id, request.seq, request.attempt,
+                                 record.gid, commit),))
         elif isinstance(record, ReconcileRecord):
             terminated.add(record.gid)
             committed.discard(record.gid)

@@ -15,8 +15,11 @@ image, so recovery is pure redo).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.replication.messages import RequestId
 
 
 def record_checksum(record: "LogRecord") -> int:
@@ -28,7 +31,7 @@ def record_checksum(record: "LogRecord") -> int:
     return zlib.crc32(repr(record).encode("utf-8"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaselineRecord:
     """The database state incorporates every transaction with gid <= gid.
 
@@ -39,14 +42,14 @@ class BaselineRecord:
     gid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeginRecord:
     """A transaction message with this gid entered the serialization phase."""
 
     gid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteRecord:
     """Physical before/after images of one write operation."""
 
@@ -57,24 +60,25 @@ class WriteRecord:
     after_value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     gid: int
-    #: ``(client_id, seq, attempt)`` of the client request this commit
-    #: settles, or ``None`` for anonymous transactions.  Logged so single
-    #: site recovery can rebuild the exactly-once outcome table.
-    request: Optional[Tuple[str, int, int]] = None
+    #: The client request this commit settles, or ``None`` for anonymous
+    #: transactions.  Logged so single site recovery can rebuild the
+    #: exactly-once outcome table; the record holds the delivered
+    #: message's own (immutable) id rather than a copy of its fields.
+    request: Optional["RequestId"] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbortRecord:
     gid: int
     #: See :class:`CommitRecord`; aborted attempts are also settled
     #: outcomes (a stale duplicate must not commit later).
-    request: Optional[Tuple[str, int, int]] = None
+    request: Optional["RequestId"] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReconcileRecord:
     """A locally committed transaction turned out to be a *phantom*: it
     never committed in the primary lineage (possible only under plain
@@ -84,7 +88,7 @@ class ReconcileRecord:
     gid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoopRecord:
     """A delivered message at this gid carried no transaction (e.g. a
     control message); logged so the cover computation can account for it."""
@@ -109,11 +113,13 @@ class PersistentStorage:
 
     def __init__(self) -> None:
         self.log: List[LogRecord] = []
-        #: Stored checksum per record; ``None`` = not yet materialized.
-        #: CRCs exist to catch crash-time corruption (:meth:`tear_tail`),
-        #: so they are computed lazily — a record that was never exposed
-        #: to a fault trivially checksums clean, and the hot commit path
-        #: skips ~one repr+crc32 per log record.
+        #: Stored checksums of a *prefix* of the log, one per record;
+        #: ``None`` = not materialized, and every record past the end of
+        #: the list is unmaterialized too.  CRCs exist to catch crash-time
+        #: corruption (:meth:`tear_tail`), so they are computed lazily — a
+        #: record that was never exposed to a fault trivially checksums
+        #: clean, the hot commit path skips ~one repr+crc32 per log
+        #: record, and a log no fault touched keeps no list entry at all.
         self._crcs: List[Optional[int]] = []
         #: Records below this index survived an explicit flush and can
         #: never be lost or torn by a crash.
@@ -134,7 +140,6 @@ class PersistentStorage:
     # ------------------------------------------------------------------
     def append(self, record: LogRecord) -> None:
         self.log.append(record)
-        self._crcs.append(None)
         self.records_appended += 1
 
     def flush(self) -> None:
@@ -156,13 +161,11 @@ class PersistentStorage:
     def verified_records(self) -> Tuple[List[LogRecord], Optional[int]]:
         """Longest clean log prefix and the index of the first corrupt
         record (or None if every record checksums correctly)."""
-        good: List[LogRecord] = []
-        for index, record in enumerate(self.log):
-            crc = self._crcs[index]
-            if crc is not None and crc != record_checksum(record):
-                return good, index
-            good.append(record)
-        return good, None
+        log = self.log
+        for index, crc in enumerate(self._crcs):
+            if crc is not None and crc != record_checksum(log[index]):
+                return log[:index], index
+        return list(log), None
 
     def truncate_at(self, index: int) -> int:
         """Physically discard log records from ``index`` on.
@@ -193,9 +196,12 @@ class PersistentStorage:
         if keep >= len(self.log):
             return 0
         if corrupt_next:
-            if self._crcs[keep] is None:
-                self._crcs[keep] = record_checksum(self.log[keep])
-            self._crcs[keep] ^= 0xDEADBEEF
+            crcs = self._crcs
+            if len(crcs) <= keep:
+                crcs.extend([None] * (keep + 1 - len(crcs)))
+            if crcs[keep] is None:
+                crcs[keep] = record_checksum(self.log[keep])
+            crcs[keep] ^= 0xDEADBEEF
             self.corrupt_records += 1
             keep += 1
         dropped = len(self.log) - keep
@@ -235,7 +241,7 @@ class PersistentStorage:
             else:
                 kept.append(record)
         self.log = kept
-        self._crcs = [None] * len(kept)
+        self._crcs = []
         # Rewriting the log is itself a durable operation.
         self.durable_length = len(self.log)
         return removed

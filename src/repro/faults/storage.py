@@ -152,7 +152,8 @@ class StableStateCorruptor:
         chunk = storage.log[start:start + length]
         insert_at = start + length
         storage.log[insert_at:insert_at] = chunk
-        storage._crcs[insert_at:insert_at] = [None] * len(chunk)
+        if insert_at < len(storage._crcs):  # past it, checksums are implicit
+            storage._crcs[insert_at:insert_at] = [None] * len(chunk)
         # A duplicated durable segment is itself durable.
         if insert_at <= storage.durable_length:
             storage.durable_length += len(chunk)

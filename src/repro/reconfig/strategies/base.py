@@ -27,9 +27,6 @@ class TransferStrategy:
     #: Lazy strategies make the joiner discard messages until the last
     #: round; eager ones make it enqueue from the synchronization point.
     lazy = False
-    #: A batch takes first the queued objects a writer is blocked behind,
-    #: then fills up in queueing order (the session's batching engine).
-    writers_first = False
 
     def check_config(self, config: "NodeConfig") -> None:
         """Raise ``ValueError`` if the strategy cannot run on a node with

@@ -37,7 +37,6 @@ class FullTransferStrategy(VersionCheckStrategy):
     """
 
     name = "full"
-    writers_first = True
 
     def __init__(self, granularity: str = "object") -> None:
         if granularity not in ("object", "partition"):

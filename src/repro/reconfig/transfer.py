@@ -476,19 +476,20 @@ class PeerTransferSession:
         if outbox:
             size = min(len(outbox), self.node.config.transfer_batch_size)
             batch: List[Tuple[str, Tuple[Any, int, bool]]] = []
-            if self.strategy.writers_first:
-                # Section 4.3 fixes when an object is read (lock granted)
-                # and when its lock goes back (batch acknowledged), not
-                # the order objects leave in.  Objects a writer is queued
-                # behind go first, the longest-waiting writer's foremost;
-                # the batch is then filled in queueing order, so it is as
-                # full as ever and the transfer takes no longer.
-                for obj in self.db.locks.contended(self.owner):
-                    entry = outbox.pop(obj, None)
-                    if entry is not None:
-                        batch.append((obj, entry))
-                        if len(batch) == size:
-                            break
+            # Sections 4.3-4.5 fix when an object is read (lock granted)
+            # and when its lock goes back (batch acknowledged), not the
+            # order objects leave in.  Objects a writer is queued behind
+            # go first, the longest-waiting writer's foremost; the batch
+            # is then filled in queueing order, so it is as full as ever
+            # and the transfer takes no longer.  An object queued without
+            # its lock (``release_after_ack=False``) has no writer queued
+            # on it here, so such a batch is plain queueing order.
+            for obj in self.db.locks.contended(self.owner):
+                entry = outbox.pop(obj, None)
+                if entry is not None:
+                    batch.append((obj, entry))
+                    if len(batch) == size:
+                        break
             while len(batch) < size:
                 batch.append(outbox.popitem(last=False))
             self._inflight = size

@@ -789,9 +789,9 @@ class ReplicatedDatabaseNode:
         write-phase after the suppression (see :meth:`_answer_duplicate`)."""
         txn = self._local_txns.get(message.local_id)
         if txn is not None and not txn.done:
-            entry = self.db.outcomes.lookup(message.request)
-            if entry is not None and entry[2]:
-                txn.gid = entry[1]
+            row = self.db.outcomes.lookup(message.request)
+            if row is not None and row[4]:
+                txn.gid = row[3]
                 self._finish_local(txn, TxnState.COMMITTED, None)
             else:
                 txn.gid = gid

@@ -165,7 +165,7 @@ class LosesADurableWrite:
     def on_crash(self, storage, rng) -> int:
         for index in reversed(range(storage.durable_length)):
             if isinstance(storage.log[index], WriteRecord):
-                del storage.log[index], storage._crcs[index]
+                del storage.log[index], storage._crcs[index:index + 1]
                 storage.durable_length -= 1
                 return 1
         return 0

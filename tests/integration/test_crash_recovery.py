@@ -132,7 +132,7 @@ class TestRecoverySemantics:
         cluster = quick_cluster(db_size=60, strategy="rectable")
         s3 = cluster.nodes["S3"]
         cluster.submit_via("S1", [], {"obj0": "in-flight"})
-        while not s3.db.delivered_gids or s3.db.cover_gid() == s3.db.delivered_gids[-1]:
+        while s3.db.last_delivered_gid is None or s3.db.cover_gid() == s3.db.last_delivered_gid:
             cluster.sim.run(max_events=1)  # until the writer is delivered, not committed
         cluster.crash("S3")
         cluster.settle(0.3)

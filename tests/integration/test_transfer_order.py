@@ -16,8 +16,8 @@ from repro.reconfig.transfer import TransferAccept
 from repro.replication.node import SiteStatus
 
 LINK_DELAY_S = (0.0008, 0.0012)
-#: Recover -> ACTIVE in sim-s, polled every sim-ms, with grant-order
-#: shipping (``FullTransferStrategy.writers_first = False``), per seed.
+#: Recover -> ACTIVE in sim-s, polled every sim-ms, per seed; measured
+#: with grant-order shipping, before writers went first.
 #: Re-measured when the membership decision stopped waiting for the
 #: 100 ms maintenance tick: the join installs up to one tick sooner
 #: (0.758 / 0.708 / 0.770 before); and again when primary views began

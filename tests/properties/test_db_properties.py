@@ -84,6 +84,40 @@ class TestCoverProperties:
         # And the cover is never above the last delivered gid.
         assert cover <= max(delivered, default=-1)
 
+    @given(st.lists(st.tuples(
+        st.sampled_from(["begin", "noop", "commit", "abort", "rollback", "baseline"]),
+        st.integers(1, 3),  # gid step of a delivery
+        st.integers(0, 12),  # which gid a termination or baseline names
+    ), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_live_cover_equals_compute_cover(self, ops):
+        """``Database.cover_gid`` keeps no delivered-gid list; it must
+        agree with :func:`compute_cover` over that list at every step.
+        Deliveries come in gid order, as the total order hands them out;
+        terminations and baselines may name any gid, delivered or not."""
+        db = Database(PersistentStorage())
+        delivered, unterminated, last = [], set(), -1
+        for op, step, pick in ops:
+            if op in ("begin", "noop"):
+                last += step
+                delivered.append(last)
+                if op == "begin":
+                    db.log_begin(last)
+                    unterminated.add(last)
+                else:
+                    db.log_noop(last)
+            elif op == "baseline":
+                gid = pick - 1
+                db.set_baseline(gid)
+                delivered = [g for g in delivered if g > gid]
+            else:
+                gid = delivered[pick % len(delivered)] if delivered else pick
+                getattr(db, op)(gid)
+                if op != "rollback":
+                    unterminated.discard(gid)
+            assert db.cover_gid() == compute_cover(
+                db.baseline_gid, delivered, set(delivered) - unterminated)
+
 
 class TestRecoveryProperties:
     @given(

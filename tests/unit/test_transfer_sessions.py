@@ -9,7 +9,6 @@ from repro import NodeConfig
 from repro.db.locks import LockMode
 from repro.reconfig.strategies import strategy_by_name
 from repro.reconfig.strategies.base import TransferStrategy
-from repro.reconfig.strategies.full import FullTransferStrategy
 from repro.reconfig.transfer import (
     LastRoundReady,
     PartitionComplete,
@@ -85,18 +84,10 @@ def blocked_writer(cluster, node, obj, txn="W"):
     return granted_at
 
 
-class FifoFullStrategy(FullTransferStrategy):
-    """``full`` shipping in grant order, as before writers-first: the
-    control the totals are compared with."""
-
-    writers_first = False
-
-
 class IdleStrategy(TransferStrategy):
     """Queues nothing by itself; the test drives ``queue_item``."""
 
     name = "idle"
-    writers_first = True
 
     def begin(self, session, accept) -> None:
         pass
@@ -163,8 +154,9 @@ class TestPeerSession:
 
 
 class TestTransferOrder:
-    """Writers-first shipping of ``full`` (section 4.3 leaves the order
-    open): which object leaves when, and that nothing else moved."""
+    """Writers-first shipping, the one batch order of every strategy
+    (sections 4.3-4.5 leave the order open): which object leaves when,
+    and that nothing else moved."""
 
     BATCH = 10
 
@@ -236,14 +228,18 @@ class TestTransferOrder:
         assert session.completed
 
     @pytest.mark.parametrize("waiter", [False, True], ids=["idle", "blocked-writer"])
-    def test_totals_equal_fifo_shipping(self, waiter):
+    def test_totals_equal_fifo_shipping(self, waiter, monkeypatch):
         """Every object ships exactly once, in as many batches and as much
         time as in grant order, with and without a waiter."""
         runs = {}
-        for strategy in (FifoFullStrategy(), FullTransferStrategy()):
+        for grant_order in (True, False):
             cluster = self.cluster()
             node = cluster.nodes["S1"]
-            session = make_session(cluster, strategy=strategy)
+            if grant_order:
+                # The control: no writer is ever reported waiting, so every
+                # batch is taken from the front of the outbox.
+                monkeypatch.setattr(node.db.locks, "contended", lambda _owner: [])
+            session = make_session(cluster, strategy="full")
             joiner = ScriptedJoiner(cluster, session)
             accept(session)
             fifo = list(node.db.store.objects())
@@ -253,12 +249,12 @@ class TestTransferOrder:
             assert session.completed
             assert sorted(joiner.shipped()) == sorted(fifo)
             assert len(joiner.shipped()) == len(fifo)
-            runs[strategy.writers_first] = (
+            runs[grant_order] = (
                 session.objects_sent, session._batch_seq, session.finished_at,
                 [len(batch.items) for batch in joiner.batches],
             )
             if waiter:
-                assert (joiner.shipped() == fifo) == (not strategy.writers_first)
+                assert (joiner.shipped() == fifo) == grant_order
         assert runs[True] == runs[False]
         assert runs[True][:2] == (95, 10)
 
@@ -283,21 +279,26 @@ class TestTransferOrder:
         assert joiner.acked_at[2] - joiner.delivered_at[2] >= node.config.transfer_ack_timeout
         assert session.completed and len(joiner.shipped()) == 95
 
-    def test_fifo_strategy_ships_in_queue_order_past_a_blocked_writer(self):
-        """``rectable`` keeps ``writers_first = False``: the writer's
-        object leaves at its turn, in the last batch."""
-        cluster = self.cluster(strategy="rectable")
+    @pytest.mark.parametrize("strategy", ["rectable", "version_check"])
+    def test_writer_object_ships_next(self, strategy):
+        """Not only ``full``: a strategy that reads after the accept and
+        keeps each lock until the ack ships the writer's object in the
+        first batch formed after the writer queued, not at its turn in
+        the last one."""
+        cluster = self.cluster(strategy=strategy)
         node = cluster.nodes["S1"]
-        session = make_session(cluster, strategy="rectable")
-        assert session.strategy.writers_first is False
+        session = make_session(cluster, strategy=strategy)
         joiner = ScriptedJoiner(cluster, session)
         accept(session)
         assert session._inflight is not None  # streaming started
         fifo = sorted(node.db.store.objects())
-        granted_at = blocked_writer(cluster, node, fifo[-1])
+        victim = fifo[-1]
+        granted_at = blocked_writer(cluster, node, victim)
         cluster.run_for(1.0)
-        assert joiner.shipped() == fifo
-        assert granted_at == [joiner.acked_at[len(joiner.batches)]]
+        assert session.completed
+        assert joiner.batches[1].items[0][0] == victim
+        assert [obj for obj in joiner.shipped() if obj != victim] == fifo[:-1]
+        assert granted_at == [joiner.acked_at[2]]
 
     def test_forming_a_batch_touches_only_the_batch(self):
         """10 000 queued objects, two blocked writers: picking a batch
