@@ -1,9 +1,12 @@
 """E7 — the interference microscope: how much does each strategy delay
 concurrent transaction processing at the peer during the transfer?
 
-Expected ordering (sections 4.3-4.7): gcs_level (whole DB locked for the
-whole transfer) >> full > version_check >= rectable > lazy > log_filter
-(multiversion, ~zero blocking).
+The paper's expected ordering (sections 4.3-4.7) is gcs_level (whole DB
+locked for the whole transfer) >> full > version_check >= rectable > lazy
+> log_filter (multiversion, ~zero blocking).  Here every object read
+lock goes back the moment the object is captured, not at the batch's
+acknowledgment (DESIGN.md "Transfer order"), so only gcs_level still
+makes a writer wait.
 """
 
 from benchmarks.conftest import once, print_table
@@ -47,9 +50,7 @@ def test_peer_interference_by_strategy(benchmark):
     assert wait["gcs_level"] >= wait["log_filter"]
     # The multiversion strategy is the least intrusive lock-wise.
     assert wait["log_filter"] <= min(wait["full"], wait["gcs_level"])
-    # Filtered locking beats whole-database locking.
-    assert wait["rectable"] <= wait["full"] * 1.5
-    # The paper's order survives writers-first shipping of `full`: locking
-    # every object still delays writers more than locking the changed ones.
-    assert wait["full"] > wait["version_check"]
-    assert wait["version_check"] >= wait["rectable"] * 0.99
+    # Released at capture, no object lock delays a writer: full,
+    # version_check and rectable block as little as log_filter.
+    assert wait["gcs_level"] > 0
+    assert all(wait[s] == wait["log_filter"] == 0 for s in STRATEGIES if s != "gcs_level")

@@ -1,9 +1,11 @@
 """E6 — recovery behaviour vs the workload's read/write ratio.
 
-Expected shape: transfer read locks conflict only with writers, so
-write-heavy workloads suffer more interference from lock-holding
-strategies (full/version-check) and produce a larger changed set; a
-read-heavy workload barely notices the transfer.
+The paper's expected shape: transfer read locks conflict only with
+writers, so write-heavy workloads suffer more interference from
+lock-holding strategies (full/version-check) and produce a larger
+changed set; a read-heavy workload barely notices the transfer.  Here a
+read lock goes back the moment its object is captured (DESIGN.md
+"Transfer order"), so no mix waits on the transfer at all.
 
 The parameter grid lives in ``repro.fleet.SWEEPS["rw_ratio"]`` — the
 same cells ``python -m repro sweep --study rw_ratio`` runs in parallel —
@@ -49,9 +51,10 @@ def test_interference_vs_rw_ratio(benchmark):
     def sent(strategy, mix):
         return next(r[3] for r in rows if r[0] == strategy and r[1] == mix)
 
-    # Write-heavy load suffers more lock waiting under the lock-holding
-    # full transfer than read-only load does.
-    assert wait("full", "0r/4w") > wait("full", "4r/0w")
+    # Released at capture, the full transfer's read locks add no lock
+    # wait to what the lock-free multiversion transfer sees, at any mix.
+    mixes = {r[1] for r in rows}
+    assert all(wait("full", mix) == wait("log_filter", mix) for mix in mixes)
     # A read-only workload changes nothing: filtered transfer is empty.
     assert sent("log_filter", "4r/0w") == 0
     # The multiversion strategy interferes less than the lock-holding one

@@ -14,10 +14,13 @@ history:
   versions match the replay state: the gid order is a valid serial order
   consistent with every read;
 * **replica convergence** — all up-to-date sites hold byte-identical
-  database states.
+  database states;
+* **installed state** — every object a joiner installs from a transfer
+  is the peer's committed state at the batch's boundary gid.
 
 The :class:`HistoryRecorder` collects the per-site event streams that
-feed the checks (the cluster wires it to every node's ``on_txn_event``).
+feed the checks (the cluster wires it to every node's ``on_txn_event``
+and ``on_transfer_install``).
 """
 
 from __future__ import annotations
@@ -38,17 +41,41 @@ class TxnEvent:
 
 
 class HistoryRecorder:
-    """Collects commit/abort events from every site of a cluster."""
+    """Collects commit/abort events and checks transfer installs."""
 
-    def __init__(self, clock=None) -> None:
+    def __init__(self, clock=None, initial: Optional[Dict[str, Any]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self.events: List[TxnEvent] = []
         self.by_site: Dict[str, List[TxnEvent]] = {}
+        self.initial: Dict[str, Any] = dict(initial or {})  # version -1 values
+        self.wrong_installs: List[str] = []  # check_installed_state's, in order
+        # obj -> {gid: value} committed in events[:_indexed] (built at installs)
+        self._writes: Dict[str, Dict[int, Any]] = {}
+        self._indexed = 0
 
     def record(self, site: str, kind: str, gid: int, message: TransactionMessage) -> None:
         event = TxnEvent(site=site, kind=kind, gid=gid, message=message, time=self._clock())
         self.events.append(event)
         self.by_site.setdefault(site, []).append(event)
+
+    def record_install(self, site: str, boundary: int, items) -> None:
+        """``site`` installed (object, value, version) ``items`` as the
+        peer's committed state at gid ``boundary``, which the peer captured
+        after every gid up to it terminated: the history so far decides it."""
+        for event in self.events[self._indexed:]:
+            if event.kind == "commit":
+                for obj, value in event.message.write_set:
+                    self._writes.setdefault(obj, {})[event.gid] = value
+        self._indexed = len(self.events)
+        for obj, value, version in items:
+            writes = self._writes.get(obj, {})
+            last = max((gid for gid in writes if gid <= boundary), default=-1)
+            expected = (last, writes.get(last, self.initial.get(obj)))
+            if (version, value) != expected:
+                self.wrong_installs.append(
+                    f"{site} installed {obj}={value!r} at version {version} from a "
+                    f"transfer bounded at gid {boundary}, but the committed state "
+                    f"there is {expected[1]!r} at version {expected[0]}")
 
     # ------------------------------------------------------------------
     def commits_of(self, site: str) -> List[int]:
@@ -123,6 +150,16 @@ def check_one_copy_serializability(history: HistoryRecorder) -> None:
                 )
         for obj, _value in message.write_set:
             version[obj] = gid
+
+
+def check_installed_state(history: HistoryRecorder) -> None:
+    """Every transfer install was the peer's committed state at the
+    batch's boundary: version at or below it, that version's value, no
+    committed write in between (replay hides a late capture from the rest)."""
+    if history.wrong_installs:
+        raise ConsistencyViolation(
+            f"{len(history.wrong_installs)} wrong transfer install(s); first: "
+            f"{history.wrong_installs[0]}")
 
 
 def check_convergence(nodes) -> None:
@@ -364,5 +401,6 @@ def run_all_checks(history: HistoryRecorder, nodes, sessions=None) -> None:
     check_view_synchrony(nodes)
     check_convergence(nodes)
     check_atomicity_durability(history, nodes)
+    check_installed_state(history)
     if sessions is not None:
         check_exactly_once(history, sessions)

@@ -122,7 +122,7 @@ class ClusterBuilder:
             node_config = replace(node_config or NodeConfig(), batch_writes=False)
 
         backend = backend_by_name(self.mode)
-        history = HistoryRecorder(clock=lambda: sim.now)
+        history = HistoryRecorder(clock=lambda: sim.now, initial=initial_db)
         cluster = Cluster(sim, network, {}, history, strategy, initial_db)
         cluster._gcs_config = gcs_config
         cluster._node_config = node_config
@@ -190,6 +190,7 @@ class Cluster:
         )
         node.configure_reconfig(self._backend.make_manager(node, self.strategy))
         node.on_txn_event = self.history.record
+        node.on_transfer_install = self.history.record_install
         # A site added to a traced/observed cluster is traced/observed too.
         node.tracer = self.tracer
         node.obs = self.obs

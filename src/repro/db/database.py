@@ -347,19 +347,6 @@ class Database:
                 reconciled.add(record.gid)
         return tuple(sorted(candidates - (committed - reconciled)))
 
-    def is_committed_locally(self, gid: int) -> bool:
-        """Did this site commit ``gid`` (directly, or via a transferred
-        baseline that subsumes it)?"""
-        if gid <= self.baseline_gid:
-            return True
-        committed = False
-        for record in self.storage.records():
-            if isinstance(record, CommitRecord) and record.gid == gid:
-                committed = True
-            elif isinstance(record, ReconcileRecord) and record.gid == gid:
-                committed = False
-        return committed
-
     def reconcile_phantoms(self, gids) -> int:
         """Compensate locally committed transactions that never committed
         in the primary lineage: restore their before-images (newest

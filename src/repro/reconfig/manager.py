@@ -323,6 +323,10 @@ class BaseReconfigManager:
         # crash right after recovers to a consistent (state, cover) pair.
         db.checkpoint()
         db.set_baseline(msg.baseline_gid)
+        # Sessions this site serves take their sync point from it: below
+        # the baseline it would label their state as older than it is
+        # (chaos --mode evs --seed 170; a creation source, --seed 179).
+        self.node.last_processed_gid = max(self.node.last_processed_gid, msg.baseline_gid)
         self._resume_through = max(self._resume_through, msg.baseline_gid)
         self.transfers_completed += 1
         self._start_replay()
@@ -781,6 +785,8 @@ class BaseReconfigManager:
             db.outcomes.merge(rep.outcomes)
         db.checkpoint()
         db.set_baseline(max(applied_max, my_cover))
+        # As after a transfer (_on_transfer_complete).
+        self.node.last_processed_gid = max(self.node.last_processed_gid, db.baseline_gid)
         self._creation_reports = {}
         self.on_creation_source(gseq)
 

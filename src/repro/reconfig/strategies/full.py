@@ -8,11 +8,10 @@ lock."
 
 Mandatory for new sites; attractive when the database is small or most
 of it changed while the joiner was down.  Reads continue unhindered on
-the peer; a write is delayed until the batch carrying "its" object has
-been acknowledged.  The paper leaves the order objects leave in open:
-the session ships the objects writers are queued on first, so that delay
-is at most the batch in flight plus the writer's own, not the object's
-turn in a database-long queue.
+the peer.  The object is read into the outbox when its lock is granted
+and a retransmission resends that copy, so the lock goes back right
+then, not at the acknowledgment: a write waits only until its object is
+captured (DESIGN.md "Transfer order").
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class FullTransferStrategy(VersionCheckStrategy):
             # (released by release_all_locks), covering all its objects.
             for obj in objects:
                 value, version = session.db.store.read(obj)
-                session.queue_item(obj, value, version, release_after_ack=False)
+                session.queue_item(obj, value, version)
             session.strategy_state["remaining"] -= 1
             if session.strategy_state["remaining"] == 0:
                 session.strategy_state["all_queued"] = True

@@ -48,7 +48,7 @@ class GcsLevelTransferStrategy(TransferStrategy):
             return
         for obj in session.db.store.objects():
             value, version = session.db.store.read(obj)
-            session.queue_item(obj, value, version, release_after_ack=False)
+            session.queue_item(obj, value, version)
         # The DB lock is *not* released per object: it is held until the
         # session completes (release_all_locks in _complete), which is
         # exactly the suspension this baseline is meant to exhibit.

@@ -66,7 +66,6 @@ class LazyTransferStrategy(TransferStrategy):
     def _start_round(self, session) -> None:
         if not session.active:
             return
-        state = session.strategy_state
         g0 = session.node.last_processed_gid
         session.node.call_when_quiescent_below(g0, lambda: self._run_round(session, g0))
 
@@ -76,6 +75,7 @@ class LazyTransferStrategy(TransferStrategy):
         state = session.strategy_state
         threshold, max_rounds = self._thresholds(session)
         partition_count = session.node.config.partition_count
+        session.boundary = g0
         if state["round"] == 1 and partition_count > 0:
             # Section 4.7: the first round goes partition by partition,
             # with per-partition completion markers for fail-over resume.
@@ -96,9 +96,13 @@ class LazyTransferStrategy(TransferStrategy):
             self._announce_last_round(session)
             return
         # Regular round: short "read committed" access, no held locks.
+        # Every writer at or below g0 has terminated, so a last committed
+        # version at or below g0 is the object as of g0; an object
+        # written since waits for the next round, which ships it anyway.
         for obj in transfer_set:
             value, version = session.db.read_committed(obj)
-            session.queue_item(obj, value, version, release_after_ack=False)
+            if version <= g0:
+                session.queue_item(obj, value, version)
         session.set_round_boundary(g0)
         state["boundary_prev"] = g0
         state["round"] += 1
@@ -129,7 +133,8 @@ class LazyTransferStrategy(TransferStrategy):
             if partition_of(obj, partition_count) != partition:
                 continue
             value, version = session.db.read_committed(obj)
-            session.queue_item(obj, value, version, release_after_ack=False)
+            if version <= g0:  # as in a regular round
+                session.queue_item(obj, value, version)
 
         def partition_done(partition=partition) -> None:
             session.announce_partition_complete(partition, g0)
@@ -172,6 +177,7 @@ class LazyTransferStrategy(TransferStrategy):
         if not session.active:
             return
         state = session.strategy_state
+        session.boundary = delimiter
         transfer_set = self.stale_objects_since(session, state["boundary_prev"])
         state["remaining"] = len(transfer_set)
         on_grant = self._make_final_grant_handler(session, delimiter)
@@ -194,8 +200,7 @@ class LazyTransferStrategy(TransferStrategy):
             if not session.active:
                 return
             obj = request.resource
-            value, version = session.db.store.read(obj)
-            session.queue_item(obj, value, version, release_after_ack=True)
+            session.queue_item(obj, *session.db.store.read(obj))
             state = session.strategy_state
             state["remaining"] -= 1
             if state["remaining"] == 0:

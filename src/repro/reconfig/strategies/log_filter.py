@@ -39,7 +39,7 @@ class LogFilterStrategy(TransferStrategy):
             return
         for obj, (value, version) in sorted(session.db.read_as_of(limit).items()):
             if version > cover:
-                session.queue_item(obj, value, version, release_after_ack=False)
+                session.queue_item(obj, value, version)
         session.finish(session.sync_gid)
 
     def on_session_closed(self, session) -> None:

@@ -78,8 +78,7 @@ class RecTableStrategy(TransferStrategy):
             if not session.active:
                 return
             obj = request.resource
-            value, version = session.db.store.read(obj)
-            session.queue_item(obj, value, version, release_after_ack=True)
+            session.queue_item(obj, *session.db.store.read(obj))
             state = session.strategy_state
             state["remaining"] -= 1
             if state["remaining"] == 0:

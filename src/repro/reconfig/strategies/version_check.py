@@ -64,7 +64,7 @@ class VersionCheckStrategy(TransferStrategy):
         state = session.strategy_state
         value, version = session.db.store.read(obj)
         if version > state["cover"]:
-            session.queue_item(obj, value, version, release_after_ack=True)
+            session.queue_item(obj, value, version)
         else:
             session.release_lock(obj)
         state["remaining"] -= 1

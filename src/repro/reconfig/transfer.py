@@ -9,8 +9,7 @@ A :class:`PeerTransferSession` lives at the peer; the concrete
 :class:`repro.reconfig.strategies.TransferStrategy` decides *what* to
 send and under which locks, while the session provides the shared
 machinery: offer/accept handshake, batching with a single in-flight
-batch (and which queued objects it takes), per-object marshalling cost,
-lock release on acknowledgement and completion signalling.
+batch, per-object marshalling cost and completion signalling.
 
 A :class:`JoinerTransferSession` lives at the joining site; it installs
 incoming batches, tracks lazy-transfer resume points for peer fail-over,
@@ -22,9 +21,9 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.db.locks import LockMode
 from repro.replication.node import ReplicatedDatabaseNode
@@ -130,7 +129,8 @@ class ReconcileAck:
 @dataclass(frozen=True)
 class TransferBatch:
     session_id: str
-    round_no: int
+    #: The items are the peer's committed state at this gid.
+    boundary: int
     items: Tuple[Tuple[str, Any, int], ...]  # (object, value, version)
     payload_bytes: int
     round_boundary: Optional[int] = None  # lazy: state complete through this gid
@@ -256,19 +256,18 @@ class PeerTransferSession:
         self.joiner = joiner
         self.strategy = strategy
         self.sync_gid = sync_gid
+        #: What is queued now is the committed state at this gid (lazy: the round's).
+        self.boundary = sync_gid
         self.on_done = on_done
         self.session_id = f"{node.site_id}->{joiner}@{node.sim.now:.6f}"
         self.owner = f"xfer:{self.session_id}"
         self.active = True
         self.accepted = False
         self.completed = False
-        self.round_no = 1
 
-        # object -> (value, version, release_after_ack), in queueing order:
-        # a batch can take any object out without a pass over the rest.
-        self._outbox: "OrderedDict[str, Tuple[Any, int, bool]]" = OrderedDict()
+        # Captured (object, value, version) triples in queueing order.
+        self._outbox: Deque[Tuple[str, Any, int]] = deque()
         self._inflight: Optional[int] = None  # item count of the batch in flight
-        self._inflight_release: List[str] = []
         self._finished_baseline: Optional[int] = None
         self._round_boundary: Optional[int] = None
         self._batch_cb: Optional[Callable[[], None]] = None
@@ -432,14 +431,16 @@ class PeerTransferSession:
         # every writer on this site.
         self.db.locks.cancel(self.owner)
 
-    def queue_item(self, obj: str, value: Any, version: int, release_after_ack: bool = False) -> None:
-        """Queue one object for transfer; optionally keep its lock until
-        the batch carrying it is acknowledged (sections 4.3/4.4).  An
-        object is queued at most once between two drains of the outbox."""
+    def queue_item(self, obj: str, value: Any, version: int) -> None:
+        """Queue one object's captured ``(value, version)`` and hand back
+        the session's read lock on it, if any: the copy is what ships,
+        retransmissions included (DESIGN.md "Transfer order").  An object
+        is queued at most once between two drains of the outbox."""
         if not self.active:
             return
-        self._outbox[obj] = (value, version, release_after_ack)
+        self._outbox.append((obj, value, version))
         self._maybe_send_batch()
+        self.release_lock(obj)
 
     def announce_partition_complete(self, partition: str, boundary_gid: int) -> None:
         """Lazy round 1: tell the joiner this partition is complete."""
@@ -475,26 +476,8 @@ class PeerTransferSession:
         outbox = self._outbox
         if outbox:
             size = min(len(outbox), self.node.config.transfer_batch_size)
-            batch: List[Tuple[str, Tuple[Any, int, bool]]] = []
-            # Sections 4.3-4.5 fix when an object is read (lock granted)
-            # and when its lock goes back (batch acknowledged), not the
-            # order objects leave in.  Objects a writer is queued behind
-            # go first, the longest-waiting writer's foremost; the batch
-            # is then filled in queueing order, so it is as full as ever
-            # and the transfer takes no longer.  An object queued without
-            # its lock (``release_after_ack=False``) has no writer queued
-            # on it here, so such a batch is plain queueing order.
-            for obj in self.db.locks.contended(self.owner):
-                entry = outbox.pop(obj, None)
-                if entry is not None:
-                    batch.append((obj, entry))
-                    if len(batch) == size:
-                        break
-            while len(batch) < size:
-                batch.append(outbox.popitem(last=False))
+            items = tuple([outbox.popleft() for _ in range(size)])
             self._inflight = size
-            self._inflight_release = [obj for obj, entry in batch if entry[2]]
-            items = tuple([(obj, value, version) for obj, (value, version, _) in batch])
             delay = size * self.node.config.transfer_obj_time
             self.node.proc.after(delay, self._transmit_batch, items)
             return
@@ -519,9 +502,9 @@ class PeerTransferSession:
         else:
             payload_bytes = len(items) * self.node.config.object_size_bytes
             wire_items = items
-        boundary = None
+        round_boundary = None
         if self._round_boundary is not None and not self._outbox:
-            boundary = self._round_boundary
+            round_boundary = self._round_boundary
         self._batch_seq += 1
         self.objects_sent += len(items)
         self.bytes_sent += payload_bytes
@@ -532,10 +515,10 @@ class PeerTransferSession:
             "batch",
             TransferBatch(
                 session_id=self.session_id,
-                round_no=self.round_no,
                 items=wire_items,
                 payload_bytes=payload_bytes,
-                round_boundary=boundary,
+                boundary=self.boundary,
+                round_boundary=round_boundary,
                 seq=self._batch_seq,
                 blob=blob,
                 compressed=compressed,
@@ -557,9 +540,6 @@ class PeerTransferSession:
             self._last_acked_seq = ack.seq
         self.ack_tracked("batch")
         self._inflight = None
-        for obj in self._inflight_release:
-            self.release_lock(obj)
-        self._inflight_release = []
         self._maybe_send_batch()
 
     def on_last_round_ready(self, msg: LastRoundReady) -> None:
@@ -679,6 +659,8 @@ class JoinerTransferSession:
             # duplication/retransmission.
             self._last_batch_seq = max(self._last_batch_seq, batch.seq)
             self.node.db.store.apply(items)
+            if self.node.on_transfer_install is not None:
+                self.node.on_transfer_install(self.node.site_id, batch.boundary, items)
             # Transferred versions bypass the commit path, so register
             # them in the RecTable here — otherwise this site, acting as
             # peer for a *later* joiner, would silently omit objects it

@@ -126,11 +126,6 @@ class NodeConfig:
     #: a flapping straggler cannot starve a suspended majority.
     creation_majority: bool = False
     checkpoint_interval: float = 1.0
-    #: Truncate the WAL prefix the checkpoint image subsumes (bounded log
-    #: growth).  Safe under uniform delivery; leave off with plain
-    #: reliable delivery, where the truncated before-images may still be
-    #: needed to compensate phantom commits (section 2.3).
-    truncate_log_at_checkpoint: bool = False
     rectable_flush_interval: float = 0.05
     rectable_flush_limit: int = 200
     cover_announce_interval: float = 0.5
@@ -270,6 +265,8 @@ class ReplicatedDatabaseNode:
 
         # Metrics / event taps.
         self.on_txn_event: Optional[Callable[[str, str, int, Any], None]] = None
+        #: (site, boundary gid, items) of every transfer batch installed.
+        self.on_transfer_install: Optional[Callable[[str, int, Any], None]] = None
         self.commits = 0
         self.local_aborts = 0
         #: Deliveries suppressed by the exactly-once outcome table.
@@ -993,7 +990,9 @@ class ReplicatedDatabaseNode:
     # Periodic background tasks
     # ------------------------------------------------------------------
     def _checkpoint_tick(self) -> None:
-        self.db.checkpoint(truncate_log=self.config.truncate_log_at_checkpoint)
+        # Under plain reliable delivery the log's before-images may still
+        # have to compensate phantom commits (section 2.3): keep it whole.
+        self.db.checkpoint(truncate_log=self.member.config.uniform)
 
     def _rectable_tick(self) -> None:
         self.db.rectable.flush_pending(self.config.rectable_flush_limit)

@@ -58,6 +58,9 @@ CASES = [
                       # repair write won the CAS over its replace, so a
                       # suspended site listed in the config never turned
                       # RECOVERING and dropped what its transfer needed
+    ("evs", 179),  # wrong transfer install: a creation source, still at
+    ("evs", 264),  # its pre-creation last processed gid, re-offered the
+                   # merged state to a caught-up joiner as of that gid
 ]
 
 

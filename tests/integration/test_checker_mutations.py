@@ -1,6 +1,6 @@
 """One killing mutation per checker (and per monitor).
 
-A checker that cannot fail verifies nothing.  For each of the eight
+A checker that cannot fail verifies nothing.  For each of the nine
 checkers :func:`repro.checkers.run_all_checks` runs there is a row in
 ``KILLS``: a mutation of a real run — one monkeypatched method at one
 site (``tests/mutations.py``) or one crash-time storage fault installed
@@ -193,6 +193,10 @@ def delivery_quorum_one_too_small(monkeypatch, cluster):
     mutations.delivery_quorum_one_too_small(monkeypatch)
 
 
+def captures_at_transmit(monkeypatch, cluster):
+    mutations.capture_at_transmit(monkeypatch)
+
+
 #: row -> (checker, run, mutation, what the violation says); a row per
 #: checker is named after it.
 KILLS = {
@@ -220,6 +224,9 @@ KILLS = {
         lambda cluster: crash_and_rejoin(cluster, load_through_the_crash=False),
         loses_a_durable_write_at_the_crash,
         r"S3 has obj\d+ at version -?\d+ < committed writer"),
+    "check_installed_state": (
+        "check_installed_state", crash_and_rejoin, captures_at_transmit,
+        r"S3 installed obj\d+=.* at version \d+ from a transfer bounded at gid \d+"),
     "check_exactly_once": (
         "check_exactly_once", resubmit_one_request, no_dedup,
         "request CX:1 committed under 2 distinct gids"),
@@ -231,7 +238,7 @@ KILLS = {
 
 def test_every_checker_has_a_killing_mutation():
     battery = re.findall(r"\b(check_\w+)\(", inspect.getsource(run_all_checks))
-    assert len(battery) == 8
+    assert len(battery) == 9
     assert {row[0] for row in KILLS.values()} == set(battery)
     assert all(KILLS[name][0] == name for name in battery)
 

@@ -142,12 +142,13 @@ class TestSabotage:
         ``check_decision_agreement``, at the first sweep after S1's
         stale table decides a replayed request differently.  (Seed 25
         bit until primary views began delivering on a majority of acks,
-        and seed 3 until a removal stopped waiting the 60 ms debounce;
-        of seeds 0..159, 73, 104 and 151 bite now.)"""
-        clean = run_endurance(73, duration=8.0)
+        seed 3 until a removal stopped waiting the 60 ms debounce, and
+        seed 73 until transfer locks went back at capture; of seeds
+        0..159, 82, 86, 111 and 134 bite now.)"""
+        clean = run_endurance(82, duration=8.0)
         assert clean.ok, clean.error
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        mutated = run_endurance(73, duration=8.0)
+        mutated = run_endurance(82, duration=8.0)
         assert not mutated.ok
         assert "quiescent sweep" in mutated.error
         assert "commit at one site but abort at S1" in mutated.error
@@ -310,18 +311,18 @@ class TestWiring:
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
         results = run_seed_fleet(
-            "endurance", [73], duration=8.0, artifacts_dir=str(tmp_path))
-        payload = results[73]
+            "endurance", [82], duration=8.0, artifacts_dir=str(tmp_path))
+        payload = results[82]
         assert not payload["ok"]
         assert payload["artifacts"], "failed worker left no evidence"
         assert any(path.endswith("repro.txt")
                    for path in payload["artifacts"])
         # The bundle carries the derived genome: the search replays it
         # to the same failure.
-        schedule = tmp_path / "seed73-vs" / "schedule.json"
+        schedule = tmp_path / "seed82-vs" / "schedule.json"
         assert str(schedule) in payload["artifacts"]
         replay = f"python -m repro search --replay {schedule}"
-        assert replay in (tmp_path / "seed73-vs" / "repro.txt").read_text()
+        assert replay in (tmp_path / "seed82-vs" / "repro.txt").read_text()
         assert main(["search", "--replay", str(schedule)]) == 1
 
 
@@ -341,13 +342,13 @@ class TestCli:
         from repro.cli import main
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        code = main(["chaos", "--endurance", "--seed", "73",
+        code = main(["chaos", "--endurance", "--seed", "82",
                      "--duration", "8", "--artifacts-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert "FAILURE" in err
         assert "reproduce: PYTHONPATH=src python -m repro chaos" in err
-        assert (tmp_path / "seed73-vs" / "schedule.txt").exists()
+        assert (tmp_path / "seed82-vs" / "schedule.txt").exists()
 
     def test_endurance_fleet_table(self, capsys):
         from repro.cli import main

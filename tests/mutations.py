@@ -29,6 +29,7 @@ from repro import audit
 from repro.db.outcomes import OutcomeTable
 from repro.gcs.total_order import ViewTotalOrder
 from repro.reconfig.manager import BaseReconfigManager
+from repro.reconfig.transfer import PeerTransferSession
 from repro.replication.node import SiteStatus
 from repro.sim.core import Simulator
 
@@ -115,6 +116,22 @@ def discard_until_the_offer(monkeypatch, site: str) -> list:
     patch_where(monkeypatch, BaseReconfigManager, "_became_up_to_date",
                 at_site(site), forget_to_enqueue)
     return markers
+
+
+def capture_at_transmit(monkeypatch) -> None:
+    """*The peer captures after the release*: every peer reads each
+    object when its batch leaves, not when the object's read lock is
+    granted — what a lock held only until capture must not be paired
+    with.  A writer granted in between leaks a version above the
+    boundary into the joiner; replay re-applies the same write, so the
+    replicas still converge.  Killed by ``check_installed_state``."""
+    real = PeerTransferSession._transmit_batch
+
+    def read_now(session, items):
+        real(session, tuple((obj, *session.db.store.read(obj))
+                            for obj, _value, _version in items))
+
+    monkeypatch.setattr(PeerTransferSession, "_transmit_batch", read_now)
 
 
 def delivery_quorum_one_too_small(monkeypatch) -> None:

@@ -10,10 +10,6 @@ That pins what the index must not change: simultaneously eligible waiters
 are granted in enqueue order (not ticket order: ``inherit_ticket`` makes
 the two differ), fairness stays on the ticket, and a grant handler that
 requests, releases or cancels sees the same nested pump.
-
-``contended()`` exists on the indexed manager only; it is compared with a
-brute-force definition over the flat manager's public ``waiting_requests()``
-and ``holds()``.
 """
 
 import hypothesis.strategies as st
@@ -87,17 +83,6 @@ def _describe(request):
     return (request.txn_id, request.resource, request.mode.value, request.ticket)
 
 
-def _contended_brute_force(locks, txn):
-    """Resources ``txn`` holds that some request waits on, by the oldest
-    such request: ``waiting_requests()`` is in enqueue order and a dict
-    keeps first-insertion order."""
-    return list(dict.fromkeys(
-        request.resource
-        for request in locks.waiting_requests()
-        if locks.holds(txn, request.resource)
-    ))
-
-
 def _ops(on_grant_ops):
     return st.one_of(
         st.tuples(
@@ -148,21 +133,7 @@ NESTED_PUMP_SEES_OUTER_RELEASE = [
     ("release", "T1", None),
 ]
 
-# T1 holds "a" and "b"; waiters arrive a, b, a.  contended(T1) is [a, b]
-# by each queue's *oldest* waiter (its newest would say [b, a]), and
-# [b, a] once T2 has left, although "a" got its queue first.
-CONTENDED_FOLLOWS_THE_OLDEST_WAITER = [
-    ("request", "T1", "a", True, None, ()),
-    ("request", "T1", "b", True, None, ()),
-    ("request", "T2", "a", True, None, ()),
-    ("request", "T3", "b", True, None, ()),
-    ("request", "T4", "a", True, None, ()),
-    ("cancel", "T2"),
-]
-
-
 @given(operations, st.booleans())
-@example(CONTENDED_FOLLOWS_THE_OLDEST_WAITER, False)
 @example(ENQUEUE_ORDER_IS_NOT_TICKET_ORDER, False)
 @example(ENQUEUE_ORDER_IS_NOT_TICKET_ORDER, True)
 @example(NESTED_PUMP_SEES_OUTER_RELEASE, False)
@@ -172,10 +143,6 @@ def test_indexed_queues_match_flat_list(ops, partitioned):
     subject = Driver(indexed, partitioned)
     for position, op in enumerate(ops):
         assert subject.step(op) == reference.step(op), f"diverged at op {position}: {op}"
-        for txn in TXNS:
-            assert subject.locks.contended(txn) == _contended_brute_force(
-                reference.locks, txn
-            ), f"contended({txn}) wrong after op {position}: {op}"
 
 
 def test_pinned_examples_exercise_what_they_claim():
@@ -190,10 +157,3 @@ def test_pinned_examples_exercise_what_they_claim():
     for op in NESTED_PUMP_SEES_OUTER_RELEASE:
         state = driver.step(op)
     assert [g[0] for g in state["granted"][-3:]] == ["T2", "T3", "T5"]
-
-    driver = Driver(flat, partitioned=False)
-    for op in CONTENDED_FOLLOWS_THE_OLDEST_WAITER[:-1]:
-        driver.step(op)
-    assert _contended_brute_force(driver.locks, "T1") == ["a", "b"]
-    driver.step(CONTENDED_FOLLOWS_THE_OLDEST_WAITER[-1])
-    assert _contended_brute_force(driver.locks, "T1") == ["b", "a"]

@@ -265,7 +265,7 @@ class TestChunkCompression:
         reports len(blob), and decoding yields the original items."""
         blob = encode_batch_items(self.ITEMS)
         batch = TransferBatch(
-            session_id=1, round_no=0, items=(), payload_bytes=len(blob),
+            session_id=1, boundary=0, items=(), payload_bytes=len(blob),
             seq=1, blob=blob, compressed=True,
         )
         assert batch.payload_bytes == len(blob)
@@ -273,7 +273,7 @@ class TestChunkCompression:
 
     def test_uncompressed_batch_carries_items_inline(self):
         batch = TransferBatch(
-            session_id=1, round_no=0, items=self.ITEMS,
+            session_id=1, boundary=0, items=self.ITEMS,
             payload_bytes=len(self.ITEMS) * 64, seq=1,
         )
         assert batch.decoded_items() == self.ITEMS

@@ -7,6 +7,7 @@ from repro.checkers import (
     HistoryRecorder,
     check_decision_agreement,
     check_gid_consistency,
+    check_installed_state,
     check_one_copy_serializability,
     check_processing_order,
 )
@@ -108,3 +109,44 @@ class TestRecorder:
         history = HistoryRecorder(clock=lambda: now["t"])
         history.record("S1", "commit", 0, txn())
         assert history.events[0].time == 1.5
+
+
+class TestInstalledState:
+    """A transfer install is the peer's committed state at its boundary:
+    (1) version <= boundary, (2) the value is what that version wrote,
+    (3) no committed write to the object in (version, boundary]."""
+
+    def history(self):
+        history = HistoryRecorder(initial={"a": 0, "b": 0})
+        history.record("S1", "commit", 3, txn(local_id="t3", writes=[("a", "three")]))
+        history.record("S1", "abort", 5, txn(local_id="t5", writes=[("a", "five")]))
+        history.record("S1", "commit", 7, txn(local_id="t7", writes=[("a", "seven")]))
+        return history
+
+    def test_committed_state_at_the_boundary_passes(self):
+        history = self.history()
+        history.record_install("S3", 6, (("a", "three", 3), ("b", 0, -1)))
+        history.record_install("S3", 7, (("a", "seven", 7),))
+        check_installed_state(history)
+
+    @pytest.mark.parametrize("item, expected", [
+        (("a", "seven", 7), "'three' at version 3"),  # (1) above the boundary
+        (("a", "bitrot", 3), "'three' at version 3"),  # (2) another value
+        (("b", 1, -1), "0 at version -1"),  # (2) not the bootstrap value
+        (("a", 0, -1), "'three' at version 3"),  # (3) a commit in between
+    ], ids=["newer", "wrong-value", "wrong-bootstrap", "stale"])
+    def test_wrong_install_detected(self, item, expected):
+        history = self.history()
+        history.record_install("S3", 6, (item,))
+        with pytest.raises(ConsistencyViolation, match=expected):
+            check_installed_state(history)
+
+    def test_commits_recorded_after_an_install_are_indexed_for_the_next(self):
+        """Each install reads the commits recorded up to it, once."""
+        history = self.history()
+        history.record_install("S3", 7, (("a", "seven", 7),))
+        history.record("S2", "commit", 7, txn(local_id="t7", writes=[("a", "seven")]))
+        history.record("S2", "commit", 9, txn(local_id="t9", writes=[("a", "nine")]))
+        history.record_install("S4", 9, (("a", "nine", 9),))
+        history.record_install("S4", 8, (("a", "seven", 7),))
+        check_installed_state(history)

@@ -204,111 +204,6 @@ class TestWaitQueueIndex:
         assert lm.wait_times == []
 
 
-class TestContended:
-    """``contended(txn)``: what ``txn`` holds that somebody queues on."""
-
-    def test_oldest_waiter_first(self):
-        """Order follows the enqueue stamp of each queue's oldest waiter,
-        not the order the holder acquired its locks, the resource names,
-        nor how many wait."""
-        lm = LockManager()
-        for obj in ("a", "b", "c", "d"):
-            lm.request("XFER", obj, LockMode.SHARED)
-        lm.request("W1", "c", LockMode.EXCLUSIVE)
-        lm.request("W2", "a", LockMode.EXCLUSIVE)
-        lm.request("W3", "d", LockMode.EXCLUSIVE)
-        lm.request("W4", "a", LockMode.EXCLUSIVE)
-        assert lm.contended("XFER") == ["c", "a", "d"]
-
-    def test_order_is_the_enqueue_seq_not_hash_order(self):
-        """Many resources, waiters arriving in a scrambled order: the
-        answer is the arrival order whatever the hash seed does to sets."""
-        lm = LockManager()
-        objects = [f"obj{i}" for i in range(64)]
-        for obj in objects:
-            lm.request("XFER", obj, LockMode.SHARED)
-        arrival = [objects[(i * 37) % 64] for i in range(64)]
-        for i, obj in enumerate(arrival):
-            lm.request(f"W{i}", obj, LockMode.EXCLUSIVE)
-        assert lm.contended("XFER") == arrival
-
-    def test_oldest_waiter_leaving_reorders(self):
-        lm = LockManager()
-        lm.request("XFER", "a", LockMode.SHARED)
-        lm.request("XFER", "b", LockMode.SHARED)
-        lm.request("W1", "a", LockMode.EXCLUSIVE)
-        lm.request("W2", "b", LockMode.EXCLUSIVE)
-        lm.request("W3", "a", LockMode.EXCLUSIVE)
-        assert lm.contended("XFER") == ["a", "b"]
-        lm.cancel("W1")
-        assert lm.contended("XFER") == ["b", "a"]
-
-    def test_only_own_holds_with_waiters(self):
-        lm = LockManager()
-        lm.request("XFER", "mine", LockMode.SHARED)
-        lm.request("XFER", "quiet", LockMode.SHARED)
-        lm.request("OTHER", "theirs", LockMode.EXCLUSIVE)
-        lm.request("W1", "theirs", LockMode.EXCLUSIVE)
-        assert lm.contended("XFER") == []  # held by someone else / no waiter
-        lm.request("W2", "mine", LockMode.EXCLUSIVE)
-        assert lm.contended("XFER") == ["mine"]
-        assert lm.contended("OTHER") == ["theirs"]
-
-    def test_released_resource_drops_out(self):
-        lm = LockManager()
-        lm.request("XFER", "a", LockMode.SHARED)
-        lm.request("XFER", "b", LockMode.SHARED)
-        lm.request("XFER", "b2", LockMode.SHARED)
-        lm.request("W1", "a", LockMode.EXCLUSIVE)
-        lm.request("W2", "b", LockMode.EXCLUSIVE)
-        lm.request("W2", "b2", LockMode.EXCLUSIVE)
-        lm.release("XFER", "a")
-        assert lm.contended("XFER") == ["b", "b2"]
-        assert lm.contended("W1") == []
-
-    def test_coarse_waiters_do_not_name_object_locks(self):
-        """A waiter on the database lock or on a partition lock is blocked
-        behind every object lock under it, but names none of them."""
-        from repro.db.partitions import make_partition_fn, partition_of, partition_resource
-
-        lm = LockManager(partition_fn=make_partition_fn(2))
-        lm.request("XFER", "a", LockMode.SHARED)
-        lm.request("XFER", "b", LockMode.SHARED)
-        db_waiter = lm.request("DBW", DB_RESOURCE, LockMode.EXCLUSIVE)
-        part_waiter = lm.request(
-            "PW", partition_resource(partition_of("a", 2)), LockMode.EXCLUSIVE
-        )
-        assert not db_waiter.granted and not part_waiter.granted
-        assert lm.contended("XFER") == []
-        # ... and the other way round: an object waiter does not name the
-        # partition lock it is blocked behind.
-        lm2 = LockManager(partition_fn=make_partition_fn(2))
-        lm2.request("XFER", partition_resource(partition_of("a", 2)), LockMode.SHARED)
-        writer = lm2.request("W", "a", LockMode.EXCLUSIVE)
-        assert not writer.granted
-        assert lm2.contended("XFER") == []
-
-    def test_empty_without_waiters_and_for_unknown_transaction(self):
-        lm = LockManager()
-        assert lm.contended("nobody") == []
-        lm.request("XFER", "a", LockMode.SHARED)
-        assert lm.contended("XFER") == []
-        lm.request("W", "a", LockMode.EXCLUSIVE)
-        assert lm.contended("nobody") == []
-        assert lm.contended("W") == []  # waits, holds nothing
-
-    def test_read_only(self):
-        lm = LockManager()
-        lm.request("XFER", "a", LockMode.SHARED)
-        writer = lm.request("W", "a", LockMode.EXCLUSIVE)
-        before = (lm.grants, lm.conflicts, lm.max_waiting, lm.holders("a"),
-                  lm.waiting_requests())
-        lm.contended("XFER")
-        assert before == (lm.grants, lm.conflicts, lm.max_waiting, lm.holders("a"),
-                          lm.waiting_requests())
-        assert not writer.granted
-
-
 class TestMetrics:
     def test_wait_times_recorded(self):
         now = {"t": 0.0}

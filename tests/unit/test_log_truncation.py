@@ -1,7 +1,12 @@
-"""Tests for WAL truncation at checkpoints (bounded log growth)."""
+"""Tests for WAL truncation at checkpoints (bounded log growth).
+
+A site truncates at every checkpoint iff its delivery is uniform: with
+plain reliable delivery a phantom commit's before-images must stay in
+the log until reconciliation compensates it (section 2.3)."""
 
 from repro.db.database import Database
-from repro.db.wal import BaselineRecord, PersistentStorage
+from repro.db.wal import BaselineRecord, CommitRecord, PersistentStorage
+from repro.gcs.config import GCSConfig
 from repro.replication.node import NodeConfig
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster, run_load
@@ -67,9 +72,11 @@ class TestTruncation:
         assert recovered.rectable.changed_since(-1) == {"a": 0, "b": 1}
 
     def test_cluster_log_stays_bounded(self):
-        node_config = NodeConfig(checkpoint_interval=0.2,
-                                 truncate_log_at_checkpoint=True)
+        """Uniform delivery, the default: the tail stays bounded across
+        two load periods."""
+        node_config = NodeConfig(checkpoint_interval=0.2)
         cluster = quick_cluster(db_size=30, node_config=node_config)
+        assert cluster.nodes["S1"].member.config.uniform
         storage = cluster.nodes["S1"].storage
         # Sample the log as each checkpoint finds it, just before it
         # truncates: a sample taken at a checkpoint instant sees the log
@@ -92,9 +99,22 @@ class TestTruncation:
         assert second < first * 1.8
         cluster.check()
 
+    def test_non_uniform_cluster_keeps_its_whole_log(self):
+        node_config = NodeConfig(checkpoint_interval=0.2)
+        cluster = quick_cluster(db_size=30, node_config=node_config,
+                                gcs_config=GCSConfig(uniform=False))
+        storage = cluster.nodes["S1"].storage
+        truncated = []
+        storage.truncate_through = truncated.append
+        run_load(cluster, duration=1.0, rate=200)
+        run_load(cluster, duration=1.0, rate=200)
+        assert truncated == []
+        commits = [r.gid for r in storage.records() if isinstance(r, CommitRecord)]
+        assert commits == cluster.history.commits_of("S1") and len(commits) > 300
+        cluster.check()
+
     def test_recovery_with_truncation_end_to_end(self):
-        node_config = NodeConfig(checkpoint_interval=0.2,
-                                 truncate_log_at_checkpoint=True)
+        node_config = NodeConfig(checkpoint_interval=0.2)
         cluster = quick_cluster(db_size=40, node_config=node_config,
                                 strategy="version_check")
         run_load(cluster, duration=0.5, rate=150)

@@ -2,7 +2,7 @@
 
 from repro.db.database import Database
 from repro.db.store import INITIAL_VERSION
-from repro.db.wal import PersistentStorage, ReconcileRecord
+from repro.db.wal import PersistentStorage
 
 
 def make_db():
@@ -40,15 +40,6 @@ class TestPhantomQueries:
         db = make_db()
         db.set_baseline(10)
         assert db.verify_committed([3, 7]) == ()
-
-    def test_is_committed_locally(self):
-        db = make_db()
-        db.log_begin(5)
-        db.commit(5)
-        assert db.is_committed_locally(5)
-        assert not db.is_committed_locally(6)
-        db.storage.append(ReconcileRecord(5))
-        assert not db.is_committed_locally(5)
 
 
 class TestCompensation:

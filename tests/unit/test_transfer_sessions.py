@@ -1,7 +1,7 @@
 """Unit tests for the transfer channel sessions, run against a live
 mini-cluster so the sessions see real nodes but with scripted events."""
 
-from collections import OrderedDict
+from collections import deque
 
 import pytest
 
@@ -116,11 +116,11 @@ class TestPeerSession:
         assert state_after_first and session.accepted
 
     def test_cancel_releases_locks(self):
-        cluster = quick_cluster(strategy="full")
-        session = make_session(cluster, strategy="full")
+        cluster = quick_cluster(strategy="version_check")
+        session = make_session(cluster, strategy="version_check")
         node = cluster.nodes["S1"]
         held = [o for o, hs in node.db.locks._holders.items() if session.owner in hs]
-        assert held  # full strategy grabbed read locks at creation
+        assert held  # read locks granted before the accept wait for its cover
         session.cancel()
         held = [o for o, hs in node.db.locks._holders.items() if session.owner in hs]
         assert not held
@@ -154,61 +154,16 @@ class TestPeerSession:
 
 
 class TestTransferOrder:
-    """Writers-first shipping, the one batch order of every strategy
-    (sections 4.3-4.5 leave the order open): which object leaves when,
-    and that nothing else moved."""
+    """Release at capture, the one lock rule of every lock-holding
+    strategy: a read lock goes back the moment its object's copy is in
+    the outbox, so no writer waits for a batch, and the batches ship in
+    grant order."""
 
     BATCH = 10
 
     def cluster(self, strategy="full", db_size=95):
         return quick_cluster(strategy=strategy, db_size=db_size,
                              node_config=NodeConfig(transfer_batch_size=self.BATCH))
-
-    def test_blocked_writer_object_ships_in_next_batch(self):
-        cluster = self.cluster()
-        node = cluster.nodes["S1"]
-        session = make_session(cluster, strategy="full")
-        joiner = ScriptedJoiner(cluster, session)
-        accept(session)  # batch 1 is formed here, before any writer waits
-        fifo = list(node.db.store.objects())
-        victim = fifo[-1]  # in the last batch of the grant order
-        granted_at = blocked_writer(cluster, node, victim)
-        cluster.run_for(1.0)
-        assert [obj for obj, _, _ in joiner.batches[0].items] == fifo[:self.BATCH]
-        second = [obj for obj, _, _ in joiner.batches[1].items]
-        assert second == [victim] + fifo[self.BATCH:2 * self.BATCH - 1]
-        assert granted_at == [joiner.acked_at[2]]
-        assert session.completed
-
-    def test_longest_waiting_writer_first(self):
-        cluster = self.cluster()
-        node = cluster.nodes["S1"]
-        session = make_session(cluster, strategy="full")
-        joiner = ScriptedJoiner(cluster, session)
-        accept(session)
-        fifo = list(node.db.store.objects())
-        waits = [fifo[70], fifo[30], fifo[90], fifo[50]]
-        for index, obj in enumerate(waits):
-            blocked_writer(cluster, node, obj, txn=f"W{index}")
-        cluster.run_for(1.0)
-        assert [obj for obj, _, _ in joiner.batches[1].items][:4] == waits
-
-    def test_more_waiters_than_a_batch_holds(self):
-        """The batch stays at ``transfer_batch_size``; the writers that
-        did not fit lead the following one."""
-        cluster = self.cluster()
-        node = cluster.nodes["S1"]
-        session = make_session(cluster, strategy="full")
-        joiner = ScriptedJoiner(cluster, session)
-        accept(session)
-        fifo = list(node.db.store.objects())
-        waits = fifo[:self.BATCH - 1:-1][:self.BATCH + 3]  # from the back, 13 of them
-        for index, obj in enumerate(waits):
-            blocked_writer(cluster, node, obj, txn=f"W{index}")
-        cluster.run_for(1.0)
-        assert [obj for obj, _, _ in joiner.batches[1].items] == waits[:self.BATCH]
-        assert [obj for obj, _, _ in joiner.batches[2].items][:3] == waits[self.BATCH:]
-        assert all(len(batch.items) == self.BATCH for batch in joiner.batches[:-1])
 
     def test_without_waiters_ships_in_grant_order(self):
         """One read lock is granted late (a writer held the object at the
@@ -228,149 +183,124 @@ class TestTransferOrder:
         assert session.completed
 
     @pytest.mark.parametrize("waiter", [False, True], ids=["idle", "blocked-writer"])
-    def test_totals_equal_fifo_shipping(self, waiter, monkeypatch):
-        """Every object ships exactly once, in as many batches and as much
-        time as in grant order, with and without a waiter."""
+    def test_totals_equal_fifo_shipping(self, waiter):
+        """Every object ships exactly once, as captured, in as many
+        batches and as much time as in grant order with no writer about,
+        with and without a writer blocked on the transfer's read lock:
+        the lock goes back at capture, so the writer changes no batch."""
         runs = {}
-        for grant_order in (True, False):
+        for writer in (False, True):
             cluster = self.cluster()
             node = cluster.nodes["S1"]
-            if grant_order:
-                # The control: no writer is ever reported waiting, so every
-                # batch is taken from the front of the outbox.
-                monkeypatch.setattr(node.db.locks, "contended", lambda _owner: [])
+            fifo = list(node.db.store.objects())
+            last = fifo[-1]
+            captured = [(obj, *node.db.store.read(obj)) for obj in fifo]
+            if waiter:
+                # The session's read lock on the last object queues behind
+                # W0, so a writer can queue behind the session's.
+                node.db.locks.request("W0", last, LockMode.EXCLUSIVE)
             session = make_session(cluster, strategy="full")
             joiner = ScriptedJoiner(cluster, session)
+            granted_at = blocked_writer(cluster, node, last, txn="W1") if waiter and writer else None
             accept(session)
-            fifo = list(node.db.store.objects())
             if waiter:
-                blocked_writer(cluster, node, fifo[-1])
+                cluster.run_for(0.005)
+                node.db.locks.release("W0")
+            if granted_at is not None:
+                assert granted_at == [cluster.sim.now]
+                assert not node.db.locks.holds(session.owner, last)
+                node.db.store.write(last, "late", 10**6)
             cluster.run_for(1.0)
             assert session.completed
-            assert sorted(joiner.shipped()) == sorted(fifo)
-            assert len(joiner.shipped()) == len(fifo)
-            runs[grant_order] = (
+            shipped = [item for batch in joiner.batches for item in batch.items]
+            assert shipped == captured
+            runs[writer] = (
                 session.objects_sent, session._batch_seq, session.finished_at,
                 [len(batch.items) for batch in joiner.batches],
             )
-            if waiter:
-                assert (joiner.shipped() == fifo) == grant_order
         assert runs[True] == runs[False]
         assert runs[True][:2] == (95, 10)
 
-    def test_lost_batch_releases_locks_only_at_its_ack(self):
-        """The batch carrying the writer's object is lost once: the lock
-        stays with the session through the retransmission timeout and
-        goes to the writer when the retransmitted copy is acknowledged."""
+    def test_lost_batch_delays_no_writer(self):
+        """The batch carrying the writer's object is lost once: the
+        writer has the lock before the batch is even formed, and the
+        retransmitted copy is still the value captured at the grant."""
         cluster = self.cluster()
         node = cluster.nodes["S1"]
         session = make_session(cluster, strategy="full")
         joiner = ScriptedJoiner(cluster, session, lose=lambda seq, copy: seq == 2 and copy == 1)
         accept(session)
         victim = list(node.db.store.objects())[-1]
-        granted_at = blocked_writer(cluster, node, victim)
-        cluster.run_for(node.config.transfer_ack_timeout / 2)
-        assert joiner.copies == {1: 1, 2: 1} and victim in joiner.shipped()
-        assert granted_at == [] and node.db.locks.holds(session.owner, victim)
+        captured = node.db.store.read(victim)
+        assert not node.db.locks.holds(session.owner, victim)
+        assert node.db.locks.request("W", victim, LockMode.EXCLUSIVE).granted
+        node.db.store.write(victim, "late", 10**6)
         cluster.await_condition(lambda: 2 in joiner.acked_at, timeout=1, step=0.001)
         assert joiner.copies[2] == 2 and session.retransmissions == 1
-        cluster.run_for(1.0)
-        assert granted_at == [joiner.acked_at[2]]
         assert joiner.acked_at[2] - joiner.delivered_at[2] >= node.config.transfer_ack_timeout
+        cluster.run_for(1.0)
         assert session.completed and len(joiner.shipped()) == 95
+        shipped = {obj: (value, version) for batch in joiner.batches
+                   for obj, value, version in batch.items}
+        assert shipped[victim] == captured
 
-    @pytest.mark.parametrize("strategy", ["rectable", "version_check"])
-    def test_writer_object_ships_next(self, strategy):
-        """Not only ``full``: a strategy that reads after the accept and
-        keeps each lock until the ack ships the writer's object in the
-        first batch formed after the writer queued, not at its turn in
-        the last one."""
+    @pytest.mark.parametrize("strategy", ["full", "rectable", "version_check"])
+    def test_writer_is_granted_at_capture(self, strategy):
+        """A writer queued behind the session's read lock on an object is
+        granted the instant that object is captured — before any batch
+        is acknowledged — and the joiner gets the value from before its
+        write."""
         cluster = self.cluster(strategy=strategy)
         node = cluster.nodes["S1"]
-        session = make_session(cluster, strategy=strategy)
-        joiner = ScriptedJoiner(cluster, session)
-        accept(session)
-        assert session._inflight is not None  # streaming started
         fifo = sorted(node.db.store.objects())
         victim = fifo[-1]
-        granted_at = blocked_writer(cluster, node, victim)
+        node.db.locks.request("W0", victim, LockMode.EXCLUSIVE)
+        session = make_session(cluster, strategy=strategy)
+        joiner = ScriptedJoiner(cluster, session)
+        granted_at = blocked_writer(cluster, node, victim, txn="W1")
+        accept(session)
+        released_at = cluster.sim.now
+        captured = node.db.store.read(victim)
+        node.db.locks.release("W0")
+        assert granted_at == [released_at]
+        assert not node.db.locks.holds(session.owner, victim)
+        node.db.store.write(victim, "late", 10**6)
         cluster.run_for(1.0)
-        assert session.completed
-        assert joiner.batches[1].items[0][0] == victim
-        assert [obj for obj in joiner.shipped() if obj != victim] == fifo[:-1]
-        assert granted_at == [joiner.acked_at[2]]
+        assert session.completed and granted_at[0] < min(joiner.acked_at.values())
+        assert sorted(joiner.shipped()) == fifo
+        shipped = {obj: (value, version) for batch in joiner.batches
+                   for obj, value, version in batch.items}
+        assert shipped[victim] == captured
 
     def test_forming_a_batch_touches_only_the_batch(self):
-        """10 000 queued objects, two blocked writers: picking a batch
-        looks up the two contended objects and pops the rest off the
-        front — no pass over the outbox."""
+        """10 000 queued objects: forming a batch pops it off the front of
+        the outbox — no pass over the rest."""
 
-        class CountingOutbox(OrderedDict):
+        class CountingOutbox(deque):
             touched = 0
 
-            def pop(self, *args):
+            def popleft(self):
                 self.touched += 1
-                return super().pop(*args)
-
-            def popitem(self, last=True):
-                self.touched += 1
-                return super().popitem(last)
-
-            def __getitem__(self, key):
-                self.touched += 1
-                return super().__getitem__(key)
-
-            def __contains__(self, key):
-                self.touched += 1
-                return super().__contains__(key)
+                return super().popleft()
 
             def _no_pass(self, *args):
                 raise AssertionError("batch formation iterated over the outbox")
 
-            __iter__ = keys = values = items = _no_pass
+            __iter__ = __getitem__ = _no_pass
 
         cluster = quick_cluster(node_config=NodeConfig(transfer_batch_size=50))
-        node = cluster.nodes["S1"]
         session = make_session(cluster, strategy=IdleStrategy())
         names = [f"bulk{i:05d}" for i in range(10_000)]
         for name in names:
-            session.queue_item(name, 0, 0, release_after_ack=True)
-        for index, name in enumerate((names[9_000], names[5_000])):
-            session.request_read_lock(name, None)
-            blocked_writer(cluster, node, name, txn=f"W{index}")
+            session.queue_item(name, 0, 0)
         session._outbox = counting = CountingOutbox(session._outbox)
         joiner = ScriptedJoiner(cluster, session)
         accept(session)
         assert session._inflight == 50 and len(counting) == 9_950
-        assert counting.touched <= 50 + 2
+        assert counting.touched == 50
         cluster.await_condition(lambda: joiner.batches, timeout=1, step=0.001)
-        assert [obj for obj, _, _ in joiner.batches[0].items] == (
-            [names[9_000], names[5_000]] + names[:48])
+        assert [obj for obj, _, _ in joiner.batches[0].items] == names[:50]
         session.cancel()
-
-
-def test_mixed_release_flags_release_only_acked_objects():
-    """Each queued object carries its own release flag: acknowledging
-    a keep-the-lock object must not hand back the lock of the object
-    queued behind it."""
-    cluster = quick_cluster(node_config=NodeConfig(transfer_batch_size=1))
-    node = cluster.nodes["S1"]
-    locks = node.db.locks
-    session = make_session(cluster, strategy=IdleStrategy())
-    joiner = ScriptedJoiner(cluster, session)
-    for obj in ("obj0", "obj1"):
-        session.request_read_lock(obj, None)
-    session.queue_item("obj0", *node.db.store.read("obj0"), release_after_ack=False)
-    session.queue_item("obj1", *node.db.store.read("obj1"), release_after_ack=True)
-    accept(session)  # both are queued when the first batch is formed
-    cluster.await_condition(lambda: 1 in joiner.acked_at, timeout=1, step=0.0001)
-    assert joiner.shipped() == ["obj0"]
-    assert locks.holds(session.owner, "obj0") and locks.holds(session.owner, "obj1")
-    cluster.await_condition(lambda: 2 in joiner.acked_at, timeout=1, step=0.0001)
-    assert joiner.shipped() == ["obj0", "obj1"]
-    assert locks.holds(session.owner, "obj0") and not locks.holds(session.owner, "obj1")
-    session.cancel()
-    assert not locks.holds(session.owner, "obj0")
 
 
 class TestJoinerSession:
@@ -384,7 +314,7 @@ class TestJoinerSession:
     def test_batch_applies_items(self):
         cluster = quick_cluster()
         joiner = self.make_joiner(cluster)
-        batch = TransferBatch(session_id="sess", round_no=1,
+        batch = TransferBatch(session_id="sess", boundary=10,
                               items=(("obj0", "new", 9),), payload_bytes=256)
         joiner.on_batch(batch)
         assert cluster.nodes["S3"].db.store.read("obj0") == ("new", 9)
@@ -393,8 +323,8 @@ class TestJoinerSession:
     def test_round_boundary_advances_resume(self):
         cluster = quick_cluster()
         joiner = self.make_joiner(cluster)
-        batch = TransferBatch(session_id="sess", round_no=1, items=(),
-                              payload_bytes=0, round_boundary=42)
+        batch = TransferBatch(session_id="sess", items=(),
+                              payload_bytes=0, boundary=42, round_boundary=42)
         joiner.on_batch(batch)
         assert joiner.resume_through == 42
 
@@ -428,7 +358,7 @@ class TestJoinerSession:
         cluster = quick_cluster()
         joiner = self.make_joiner(cluster)
         joiner.cancel()
-        joiner.on_batch(TransferBatch(session_id="sess", round_no=1,
+        joiner.on_batch(TransferBatch(session_id="sess", boundary=10,
                                       items=(("obj0", "x", 9),), payload_bytes=256))
         assert joiner.objects_received == 0
 
