@@ -1,25 +1,16 @@
-"""E11-E13 — extension ablations.
+"""E11 and E13 — extension ablations.
 
 E11: serial vs concurrent application of delivered transactions — the
 paper's section 2.2 argues that "processing messages serially as assumed
 for most applications deployed over group communication ... would result
 in significantly lower throughput rates".
 
-E12: partition-level (coarse) transfer locks vs per-object locks
-(section 4.3), and partitioned lazy round 1 fail-over (section 4.7).
-
 E13: the dynamic primary-view definition (section 2.1) buys availability
 in shrinking-cluster scenarios the static-majority rule cannot serve.
 """
 
 from benchmarks.conftest import once, print_table
-from repro import (
-    ClusterBuilder,
-    FullTransferStrategy,
-    LoadGenerator,
-    NodeConfig,
-    WorkloadConfig,
-)
+from repro import ClusterBuilder, LoadGenerator, NodeConfig, WorkloadConfig
 from repro.gcs.config import GCSConfig
 from repro.replication.node import SiteStatus
 from repro.workload.metrics import summarize_latencies
@@ -59,59 +50,6 @@ def test_e11_serial_vs_concurrent(benchmark):
     serial = next(r for r in rows if r[0] == "serial")
     assert serial[3] > concurrent[3] * 2  # p95 at least doubles
     assert serial[1] == concurrent[1]  # same decisions, same commits
-
-
-def test_e12_transfer_lock_granularity(benchmark):
-    rows = []
-
-    def run():
-        for granularity in ("object", "partition"):
-            nc = NodeConfig(partition_count=8, transfer_obj_time=0.0005)
-            cluster = quick_cluster(
-                db_size=400, seed=83,
-                strategy=FullTransferStrategy(granularity=granularity),
-                node_config=nc,
-            )
-            load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=100,
-                                                         reads_per_txn=1,
-                                                         writes_per_txn=2))
-            load.start()
-            cluster.run_for(0.4)
-            cluster.crash("S3")
-            cluster.run_for(0.4)
-            grants_before = {s: cluster.nodes[s].db.locks.grants
-                             for s in cluster.universe}
-            recover_at = cluster.sim.now
-            cluster.recover("S3")
-            assert cluster.await_condition(
-                lambda: cluster.nodes["S3"].status is SiteStatus.ACTIVE, timeout=40
-            )
-            recovery_time = cluster.sim.now - recover_at
-            load.stop()
-            cluster.settle(0.5)
-            cluster.check()
-            peer = max(cluster.universe,
-                       key=lambda s: cluster.nodes[s].reconfig.transfers_started)
-            lock_wait = sum(sum(n.db.locks.wait_times) for n in cluster.nodes.values())
-            rows.append([
-                granularity,
-                cluster.nodes[peer].db.locks.grants - grants_before[peer],
-                recovery_time, lock_wait,
-            ])
-        return rows
-
-    once(benchmark, run)
-    print_table(
-        "E12 — full-transfer lock granularity (db=400, 8 partitions)",
-        ["granularity", "peer lock grants during recovery",
-         "recovery time", "total lock wait (s)"],
-        rows,
-    )
-    coarse = next(r for r in rows if r[0] == "partition")
-    fine = next(r for r in rows if r[0] == "object")
-    assert coarse[1] < fine[1] / 3  # far fewer lock operations
-    # ...bought with more blocking (coarse locks cover more, held longer).
-    assert coarse[3] >= fine[3] * 0.5
 
 
 def test_e13_dynamic_primary_availability(benchmark):

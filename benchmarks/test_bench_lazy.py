@@ -6,7 +6,7 @@ verifies that peer fail-over *resumes* instead of restarting.
 """
 
 from benchmarks.conftest import once, print_table
-from repro import LazyTransferStrategy, LoadGenerator, NodeConfig, WorkloadConfig
+from repro import LoadGenerator, NodeConfig, WorkloadConfig
 from repro.replication.node import SiteStatus
 from repro.scenarios import run_recovery_experiment
 from tests.conftest import quick_cluster
@@ -17,11 +17,12 @@ def test_threshold_sweep(benchmark):
 
     def sweep():
         for threshold in (5, 20, 80):
-            strategy = LazyTransferStrategy(round_threshold=threshold, max_rounds=8)
             report = run_recovery_experiment(
-                strategy=strategy, db_size=500, downtime=1.0,
+                strategy="lazy", db_size=500, downtime=1.0,
                 arrival_rate=200.0, seed=61,
-                node_config=NodeConfig(transfer_obj_time=0.001),
+                node_config=NodeConfig(transfer_obj_time=0.001,
+                                       lazy_round_threshold=threshold,
+                                       lazy_max_rounds=8),
             )
             rows.append([
                 threshold, report.completed,

@@ -38,11 +38,10 @@ from repro.db.wal import (
 class Database:
     """Volatile database instance bound to a crash-surviving storage."""
 
-    def __init__(self, storage: PersistentStorage, clock=None, partition_fn=None) -> None:
+    def __init__(self, storage: PersistentStorage, clock=None) -> None:
         self.storage = storage
         self.store = ObjectStore()
-        self.locks = LockManager(clock, partition_fn=partition_fn)
-        self.partition_fn = partition_fn
+        self.locks = LockManager(clock)
         self.rectable = RecTable()
         #: Replicated exactly-once table of settled client-request
         #: outcomes (updated deterministically at delivery-decision time).
@@ -73,11 +72,11 @@ class Database:
 
     @classmethod
     def recover_from(
-        cls, storage: PersistentStorage, clock=None, partition_fn=None
+        cls, storage: PersistentStorage, clock=None
     ) -> Tuple["Database", RecoveryResult]:
         """Single-site recovery: rebuild a fresh instance from stable storage."""
         result = run_single_site_recovery(storage)
-        db = cls(storage, clock, partition_fn=partition_fn)
+        db = cls(storage, clock)
         db.store = result.store
         db.outcomes = result.outcomes
         db.baseline_gid = result.cover_gid

@@ -28,8 +28,6 @@ import enum
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.db.partitions import PARTITION_PREFIX
-
 #: Resource name of the whole-database lock (section 4.5).
 DB_RESOURCE = "__DATABASE__"
 
@@ -88,13 +86,8 @@ class LockRequest:
 class LockManager:
     """Two-level (database / object) strict lock manager."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        partition_fn: Optional[Callable[[str], str]] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
-        self._partition_fn = partition_fn
         self._ticket = itertools.count()
         # resource -> {txn_id: mode} (a txn holds at most one mode per resource;
         # EXCLUSIVE subsumes SHARED on upgrade).
@@ -228,47 +221,22 @@ class LockManager:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resources_overlap(self, a: str, b: str) -> bool:
-        """The database-level lock covers every object; a partition-level
-        lock (coarse granularity, section 4.3) covers its objects."""
-        if a == b or a == DB_RESOURCE or b == DB_RESOURCE:
-            return True
-        if self._partition_fn is not None:
-            a_part = a.startswith(PARTITION_PREFIX)
-            b_part = b.startswith(PARTITION_PREFIX)
-            if a_part and not b_part:
-                return self._partition_fn(b) == a
-            if b_part and not a_part:
-                return self._partition_fn(a) == b
-        return False
-
     def _overlapping(self, table: Dict[str, Any], resource: str) -> List[Any]:
         """The entries of ``table`` (``_holders`` or ``_queues``) whose
-        resource can overlap ``resource``.  An object lock overlaps only
-        itself, the database-level lock and its partition's lock, so the
-        common case is dict lookups instead of a scan over the table."""
-        partition_fn = self._partition_fn
-        if resource == DB_RESOURCE or (
-            partition_fn is not None and resource.startswith(PARTITION_PREFIX)
-        ):
-            return [
-                entry
-                for other, entry in table.items()
-                if self._resources_overlap(resource, other)
-            ]
-        keys = [resource, DB_RESOURCE]
-        if partition_fn is not None:
-            keys.append(partition_fn(resource))
-        return [table[key] for key in keys if key in table]
+        resource overlaps ``resource``.  An object lock overlaps itself
+        and the database-level lock; the database-level lock overlaps
+        everything."""
+        if resource == DB_RESOURCE:
+            return list(table.values())
+        return [table[key] for key in (resource, DB_RESOURCE) if key in table]
 
     def _grantable(self, request: LockRequest) -> bool:
         txn_id = request.txn_id
         mode = request.mode
         resource = request.resource
-        if self._partition_fn is None and resource != DB_RESOURCE:
-            # Fast path mirroring _overlapping's common case, but with
-            # no list allocation: an object lock can only overlap itself
-            # and the database-level lock.
+        if resource != DB_RESOURCE:
+            # Mirrors _overlapping, but with no list allocation: an
+            # object lock can only overlap itself and the database lock.
             exclusive = mode is LockMode.EXCLUSIVE
             holders = self._holders.get(resource)
             if holders:
@@ -285,7 +253,7 @@ class LockManager:
                     ):
                         return False
         else:
-            for holders in self._overlapping(self._holders, resource):
+            for holders in self._holders.values():
                 for other_txn, other_mode in holders.items():
                     if other_txn != txn_id and _conflicting(mode, other_mode):
                         return False

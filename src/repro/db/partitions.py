@@ -1,15 +1,15 @@
 """Data partitions ("relations") over the object space.
 
-Two paper features rely on a partitioning of the database:
+Lazy transfer's first round goes partition by partition (section 4.7):
+"we suggest that in the first round data are transferred per data
+partition (e.g., per relation).  In case of failures during this round,
+the new peer site does not need to restart but simply continue the
+transfer for those partitions the joiner has not yet received."
 
-* section 4.3: "in order to reduce the number of locks, the transfer
-  transaction can request coarse granularity locks (e.g., on relations)
-  instead of fine granularity locks on individual objects";
-* section 4.7: "we suggest that in the first round data are transferred
-  per data partition (e.g., per relation).  In case of failures during
-  this round, the new peer site does not need to restart but simply
-  continue the transfer for those partitions the joiner has not yet
-  received."
+Section 4.3's coarse transfer locks "e.g., on relations" are not
+offered: an object lock goes back the moment its object is captured,
+so a coarse lock would only save lock-manager calls while making
+writers wait (EXPERIMENTS.md E12).
 
 Objects are assigned to partitions by a stable hash, so every site
 agrees on the mapping without any coordination.
@@ -18,10 +18,7 @@ agrees on the mapping without any coordination.
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional
-
-#: Resource-name prefix of partition-level locks in the lock manager.
-PARTITION_PREFIX = "__PARTITION__:"
+from typing import List
 
 
 def partition_of(obj: str, partition_count: int) -> str:
@@ -32,22 +29,6 @@ def partition_of(obj: str, partition_count: int) -> str:
     return f"part{index}"
 
 
-def partition_resource(partition: str) -> str:
-    """Lock-manager resource name of a partition-level lock."""
-    return PARTITION_PREFIX + partition
-
-
 def partition_names(partition_count: int) -> List[str]:
     return [f"part{i}" for i in range(partition_count)]
 
-
-def make_partition_fn(partition_count: int):
-    """Object -> partition-resource mapping for the lock manager
-    (None disables partition-aware locking)."""
-    if partition_count <= 0:
-        return None
-
-    def fn(obj: str) -> str:
-        return partition_resource(partition_of(obj, partition_count))
-
-    return fn

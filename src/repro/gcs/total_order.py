@@ -103,9 +103,6 @@ class ViewTotalOrder:
         self.sequencer = min(view.members)
         self.closed = False
         self._stray = stray if stray is not None else (lambda msg: None)
-        #: Ordered messages re-sent by the sequencer (NAK answers plus
-        #: maintenance pushes to lagging members).
-        self.retransmissions = 0
         #: Every member but this one, in view order — the broadcast fan-out.
         self._others: Tuple[str, ...] = tuple(m for m in view.members if m != me)
         if send_many is None:
@@ -217,7 +214,6 @@ class ViewTotalOrder:
         for seq in msg.missing:
             ordered = self._history.get(seq)
             if ordered is not None:
-                self.retransmissions += 1
                 self._send(msg.sender, ordered)
 
     # ------------------------------------------------------------------
@@ -383,7 +379,6 @@ class ViewTotalOrder:
                 for seq in range(high + 1, stop + 1):
                     ordered = self._history.get(seq)
                     if ordered is not None:
-                        self.retransmissions += 1
                         self._send(member, ordered)
 
     def flush_cut(self) -> Tuple[Ordered, ...]:

@@ -40,10 +40,10 @@ _REGISTRY = {
 }
 
 
-def strategy_by_name(name: str, **kwargs) -> TransferStrategy:
+def strategy_by_name(name: str) -> TransferStrategy:
     """Instantiate a strategy from its registry name."""
     try:
-        return _REGISTRY[name](**kwargs)
+        return _REGISTRY[name]()
     except KeyError:
         raise ValueError(f"unknown strategy {name!r}; known: {sorted(_REGISTRY)}") from None
 

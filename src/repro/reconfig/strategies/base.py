@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.reconfig.transfer import LastRoundReady, PeerTransferSession, TransferAccept
-    from repro.replication.node import NodeConfig
 
 #: Sentinel cover used when the joiner has no database at all (a new
 #: site): every object is stale relative to it, so filtered strategies
@@ -27,10 +26,6 @@ class TransferStrategy:
     #: Lazy strategies make the joiner discard messages until the last
     #: round; eager ones make it enqueue from the synchronization point.
     lazy = False
-
-    def check_config(self, config: "NodeConfig") -> None:
-        """Raise ``ValueError`` if the strategy cannot run on a node with
-        this configuration; called when the cluster is built."""
 
     def on_session_created(self, session: "PeerTransferSession") -> None:
         """Called synchronously at the synchronization point: acquire

@@ -33,10 +33,6 @@ class LazyTransferStrategy(TransferStrategy):
     name = "lazy"
     lazy = True
 
-    def __init__(self, round_threshold: int = None, max_rounds: int = None) -> None:
-        self.round_threshold = round_threshold
-        self.max_rounds = max_rounds
-
     def on_session_created(self, session) -> None:
         session.strategy_state = {
             "round": 1,
@@ -57,12 +53,6 @@ class LazyTransferStrategy(TransferStrategy):
         self._start_round(session)
 
     # ------------------------------------------------------------------
-    def _thresholds(self, session):
-        config = session.node.config
-        threshold = self.round_threshold or config.lazy_round_threshold
-        max_rounds = self.max_rounds or config.lazy_max_rounds
-        return threshold, max_rounds
-
     def _start_round(self, session) -> None:
         if not session.active:
             return
@@ -73,8 +63,8 @@ class LazyTransferStrategy(TransferStrategy):
         if not session.active:
             return
         state = session.strategy_state
-        threshold, max_rounds = self._thresholds(session)
-        partition_count = session.node.config.partition_count
+        config = session.node.config
+        partition_count = config.partition_count
         session.boundary = g0
         if state["round"] == 1 and partition_count > 0:
             # Section 4.7: the first round goes partition by partition,
@@ -89,7 +79,10 @@ class LazyTransferStrategy(TransferStrategy):
         # Termination checks I and II (section 4.7): enter the last,
         # synchronized round when the residual set is small enough or
         # the round budget is exhausted.
-        if state["round"] > 1 and (len(transfer_set) <= threshold or state["round"] >= max_rounds):
+        if state["round"] > 1 and (
+            len(transfer_set) <= config.lazy_round_threshold
+            or state["round"] >= config.lazy_max_rounds
+        ):
             self._announce_last_round(session)
             return
         if state["round"] == 1 and not transfer_set:

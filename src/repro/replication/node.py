@@ -89,9 +89,9 @@ class NodeConfig:
     #: in both modes (writes execute concurrently, not back to back).
     batch_writes: bool = True
     #: Number of data partitions ("relations") the object space is hashed
-    #: into; 0 disables partitioning.  Enables coarse-granularity transfer
-    #: locks (section 4.3) and per-partition lazy round 1 with
-    #: partition-level fail-over resume (section 4.7).
+    #: into; 0 disables partitioning.  Drives only lazy transfer's
+    #: per-partition round 1 with partition-level fail-over resume
+    #: (section 4.7).
     partition_count: int = 0
     transfer_obj_time: float = 0.0002  # peer-side per-object marshalling
     transfer_batch_size: int = 50
@@ -166,6 +166,9 @@ class NodeConfig:
             raise ValueError("object_size_bytes must be at least 1")
         if self.partition_count < 0:
             raise ValueError("partition_count must be non-negative")
+        if self.lazy_round_threshold < 0:
+            # 0 is meaningful: only the round budget ends the rounds.
+            raise ValueError("lazy_round_threshold must be non-negative")
         if self.lazy_max_rounds < 1:
             raise ValueError("lazy_max_rounds must be at least 1")
         if self.logless_repropose_limit < 1:
@@ -220,12 +223,8 @@ class ReplicatedDatabaseNode:
         self.xfer.attach(self._on_transfer_message)
 
         # Crash-surviving state.
-        from repro.db.partitions import make_partition_fn
-
-        self._partition_fn = make_partition_fn(self.config.partition_count)
         self.storage = PersistentStorage()
-        self.db = Database(self.storage, clock=lambda: self.sim.now,
-                           partition_fn=self._partition_fn)
+        self.db = Database(self.storage, clock=lambda: self.sim.now)
         if has_initial_copy:
             self.db.bootstrap(self._initial_db)
 
@@ -280,7 +279,6 @@ class ReplicatedDatabaseNode:
     def configure_reconfig(self, manager) -> None:
         """Attach the reconfiguration manager (the ``vs``, ``evs`` or
         ``logless`` backend's; ``Cluster._make_node`` always does)."""
-        manager.strategy.check_config(self.config)
         self.reconfig = manager
 
     # ------------------------------------------------------------------
@@ -315,8 +313,7 @@ class ReplicatedDatabaseNode:
     def recover(self) -> None:
         """Restart after a crash: single-site recovery, then rejoin the group."""
         self.db, recovery = Database.recover_from(
-            self.storage, clock=lambda: self.sim.now, partition_fn=self._partition_fn
-        )
+            self.storage, clock=lambda: self.sim.now)
         if recovery.tail_torn:
             self.trace("fault", "wal_checksum",
                        f"torn tail detected; {recovery.corrupt_records} records "

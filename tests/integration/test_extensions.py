@@ -1,17 +1,13 @@
 """Integration tests for the paper's extension features:
 
 * serial vs concurrent application of delivered transactions (§2.2);
-* coarse-granularity transfer locks (§4.3);
 * per-partition lazy round 1 with partition-level fail-over (§4.7);
 * reconciliation of phantom commits (§2.3);
 * the dynamic primary-view definition (§2.1) driving availability.
 """
 
-import pytest
-
 from repro import (
     ClusterBuilder,
-    FullTransferStrategy,
     LoadGenerator,
     NodeConfig,
     WorkloadConfig,
@@ -71,75 +67,6 @@ class TestSerialProcessing:
         cluster.settle(1.0)
         assert ok
         cluster.check()
-
-
-class TestCoarseGranularity:
-    def test_partition_granularity_transfer_correct(self):
-        nc = NodeConfig(partition_count=8, transfer_obj_time=0.001)
-        cluster = quick_cluster(
-            db_size=200, seed=81,
-            strategy=FullTransferStrategy(granularity="partition"),
-            node_config=nc,
-        )
-        load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=100,
-                                                     reads_per_txn=1, writes_per_txn=2))
-        load.start()
-        cluster.run_for(0.5)
-        cluster.crash("S3")
-        cluster.run_for(0.5)
-        cluster.recover("S3")
-        ok = cluster.await_condition(
-            lambda: cluster.nodes["S3"].status is SiteStatus.ACTIVE, timeout=30
-        )
-        load.stop()
-        cluster.settle(0.5)
-        assert ok
-        cluster.check()
-
-    def test_partition_granularity_uses_fewer_transfer_locks(self):
-        grants = {}
-        for granularity in ("object", "partition"):
-            nc = NodeConfig(partition_count=8, transfer_obj_time=0.0005)
-            cluster = quick_cluster(
-                db_size=200, seed=83,
-                strategy=FullTransferStrategy(granularity=granularity),
-                node_config=nc,
-            )
-            cluster.crash("S3")
-            cluster.submit_via("S1", [], {"obj0": 1})
-            cluster.settle(0.3)
-            before = {s: cluster.nodes[s].db.locks.grants for s in cluster.universe}
-            cluster.recover("S3")
-            assert cluster.await_condition(
-                lambda: cluster.nodes["S3"].status is SiteStatus.ACTIVE, timeout=30
-            )
-            peer = max(
-                cluster.universe,
-                key=lambda s: cluster.nodes[s].reconfig.transfers_started,
-            )
-            grants[granularity] = cluster.nodes[peer].db.locks.grants - before[peer]
-            cluster.check()
-        # 8 partition locks instead of 200 object locks (plus noise).
-        assert grants["partition"] < grants["object"] / 3
-
-    def test_invalid_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            FullTransferStrategy(granularity="page")
-
-    def test_partition_granularity_without_partitions_rejected_at_build(self):
-        """Partition locks on an unpartitioned node would cover nothing;
-        the cluster refuses to be built instead of falling back."""
-        strategy = FullTransferStrategy(granularity="partition")
-        for node_config in (None, NodeConfig(partition_count=0)):
-            builder = ClusterBuilder(n_sites=3, db_size=20, strategy=strategy,
-                                     node_config=node_config)
-            with pytest.raises(ValueError) as error:
-                builder.build()
-            assert "granularity='partition'" in str(error.value)
-            assert "partition_count" in str(error.value)
-        ClusterBuilder(n_sites=3, db_size=20, strategy=strategy,
-                       node_config=NodeConfig(partition_count=4)).build()
-        ClusterBuilder(n_sites=3, db_size=20, strategy=FullTransferStrategy()).build()
 
 
 class TestPartitionedLazyFailover:

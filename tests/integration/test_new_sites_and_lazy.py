@@ -61,9 +61,10 @@ class TestNewSites:
 
 class TestLazyInternals:
     def make(self, threshold=10, max_rounds=4, rate=150.0, db_size=400):
-        strategy = LazyTransferStrategy(round_threshold=threshold, max_rounds=max_rounds)
-        node_config = NodeConfig(transfer_obj_time=0.001, transfer_batch_size=40)
-        cluster = quick_cluster(db_size=db_size, strategy=strategy, seed=37,
+        node_config = NodeConfig(transfer_obj_time=0.001, transfer_batch_size=40,
+                                 lazy_round_threshold=threshold,
+                                 lazy_max_rounds=max_rounds)
+        cluster = quick_cluster(db_size=db_size, strategy="lazy", seed=37,
                                 node_config=node_config)
         load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=rate, reads_per_txn=1,
                                                      writes_per_txn=2))
@@ -128,8 +129,29 @@ class TestLazyInternals:
         cluster.settle(0.5)
         cluster.check()
 
-    def test_lazy_max_rounds_forces_termination(self):
-        cluster, load = self.make(threshold=0, max_rounds=2, rate=300.0)
+    def test_lazy_max_rounds_forces_termination(self, monkeypatch):
+        """Termination check I: at threshold 0 only the round budget can
+        end the rounds, so the last round is announced at round
+        ``lazy_max_rounds`` with objects still stale.  Round 2's residual
+        is a handful of objects here, so any positive threshold would
+        have ended the rounds one round earlier."""
+        stale = LazyTransferStrategy.stale_objects_since
+        announce = LazyTransferStrategy._announce_last_round
+        residuals, last_rounds = [], []
+
+        def spy_stale(session, cover_gid):
+            objects = stale(session, cover_gid)
+            residuals.append(len(objects))
+            return objects
+
+        def spy_announce(strategy, session):
+            last_rounds.append((session.strategy_state["round"], residuals[-1]))
+            announce(strategy, session)
+
+        monkeypatch.setattr(LazyTransferStrategy, "stale_objects_since",
+                            staticmethod(spy_stale))
+        monkeypatch.setattr(LazyTransferStrategy, "_announce_last_round", spy_announce)
+        cluster, load = self.make(threshold=0, max_rounds=3, rate=60.0)
         cluster.run_for(0.4)
         cluster.crash("S3")
         cluster.run_for(0.6)
@@ -139,5 +161,8 @@ class TestLazyInternals:
         )
         load.stop()
         cluster.settle(0.5)
-        assert ok  # termination check I (round budget) fired
+        assert ok
         cluster.check()
+        assert last_rounds and all(
+            round_ == 3 and residual > 0 for round_, residual in last_rounds
+        ), last_rounds

@@ -1,9 +1,10 @@
 """REFERENCE ONLY: the flat-list lock manager as it stood before the wait
-queue was indexed by resource, kept verbatim (below this paragraph) as the
+queue was indexed by resource, kept (below this paragraph) as the
 executable specification that ``test_lock_queue_equivalence.py`` drives
 ``repro.db.locks.LockManager`` against.  Every ``release`` re-scans the
 whole ``_waiting`` list; that is the behaviour to match, not the cost.
-Never import this from ``src/``.
+It is verbatim but for the partition-level locks, which left it together
+with the subject's.  Never import this from ``src/``.
 
 Strict two-phase lock manager with a coarse database-level lock.
 
@@ -90,13 +91,8 @@ class LockRequest:
 class LockManager:
     """Two-level (database / object) strict lock manager."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        partition_fn: Optional[Callable[[str], str]] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
-        self._partition_fn = partition_fn
         self._ticket = itertools.count()
         # resource -> {txn_id: mode} (a txn holds at most one mode per resource;
         # EXCLUSIVE subsumes SHARED on upgrade).
@@ -227,27 +223,15 @@ class LockManager:
     # Internals
     # ------------------------------------------------------------------
     def _resources_overlap(self, a: str, b: str) -> bool:
-        """The database-level lock covers every object; a partition-level
-        lock (coarse granularity, section 4.3) covers its objects."""
-        if a == b or a == DB_RESOURCE or b == DB_RESOURCE:
-            return True
-        if self._partition_fn is not None:
-            from repro.db.partitions import PARTITION_PREFIX
-
-            a_part = a.startswith(PARTITION_PREFIX)
-            b_part = b.startswith(PARTITION_PREFIX)
-            if a_part and not b_part:
-                return self._partition_fn(b) == a
-            if b_part and not a_part:
-                return self._partition_fn(a) == b
-        return False
+        """The database-level lock covers every object."""
+        return a == b or a == DB_RESOURCE or b == DB_RESOURCE
 
     def _overlapping_items(self, resource: str):
         """The held (resource, holders) entries that can overlap
-        ``resource``.  Without partition locks, an object lock overlaps
-        only itself and the database-level lock, so the common case is
-        two dict lookups instead of a scan over everything held."""
-        if self._partition_fn is None and resource != DB_RESOURCE:
+        ``resource``.  An object lock overlaps only itself and the
+        database-level lock, so the common case is two dict lookups
+        instead of a scan over everything held."""
+        if resource != DB_RESOURCE:
             items = []
             holders = self._holders.get(resource)
             if holders is not None:
@@ -266,7 +250,7 @@ class LockManager:
         txn_id = request.txn_id
         mode = request.mode
         resource = request.resource
-        if self._partition_fn is None and resource != DB_RESOURCE:
+        if resource != DB_RESOURCE:
             # Fast path mirroring _overlapping_items' common case, but
             # with no list/tuple allocation: an object lock can only
             # overlap itself and the database-level lock.

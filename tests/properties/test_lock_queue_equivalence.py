@@ -16,25 +16,21 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro.db import locks as indexed
-from repro.db.partitions import make_partition_fn, partition_resource
 
 from tests.properties import flat_lock_manager as flat
 
 OBJECTS = ["a", "b", "c", "d"]
-RESOURCES = OBJECTS + [indexed.DB_RESOURCE, partition_resource("part0"), partition_resource("part1")]
+RESOURCES = OBJECTS + [indexed.DB_RESOURCE]
 TXNS = ["T1", "T2", "T3", "T4", "T5"]
 
 
 class Driver:
     """One lock manager plus everything observable about it."""
 
-    def __init__(self, module, partitioned):
+    def __init__(self, module):
         self.module = module
         self.now = 0.0
-        self.locks = module.LockManager(
-            clock=lambda: self.now,
-            partition_fn=make_partition_fn(2) if partitioned else None,
-        )
+        self.locks = module.LockManager(clock=lambda: self.now)
         self.requests = []
         self.granted = []
 
@@ -133,27 +129,26 @@ NESTED_PUMP_SEES_OUTER_RELEASE = [
     ("release", "T1", None),
 ]
 
-@given(operations, st.booleans())
-@example(ENQUEUE_ORDER_IS_NOT_TICKET_ORDER, False)
-@example(ENQUEUE_ORDER_IS_NOT_TICKET_ORDER, True)
-@example(NESTED_PUMP_SEES_OUTER_RELEASE, False)
+@given(operations)
+@example(ENQUEUE_ORDER_IS_NOT_TICKET_ORDER)
+@example(NESTED_PUMP_SEES_OUTER_RELEASE)
 @settings(max_examples=400, deadline=None)
-def test_indexed_queues_match_flat_list(ops, partitioned):
-    reference = Driver(flat, partitioned)
-    subject = Driver(indexed, partitioned)
+def test_indexed_queues_match_flat_list(ops):
+    reference = Driver(flat)
+    subject = Driver(indexed)
     for position, op in enumerate(ops):
         assert subject.step(op) == reference.step(op), f"diverged at op {position}: {op}"
 
 
 def test_pinned_examples_exercise_what_they_claim():
-    driver = Driver(flat, partitioned=False)
+    driver = Driver(flat)
     for op in ENQUEUE_ORDER_IS_NOT_TICKET_ORDER:
         state = driver.step(op)
     tail = state["granted"][-2:]
     assert [g[0] for g in tail] == ["T3", "T5"]
     assert tail[0][3] > tail[1][3], "the later grant must carry the lower ticket"
 
-    driver = Driver(flat, partitioned=False)
+    driver = Driver(flat)
     for op in NESTED_PUMP_SEES_OUTER_RELEASE:
         state = driver.step(op)
     assert [g[0] for g in state["granted"][-3:]] == ["T2", "T3", "T5"]

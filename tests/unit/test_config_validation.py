@@ -20,6 +20,7 @@ class TestNodeConfig:
         ("transfer_batch_size", 0),
         ("object_size_bytes", 0),
         ("partition_count", -1),
+        ("lazy_round_threshold", -1),
         ("lazy_max_rounds", 0),
     ])
     def test_bad_values_rejected(self, field, value):

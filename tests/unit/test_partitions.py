@@ -1,15 +1,8 @@
-"""Unit tests for the data-partition helpers and partition-aware locking."""
+"""Unit tests for the data-partition mapping (lazy round 1, section 4.7)."""
 
 import pytest
 
-from repro.db.locks import DB_RESOURCE, LockManager, LockMode
-from repro.db.partitions import (
-    PARTITION_PREFIX,
-    make_partition_fn,
-    partition_names,
-    partition_of,
-    partition_resource,
-)
+from repro.db.partitions import partition_names, partition_of
 
 
 class TestPartitionMapping:
@@ -20,75 +13,6 @@ class TestPartitionMapping:
         names = {partition_of(f"obj{i}", 4) for i in range(200)}
         assert names == set(partition_names(4))
 
-    def test_partition_resource_prefix(self):
-        assert partition_resource("part3") == PARTITION_PREFIX + "part3"
-
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             partition_of("x", 0)
-
-    def test_make_partition_fn_none_when_disabled(self):
-        assert make_partition_fn(0) is None
-        fn = make_partition_fn(4)
-        assert fn("obj1") == partition_resource(partition_of("obj1", 4))
-
-
-class TestPartitionLocks:
-    def make(self, k=4):
-        return LockManager(partition_fn=make_partition_fn(k))
-
-    def obj_in(self, partition, k=4):
-        for i in range(1000):
-            if partition_of(f"o{i}", k) == partition:
-                return f"o{i}"
-        raise AssertionError("no object found")
-
-    def test_partition_shared_blocks_object_writer(self):
-        lm = self.make()
-        obj = self.obj_in("part0")
-        lm.request("XFER", partition_resource("part0"), LockMode.SHARED)
-        writer = lm.request("W", obj, LockMode.EXCLUSIVE)
-        assert not writer.granted
-        lm.release("XFER")
-        assert writer.granted
-
-    def test_other_partition_unaffected(self):
-        lm = self.make()
-        obj = self.obj_in("part1")
-        lm.request("XFER", partition_resource("part0"), LockMode.SHARED)
-        writer = lm.request("W", obj, LockMode.EXCLUSIVE)
-        assert writer.granted
-
-    def test_object_writer_blocks_partition_lock(self):
-        lm = self.make()
-        obj = self.obj_in("part2")
-        lm.request("W", obj, LockMode.EXCLUSIVE)
-        part = lm.request("XFER", partition_resource("part2"), LockMode.SHARED)
-        assert not part.granted
-        lm.release("W")
-        assert part.granted
-
-    def test_partition_locks_mutually_independent(self):
-        lm = self.make()
-        a = lm.request("T1", partition_resource("part0"), LockMode.EXCLUSIVE)
-        b = lm.request("T2", partition_resource("part1"), LockMode.EXCLUSIVE)
-        assert a.granted and b.granted
-
-    def test_db_lock_covers_partitions(self):
-        lm = self.make()
-        lm.request("XFER", DB_RESOURCE, LockMode.SHARED)
-        part = lm.request("W", partition_resource("part0"), LockMode.EXCLUSIVE)
-        assert not part.granted
-
-    def test_object_readers_compatible_with_partition_shared(self):
-        lm = self.make()
-        obj = self.obj_in("part0")
-        lm.request("XFER", partition_resource("part0"), LockMode.SHARED)
-        reader = lm.request("R", obj, LockMode.SHARED)
-        assert reader.granted
-
-    def test_without_partition_fn_no_overlap(self):
-        lm = LockManager()  # partitioning disabled
-        lm.request("XFER", partition_resource("part0"), LockMode.SHARED)
-        writer = lm.request("W", "anything", LockMode.EXCLUSIVE)
-        assert writer.granted

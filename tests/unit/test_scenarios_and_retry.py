@@ -19,11 +19,12 @@ class TestRecoveryExperiment:
             assert key in report.extra
 
     def test_strategy_instance_accepted(self):
-        from repro import LazyTransferStrategy
+        from repro import LazyTransferStrategy, NodeConfig
 
         report = run_recovery_experiment(
-            strategy=LazyTransferStrategy(round_threshold=10), db_size=60,
+            strategy=LazyTransferStrategy(), db_size=60,
             downtime=0.3, arrival_rate=60, seed=7,
+            node_config=NodeConfig(lazy_round_threshold=10),
         )
         assert report.completed
         assert report.strategy == "lazy"

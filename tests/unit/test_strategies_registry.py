@@ -29,8 +29,12 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)
     def test_by_name_roundtrip(self, name):
+        """The name selects a strategy fully: none takes a constructor
+        argument (tuning lives in ``NodeConfig``)."""
         strategy = strategy_by_name(name)
         assert strategy.name == name
+        with pytest.raises(TypeError):
+            type(strategy)(1)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -41,10 +45,6 @@ class TestRegistry:
         for cls in (FullTransferStrategy, VersionCheckStrategy, RecTableStrategy,
                     LogFilterStrategy, GcsLevelTransferStrategy):
             assert not cls().lazy
-
-    def test_lazy_accepts_tuning_kwargs(self):
-        strategy = strategy_by_name("lazy", round_threshold=5, max_rounds=2)
-        assert strategy.round_threshold == 5 and strategy.max_rounds == 2
 
 
 class TestEffectiveCover:
