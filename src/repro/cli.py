@@ -194,8 +194,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     write_chrome_trace(run, trace_path)
     write_prometheus(run.metrics, prom_path)
     print(f"\nartifacts written to {out_dir}/: run.jsonl "
-          f"({len(run.events)} events, {len(run.spans)} spans), "
-          f"trace.json (load in chrome://tracing or ui.perfetto.dev), "
+          f"({len(run.events)} events), trace.json ({len(run.spans)} "
+          f"spans; load in chrome://tracing or ui.perfetto.dev), "
           f"metrics.prom")
     return 0 if ok else 1
 

@@ -27,6 +27,7 @@ from repro.obs.epochs import (
     EpochRecord,
     PhaseSlice,
     PHASE_ORDER,
+    availability_samples,
     blocked_windows,
     epoch_signature,
     epoch_signatures,
@@ -50,10 +51,9 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.report import (availability_samples, render_availability,
-                              render_one_screen, render_summary,
-                              span_durations)
-from repro.obs.spans import Span, SpanTracker
+from repro.obs.report import (render_availability, render_one_screen,
+                              render_summary, span_durations)
+from repro.obs.spans import Span, spans_of
 
 __all__ = [
     "EpochRecord",
@@ -63,7 +63,6 @@ __all__ = [
     "RunData",
     "SimProfiler",
     "Span",
-    "SpanTracker",
     "attach_observability",
     "attach_profiler",
     "blocked_windows",
@@ -84,6 +83,7 @@ __all__ = [
     "render_phase_comparison",
     "render_summary",
     "span_durations",
+    "spans_of",
     "uncovered_blocked_time",
     "write_chrome_trace",
     "write_jsonl",

@@ -6,9 +6,10 @@ a flat dict.  It never touches a hot path, so the benchmark (``perf/``)
 can take a snapshot per workload without perturbing the measurement,
 and it needs nothing attached.
 
-:func:`attach_observability` attaches the event side: the tracer, the
-span tracker listening on it, and ``node.obs``, which switches on the
-per-transaction ``txn`` events the spans are built from.  Reachable as
+:func:`attach_observability` attaches the event side: the tracer and
+``node.obs``, which switches on the per-transaction ``txn`` events the
+transaction spans are computed from at export
+(:func:`repro.obs.spans.spans_of`).  Reachable as
 ``cluster.attach_observability()`` / ``cluster.obs`` once attached.
 """
 
@@ -22,7 +23,6 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.spans import SpanTracker
 from repro.tracing import attach_tracer
 
 
@@ -181,12 +181,12 @@ _CANONICAL_METRIC_KEYS: tuple = (
 # The handle
 # ----------------------------------------------------------------------
 class Observability:
-    """Everything attached to one cluster: the tracer and the spans it
-    feeds.  Metrics are read from the cluster on demand."""
+    """Everything attached to one cluster: the tracer.  Spans are
+    computed from its events and metrics read from the cluster, on
+    demand."""
 
-    def __init__(self, cluster, spans: SpanTracker, tracer) -> None:
+    def __init__(self, cluster, tracer) -> None:
         self.cluster = cluster
-        self.spans = spans
         self.tracer = tracer
 
     def snapshot(self) -> Dict[str, Any]:
@@ -194,8 +194,8 @@ class Observability:
 
     def run_data(self, name: str = "repro run",
                  meta: Optional[Dict[str, Any]] = None) -> RunData:
-        """Snapshot the whole run; still-open spans are exported closed
-        at now, and stay open in the tracker."""
+        """Snapshot the whole run.  Its spans end where the events say,
+        or at now (``open_at_end``) if the run has not ended them yet."""
         now = self.cluster.sim.now
         merged: Dict[str, Any] = {
             "name": name,
@@ -207,7 +207,6 @@ class Observability:
         return RunData(
             meta=merged,
             events=list(self.tracer.events),
-            spans=self.spans.finalize(now),
             metrics=self.snapshot(),
         )
 
@@ -227,7 +226,7 @@ class Observability:
 
 
 def attach_observability(cluster) -> Observability:
-    """Observe a cluster: tracer + spans, and the ``txn`` span sources.
+    """Observe a cluster: the tracer and the ``txn`` span sources.
 
     Idempotent; reuses an already-attached tracer (e.g. from the chaos
     engine).  Attach before ``cluster.start()`` for complete coverage —
@@ -236,9 +235,7 @@ def attach_observability(cluster) -> Observability:
     if cluster.obs is not None:
         return cluster.obs
     tracer = cluster.tracer or attach_tracer(cluster)
-    spans = SpanTracker()
-    tracer.add_listener(spans.on_trace_event)
-    cluster.obs = Observability(cluster, spans, tracer)
+    cluster.obs = Observability(cluster, tracer)
     for node in cluster.nodes.values():
         node.obs = cluster.obs
     return cluster.obs

@@ -32,7 +32,8 @@ Besides per-site epochs, the extractor emits **cluster epochs** (site
 ``--``, trigger ``partition_storm``) for network partitions injected by
 the chaos/endurance engines: a partition can block commits cluster-wide
 without any single site leaving service, so the storm interval — split
-until heal (``down``), then heal until the next view installation
+until heal (``down``; the chaos engine's final quiesce heals a split it
+leaves open), then heal until the next view installation
 (``membership``) — is what explains those outage windows.
 
 Blocked-window coverage (:func:`blocked_windows`,
@@ -222,8 +223,11 @@ def extract_epochs(events: Iterable[Any],
                 storm.restart = None
             continue
         if (category, kind) in (("endurance", "merge"),
-                                ("fault", "chaos_heal")):
-            if storm is not None:
+                                ("fault", "chaos_heal"),
+                                ("fault", "chaos_quiesce")):
+            # The chaos engine's final quiesce heals a split it leaves
+            # open without a heal event of its own.
+            if storm is not None and storm.restart is None:
                 storm.restart = event.time
             continue
 
@@ -306,6 +310,26 @@ def extract_epochs(events: Iterable[Any],
 # ----------------------------------------------------------------------
 # Blocked-window coverage (the checkers.check_availability_floor gap rule)
 # ----------------------------------------------------------------------
+def availability_samples(events: Iterable[Any]
+                         ) -> List[Tuple[float, int, bool]]:
+    """``(bin end, commits, maintenance)`` rows from an endurance run's
+    ``availability_sample`` trace events (empty for other runs)."""
+    return [(float(e.data["t"]), int(e.data["commits"]),
+             bool(e.data["maintenance"]))
+            for e in events
+            if e.category == "endurance" and e.kind == "availability_sample"
+            and e.data]
+
+
+def sample_bin_width(samples: Sequence[Tuple[float, int, bool]]
+                     ) -> Optional[float]:
+    """The sampler's bin width: the median gap between consecutive
+    samples, or None without two distinct sample times."""
+    deltas = sorted(b[0] - a[0] for a, b in zip(samples, samples[1:])
+                    if b[0] > a[0])
+    return deltas[len(deltas) // 2] if deltas else None
+
+
 def blocked_windows(events: Iterable[Any], warmup: float = 0.0
                     ) -> List[Tuple[float, float]]:
     """Client-visible zero-commit windows from ``availability_sample``
@@ -313,16 +337,10 @@ def blocked_windows(events: Iterable[Any], warmup: float = 0.0
     :func:`repro.checkers.availability_violations` finds (the gap rule
     of ``check_availability_floor``), down to a single zero bin (a
     half-bin ``min_span`` absorbs float rounding)."""
-    samples = [(float(e.data["t"]), int(e.data["commits"]),
-                bool(e.data["maintenance"]))
-               for e in events
-               if e.category == "endurance" and e.kind == "availability_sample"
-               and e.data]
-    if len(samples) < 2:
+    samples = availability_samples(events)
+    bin_width = sample_bin_width(samples)
+    if bin_width is None:
         return []
-    deltas = sorted(b[0] - a[0] for a, b in zip(samples, samples[1:])
-                    if b[0] > a[0])
-    bin_width = deltas[len(deltas) // 2]
     spans = availability_violations(samples, window=bin_width,
                                     bin_width=bin_width, warmup=warmup,
                                     min_span=bin_width / 2)

@@ -1,9 +1,11 @@
 """Exporters: JSON-lines run log, Chrome trace_event JSON, Prometheus text.
 
 Everything operates on a :class:`RunData` — one self-contained record of
-a run (meta, trace events, spans, metric snapshot) that can be written
-to a JSON-lines file and loaded back, so ``python -m repro report`` can
+a run (meta, trace events, metric snapshot) that can be written to a
+JSON-lines file and loaded back, so ``python -m repro report`` can
 render a summary either from a live cluster or from a recorded file.
+Its spans are computed from the events (:func:`repro.obs.spans.spans_of`)
+when first read, so the file holds no span records.
 
 The Chrome trace output loads directly in ``chrome://tracing`` or
 https://ui.perfetto.dev: one process, one track ("thread") per site,
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import cached_property
+from typing import Any, Dict, List
 
-from repro.obs.spans import Span
+from repro.obs.spans import Span, spans_of
 from repro.tracing import TraceEvent
 
 #: Virtual seconds -> Chrome trace microseconds.
@@ -31,12 +34,15 @@ class RunData:
 
     meta: Dict[str, Any] = field(default_factory=dict)
     events: List[TraceEvent] = field(default_factory=list)
-    spans: List[Span] = field(default_factory=list)
     metrics: Dict[str, Any] = field(default_factory=dict)
 
+    @cached_property
+    def spans(self) -> List[Span]:
+        """The run's spans, closed at its ``virtual_time``."""
+        return spans_of(self.events, self.meta.get("virtual_time"))
+
     def sites(self) -> List[str]:
-        seen = {s.site for s in self.spans} | {e.site for e in self.events}
-        return sorted(seen)
+        return sorted({e.site for e in self.events})
 
 
 # ----------------------------------------------------------------------
@@ -67,18 +73,17 @@ def _event_from_dict(record: Dict[str, Any]) -> TraceEvent:
 
 
 def write_jsonl(run: RunData, path: str) -> None:
-    """One JSON object per line: meta, then events, spans, metrics."""
+    """One JSON object per line: meta, then events, metrics."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"type": "meta", **run.meta}) + "\n")
         for event in run.events:
             handle.write(json.dumps({"type": "event", **_event_to_dict(event)}) + "\n")
-        for span in run.spans:
-            handle.write(json.dumps({"type": "span", **span.to_dict()}) + "\n")
         handle.write(json.dumps({"type": "metrics", "snapshot": run.metrics}) + "\n")
 
 
 def load_jsonl(path: str) -> RunData:
-    """Inverse of :func:`write_jsonl`."""
+    """Inverse of :func:`write_jsonl`; other record types (the span
+    lines older files carry) are skipped."""
     run = RunData()
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -91,8 +96,6 @@ def load_jsonl(path: str) -> RunData:
                 run.meta = record
             elif kind == "event":
                 run.events.append(_event_from_dict(record))
-            elif kind == "span":
-                run.spans.append(Span.from_dict(record))
             elif kind == "metrics":
                 run.metrics = record.get("snapshot", {})
     return run
@@ -119,7 +122,6 @@ def chrome_trace(run: RunData) -> Dict[str, Any]:
             "args": {"sort_index": tid},
         })
     for span in run.spans:
-        end = span.end if span.end is not None else span.start
         args: Dict[str, Any] = {"span_id": span.span_id}
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
@@ -129,7 +131,7 @@ def chrome_trace(run: RunData) -> Dict[str, Any]:
             "cat": span.category,
             "ph": "X",
             "ts": span.start * _US,
-            "dur": max(0.0, (end - span.start)) * _US,
+            "dur": max(0.0, span.duration) * _US,
             "pid": 0,
             "tid": tids.get(span.site, 0),
             "args": args,

@@ -1,73 +1,41 @@
 """Render a human-readable run summary from a :class:`RunData`.
 
-Used by ``python -m repro report``: top metrics, span durations grouped
-by phase, and a per-site timeline digest.  Pure formatting — everything
-here works identically on a live run and on a reloaded JSON-lines file.
+Used by ``python -m repro report``: top metrics, transaction and serve
+span durations, a per-site timeline digest and the epoch table, where a
+recovery and its phases print once.  Pure formatting — everything here
+works identically on a live run and on a reloaded JSON-lines file.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.obs.epochs import (blocked_windows, extract_epochs,
-                              render_epoch_table)
+from repro.obs.epochs import (availability_samples, blocked_windows,
+                              extract_epochs, render_epoch_table,
+                              sample_bin_width)
 from repro.obs.export import RunData
-from repro.obs.spans import Span
 from repro.workload.metrics import summarize_latencies
 
 #: How many counters the "top metrics" table shows.
 TOP_METRICS = 16
 
-
-def _phase_label(span: Span) -> str:
-    if span.category == "txn":
-        return "txn (submit -> done)"
-    if span.category == "txn_apply":
-        return "apply (deliver -> commit/abort)"
-    if span.category == "reconfig":
-        return "recovery (view change -> active)"
-    # Phase spans: "state_transfer", "replay", "serve <joiner>".
-    return span.name.split(" ", 1)[0]
+#: The span table's rows, by span category.  Recovery spans are the
+#: epochs, so they and their phases print in the epoch table instead.
+_SPAN_LABELS = {
+    "txn": "txn (submit -> done)",
+    "txn_apply": "apply (deliver -> commit/abort)",
+    "serve": "serve",
+}
 
 
 def span_durations(run: RunData) -> Dict[str, List[float]]:
-    """Closed-span durations grouped by phase label."""
+    """Transaction, apply and serve span durations by label."""
     groups: Dict[str, List[float]] = {}
     for span in run.spans:
-        if span.end is None:
-            continue
-        groups.setdefault(_phase_label(span), []).append(span.end - span.start)
+        label = _SPAN_LABELS.get(span.category)
+        if label is not None:
+            groups.setdefault(label, []).append(span.duration)
     return groups
-
-
-def _site_rows(run: RunData) -> List[Tuple[str, int, int, int, int, float]]:
-    rows = []
-    for site in run.sites():
-        if site == "--":  # chaos engine's global events, not a site
-            continue
-        events = sum(1 for e in run.events if e.site == site)
-        applies = [s for s in run.spans if s.category == "txn_apply" and s.site == site]
-        commits = sum(1 for s in applies if s.attrs.get("outcome") == "commit")
-        recoveries = [s for s in run.spans
-                      if s.category == "reconfig" and s.site == site
-                      and s.end is not None]
-        recovery_time = sum(s.end - s.start for s in recoveries)
-        rows.append((site, events, len(applies), commits, len(recoveries),
-                     recovery_time))
-    return rows
-
-
-def availability_samples(run: RunData) -> List[Tuple[float, int, bool]]:
-    """``(bin end, commits, maintenance)`` rows from an endurance run's
-    ``availability_sample`` trace events (empty for other runs)."""
-    samples: List[Tuple[float, int, bool]] = []
-    for event in run.events:
-        if (event.category == "endurance"
-                and event.kind == "availability_sample" and event.data):
-            samples.append((float(event.data["t"]),
-                            int(event.data["commits"]),
-                            bool(event.data["maintenance"])))
-    return samples
 
 
 def render_availability(samples: List[Tuple[float, int, bool]],
@@ -139,29 +107,34 @@ def render_summary(run: RunData) -> str:
                 f"{summary.p95:9.4f} {summary.maximum:9.4f}")
         lines.append("")
 
-    rows = _site_rows(run)
-    if rows:
+    epochs = extract_epochs(run.events, end_time=meta.get("virtual_time"))
+    # "--" carries the fault engines' global events, not a site's.
+    sites = [site for site in run.sites() if site != "--"]
+    if sites:
         lines.append("per-site timeline")
         header = (f"  {'site':6s} {'events':>7s} {'applies':>8s} "
                   f"{'commits':>8s} {'recoveries':>11s} {'recovery s':>11s}")
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
-        for site, events, applies, commits, recoveries, rec_time in rows:
-            lines.append(f"  {site:6s} {events:7d} {applies:8d} "
-                         f"{commits:8d} {recoveries:11d} {rec_time:11.4f}")
+        for site in sites:
+            events = sum(1 for e in run.events if e.site == site)
+            applies = [s for s in run.spans
+                       if s.category == "txn_apply" and s.site == site]
+            commits = sum(1 for s in applies
+                          if s.attrs.get("outcome") == "commit")
+            recoveries = [e for e in epochs if e.site == site]
+            lines.append(f"  {site:6s} {events:7d} {len(applies):8d} "
+                         f"{commits:8d} {len(recoveries):11d} "
+                         f"{sum(e.duration for e in recoveries):11.4f}")
         lines.append("")
 
-    epochs = extract_epochs(run.events,
-                            end_time=meta.get("virtual_time"))
     if epochs:
         lines.append(render_epoch_table(epochs, limit=12))
         lines.append("")
 
-    samples = availability_samples(run)
-    if samples:
-        deltas = sorted(b[0] - a[0] for a, b in zip(samples, samples[1:])
-                        if b[0] > a[0])
-        bin_width = deltas[len(deltas) // 2] if deltas else 0.25
+    samples = availability_samples(run.events)
+    bin_width = sample_bin_width(samples)
+    if bin_width is not None:
         lines.append(render_availability(samples, bin_width))
         lines.append("")
 
@@ -183,7 +156,7 @@ def render_one_screen(run: RunData) -> str:
     aborts = int(counters.get("txn.aborts", 0))
     epochs = extract_epochs(run.events, end_time=meta.get("virtual_time"))
     downtime = sum(e.duration for e in epochs)
-    samples = availability_samples(run)
+    samples = availability_samples(run.events)
     windows = blocked_windows(run.events)
     blocked = sum(end - start for start, end in windows)
 

@@ -28,7 +28,7 @@ class TraceEvent:
     kind: str
     detail: str = ""
     #: Optional structured payload (ids, sizes) for machine consumers —
-    #: the span tracker and the exporters; ``detail`` stays the
+    #: the epochs, the spans and the exporters; ``detail`` stays the
     #: human-readable rendering.
     data: Optional[Dict[str, Any]] = None
 
@@ -47,8 +47,8 @@ class Tracer:
         self._listeners: List[Callable[[TraceEvent], None]] = []
 
     def add_listener(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Subscribe to every event as it is emitted (the span tracker
-        layers on the tracer this way)."""
+        """Subscribe to every event as it is emitted (a test monitor
+        checks invariants on the fly this way)."""
         self._listeners.append(listener)
 
     def emit(self, site: str, category: str, kind: str, detail: str = "",

@@ -82,7 +82,8 @@ class TestGrowth:
                                                     end_time=cluster.sim.now)
                   if epoch.site == "S4"]
         assert len(epochs) == 1 and not epochs[0].truncated
-        assert obs.spans.of(category="reconfig", site="S4")
+        assert [s for s in obs.run_data().spans
+                if s.category == "reconfig" and s.site == "S4"]
 
     def test_universe_grows_at_every_member(self):
         cluster = dynamic_cluster()

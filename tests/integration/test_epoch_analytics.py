@@ -52,6 +52,20 @@ class TestPhaseSums:
             assert sum(epoch.phase_durations().values()) == pytest.approx(
                 epoch.duration, abs=1e-9)
 
+    def test_storm_split_at_quiesce_closes(self):
+        """Seed 3's storm is still split when the drive ends; the final
+        quiesce heals it and the next view closes it."""
+        from repro.faults import run_chaos as run_default_chaos
+
+        report = run_default_chaos(seed=3, mode="vs")
+        [storm] = [e for e in report.epochs() if e.site == "--"]
+        assert not storm.truncated
+        assert storm.start == pytest.approx(0.390, abs=5e-4)
+        assert storm.end == pytest.approx(3.153, abs=5e-4)
+        durations = storm.phase_durations()
+        assert durations["down"] == pytest.approx(2.710, abs=5e-4)
+        assert durations["membership"] == pytest.approx(0.053, abs=5e-4)
+
     def test_payload_summary_matches_records(self):
         report = run_chaos(3, "vs")
         epochs = report.epochs()

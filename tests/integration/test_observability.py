@@ -3,7 +3,8 @@
 import json
 
 from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
-from repro.obs import attach_observability, chrome_trace, collect_cluster_metrics
+from repro.obs import (attach_observability, chrome_trace,
+                       collect_cluster_metrics, extract_epochs, load_jsonl)
 from repro.replication.node import SiteStatus
 
 
@@ -47,14 +48,45 @@ class TestObservedRecovery:
         reconfig = [s for s in run.spans if s.category == "reconfig"]
         assert len(reconfig) == 1, "expected exactly one recovery span"
         root = reconfig[0]
-        assert root.site == "S3" and root.end is not None
+        assert root.site == "S3" and root.attrs["trigger"] == "crash"
         phases = {s.name for s in run.spans
                   if s.category == "phase" and s.parent_id == root.span_id}
-        assert "state_transfer" in phases
-        assert "replay" in phases
+        assert {"down", "membership", "transfer", "replay"} <= phases
         # The serving peer's span is parented cross-site to the recovery.
         assert any(s.name == "serve S3" and s.site != "S3" for s in run.spans
                    if s.parent_id == root.span_id)
+
+    def test_recovery_roots_are_the_epochs(self):
+        """One recovery root per epoch, with its duration and counters,
+        and the root's phase children tile it exactly."""
+        cluster, obs = observed_recovery_run()
+        run = obs.run_data()
+        epochs = extract_epochs(run.events, end_time=cluster.sim.now)
+        roots = [s for s in run.spans if s.category == "reconfig"]
+        assert [(r.site, r.start, r.end) for r in roots] == [
+            (e.site, e.start, e.end) for e in epochs]
+        for root, epoch in zip(roots, epochs):
+            assert root.attrs["bytes_received"] == epoch.bytes_received > 0
+            assert root.attrs["replayed"] == epoch.replayed
+            phases = [s for s in run.spans if s.category == "phase"
+                      and s.parent_id == root.span_id]
+            assert phases[0].start == root.start
+            assert phases[-1].end == root.end
+            assert all(a.end == b.start for a, b in zip(phases, phases[1:]))
+            assert {p.name: p.duration for p in phases} == {
+                name: seconds for name, seconds
+                in epoch.phase_durations().items() if seconds > 0}
+
+    def test_reloaded_run_has_the_live_spans(self, tmp_path):
+        cluster, obs = observed_recovery_run()
+        path = str(tmp_path / "run.jsonl")
+        live = obs.export_jsonl(path)
+        assert live.spans and load_jsonl(path).spans == live.spans
+
+    def test_attach_registers_no_listener(self):
+        cluster = ClusterBuilder(n_sites=3, db_size=10, seed=1).build()
+        obs = attach_observability(cluster)
+        assert obs.tracer._listeners == []
 
     def test_chrome_export_is_valid_and_metrics_flow(self, tmp_path):
         cluster, obs = observed_recovery_run()
@@ -73,9 +105,9 @@ class TestObservedRecovery:
         assert counters["xfer.transfers_completed"] >= 1
 
     def test_mid_run_export_leaves_live_spans_open(self):
-        """An export while S3 is still recovering closes the exported
-        copy of its recovery span, not the span itself: the final export
-        shows where the recovery really ended."""
+        """An export while S3 is still recovering closes its recovery
+        span at the export time; a later export of the same run shows
+        where the recovery really ended."""
         cluster = ClusterBuilder(n_sites=3, db_size=1000, seed=3,
                                  strategy="full").build()
         obs = attach_observability(cluster)

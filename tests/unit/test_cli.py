@@ -141,6 +141,8 @@ class TestReportCommand:
         # The summary re-rendered from the file matches the live one.
         assert "span durations by phase" in second
         assert first.splitlines()[0] == second.splitlines()[0]
+        # Spans are computed from the events, so the whole text matches.
+        assert second == first.split("\n\nartifacts written")[0] + "\n"
 
 
 class TestChaosObservability:

@@ -199,6 +199,30 @@ class TestEdgeCases:
         assert len(epochs) == 1
         assert epochs[0].truncated and epochs[0].end == 3.0
 
+    def test_chaos_quiesce_heals_a_split_storm(self):
+        """The chaos engine's final quiesce heals the network without a
+        heal event; the storm still closes at the next install."""
+        events = [
+            ev(1.0, "--", "fault", "chaos_partition", ""),
+            ev(3.0, "--", "fault", "chaos_quiesce", ""),
+            ev(3.2, "S1", "view", "install", "v9 {S1,S2,S3}"),
+        ]
+        [storm] = extract_epochs(events, end_time=5.0)
+        assert not storm.truncated and storm.end == 3.2
+        durations = storm.phase_durations()
+        assert durations["down"] == pytest.approx(2.0)
+        assert durations["membership"] == pytest.approx(0.2)
+
+    def test_chaos_quiesce_after_a_heal_keeps_the_heal(self):
+        events = [
+            ev(1.0, "--", "fault", "chaos_partition", ""),
+            ev(2.0, "--", "fault", "chaos_heal", ""),
+            ev(3.0, "--", "fault", "chaos_quiesce", ""),
+            ev(3.2, "S1", "view", "install", "v9 {S1,S2,S3}"),
+        ]
+        [storm] = extract_epochs(events)
+        assert storm.phase_durations()["down"] == pytest.approx(1.0)
+
     def test_recovering_without_a_crash_is_a_join(self):
         events = [
             ev(0.5, "--", "endurance", "gene", "#0 restart [0] hold=0.1"),
