@@ -226,16 +226,20 @@ class Database:
         dropped (it is fully subsumed by the image): the cover guarantees
         every transaction at or below it terminated, and committed values
         at or below it are — by no-steal — in the image being written.
+        For the same reason the outcome table collapses at the cover.
         """
         image = self.store.snapshot()
         for gid, writes in self._uncommitted_writes.items():
             for obj, before_value, before_version in writes:
                 image[obj] = (before_value, before_version)
         self.storage.checkpoint(image)
+        cover = self.cover_gid()
+        if truncate_log:
+            self.outcomes.raise_floor(cover)
         self.storage.outcome_image = self.outcomes.rows()
         self.storage.flush()
         if truncate_log:
-            self.storage.truncate_through(self.cover_gid())
+            self.storage.truncate_through(cover)
 
     # ------------------------------------------------------------------
     # Multiversion snapshots (log-filter strategy, section 4.6)

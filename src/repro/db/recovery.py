@@ -90,7 +90,7 @@ def run_single_site_recovery(storage: PersistentStorage) -> RecoveryResult:
     committed: Set[int] = set()
     writes_by_gid: Dict[int, List[WriteRecord]] = {}
     outcomes = OutcomeTable()
-    outcomes.merge(getattr(storage, "outcome_image", ()))
+    outcomes.merge(storage.outcome_image)
 
     for record in records:
         if isinstance(record, BaselineRecord):

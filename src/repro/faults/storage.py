@@ -89,9 +89,10 @@ class StableStateCorruptor:
       the checkpoint image; the recomputed cover is honestly lower and
       the data transfer resends everything above it.
     * ``outcome_amnesia`` — forget a random subset of the checkpointed
-      exactly-once outcome rows.  Healed because transfer completion
-      replaces the joiner's table wholesale (``OutcomeTable.reset_to``)
-      before any replay decision consults it.
+      exactly-once outcome rows (one per client plus those above the
+      collapse floor, see :mod:`repro.db.outcomes`).  Healed because
+      transfer completion replaces the joiner's table wholesale
+      (``OutcomeTable.reset_to``) before any replay decision consults it.
     * ``duplicate_records`` — stutter a chunk of log records (a replayed
       journal segment).  Recovery's terminated-set bookkeeping and
       forward-version-only redo make the second copy a no-op.
@@ -137,6 +138,11 @@ class StableStateCorruptor:
                 f"({durable_lost} of them durable)")
 
     def _outcome_amnesia(self, storage: PersistentStorage) -> str:
+        """Drop each checkpointed outcome row with probability 1/2.  The
+        image holds each client's newest row at or below the collapse
+        floor plus every row above it, so "forgot k of n" counts those
+        rows — under uniform delivery about one per client, not one per
+        request."""
         rows = storage.outcome_image
         if not rows:
             return "no checkpointed outcome rows to forget"

@@ -289,6 +289,9 @@ class PeerTransferSession:
         self.started_at = node.sim.now
         self.finished_at: Optional[float] = None
 
+        # Every strategy finishes at a baseline at or above the sync gid:
+        # keep the outcome table's rows down to it until the snapshot.
+        self.db.outcomes.pin(self.owner, sync_gid)
         # Strategies may grab locks / snapshots synchronously right here,
         # at the synchronization point (view change or SubviewSetMerge).
         self.strategy.on_session_created(self)
@@ -569,6 +572,7 @@ class PeerTransferSession:
                              outcomes=self.db.outcomes.snapshot_through(
                                  self._finished_baseline)),
         )
+        self.db.outcomes.unpin(self.owner)
 
     def cancel(self) -> None:
         """Stop the session (joiner left, peer stalled, superseded)."""
@@ -581,6 +585,7 @@ class PeerTransferSession:
         self._tracked.clear()
         self.release_all_locks()
         self.strategy.on_session_closed(self)
+        self.db.outcomes.unpin(self.owner)
 
 
 # ----------------------------------------------------------------------

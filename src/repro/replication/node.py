@@ -652,9 +652,10 @@ class ReplicatedDatabaseNode:
         request = message.request
         # Exactly-once dedup (before any execution): a request whose
         # outcome is already settled in the replicated table is answered
-        # from the table, never re-executed.  The check is a
-        # deterministic function of the gid prefix, so every site
-        # suppresses (or executes) the same deliveries.
+        # from the table, and a stale one (its client has moved on to a
+        # later seq) is not answered at all; neither is re-executed.
+        # The check is a deterministic function of the gid prefix, so
+        # every site suppresses (or executes) the same deliveries.
         if request is not None and db.outcomes.is_duplicate(request):
             db.log_noop(gid)
             self.last_processed_gid = gid

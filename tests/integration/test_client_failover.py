@@ -10,13 +10,21 @@ Three layers of evidence:
   actually catches double execution (a checker that cannot fail verifies
   nothing);
 * the replicated dedup table answers a resubmitted request from the
-  table instead of re-executing it, observable on a healthy cluster.
+  table instead of re-executing it, observable on a healthy cluster;
+* the table keeps one row per client: a request the client abandoned
+  cannot commit after the client moved on, and a cascade of crashes and
+  partitions under a client fleet ends with one row per client.
 """
 
 import pytest
 
+from repro import WorkloadConfig
+from repro.checkers import check_exactly_once, run_all_checks
+from repro.client import ClientFleet
+from repro.client.session import ClientSession, RequestState, SessionConfig
 from repro.faults.chaos import run_chaos
 from repro.replication.messages import RequestId
+from repro.replication.node import SiteStatus
 from tests import mutations
 from tests.conftest import quick_cluster
 
@@ -122,3 +130,81 @@ def test_client_metrics_surface_in_report():
                 "client.duplicates_suppressed"):
         assert key in report.metrics, key
     assert report.metrics["client.sessions"] == 6.0
+
+
+def test_an_abandoned_request_cannot_commit_late(monkeypatch):
+    """A client gives up on seq 1 with its only attempt in doubt
+    (EXHAUSTED) and moves on to seq 2.  The seq 1 attempt's message
+    reaches the total order only after seq 2 settled: it is a stale
+    delivery, suppressed at every site, so the abandoned request never
+    commits."""
+    cluster = quick_cluster()
+    held = []
+    for node in cluster.nodes.values():
+        def hold(payload, real=node._multicast):
+            request = getattr(payload, "request", None)
+            if request is not None and request.seq == 1:
+                held.append((real, payload))
+            else:
+                real(payload)
+        monkeypatch.setattr(node, "_multicast", hold)
+    session = ClientSession(cluster, "CL",
+                            SessionConfig(max_attempts=1, response_timeout=0.2))
+
+    first = session.submit(["obj0"], {"obj1": "late"})
+    assert cluster.await_condition(lambda: first.done, timeout=5)
+    assert first.state is RequestState.EXHAUSTED and len(held) == 1
+    second = session.submit(["obj2"], {"obj3": "next"})
+    assert cluster.await_condition(lambda: second.done, timeout=5)
+    assert second.state is RequestState.COMMITTED
+    suppressed = {site: node.duplicates_suppressed
+                  for site, node in cluster.nodes.items()}
+
+    real, message = held.pop()
+    real(message)
+    cluster.settle(1.0)
+    for site, node in cluster.nodes.items():
+        assert node.duplicates_suppressed == suppressed[site] + 1, site
+        assert node.db.store.read("obj1")[0] != "late", site
+    assert not [event for event in cluster.history.events
+                if event.kind == "commit" and event.message.request is not None
+                and event.message.request.key == ("CL", 1)]
+    check_exactly_once(cluster.history, [session])
+
+
+@pytest.mark.parametrize("mode", ["vs", "evs", "logless"])
+def test_a_client_cascade_leaves_one_outcome_row_per_client(mode):
+    """Crash, recover, partition and heal under a client fleet: once the
+    fleet drains and every site has checkpointed, each site's outcome
+    table holds one row per client and no transfer session still pins
+    it."""
+    cluster = quick_cluster(mode=mode, n_sites=5, db_size=200)
+    fleet = ClientFleet(cluster, 8, WorkloadConfig(
+        arrival_rate=200.0, reads_per_txn=1, writes_per_txn=2))
+
+    def await_active():
+        assert cluster.await_condition(
+            lambda: all(node.status is SiteStatus.ACTIVE
+                        for node in cluster.nodes.values()),
+            timeout=60, step=0.01)
+
+    fleet.start()
+    cluster.run_for(0.5)
+    cluster.crash("S5")
+    cluster.run_for(0.5)
+    cluster.recover("S5")
+    await_active()
+    cluster.partition([["S1", "S2", "S3"], ["S4", "S5"]])
+    cluster.run_for(1.0)
+    cluster.heal()
+    await_active()
+    cluster.run_for(0.5)
+    fleet.stop()
+    assert cluster.await_condition(fleet.drained, timeout=60, step=0.01)
+    cluster.settle(1.5)
+    run_all_checks(cluster.history, list(cluster.nodes.values()),
+                   sessions=fleet.sessions)
+    assert len(fleet.records) > 8 * 10
+    for site, node in cluster.nodes.items():
+        assert len(node.db.outcomes) == len(fleet.sessions), site
+        assert node.db.outcomes.pins == {}, site

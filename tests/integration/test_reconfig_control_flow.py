@@ -261,8 +261,12 @@ def test_replay_reaches_the_decisions_live_delivery_made():
     assert cluster.await_all_active(timeout=30)
     cluster.settle(0.5)
     assert joiner.reconfig.replayed_transactions >= replayed + 3
-    assert joiner.db.outcomes.rows() == live.db.outcomes.rows()
-    assert [row[4] for row in live.db.outcomes.rows()] == [True, False]
+    # Only a client's newest row decides a delivery (older rows collapse
+    # at checkpoints, at different times at different sites).
+    newest = {site: {row[0]: row for row in cluster.nodes[site].db.outcomes.rows()}
+              for site in ("S1", "S3")}
+    assert newest["S3"] == newest["S1"]
+    assert [row[1:3] + row[4:] for row in newest["S1"].values()] == [(2, 1, False)]
     for site in ("S1", "S3"):
         assert cluster.nodes[site].duplicates_suppressed == suppressed[site] + 1
 
