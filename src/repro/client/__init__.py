@@ -14,7 +14,6 @@ from repro.client.session import (
     ClientSession,
     RequestRecord,
     RequestState,
-    SessionConfig,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ClientSession",
     "RequestRecord",
     "RequestState",
-    "SessionConfig",
 ]

@@ -23,12 +23,14 @@ so client-mode runs replay bit-identically under ``repro audit``.
 from __future__ import annotations
 
 import enum
+import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.replication.messages import RequestId
 from repro.replication.transaction import AbortReason, Transaction
+from repro.workload.generator import WorkloadConfig, draw_request
 
 #: Abort reasons that settle an attempt definitively: the attempt's
 #: message either was never multicast or deterministically aborts at
@@ -38,42 +40,6 @@ _DEFINITIVE_ABORTS = (
     AbortReason.LOCAL_READER_CONFLICT,
     AbortReason.DUPLICATE,
 )
-
-
-@dataclass
-class SessionConfig:
-    """Client-side supervision knobs."""
-
-    #: Give up on an attempt that produced no response for this long.
-    response_timeout: float = 1.0
-    #: Exponential backoff between attempts: ``base * factor**k`` capped
-    #: at ``backoff_max`` (k = completed attempts so far).  The base
-    #: schedule is a pure function of the attempt index, which the
-    #: determinism unit tests pin down.
-    backoff_base: float = 0.02
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
-    #: Jitter fraction in [0, 1] applied to each backoff delay to spread
-    #: the retries of different clients after a mass failover (0 = none,
-    #: the default).  The jittered delay is ``delay * (1 - j + j*u)``
-    #: where ``u`` is a deterministic hash of (client_id, seq, attempt) —
-    #: no RNG is consumed, so runs replay bit-identically and two clients
-    #: never share a retry schedule.
-    backoff_jitter: float = 0.0
-    #: Total attempts per logical request before the session gives up.
-    max_attempts: int = 8
-
-    def validate(self) -> None:
-        if self.response_timeout <= 0:
-            raise ValueError("response_timeout must be positive")
-        if self.backoff_base <= 0 or self.backoff_max <= 0:
-            raise ValueError("backoff bounds must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be at least 1.0")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1]")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
 
 class RequestState(enum.Enum):
@@ -123,16 +89,35 @@ class RequestRecord:
 
 
 class ClientSession:
-    """One closed-loop client: at most one outstanding request."""
+    """One closed-loop client: at most one outstanding request.
 
-    def __init__(self, cluster, client_id: str,
-                 config: Optional[SessionConfig] = None,
+    ``backoff_jitter`` in [0, 1] spreads the retries of different
+    clients after a mass failover (0 = none).  The jittered delay is
+    ``delay * (1 - j + j*u)`` where ``u`` is a deterministic hash of
+    (client_id, seq, attempt): no RNG is consumed, so runs replay
+    bit-identically and two clients never share a retry schedule.
+    """
+
+    #: Give up on an attempt that produced no response for this long.
+    RESPONSE_TIMEOUT = 1.0
+    #: Exponential backoff between attempts: ``base * factor**k`` capped
+    #: at ``BACKOFF_MAX`` (k = completed attempts so far).  The base
+    #: schedule is a pure function of the attempt index, which the
+    #: determinism unit tests pin down.
+    BACKOFF_BASE = 0.02
+    BACKOFF_FACTOR = 2.0
+    BACKOFF_MAX = 1.0
+    #: Total attempts per logical request before the session gives up.
+    MAX_ATTEMPTS = 8
+
+    def __init__(self, cluster, client_id: str, *, backoff_jitter: float = 0.0,
                  on_request_done: Optional[Callable[[RequestRecord], None]] = None,
                  ) -> None:
+        if not 0.0 <= backoff_jitter <= 1.0:
+            raise ValueError("backoff_jitter must be in [0, 1]")
         self.cluster = cluster
         self.client_id = client_id
-        self.config = config or SessionConfig()
-        self.config.validate()
+        self.backoff_jitter = backoff_jitter
         self.on_request_done = on_request_done
         self.records: List[RequestRecord] = []
         self.current: Optional[RequestRecord] = None
@@ -206,7 +191,7 @@ class ClientSession:
     def _arm_timeout(self, record: RequestRecord, attempt: int) -> None:
         self._cancel_timeout()
         self._timeout_event = self.cluster.sim.schedule(
-            self.config.response_timeout, self._on_timeout, record, attempt,
+            self.RESPONSE_TIMEOUT, self._on_timeout, record, attempt,
             label=f"client-timeout:{self.client_id}:{record.seq}#{attempt}",
         )
 
@@ -251,7 +236,7 @@ class ClientSession:
         if in_doubt:
             record.in_doubt_attempts += 1
             record.failovers += 1
-        if record.attempts_used >= self.config.max_attempts:
+        if record.attempts_used >= self.MAX_ATTEMPTS:
             if record.in_doubt_attempts > 0:
                 self._finish(record, RequestState.EXHAUSTED)
             else:
@@ -268,10 +253,9 @@ class ClientSession:
         )
 
     def backoff_delay(self, completed_attempts: int) -> float:
-        config = self.config
         return min(
-            config.backoff_base * (config.backoff_factor ** completed_attempts),
-            config.backoff_max,
+            self.BACKOFF_BASE * (self.BACKOFF_FACTOR ** completed_attempts),
+            self.BACKOFF_MAX,
         )
 
     def jittered_delay(self, seq: int, completed_attempts: int) -> float:
@@ -283,7 +267,7 @@ class ClientSession:
         desynchronizes without consuming simulator randomness.
         """
         delay = self.backoff_delay(completed_attempts)
-        jitter = self.config.backoff_jitter
+        jitter = self.backoff_jitter
         if jitter <= 0.0:
             return delay
         token = f"{self.client_id}:{seq}:{completed_attempts}"
@@ -319,23 +303,23 @@ class ClientFleet:
     and hot-set skew) reuse the workload configuration.
     """
 
-    def __init__(self, cluster, n_clients: int, workload_config,
-                 session_config: Optional[SessionConfig] = None) -> None:
+    def __init__(self, cluster, n_clients: int, workload_config: WorkloadConfig,
+                 *, backoff_jitter: float = 0.0) -> None:
         if n_clients < 1:
             raise ValueError("n_clients must be at least 1")
+        workload_config.validate()
         self.cluster = cluster
         self.workload_config = workload_config
-        self.session_config = session_config or SessionConfig()
         self.sessions: List[ClientSession] = [
             ClientSession(
-                cluster, f"C{i + 1}", self.session_config,
+                cluster, f"C{i + 1}", backoff_jitter=backoff_jitter,
                 on_request_done=self._on_request_done,
             )
             for i in range(n_clients)
         ]
         self._running = False
         self._objects = sorted(cluster.initial_db)
-        self._value_counter = 0
+        self._values = itertools.count(1)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -360,29 +344,8 @@ class ClientFleet:
     def _issue(self, session: ClientSession) -> None:
         if not self._running or not session.idle:
             return
-        config = self.workload_config
-        rng = self.cluster.sim.rng
-        reads: List[str] = []
-        seen = set()
-        for _ in range(config.reads_per_txn):
-            obj = self._pick_object(rng)
-            if obj not in seen:
-                seen.add(obj)
-                reads.append(obj)
-        writes: Dict[str, int] = {}
-        for _ in range(config.writes_per_txn):
-            self._value_counter += 1
-            writes[self._pick_object(rng)] = self._value_counter
-        session.submit(reads, writes)
-
-    def _pick_object(self, rng) -> str:
-        config = self.workload_config
-        n = len(self._objects)
-        hot_count = max(1, int(n * config.hot_fraction))
-        if (config.hot_access_probability > 0
-                and rng.random() < config.hot_access_probability):
-            return self._objects[rng.randrange(hot_count)]
-        return self._objects[rng.randrange(n)]
+        session.submit(*draw_request(self.cluster.sim.rng, self._objects,
+                                     self.workload_config, self._values))
 
     def _on_request_done(self, record: RequestRecord) -> None:
         if self._running:

@@ -226,7 +226,7 @@ class Campaign:
     TRACE_PREFIX = ""
     #: NodeConfig.creation_majority for the run's cluster.
     CREATION_MAJORITY = False
-    #: Retry jitter of the client sessions (SessionConfig.backoff_jitter).
+    #: Retry jitter of the client sessions (ClientSession's backoff_jitter).
     BACKOFF_JITTER = 0.0
     #: Virtual seconds :meth:`settle_and_check` lets in-flight work
     #: finish (before, after) waiting for the client fleet to drain.
@@ -326,12 +326,11 @@ class Campaign:
         workload = WorkloadConfig(arrival_rate=config.arrival_rate,
                                   reads_per_txn=1, writes_per_txn=2)
         if config.clients > 0:
-            from repro.client import ClientFleet, SessionConfig
+            from repro.client import ClientFleet
 
             self.fleet = self.load = ClientFleet(
                 cluster, config.clients, workload,
-                session_config=SessionConfig(
-                    backoff_jitter=self.BACKOFF_JITTER),
+                backoff_jitter=self.BACKOFF_JITTER,
             )
         else:
             self.load = LoadGenerator(cluster, workload)

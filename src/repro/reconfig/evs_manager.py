@@ -404,7 +404,7 @@ class EvsReconfigManager(BaseReconfigManager):
         retrying for as long as Rule III is still waiting on the joiner."""
         super().on_peer_session_stalled(session)
         self.node.proc.after(
-            self.node.config.transfer_ack_timeout,
+            PeerTransferSession.ACK_TIMEOUT,
             self._retry_stalled_session,
             session.joiner,
         )

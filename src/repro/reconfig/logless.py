@@ -77,6 +77,12 @@ class LoglessReconfigManager(VsReconfigManager):
     CONTROL_ROUTES = {**BaseReconfigManager.CONTROL_ROUTES,
                       ConfigChange: "on_config_message"}
 
+    #: Maximum add-self config proposals per join attempt.  A lost
+    #: compare-and-swap race re-proposes against the new version; the
+    #: limit bounds proposal storms under heavy churn (the join then
+    #: restarts from the next view change).
+    REPROPOSE_LIMIT = 16
+
     def __init__(self, node, strategy) -> None:
         super().__init__(node, strategy)
         self.config = ReplicatedConfig()
@@ -149,7 +155,7 @@ class LoglessReconfigManager(VsReconfigManager):
             and not self.activation_authorized
             and self._add_proposed_version is not None
             and self._add_proposed_version != self.config.version
-            and self._add_attempts < node.config.logless_repropose_limit
+            and self._add_attempts < self.REPROPOSE_LIMIT
         ):
             self._propose_add_self()
 

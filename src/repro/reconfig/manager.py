@@ -94,6 +94,13 @@ class BaseReconfigManager:
     #: :meth:`on_control` and never names the type.
     CONTROL_ROUTES = {CreationReport: "on_creation_report"}
 
+    #: Cost of replaying one write of an enqueued transaction at a joiner.
+    REPLAY_OP_TIME = 0.0004
+    #: Joiner-side watchdog (transfer hardening): a transfer session
+    #: making no progress for this long is cancelled and re-solicited
+    #: from a different peer.
+    STALL_TIMEOUT = 1.0
+
     def __init__(self, node: ReplicatedDatabaseNode, strategy: TransferStrategy) -> None:
         self.node = node
         self.strategy = strategy
@@ -126,7 +133,7 @@ class BaseReconfigManager:
 
         # Joiner-side stall watchdog (transfer hardening): time
         # of the last inbound message for the current joiner session; a
-        # RECOVERING site with no progress for transfer_stall_timeout
+        # RECOVERING site with no progress for STALL_TIMEOUT
         # cancels the session and solicits a different peer.
         self._last_transfer_progress: Optional[float] = None
         self._stalled_peers: Dict[str, float] = {}
@@ -153,7 +160,7 @@ class BaseReconfigManager:
 
         The events are owned by ``node.proc``, so a crash cancels them."""
         self._last_transfer_progress = None
-        interval = self.node.config.transfer_stall_timeout / 2.0
+        interval = self.STALL_TIMEOUT / 2.0
         self.node.proc.every(interval, self._stall_tick)
 
     def on_crash(self) -> None:
@@ -360,7 +367,7 @@ class BaseReconfigManager:
             self._on_caught_up()
             return
         _gid, message = self.enqueued[0]
-        delay = max(len(message.write_set), 1) * self.node.config.replay_op_time
+        delay = max(len(message.write_set), 1) * self.REPLAY_OP_TIME
         self._replay_step = self.node.proc.after(delay, self._apply_replayed)
 
     def _apply_replayed(self) -> None:
@@ -515,7 +522,7 @@ class BaseReconfigManager:
         if self._last_transfer_progress is None:
             self._last_transfer_progress = now
             return
-        if now - self._last_transfer_progress < node.config.transfer_stall_timeout:
+        if now - self._last_transfer_progress < self.STALL_TIMEOUT:
             return
         # A full stall window with no inbound transfer traffic: either
         # our session's peer went silent (one-way degradation) or the
@@ -537,7 +544,7 @@ class BaseReconfigManager:
         avoiding recently stalled peers while the cool-off lasts."""
         node = self.node
         now = node.sim.now
-        cooloff = node.config.transfer_stall_timeout * 4.0
+        cooloff = self.STALL_TIMEOUT * 4.0
         utd, _joiners = self._split_view(node.member.view)
         candidates = [site for site in utd if site != node.site_id]
         fresh = [

@@ -243,6 +243,16 @@ class PeerTransferSession:
     # Offers retry quickly: the first one can race ahead of the view
     # change installation at the joiner and be dropped.
     OFFER_RETRY = 0.05
+    #: Transfer hardening: an unacked point-to-point transfer message is
+    #: retransmitted after ``ACK_TIMEOUT``, backing off by
+    #: ``RETRY_BACKOFF`` per attempt; after ``MAX_RETRIES``
+    #: retransmissions the session is declared stalled and fails over
+    #: to another peer even without a view change.
+    ACK_TIMEOUT = 0.25
+    RETRY_BACKOFF = 2.0
+    MAX_RETRIES = 6
+    #: Modelled wire size of one object in an uncompressed batch.
+    OBJECT_SIZE_BYTES = 256
 
     def __init__(
         self,
@@ -276,7 +286,7 @@ class PeerTransferSession:
         # Retransmission state: every point-to-point message that expects
         # an answer is *tracked* — resent with exponential backoff until
         # acknowledged, and the session declared stalled after
-        # ``transfer_max_retries`` retransmissions (transfer hardening).
+        # ``MAX_RETRIES`` retransmissions (transfer hardening).
         self._tracked: Dict[str, Dict[str, Any]] = {}
         self._offer_attempts = 0
         self._batch_seq = 0
@@ -307,8 +317,7 @@ class PeerTransferSession:
     def _send_offer(self) -> None:
         if not self.active or self.accepted:
             return
-        config = self.node.config
-        if self._offer_attempts >= self.OFFER_FAST_ATTEMPTS + config.transfer_max_retries:
+        if self._offer_attempts >= self.OFFER_FAST_ATTEMPTS + self.MAX_RETRIES:
             self._fail_stalled("offer")
             return
         self._offer_attempts += 1
@@ -331,7 +340,7 @@ class PeerTransferSession:
             # and can miss every single one — while the whole cluster
             # may be suspended waiting for exactly this transfer (a
             # creation companion).  The attempt budget still bounds it.
-            delay = config.transfer_ack_timeout
+            delay = self.ACK_TIMEOUT
         self.node.proc.after(delay, self._send_offer)
 
     # ------------------------------------------------------------------
@@ -341,7 +350,7 @@ class PeerTransferSession:
         """Send a message that expects an acknowledgement; retransmit
         with exponential backoff until :meth:`ack_tracked` is called for
         the same ``kind``, declaring the session stalled after
-        ``transfer_max_retries`` retransmissions."""
+        ``MAX_RETRIES`` retransmissions."""
         self._tracked[kind] = {"msg": message, "attempts": 0, "event": None}
         self._transmit_tracked(kind)
 
@@ -349,8 +358,7 @@ class PeerTransferSession:
         entry = self._tracked.get(kind)
         if entry is None or not self.active:
             return
-        config = self.node.config
-        if entry["attempts"] > config.transfer_max_retries:
+        if entry["attempts"] > self.MAX_RETRIES:
             self._fail_stalled(kind)
             return
         if entry["attempts"]:
@@ -361,9 +369,7 @@ class PeerTransferSession:
                 f"{kind} -> {self.joiner} attempt {entry['attempts'] + 1}",
             )
         self.node.send_transfer(self.joiner, entry["msg"])
-        timeout = config.transfer_ack_timeout * (
-            config.transfer_retry_backoff ** entry["attempts"]
-        )
+        timeout = self.ACK_TIMEOUT * self.RETRY_BACKOFF ** entry["attempts"]
         entry["attempts"] += 1
         entry["event"] = self.node.proc.after(timeout, self._transmit_tracked, kind)
 
@@ -503,7 +509,7 @@ class PeerTransferSession:
             payload_bytes = len(blob)
             wire_items: Tuple[Tuple[str, Any, int], ...] = ()
         else:
-            payload_bytes = len(items) * self.node.config.object_size_bytes
+            payload_bytes = len(items) * self.OBJECT_SIZE_BYTES
             wire_items = items
         round_boundary = None
         if self._round_boundary is not None and not self._outbox:

@@ -60,13 +60,24 @@ class SiteStatus(enum.Enum):
     ACTIVE = "active"  # up-to-date member of the primary component
 
 
+#: Cost of reading one object in the local read phase (and of one
+#: deferred read under the conservative protocol).
+READ_OP_TIME = 0.0002
+#: Periods of a site's background tasks: checkpoint (and, under uniform
+#: delivery, WAL truncation), RecTable flush of at most
+#: ``RECTABLE_FLUSH_LIMIT`` pending rows, and the cover announcement.
+CHECKPOINT_INTERVAL = 1.0
+RECTABLE_FLUSH_INTERVAL = 0.05
+RECTABLE_FLUSH_LIMIT = 200
+COVER_ANNOUNCE_INTERVAL = 0.5
+
+
 @dataclass
 class NodeConfig:
-    """Cost model and periodic-task knobs of one site."""
+    """The cost-model and protocol options of one site that a workload,
+    benchmark or example varies (DESIGN.md, "What is an option")."""
 
-    read_op_time: float = 0.0002
     write_op_time: float = 0.0005
-    replay_op_time: float = 0.0004  # applying one enqueued/caught-up write
     #: Apply delivered transactions strictly one-at-a-time (the way "most
     #: applications deployed over group communication" work, section 2.2)
     #: instead of the paper's concurrent write phases.  Used by the
@@ -97,21 +108,10 @@ class NodeConfig:
     transfer_batch_size: int = 50
     #: Ship transfer chunks as front-coded, zlib-deflated blobs; the
     #: transferred-bytes metrics then count the compressed size instead
-    #: of ``len(items) * object_size_bytes``.  Off by default so byte
-    #: accounting stays comparable with the paper's cost model.
+    #: of ``len(items) * PeerTransferSession.OBJECT_SIZE_BYTES``.  Off by
+    #: default so byte accounting stays comparable with the paper's cost
+    #: model.
     transfer_compression: bool = False
-    #: Transfer hardening: unacked point-to-point transfer
-    #: messages are retransmitted after ``transfer_ack_timeout``, backing
-    #: off by ``transfer_retry_backoff`` per attempt; after
-    #: ``transfer_max_retries`` retransmissions the session is declared
-    #: stalled and fails over to another peer even without a view change.
-    transfer_ack_timeout: float = 0.25
-    transfer_retry_backoff: float = 2.0
-    transfer_max_retries: int = 6
-    #: Joiner-side watchdog: a transfer session making no progress for
-    #: this long is cancelled and re-solicited from a different peer.
-    transfer_stall_timeout: float = 1.0
-    object_size_bytes: int = 256
     #: Let the creation protocol run from any *primary* (majority) view
     #: instead of waiting for the full universe (the paper's section 3
     #: rule), under uniform delivery.  Uniformity only puts a delivered
@@ -125,45 +125,19 @@ class NodeConfig:
     #: is the paper's documented behaviour; endurance runs enable this so
     #: a flapping straggler cannot starve a suspended majority.
     creation_majority: bool = False
-    checkpoint_interval: float = 1.0
-    rectable_flush_interval: float = 0.05
-    rectable_flush_limit: int = 200
-    cover_announce_interval: float = 0.5
     lazy_round_threshold: int = 20  # last-round trigger (section 4.7)
     lazy_max_rounds: int = 5
-    #: Logless backend: maximum add-self config proposals per join
-    #: attempt.  A lost compare-and-swap race re-proposes against the
-    #: new version; the limit bounds proposal storms under heavy churn
-    #: (the join then restarts from the next view change).
-    logless_repropose_limit: int = 16
 
     def validate(self) -> None:
         if self.protocol not in ("certification", "conservative"):
             raise ValueError(
                 f"protocol must be 'certification' or 'conservative', got {self.protocol!r}"
             )
-        for name in ("read_op_time", "write_op_time", "replay_op_time",
-                     "transfer_obj_time"):
+        for name in ("write_op_time", "transfer_obj_time"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("checkpoint_interval", "rectable_flush_interval",
-                     "cover_announce_interval"):
-            if getattr(self, name) <= 0:
-                # Process.every(0, ...) re-arms at the same instant, so
-                # the run would spin at one virtual time forever.
-                raise ValueError(f"{name} must be positive")
         if self.transfer_batch_size < 1:
             raise ValueError("transfer_batch_size must be at least 1")
-        if self.transfer_ack_timeout <= 0:
-            raise ValueError("transfer_ack_timeout must be positive")
-        if self.transfer_retry_backoff < 1.0:
-            raise ValueError("transfer_retry_backoff must be at least 1.0")
-        if self.transfer_max_retries < 1:
-            raise ValueError("transfer_max_retries must be at least 1")
-        if self.transfer_stall_timeout <= 0:
-            raise ValueError("transfer_stall_timeout must be positive")
-        if self.object_size_bytes < 1:
-            raise ValueError("object_size_bytes must be at least 1")
         if self.partition_count < 0:
             raise ValueError("partition_count must be non-negative")
         if self.lazy_round_threshold < 0:
@@ -171,8 +145,6 @@ class NodeConfig:
             raise ValueError("lazy_round_threshold must be non-negative")
         if self.lazy_max_rounds < 1:
             raise ValueError("lazy_max_rounds must be at least 1")
-        if self.logless_repropose_limit < 1:
-            raise ValueError("logless_repropose_limit must be at least 1")
 
 
 @dataclass
@@ -337,9 +309,9 @@ class ReplicatedDatabaseNode:
         self._utd_asof = {}
         self._delivered_gseq = -1
         self.proc.start()
-        self.proc.every(self.config.checkpoint_interval, self._checkpoint_tick)
-        self.proc.every(self.config.rectable_flush_interval, self._rectable_tick)
-        self.proc.every(self.config.cover_announce_interval, self._cover_announce_tick)
+        self.proc.every(CHECKPOINT_INTERVAL, self._checkpoint_tick)
+        self.proc.every(RECTABLE_FLUSH_INTERVAL, self._rectable_tick)
+        self.proc.every(COVER_ANNOUNCE_INTERVAL, self._cover_announce_tick)
         self.network.bring_up(self.xfer.node_id)
         self.reconfig.on_start()
         self.gcs.start()
@@ -414,7 +386,7 @@ class ReplicatedDatabaseNode:
         def on_grant(_request, txn=txn, pending=pending) -> None:
             pending["count"] -= 1
             if pending["count"] == 0 and not txn.done:
-                delay = self.config.read_op_time * len(txn.reads)
+                delay = READ_OP_TIME * len(txn.reads)
                 self.proc.after(delay, self._finish_read_phase, txn)
 
         for obj in txn.reads:
@@ -854,7 +826,7 @@ class ReplicatedDatabaseNode:
 
     def _make_deferred_read_handler(self, gid: int):
         def on_grant(request) -> None:
-            self.proc.after(self.config.read_op_time, self._apply_deferred_read,
+            self.proc.after(READ_OP_TIME, self._apply_deferred_read,
                             gid, request.resource)
 
         return on_grant
@@ -993,7 +965,7 @@ class ReplicatedDatabaseNode:
         self.db.checkpoint(truncate_log=self.member.config.uniform)
 
     def _rectable_tick(self) -> None:
-        self.db.rectable.flush_pending(self.config.rectable_flush_limit)
+        self.db.rectable.flush_pending(RECTABLE_FLUSH_LIMIT)
 
     def _cover_announce_tick(self) -> None:
         if self.status is SiteStatus.ACTIVE:

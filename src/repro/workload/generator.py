@@ -9,11 +9,12 @@ inter-arrival times.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster import Cluster
-from repro.replication.transaction import Transaction
+from repro.replication.transaction import AbortReason, Transaction
 
 
 @dataclass
@@ -39,11 +40,6 @@ class WorkloadConfig:
     writes_per_txn: int = 2
     hot_fraction: float = 0.2
     hot_access_probability: float = 0.0
-    #: Resubmit version-check-aborted transactions (the standard OLTP
-    #: client behaviour the paper assumes when an optimistic reader
-    #: loses): up to ``max_retries`` attempts per logical transaction.
-    retry_aborted: bool = False
-    max_retries: int = 3
 
     def validate(self) -> None:
         if self.arrival_rate <= 0:
@@ -54,12 +50,39 @@ class WorkloadConfig:
             raise ValueError("hot_fraction must be in (0, 1]")
         if not 0.0 <= self.hot_access_probability <= 1.0:
             raise ValueError("hot_access_probability must be in [0, 1]")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+
+
+def draw_request(rng, objects: List[str], config: WorkloadConfig,
+                 values: Iterator[int]) -> Tuple[List[str], Dict[str, int]]:
+    """One request's read set and write set, drawn from ``rng``.
+
+    Reads are distinct, in draw order; each write takes the next value
+    of ``values``.  Both the open-loop :class:`LoadGenerator` and the
+    closed-loop ``repro.client.ClientFleet`` shape their requests here.
+    """
+    n = len(objects)
+    hot_count = max(1, int(n * config.hot_fraction))
+    hot = config.hot_access_probability
+
+    def pick() -> str:
+        if hot > 0 and rng.random() < hot:
+            return objects[rng.randrange(hot_count)]
+        return objects[rng.randrange(n)]
+
+    reads = list(dict.fromkeys(pick() for _ in range(config.reads_per_txn)))
+    writes: Dict[str, int] = {}
+    for _ in range(config.writes_per_txn):
+        writes[pick()] = next(values)
+    return reads, writes
 
 
 class LoadGenerator:
-    """Drives a cluster with the configured workload."""
+    """Drives a cluster with the configured workload.
+
+    Open loop: an aborted transaction is not resubmitted.  Retrying is
+    the job of a :class:`repro.client.ClientSession`, whose durable
+    request id makes a resubmission safe.
+    """
 
     def __init__(self, cluster: Cluster, config: Optional[WorkloadConfig] = None) -> None:
         self.cluster = cluster
@@ -67,20 +90,9 @@ class LoadGenerator:
         self.config.validate()
         self.transactions: List[Transaction] = []
         self.skipped = 0  # ticks with no active site to submit to
-        self.retries = 0
-        #: Aborts whose write-set may still have been sequenced when the
-        #: contact site died (SITE_CRASHED/SITE_LEFT_PRIMARY after send):
-        #: the open-loop generator cannot resolve them — only a client
-        #: session with a durable request id can (repro.client).
-        self.in_doubt = 0
-        #: Aborts where the contact site died before the write-set was
-        #: ever multicast: provably never executed anywhere.
-        self.lost_to_crash = 0
         self._running = False
         self._objects = sorted(cluster.initial_db)
-        self._value_counter = 0
-        self._retry_scan_index = 0
-        self._attempts: Dict[str, int] = {}
+        self._values = itertools.count(1)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -101,59 +113,7 @@ class LoadGenerator:
         if not self._running:
             return
         self._submit_one()
-        if self.config.retry_aborted:
-            self._retry_scan()
         self._schedule_next()
-
-    def _retry_scan(self) -> None:
-        """Resubmit freshly aborted transactions (scanned incrementally)."""
-        from repro.replication.transaction import AbortReason
-
-        while self._retry_scan_index < len(self.transactions):
-            txn = self.transactions[self._retry_scan_index]
-            if not txn.done:
-                break  # keep order: retry only the settled prefix
-            self._retry_scan_index += 1
-            if not txn.aborted:
-                continue
-            if txn.abort_reason in (AbortReason.SITE_CRASHED,
-                                    AbortReason.SITE_LEFT_PRIMARY):
-                # The site is gone.  Resubmitting blindly could execute
-                # the transaction twice (the original may have been
-                # sequenced before the crash), so the open-loop generator
-                # must drop it — but count the loss instead of hiding it.
-                # Failing over safely needs a durable request id; that is
-                # what repro.client sessions provide.
-                if txn.sent_at is not None:
-                    self.in_doubt += 1
-                else:
-                    self.lost_to_crash += 1
-                continue
-            attempts = self._attempts.get(txn.txn_id, 1)
-            if attempts > self.config.max_retries:
-                continue
-            active = self.cluster.active_sites()
-            if not active:
-                continue
-            site = active[self.cluster.sim.rng.randrange(len(active))]
-            try:
-                retry = self.cluster.nodes[site].submit(list(txn.reads),
-                                                        dict(txn.writes))
-            except RuntimeError:
-                continue
-            self.retries += 1
-            self._attempts[retry.txn_id] = attempts + 1
-            self.transactions.append(retry)
-
-    # ------------------------------------------------------------------
-    def _pick_object(self) -> str:
-        rng = self.cluster.sim.rng
-        config = self.config
-        n = len(self._objects)
-        hot_count = max(1, int(n * config.hot_fraction))
-        if config.hot_access_probability > 0 and rng.random() < config.hot_access_probability:
-            return self._objects[rng.randrange(hot_count)]
-        return self._objects[rng.randrange(n)]
 
     def _submit_one(self) -> None:
         rng = self.cluster.sim.rng
@@ -162,17 +122,7 @@ class LoadGenerator:
             self.skipped += 1
             return
         site = active[rng.randrange(len(active))]
-        reads: List[str] = []
-        seen = set()
-        for _ in range(self.config.reads_per_txn):
-            obj = self._pick_object()
-            if obj not in seen:
-                seen.add(obj)
-                reads.append(obj)
-        writes: Dict[str, int] = {}
-        for _ in range(self.config.writes_per_txn):
-            self._value_counter += 1
-            writes[self._pick_object()] = self._value_counter
+        reads, writes = draw_request(rng, self._objects, self.config, self._values)
         try:
             txn = self.cluster.nodes[site].submit(reads, writes)
         except RuntimeError:
@@ -202,14 +152,15 @@ class LoadGenerator:
         return [t.latency for t in self.committed() if t.latency is not None]
 
     def metrics(self) -> Dict[str, float]:
-        """Workload-side counters, including the formerly silent losses.
+        """Workload-side counters, including the losses of the open loop.
 
-        Recomputes ``in_doubt`` / ``lost_to_crash`` over the full
-        transaction list so the numbers are accurate even when
-        ``retry_aborted`` is off (the retry scan never runs then).
+        A transaction whose contact site crashed or left the primary
+        component (``SITE_CRASHED`` / ``SITE_LEFT_PRIMARY``) is
+        ``in_doubt`` when its write-set was multicast — it may still
+        have been sequenced, and only a client session with a durable
+        request id can resolve that — and ``lost_to_crash`` when it
+        provably never left the site.
         """
-        from repro.replication.transaction import AbortReason
-
         in_doubt = 0
         lost = 0
         for txn in self.transactions:
@@ -219,11 +170,8 @@ class LoadGenerator:
                     in_doubt += 1
                 else:
                     lost += 1
-        self.in_doubt = in_doubt
-        self.lost_to_crash = lost
         return {
             "workload.in_doubt": float(in_doubt),
             "workload.lost_to_crash": float(lost),
             "workload.skipped": float(self.skipped),
-            "workload.retries": float(self.retries),
         }

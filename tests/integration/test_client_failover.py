@@ -21,7 +21,7 @@ import pytest
 from repro import WorkloadConfig
 from repro.checkers import check_exactly_once, run_all_checks
 from repro.client import ClientFleet
-from repro.client.session import ClientSession, RequestState, SessionConfig
+from repro.client.session import ClientSession, RequestState
 from repro.faults.chaos import run_chaos
 from repro.replication.messages import RequestId
 from repro.replication.node import SiteStatus
@@ -148,8 +148,9 @@ def test_an_abandoned_request_cannot_commit_late(monkeypatch):
             else:
                 real(payload)
         monkeypatch.setattr(node, "_multicast", hold)
-    session = ClientSession(cluster, "CL",
-                            SessionConfig(max_attempts=1, response_timeout=0.2))
+    monkeypatch.setattr(ClientSession, "MAX_ATTEMPTS", 1)
+    monkeypatch.setattr(ClientSession, "RESPONSE_TIMEOUT", 0.2)
+    session = ClientSession(cluster, "CL")
 
     first = session.submit(["obj0"], {"obj1": "late"})
     assert cluster.await_condition(lambda: first.done, timeout=5)

@@ -169,23 +169,16 @@ class TestReplicatedConfig:
         assert members == tuple(sorted(cluster.universe))
         cluster.check()
 
-    def test_repropose_limit_validated(self):
-        from repro.replication.node import NodeConfig
-
-        with pytest.raises(ValueError, match="logless_repropose_limit"):
-            NodeConfig(logless_repropose_limit=0).validate()
-
-    def test_repropose_budget_is_per_join_attempt(self):
+    def test_repropose_budget_is_per_join_attempt(self, monkeypatch):
         """A site that re-joins without crashing (partition churn) gets
-        the whole ``logless_repropose_limit`` for every join attempt:
+        the whole ``REPROPOSE_LIMIT`` for every join attempt:
         attempts it made in earlier joins do not stop it re-proposing
         after a lost compare-and-swap race."""
-        from repro.replication.node import NodeConfig
+        from repro.reconfig.logless import LoglessReconfigManager
 
         limit = 2
-        cluster = quick_cluster(
-            mode="logless",
-            node_config=NodeConfig(logless_repropose_limit=limit))
+        monkeypatch.setattr(LoglessReconfigManager, "REPROPOSE_LIMIT", limit)
+        cluster = quick_cluster(mode="logless")
         node = cluster.nodes["S3"]
         manager = node.reconfig
         node.up_to_date = False

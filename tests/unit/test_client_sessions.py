@@ -11,7 +11,8 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.client import ClientSession, RequestState, SessionConfig
+from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
+from repro.client import ClientFleet, ClientSession, RequestState
 from repro.replication.transaction import AbortReason, Transaction, TxnState
 from repro.sim.core import Simulator
 
@@ -60,8 +61,15 @@ class FakeCluster:
         return list(self.active)
 
 
-CONFIG = SessionConfig(response_timeout=0.5, backoff_base=0.02,
-                       backoff_factor=2.0, backoff_max=1.0, max_attempts=3)
+#: The supervision constants every test here runs with.
+CONFIG = {"RESPONSE_TIMEOUT": 0.5, "BACKOFF_BASE": 0.02,
+          "BACKOFF_FACTOR": 2.0, "BACKOFF_MAX": 1.0, "MAX_ATTEMPTS": 3}
+
+
+@pytest.fixture(autouse=True)
+def session_constants(monkeypatch):
+    for name, value in CONFIG.items():
+        monkeypatch.setattr(ClientSession, name, value)
 
 
 def all_submissions(cluster: FakeCluster) -> List[Transaction]:
@@ -74,7 +82,7 @@ class TestNoActiveSite:
     def test_waits_without_consuming_attempts(self):
         cluster = FakeCluster()
         cluster.active = []
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         cluster.sim.run(until=1.0)
         assert record.state is RequestState.PENDING
@@ -85,7 +93,7 @@ class TestNoActiveSite:
     def test_resumes_when_a_site_returns(self):
         cluster = FakeCluster()
         cluster.active = []
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         cluster.sim.run(until=0.3)
         cluster.active = ["S2"]
@@ -100,7 +108,7 @@ class TestNoActiveSite:
     def test_submit_raising_counts_as_no_site(self):
         cluster = FakeCluster(sites=("S1",))
         cluster.nodes["S1"].raise_on_submit = True
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         cluster.sim.run(until=0.5)
         assert record.attempts_used == 0
@@ -110,7 +118,7 @@ class TestNoActiveSite:
 class TestFailover:
     def test_in_doubt_crash_fails_over_with_bumped_attempt(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})  # attempt 1 is synchronous
         (txn,) = all_submissions(cluster)
         cluster.nodes[txn.origin].settle(
@@ -125,14 +133,14 @@ class TestFailover:
 
     def test_timeout_is_in_doubt(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
-        cluster.sim.run(until=CONFIG.response_timeout + 0.01)
+        cluster.sim.run(until=CONFIG["RESPONSE_TIMEOUT"] + 0.01)
         assert record.in_doubt_attempts == 1
 
     def test_stale_abort_after_failover_is_ignored(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         (first,) = all_submissions(cluster)
         # Time the first attempt out, then deliver its abort late.
@@ -145,7 +153,7 @@ class TestFailover:
 
     def test_late_commit_settles_regardless_of_attempt(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         (first,) = all_submissions(cluster)
         cluster.sim.run(until=0.6)  # attempt 2 is now in flight
@@ -157,18 +165,18 @@ class TestFailover:
 class TestExhaustion:
     def test_all_timeouts_exhausts_in_doubt(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         cluster.sim.run(until=20.0)
         assert record.state is RequestState.EXHAUSTED
-        assert record.attempts_used == CONFIG.max_attempts
-        assert record.in_doubt_attempts == CONFIG.max_attempts
+        assert record.attempts_used == CONFIG["MAX_ATTEMPTS"]
+        assert record.in_doubt_attempts == CONFIG["MAX_ATTEMPTS"]
 
     def test_all_definitive_aborts_is_aborted_not_exhausted(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
-        for _ in range(CONFIG.max_attempts):
+        for _ in range(CONFIG["MAX_ATTEMPTS"]):
             cluster.sim.run(until=cluster.sim.now + 0.2)
             pending = [t for t in all_submissions(cluster) if not t.done]
             for txn in pending:
@@ -180,7 +188,7 @@ class TestExhaustion:
 
     def test_duplicate_abort_retries_with_fresh_attempt(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         session.submit(["x"], {"y": 1})
         (txn,) = all_submissions(cluster)
         cluster.nodes[txn.origin].settle(
@@ -192,7 +200,7 @@ class TestExhaustion:
 
 class TestBackoffDeterminism:
     def test_backoff_delay_is_a_pure_schedule(self):
-        session = ClientSession(FakeCluster(), "C1", CONFIG)
+        session = ClientSession(FakeCluster(), "C1")
         delays = [session.backoff_delay(k) for k in range(8)]
         assert delays == [min(0.02 * 2.0 ** k, 1.0) for k in range(8)]
         assert delays == sorted(delays)  # monotone up to the cap
@@ -200,21 +208,21 @@ class TestBackoffDeterminism:
 
     def test_recorded_schedule_matches_the_formula(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         record = session.submit(["x"], {"y": 1})
         cluster.sim.run(until=20.0)  # every attempt times out
         assert record.state is RequestState.EXHAUSTED
         # Attempts 1..max-1 each wait backoff_delay(attempts_used so far);
         # the final attempt exhausts without another wait.
         assert record.backoff_schedule == [
-            session.backoff_delay(k) for k in range(1, CONFIG.max_attempts)
+            session.backoff_delay(k) for k in range(1, CONFIG["MAX_ATTEMPTS"])
         ]
 
     def test_two_sessions_same_seed_same_schedule(self):
         schedules = []
         for _ in range(2):
             cluster = FakeCluster()
-            session = ClientSession(cluster, "C1", CONFIG)
+            session = ClientSession(cluster, "C1")
             record = session.submit(["x"], {"y": 1})
             cluster.sim.run(until=20.0)
             schedules.append(list(record.backoff_schedule))
@@ -222,20 +230,25 @@ class TestBackoffDeterminism:
 
 
 class TestSessionConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"response_timeout": 0.0},
-        {"backoff_base": 0.0},
-        {"backoff_max": -1.0},
-        {"backoff_factor": 0.5},
-        {"max_attempts": 0},
-    ])
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            SessionConfig(**kwargs).validate()
-
     def test_outstanding_request_guard(self):
         cluster = FakeCluster()
-        session = ClientSession(cluster, "C1", CONFIG)
+        session = ClientSession(cluster, "C1")
         session.submit(["x"], {"y": 1})
         with pytest.raises(RuntimeError):
             session.submit(["x"], {"y": 2})
+
+
+class TestFleetValidation:
+    @pytest.mark.parametrize("workload", [
+        WorkloadConfig(arrival_rate=0.0),
+        WorkloadConfig(hot_fraction=1.5, hot_access_probability=1.0),
+    ], ids=["zero_arrival_rate", "hot_fraction_above_one"])
+    def test_rejects_the_workloads_the_generator_rejects(self, workload):
+        """Checked when the fleet is built, not as a ZeroDivisionError or
+        IndexError once the first request is drawn."""
+        cluster = ClusterBuilder(n_sites=2, db_size=10).build()
+        with pytest.raises(ValueError) as generator:
+            LoadGenerator(cluster, workload)
+        with pytest.raises(ValueError) as fleet:
+            ClientFleet(cluster, 2, workload)
+        assert str(fleet.value) == str(generator.value)

@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from repro.checkers import ConsistencyViolation, check_availability_floor
-from repro.client.session import ClientSession, SessionConfig
+from repro.client.session import ClientSession
 from repro.db.rectable import RecTable
 from repro.db.wal import (
     BaselineRecord, CommitRecord, PersistentStorage, WriteRecord,
@@ -23,8 +23,7 @@ from repro.obs.report import render_availability
 
 
 def session(client_id="C1", jitter=0.0):
-    return ClientSession(None, client_id,
-                         SessionConfig(backoff_jitter=jitter))
+    return ClientSession(None, client_id, backoff_jitter=jitter)
 
 
 class TestBackoffJitter:
@@ -54,7 +53,7 @@ class TestBackoffJitter:
 
     def test_jitter_bounds_validated(self):
         with pytest.raises(ValueError):
-            SessionConfig(backoff_jitter=1.5).validate()
+            session(jitter=1.5)
 
 
 def bins(spec, bin_width=0.25, start=0.25):

@@ -4,12 +4,20 @@ A site truncates at every checkpoint iff its delivery is uniform: with
 plain reliable delivery a phantom commit's before-images must stay in
 the log until reconciliation compensates it (section 2.3)."""
 
+import pytest
+
 from repro.db.database import Database
 from repro.db.wal import BaselineRecord, CommitRecord, PersistentStorage
 from repro.gcs.config import GCSConfig
-from repro.replication.node import NodeConfig
+from repro.replication import node as node_module
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster, run_load
+
+
+@pytest.fixture
+def fast_checkpoints(monkeypatch):
+    """Checkpoint (and truncate) every 0.2 s instead of every second."""
+    monkeypatch.setattr(node_module, "CHECKPOINT_INTERVAL", 0.2)
 
 
 def make_db():
@@ -71,11 +79,10 @@ class TestTruncation:
         recovered, _ = Database.recover_from(db.storage)
         assert recovered.rectable.changed_since(-1) == {"a": 0, "b": 1}
 
-    def test_cluster_log_stays_bounded(self):
+    def test_cluster_log_stays_bounded(self, fast_checkpoints):
         """Uniform delivery, the default: the tail stays bounded across
         two load periods."""
-        node_config = NodeConfig(checkpoint_interval=0.2)
-        cluster = quick_cluster(db_size=30, node_config=node_config)
+        cluster = quick_cluster(db_size=30)
         assert cluster.nodes["S1"].member.config.uniform
         storage = cluster.nodes["S1"].storage
         # Sample the log as each checkpoint finds it, just before it
@@ -99,10 +106,8 @@ class TestTruncation:
         assert second < first * 1.8
         cluster.check()
 
-    def test_non_uniform_cluster_keeps_its_whole_log(self):
-        node_config = NodeConfig(checkpoint_interval=0.2)
-        cluster = quick_cluster(db_size=30, node_config=node_config,
-                                gcs_config=GCSConfig(uniform=False))
+    def test_non_uniform_cluster_keeps_its_whole_log(self, fast_checkpoints):
+        cluster = quick_cluster(db_size=30, gcs_config=GCSConfig(uniform=False))
         storage = cluster.nodes["S1"].storage
         truncated = []
         storage.truncate_through = truncated.append
@@ -113,10 +118,8 @@ class TestTruncation:
         assert commits == cluster.history.commits_of("S1") and len(commits) > 300
         cluster.check()
 
-    def test_recovery_with_truncation_end_to_end(self):
-        node_config = NodeConfig(checkpoint_interval=0.2)
-        cluster = quick_cluster(db_size=40, node_config=node_config,
-                                strategy="version_check")
+    def test_recovery_with_truncation_end_to_end(self, fast_checkpoints):
+        cluster = quick_cluster(db_size=40, strategy="version_check")
         run_load(cluster, duration=0.5, rate=150)
         cluster.crash("S3")
         run_load(cluster, duration=0.5, rate=150)

@@ -1,0 +1,34 @@
+"""Tests for the recovery-experiment scenario helper."""
+
+from repro.scenarios import ScenarioReport, run_recovery_experiment
+
+
+class TestRecoveryExperiment:
+    def test_report_fields_present(self):
+        report = run_recovery_experiment(strategy="rectable", db_size=60,
+                                         downtime=0.3, arrival_rate=60, seed=7)
+        assert isinstance(report, ScenarioReport)
+        assert report.completed
+        for key in ("recovery_time", "objects_sent", "bytes_sent",
+                    "enqueue_high_watermark", "throughput_dip",
+                    "mean_latency", "p95_latency", "lock_wait_total"):
+            assert key in report.extra
+
+    def test_strategy_instance_accepted(self):
+        from repro import LazyTransferStrategy, NodeConfig
+
+        report = run_recovery_experiment(
+            strategy=LazyTransferStrategy(), db_size=60,
+            downtime=0.3, arrival_rate=60, seed=7,
+            node_config=NodeConfig(lazy_round_threshold=10),
+        )
+        assert report.completed
+        assert report.strategy == "lazy"
+
+    def test_coordination_events_metric(self):
+        report = ScenarioReport(
+            mode="vs", strategy="x", completed=True, duration=1.0, commits=0,
+            aborts=0, transfers_started=0, transfers_completed=0,
+            announcements=3, svs_merges=2, sv_merges=1,
+        )
+        assert report.coordination_events() == 6

@@ -237,7 +237,7 @@ class TestTransferOrder:
         node.db.store.write(victim, "late", 10**6)
         cluster.await_condition(lambda: 2 in joiner.acked_at, timeout=1, step=0.001)
         assert joiner.copies[2] == 2 and session.retransmissions == 1
-        assert joiner.acked_at[2] - joiner.delivered_at[2] >= node.config.transfer_ack_timeout
+        assert joiner.acked_at[2] - joiner.delivered_at[2] >= session.ACK_TIMEOUT
         cluster.run_for(1.0)
         assert session.completed and len(joiner.shipped()) == 95
         shipped = {obj: (value, version) for batch in joiner.batches

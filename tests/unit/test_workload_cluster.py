@@ -4,6 +4,7 @@ import pytest
 
 from repro import ClusterBuilder, FaultEvent, FaultSchedule, LoadGenerator, WorkloadConfig
 from repro.replication.node import SiteStatus
+from repro.replication.transaction import AbortReason
 from tests.conftest import quick_cluster
 
 
@@ -71,6 +72,41 @@ class TestLoadGenerator:
         load.stop()
         cluster.settle(0.5)
         assert 0.0 <= load.abort_rate() <= 1.0
+
+    def test_metrics_split_crash_aborts_by_whether_they_were_sent(self):
+        """Under load, S3 crashes and then S2, so S1 leaves the primary
+        component too.  ``workload.in_doubt`` counts the SITE_CRASHED /
+        SITE_LEFT_PRIMARY aborts whose write-set was multicast,
+        ``workload.lost_to_crash`` those that never left their site;
+        no other abort counts."""
+        cluster = quick_cluster(db_size=30)
+        load = LoadGenerator(cluster, WorkloadConfig(
+            arrival_rate=300, reads_per_txn=4, writes_per_txn=2))
+        load.start()
+        cluster.run_for(0.3)
+        cluster.crash("S3")
+        cluster.run_for(0.2)
+        cluster.crash("S2")
+        cluster.run_for(0.3)
+        load.stop()
+        cluster.settle(0.5)
+        crash_reasons = (AbortReason.SITE_CRASHED, AbortReason.SITE_LEFT_PRIMARY)
+        crashed = [t for t in load.transactions if t.abort_reason in crash_reasons]
+        sent = [t for t in crashed if t.sent_at is not None]
+        unsent = [t for t in crashed if t.sent_at is None]
+        assert {t.abort_reason for t in crashed} == set(crash_reasons)
+        assert sent and unsent
+        assert any(t.aborted and t.abort_reason not in crash_reasons
+                   for t in load.transactions)
+        # A lost transaction provably reached no site's history.
+        seen = {(e.message.origin, e.message.local_id)
+                for e in cluster.history.events}
+        assert not any((t.origin, t.txn_id) in seen for t in unsent)
+        assert load.metrics() == {
+            "workload.in_doubt": float(len(sent)),
+            "workload.lost_to_crash": float(len(unsent)),
+            "workload.skipped": float(load.skipped),
+        }
 
 
 class TestFaultSchedule:
