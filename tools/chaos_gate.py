@@ -3,17 +3,22 @@
 
     PYTHONPATH=src python tools/chaos_gate.py
 
-Runs one ``repro chaos`` storm per seed 0..99 and backend, two workers
-(the fleet behind ``repro chaos --seeds 0..99 --jobs 2``), and exits 1
-when
+Runs one ``repro chaos`` storm per cell — every transfer strategy with
+open-loop load, plus ``rectable`` under closed-loop client sessions, each
+on every backend for seeds 0..99 (2 100 storms) — two workers at a time
+(the fleet behind ``repro chaos --seeds 0..99 --jobs 2 --strategy S
+[--clients 6]``), and exits 1 when
 
-* a seed fails that ``chaos_known_failures.json`` does not list, or fails
-  with an error that does not contain its entry's ``error`` text;
-* a listed seed passes — the failure was fixed (or moved), so the entry
-  must go: the list only ever names failures that reproduce.
+* a storm fails that ``chaos_known_failures.json`` does not list, or
+  fails with an error that does not contain its entry's ``error`` text;
+* a listed storm passes — the failure was fixed (or moved), so the entry
+  must go: the list only ever names failures that reproduce;
+* an entry names a cell the gate does not run, which nothing would ever
+  re-check.
 
-Each entry names the failure's class and the first wrong step found when
-it was traced, so a reader knows what is broken without re-running it.
+Each entry names the failure's class and its first wrong step (marked
+when it has not been traced yet), so a reader knows what is broken
+without re-running it.
 """
 
 from __future__ import annotations
@@ -26,31 +31,53 @@ from typing import Dict, List, Tuple
 KNOWN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      "chaos_known_failures.json")
 MODES = ("vs", "evs", "logless")
+STRATEGIES = ("full", "gcs_level", "lazy", "log_filter", "rectable", "version_check")
+#: The client column: closed-loop sessions with failover and the
+#: exactly-once check, on the default strategy.
+CLIENT_STRATEGY = "rectable"
+CLIENTS = 6
+#: ``(strategy, clients)`` per column; 0 clients is open-loop load.
+COLUMNS = tuple((strategy, 0) for strategy in STRATEGIES) + ((CLIENT_STRATEGY, CLIENTS),)
 SEEDS = range(100)
 JOBS = 2
 
+#: One storm: ``(mode, strategy, clients, seed)``.
+Cell = Tuple[str, str, int, int]
 
-def load_known(path: str) -> Dict[Tuple[str, int], Dict[str, str]]:
+
+def load_known(path: str) -> Dict[Cell, Dict]:
     with open(path, encoding="utf-8") as handle:
         entries = json.load(handle)
-    return {(entry["mode"], entry["seed"]): entry for entry in entries}
+    return {(entry["mode"], entry["strategy"], entry["clients"], entry["seed"]): entry
+            for entry in entries}
 
 
-def problems(mode: str, results: Dict[int, Dict], known) -> List[str]:
-    """What the fleet ``results`` of one backend violate, one line each."""
+def label(cell: Cell) -> str:
+    mode, strategy, clients, seed = cell
+    return f"{mode} {strategy} clients={clients} seed {seed}"
+
+
+def problems(results: Dict[Cell, Dict], known: Dict[Cell, Dict]) -> List[str]:
+    """What the fleet ``results`` and the list ``known`` violate, one
+    line each.  An entry whose cell is not in ``results`` is one too:
+    the gate never re-checks it."""
     found = []
-    for seed, payload in results.items():
-        entry = known.get((mode, seed))
+    for cell, payload in results.items():
+        entry = known.get(cell)
         error = payload.get("error") or payload.get("fleet_error") or ""
         if payload.get("ok"):
             if entry is not None:
-                found.append(f"{mode} {seed}: listed as {entry['class']!r} "
+                found.append(f"{label(cell)}: listed as {entry['class']!r} "
                              "but passes now; remove the entry")
         elif entry is None:
-            found.append(f"{mode} {seed}: unlisted failure: {error}")
+            found.append(f"{label(cell)}: unlisted failure: {error}")
         elif entry["error"] not in error:
-            found.append(f"{mode} {seed}: listed as {entry['error']!r} "
+            found.append(f"{label(cell)}: listed as {entry['error']!r} "
                          f"but fails with: {error}")
+    for cell, entry in known.items():
+        if cell not in results:
+            found.append(f"{label(cell)}: listed as {entry['class']!r} "
+                         "but the gate does not run this cell; remove the entry")
     return found
 
 
@@ -58,18 +85,22 @@ def main() -> int:
     from repro.fleet import run_seed_fleet
 
     known = load_known(KNOWN)
-    failed = 0
-    for mode in MODES:
-        results = run_seed_fleet("chaos", SEEDS, jobs=JOBS, mode=mode)
-        listed = sum(1 for m, seed in known if m == mode and seed in results)
-        bad = problems(mode, results, known)
-        passed = sum(1 for payload in results.values() if payload.get("ok"))
-        print(f"{mode}: {passed} of {len(SEEDS)} storms passed, "
-              f"{listed} failure(s) listed as known")
-        for line in bad:
-            print(f"  {line}")
-        failed += len(bad)
-    return 1 if failed else 0
+    results: Dict[Cell, Dict] = {}
+    for strategy, clients in COLUMNS:
+        for mode in MODES:
+            fleet = run_seed_fleet("chaos", SEEDS, jobs=JOBS, mode=mode,
+                                   strategy=strategy, clients=clients)
+            cells = {(mode, strategy, clients, seed): payload
+                     for seed, payload in fleet.items()}
+            results.update(cells)
+            passed = sum(1 for payload in cells.values() if payload.get("ok"))
+            listed = sum(1 for cell in cells if cell in known)
+            print(f"{mode} {strategy} clients={clients}: {passed} of "
+                  f"{len(SEEDS)} storms passed, {listed} failure(s) listed as known")
+    bad = problems(results, known)
+    for line in bad:
+        print(f"  {line}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
