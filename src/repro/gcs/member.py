@@ -136,7 +136,7 @@ class GroupMember(Process):
         #: here at installation: EVS merge requests (else a merged majority
         #: fragments apart) and up-to-date announcements (else a stale
         #: member sees nobody up to date, see
-        #: ``VsReconfigManager.view_up_to_date``).
+        #: ``VsMembership.view_up_to_date``).
         self.sync_unions: Dict[ViewId, Tuple[Ordered, ...]] = {}
 
     # ------------------------------------------------------------------

@@ -26,9 +26,9 @@ from repro.obs.export import (
 from repro.tracing import attach_tracer
 
 
-#: Backend-specific reconfiguration counters, read with ``getattr(..., 0)``
-#: so every backend reports the full set (absent counters as 0) and
-#: diff metric tables stay column-stable across ``--backend``.
+#: Backend-specific counters, read off ``manager.membership`` with
+#: ``getattr(..., 0)`` so every backend reports the full set (absent ones
+#: as 0) and diff metric tables stay column-stable across ``--mode``.
 BACKEND_COUNTER_KEYS: Dict[str, str] = {
     "reconfig.svs_merges": "svs_merges_issued",          # EVS backend
     "reconfig.sv_merges": "sv_merges_issued",            # EVS backend
@@ -118,7 +118,7 @@ def collect_cluster_metrics(cluster) -> Dict[str, float]:
             xfer["replayed"] += manager.replayed_transactions
             xfer["announcements"] += manager.announcements_sent
             for key, attr in BACKEND_COUNTER_KEYS.items():
-                backend_counters[key] += getattr(manager, attr, 0)
+                backend_counters[key] += getattr(manager.membership, attr, 0)
     metrics.update({
         "locks.grants": lock_grants,
         "locks.conflicts": lock_conflicts,

@@ -9,15 +9,16 @@ strategies) and section 5 (cascading reconfigurations) of the paper:
 * :mod:`repro.reconfig.strategies` — the five database-level transfer
   strategies (sections 4.3-4.7) plus the GCS-level baseline the paper
   rejects (section 4.1);
-* :mod:`repro.reconfig.manager` — cascading reconfiguration under plain
-  virtual synchrony, including the explicit up-to-date announcement
-  sub-protocol that plain VS requires (section 5's Figure 1 analysis)
-  and the creation protocol after a total failure (section 3);
-* :mod:`repro.reconfig.evs_manager` — the EVS-based manager implementing
+* :mod:`repro.reconfig.manager` — the one reconfiguration manager
+  (joins, transfer sessions, replay, activation, and the creation
+  protocol after a total failure, section 3) and the plain virtual
+  synchrony membership, with the explicit up-to-date announcement
+  sub-protocol that plain VS requires (section 5's Figure 1 analysis);
+* :mod:`repro.reconfig.evs_manager` — the EVS membership implementing
   the rules of section 5.2 (Subview-SetMerge starts the transfer,
   SubviewMerge is the final synchronization point);
-* :mod:`repro.reconfig.logless` — an alternative backend that keeps the
-  member configuration as replicated state in the total-order stream
+* :mod:`repro.reconfig.logless` — an alternative membership that keeps
+  the member configuration as replicated state in the total-order stream
   (versioned config object, compare-and-swap apply rule) instead of
   membership log entries;
 * :mod:`repro.reconfig.backends` — the registry the cluster builder,
@@ -30,9 +31,9 @@ from repro.reconfig.backends import (
     ReconfigBackend,
     backend_by_name,
 )
-from repro.reconfig.evs_manager import EvsReconfigManager
-from repro.reconfig.logless import LoglessReconfigManager, ReplicatedConfig
-from repro.reconfig.manager import VsReconfigManager
+from repro.reconfig.evs_manager import EvsMembership
+from repro.reconfig.logless import LoglessMembership, ReplicatedConfig
+from repro.reconfig.manager import ReconfigManager, VsMembership
 from repro.reconfig.strategies import (
     FullTransferStrategy,
     GcsLevelTransferStrategy,
@@ -46,18 +47,19 @@ from repro.reconfig.strategies import (
 
 __all__ = [
     "ALL_BACKEND_NAMES",
-    "EvsReconfigManager",
+    "EvsMembership",
     "FullTransferStrategy",
     "GcsLevelTransferStrategy",
     "LazyTransferStrategy",
     "LogFilterStrategy",
-    "LoglessReconfigManager",
+    "LoglessMembership",
     "RecTableStrategy",
     "ReconfigBackend",
+    "ReconfigManager",
     "ReplicatedConfig",
     "TransferStrategy",
     "VersionCheckStrategy",
-    "VsReconfigManager",
+    "VsMembership",
     "backend_by_name",
     "strategy_by_name",
 ]

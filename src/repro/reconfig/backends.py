@@ -6,30 +6,15 @@ cluster reconfigures itself online:
 * which group-communication handle a site runs on (``gcs_factory``):
   a plain virtually synchronous group member, or one wrapped in
   Enriched View Synchrony (section 5.2 of the paper); and
-* which reconfiguration manager decides who is up to date and drives
-  joins, transfer sessions, activation, and the creation protocol on
-  top of it.
+* which membership decides who is up to date for the one
+  :class:`~repro.reconfig.manager.ReconfigManager` that drives joins,
+  transfer sessions, activation and the creation protocol on top of it.
 
-Three backends ship today:
-
-``vs``
-    The paper's section 5.1 baseline: plain virtual synchrony with
-    explicit ``UpToDateAnnouncement`` membership log entries.
-``evs``
-    The paper's section 5.2 protocol: up-to-dateness is structural
-    (primary-subview membership), announcements are replaced by subview
-    merges.
-``logless``
-    Logless reconfiguration in the style of MongoDB (arXiv:2102.11960):
-    the active configuration is replicated *state* — a versioned member
-    set written through the total-order stream via ``ConfigChange``
-    compare-and-swap messages — with no dedicated membership log
-    entries.  Joiners catch up via the ordinary transfer strategies and
-    activate when the config write that adds them is delivered.
-
-All three expose the same contract (see ``docs/RECONFIG_BACKENDS.md``):
-the manager returned by :meth:`ReconfigBackend.make_manager` is a
-:class:`repro.reconfig.manager.BaseReconfigManager`, and the full
+The three that ship, ``vs`` (section 5.1), ``evs`` (section 5.2) and
+``logless`` (arXiv:2102.11960), are the registry rows below.  All expose
+the same contract (see ``docs/RECONFIG_BACKENDS.md``): a membership
+class defines exactly the methods
+:data:`repro.reconfig.manager.MEMBERSHIP_SEAM` names, and the full
 invariant battery (``repro.checkers.run_all_checks``) must hold on any
 of them under the conformance suite.
 """
@@ -39,22 +24,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.reconfig.evs_manager import EvsMembership
+from repro.reconfig.logless import LoglessMembership
+from repro.reconfig.manager import ReconfigManager, VsMembership
+
 
 @dataclass(frozen=True)
 class ReconfigBackend:
-    """One named reconfiguration strategy: membership layer + manager."""
+    """One named reconfiguration backend: group member + membership."""
 
     name: str
     #: ``(sim, network, site_id, universe, gcs_config, app) -> (handle,
     #: member)``: the object the site starts, crashes and multicasts
     #: through, and the ``GroupMember`` underneath it.
     gcs_factory: Callable
-    #: ``(node, strategy) -> BaseReconfigManager``
-    manager_factory: Callable
+    #: ``manager -> membership``: the class the manager asks what differs.
+    membership: type
     description: str
 
-    def make_manager(self, node, strategy):
-        return self.manager_factory(node, strategy)
+    def make_manager(self, node, strategy) -> ReconfigManager:
+        return ReconfigManager(node, strategy, self)
 
 
 def _plain_member(sim, network, site_id, universe, gcs_config, app):
@@ -77,45 +66,27 @@ def _enriched_member(sim, network, site_id, universe, gcs_config, app):
     return handle, handle.member
 
 
-def _vs_manager(node, strategy):
-    from repro.reconfig.manager import VsReconfigManager
-
-    return VsReconfigManager(node, strategy)
-
-
-def _evs_manager(node, strategy):
-    from repro.reconfig.evs_manager import EvsReconfigManager
-
-    return EvsReconfigManager(node, strategy)
-
-
-def _logless_manager(node, strategy):
-    from repro.reconfig.logless import LoglessReconfigManager
-
-    return LoglessReconfigManager(node, strategy)
-
-
 _REGISTRY = {
     backend.name: backend
     for backend in (
         ReconfigBackend(
             name="vs",
             gcs_factory=_plain_member,
-            manager_factory=_vs_manager,
+            membership=VsMembership,
             description="plain virtual synchrony with explicit "
             "up-to-date announcements (section 5.1)",
         ),
         ReconfigBackend(
             name="evs",
             gcs_factory=_enriched_member,
-            manager_factory=_evs_manager,
+            membership=EvsMembership,
             description="Enriched View Synchrony: structural "
             "up-to-dateness via subview merges (section 5.2)",
         ),
         ReconfigBackend(
             name="logless",
             gcs_factory=_plain_member,
-            manager_factory=_logless_manager,
+            membership=LoglessMembership,
             description="logless reconfiguration: versioned config as "
             "replicated state in the total-order stream "
             "(arXiv:2102.11960)",

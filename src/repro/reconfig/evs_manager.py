@@ -32,46 +32,38 @@ membership of the primary subview, not of the primary view".
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from repro.gcs.evs import EView, SubviewId
-from repro.reconfig.manager import BaseReconfigManager
+from repro.reconfig.manager import ReconfigManager, elect_peer
 from repro.reconfig.transfer import CatchUpComplete, PeerTransferSession
-from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
+from repro.replication.node import SiteStatus
 
 
-def elect_for(candidates, index: int) -> Optional[str]:
-    """Deterministic choice of a primary-subview member for task #index."""
-    candidates = sorted(candidates)
-    if not candidates:
-        return None
-    return candidates[index % len(candidates)]
-
-
-class EvsReconfigManager(BaseReconfigManager):
+class EvsMembership:
     """Section 5.2's reconfiguration rules, driven by e-view changes."""
 
-    backend_name = "evs"
+    CONTROL_ROUTES: Dict[type, str] = {}
 
     #: Settle time between deciding on a Subview-SetMerge and issuing it.
     MERGE_DELAY = 0.02
 
-    def __init__(self, node: ReplicatedDatabaseNode, strategy) -> None:
-        super().__init__(node, strategy)
+    def __init__(self, manager: ReconfigManager) -> None:
+        self.manager = manager
+        self.node = manager.node
+        #: The enriched group member this backend's sites run on.
+        self._evs = manager.node.gcs
         self._pending_svs_merges: Set[SubviewId] = set()
         self._caught_up_joiners: Set[str] = set()
         self._sv_merges_requested: Set[SubviewId] = set()
         self._creation_source = False
-        self._catch_up_sent = False
         self.svs_merges_issued = 0
         self.sv_merges_issued = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def evs(self):
-        """The enriched group member this backend's sites run on."""
-        return self.node.gcs
+    def flush_extra(self) -> Dict[str, Any]:
+        return {}
 
+    # ------------------------------------------------------------------
     def _primary_subview(self, eview: EView):
         return eview.primary_subview(len(self.node.universe))
 
@@ -86,10 +78,10 @@ class EvsReconfigManager(BaseReconfigManager):
     # Membership policy: up-to-dateness is structural (section 5.2)
     # ------------------------------------------------------------------
     def in_primary_component(self) -> bool:
-        return self.evs.in_primary_subview()
+        return self._evs.in_primary_subview()
 
     def any_up_to_date(self, view) -> bool:
-        return self._primary_subview(self.evs.eview) is not None
+        return self._primary_subview(self._evs.eview) is not None
 
     def view_up_to_date(self) -> Dict[str, bool]:
         """Every site observing an e-view — including a recovering
@@ -102,7 +94,7 @@ class EvsReconfigManager(BaseReconfigManager):
         up to date (a data-stale companion inside the primary subview)
         is harmless: the serving side re-checks its own status before
         honouring a solicit."""
-        eview = self.evs.eview
+        eview = self._evs.eview
         primary = self._primary_subview(eview)
         if primary is None:
             return {}
@@ -111,18 +103,20 @@ class EvsReconfigManager(BaseReconfigManager):
     # ------------------------------------------------------------------
     # E-view change dispatch
     # ------------------------------------------------------------------
-    def on_eview_change(self, eview: EView, reason: str, states, gseq=None) -> None:
+    def on_gcs_change(self, eview: EView, reason: str, states, gseq=None) -> None:
         node = self.node
         if not node.alive:
             return
         if reason == "view_change":
             # Up-to-dateness is structural under EVS: member of the
             # primary subview <=> up to date (section 5.2) — unless the
-            # replay queue has not drained: acting up to date then would
-            # drop the enqueued transactions.  Such a site stays a
-            # joiner; maybe_activate promotes it once the replay finishes.
-            node.up_to_date = (self.in_primary_component()
-                               and not self.replay_pending())
+            # replay queue has not drained: a site carried into the
+            # primary subview with enqueued messages left is structurally
+            # current but data-stale, and acting up to date would drop
+            # them.  Such a site stays a joiner; maybe_activate promotes
+            # it once the replay finishes.
+            replay_pending = self.manager.replaying or self.manager.enqueued
+            node.up_to_date = self.in_primary_component() and not replay_pending
             node._handle_membership_change(eview.view, states)
         else:
             node.trace("eview", reason, repr(eview))
@@ -161,13 +155,13 @@ class EvsReconfigManager(BaseReconfigManager):
 
         if node.status in (SiteStatus.STALLED, SiteStatus.DOWN):
             # Rule I.4: out of the primary component.
-            self.on_demoted()
+            self.manager.on_demoted()
             return
 
         if primary is None or node.site_id not in primary:
             # Authorization to activate is structural and per-merge: any
             # view change that leaves me outside a primary subview voids it.
-            self.activation_authorized = False
+            self.manager.activation_authorized = False
 
         if primary is None:
             # Primary view but no operational primary subview: every site
@@ -178,17 +172,16 @@ class EvsReconfigManager(BaseReconfigManager):
             # into the void while the new round waits for its report
             # (chaos --seed 196 --mode evs).
             self._creation_source = False
-            self.check_creation(eview.view)
+            self.manager.check_creation(eview.view)
             return
 
         if node.site_id not in primary:
             # I'm a joiner.  Enqueueing starts once my subview-set has
             # been merged with the primary's (rule II); re-check here for
             # the cascaded / resume case.
-            if self._joiner_view_rule(eview.view):
-                self._catch_up_sent = False
+            self.manager._joiner_view_rule(eview.view)
             if primary <= eview.subview_set_of(node.site_id):
-                self._enqueue_from_sync_point()
+                self.manager._enqueue_from_sync_point()
             return
 
         self._reconcile(eview, sync_gid=node.member.to.base_gseq - 1)
@@ -210,7 +203,7 @@ class EvsReconfigManager(BaseReconfigManager):
         my_svs = eview.subview_set_of(node.site_id)
         merged_with_primary = primary is not None and primary <= my_svs
         if merged_with_primary or primary is None:
-            self._enqueue_from_sync_point()
+            self.manager._enqueue_from_sync_point()
 
     # ------------------------------------------------------------------
     # Rule III: subview merged -> recovery of those sites completed
@@ -225,8 +218,8 @@ class EvsReconfigManager(BaseReconfigManager):
                 # I was just merged into the primary subview: the final
                 # synchronization point (activation still waits for the
                 # replay queue to drain).
-                self.activation_authorized = True
-                self.maybe_activate()
+                self.manager.activation_authorized = True
+                self.manager.maybe_activate()
             self._caught_up_joiners -= set(primary)
             if self._is_coordinating(eview):
                 sync_gid = gseq if gseq is not None else node.last_processed_gid
@@ -241,6 +234,7 @@ class EvsReconfigManager(BaseReconfigManager):
     # ------------------------------------------------------------------
     def _reconcile(self, eview: EView, sync_gid: int) -> None:
         node = self.node
+        manager = self.manager
         primary = self._primary_subview(eview)
         if (
             primary is not None
@@ -267,16 +261,16 @@ class EvsReconfigManager(BaseReconfigManager):
 
         # Rule I.3: stop transfers to joiners that left the view; also
         # re-anchor transfers whose joiner missed part of the lineage.
-        for joiner in list(self.sessions_out):
-            if self._joiner_lost(joiner, eview.view):
-                self.cancel_session(joiner)
+        for joiner in list(manager.sessions_out):
+            if manager._joiner_lost(joiner, eview.view):
+                manager.cancel_session(joiner)
 
         # Rule I.1: merge foreign subview-sets into ours.
         foreign_svs = sorted(
             (svs_id for svs_id in eview.subview_sets() if svs_id != my_svs_id), key=str
         )
         for index, svs_id in enumerate(foreign_svs):
-            if elect_for(coordinators, index) == node.site_id:
+            if elect_peer(coordinators, index) == node.site_id:
                 self._schedule_svs_merge(my_svs_id, svs_id)
 
         # Rules I.2 / II / III precondition, for every subview of my
@@ -299,7 +293,7 @@ class EvsReconfigManager(BaseReconfigManager):
             my_sv_members = eview.subviews().get(my_sv, frozenset())
             for joiner in sorted(my_sv_members - {node.site_id}):
                 if joiner not in self._caught_up_joiners:
-                    self.start_session(joiner, sync_gid)
+                    manager.start_session(joiner, sync_gid)
 
         for index, sv_id in enumerate(foreign_subviews):
             members = eview.subviews()[sv_id]
@@ -319,13 +313,13 @@ class EvsReconfigManager(BaseReconfigManager):
                         f"subview {sv_id} caught up, merging into {my_sv}",
                         data={"subview": str(sv_id)},
                     )
-                    self.evs.subview_merge((my_sv, sv_id))
+                    self._evs.subview_merge((my_sv, sv_id))
                 continue
-            if elect_for(coordinators, index) != node.site_id:
+            if elect_peer(coordinators, index) != node.site_id:
                 continue
             for joiner in sorted(members):
                 if joiner not in self._caught_up_joiners:
-                    self.start_session(joiner, sync_gid)  # start or resume (rule I.2/II)
+                    manager.start_session(joiner, sync_gid)  # start or resume (rule I.2/II)
 
     def _schedule_svs_merge(self, my_svs_id: SubviewId, svs_id: SubviewId) -> None:
         if svs_id in self._pending_svs_merges:
@@ -334,7 +328,7 @@ class EvsReconfigManager(BaseReconfigManager):
         self.node.proc.after(self.MERGE_DELAY, self._issue_svs_merge, my_svs_id, svs_id)
 
     def _issue_svs_merge(self, my_svs_id: SubviewId, svs_id: SubviewId) -> None:
-        eview = self.evs.eview
+        eview = self._evs.eview
         if eview is None or svs_id not in eview.subview_sets():
             return
         if not self._is_coordinating(eview):
@@ -345,38 +339,32 @@ class EvsReconfigManager(BaseReconfigManager):
             f"merging subview-set {svs_id} into {my_svs_id}",
             data={"subview_set": str(svs_id)},
         )
-        self.evs.subview_set_merge((my_svs_id, svs_id))
+        self._evs.subview_set_merge((my_svs_id, svs_id))
 
     # ------------------------------------------------------------------
     # Catch-up completion -> CatchUpComplete -> SubviewMerge
     # ------------------------------------------------------------------
-    def on_demoted(self) -> None:
-        super().on_demoted()
-        self._catch_up_sent = False
-        self._creation_source = False
-        self._caught_up_joiners.clear()
+    def forget(self, crashed: bool) -> None:
+        """A demotion ends the coordination and the creation round."""
+        if not crashed:
+            self._creation_source = False
+            self._caught_up_joiners.clear()
 
-    def on_new_joiner_session(self) -> None:
-        # The catch-up signal is per-session: a replacement session (new
-        # peer, or a post-creation retry) needs its own CatchUpComplete.
-        self._catch_up_sent = False
-
-    def _on_caught_up(self) -> None:
-        session = self.joiner_session
-        if session is not None and session.complete and not self._catch_up_sent:
-            self._catch_up_sent = True
+    def on_caught_up(self) -> None:
+        session = self.manager.joiner_session
+        if session is not None and session.complete and not session.catch_up_sent:
+            session.catch_up_sent = True
             self._send_catch_up(session.session_id, session.peer)
-        self.maybe_activate()
 
     def _send_catch_up(self, session_id: str, peer: str) -> None:
         """Send (and keep re-sending) CatchUpComplete until the merge
         arrives — the signal may race a peer failure and be lost."""
-        session = self.joiner_session
+        session = self.manager.joiner_session
         if (
             session is None
             or session.session_id != session_id
-            or not self._catch_up_sent
-            or self.activation_authorized
+            or not session.catch_up_sent
+            or self.manager.activation_authorized
             or not self.node.alive
         ):
             return
@@ -385,24 +373,21 @@ class EvsReconfigManager(BaseReconfigManager):
         )
         self.node.proc.after(0.25, self._send_catch_up, session_id, peer)
 
-    def _peer_session_done(self, session: PeerTransferSession) -> None:
+    def on_peer_session_end(self, session: PeerTransferSession, caught_up: bool) -> None:
         """A joiner caught up: record it and reconcile (possibly issuing
-        the SubviewMerge that ends its recovery)."""
-        super()._peer_session_done(session)
-        self._caught_up_joiners.add(session.joiner)
-        eview = self.evs.eview
-        if eview is not None:
-            self._sv_merges_requested.clear()
-            self._reconcile(eview, sync_gid=self.node.last_processed_gid)
-
-    def on_peer_session_stalled(self, session: PeerTransferSession) -> None:
-        """Unlike the plain-VS case, a stalled peer session cannot always
-        rely on the joiner's own watchdog: during the creation protocol
-        the source is the *only* possible peer and every site (including
-        the joiner) is SUSPENDED, so nobody solicits and the whole
-        cluster stays unavailable until this transfer lands.  Keep
-        retrying for as long as Rule III is still waiting on the joiner."""
-        super().on_peer_session_stalled(session)
+        the SubviewMerge that ends its recovery).  A stalled session,
+        unlike under plain VS, cannot always rely on the joiner's own
+        watchdog: during the creation protocol the source is the *only*
+        possible peer and every site (including the joiner) is SUSPENDED,
+        so nobody solicits and the cluster stays unavailable until this
+        transfer lands.  Keep retrying while Rule III waits on the joiner."""
+        if caught_up:
+            self._caught_up_joiners.add(session.joiner)
+            eview = self._evs.eview
+            if eview is not None:
+                self._sv_merges_requested.clear()
+                self._reconcile(eview, sync_gid=self.node.last_processed_gid)
+            return
         self.node.proc.after(
             PeerTransferSession.ACK_TIMEOUT,
             self._retry_stalled_session,
@@ -411,7 +396,7 @@ class EvsReconfigManager(BaseReconfigManager):
 
     def _retry_stalled_session(self, joiner: str) -> None:
         node = self.node
-        eview = self.evs.eview
+        eview = self._evs.eview
         if (
             not node.alive
             or eview is None
@@ -425,11 +410,11 @@ class EvsReconfigManager(BaseReconfigManager):
         self._reconcile(eview, sync_gid=node.last_processed_gid)
 
     # ------------------------------------------------------------------
-    def _join_settled(self) -> bool:
+    def join_settled(self) -> bool:
         # Under EVS the structural signal can arrive without a transfer
         # session (e.g. nothing needed transferring after creation), and
         # an empty replay queue is all the catch-up it asks for.
-        session = self.joiner_session
+        session = self.manager.joiner_session
         return self._creation_source or (session is not None and session.complete)
 
     # ------------------------------------------------------------------
@@ -440,7 +425,7 @@ class EvsReconfigManager(BaseReconfigManager):
         then SubviewMerges form the primary subview and the whole system
         resumes in lockstep."""
         self._creation_source = True
-        eview = self.evs.eview
+        eview = self._evs.eview
         assert eview is not None
         svs_ids = tuple(sorted(eview.subview_sets(), key=str))
         if len(svs_ids) >= 2:
@@ -449,7 +434,7 @@ class EvsReconfigManager(BaseReconfigManager):
                 "eview", "svs_merge_issued",
                 "creation source: merging every subview-set",
             )
-            self.evs.subview_set_merge(svs_ids)
+            self._evs.subview_set_merge(svs_ids)
         else:
             # Already a single subview-set (the view change itself can
             # pre-merge the structure): the merge request would be a
@@ -460,4 +445,3 @@ class EvsReconfigManager(BaseReconfigManager):
 
     def on_activated(self) -> None:
         self._creation_source = False
-        self._catch_up_sent = False

@@ -20,15 +20,16 @@ module reproduces that idea on top of the paper's machinery:
   so the gid stream stays aligned across backends and the transfer
   strategies' ``sync_gid`` reasoning carries over unchanged.
 
-The join protocol becomes: catch up via any transfer strategy (inherited
-from :class:`~repro.reconfig.manager.VsReconfigManager` wholesale), then
-propose ``add self`` instead of multicasting an
-``UpToDateAnnouncement``.  The delivery of that config write is the
-ordered synchronization point that authorizes activation — the same
-role the vs backend gives the joiner's own announcement delivery.  A
-conflicting concurrent change simply bumps the version past the
-proposal's base; the joiner observes this (its own discarded proposal is
-still delivered to it) and re-proposes against the new version.
+The join protocol becomes: catch up via any transfer strategy (the one
+:class:`~repro.reconfig.manager.ReconfigManager`, run by the vs
+backend's section 5.1 flow), then propose ``add self`` instead of
+multicasting an ``UpToDateAnnouncement``.  The delivery of that config
+write is the ordered synchronization point that authorizes activation —
+the same role the vs backend gives the joiner's own announcement
+delivery.  A conflicting concurrent change simply bumps the version past
+the proposal's base; the joiner observes this (its own discarded
+proposal is still delivered to it) and re-proposes against the new
+version.
 
 Membership hygiene is the *coordinator*'s job: the smallest up-to-date
 member of the current view proposes removals for config members that
@@ -36,11 +37,10 @@ crashed or went stale.  Removals are not required for safety — an add is
 idempotent on membership and still authorizes its subject — they keep
 the replicated config an honest mirror of who is actually serving.
 
-After a total failure the creation protocol (section 3, inherited
-unchanged) elects the most current site; that source proposes a
-``replace`` with itself as the sole member, which flips the remaining
-suspended sites to recovering — mirroring how the vs creation source's
-announcement does it.
+After a total failure the creation protocol (section 3) elects the most
+current site; that source proposes a ``replace`` with itself as the sole
+member, which flips the remaining suspended sites to recovering —
+mirroring how the vs creation source's announcement does it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.reconfig.manager import BaseReconfigManager, VsReconfigManager
+from repro.gcs.view import View
+from repro.reconfig.manager import (
+    ReconfigManager,
+    any_marked_up_to_date,
+    marked_view_change,
+    replayed_transfer,
+    serve_if_only_up_to_date,
+)
+from repro.reconfig.transfer import PeerTransferSession
 from repro.replication.messages import ConfigChange
 from repro.replication.node import SiteStatus
 
@@ -61,21 +69,14 @@ class ReplicatedConfig:
     members: Tuple[str, ...] = ()
 
 
-class LoglessReconfigManager(VsReconfigManager):
-    """Reconfiguration via config-as-replicated-state (logless backend).
-
-    Runs on the plain-VS membership layer; everything about transfer
-    sessions, enqueue/replay, stall failover and the creation round is
-    inherited.  Only the *membership bookkeeping* differs: explicit
-    announcements are replaced by CAS'd config writes.
-    """
-
-    backend_name = "logless"
+class LoglessMembership:
+    """Reconfiguration via config-as-replicated-state (logless backend):
+    the vs backend's section 5.1 flow with another up-to-date marker,
+    CAS'd config writes instead of explicit announcements."""
 
     #: Config writes replace the vs announcements, which this backend
     #: never multicasts (and therefore does not route).
-    CONTROL_ROUTES = {**BaseReconfigManager.CONTROL_ROUTES,
-                      ConfigChange: "on_config_message"}
+    CONTROL_ROUTES = {ConfigChange: "_on_config_change"}
 
     #: Maximum add-self config proposals per join attempt.  A lost
     #: compare-and-swap race re-proposes against the new version; the
@@ -83,13 +84,19 @@ class LoglessReconfigManager(VsReconfigManager):
     #: restarts from the next view change).
     REPROPOSE_LIMIT = 16
 
-    def __init__(self, node, strategy) -> None:
-        super().__init__(node, strategy)
+    #: Section 5.1's flow, as the vs membership runs it.
+    any_up_to_date = any_marked_up_to_date
+    on_activated = serve_if_only_up_to_date
+    join_settled = replayed_transfer
+
+    def __init__(self, manager: ReconfigManager) -> None:
+        self.manager = manager
+        self.node = manager.node
         self.config = ReplicatedConfig()
         #: Base version of our in-flight write adding ourselves (add-self,
         #: or the creation source's replace), and how many add-self
         #: proposals this join attempt has made.  A join attempt is what
-        #: one ``_announce`` starts; both are read only while
+        #: ``on_caught_up`` starts; both are read only while the manager's
         #: ``_announced``, which everything that abandons the attempt
         #: clears.
         self._add_proposed_version: Optional[int] = None
@@ -126,7 +133,7 @@ class LoglessReconfigManager(VsReconfigManager):
         self.config_proposals_sent += 1
         # Config writes are this backend's announcements: count them as
         # such so cross-backend metric summaries stay comparable.
-        self.announcements_sent += 1
+        self.manager.announcements_sent += 1
         self.node._multicast(
             ConfigChange(
                 proposer=self.node.site_id,
@@ -148,11 +155,12 @@ class LoglessReconfigManager(VsReconfigManager):
         race.  Triggered from config deliveries, so a lost race (which
         by definition delivered *some* change) always re-arms it."""
         node = self.node
+        manager = self.manager
         if (
             node.status is SiteStatus.RECOVERING
-            and self.caught_up
-            and self._announced
-            and not self.activation_authorized
+            and manager.caught_up
+            and manager._announced
+            and not manager.activation_authorized
             and self._add_proposed_version is not None
             and self._add_proposed_version != self.config.version
             and self._add_attempts < self.REPROPOSE_LIMIT
@@ -162,7 +170,7 @@ class LoglessReconfigManager(VsReconfigManager):
     # ------------------------------------------------------------------
     # Delivery: the CAS apply rule
     # ------------------------------------------------------------------
-    def on_config_message(self, payload: ConfigChange, gseq: int) -> None:
+    def _on_config_change(self, payload: ConfigChange, gseq: int) -> None:
         if payload.base_version != self.config.version:
             self.config_conflicts += 1
             self._maybe_repropose_add()
@@ -197,7 +205,7 @@ class LoglessReconfigManager(VsReconfigManager):
             self._add_proposed_version = None
         # Config membership is the backend's up-to-date set: joining it
         # at ``gseq`` is this backend's up-to-date marker.
-        self._became_up_to_date(joined, gseq)
+        self.manager._became_up_to_date(joined, gseq)
         if (
             node.status is SiteStatus.SUSPENDED
             and members
@@ -208,24 +216,40 @@ class LoglessReconfigManager(VsReconfigManager):
             node._set_status(SiteStatus.RECOVERING)
 
     # ------------------------------------------------------------------
-    # Joiner / source hooks (vs announcements replaced by config writes)
+    # Joiner / source (vs announcements replaced by config writes)
     # ------------------------------------------------------------------
-    def _announce(self, as_source: bool) -> None:
-        self._announced = True
-        if as_source:
-            self._add_proposed_version = self.config.version
-            self._propose(replace=(self.node.site_id,), reason="creation")
-        else:
+    def on_caught_up(self) -> None:
+        if not self.manager._announced:
+            self.manager._announced = True
             self._add_attempts = 0  # the re-proposal limit is per join attempt
             self._propose_add_self()
+
+    def on_creation_source(self, gseq: int) -> None:
+        # The source is up-to-date by construction; its replace flips
+        # everyone else to RECOVERING to await a transfer from us.
+        self.node._become_active()
+        self.manager._announced = True
+        self._add_proposed_version = self.config.version
+        self._propose(replace=(self.node.site_id,), reason="creation")
+
+    def on_peer_session_end(self, session: PeerTransferSession, caught_up: bool) -> None:
+        """Nothing more, as under plain VS."""
 
     # ------------------------------------------------------------------
     # View changes: adopt flushed config, then coordinator repair
     # ------------------------------------------------------------------
-    def on_view_change(self, view, states: Dict[str, Dict[str, Any]]) -> None:
+    def on_gcs_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
         self._adopt_flushed_config(states)
-        super().on_view_change(view, states)
+        marked_view_change(self, view, states)
         self._coordinator_repair(view)
+
+    def in_primary_component(self) -> bool:
+        return True
+
+    def view_up_to_date(self) -> Dict[str, bool]:
+        """Nothing: the config writes an installing SYNC delivered are
+        not read here, as the vs membership reads its announcements."""
+        return {}
 
     def _coordinator_repair(self, view) -> None:
         """The smallest up-to-date member reconciles the config with the
@@ -235,7 +259,7 @@ class LoglessReconfigManager(VsReconfigManager):
         node = self.node
         if node.status is not SiteStatus.ACTIVE:
             return
-        if self._announced and self._add_proposed_version == self.config.version:
+        if self.manager._announced and self._add_proposed_version == self.config.version:
             # Our own membership write is in flight on the current
             # version: a repair sequenced first would discard it by CAS.
             # Lost, the creation source's replace flips no suspended
@@ -243,7 +267,7 @@ class LoglessReconfigManager(VsReconfigManager):
             # dropping what its transfer needs (chaos --seed 27 --mode
             # logless).  The next view change repairs.
             return
-        utd, _joiners = self._split_view(view)
+        utd, _joiners = self.manager._split_view(view)
         if not utd or utd[0] != node.site_id:
             return
         current = set(self.config.members)
@@ -261,9 +285,9 @@ class LoglessReconfigManager(VsReconfigManager):
     # ------------------------------------------------------------------
     # Lifecycle: the config is volatile state
     # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        super().on_crash()
-        self.config = ReplicatedConfig()
+    def forget(self, crashed: bool) -> None:
+        if crashed:
+            self.config = ReplicatedConfig()
 
 
-__all__ = ["LoglessReconfigManager", "ReplicatedConfig"]
+__all__ = ["LoglessMembership", "ReplicatedConfig"]

@@ -1,23 +1,25 @@
-"""Reconfiguration management: shared machinery plus the plain-VS manager.
+"""Reconfiguration management: one manager, composed with a membership.
 
-:class:`BaseReconfigManager` owns everything the ``vs``, ``evs`` and
+:class:`ReconfigManager` owns everything the ``vs``, ``evs`` and
 ``logless`` backends share: the peer-side session table, the joiner-side
 enqueue/replay machinery (the synchronization-point rule of section
 4.2), lazy-transfer resume state, the creation protocol after total
 failures (section 3), and the routing tables of both message channels.
+What a backend *is* is its membership object, which defines exactly the
+methods :data:`MEMBERSHIP_SEAM` names and is asked through them.
 
-:class:`VsReconfigManager` adds what *plain virtual synchrony* needs on
-top (section 5 / Figure 1): because a member of a primary view is not
-necessarily up-to-date, reconfiguration completion must be announced
-explicitly (``UpToDateAnnouncement``), peers are (re-)elected from the
-up-to-date set at every view change, and a primary view with no
-up-to-date member must be detected and resolved via the creation
-protocol.
+:class:`VsMembership` is *plain virtual synchrony*'s (section 5 /
+Figure 1): because a member of a primary view is not necessarily
+up to date, reconfiguration completion must be announced explicitly
+(``UpToDateAnnouncement``), peers are (re-)elected from the up-to-date
+set at every view change, and a primary view with no up-to-date member
+must be detected and resolved via the creation protocol.  That flow is
+the functions above it, which the logless membership uses too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.db.recovery import RecoveryResult
 from repro.gcs.primary import most_recent
@@ -69,29 +71,35 @@ TRANSFER_ROUTES = {
 }
 
 
-def elect_peer(candidates: List[str], joiner: str, joiners: List[str]) -> Optional[str]:
+def elect_peer(candidates, index: int) -> Optional[str]:
     """Deterministic peer election "based on the compositions of the
-    views" (section 4.2): joiners are spread round-robin over the
-    up-to-date members, so concurrent transfers share the load."""
+    views" (section 4.2): task ``index`` (a joiner, a subview) goes to
+    the sorted candidates round-robin, so concurrent transfers share the
+    load."""
+    candidates = sorted(candidates)
     if not candidates:
         return None
-    candidates = sorted(candidates)
-    joiners = sorted(joiners)
-    return candidates[joiners.index(joiner) % len(candidates)]
+    return candidates[index % len(candidates)]
 
 
-class BaseReconfigManager:
-    """State and behaviour shared by all reconfiguration backends."""
+#: What a backend decides, and all it decides: every membership class
+#: defines exactly these, with no default (docs/RECONFIG_BACKENDS.md,
+#: "Adding a backend", has one row each).
+MEMBERSHIP_SEAM = (
+    "CONTROL_ROUTES", "flush_extra", "on_gcs_change", "in_primary_component",
+    "any_up_to_date", "view_up_to_date", "on_caught_up", "on_creation_source",
+    "on_activated", "on_peer_session_end", "join_settled", "forget",
+)
 
-    #: Registry name of the backend this manager implements; overridden
-    #: by subclasses and surfaced in reports/metrics.
-    backend_name = "vs"
 
-    #: Ordered-channel routing: the non-transaction messages of the
-    #: total-order stream this backend reacts to, message type -> method
-    #: taking ``(message, gseq)``.  A backend with a control message of
-    #: its own extends the table; the node routes through
-    #: :meth:`on_control` and never names the type.
+class ReconfigManager:
+    """State and behaviour shared by all reconfiguration backends, asking
+    the backend's membership what differs."""
+
+    #: Ordered-channel routing the backends share: message type -> method
+    #: taking ``(message, gseq)``.  A membership routes the control
+    #: messages of its own in its ``CONTROL_ROUTES``; the node routes
+    #: through :meth:`on_control` and never names the type.
     CONTROL_ROUTES = {CreationReport: "on_creation_report"}
 
     #: Cost of replaying one write of an enqueued transaction at a joiner.
@@ -101,9 +109,12 @@ class BaseReconfigManager:
     #: from a different peer.
     STALL_TIMEOUT = 1.0
 
-    def __init__(self, node: ReplicatedDatabaseNode, strategy: TransferStrategy) -> None:
+    def __init__(self, node: ReplicatedDatabaseNode, strategy: TransferStrategy,
+                 backend) -> None:
         self.node = node
         self.strategy = strategy
+        #: Registry name of the backend, surfaced in reports and metrics.
+        self.backend_name = backend.name
         self.sessions_out: Dict[str, PeerTransferSession] = {}
         self.joiner_session: Optional[JoinerTransferSession] = None
         self.enqueue_mode = False
@@ -151,6 +162,14 @@ class BaseReconfigManager:
         self.transfer_failovers = 0
         self.solicits_sent = 0
         self.transfer_retransmissions = 0
+        membership = self.membership = backend.membership(self)
+        # The node's membership callbacks and its three view-change
+        # questions are the membership's to answer.
+        self.on_view_change = self.on_eview_change = membership.on_gcs_change
+        self.in_primary_component = membership.in_primary_component
+        self.any_up_to_date = membership.any_up_to_date
+        self.view_up_to_date = membership.view_up_to_date
+        self.flush_extra = membership.flush_extra
 
     # ------------------------------------------------------------------
     # Node lifecycle hooks
@@ -168,6 +187,7 @@ class BaseReconfigManager:
             session.cancel()
         self.sessions_out.clear()
         self._reset_joiner_state()
+        self.membership.forget(crashed=True)
 
     def on_recover(self, recovery: RecoveryResult) -> None:
         self._reset_joiner_state()
@@ -176,14 +196,17 @@ class BaseReconfigManager:
 
     def on_control(self, payload: Any, gseq: int) -> None:
         """A delivered message that is neither a transaction nor pure
-        cover bookkeeping: hand it to the method the backend routes it to."""
-        method = self.CONTROL_ROUTES.get(type(payload))
-        if method is None:
-            raise TypeError(
-                f"{self.node.site_id}: the {self.backend_name} backend has no "
-                f"route for a delivered {type(payload).__name__} (gseq {gseq})"
-            )
-        getattr(self, method)(payload, gseq)
+        cover bookkeeping: hand it to the method the manager or the
+        membership routes it to."""
+        for owner in (self, self.membership):
+            method = owner.CONTROL_ROUTES.get(type(payload))
+            if method is not None:
+                getattr(owner, method)(payload, gseq)
+                return
+        raise TypeError(
+            f"{self.node.site_id}: the {self.backend_name} backend has no "
+            f"route for a delivered {type(payload).__name__} (gseq {gseq})"
+        )
 
     def on_demoted(self) -> None:
         """The site left the primary component — its view went stale
@@ -192,25 +215,7 @@ class BaseReconfigManager:
         self.cancel_all_sessions()
         self._drop_join()
         self._reset_creation()
-
-    # ------------------------------------------------------------------
-    # Membership policy: what the node asks while folding a view change
-    # ------------------------------------------------------------------
-    def in_primary_component(self) -> bool:
-        """Is this site, a member of a primary view, structurally in the
-        primary component?  Here the primary view is all the structure
-        there is."""
-        return True
-
-    def any_up_to_date(self, view: View) -> bool:
-        """Does the installed view hold a member to recover from?"""
-        site_utd = self.node.site_utd
-        return any(site_utd.get(site, False) for site in view.members)
-
-    def view_up_to_date(self) -> Dict[str, bool]:
-        """What the installed (e-)view itself says about who is up to
-        date, overriding the flushed claims.  Here: nothing."""
-        return {}
+        self.membership.forget(crashed=False)
 
     def note_partition_complete(self, partition: str, boundary_gid: int) -> None:
         """Record lazy round-1 progress so a replacement peer can skip
@@ -232,15 +237,12 @@ class BaseReconfigManager:
         """Joiner side of a view change: an install that skipped
         sequence numbers restarts the join; a peer that left the view
         takes its session with it — enqueued messages and resume state
-        stay, a newly elected peer will contact us.  Returns whether the
-        join was restarted."""
-        restarted = self.node.member.last_install_missed > 0
-        if restarted:
+        stay, a newly elected peer will contact us."""
+        if self.node.member.last_install_missed > 0:
             self.restart_join()
         if self.joiner_session is not None and self.joiner_session.peer not in view:
             self.joiner_session.cancel()
             self.joiner_session = None
-        return restarted
 
     def _enqueue_from_sync_point(self) -> None:
         """Section 4.2: this joiner stands at or past its synchronization
@@ -364,7 +366,10 @@ class BaseReconfigManager:
             self.caught_up = True
             self.node.trace("replay", "caught_up",
                             data={"replayed": self.replayed_transactions})
-            self._on_caught_up()
+            # The membership announces (VS), proposes (logless) or
+            # signals the peer (EVS); then activation is tried.
+            self.membership.on_caught_up()
+            self.maybe_activate()
             return
         _gid, message = self.enqueued[0]
         delay = max(len(message.write_set), 1) * self.REPLAY_OP_TIME
@@ -388,22 +393,17 @@ class BaseReconfigManager:
         self.replayed_transactions += 1
         self._replay_next()
 
-    def _on_caught_up(self) -> None:
-        """Subclasses: announce (VS) or signal the peer (EVS), then
-        :meth:`maybe_activate`."""
-        raise NotImplementedError
-
     def maybe_activate(self) -> None:
         if (
             self.activation_authorized
-            and self._join_settled()
+            and self.membership.join_settled()
             and not self.replaying
             and not self.enqueued
         ):
             self.joiner_session = None
             self.enqueue_mode = False
             self.node._become_active()
-            self.on_activated()
+            self.membership.on_activated()
 
     def _became_up_to_date(self, sites: Tuple[str, ...], gseq: int) -> None:
         """The ordered up-to-date marker of ``sites`` — an announcement,
@@ -423,7 +423,7 @@ class BaseReconfigManager:
                 # Already active (creation source, bootstrap): the
                 # delivery of our own marker is the ordered point from
                 # which we can serve the still-recovering members.
-                self.on_activated()
+                self.membership.on_activated()
             else:
                 self.activation_authorized = True
                 self.maybe_activate()
@@ -435,29 +435,6 @@ class BaseReconfigManager:
             # synchronization point of the site it just turned
             # RECOVERING, whose transfer will be anchored at ``gseq``.
             self._enqueue_from_sync_point()
-
-    def _join_settled(self) -> bool:
-        """Hook: has this joiner's transfer delivered what activation
-        needs?  Here: the session completed and its stream was replayed."""
-        session = self.joiner_session
-        return session is not None and session.complete and self.caught_up
-
-    def replay_pending(self) -> bool:
-        """True while enqueued transaction messages have not been replayed.
-
-        EVS structural up-to-dateness (primary-subview membership) must
-        not outrank this: a joiner carried into the primary subview with
-        an undrained replay queue is *structurally* current but *data*
-        stale until the queue empties — treating it as up to date would
-        silently skip the enqueued tail.
-        """
-        return self.replaying or bool(self.enqueued)
-
-    def on_activated(self) -> None:
-        """Hook: the node just became an up-to-date processing member."""
-
-    def on_new_joiner_session(self) -> None:
-        """Hook: a (new) transfer session towards this joiner was accepted."""
 
     # ------------------------------------------------------------------
     # Peer side helpers
@@ -501,6 +478,7 @@ class BaseReconfigManager:
     def _peer_session_done(self, session: PeerTransferSession) -> None:
         """The joiner reported catch-up completion for this session."""
         self.sessions_out.pop(session.joiner, None)
+        self.membership.on_peer_session_end(session, caught_up=True)
 
     def on_peer_session_stalled(self, session: PeerTransferSession) -> None:
         """A peer-side session exhausted its retransmissions (the joiner
@@ -509,6 +487,7 @@ class BaseReconfigManager:
         change cleans up for good."""
         self.transfer_stalls += 1
         self.sessions_out.pop(session.joiner, None)
+        self.membership.on_peer_session_end(session, caught_up=False)
 
     # ------------------------------------------------------------------
     # Joiner-side stall detection and peer fail-over (no view change)
@@ -648,7 +627,6 @@ class BaseReconfigManager:
             node, offer, resume, done_partitions=self._done_partitions
         )
         self._enqueue_from_sync_point()
-        self.on_new_joiner_session()
         node.trace("transfer", "accept",
                    data={"peer": offer.peer, **self._transfer_snapshot()})
         self.joiner_session.accept()
@@ -795,22 +773,80 @@ class BaseReconfigManager:
         # As after a transfer (_on_transfer_complete).
         self.node.last_processed_gid = max(self.node.last_processed_gid, db.baseline_gid)
         self._creation_reports = {}
-        self.on_creation_source(gseq)
-
-    def on_creation_source(self, gseq: int) -> None:
-        """Hook: this site now holds the most current state system-wide."""
-        raise NotImplementedError
-
-    def flush_extra(self) -> Dict[str, Any]:
-        """Extra keys a backend contributes to the view-change flush
-        state (merged into the node's ``repl`` payload).  Must stay
-        empty for the vs/evs backends so their flushed states — and
-        therefore their audit digests — are byte-identical to the
-        pre-backend code."""
-        return {}
+        self.membership.on_creation_source(gseq)
 
 
-class VsReconfigManager(BaseReconfigManager):
+# ----------------------------------------------------------------------
+# Section 5.1's flow, for a membership whose up-to-date marker is an
+# ordered message (vs: an announcement; logless: a config write)
+# ----------------------------------------------------------------------
+def marked_view_change(membership, view: View, states: Dict[str, Dict[str, Any]]) -> None:
+    """A view change under plain virtual synchrony: fold it into the
+    node, then act on the status it leaves."""
+    manager, node = membership.manager, membership.node
+    if not node.alive:
+        return
+    node._handle_membership_change(view, states)
+    status = node.status
+    if status is SiteStatus.STALLED:
+        # Rule: leaving the primary component stops everything.
+        manager.on_demoted()
+        return
+
+    if status is SiteStatus.ACTIVE:
+        _manage_peers(manager, view)
+    elif status is SiteStatus.RECOVERING:
+        manager.activation_authorized = False  # re-earned via the marker
+        manager._announced = False
+        manager._joiner_view_rule(view)
+        manager._enqueue_from_sync_point()
+    elif status is SiteStatus.SUSPENDED:
+        manager.check_creation(view)
+
+
+def _manage_peers(manager: ReconfigManager, view: View) -> None:
+    node = manager.node
+    utd, joiners = manager._split_view(view)
+    for joiner in list(manager.sessions_out):
+        if (manager._joiner_lost(joiner, view) or joiner not in joiners
+                or elect_peer(utd, joiners.index(joiner)) != node.site_id):
+            # Rule: joiner left or restarted its join, already became
+            # up to date (its marker can land before this view's peer
+            # review), or was re-elected away.
+            manager.cancel_session(joiner)
+    sync_gid = node.member.to.base_gseq - 1
+    for index, joiner in enumerate(joiners):
+        if elect_peer(utd, index) == node.site_id:
+            manager.start_session(joiner, sync_gid)
+
+
+def serve_if_only_up_to_date(membership) -> None:
+    """On becoming active *as the only up-to-date member* (creation
+    source), serve everyone else; otherwise the already-active members
+    keep their view-change-time peer assignments."""
+    manager, node = membership.manager, membership.node
+    utd, joiners = manager._split_view(node.member.view)
+    if utd != [node.site_id]:
+        return
+    sync_gid = node.last_processed_gid
+    for joiner in joiners:
+        manager.start_session(joiner, sync_gid)
+
+
+def any_marked_up_to_date(membership, view: View) -> bool:
+    """A member of ``view`` is up to date by a delivered marker or a
+    flushed claim: there is someone to recover from."""
+    site_utd = membership.node.site_utd
+    return any(site_utd.get(site, False) for site in view.members)
+
+
+def replayed_transfer(membership) -> bool:
+    """The joiner's session completed and its stream was replayed."""
+    session = membership.manager.joiner_session
+    return session is not None and session.complete and membership.manager.caught_up
+
+
+class VsMembership:
     """Cascading reconfiguration under plain virtual synchrony.
 
     Implements the behaviour the paper's section 5 shows to be necessary
@@ -819,44 +855,23 @@ class VsReconfigManager(BaseReconfigManager):
     and detection of primary views without any up-to-date member.
     """
 
-    CONTROL_ROUTES = {**BaseReconfigManager.CONTROL_ROUTES,
-                      UpToDateAnnouncement: "on_up_to_date"}
+    CONTROL_ROUTES = {UpToDateAnnouncement: "_on_up_to_date"}
 
-    def on_view_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
-        node = self.node
-        if not node.alive:
-            return
-        node._handle_membership_change(view, states)
-        status = node.status
-        if status is SiteStatus.STALLED:
-            # Rule: leaving the primary component stops everything.
-            self.on_demoted()
-            return
+    def __init__(self, manager: ReconfigManager) -> None:
+        self.manager = manager
+        self.node = manager.node
 
-        if status is SiteStatus.ACTIVE:
-            self._manage_peers(view)
-        elif status is SiteStatus.RECOVERING:
-            self.activation_authorized = False  # re-earned via announcement
-            self._announced = False
-            self._joiner_view_rule(view)
-            self._enqueue_from_sync_point()
-        elif status is SiteStatus.SUSPENDED:
-            self.check_creation(view)
+    on_gcs_change = marked_view_change
+    any_up_to_date = any_marked_up_to_date
+    on_activated = serve_if_only_up_to_date
+    join_settled = replayed_transfer
 
-    def _manage_peers(self, view: View) -> None:
-        node = self.node
-        utd, joiners = self._split_view(view)
-        for joiner in list(self.sessions_out):
-            if (self._joiner_lost(joiner, view) or joiner not in joiners
-                    or elect_peer(utd, joiner, joiners) != node.site_id):
-                # Rule: joiner left or restarted its join, already became
-                # up to date (its announcement can land before this
-                # view's peer review), or was re-elected away.
-                self.cancel_session(joiner)
-        sync_gid = node.member.to.base_gseq - 1
-        for joiner in joiners:
-            if elect_peer(utd, joiner, joiners) == node.site_id:
-                self.start_session(joiner, sync_gid)
+    def flush_extra(self) -> Dict[str, Any]:
+        return {}
+
+    def in_primary_component(self) -> bool:
+        """The primary view is all the structure there is."""
+        return True
 
     def view_up_to_date(self) -> Dict[str, bool]:
         """The announcements the installing SYNC delivered to any group
@@ -874,37 +889,30 @@ class VsReconfigManager(BaseReconfigManager):
             and ordered.payload.site not in member.stale_members
         }
 
-    def on_up_to_date(self, msg: UpToDateAnnouncement, gseq: int) -> None:
-        self._became_up_to_date((msg.site,), gseq)
-
-    def on_activated(self) -> None:
-        """On becoming active *as the only up-to-date member* (creation
-        source), serve everyone else; otherwise the already-active
-        members keep their view-change-time peer assignments."""
-        node = self.node
-        utd, joiners = self._split_view(node.member.view)
-        if utd != [node.site_id]:
-            return
-        sync_gid = node.last_processed_gid
-        for joiner in joiners:
-            self.start_session(joiner, sync_gid)
-
-    def _on_caught_up(self) -> None:
-        if not self._announced:
-            self._announce(as_source=False)
-        self.maybe_activate()
+    def on_caught_up(self) -> None:
+        if not self.manager._announced:
+            self._announce()
 
     def on_creation_source(self, gseq: int) -> None:
         # The source is up-to-date by construction; announce so everyone
         # else switches to RECOVERING and awaits a transfer from us.
         self.node._become_active()
-        self._announce(as_source=True)
+        self._announce()
 
-    def _announce(self, as_source: bool) -> None:
+    def on_peer_session_end(self, session: PeerTransferSession, caught_up: bool) -> None:
+        """Nothing more: a stalled joiner's own watchdog solicits anew."""
+
+    def forget(self, crashed: bool) -> None:
+        """No state of its own."""
+
+    def _on_up_to_date(self, msg: UpToDateAnnouncement, gseq: int) -> None:
+        self.manager._became_up_to_date((msg.site,), gseq)
+
+    def _announce(self) -> None:
         """Tell the group, through the total order, that this site is up
         to date: having caught up, or as the elected creation source."""
-        self._announced = True
-        self.announcements_sent += 1
+        self.manager._announced = True
+        self.manager.announcements_sent += 1
         self.node._multicast(
             UpToDateAnnouncement(site=self.node.site_id, cover_gid=self.node.db.cover_gid())
         )

@@ -617,6 +617,8 @@ class JoinerTransferSession:
         self.objects_received = 0
         self.bytes_received = 0
         self._last_batch_seq = 0
+        #: EVS: this session's own CatchUpComplete signal is out.
+        self.catch_up_sent = False
 
     def accept(self) -> None:
         needs_full = len(self.node.db.store) == 0

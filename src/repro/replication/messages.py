@@ -140,7 +140,7 @@ class CreationReport:
     #: creation source also completes the exactly-once outcome table.
     outcomes: Tuple[Tuple[str, int, int, int, bool], ...] = ()
     #: What decides whether a majority's reports suffice
-    #: (``BaseReconfigManager.majority_covers``): the newest primary view
+    #: (``ReconfigManager.majority_covers``): the newest primary view
     #: this site knew of before the creation view (a PrimaryLineage; None
     #: until it has been in a primary view since its last restart), and
     #: the newest primary view it was an up-to-date member of.

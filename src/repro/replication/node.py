@@ -118,7 +118,7 @@ class NodeConfig:
     #: transaction in the memory of a delivery quorum, and a commit is
     #: certain to be in its committer's log alone, so the majority's
     #: reports elect a source only when they provably hold every commit
-    #: (``BaseReconfigManager.majority_covers``: every member has been in
+    #: (``ReconfigManager.majority_covers``: every member has been in
     #: a primary view since its last restart, the newest primary view is
     #: all present and had an up-to-date member) — never after a total
     #: failure.  Off by default: the all-sites rule

@@ -107,8 +107,8 @@ def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy,
         transfers_completed += manager.transfers_completed
         announcements += manager.announcements_sent
         replayed += manager.replayed_transactions
-        svs += getattr(manager, "svs_merges_issued", 0)
-        sv += getattr(manager, "sv_merges_issued", 0)
+        svs += getattr(manager.membership, "svs_merges_issued", 0)
+        sv += getattr(manager.membership, "sv_merges_issued", 0)
     report = ScenarioReport(
         mode=mode,
         strategy=strategy,

@@ -15,16 +15,16 @@ class TestElectPeer:
     def test_round_robin_spread(self):
         utd = ["S1", "S2"]
         joiners = ["S3", "S4", "S5"]
-        peers = [elect_peer(utd, j, joiners) for j in joiners]
+        peers = [elect_peer(utd, joiners.index(j)) for j in joiners]
         assert peers == ["S1", "S2", "S1"]
 
     def test_deterministic_regardless_of_order(self):
-        assert elect_peer(["S2", "S1"], "S4", ["S4", "S3"]) == elect_peer(
-            ["S1", "S2"], "S4", ["S3", "S4"]
-        )
+        # The task index is the caller's (a joiner's place among the
+        # sorted joiners); the candidates' order does not matter.
+        assert elect_peer(["S2", "S1"], 1) == elect_peer(["S1", "S2"], 1) == "S2"
 
     def test_no_candidates(self):
-        assert elect_peer([], "S3", ["S3"]) is None
+        assert elect_peer([], 0) is None
 
 
 def run_chaos(schedule, n_sites=5, seed=31, mode="vs", strategy="rectable",

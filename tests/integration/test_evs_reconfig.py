@@ -63,7 +63,7 @@ class TestStructuralUpToDate:
         assert cluster.await_all_active(timeout=30)
         assert all(n.reconfig.announcements_sent == 0 for n in cluster.nodes.values())
         assert any(
-            getattr(n.reconfig, "sv_merges_issued", 0) > 0
+            n.reconfig.membership.sv_merges_issued > 0
             for n in cluster.nodes.values()
         )
 

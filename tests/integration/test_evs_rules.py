@@ -42,13 +42,13 @@ class TestRuleI1:
     def test_exactly_one_member_issues_the_svs_merge(self):
         cluster, load, victim = recovering_evs_cluster()
         cluster.await_condition(
-            lambda: any(getattr(n.reconfig, "svs_merges_issued", 0) > 0
+            lambda: any(n.reconfig.membership.svs_merges_issued > 0
                         for n in cluster.nodes.values()),
             timeout=10,
         )
         cluster.run_for(0.3)
         issuers = [s for s, n in cluster.nodes.items()
-                   if getattr(n.reconfig, "svs_merges_issued", 0) > 0]
+                   if n.reconfig.membership.svs_merges_issued > 0]
         assert len(issuers) == 1  # the deterministically elected peer
         load.stop()
 

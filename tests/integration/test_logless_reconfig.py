@@ -16,9 +16,9 @@ from repro.gcs.evs import EnrichedGroupMember
 from repro.gcs.member import GroupMember
 from repro.reconfig import backends
 from repro.reconfig.backends import ALL_BACKEND_NAMES, backend_by_name
-from repro.reconfig.evs_manager import EvsReconfigManager
-from repro.reconfig.logless import LoglessReconfigManager, ReplicatedConfig
-from repro.reconfig.manager import VsReconfigManager
+from repro.reconfig.evs_manager import EvsMembership
+from repro.reconfig.logless import LoglessMembership, ReplicatedConfig
+from repro.reconfig.manager import ReconfigManager, VsMembership
 from repro.replication.messages import ConfigChange
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster, run_load
@@ -56,19 +56,20 @@ class TestRegistry:
                            "evs": EnrichedGroupMember}
 
     def test_cluster_gets_the_right_manager(self):
-        expected = {"vs": VsReconfigManager, "evs": EvsReconfigManager,
-                    "logless": LoglessReconfigManager}
-        for name, manager_type in expected.items():
+        expected = {"vs": VsMembership, "evs": EvsMembership,
+                    "logless": LoglessMembership}
+        for name, membership_type in expected.items():
             cluster = quick_cluster(mode=name)
             for node in cluster.nodes.values():
-                assert type(node.reconfig) is manager_type
+                assert type(node.reconfig) is ReconfigManager
+                assert type(node.reconfig.membership) is membership_type
                 assert node.reconfig.backend_name == name
 
 
 class TestReplicatedConfig:
     def test_bootstrap_installs_full_membership(self):
         cluster = quick_cluster(mode="logless")
-        configs = {site: node.reconfig.config
+        configs = {site: node.reconfig.membership.config
                    for site, node in cluster.nodes.items()}
         assert len({(c.version, c.members) for c in configs.values()}) == 1
         config = configs["S1"]
@@ -77,15 +78,16 @@ class TestReplicatedConfig:
 
     def test_crash_recover_cycle_advances_config(self):
         cluster = quick_cluster(mode="logless", db_size=30)
-        v0 = cluster.nodes["S1"].reconfig.config.version
+        v0 = cluster.nodes["S1"].reconfig.membership.config.version
         cluster.crash("S3")
         run_load(cluster, duration=0.4)
         # Coordinator repair removed the crashed site.
-        assert "S3" not in cluster.nodes["S1"].reconfig.config.members
+        assert "S3" not in cluster.nodes["S1"].reconfig.membership.config.members
         cluster.recover("S3")
         assert cluster.await_all_active(timeout=30)
         cluster.settle(0.5)
-        configs = {(n.reconfig.config.version, n.reconfig.config.members)
+        configs = {(n.reconfig.membership.config.version,
+                    n.reconfig.membership.config.members)
                    for n in cluster.nodes.values()}
         assert len(configs) == 1, "sites disagree on the config"
         version, members = next(iter(configs))
@@ -97,26 +99,26 @@ class TestReplicatedConfig:
     def test_stale_proposal_is_discarded_by_the_cas(self):
         cluster = quick_cluster(mode="logless")
         manager = cluster.nodes["S1"].reconfig
-        before = manager.config
-        conflicts = manager.config_conflicts
-        manager.on_config_message(
+        before = manager.membership.config
+        conflicts = manager.membership.config_conflicts
+        manager.on_control(
             ConfigChange(proposer="S9", base_version=before.version + 5,
                          add=("S9",)),
             gseq=10_000)
-        assert manager.config == before
-        assert manager.config_conflicts == conflicts + 1
+        assert manager.membership.config == before
+        assert manager.membership.config_conflicts == conflicts + 1
 
     def test_replace_installs_membership_wholesale(self):
         # Unit-level on a throwaway cluster: the creation path's
         # replace-proposal semantics.
         cluster = quick_cluster(mode="logless")
         manager = cluster.nodes["S1"].reconfig
-        version = manager.config.version
-        manager.on_config_message(
+        version = manager.membership.config.version
+        manager.on_control(
             ConfigChange(proposer="S1", base_version=version,
                          replace=("S1", "S2"), reason="creation"),
             gseq=10_001)
-        assert manager.config == ReplicatedConfig(
+        assert manager.membership.config == ReplicatedConfig(
             version=version + 1, members=("S1", "S2"))
 
     def test_no_up_to_date_announcements_multicast(self):
@@ -132,8 +134,8 @@ class TestReplicatedConfig:
             manager = node.reconfig
             # Every "announcement" the counters report is a config
             # proposal (the counter is kept for cross-backend metrics).
-            assert manager.announcements_sent == manager.config_proposals_sent
-            assert manager.config_changes_applied >= 1
+            assert manager.announcements_sent == manager.membership.config_proposals_sent
+            assert manager.membership.config_changes_applied >= 1
 
     def test_flush_extra_carries_the_config(self):
         cluster = quick_cluster(mode="logless")
@@ -162,7 +164,8 @@ class TestReplicatedConfig:
             cluster.recover(site)
         assert cluster.await_all_active(timeout=30)
         cluster.settle(0.5)
-        configs = {(n.reconfig.config.version, n.reconfig.config.members)
+        configs = {(n.reconfig.membership.config.version,
+                    n.reconfig.membership.config.members)
                    for n in cluster.nodes.values()}
         assert len(configs) == 1
         _, members = next(iter(configs))
@@ -174,10 +177,8 @@ class TestReplicatedConfig:
         the whole ``REPROPOSE_LIMIT`` for every join attempt:
         attempts it made in earlier joins do not stop it re-proposing
         after a lost compare-and-swap race."""
-        from repro.reconfig.logless import LoglessReconfigManager
-
         limit = 2
-        monkeypatch.setattr(LoglessReconfigManager, "REPROPOSE_LIMIT", limit)
+        monkeypatch.setattr(LoglessMembership, "REPROPOSE_LIMIT", limit)
         cluster = quick_cluster(mode="logless")
         node = cluster.nodes["S3"]
         manager = node.reconfig
@@ -189,15 +190,15 @@ class TestReplicatedConfig:
             # previous attempt's announcement; the drained replay then
             # announces again: one add-self proposal.
             node.on_view_change(node.member.view, {})
-            manager._on_caught_up()
-            sent = manager.config_proposals_sent
+            manager.membership.on_caught_up()
+            sent = manager.membership.config_proposals_sent
             # The proposal loses the race: a competing change is
             # delivered first and moves the version past its base.
-            manager.on_config_message(
+            manager.on_control(
                 ConfigChange(proposer="S1",
-                             base_version=manager.config.version),
+                             base_version=manager.membership.config.version),
                 gseq=1000 + attempt)
-            assert manager.config_proposals_sent == sent + 1, (
+            assert manager.membership.config_proposals_sent == sent + 1, (
                 f"join attempt {attempt} did not re-propose")
 
 

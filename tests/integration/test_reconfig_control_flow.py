@@ -13,13 +13,9 @@ from repro import ClusterBuilder, NodeConfig
 from repro.gcs.messages import Presence
 from repro.gcs.view import ViewId
 from repro.reconfig import transfer
-from repro.reconfig.evs_manager import EvsReconfigManager
-from repro.reconfig.logless import LoglessReconfigManager
-from repro.reconfig.manager import (
-    TRANSFER_ROUTES,
-    BaseReconfigManager,
-    VsReconfigManager,
-)
+from repro.reconfig.evs_manager import EvsMembership
+from repro.reconfig.logless import LoglessMembership
+from repro.reconfig.manager import TRANSFER_ROUTES, ReconfigManager, VsMembership
 from repro.replication import messages
 from repro.replication.messages import (
     ConfigChange,
@@ -33,7 +29,9 @@ from repro.tracing import attach_tracer
 from tests.conftest import quick_cluster, run_load
 
 BACKENDS = ("vs", "evs", "logless")
-MANAGERS = (VsReconfigManager, EvsReconfigManager, LoglessReconfigManager)
+#: Every owner of an ordered-message route: the manager's shared
+#: routes, and each backend's membership.
+ROUTE_OWNERS = (ReconfigManager, VsMembership, EvsMembership, LoglessMembership)
 
 
 # ----------------------------------------------------------------------
@@ -154,8 +152,8 @@ def test_logless_add_outranks_a_staler_flushed_claim():
     node = cluster.nodes["S1"]
     manager = node.reconfig
     node.site_utd["S3"] = False
-    manager.on_config_message(
-        ConfigChange(proposer="S3", base_version=manager.config.version,
+    manager.on_control(
+        ConfigChange(proposer="S3", base_version=manager.membership.config.version,
                      add=("S3",)),
         gseq=500)
     assert node.site_utd["S3"]
@@ -178,7 +176,7 @@ def message_types(module):
 
 def test_every_transfer_message_has_one_route_to_an_existing_handler():
     assert set(TRANSFER_ROUTES) == message_types(transfer)
-    owner = {"manager": BaseReconfigManager,
+    owner = {"manager": ReconfigManager,
              "peer": transfer.PeerTransferSession,
              "joiner": transfer.JoinerTransferSession}
     for message_type, (side, method) in TRANSFER_ROUTES.items():
@@ -190,10 +188,10 @@ def test_every_transfer_message_has_one_route_to_an_existing_handler():
 
 def test_every_ordered_message_is_bookkeeping_or_routed_by_a_backend():
     routed = set()
-    for manager in MANAGERS:
-        for message_type, method in manager.CONTROL_ROUTES.items():
-            handler = getattr(manager, method, None)
-            assert inspect.isfunction(handler), (manager.__name__, method)
+    for owner in ROUTE_OWNERS:
+        for message_type, method in owner.CONTROL_ROUTES.items():
+            handler = getattr(owner, method, None)
+            assert inspect.isfunction(handler), (owner.__name__, method)
             # One signature for every route: (message, gseq).
             parameters = list(inspect.signature(handler).parameters)
             assert len(parameters) == 3 and parameters[2] == "gseq", method

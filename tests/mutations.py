@@ -28,7 +28,7 @@ import pytest
 from repro import audit
 from repro.db.outcomes import OutcomeTable
 from repro.gcs.total_order import ViewTotalOrder
-from repro.reconfig.manager import BaseReconfigManager
+from repro.reconfig.manager import ReconfigManager
 from repro.reconfig.transfer import PeerTransferSession
 from repro.replication.node import SiteStatus
 from repro.sim.core import Simulator
@@ -71,7 +71,7 @@ def skip_outcome_merge(monkeypatch, site: str) -> None:
     def keep_own_table(real, manager, msg):
         real(manager, replace(msg, outcomes=manager.node.db.outcomes.rows()))
 
-    patch_where(monkeypatch, BaseReconfigManager, "_on_transfer_complete",
+    patch_where(monkeypatch, ReconfigManager, "_on_transfer_complete",
                 at_site(site), keep_own_table)
 
 
@@ -92,7 +92,7 @@ def skip_first_replayed_gid(monkeypatch, site: str) -> list:
                 skipped.append(live[0][0])
         real(manager)
 
-    patch_where(monkeypatch, BaseReconfigManager, "_replay_next",
+    patch_where(monkeypatch, ReconfigManager, "_replay_next",
                 at_site(site), drop_the_head)
     return skipped
 
@@ -113,7 +113,7 @@ def discard_until_the_offer(monkeypatch, site: str) -> list:
             manager.enqueue_mode = False
             markers.append(gseq)
 
-    patch_where(monkeypatch, BaseReconfigManager, "_became_up_to_date",
+    patch_where(monkeypatch, ReconfigManager, "_became_up_to_date",
                 at_site(site), forget_to_enqueue)
     return markers
 

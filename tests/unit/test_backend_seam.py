@@ -9,18 +9,22 @@ handle comes from the registry entry, and a new backend is added
 without editing the node (docs/RECONFIG_BACKENDS.md, "Adding a
 backend").  The second part builds every registered name through the
 one selector the library has; the third keeps the reconfiguration rules
-the backends share at one copy each (DESIGN.md, "Rules, one copy each").
+the backends share at one copy each (DESIGN.md, "Rules, one copy each");
+the fourth keeps a backend a membership object composed with the one
+manager, with no subclass chain and exactly the seam's methods.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 from repro import ClusterBuilder, reconfig
 from repro.faults import ChaosConfig, ChaosEngine
-from repro.reconfig.backends import ALL_BACKEND_NAMES
+from repro.reconfig.backends import ALL_BACKEND_NAMES, backend_by_name
+from repro.reconfig.manager import MEMBERSHIP_SEAM
 from repro.replication import node as node_module
 
 TREE = ast.parse(inspect.getsource(node_module))
@@ -146,3 +150,56 @@ def test_view_change_rules_are_read_in_one_method_each():
     assert methods_where(reads("stale_members")) == [
         "logless.py:_coordinator_repair", "manager.py:_joiner_lost",
         "manager.py:view_up_to_date"]
+
+
+# ----------------------------------------------------------------------
+# A backend is a membership object: no subclass chain grows back
+# ----------------------------------------------------------------------
+TOP_LEVEL = {name: tree for name, tree in RECONFIG.items() if "/" not in name}
+
+
+def test_no_reconfiguration_class_derives_from_another():
+    """``strategies/`` is outside this rule: its base class is the
+    strategy contract, not a hook-bearing chain."""
+    defined_here = {item.name for tree in RECONFIG.values()
+                    for item in ast.walk(tree) if isinstance(item, ast.ClassDef)}
+    derived = sorted(
+        f"{name}:{item.name}({ast.unparse(base)})"
+        for name, tree in TOP_LEVEL.items()
+        for item in ast.walk(tree) if isinstance(item, ast.ClassDef)
+        for base in item.bases
+        if ast.unparse(base).rsplit(".", 1)[-1] in defined_here)
+    assert derived == []
+
+
+def test_no_super_calls_and_no_abstract_hooks():
+    def found(item):
+        if isinstance(item, ast.Call) and isinstance(item.func, ast.Name):
+            return item.func.id == "super"
+        if isinstance(item, ast.Raise) and item.exc is not None:
+            raised = item.exc.func if isinstance(item.exc, ast.Call) else item.exc
+            return ast.unparse(raised) == "NotImplementedError"
+        return False
+
+    assert sorted(f"{name}:{item.lineno}" for name, tree in TOP_LEVEL.items()
+                  for item in ast.walk(tree) if found(item)) == []
+
+
+@pytest.mark.parametrize("name", ALL_BACKEND_NAMES)
+def test_every_membership_defines_exactly_the_seam(name):
+    """Public names of the class body are the seam, no more and no less;
+    helpers are private, and UPPER_CASE constants (``MERGE_DELAY``,
+    ``REPROPOSE_LIMIT``) are not decisions."""
+    public = {attribute for attribute in vars(backend_by_name(name).membership)
+              if not attribute.startswith("_")}
+    assert {attribute for attribute in public
+            if attribute == "CONTROL_ROUTES" or not attribute.isupper()} == set(
+        MEMBERSHIP_SEAM)
+
+
+def test_adding_a_backend_lists_exactly_the_seam():
+    docs = Path(__file__).resolve().parents[2] / "docs" / "RECONFIG_BACKENDS.md"
+    section = docs.read_text().split("## Adding a backend", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\s*\| `(\w+)", section, flags=re.MULTILINE)
+    assert tuple(rows) == MEMBERSHIP_SEAM
+    assert "optional" not in section.lower()
