@@ -50,15 +50,7 @@ from repro.faults import (
     run_chaos,
 )
 from repro.gcs.config import GCSConfig
-from repro.reconfig.strategies import (
-    FullTransferStrategy,
-    GcsLevelTransferStrategy,
-    LazyTransferStrategy,
-    LogFilterStrategy,
-    RecTableStrategy,
-    VersionCheckStrategy,
-    strategy_by_name,
-)
+from repro.reconfig.strategies import strategy_by_name
 from repro.replication.node import NodeConfig, ReplicatedDatabaseNode, SiteStatus
 from repro.sim.core import Simulator
 from repro.tracing import Tracer, attach_tracer
@@ -76,23 +68,17 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
-    "FullTransferStrategy",
     "GCSConfig",
     "LatencySpikeInjector",
     "OneWayLinkInjector",
     "ReorderInjector",
     "TornTailFaults",
-    "GcsLevelTransferStrategy",
-    "LazyTransferStrategy",
     "LoadGenerator",
-    "LogFilterStrategy",
     "NodeConfig",
-    "RecTableStrategy",
     "ReplicatedDatabaseNode",
     "SiteStatus",
     "Simulator",
     "Tracer",
-    "VersionCheckStrategy",
     "WorkloadConfig",
     "__version__",
     "attach_tracer",

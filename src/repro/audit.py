@@ -85,10 +85,12 @@ def _chaos_case(mode: str, seed: int, axes: Tuple[str, ...] = (),
     params = {"seed": seed, "mode": mode, "intensity": 0.5, "n_sites": 4,
               "db_size": 40, "duration": 1.5, "arrival_rate": 60.0}
     params.update(overrides)
-    # Client-mode storms get their own id namespace so they never
-    # collide with the open-loop case for the same (mode, seed).
+    # Client-mode storms get their own id namespace, and a strategy
+    # other than the default its own suffix, so neither collides with
+    # the open-loop ``rectable`` case for the same (mode, seed).
     prefix = "chaos-clients" if params.get("clients") else "chaos"
-    return AuditCase(case_id=f"{prefix}:{mode}:{seed}", kind="chaos",
+    suffix = f":{params['strategy']}" if "strategy" in params else ""
+    return AuditCase(case_id=f"{prefix}:{mode}:{seed}{suffix}", kind="chaos",
                      params=params, axes=axes)
 
 
@@ -119,6 +121,9 @@ def _build_cases() -> Dict[str, AuditCase]:
     # These went wrong after the 1.5 s storm ends: run the chaos default.
     for mode, seed in (("evs", 106), ("vs", 47), ("logless", 27)):
         cases.append(_chaos_case(mode, seed, duration=3.0))
+    # A log_filter session that completed and was cancelled later gave
+    # its snapshot back twice, dropping a sibling session's.
+    cases.append(_chaos_case("vs", 16, duration=3.0, strategy="log_filter"))
     # One storm carrying the observability-equivalence axis (PR 3's
     # claim) and the profiler-equivalence axis on top of determinism.
     cases.append(_chaos_case("vs", 7, axes=("obs", "profile"),

@@ -35,7 +35,7 @@ from typing import List, Optional
 from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
 from repro.faults.campaign import CampaignConfig
 from repro.reconfig.backends import ALL_BACKEND_NAMES
-from repro.reconfig.strategies import ALL_STRATEGY_NAMES
+from repro.reconfig.strategies import ALL_STRATEGY_NAMES, strategy_by_name
 from repro.replication.node import SiteStatus
 from repro.scenarios import run_figure1_scenario, run_recovery_experiment
 from repro.tracing import attach_tracer
@@ -65,16 +65,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_strategies(args: argparse.Namespace) -> int:
-    descriptions = {
-        "full": "entire database under per-object read locks (section 4.3)",
-        "version_check": "whole-db scan, ship only versions above the joiner's cover (4.4)",
-        "rectable": "RecTable-filtered set, DB lock downgraded to object locks (4.5)",
-        "log_filter": "multiversion snapshot, no transfer locks at all (4.6)",
-        "lazy": "multi-round deltas, delimiter transaction, fail-over resume (4.7)",
-        "gcs_level": "whole DB inside the view change — the rejected baseline (4.1)",
-    }
     for name in ALL_STRATEGY_NAMES:
-        print(f"{name:14s} {descriptions.get(name, '')}")
+        print(f"{name:14s} {strategy_by_name(name).summary}")
     return 0
 
 

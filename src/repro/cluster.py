@@ -10,14 +10,14 @@ of the paper's Figures 1 and 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.checkers import HistoryRecorder, run_all_checks
 from repro.gcs.config import GCSConfig
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.network import Network
 from repro.reconfig.backends import ReconfigBackend, backend_by_name
-from repro.reconfig.strategies import TransferStrategy, strategy_by_name
+from repro.reconfig.strategies import Strategy, strategy_by_name
 from repro.replication.node import NodeConfig, ReplicatedDatabaseNode, SiteStatus
 from repro.replication.transaction import Transaction
 from repro.sim.core import Simulator
@@ -69,7 +69,7 @@ class ClusterBuilder:
         n_sites: int = 3,
         db_size: int = 100,
         seed: int = 0,
-        strategy: Union[str, TransferStrategy] = "rectable",
+        strategy: str = "rectable",
         mode: str = "vs",
         gcs_config: Optional[GCSConfig] = None,
         node_config: Optional[NodeConfig] = None,
@@ -108,10 +108,7 @@ class ClusterBuilder:
         universe = self.site_names()
         initial_db = {f"obj{i}": self.initial_value for i in range(self.db_size)}
         initial_sites = set(self.initial_sites if self.initial_sites is not None else universe)
-        if isinstance(self.strategy, str):
-            strategy = strategy_by_name(self.strategy)
-        else:
-            strategy = self.strategy
+        strategy = strategy_by_name(self.strategy)
 
         gcs_config = self.gcs_config
         node_config = self.node_config
@@ -142,7 +139,7 @@ class Cluster:
         network: Network,
         nodes: Dict[str, ReplicatedDatabaseNode],
         history: HistoryRecorder,
-        strategy: TransferStrategy,
+        strategy: Strategy,
         initial_db: Dict[str, Any],
     ) -> None:
         self.sim = sim

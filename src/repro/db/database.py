@@ -267,7 +267,12 @@ class Database:
         return result
 
     def end_version_snapshot(self, limit_gid: int) -> None:
-        refs = self._snapshot_refs.get(limit_gid, 0) - 1
+        """Drop one reference to the snapshot at ``limit_gid``.  An end
+        with no matching begin is a caller's bug and fails here, not at
+        a sibling session's later read."""
+        if limit_gid not in self._snapshot_refs:
+            raise ValueError(f"no version snapshot at limit {limit_gid} to end")
+        refs = self._snapshot_refs[limit_gid] - 1
         if refs > 0:
             self._snapshot_refs[limit_gid] = refs
         else:

@@ -8,7 +8,7 @@ strategies) and section 5 (cascading reconfigurations) of the paper:
   group communication platform but could, e.g., be performed via TCP");
 * :mod:`repro.reconfig.strategies` — the five database-level transfer
   strategies (sections 4.3-4.7) plus the GCS-level baseline the paper
-  rejects (section 4.1);
+  rejects (section 4.1), one row each, which the peer session reads;
 * :mod:`repro.reconfig.manager` — the one reconfiguration manager
   (joins, transfer sessions, replay, activation, and the creation
   protocol after a total failure, section 3) and the plain virtual
@@ -34,31 +34,16 @@ from repro.reconfig.backends import (
 from repro.reconfig.evs_manager import EvsMembership
 from repro.reconfig.logless import LoglessMembership, ReplicatedConfig
 from repro.reconfig.manager import ReconfigManager, VsMembership
-from repro.reconfig.strategies import (
-    FullTransferStrategy,
-    GcsLevelTransferStrategy,
-    LazyTransferStrategy,
-    LogFilterStrategy,
-    RecTableStrategy,
-    TransferStrategy,
-    VersionCheckStrategy,
-    strategy_by_name,
-)
+from repro.reconfig.strategies import Strategy, strategy_by_name
 
 __all__ = [
     "ALL_BACKEND_NAMES",
     "EvsMembership",
-    "FullTransferStrategy",
-    "GcsLevelTransferStrategy",
-    "LazyTransferStrategy",
-    "LogFilterStrategy",
     "LoglessMembership",
-    "RecTableStrategy",
     "ReconfigBackend",
     "ReconfigManager",
     "ReplicatedConfig",
-    "TransferStrategy",
-    "VersionCheckStrategy",
+    "Strategy",
     "VsMembership",
     "backend_by_name",
     "strategy_by_name",

@@ -26,7 +26,7 @@ from repro.gcs.primary import most_recent
 from repro.gcs.view import View
 from repro.replication.messages import CreationReport, TransactionMessage, UpToDateAnnouncement
 from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
-from repro.reconfig.strategies.base import TransferStrategy
+from repro.reconfig.strategies import Strategy
 from repro.reconfig.transfer import (
     CatchUpComplete,
     JoinerTransferSession,
@@ -109,7 +109,7 @@ class ReconfigManager:
     #: from a different peer.
     STALL_TIMEOUT = 1.0
 
-    def __init__(self, node: ReplicatedDatabaseNode, strategy: TransferStrategy,
+    def __init__(self, node: ReplicatedDatabaseNode, strategy: Strategy,
                  backend) -> None:
         self.node = node
         self.strategy = strategy

@@ -5,11 +5,12 @@ The transfer runs point-to-point outside the group communication system
 communication platform but could, e.g., be performed via TCP"), on a
 dedicated network endpoint per site.
 
-A :class:`PeerTransferSession` lives at the peer; the concrete
-:class:`repro.reconfig.strategies.TransferStrategy` decides *what* to
-send and under which locks, while the session provides the shared
-machinery: offer/accept handshake, batching with a single in-flight
-batch, per-object marshalling cost and completion signalling.
+A :class:`PeerTransferSession` lives at the peer.  Its
+:class:`repro.reconfig.strategies.Strategy` row says what it captures
+at the synchronization point, which objects it filters out and whether
+it runs lazy rounds; the session does all of it, and around it the
+offer/accept handshake, batching with a single in-flight batch,
+per-object marshalling cost and completion signalling.
 
 A :class:`JoinerTransferSession` lives at the joining site; it installs
 incoming batches, tracks lazy-transfer resume points for peer fail-over,
@@ -25,7 +26,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.db.locks import LockMode
+from repro.db.locks import DB_RESOURCE, LockMode
+from repro.db.partitions import partition_names, partition_of
+from repro.reconfig.strategies import (
+    NO_COVER, Capture, Filter, Strategy, changed_objects, effective_cover)
 from repro.replication.node import ReplicatedDatabaseNode
 
 
@@ -238,7 +242,8 @@ class CatchUpComplete:
 # Peer side
 # ----------------------------------------------------------------------
 class PeerTransferSession:
-    """Peer-side transfer engine, driven by a strategy."""
+    """Peer-side transfer engine: captures, filters and ships the state
+    the way its strategy row says, and owns what it captured."""
 
     # Offers retry quickly: the first one can race ahead of the view
     # change installation at the joiner and be dropped.
@@ -258,7 +263,7 @@ class PeerTransferSession:
         self,
         node: ReplicatedDatabaseNode,
         joiner: str,
-        strategy,
+        strategy: Strategy,
         sync_gid: int,
         on_done: Optional[Callable[["PeerTransferSession"], None]] = None,
     ) -> None:
@@ -283,6 +288,28 @@ class PeerTransferSession:
         self._batch_cb: Optional[Callable[[], None]] = None
         self._pending_accept: Optional[TransferAccept] = None
 
+        # The capture, all of it given back by _close(), exactly once.
+        #: The gid the captured state is as of: the synchronization
+        #: point; lazy: the delimiter, once the last round chose it.
+        self._capture_gid: Optional[int] = None if strategy.lazy else sync_gid
+        #: The joiner's state is complete through this gid: fixed from the
+        #: start when every object ships, else known at the accept (lazy:
+        #: advanced round by round).
+        self._cover: Optional[int] = NO_COVER if strategy.filter is Filter.ALL else None
+        self._begun = False  # the joiner accepted and reconciled
+        self._db_ticket: Optional[int] = None
+        self._db_granted = False
+        self._capturing = False
+        #: Locked objects not yet read into the outbox or let go.
+        self._remaining = 0
+        #: Object locks granted before the joiner's cover was known.
+        self._granted_early: List[str] = []
+        self._snapshot_limit: Optional[int] = None
+        self._round = 1
+        self._partitions: List[str] = []
+        self._done_partitions: Dict[str, int] = {}
+        self._closed = False
+
         # Retransmission state: every point-to-point message that expects
         # an answer is *tracked* — resent with exponential backoff until
         # acknowledged, and the session declared stalled after
@@ -302,9 +329,8 @@ class PeerTransferSession:
         # Every strategy finishes at a baseline at or above the sync gid:
         # keep the outcome table's rows down to it until the snapshot.
         self.db.outcomes.pin(self.owner, sync_gid)
-        # Strategies may grab locks / snapshots synchronously right here,
-        # at the synchronization point (view change or SubviewSetMerge).
-        self.strategy.on_session_created(self)
+        if not strategy.lazy:
+            self._capture_at_sync_point()
         self._send_offer()
 
     # ------------------------------------------------------------------
@@ -406,7 +432,7 @@ class PeerTransferSession:
                 ReconcileNotice(session_id=self.session_id, phantom_gids=phantoms),
             )
             return
-        self.strategy.begin(self, accept)
+        self._begin(accept)
         self._maybe_send_batch()
 
     def on_reconcile_ack(self, ack: "ReconcileAck") -> None:
@@ -415,31 +441,231 @@ class PeerTransferSession:
             return
         self.ack_tracked("reconcile")
         self._pending_accept = None
-        self.strategy.begin(self, accept)
+        self._begin(accept)
         self._maybe_send_batch()
 
-    # ------------------------------------------------------------------
-    # Strategy-facing helpers
-    # ------------------------------------------------------------------
     @property
     def db(self):
         return self.node.db
 
-    def request_read_lock(self, obj: str, on_grant) -> None:
-        self.db.locks.request(self.owner, obj, LockMode.SHARED, on_grant)
+    # ------------------------------------------------------------------
+    # Capture and filter (the strategy row)
+    # ------------------------------------------------------------------
+    def _capture_at_sync_point(self) -> None:
+        """Eager strategies: take the capture right at the
+        synchronization point (view change or SubviewSetMerge)."""
+        capture = self.strategy.capture
+        if capture is Capture.SNAPSHOT:
+            self._snapshot_limit = self.sync_gid + 1
+            self.db.begin_version_snapshot(self._snapshot_limit)
+        elif capture is Capture.OBJECT_LOCKS:
+            # One atomic step, store order; each grant is filtered as
+            # soon as the cover is known.
+            objects = list(self.db.store.objects())
+            self._remaining = len(objects)
+            for obj in objects:
+                self.db.locks.request(self.owner, obj, LockMode.SHARED, self._on_object_grant)
+        else:
+            self._request_db_lock()
 
-    def release_lock(self, obj: str) -> None:
-        self.db.locks.release(self.owner, obj)
+    def _begin(self, accept: TransferAccept) -> None:
+        """The joiner accepted (and reconciled): its cover is known."""
+        self._begun = True
+        if self.strategy.lazy:
+            self._cover = (NO_COVER if accept.needs_full
+                           else max(accept.cover_gid, accept.resume_through))
+            self._done_partitions = dict(accept.done_partitions)
+            self._start_round()
+            return
+        if self._cover is None:
+            self._cover = effective_cover(accept)
+        capture = self.strategy.capture
+        if capture is Capture.OBJECT_LOCKS:
+            early, self._granted_early = self._granted_early, []
+            for obj in early:
+                self._filter_object(obj)
+            self._maybe_finish_scan()
+        elif capture is Capture.SNAPSHOT:
+            # Writers below the boundary may still be in their write
+            # phase; the snapshot is complete once they have terminated.
+            self.node.call_when_quiescent_below(self.sync_gid, self._capture)
+        else:
+            self._maybe_capture()
 
-    def release_all_locks(self) -> None:
-        # cancel(), not release(): a session torn down while one of its
-        # lock requests is still queued (e.g. the joiner died before
-        # accepting and the database lock was contended) must also drop
-        # that waiting request — otherwise it is granted to the dead
-        # session later and the database lock is held forever, freezing
-        # every writer on this site.
-        self.db.locks.cancel(self.owner)
+    def _on_object_grant(self, request) -> None:
+        if not self.active:
+            return
+        if self._cover is None:
+            self._granted_early.append(request.resource)
+            return
+        self._filter_object(request.resource)
 
+    def _filter_object(self, obj: str) -> None:
+        """Section 4.4: ship the object if its version is above the
+        cover, else "ignore X and release the lock immediately"."""
+        value, version = self.db.store.read(obj)
+        if version > self._cover:
+            self.queue_item(obj, value, version)
+        else:
+            self.db.locks.release(self.owner, obj)
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._maybe_finish_scan()
+
+    def _maybe_finish_scan(self) -> None:
+        if self.accepted and self._remaining == 0:
+            self._finish()
+
+    def _request_db_lock(self) -> None:
+        request = self.db.locks.request(
+            self.owner, DB_RESOURCE, LockMode.SHARED, self._on_db_grant
+        )
+        self._db_ticket = request.ticket
+
+    def _on_db_grant(self, request) -> None:
+        self._db_granted = True
+        self._db_ticket = request.ticket
+        self._maybe_capture()
+
+    def _maybe_capture(self) -> None:
+        if self._db_granted and self._begun and not self._capturing:
+            self._capturing = True
+            self.node.call_when_quiescent_below(self._capture_gid, self._capture)
+
+    def _capture(self) -> None:
+        """Every transaction at or below the capture gid has terminated:
+        read the state as of it."""
+        if not self.active:
+            return
+        if self.strategy.capture is Capture.DOWNGRADE:
+            self.boundary = self._capture_gid
+            self._downgrade(changed_objects(self.db, self._cover))
+            return
+        if self.strategy.capture is Capture.SNAPSHOT:
+            items = sorted(self.db.read_as_of(self._snapshot_limit).items())
+        else:
+            # The database lock stays held until the session closes:
+            # exactly the suspension section 4.1's baseline exhibits.
+            store = self.db.store
+            items = ((obj, store.read(obj)) for obj in store.objects())
+        for obj, (value, version) in items:
+            if version > self._cover:
+                self.queue_item(obj, value, version)
+        self._finish()
+
+    def _downgrade(self, objects: List[str]) -> None:
+        """Section 4.5: object read locks inherit the database lock's
+        queue position, then the database lock is released."""
+        self._remaining = len(objects)
+        for obj in objects:
+            self.db.locks.request(self.owner, obj, LockMode.SHARED,
+                                  self._on_downgraded_grant, inherit_ticket=self._db_ticket)
+        self.db.locks.release(self.owner, DB_RESOURCE)
+        if not objects:
+            self._finish()
+
+    def _on_downgraded_grant(self, request) -> None:
+        if not self.active:
+            return
+        obj = request.resource
+        self.queue_item(obj, *self.db.store.read(obj))
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._finish()
+
+    # ------------------------------------------------------------------
+    # Lazy rounds (section 4.7)
+    # ------------------------------------------------------------------
+    # The joiner discards transaction messages while rounds ship the
+    # objects updated during the previous one, under no lock.  The last
+    # round (the residual set is small or the round budget spent) is
+    # announced; the joiner starts enqueueing and reports the last gid it
+    # saw-and-discarded; the delimiter d = max(that, the last gid
+    # processed here) and — in the same atomic step — the database read
+    # lock make the capture above, with baseline d.  Round boundaries are
+    # piggybacked on each round's last batch, so a replacement peer
+    # resumes from the joiner's reported progress.
+    def _start_round(self) -> None:
+        if not self.active:
+            return
+        g0 = self.node.last_processed_gid
+        self.node.call_when_quiescent_below(g0, lambda: self._run_round(g0))
+
+    def _run_round(self, g0: int) -> None:
+        if not self.active:
+            return
+        config = self.node.config
+        self.boundary = g0
+        if self._round == 1 and config.partition_count > 0:
+            # The first round goes partition by partition, with
+            # per-partition completion markers for fail-over resume.
+            self._partitions = partition_names(config.partition_count)
+            self._next_partition(g0)
+            return
+        objects = changed_objects(self.db, self._cover)
+        # Termination checks I and II: enter the last round when the
+        # residual set is small enough or the round budget is spent.
+        if self._round > 1 and (len(objects) <= config.lazy_round_threshold
+                                or self._round >= config.lazy_max_rounds):
+            self._announce_last_round()
+            return
+        if self._round == 1 and not objects:
+            self._announce_last_round()
+            return
+        self._queue_committed(objects, g0)
+        self._round_boundary = g0
+        self._cover = g0
+        self._round += 1
+        self._call_on_outbox_drained(self._start_round)
+
+    def _queue_committed(self, objects: List[str], g0: int) -> None:
+        # "Read committed", no held lock.  Every writer at or below g0
+        # has terminated, so a last committed version at or below g0 is
+        # the object as of g0; one written since waits for the next
+        # round, which ships it anyway.
+        for obj in objects:
+            value, version = self.db.read_committed(obj)
+            if version <= g0:
+                self.queue_item(obj, value, version)
+
+    def _next_partition(self, g0: int) -> None:
+        if not self.active:
+            return
+        if not self._partitions:
+            self._cover = g0
+            self._round = 2
+            self._start_round()
+            return
+        partition = self._partitions.pop(0)
+        count = self.node.config.partition_count
+        cover = max(self._cover, self._done_partitions.get(partition, NO_COVER))
+        self._queue_committed([obj for obj in changed_objects(self.db, cover)
+                               if partition_of(obj, count) == partition], g0)
+
+        def partition_done() -> None:
+            self.node.send_transfer(self.joiner, PartitionComplete(
+                session_id=self.session_id, partition=partition, boundary_gid=g0))
+            self._next_partition(g0)
+
+        self._call_on_outbox_drained(partition_done)
+
+    def _announce_last_round(self) -> None:
+        # Tracked: acknowledged by LastRoundReady, retransmitted on loss —
+        # an unanswered announcement would otherwise hang the last round.
+        self.send_tracked("last_round", LastRoundStart(session_id=self.session_id))
+
+    def on_last_round_ready(self, msg: LastRoundReady) -> None:
+        if not self.active:
+            return
+        self.ack_tracked("last_round")
+        if self._capture_gid is not None:
+            return  # duplicate, or not a lazy session
+        self._capture_gid = max(msg.last_discarded_gid, self.node.last_processed_gid)
+        self._request_db_lock()
+
+    # ------------------------------------------------------------------
+    # Outbox
+    # ------------------------------------------------------------------
     def queue_item(self, obj: str, value: Any, version: int) -> None:
         """Queue one object's captured ``(value, version)`` and hand back
         the session's read lock on it, if any: the copy is what ships,
@@ -449,28 +675,17 @@ class PeerTransferSession:
             return
         self._outbox.append((obj, value, version))
         self._maybe_send_batch()
-        self.release_lock(obj)
+        self.db.locks.release(self.owner, obj)
 
-    def announce_partition_complete(self, partition: str, boundary_gid: int) -> None:
-        """Lazy round 1: tell the joiner this partition is complete."""
-        self.node.send_transfer(
-            self.joiner,
-            PartitionComplete(
-                session_id=self.session_id, partition=partition, boundary_gid=boundary_gid
-            ),
-        )
-
-    def set_round_boundary(self, gid: int) -> None:
-        """Lazy transfer: the current round brings the joiner's state up
-        to ``gid``; piggybacked on the round's last batch for fail-over."""
-        self._round_boundary = gid
-
-    def finish(self, baseline_gid: int) -> None:
-        """Strategy is done queueing; complete once the outbox drains."""
-        self._finished_baseline = baseline_gid
+    def _finish(self) -> None:
+        """Everything is queued: complete at the capture gid once the
+        outbox drains (lazy: the last round's boundary, too)."""
+        if self.strategy.lazy:
+            self._round_boundary = self._capture_gid
+        self._finished_baseline = self._capture_gid
         self._maybe_send_batch()
 
-    def call_on_outbox_drained(self, callback: Callable[[], None]) -> None:
+    def _call_on_outbox_drained(self, callback: Callable[[], None]) -> None:
         """Lazy transfer: run ``callback`` when the current round's items
         have all been sent and acknowledged."""
         self._batch_cb = callback
@@ -551,11 +766,6 @@ class PeerTransferSession:
         self._inflight = None
         self._maybe_send_batch()
 
-    def on_last_round_ready(self, msg: LastRoundReady) -> None:
-        if self.active:
-            self.ack_tracked("last_round")
-            self.strategy.on_last_round_ready(self, msg)
-
     def on_complete_ack(self, ack: TransferCompleteAck) -> None:
         self.ack_tracked("complete")
 
@@ -565,11 +775,30 @@ class PeerTransferSession:
             self.on_done(self)
 
     # ------------------------------------------------------------------
+    def _close(self) -> None:
+        """Give back the capture and the outcome pin, exactly once: a
+        completed session stays active until the joiner acknowledges the
+        completion, and a cancel may still follow."""
+        if self._closed:
+            return
+        self._closed = True
+        # cancel(), not release(): a session torn down while one of its
+        # lock requests is still queued (e.g. the joiner died before
+        # accepting and the database lock was contended) must also drop
+        # that waiting request — otherwise it is granted to the dead
+        # session later and the database lock is held forever, freezing
+        # every writer on this site.
+        self.db.locks.cancel(self.owner)
+        if self._snapshot_limit is not None:
+            self.db.end_version_snapshot(self._snapshot_limit)
+        self.db.outcomes.unpin(self.owner)
+
     def _complete(self) -> None:
         self.completed = True
         self.finished_at = self.node.sim.now
-        self.release_all_locks()
-        self.strategy.on_session_closed(self)
+        # Unpinned before the outcome snapshot below: the pin only holds
+        # back a checkpoint's collapse, and none runs in between.
+        self._close()
         self.send_tracked(
             "complete",
             TransferComplete(session_id=self.session_id,
@@ -578,7 +807,6 @@ class PeerTransferSession:
                              outcomes=self.db.outcomes.snapshot_through(
                                  self._finished_baseline)),
         )
-        self.db.outcomes.unpin(self.owner)
 
     def cancel(self) -> None:
         """Stop the session (joiner left, peer stalled, superseded)."""
@@ -589,9 +817,7 @@ class PeerTransferSession:
             if entry["event"] is not None:
                 entry["event"].cancel()
         self._tracked.clear()
-        self.release_all_locks()
-        self.strategy.on_session_closed(self)
-        self.db.outcomes.unpin(self.owner)
+        self._close()
 
 
 # ----------------------------------------------------------------------

@@ -95,10 +95,8 @@ def remove_report_hook(hook: ReportHook) -> None:
         pass
 
 
-def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy,
+def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy: str,
                     completed: bool) -> ScenarioReport:
-    if not isinstance(strategy, str):
-        strategy = strategy.name
     transfers_started = transfers_completed = announcements = 0
     svs = sv = replayed = 0
     for node in cluster.nodes.values():

@@ -11,7 +11,8 @@ import pytest
 from repro.faults.chaos import run_chaos
 
 CASES = [
-    # (mode, seed) -> the bug the run originally exposed
+    # (mode, seed[, strategy]) -> the bug the run originally exposed;
+    # the strategy is ``rectable`` unless named
     ("evs", 9),   # Ordered discarded while frozen for an aborted round:
                   # top-of-sequence loss with no gap below it, never NAKed
     ("evs", 2),   # creation round state kept across views: the old
@@ -61,10 +62,20 @@ CASES = [
     ("evs", 179),  # wrong transfer install: a creation source, still at
     ("evs", 264),  # its pre-creation last processed gid, re-offered the
                    # merged state to a caught-up joiner as of that gid
+    ("vs", 16, "log_filter"),  # KeyError in read_as_of: a completed
+    ("logless", 2, "log_filter"),  # session, cancelled later, ended its
+                   # snapshot a second time and dropped the one a sibling
+                   # session at the same sync point still had to read
 ]
 
 
-@pytest.mark.parametrize("mode,seed", CASES)
-def test_pinned_chaos_regressions(mode, seed):
-    report = run_chaos(seed=seed, mode=mode)
-    assert report.ok, f"chaos {mode} seed={seed}: {report.error}"
+def _case_id(case):
+    return "-".join(str(part) for part in case)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_pinned_chaos_regressions(case):
+    mode, seed, *strategy = case
+    strategy = strategy[0] if strategy else "rectable"
+    report = run_chaos(seed=seed, mode=mode, strategy=strategy)
+    assert report.ok, f"chaos {mode} seed={seed} strategy={strategy}: {report.error}"

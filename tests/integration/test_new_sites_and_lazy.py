@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import ClusterBuilder, LazyTransferStrategy, LoadGenerator, NodeConfig, WorkloadConfig
-from repro.reconfig.strategies import ALL_STRATEGY_NAMES
+from repro import ClusterBuilder, LoadGenerator, NodeConfig, WorkloadConfig
+from repro.reconfig.strategies import ALL_STRATEGY_NAMES, changed_objects
+from repro.reconfig.transfer import LastRoundStart
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster
 
@@ -134,24 +135,26 @@ class TestLazyInternals:
         end the rounds, so the last round is announced at round
         ``lazy_max_rounds`` with objects still stale.  Round 2's residual
         is a handful of objects here, so any positive threshold would
-        have ended the rounds one round earlier."""
-        stale = LazyTransferStrategy.stale_objects_since
-        announce = LazyTransferStrategy._announce_last_round
-        residuals, last_rounds = [], []
+        have ended the rounds one round earlier.  The announcement is
+        watched as the peer sends it: the round that announces has just
+        computed its residual against the session's cover, so the same
+        query at that instant sees the same set."""
+        last_rounds = {}
 
-        def spy_stale(session, cover_gid):
-            objects = stale(session, cover_gid)
-            residuals.append(len(objects))
-            return objects
+        def watch(node, send):
+            def send_transfer(dst, payload):
+                if isinstance(payload, LastRoundStart) and payload.session_id not in last_rounds:
+                    session = next(s for s in node.reconfig.sessions_out.values()
+                                   if s.session_id == payload.session_id)
+                    last_rounds[payload.session_id] = (
+                        session._round, len(changed_objects(node.db, session._cover)))
+                send(dst, payload)
 
-        def spy_announce(strategy, session):
-            last_rounds.append((session.strategy_state["round"], residuals[-1]))
-            announce(strategy, session)
+            return send_transfer
 
-        monkeypatch.setattr(LazyTransferStrategy, "stale_objects_since",
-                            staticmethod(spy_stale))
-        monkeypatch.setattr(LazyTransferStrategy, "_announce_last_round", spy_announce)
         cluster, load = self.make(threshold=0, max_rounds=3, rate=60.0)
+        for node in cluster.nodes.values():
+            monkeypatch.setattr(node, "send_transfer", watch(node, node.send_transfer))
         cluster.run_for(0.4)
         cluster.crash("S3")
         cluster.run_for(0.6)
@@ -164,5 +167,5 @@ class TestLazyInternals:
         assert ok
         cluster.check()
         assert last_rounds and all(
-            round_ == 3 and residual > 0 for round_, residual in last_rounds
+            round_ == 3 and residual > 0 for round_, residual in last_rounds.values()
         ), last_rounds

@@ -159,8 +159,8 @@ TOP_LEVEL = {name: tree for name, tree in RECONFIG.items() if "/" not in name}
 
 
 def test_no_reconfiguration_class_derives_from_another():
-    """``strategies/`` is outside this rule: its base class is the
-    strategy contract, not a hook-bearing chain."""
+    """Transfer strategies included: each is a row of one type
+    (``tests/unit/test_strategies_registry.py``)."""
     defined_here = {item.name for tree in RECONFIG.values()
                     for item in ast.walk(tree) if isinstance(item, ast.ClassDef)}
     derived = sorted(

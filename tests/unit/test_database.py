@@ -1,5 +1,7 @@
 """Unit tests for the per-site database facade."""
 
+import pytest
+
 from repro.db.database import Database
 from repro.db.store import INITIAL_VERSION
 from repro.db.wal import PersistentStorage
@@ -182,6 +184,20 @@ class TestVersionSnapshots:
             assert False, "expected KeyError"
         except KeyError:
             pass
+
+    def test_unbalanced_end_fails_loudly(self):
+        """Sessions at one sync point share a reference-counted snapshot:
+        an end with no begin left would drop a sibling's, so it raises
+        at once instead of at the sibling's next read."""
+        db = make_db()
+        db.begin_version_snapshot(5)
+        db.begin_version_snapshot(5)
+        db.end_version_snapshot(5)
+        db.end_version_snapshot(5)
+        with pytest.raises(ValueError, match="no version snapshot at limit 5"):
+            db.end_version_snapshot(5)
+        with pytest.raises(ValueError, match="no version snapshot at limit 9"):
+            db.end_version_snapshot(9)
 
 
 class TestCommittedReads:

@@ -14,17 +14,6 @@ class TestRecoveryExperiment:
                     "mean_latency", "p95_latency", "lock_wait_total"):
             assert key in report.extra
 
-    def test_strategy_instance_accepted(self):
-        from repro import LazyTransferStrategy, NodeConfig
-
-        report = run_recovery_experiment(
-            strategy=LazyTransferStrategy(), db_size=60,
-            downtime=0.3, arrival_rate=60, seed=7,
-            node_config=NodeConfig(lazy_round_threshold=10),
-        )
-        assert report.completed
-        assert report.strategy == "lazy"
-
     def test_coordination_events_metric(self):
         report = ScenarioReport(
             mode="vs", strategy="x", completed=True, duration=1.0, commits=0,

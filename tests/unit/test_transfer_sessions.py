@@ -6,9 +6,8 @@ from collections import deque
 import pytest
 
 from repro import NodeConfig
-from repro.db.locks import LockMode
+from repro.db.locks import DB_RESOURCE, LockMode
 from repro.reconfig.strategies import strategy_by_name
-from repro.reconfig.strategies.base import TransferStrategy
 from repro.reconfig.transfer import (
     LastRoundReady,
     PartitionComplete,
@@ -26,11 +25,9 @@ from tests.conftest import quick_cluster
 
 
 def make_session(cluster, peer="S1", joiner="S3", strategy="rectable"):
-    """``strategy`` is a registry name or a strategy instance."""
     node = cluster.nodes[peer]
-    if isinstance(strategy, str):
-        strategy = strategy_by_name(strategy)
-    return PeerTransferSession(node, joiner, strategy, sync_gid=node.last_processed_gid)
+    return PeerTransferSession(node, joiner, strategy_by_name(strategy),
+                               sync_gid=node.last_processed_gid)
 
 
 def accept(session, needs_full=True):
@@ -84,13 +81,14 @@ def blocked_writer(cluster, node, obj, txn="W"):
     return granted_at
 
 
-class IdleStrategy(TransferStrategy):
-    """Queues nothing by itself; the test drives ``queue_item``."""
-
-    name = "idle"
-
-    def begin(self, session, accept) -> None:
-        pass
+def idle_session(cluster, peer="S1"):
+    """A ``rectable`` session whose database lock waits behind a writer,
+    so it captures nothing by itself; the test drives ``queue_item``."""
+    node = cluster.nodes[peer]
+    node.db.locks.request("W-idle", next(iter(node.db.store.objects())), LockMode.EXCLUSIVE)
+    session = make_session(cluster, peer=peer)
+    assert not node.db.locks.holds(session.owner, DB_RESOURCE)
+    return session
 
 
 class TestPeerSession:
@@ -144,6 +142,32 @@ class TestPeerSession:
         assert {b.seq for b in batches} == {1, 2}
         assert all(len(b.items) <= 10 for b in batches)
         session.cancel()
+
+    def test_completed_then_cancelled_keeps_a_siblings_snapshot(self):
+        """Two ``log_filter`` sessions at one synchronization point share
+        one reference-counted snapshot.  One completes, and is cancelled
+        later (its joiner left before acknowledging); the sibling, whose
+        joiner accepts only now, still reads the state as of the sync
+        point, because a session gives its snapshot back once."""
+        cluster = quick_cluster(strategy="log_filter", db_size=30)
+        node = cluster.nodes["S1"]
+        first = make_session(cluster, joiner="S2", strategy="log_filter")
+        sibling = make_session(cluster, joiner="S3", strategy="log_filter")
+        assert first.sync_gid == sibling.sync_gid
+        captured = sorted((obj, *node.db.store.read(obj)) for obj in node.db.store.objects())
+        ScriptedJoiner(cluster, first)
+        accept(first)
+        cluster.await_condition(lambda: first.completed, timeout=1, step=0.001)
+        first.cancel()
+        late = first.sync_gid + 1000  # a writer after the sync point
+        node.db.log_begin(late)
+        node.db.apply_write(late, "obj0", "late")
+        node.db.commit(late)
+        joiner = ScriptedJoiner(cluster, sibling)
+        accept(sibling)
+        cluster.run_for(1.0)
+        assert sibling.completed
+        assert [item for batch in joiner.batches for item in batch.items] == captured
 
     def test_payload_bytes_accounted(self):
         cluster = quick_cluster(strategy="full", db_size=20)
@@ -289,7 +313,7 @@ class TestTransferOrder:
             __iter__ = __getitem__ = _no_pass
 
         cluster = quick_cluster(node_config=NodeConfig(transfer_batch_size=50))
-        session = make_session(cluster, strategy=IdleStrategy())
+        session = idle_session(cluster)
         names = [f"bulk{i:05d}" for i in range(10_000)]
         for name in names:
             session.queue_item(name, 0, 0)
