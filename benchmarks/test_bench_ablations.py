@@ -25,7 +25,7 @@ def test_rectable_maintenance_overhead(benchmark):
         load = run_load(cluster, duration=2.0, rate=200, writes=2)
         for site in cluster.universe:
             table = cluster.nodes[site].db.rectable
-            commits = cluster.nodes[site].db.commits
+            commits = cluster.nodes[site].commits
             rows.append([
                 site, commits, table.registrations, table.flushes,
                 round(table.registrations / max(commits, 1), 2), len(table),

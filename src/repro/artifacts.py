@@ -18,7 +18,7 @@ timeline, a differential report has no single cluster).
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def write_text(out_dir: str, name: str, text: str) -> str:
@@ -35,6 +35,16 @@ def schedule_lines(events: Sequence[Tuple[float, str, str]]) -> List[str]:
     schedule digests hash and ``schedule.txt`` holds)."""
     return [f"{time:.6f} {action} {detail}"
             for time, action, detail in events]
+
+
+def digest_lines(lines: Iterable[str]) -> str:
+    """The SHA-256 hex digest of ``lines`` joined by newlines: how every
+    trace, schedule, state and history digest is taken."""
+    # hashlib stays a call-time import: loading OpenSSL costs ~3.5 MB
+    # of resident memory that every ``import repro`` would pay.
+    import hashlib
+
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def render_schedule(events: Sequence[Tuple[float, str, str]]) -> str:
@@ -69,7 +79,7 @@ def dump_run_artifacts(
     tracer: Optional[Any] = None,
     metrics: Optional[Dict[str, Any]] = None,
     cluster: Optional[Any] = None,
-    obs: Optional[Any] = None,
+    prometheus: Optional[str] = None,
     extra: Optional[Dict[str, str]] = None,
 ) -> List[str]:
     """Write one run's failure-evidence bundle to ``out_dir``.
@@ -77,7 +87,8 @@ def dump_run_artifacts(
     ``title`` heads ``repro.txt`` (the verdict line); ``repro_command``
     is the one-line invocation that replays the run.  ``extra`` adds
     caller-specific files (e.g. the search's ``schedule.json`` genome)
-    verbatim.  Returns every path written, in a fixed order.
+    verbatim; ``prometheus`` is an observed run's ``metrics.prom`` text.
+    Returns every path written, in a fixed order.
     """
     written: List[str] = []
 
@@ -97,10 +108,8 @@ def dump_run_artifacts(
     if metrics is not None:
         emit("metrics.txt", "\n".join(
             f"{key} {value}" for key, value in sorted(metrics.items())))
-    if obs is not None:
-        path = os.path.join(out_dir, "metrics.prom")
-        obs.export_prometheus(path)
-        written.append(path)
+    if prometheus is not None:
+        emit("metrics.prom", prometheus)
     if cluster is not None:
         for site in sorted(cluster.universe):
             emit(f"wal_{site}.log", render_wal(cluster, site))

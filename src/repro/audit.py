@@ -39,12 +39,13 @@ artifacts), and a **minimal repro command**.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.artifacts import digest_lines
 
 #: Digest/counter keys that every repeated run must reproduce exactly
 #: ("determinism" axis).  ``trace`` and ``schedule`` exist only for
@@ -171,10 +172,6 @@ CASES: Dict[str, AuditCase] = _build_cases()
 # ----------------------------------------------------------------------
 # Digest collection
 # ----------------------------------------------------------------------
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _collect(cluster, tracer=None, schedule: Optional[List[str]] = None,
              ok: Optional[bool] = None,
              materials: bool = False) -> Dict[str, Any]:
@@ -188,8 +185,9 @@ def _collect(cluster, tracer=None, schedule: Optional[List[str]] = None,
         content = repr(node.db.store.content_digest()) if node.alive else "<down>"
         state_lines.append(f"{site} {node.status.value} {content}")
     history_lines = []
-    for site in sorted(cluster.history.by_site):
-        for event in cluster.history.by_site[site]:
+    by_site = cluster.history.by_site()
+    for site in sorted(by_site):
+        for event in by_site[site]:
             history_lines.append(
                 f"{site} {event.time:.9f} {event.gid} {event.kind}"
             )
@@ -198,9 +196,9 @@ def _collect(cluster, tracer=None, schedule: Optional[List[str]] = None,
     commit_gids = {e.gid for e in cluster.history.events if e.kind == "commit"}
     payload: Dict[str, Any] = {
         "digests": {
-            "state": _sha("\n".join(state_lines)),
-            "history": _sha("\n".join(history_lines)),
-            "aborts": _sha(repr(abort_gids)),
+            "state": digest_lines(state_lines),
+            "history": digest_lines(history_lines),
+            "aborts": digest_lines([repr(abort_gids)]),
         },
         "counters": {
             "commits": len(commit_gids),
@@ -214,9 +212,9 @@ def _collect(cluster, tracer=None, schedule: Optional[List[str]] = None,
     trace_lines: List[str] = []
     if tracer is not None:
         trace_lines = [str(event) for event in tracer.events]
-        payload["digests"]["trace"] = _sha("\n".join(trace_lines))
+        payload["digests"]["trace"] = digest_lines(trace_lines)
     if schedule is not None:
-        payload["digests"]["schedule"] = _sha("\n".join(schedule))
+        payload["digests"]["schedule"] = digest_lines(schedule)
     if materials:
         payload["materials"] = {
             "state": state_lines,

@@ -46,7 +46,6 @@ class HistoryRecorder:
     def __init__(self, clock=None, initial: Optional[Dict[str, Any]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self.events: List[TxnEvent] = []
-        self.by_site: Dict[str, List[TxnEvent]] = {}
         self.initial: Dict[str, Any] = dict(initial or {})  # version -1 values
         self.wrong_installs: List[str] = []  # check_installed_state's, in order
         # obj -> {gid: value} committed in events[:_indexed] (built at installs)
@@ -54,9 +53,8 @@ class HistoryRecorder:
         self._indexed = 0
 
     def record(self, site: str, kind: str, gid: int, message: TransactionMessage) -> None:
-        event = TxnEvent(site=site, kind=kind, gid=gid, message=message, time=self._clock())
-        self.events.append(event)
-        self.by_site.setdefault(site, []).append(event)
+        self.events.append(TxnEvent(site=site, kind=kind, gid=gid,
+                                    message=message, time=self._clock()))
 
     def record_install(self, site: str, boundary: int, items) -> None:
         """``site`` installed (object, value, version) ``items`` as the
@@ -78,8 +76,16 @@ class HistoryRecorder:
                     f"there is {expected[1]!r} at version {expected[0]}")
 
     # ------------------------------------------------------------------
+    def by_site(self) -> Dict[str, List[TxnEvent]]:
+        """The events grouped per site, sites in order of first event."""
+        grouped: Dict[str, List[TxnEvent]] = {}
+        for event in self.events:
+            grouped.setdefault(event.site, []).append(event)
+        return grouped
+
     def commits_of(self, site: str) -> List[int]:
-        return [e.gid for e in self.by_site.get(site, []) if e.kind == "commit"]
+        return [e.gid for e in self.events
+                if e.site == site and e.kind == "commit"]
 
 
 class ConsistencyViolation(AssertionError):
@@ -106,7 +112,7 @@ def check_processing_order(history: HistoryRecorder) -> None:
     write phases run concurrently), so we check the per-site gid streams
     only for duplicates; delivery-order is enforced by construction and
     covered by gid consistency."""
-    for site, events in history.by_site.items():
+    for site, events in history.by_site().items():
         seen: Set[int] = set()
         for event in events:
             if event.gid in seen:

@@ -155,7 +155,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from repro.obs import (
         attach_observability, load_jsonl, render_one_screen, render_summary,
-        write_chrome_trace, write_jsonl, write_prometheus,
+        run_data, write_chrome_trace, write_jsonl, write_prometheus,
     )
 
     render = render_one_screen if args.summary else render_summary
@@ -172,7 +172,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cluster, victim, ok = outcome
     name = (f"recover {victim} (seed={args.seed} strategy={args.strategy} "
             f"mode={args.mode})")
-    run = cluster.obs.run_data(name)
+    run = run_data(cluster, cluster.tracer, name)
     print(render(run))
     if args.summary:
         # One-screen digest only; no artifact files.
@@ -334,17 +334,20 @@ def _print_campaign_run(args: argparse.Namespace, engine) -> None:
     if report.profiler is not None:
         print()
         print(report.profiler.render(limit=16))
-    if report.obs is not None:
+    if config.observe:
         # Explicitly requested dumps — and, on an invariant failure, the
         # full evidence regardless of which flag was passed.
+        from repro.obs import run_data, write_chrome_trace, write_prometheus
+
+        run = run_data(engine.cluster, report.tracer,
+                       f"{kind} seed={config.seed} mode={config.mode}")
         if args.trace is not None or not report.ok:
             trace_path = args.trace or "chaos_trace.json"
-            report.obs.export_chrome_trace(
-                trace_path, f"{kind} seed={config.seed} mode={config.mode}")
+            write_chrome_trace(run, trace_path)
             print(f"trace written to {trace_path}")
         if args.metrics is not None or not report.ok:
             metrics_path = args.metrics or "chaos_metrics.prom"
-            report.obs.export_prometheus(metrics_path)
+            write_prometheus(run.metrics, metrics_path)
             print(f"metrics written to {metrics_path}")
     if report.ok:
         print(_CAMPAIGN_VIEWS[kind]["passed"])

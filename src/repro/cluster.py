@@ -153,22 +153,12 @@ class Cluster:
         self._gcs_config: Optional[GCSConfig] = None
         self._node_config = None
         self._backend: ReconfigBackend = backend_by_name("vs")
-        #: Observability handle (repro.obs.Observability), set by
-        #: :meth:`attach_observability`.  None = no ``txn`` span events.
-        self.obs = None
         #: Shared event sink (repro.tracing.Tracer), set by
         #: ``attach_tracer``; None = untraced.
         self.tracer = None
-
-    def attach_observability(self):
-        """Attach the unified observability layer (tracer + spans).
-
-        Idempotent; returns the :class:`repro.obs.Observability` handle.
-        Call before :meth:`start` to capture the whole run.
-        """
-        from repro.obs import attach_observability
-
-        return attach_observability(self)
+        #: Every node emits ``txn`` span events, set by
+        #: ``repro.obs.attach_observability``.
+        self.trace_txns = False
 
     # ------------------------------------------------------------------
     # Node construction (used by the builder and by add_site)
@@ -190,7 +180,7 @@ class Cluster:
         node.on_transfer_install = self.history.record_install
         # A site added to a traced/observed cluster is traced/observed too.
         node.tracer = self.tracer
-        node.obs = self.obs
+        node.trace_txns = self.trace_txns
         self.nodes[site] = node
         return node
 

@@ -56,8 +56,6 @@ class Database:
         self.last_delivered_gid: Optional[int] = None
         #: Delivered gids above the baseline not yet committed or aborted.
         self._unterminated: Set[int] = set()
-        self.commits = 0
-        self.aborts = 0
 
     # ------------------------------------------------------------------
     # Bootstrap and recovery
@@ -172,7 +170,6 @@ class Database:
         for obj, _, _ in self._uncommitted_writes.pop(gid, ()):
             self.rectable.register(obj, gid)
         self._unterminated.discard(gid)
-        self.commits += 1
 
     def abort(self, gid: int, request=None) -> None:
         """Undo any installed writes and terminate the transaction."""
@@ -181,7 +178,6 @@ class Database:
         self.storage.append(AbortRecord(gid, request))
         self.storage.flush()
         self._unterminated.discard(gid)
-        self.aborts += 1
 
     def rollback(self, gid: int) -> None:
         """Undo installed writes *without* terminating the transaction.

@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Tuple
 
+from repro.artifacts import digest_lines
 from repro.faults.campaign import CampaignConfig, CampaignReport
 from repro.faults.storage import StableStateCorruptor
 
@@ -141,15 +142,10 @@ class EnduranceReport(CampaignReport):
         )
 
     def payload(self) -> Dict[str, Any]:
-        import hashlib  # call-time, as in CampaignReport.payload
-
-        timeline = "\n".join(
-            f"{t:.6f} {c} {int(m)}" for t, c, m in self.samples
-        )
         payload = super().payload()
         payload["availability"] = self.availability()
-        payload["availability_digest"] = hashlib.sha256(
-            timeline.encode()).hexdigest()
+        payload["availability_digest"] = digest_lines(
+            f"{t:.6f} {c} {int(m)}" for t, c, m in self.samples)
         return payload
 
 

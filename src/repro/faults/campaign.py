@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from repro.artifacts import dump_run_artifacts, schedule_lines
+from repro.artifacts import digest_lines, dump_run_artifacts, schedule_lines
 from repro.checkers import ConsistencyViolation, run_all_checks
 from repro.cluster import Cluster, ClusterBuilder
 from repro.faults.injectors import (
@@ -33,7 +33,8 @@ from repro.faults.injectors import (
     ReorderInjector,
 )
 from repro.faults.storage import TornTailFaults
-from repro.obs.attach import collect_cluster_metrics
+from repro.obs.attach import attach_observability, collect_cluster_metrics, run_data
+from repro.obs.export import prometheus_text
 from repro.reconfig.backends import backend_by_name
 from repro.replication.node import NodeConfig, SiteStatus
 from repro.tracing import Tracer, attach_tracer
@@ -98,10 +99,9 @@ class CampaignConfig:
     #: exactly-once checking; 0 drives the run with the open-loop
     #: LoadGenerator instead.
     clients: Optional[int] = None
-    #: Attach the full observability layer (causal spans and their
-    #: ``txn`` event sources, repro.obs) instead of the bare tracer; the
-    #: report then carries an ``obs`` handle whose trace/metrics can be
-    #: exported.
+    #: Attach the full observability layer (the tracer plus the ``txn``
+    #: events the causal spans are computed from, repro.obs) instead of
+    #: the bare tracer, so the run's trace and metrics can be exported.
     observe: bool = False
     #: Attach the deterministic event-loop profiler
     #: (repro.obs.profile.SimProfiler).  Observation-equivalent: the
@@ -145,9 +145,6 @@ class CampaignReport:
     wal_tears: int = 0
     wal_corruptions: int = 0
     tracer: Optional[Tracer] = None
-    #: Observability handle (repro.obs.Observability) when the run was
-    #: built with ``observe=True``.
-    obs: Optional[Any] = None
     #: Profiler handle (repro.obs.profile.SimProfiler) when the run was
     #: built with ``profile=True``.
     profiler: Optional[Any] = None
@@ -178,15 +175,9 @@ class CampaignReport:
         schedule and the full trace (the trace itself can be thousands
         of lines; a fleet only needs to compare runs, and a digest
         mismatch pinpoints the seed to re-run locally)."""
-        # hashlib stays a call-time import: loading OpenSSL costs ~3.5 MB
-        # of resident memory that every ``import repro`` would pay.
-        import hashlib
-
         from repro.obs.epochs import epoch_summary
 
-        trace = ""
-        if self.tracer is not None:
-            trace = "\n".join(str(event) for event in self.tracer.events)
+        trace = self.tracer.events if self.tracer is not None else ()
         payload = {
             "epochs": epoch_summary(self.epochs()),
             "seed": self.seed,
@@ -196,10 +187,9 @@ class CampaignReport:
             "wal_tears": self.wal_tears,
             "wal_corruptions": self.wal_corruptions,
             "metrics": dict(self.metrics),
-            "schedule_digest": hashlib.sha256(
-                "\n".join(self.schedule_lines()).encode()).hexdigest(),
-            "trace_digest": hashlib.sha256(trace.encode()).hexdigest(),
-            "trace_events": len(self.tracer.events) if self.tracer else 0,
+            "schedule_digest": digest_lines(self.schedule_lines()),
+            "trace_digest": digest_lines(str(event) for event in trace),
+            "trace_events": len(trace),
         }
         for name in self.PAYLOAD_EXTRAS:
             payload[name] = getattr(self, name)
@@ -298,7 +288,7 @@ class Campaign:
         ).build()
         self.cluster = cluster
         if config.observe:
-            self.report.obs = cluster.attach_observability()
+            attach_observability(cluster)
         else:
             attach_tracer(cluster)
         self.report.tracer = cluster.tracer
@@ -510,6 +500,7 @@ def dump_artifacts(engine: Campaign, out_dir: str, *,
         tracer=report.tracer,
         metrics=report.metrics,
         cluster=engine.cluster,
-        obs=report.obs,
+        prometheus=(prometheus_text(run_data(engine.cluster, report.tracer).metrics)
+                    if config.observe else None),
         extra=extra,
     )

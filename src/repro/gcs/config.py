@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.gcs.primary import PRIMARY_POLICIES, unknown_policy
+
 
 @dataclass
 class GCSConfig:
@@ -85,6 +87,8 @@ class GCSConfig:
             raise ValueError("suspect_timeout must exceed presence_interval")
         if self.round_timeout <= self.flush_timeout:
             raise ValueError("round_timeout must exceed flush_timeout")
+        if self.primary_policy not in PRIMARY_POLICIES:
+            raise unknown_policy(self.primary_policy)
         if self.dynamic_universe and self.primary_policy != "dynamic_linear":
             raise ValueError(
                 "dynamic_universe requires primary_policy='dynamic_linear' "

@@ -37,7 +37,7 @@ from repro.gcs.messages import (
     Sync,
     round_priority,
 )
-from repro.gcs.primary import PrimaryLineage, policy_by_name
+from repro.gcs.primary import PrimaryLineage, is_primary
 from repro.gcs.total_order import ViewTotalOrder
 from repro.gcs.view import View, ViewId, singleton_view
 from repro.net.network import Network
@@ -98,7 +98,6 @@ class GroupMember(Process):
         self.epoch_floor = 0
         self.gseq_floor = 0
 
-        self.primary_policy = policy_by_name(self.config.primary_policy)
         self.lineage: Optional[PrimaryLineage] = None
         #: The lineage this member claimed in the round that installed
         #: its current view: its knowledge before that view, and None
@@ -159,9 +158,9 @@ class GroupMember(Process):
         self.stale_members = ()
         self.sync_unions = {}
         self.view = singleton_view(self.node_id, self.epoch_floor)
-        self._view_primary = self.primary_policy.decide(
-            self.view.members, len(self.universe), [self.lineage]
-        )
+        self._view_primary = is_primary(
+            self.config.primary_policy, self.view.members, len(self.universe),
+            [self.lineage])
         self.to = self._new_total_order(self.view, self.gseq_floor)
         if self.app is not None:
             self.app.on_view_change(self.view, {self.node_id: self.collect_flush_state()})

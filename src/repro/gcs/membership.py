@@ -43,7 +43,7 @@ from repro.gcs.messages import (
     Sync,
     round_priority,
 )
-from repro.gcs.primary import PrimaryLineage, most_recent
+from repro.gcs.primary import PrimaryLineage, is_primary, most_recent
 from repro.gcs.view import View, ViewId
 from repro.sim.core import Event
 from repro.sim.process import delay_until
@@ -353,9 +353,9 @@ class MembershipEngine:
         # claims (section 2.1: static majority, or majority of the
         # previous primary view).
         claims = [reply.lineage for reply in self._flushes.values()]
-        new_view_primary = member.primary_policy.decide(
-            new_view.members, len(member.universe), claims
-        )
+        new_view_primary = is_primary(
+            member.config.primary_policy, new_view.members,
+            len(member.universe), claims)
         best = most_recent(claims)
         if new_view_primary:
             generation = (best.generation + 1) if best is not None else 1

@@ -22,7 +22,7 @@ so all installers of a view agree on its primacy by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -44,48 +44,26 @@ def most_recent(claims: Sequence[Optional[PrimaryLineage]]) -> Optional[PrimaryL
     return best
 
 
-class PrimaryPolicy:
-    """Interface: decide whether a freshly formed view is primary."""
-
-    name = "abstract"
-
-    def decide(
-        self,
-        members: Tuple[str, ...],
-        universe_size: int,
-        claims: Sequence[Optional[PrimaryLineage]],
-    ) -> bool:
-        raise NotImplementedError
+#: The policies a ``GCSConfig.primary_policy`` can name: ``static`` —
+#: the paper's default, a majority of the static universe — and
+#: ``dynamic_linear`` — a majority of the previous primary view
+#: (bootstrap: of the universe).
+PRIMARY_POLICIES = ("static", "dynamic_linear")
 
 
-class StaticMajorityPolicy(PrimaryPolicy):
-    """The paper's default: majority of the static universe."""
+def unknown_policy(policy: str) -> ValueError:
+    return ValueError(f"unknown primary policy {policy!r}; "
+                      f"known: {sorted(PRIMARY_POLICIES)}")
 
-    name = "static"
 
-    def decide(self, members, universe_size, claims) -> bool:
+def is_primary(policy: str, members: Sequence[str], universe_size: int,
+               claims: Sequence[Optional[PrimaryLineage]]) -> bool:
+    """Is a freshly formed view of ``members`` primary under ``policy``,
+    given the lineage ``claims`` its members flushed?"""
+    if policy not in PRIMARY_POLICIES:
+        raise unknown_policy(policy)
+    lineage = most_recent(claims) if policy == "dynamic_linear" else None
+    if lineage is None:
         return 2 * len(members) > universe_size
-
-
-class DynamicLinearPolicy(PrimaryPolicy):
-    """Majority of the previous primary view (bootstrap: of the universe)."""
-
-    name = "dynamic_linear"
-
-    def decide(self, members, universe_size, claims) -> bool:
-        lineage = most_recent(claims)
-        if lineage is None:
-            return 2 * len(members) > universe_size
-        overlap = len(set(members) & set(lineage.members))
-        return 2 * overlap > len(lineage.members)
-
-
-def policy_by_name(name: str) -> PrimaryPolicy:
-    policies: Dict[str, type] = {
-        StaticMajorityPolicy.name: StaticMajorityPolicy,
-        DynamicLinearPolicy.name: DynamicLinearPolicy,
-    }
-    try:
-        return policies[name]()
-    except KeyError:
-        raise ValueError(f"unknown primary policy {name!r}; known: {sorted(policies)}") from None
+    overlap = len(set(members) & set(lineage.members))
+    return 2 * overlap > len(lineage.members)

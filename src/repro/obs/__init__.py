@@ -1,15 +1,17 @@
 """repro.obs — the unified observability layer.
 
-One attach call instruments a whole cluster::
+One attach call instruments a whole cluster; one function snapshots
+the run for the exporters::
 
-    from repro.obs import attach_observability
+    from repro.obs import attach_observability, run_data
 
     cluster = ClusterBuilder(...).build()
-    obs = attach_observability(cluster)   # before cluster.start()
+    tracer = attach_observability(cluster)  # before cluster.start()
     ...
-    obs.export_chrome_trace("trace.json")  # chrome://tracing / Perfetto
-    obs.export_jsonl("run.jsonl")          # replayable event log
-    obs.export_prometheus("metrics.prom")  # text exposition snapshot
+    run = run_data(cluster, tracer)
+    write_chrome_trace(run, "trace.json")  # chrome://tracing / Perfetto
+    write_jsonl(run, "run.jsonl")          # replayable event log
+    write_prometheus(run.metrics, "metrics.prom")  # text exposition
 
 See docs/OBSERVABILITY.md for the metric catalog, the span model and
 the exporter formats.  Every metric comes from one pull collector,
@@ -18,10 +20,10 @@ benchmark (``perf/workloads.py``) reads its counters through it.
 """
 
 from repro.obs.attach import (
-    Observability,
     attach_observability,
     collect_cluster_metrics,
     metric_key_set,
+    run_data,
 )
 from repro.obs.epochs import (
     EpochRecord,
@@ -57,7 +59,6 @@ from repro.obs.spans import Span, spans_of
 
 __all__ = [
     "EpochRecord",
-    "Observability",
     "PHASE_ORDER",
     "PhaseSlice",
     "RunData",
@@ -82,6 +83,7 @@ __all__ = [
     "render_one_screen",
     "render_phase_comparison",
     "render_summary",
+    "run_data",
     "span_durations",
     "spans_of",
     "uncovered_blocked_time",

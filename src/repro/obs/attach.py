@@ -7,22 +7,17 @@ can take a snapshot per workload without perturbing the measurement,
 and it needs nothing attached.
 
 :func:`attach_observability` attaches the event side: the tracer and
-``node.obs``, which switches on the per-transaction ``txn`` events the
-transaction spans are computed from at export
-(:func:`repro.obs.spans.spans_of`).  Reachable as
-``cluster.attach_observability()`` / ``cluster.obs`` once attached.
+the nodes' ``trace_txns`` flag, which switches on the per-transaction
+``txn`` events the transaction spans are computed from at export
+(:func:`repro.obs.spans.spans_of`).  :func:`run_data` snapshots a run
+from the cluster and its tracer for the exporters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict
 
-from repro.obs.export import (
-    RunData,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-)
+from repro.obs.export import RunData
 from repro.tracing import attach_tracer
 
 
@@ -177,65 +172,28 @@ _CANONICAL_METRIC_KEYS: tuple = (
 ) + tuple(BACKEND_COUNTER_KEYS)
 
 
-# ----------------------------------------------------------------------
-# The handle
-# ----------------------------------------------------------------------
-class Observability:
-    """Everything attached to one cluster: the tracer.  Spans are
-    computed from its events and metrics read from the cluster, on
-    demand."""
-
-    def __init__(self, cluster, tracer) -> None:
-        self.cluster = cluster
-        self.tracer = tracer
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"counters": collect_cluster_metrics(self.cluster)}
-
-    def run_data(self, name: str = "repro run",
-                 meta: Optional[Dict[str, Any]] = None) -> RunData:
-        """Snapshot the whole run.  Its spans end where the events say,
-        or at now (``open_at_end``) if the run has not ended them yet."""
-        now = self.cluster.sim.now
-        merged: Dict[str, Any] = {
-            "name": name,
-            "virtual_time": now,
-            "sites": list(self.cluster.universe),
-        }
-        if meta:
-            merged.update(meta)
-        return RunData(
-            meta=merged,
-            events=list(self.tracer.events),
-            metrics=self.snapshot(),
-        )
-
-    # Convenience exporters ---------------------------------------------
-    def export_jsonl(self, path: str, name: str = "repro run") -> RunData:
-        run = self.run_data(name)
-        write_jsonl(run, path)
-        return run
-
-    def export_chrome_trace(self, path: str, name: str = "repro run") -> RunData:
-        run = self.run_data(name)
-        write_chrome_trace(run, path)
-        return run
-
-    def export_prometheus(self, path: str) -> None:
-        write_prometheus(self.snapshot(), path)
+def run_data(cluster, tracer, name: str = "repro run") -> RunData:
+    """Snapshot a whole run: its trace events and the cluster's metrics.
+    Its spans end where the events say, or at now (``open_at_end``) if
+    the run has not ended them yet."""
+    return RunData(
+        meta={"name": name, "virtual_time": cluster.sim.now,
+              "sites": list(cluster.universe)},
+        events=list(tracer.events),
+        metrics={"counters": collect_cluster_metrics(cluster)},
+    )
 
 
-def attach_observability(cluster) -> Observability:
-    """Observe a cluster: the tracer and the ``txn`` span sources.
+def attach_observability(cluster):
+    """Observe a cluster: the tracer, and the ``txn`` events the
+    transaction spans are computed from.  Returns the tracer.
 
     Idempotent; reuses an already-attached tracer (e.g. from the chaos
     engine).  Attach before ``cluster.start()`` for complete coverage —
     late attachment still works, it just misses earlier events.
     """
-    if cluster.obs is not None:
-        return cluster.obs
     tracer = cluster.tracer or attach_tracer(cluster)
-    cluster.obs = Observability(cluster, tracer)
+    cluster.trace_txns = True
     for node in cluster.nodes.values():
-        node.obs = cluster.obs
-    return cluster.obs
+        node.trace_txns = True
+    return tracer

@@ -170,7 +170,7 @@ def _prom_name(name: str) -> str:
 
 
 def prometheus_text(snapshot: Dict[str, Any]) -> str:
-    """Render an :meth:`Observability.snapshot` in text exposition
+    """Render a :attr:`RunData.metrics` snapshot in text exposition
     format (the format a /metrics endpoint would serve): one counter
     family per collected key."""
     lines: List[str] = []

@@ -77,9 +77,6 @@ class EvsMembership:
     # ------------------------------------------------------------------
     # Membership policy: up-to-dateness is structural (section 5.2)
     # ------------------------------------------------------------------
-    def in_primary_component(self) -> bool:
-        return self._evs.in_primary_subview()
-
     def any_up_to_date(self, view) -> bool:
         return self._primary_subview(self._evs.eview) is not None
 
@@ -116,7 +113,7 @@ class EvsMembership:
             # them.  Such a site stays a joiner; maybe_activate promotes
             # it once the replay finishes.
             replay_pending = self.manager.replaying or self.manager.enqueued
-            node.up_to_date = self.in_primary_component() and not replay_pending
+            node.up_to_date = self._evs.in_primary_subview() and not replay_pending
             node._handle_membership_change(eview.view, states)
         else:
             node.trace("eview", reason, repr(eview))

@@ -243,9 +243,6 @@ class LoglessMembership:
         marked_view_change(self, view, states)
         self._coordinator_repair(view)
 
-    def in_primary_component(self) -> bool:
-        return True
-
     def view_up_to_date(self) -> Dict[str, bool]:
         """Nothing: the config writes an installing SYNC delivered are
         not read here, as the vs membership reads its announcements."""

@@ -86,9 +86,9 @@ def elect_peer(candidates, index: int) -> Optional[str]:
 #: defines exactly these, with no default (docs/RECONFIG_BACKENDS.md,
 #: "Adding a backend", has one row each).
 MEMBERSHIP_SEAM = (
-    "CONTROL_ROUTES", "flush_extra", "on_gcs_change", "in_primary_component",
-    "any_up_to_date", "view_up_to_date", "on_caught_up", "on_creation_source",
-    "on_activated", "on_peer_session_end", "join_settled", "forget",
+    "CONTROL_ROUTES", "flush_extra", "on_gcs_change", "any_up_to_date",
+    "view_up_to_date", "on_caught_up", "on_creation_source", "on_activated",
+    "on_peer_session_end", "join_settled", "forget",
 )
 
 
@@ -163,10 +163,9 @@ class ReconfigManager:
         self.solicits_sent = 0
         self.transfer_retransmissions = 0
         membership = self.membership = backend.membership(self)
-        # The node's membership callbacks and its three view-change
+        # The node's membership callbacks and its two view-change
         # questions are the membership's to answer.
         self.on_view_change = self.on_eview_change = membership.on_gcs_change
-        self.in_primary_component = membership.in_primary_component
         self.any_up_to_date = membership.any_up_to_date
         self.view_up_to_date = membership.view_up_to_date
         self.flush_extra = membership.flush_extra
@@ -868,10 +867,6 @@ class VsMembership:
 
     def flush_extra(self) -> Dict[str, Any]:
         return {}
-
-    def in_primary_component(self) -> bool:
-        """The primary view is all the structure there is."""
-        return True
 
     def view_up_to_date(self) -> Dict[str, bool]:
         """The announcements the installing SYNC delivered to any group

@@ -318,13 +318,7 @@ class PeerTransferSession:
         self._offer_attempts = 0
         self._batch_seq = 0
         self._last_acked_seq = 0
-        self.retransmissions = 0
-        self.stalled = False
-
-        self.objects_sent = 0
-        self.bytes_sent = 0
         self.started_at = node.sim.now
-        self.finished_at: Optional[float] = None
 
         # Every strategy finishes at a baseline at or above the sync gid:
         # keep the outcome table's rows down to it until the snapshot.
@@ -388,7 +382,6 @@ class PeerTransferSession:
             self._fail_stalled(kind)
             return
         if entry["attempts"]:
-            self.retransmissions += 1
             self.node.reconfig.transfer_retransmissions += 1
             self.node.trace(
                 "fault", "xfer_retransmit",
@@ -410,7 +403,6 @@ class PeerTransferSession:
         solicit one) without waiting for a view change."""
         if not self.active:
             return
-        self.stalled = True
         self.node.trace("fault", "xfer_stalled",
                         f"session -> {self.joiner} gave up on {kind}")
         self.cancel()
@@ -730,8 +722,6 @@ class PeerTransferSession:
         if self._round_boundary is not None and not self._outbox:
             round_boundary = self._round_boundary
         self._batch_seq += 1
-        self.objects_sent += len(items)
-        self.bytes_sent += payload_bytes
         manager = self.node.reconfig
         manager.objects_sent_total += len(items)
         manager.bytes_sent_total += payload_bytes
@@ -795,7 +785,6 @@ class PeerTransferSession:
 
     def _complete(self) -> None:
         self.completed = True
-        self.finished_at = self.node.sim.now
         # Unpinned before the outcome snapshot below: the pin only holds
         # back a checkpoint's collapse, and none runs in between.
         self._close()
@@ -832,7 +821,6 @@ class JoinerTransferSession:
         self.node = node
         self.session_id = offer.session_id
         self.peer = offer.peer
-        self.strategy_name = offer.strategy
         self.sync_gid = offer.sync_gid
         self.offer_time = offer.created_at
         self.resume_through = resume_through
@@ -840,8 +828,6 @@ class JoinerTransferSession:
         self.active = True
         self.complete = False
         self.baseline_gid: Optional[int] = None
-        self.objects_received = 0
-        self.bytes_received = 0
         self._last_batch_seq = 0
         #: EVS: this session's own CatchUpComplete signal is out.
         self.catch_up_sent = False
@@ -908,8 +894,6 @@ class JoinerTransferSession:
             for obj, _value, version in items:
                 if version >= 0:
                     self.node.db.rectable.register(obj, version)
-            self.objects_received += len(items)
-            self.bytes_received += batch.payload_bytes
             manager = self.node.reconfig
             manager.objects_received_total += len(items)
             manager.bytes_received_total += batch.payload_bytes

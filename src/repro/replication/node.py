@@ -226,13 +226,13 @@ class ReplicatedDatabaseNode:
         #: at crash time to tear/corrupt the unflushed WAL tail.
         self.storage_faults = None
         #: Optional event sink (repro.tracing.Tracer): every protocol,
-        #: fault and — while ``obs`` is set — transaction event leaves
-        #: the site through :meth:`trace`.
+        #: fault and — while ``trace_txns`` is set — transaction event
+        #: leaves the site through :meth:`trace`.
         self.tracer = None
-        #: Observability handle (repro.obs.Observability) when attached:
-        #: switches on the per-transaction ``txn`` trace events, the span
-        #: sources.  None keeps them at one attribute check each.
-        self.obs = None
+        #: Emit the per-transaction ``txn`` trace events, the span
+        #: sources (set by ``repro.obs.attach_observability``).  False
+        #: keeps them at one attribute check each.
+        self.trace_txns = False
 
         # Metrics / event taps.
         self.on_txn_event: Optional[Callable[[str, str, int, Any], None]] = None
@@ -371,7 +371,7 @@ class ReplicatedDatabaseNode:
             on_done=on_done,
         )
         self._local_txns[txn.txn_id] = txn
-        if self.obs is not None:
+        if self.trace_txns:
             self.trace("txn", "submit", data={"txn": txn.txn_id})
         if self.config.protocol == "conservative":
             # No local read phase: everything executes at delivery time
@@ -494,10 +494,11 @@ class ReplicatedDatabaseNode:
     def _handle_membership_change(self, view: View, states: Dict[str, Dict[str, Any]]) -> None:
         """Fold an installed view into this site's knowledge and status.
 
-        Called by the manager from its GCS callback.  What differs
-        between backends is asked of the manager: whether this site is
-        structurally in the primary component, whether any member is up
-        to date, and what the (e-)view itself says about who is."""
+        Called by the manager from its GCS callback, which has set
+        ``up_to_date`` first where it is structural (EVS: member of the
+        primary subview).  What else differs between backends is asked
+        of the manager: whether any member is up to date, and what the
+        (e-)view itself says about who is."""
         if self.status is SiteStatus.DOWN:
             return
         if self.site_id in self.member.stale_members and self.up_to_date:
@@ -543,7 +544,7 @@ class ReplicatedDatabaseNode:
         self.trace("view", "install", f"{view} primary={primary}")
         if not primary:
             self._stall()
-        elif self.reconfig.in_primary_component() and self.up_to_date:
+        elif self.up_to_date:
             self._set_status(SiteStatus.ACTIVE)
             self.utd_lineage = self.member.lineage
         elif self.reconfig.any_up_to_date(view):
@@ -649,7 +650,7 @@ class ReplicatedDatabaseNode:
 
     def process_delivered(self, gid: int, message: TransactionMessage) -> None:
         """Phase III, executed atomically at delivery."""
-        if self.obs is not None:
+        if self.trace_txns:
             self.trace("txn", "deliver", data={"txn": message.local_id, "gid": gid})
         verdict = self.certify(gid, message)
         if verdict is None:
@@ -927,7 +928,7 @@ class ReplicatedDatabaseNode:
             # above).  Sessions only schedule follow-up work on the sim
             # clock here, they never re-enter the node synchronously.
             txn.on_done(txn)
-        if self.obs is not None:
+        if self.trace_txns:
             self.trace("txn", "done", data={"txn": txn.txn_id, "state": state.value})
 
     # ------------------------------------------------------------------
@@ -1003,7 +1004,7 @@ class ReplicatedDatabaseNode:
     def _emit(self, kind: str, gid: int, message: TransactionMessage) -> None:
         if self.on_txn_event is not None:
             self.on_txn_event(self.site_id, kind, gid, message)
-        if self.obs is not None:
+        if self.trace_txns:
             self.trace("txn", kind, data={"txn": message.local_id, "gid": gid})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster import Cluster, ClusterBuilder, FaultSchedule
+from repro.obs.attach import collect_cluster_metrics
 from repro.replication.node import NodeConfig, SiteStatus
 from repro.workload.generator import LoadGenerator, WorkloadConfig
 from repro.workload.metrics import ThroughputTimeline, summarize_latencies
@@ -97,16 +98,7 @@ def remove_report_hook(hook: ReportHook) -> None:
 
 def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy: str,
                     completed: bool) -> ScenarioReport:
-    transfers_started = transfers_completed = announcements = 0
-    svs = sv = replayed = 0
-    for node in cluster.nodes.values():
-        manager = node.reconfig
-        transfers_started += manager.transfers_started
-        transfers_completed += manager.transfers_completed
-        announcements += manager.announcements_sent
-        replayed += manager.replayed_transactions
-        svs += getattr(manager.membership, "svs_merges_issued", 0)
-        sv += getattr(manager.membership, "sv_merges_issued", 0)
+    metrics = collect_cluster_metrics(cluster)
     report = ScenarioReport(
         mode=mode,
         strategy=strategy,
@@ -114,12 +106,12 @@ def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy: 
         duration=cluster.sim.now,
         commits=len(load.committed()),
         aborts=len(load.aborted()),
-        transfers_started=transfers_started,
-        transfers_completed=transfers_completed,
-        announcements=announcements,
-        svs_merges=svs,
-        sv_merges=sv,
-        replayed=replayed,
+        transfers_started=metrics["xfer.transfers_started"],
+        transfers_completed=metrics["xfer.transfers_completed"],
+        announcements=metrics["xfer.announcements"],
+        svs_merges=metrics["reconfig.svs_merges"],
+        sv_merges=metrics["reconfig.sv_merges"],
+        replayed=metrics["xfer.replayed_transactions"],
         cluster=cluster,
     )
     for hook in list(_report_hooks):
@@ -288,9 +280,7 @@ def run_recovery_experiment(
         cluster.check()
 
     report = _collect_report(cluster, load, mode, strategy, rejoined)
-    node = cluster.nodes[victim]
-    objects_sent = sum(n.reconfig.objects_sent_total for n in cluster.nodes.values())
-    bytes_sent = sum(n.reconfig.bytes_sent_total for n in cluster.nodes.values())
+    metrics = collect_cluster_metrics(cluster)
     timeline = ThroughputTimeline(cluster.history, bucket=0.1)
     dip = timeline.min_bucket_between(recover_at, min(recover_at + recovery_time + 0.2,
                                                       cluster.sim.now))
@@ -298,15 +288,16 @@ def run_recovery_experiment(
     report.extra.update(
         {
             "recovery_time": recovery_time,
-            "objects_sent": float(objects_sent),
-            "bytes_sent": float(bytes_sent),
-            "enqueue_high_watermark": float(node.enqueue_high_watermark),
+            "objects_sent": float(metrics["xfer.objects_sent"]),
+            "bytes_sent": float(metrics["xfer.bytes_sent"]),
+            "enqueue_high_watermark": float(
+                cluster.nodes[victim].enqueue_high_watermark),
             "throughput_dip": float(dip),
             "mean_latency": latency.mean,
             "p95_latency": latency.p95,
-            "lock_wait_total": sum(
-                sum(other.db.locks.wait_times) for other in cluster.nodes.values()
-            ),
+            # The sweep results record an idle total as the int 0; the
+            # collector's is the float 0.0.
+            "lock_wait_total": metrics["locks.wait_time_total"] or 0,
             "abort_rate": (
                 report.aborts / (report.commits + report.aborts)
                 if report.commits + report.aborts else 0.0

@@ -21,9 +21,8 @@ from repro.search.engine import (
     evaluate_genome,
     load_schedule,
     replay_schedule,
-    run_search,
 )
-from repro.search.executor import ScheduleExecutor, run_schedule
+from repro.search.executor import ScheduleExecutor
 from repro.search.genome import (
     CorruptGene,
     CrashGene,
@@ -56,7 +55,5 @@ __all__ = [
     "mutate",
     "random_genome",
     "replay_schedule",
-    "run_schedule",
-    "run_search",
     "shrink",
 ]

@@ -387,9 +387,3 @@ def replay_schedule(path: str) -> Dict[str, Any]:
     payload["matches"] = (None if recorded is None
                           else payload["run_digest"] == recorded)
     return payload
-
-
-def run_search(seed: int, **overrides: Any) -> SearchReport:
-    """One-call entry point mirroring :func:`repro.endurance.run_endurance`."""
-    config = SearchConfig(seed=seed, **overrides)
-    return SearchEngine(config).run()

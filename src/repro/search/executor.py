@@ -274,8 +274,3 @@ class ScheduleExecutor(Campaign):
         self.note("sweep_ok", f"t={self.cluster.sim.now:.2f}")
         self.fleet.start()
         self.maintenance = False
-
-
-def run_schedule(genome: ScheduleGenome) -> EnduranceReport:
-    """Execute one genome and return its endurance-style report."""
-    return ScheduleExecutor(genome).run()

@@ -60,29 +60,30 @@ class TestGrowth:
 
     def test_site_added_to_an_observed_cluster_is_observed(self):
         """A site added after attach shares the cluster's event sink and
-        observability handle, so its join shows up in the timeline, the
+        emits ``txn`` events, so its join shows up in the timeline, the
         spans and the epoch analytics like any other recovery."""
+        from repro.obs import attach_observability, run_data
         from repro.obs.epochs import extract_epochs
 
         cluster = dynamic_cluster()
-        obs = cluster.attach_observability()
+        tracer = attach_observability(cluster)
         node = cluster.add_site("S4")
-        assert node.tracer is cluster.tracer
-        assert node.obs is obs and cluster.nodes["S1"].obs is obs
+        assert node.tracer is tracer
+        assert node.trace_txns and cluster.nodes["S1"].trace_txns
         assert cluster.await_condition(lambda: node.status is SiteStatus.ACTIVE,
                                        timeout=30)
         cluster.settle(0.3)
-        joined = [(e.category, e.kind) for e in obs.tracer.of(site="S4")
+        joined = [(e.category, e.kind) for e in tracer.of(site="S4")
                   if e.category in ("transfer", "replay", "status")]
         wanted = [("transfer", "accept"), ("transfer", "complete"),
                   ("replay", "start"), ("replay", "caught_up"),
                   ("status", "active")]
         assert [pair for pair in joined if pair in wanted] == wanted
-        epochs = [epoch for epoch in extract_epochs(obs.tracer.events,
+        epochs = [epoch for epoch in extract_epochs(tracer.events,
                                                     end_time=cluster.sim.now)
                   if epoch.site == "S4"]
         assert len(epochs) == 1 and not epochs[0].truncated
-        assert [s for s in obs.run_data().spans
+        assert [s for s in run_data(cluster, tracer).spans
                 if s.category == "reconfig" and s.site == "S4"]
 
     def test_universe_grows_at_every_member(self):

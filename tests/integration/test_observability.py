@@ -4,7 +4,8 @@ import json
 
 from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
 from repro.obs import (attach_observability, chrome_trace,
-                       collect_cluster_metrics, extract_epochs, load_jsonl)
+                       collect_cluster_metrics, extract_epochs, load_jsonl,
+                       run_data, write_jsonl)
 from repro.replication.node import SiteStatus
 
 
@@ -12,7 +13,7 @@ def observed_recovery_run(seed=7, observe=True):
     """A crash + recovery under load; optionally with obs attached."""
     cluster = ClusterBuilder(n_sites=3, db_size=40, seed=seed,
                              strategy="rectable").build()
-    obs = attach_observability(cluster) if observe else None
+    tracer = attach_observability(cluster) if observe else None
     cluster.start()
     assert cluster.await_all_active(timeout=10)
     load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=80.0))
@@ -27,7 +28,7 @@ def observed_recovery_run(seed=7, observe=True):
     load.stop()
     cluster.settle(0.5)
     cluster.check()
-    return cluster, obs
+    return cluster, tracer
 
 
 def s3_recoveries(run):
@@ -36,8 +37,8 @@ def s3_recoveries(run):
 
 class TestObservedRecovery:
     def test_spans_cover_transactions_and_reconfiguration(self):
-        cluster, obs = observed_recovery_run()
-        run = obs.run_data("integration run")
+        cluster, tracer = observed_recovery_run()
+        run = run_data(cluster, tracer, "integration run")
 
         txn_roots = [s for s in run.spans if s.category == "txn"]
         assert txn_roots, "no transaction spans recorded"
@@ -59,8 +60,8 @@ class TestObservedRecovery:
     def test_recovery_roots_are_the_epochs(self):
         """One recovery root per epoch, with its duration and counters,
         and the root's phase children tile it exactly."""
-        cluster, obs = observed_recovery_run()
-        run = obs.run_data()
+        cluster, tracer = observed_recovery_run()
+        run = run_data(cluster, tracer)
         epochs = extract_epochs(run.events, end_time=cluster.sim.now)
         roots = [s for s in run.spans if s.category == "reconfig"]
         assert [(r.site, r.start, r.end) for r in roots] == [
@@ -78,19 +79,21 @@ class TestObservedRecovery:
                 in epoch.phase_durations().items() if seconds > 0}
 
     def test_reloaded_run_has_the_live_spans(self, tmp_path):
-        cluster, obs = observed_recovery_run()
+        cluster, tracer = observed_recovery_run()
         path = str(tmp_path / "run.jsonl")
-        live = obs.export_jsonl(path)
+        live = run_data(cluster, tracer)
+        write_jsonl(live, path)
         assert live.spans and load_jsonl(path).spans == live.spans
 
     def test_attach_registers_no_listener(self):
         cluster = ClusterBuilder(n_sites=3, db_size=10, seed=1).build()
-        obs = attach_observability(cluster)
-        assert obs.tracer._listeners == []
+        tracer = attach_observability(cluster)
+        assert tracer is cluster.tracer and tracer._listeners == []
 
     def test_chrome_export_is_valid_and_metrics_flow(self, tmp_path):
-        cluster, obs = observed_recovery_run()
-        trace = chrome_trace(obs.run_data("export run"))
+        cluster, tracer = observed_recovery_run()
+        run = run_data(cluster, tracer, "export run")
+        trace = chrome_trace(run)
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(trace))
         reloaded = json.loads(path.read_text())
@@ -98,9 +101,8 @@ class TestObservedRecovery:
         assert events
         assert all("ts" in e for e in events if e["ph"] != "M")
 
-        snapshot = obs.snapshot()
-        assert snapshot == {"counters": collect_cluster_metrics(cluster)}
-        counters = snapshot["counters"]
+        assert run.metrics == {"counters": collect_cluster_metrics(cluster)}
+        counters = run.metrics["counters"]
         assert counters["txn.commits"] > 0
         assert counters["xfer.transfers_completed"] >= 1
 
@@ -110,7 +112,7 @@ class TestObservedRecovery:
         where the recovery really ended."""
         cluster = ClusterBuilder(n_sites=3, db_size=1000, seed=3,
                                  strategy="full").build()
-        obs = attach_observability(cluster)
+        tracer = attach_observability(cluster)
         cluster.start()
         assert cluster.await_all_active(timeout=10)
         load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=80.0))
@@ -120,17 +122,17 @@ class TestObservedRecovery:
         cluster.run_until(0.8)
         cluster.recover("S3")
         cluster.run_until(1.0)
-        [early] = s3_recoveries(obs.run_data())
+        [early] = s3_recoveries(run_data(cluster, tracer))
         assert early.end == 1.0 and early.attrs["open_at_end"]
         cluster.run_until(1.5)
         assert cluster.nodes["S3"].status is SiteStatus.ACTIVE
-        [final] = s3_recoveries(obs.run_data())
+        [final] = s3_recoveries(run_data(cluster, tracer))
         assert 1.0 < final.end <= 1.5
         assert "open_at_end" not in final.attrs
 
     def test_attach_is_idempotent(self):
-        cluster, obs = observed_recovery_run()
-        assert cluster.attach_observability() is obs
+        cluster, tracer = observed_recovery_run()
+        assert attach_observability(cluster) is tracer
 
     def test_observation_does_not_change_outcomes(self):
         """Same seed, with and without obs => identical commit counts."""

@@ -269,7 +269,7 @@ def test_replay_reaches_the_decisions_live_delivery_made():
         assert cluster.nodes[site].duplicates_suppressed == suppressed[site] + 1
 
     def decisions(site):
-        return {event.gid: event.kind for event in cluster.history.by_site[site]
+        return {event.gid: event.kind for event in cluster.history.by_site()[site]
                 if event.gid >= first_gid}
 
     assert decisions("S3") == decisions("S1")

@@ -75,10 +75,7 @@ def test_torn_tail_never_loses_flushed_commits():
     load.start()
     cluster.run_for(0.4)
     node = cluster.nodes["S2"]
-    committed_before = {
-        event.gid for event in cluster.history.by_site.get("S2", [])
-        if event.kind == "commit"
-    }
+    committed_before = set(cluster.history.commits_of("S2"))
     crash_with_dirty_tail(cluster, "S2")
     cluster.run_for(0.3)
     cluster.recover("S2")

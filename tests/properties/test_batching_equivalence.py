@@ -62,7 +62,7 @@ def run_once(batching, seed, rate, writes, plan, mode, n_sites=3, db_size=40):
     cluster.check()
     per_site = {
         site: [(round(e.time, 9), e.gid, e.kind) for e in events]
-        for site, events in cluster.history.by_site.items()
+        for site, events in cluster.history.by_site().items()
     }
     finals = {site: node.db.store.content_digest()
               for site, node in cluster.nodes.items()}

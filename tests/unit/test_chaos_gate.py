@@ -83,3 +83,32 @@ def test_committed_list_is_well_formed(gate):
         assert (strategy, clients) in gate.COLUMNS
         assert entry["error"] and entry["class"] and entry["first_wrong_step"]
         assert "bound to two different transactions" not in entry["error"]
+
+
+@pytest.fixture(scope="module")
+def audit_against():
+    spec = importlib.util.spec_from_file_location(
+        "audit_against", os.path.join(TOOLS, "audit_against.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STORM = {"ok": True, "error": None, "trace_digest": "t", "schedule_digest": "s",
+         "epochs": {"count": 1}, "metrics": {"txn.commits": 3}}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ok", False), ("error", "boom"), ("trace_digest", "t2"),
+    ("schedule_digest", "s2"), ("epochs", {"count": 2}),
+    ("metrics", {"txn.commits": 4}), ("fleet_error", "Traceback"),
+])
+def test_gate_comparison_flags_a_difference_in_any_compared_key(audit_against, key, value):
+    """``audit_against.py --gate``: identical storms pass, a storm that
+    differs in one compared key, or runs on one tree only, does not."""
+    ours = {"vs full clients=0 seed 0": STORM, "vs full clients=0 seed 1": STORM}
+    assert audit_against.compare_gate(ours, dict(ours))[1] == 0
+    theirs = {**ours, "vs full clients=0 seed 1": {**STORM, key: value}}
+    lines, differing = audit_against.compare_gate(ours, theirs)
+    assert differing == 1 and f"seed 1: DIFFERS in {key}" in "\n".join(lines)
+    assert audit_against.compare_gate(ours, {"vs full clients=0 seed 0": STORM})[1] == 1

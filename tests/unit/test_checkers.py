@@ -104,6 +104,20 @@ class TestRecorder:
         history.record("S1", "abort", 1, txn(local_id="x"))
         assert history.commits_of("S1") == [0]
 
+    def test_by_site_groups_the_one_event_list(self):
+        """Events are kept once; the per-site view is computed from
+        them, sites in order of their first event."""
+        history = HistoryRecorder()
+        history.record("S2", "commit", 0, txn())
+        history.record("S1", "commit", 0, txn())
+        history.record("S2", "abort", 1, txn(local_id="x"))
+        grouped = history.by_site()
+        assert list(grouped) == ["S2", "S1"]
+        first, second, third = history.events
+        assert grouped["S2"][0] is first and grouped["S2"][1] is third
+        assert grouped["S1"] == [second]
+        assert "by_site" not in vars(history)
+
     def test_timestamps_from_clock(self):
         now = {"t": 1.5}
         history = HistoryRecorder(clock=lambda: now["t"])

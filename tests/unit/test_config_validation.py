@@ -65,6 +65,10 @@ class TestGCSConfig:
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             GCSConfig(**{field: 0.0}).validate()
 
+    def test_unknown_primary_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown primary policy 'nope'"):
+            GCSConfig(primary_policy="nope").validate()
+
     def test_unknown_primary_policy_rejected_at_member(self):
         with pytest.raises(ValueError):
             ClusterBuilder(gcs_config=GCSConfig(primary_policy="nope")).build()

@@ -4,7 +4,15 @@ import pytest
 
 from repro.db.database import Database
 from repro.db.store import INITIAL_VERSION
-from repro.db.wal import PersistentStorage
+from repro.db.wal import AbortRecord, CommitRecord, PersistentStorage
+
+
+def committed(db):
+    return [r.gid for r in db.storage.records() if isinstance(r, CommitRecord)]
+
+
+def aborted(db):
+    return [r.gid for r in db.storage.records() if isinstance(r, AbortRecord)]
 
 
 def make_db(initial=None):
@@ -71,7 +79,7 @@ class TestCommitAbort:
         assert db.store.read("a") == (99, 0)
         db.rectable.ensure_current()
         assert db.rectable.last_writer("a") == 0
-        assert db.commits == 1
+        assert committed(db) == [0]
 
     def test_abort_restores_before_images(self):
         db = make_db()
@@ -79,7 +87,7 @@ class TestCommitAbort:
         db.apply_write(0, "a", 99)
         db.abort(0)
         assert db.store.read("a") == (0, INITIAL_VERSION)
-        assert db.aborts == 1
+        assert aborted(db) == [0]
 
     def test_rollback_keeps_transaction_unterminated(self):
         db = make_db()

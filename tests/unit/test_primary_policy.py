@@ -3,41 +3,33 @@
 import pytest
 
 from repro.gcs.config import GCSConfig
-from repro.gcs.primary import (
-    DynamicLinearPolicy,
-    PrimaryLineage,
-    StaticMajorityPolicy,
-    most_recent,
-    policy_by_name,
-)
+from repro.gcs.primary import PrimaryLineage, is_primary, most_recent
 from tests.conftest import make_group
 
 
 class TestPolicies:
     def test_registry(self):
-        assert isinstance(policy_by_name("static"), StaticMajorityPolicy)
-        assert isinstance(policy_by_name("dynamic_linear"), DynamicLinearPolicy)
+        lineage = PrimaryLineage(1, ("c", "d", "e"))
+        assert not is_primary("static", ("c", "d"), 5, [lineage])
+        assert is_primary("dynamic_linear", ("c", "d"), 5, [lineage])
         with pytest.raises(ValueError):
-            policy_by_name("quorum_of_quorums")
+            is_primary("quorum_of_quorums", ("a", "b"), 3, [])
 
     def test_static_majority(self):
-        policy = StaticMajorityPolicy()
-        assert policy.decide(("a", "b"), 3, [])
-        assert not policy.decide(("a", "b"), 4, [])
+        assert is_primary("static", ("a", "b"), 3, [])
+        assert not is_primary("static", ("a", "b"), 4, [])
 
     def test_dynamic_bootstrap_uses_universe(self):
-        policy = DynamicLinearPolicy()
-        assert policy.decide(("a", "b", "c"), 5, [None, None])
-        assert not policy.decide(("a", "b"), 5, [None])
+        assert is_primary("dynamic_linear", ("a", "b", "c"), 5, [None, None])
+        assert not is_primary("dynamic_linear", ("a", "b"), 5, [None])
 
     def test_dynamic_majority_of_previous_primary(self):
-        policy = DynamicLinearPolicy()
         lineage = PrimaryLineage(3, ("c", "d", "e"))
         # 2 of the 3 previous-primary members: primary even though 2 of 5.
-        assert policy.decide(("c", "d"), 5, [lineage])
-        assert not policy.decide(("e",), 5, [lineage])
+        assert is_primary("dynamic_linear", ("c", "d"), 5, [lineage])
+        assert not is_primary("dynamic_linear", ("e",), 5, [lineage])
         # Outsiders do not count toward the overlap.
-        assert not policy.decide(("a", "b", "e"), 5, [lineage])
+        assert not is_primary("dynamic_linear", ("a", "b", "e"), 5, [lineage])
 
     def test_most_recent_picks_highest_generation(self):
         old = PrimaryLineage(1, ("a",))
@@ -93,4 +85,4 @@ class TestDynamicPolicyInTheGroup:
 
     def test_static_remains_default(self):
         sim, _, members, _ = make_group(3, seed=1)
-        assert members["S1"].primary_policy.name == "static"
+        assert members["S1"].config.primary_policy == "static"

@@ -174,7 +174,8 @@ class TestPeerSession:
         session = make_session(cluster, strategy="full")
         accept(session)
         cluster.run_for(0.2)
-        assert session.bytes_sent == session.objects_sent * 256
+        manager = cluster.nodes["S1"].reconfig
+        assert manager.bytes_sent_total == manager.objects_sent_total * 256
 
 
 class TestTransferOrder:
@@ -239,8 +240,8 @@ class TestTransferOrder:
             shipped = [item for batch in joiner.batches for item in batch.items]
             assert shipped == captured
             runs[writer] = (
-                session.objects_sent, session._batch_seq, session.finished_at,
-                [len(batch.items) for batch in joiner.batches],
+                node.reconfig.objects_sent_total, session._batch_seq,
+                joiner.acked_at, [len(batch.items) for batch in joiner.batches],
             )
         assert runs[True] == runs[False]
         assert runs[True][:2] == (95, 10)
@@ -260,7 +261,7 @@ class TestTransferOrder:
         assert node.db.locks.request("W", victim, LockMode.EXCLUSIVE).granted
         node.db.store.write(victim, "late", 10**6)
         cluster.await_condition(lambda: 2 in joiner.acked_at, timeout=1, step=0.001)
-        assert joiner.copies[2] == 2 and session.retransmissions == 1
+        assert joiner.copies[2] == 2 and node.reconfig.transfer_retransmissions == 1
         assert joiner.acked_at[2] - joiner.delivered_at[2] >= session.ACK_TIMEOUT
         cluster.run_for(1.0)
         assert session.completed and len(joiner.shipped()) == 95
@@ -342,7 +343,7 @@ class TestJoinerSession:
                               items=(("obj0", "new", 9),), payload_bytes=256)
         joiner.on_batch(batch)
         assert cluster.nodes["S3"].db.store.read("obj0") == ("new", 9)
-        assert joiner.objects_received == 1
+        assert cluster.nodes["S3"].reconfig.objects_received_total == 1
 
     def test_round_boundary_advances_resume(self):
         cluster = quick_cluster()
@@ -384,7 +385,7 @@ class TestJoinerSession:
         joiner.cancel()
         joiner.on_batch(TransferBatch(session_id="sess", boundary=10,
                                       items=(("obj0", "x", 9),), payload_bytes=256))
-        assert joiner.objects_received == 0
+        assert cluster.nodes["S3"].reconfig.objects_received_total == 0
 
     def test_partition_complete_tracked(self):
         cluster = quick_cluster()

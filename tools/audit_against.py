@@ -2,6 +2,7 @@
 """Is this tree's behaviour identical to another tree's?  One command.
 
     python tools/audit_against.py OTHER_SRC_DIR [--case ID ...] [--report FILE]
+    python tools/audit_against.py OTHER_SRC_DIR --gate [--report FILE]
 
 Runs ``repro.audit.execute_variant(case, variant, materials=True)`` for
 every pinned audit case x variant (the determinism twin ``b`` excepted:
@@ -17,6 +18,13 @@ clone of the parent commit — one subprocess per tree with
   grouped by ``(category, kind, detail)`` with counts.  A trace
   difference alone is informational (exit 0) — a PR that adds an event
   differs here on purpose, but visibly.
+
+``--gate`` compares the chaos gate instead: every storm of
+``tools/chaos_gate.py`` (``COLUMNS x MODES x SEEDS``, 2 100 storms, two
+workers) on both trees, one tree after the other, each with
+``PYTHONHASHSEED=0``.  A storm's ``ok``, ``error``, ``trace_digest``,
+``schedule_digest``, ``epochs`` and ``metrics`` must be identical; any
+difference is printed per storm and makes the exit status non-zero.
 
 ``repro audit`` answers "is a run a pure function of its seed"; this
 answers "did my change move any of those runs".
@@ -34,7 +42,8 @@ import tempfile
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
-HERE_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+HERE_SRC = os.path.join(os.path.dirname(TOOLS), "src")
 
 #: ``str(TraceEvent)``: time, site, category, kind, then the detail after
 #: two spaces (absent when empty).
@@ -55,12 +64,74 @@ def collect(case_ids: Optional[List[str]], out_path: str) -> None:
         json.dump(cells, handle)
 
 
-def _spawn(src_dir: str, case_ids: Optional[List[str]], out_path: str) -> subprocess.Popen:
+#: What a gate storm's payload must reproduce.
+GATE_KEYS = ("ok", "error", "trace_digest", "schedule_digest", "epochs", "metrics")
+
+
+def collect_gate(out_path: str) -> None:
+    """Child mode: run every chaos gate storm on whatever ``repro``
+    PYTHONPATH names, keyed by the gate's storm label."""
+    sys.path.insert(0, TOOLS)
+    import chaos_gate
+    from repro.fleet import FleetTask, run_fleet
+
+    tasks = [FleetTask(key=chaos_gate.label((mode, strategy, clients, seed)),
+                       kind="chaos",
+                       params={"seed": seed, "mode": mode, "strategy": strategy,
+                               "clients": clients})
+             for strategy, clients in chaos_gate.COLUMNS
+             for mode in chaos_gate.MODES for seed in chaos_gate.SEEDS]
+    payloads = run_fleet(tasks, jobs=chaos_gate.JOBS)
+    cells = {key: {name: payload.get(name) for name in GATE_KEYS + ("fleet_error",)
+                   if name in payload}
+             for key, payload in payloads.items()}
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(cells, handle)
+
+
+def compare_gate(ours: Dict[str, Any], theirs: Dict[str, Any]) -> Tuple[List[str], int]:
+    """Report lines and the number of storms that differ."""
+    lines: List[str] = []
+    differing = 0
+    for cell in sorted(set(ours) | set(theirs)):
+        if cell not in ours or cell not in theirs:
+            differing += 1
+            lines.append(f"{cell}: only in the {'this' if cell in ours else 'other'} tree")
+            continue
+        keys = [key for key in GATE_KEYS + ("fleet_error",)
+                if ours[cell].get(key) != theirs[cell].get(key)]
+        if keys:
+            differing += 1
+            lines.append(f"{cell}: DIFFERS in {', '.join(keys)}")
+            lines.extend(f"    {key}: this={ours[cell].get(key)!r} "
+                         f"other={theirs[cell].get(key)!r}"
+                         for key in keys if key not in ("epochs", "metrics"))
+    passed = sum(1 for payload in ours.values() if payload.get("ok"))
+    lines.append(f"{len(ours)} gate storms compared ({passed} pass here): "
+                 + (f"{differing} differ" if differing else "every payload identical"))
+    return lines, differing
+
+
+def _spawn(src_dir: str, case_ids: Optional[List[str]], out_path: str,
+           gate: bool = False) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=src_dir, PYTHONHASHSEED="0")
-    command = [sys.executable, os.path.abspath(__file__), "--collect", out_path]
+    command = [sys.executable, os.path.abspath(__file__),
+               "--collect-gate" if gate else "--collect", out_path]
     for case_id in case_ids or ():
         command += ["--case", case_id]
     return subprocess.Popen(command, env=env)
+
+
+def _load(path: str) -> Dict[str, Any]:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _emit(report: str, path: Optional[str]) -> None:
+    print(report)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(report + "\n")
 
 
 def trace_difference(ours: List[str], theirs: List[str]) -> Tuple[Counter, Counter]:
@@ -111,11 +182,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="audit case id (repeatable; default: all)")
     parser.add_argument("--report", metavar="FILE",
                         help="also write the report to this file")
+    parser.add_argument("--gate", action="store_true",
+                        help="compare every chaos gate storm instead of the audit cells")
     parser.add_argument("--collect", metavar="OUT", help=argparse.SUPPRESS)
+    parser.add_argument("--collect-gate", metavar="OUT", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
         collect(args.cases, args.collect)
         return 0
+    if args.collect_gate:
+        collect_gate(args.collect_gate)
+        return 0
+    if args.gate and args.cases:
+        parser.error("--gate runs every gate storm; it takes no --case")
     if not args.other_src:
         parser.error("OTHER_SRC_DIR is required")
     if not os.path.isdir(os.path.join(args.other_src, "repro")):
@@ -125,15 +204,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"this": os.path.join(tmp, "this.json"),
                  "other": os.path.join(tmp, "other.json")}
-        children = {"this": _spawn(HERE_SRC, args.cases, paths["this"]),
-                    "other": _spawn(args.other_src, args.cases, paths["other"])}
-        failed = [name for name, child in children.items() if child.wait() != 0]
+        trees = {"this": HERE_SRC, "other": args.other_src}
+        if args.gate:
+            # One tree after the other: each fleet already keeps the
+            # gate's workers busy.
+            failed = [name for name, src in trees.items()
+                      if _spawn(src, None, paths[name], gate=True).wait() != 0]
+        else:
+            children = {name: _spawn(src, args.cases, paths[name])
+                        for name, src in trees.items()}
+            failed = [name for name, child in children.items() if child.wait() != 0]
         if failed:
             sys.exit(f"error: the run on the {' and the '.join(failed)} tree failed")
-        with open(paths["this"], encoding="utf-8") as handle:
-            ours = json.load(handle)
-        with open(paths["other"], encoding="utf-8") as handle:
-            theirs = json.load(handle)
+        ours, theirs = _load(paths["this"]), _load(paths["other"])
+
+    if args.gate:
+        lines, differing = compare_gate(ours, theirs)
+        _emit("\n".join(lines), args.report)
+        return 1 if differing else 0
 
     lines: List[str] = []
     differing = 0
@@ -157,11 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     lines.append(f"{len(ours)} cells compared against {args.other_src}: "
                  + (f"{differing} with a non-trace difference" if differing
                     else "every digest and counter identical"))
-    report = "\n".join(lines)
-    print(report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
+    _emit("\n".join(lines), args.report)
     return 1 if differing else 0
 
 
