@@ -48,6 +48,13 @@ class Database:
         self.outcomes = OutcomeTable()
         self._tagged_version: Dict[str, int] = {}
         self._uncommitted_writes: Dict[int, List[Tuple[str, Any, int]]] = {}
+        #: The checkpoint image last handed to ``storage``, patched in
+        #: place by the next checkpoint.  It starts empty: a new store
+        #: counts every object it holds as changed, so the first
+        #: checkpoint reads them all.
+        self._image: Dict[str, Tuple[Any, int]] = {}
+        #: Objects that carried an uncommitted writer's before-image in it.
+        self._image_overlaid: Set[str] = set()
         self._snapshots: Dict[int, Dict[str, Tuple[Any, int]]] = {}
         self._snapshot_refs: Dict[int, int] = {}
         self.baseline_gid = -1
@@ -62,10 +69,9 @@ class Database:
     # ------------------------------------------------------------------
     def bootstrap(self, initial: Dict[str, Any]) -> None:
         """Load the initial database copy (version -1 on every object)."""
-        for obj, value in initial.items():
-            self.store.write(obj, value, INITIAL_VERSION)
+        self.store.write_many(initial, INITIAL_VERSION)
         self.storage.append(BaselineRecord(-1))
-        self.storage.checkpoint(self.store.snapshot())
+        self.storage.checkpoint(self._checkpoint_image())
         self.storage.flush()
 
     @classmethod
@@ -224,11 +230,7 @@ class Database:
         at or below it are — by no-steal — in the image being written.
         For the same reason the outcome table collapses at the cover.
         """
-        image = self.store.snapshot()
-        for gid, writes in self._uncommitted_writes.items():
-            for obj, before_value, before_version in writes:
-                image[obj] = (before_value, before_version)
-        self.storage.checkpoint(image)
+        self.storage.checkpoint(self._checkpoint_image())
         cover = self.cover_gid()
         if truncate_log:
             self.outcomes.raise_floor(cover)
@@ -236,6 +238,27 @@ class Database:
         self.storage.flush()
         if truncate_log:
             self.storage.truncate_through(cover)
+
+    def _checkpoint_image(self) -> Dict[str, Tuple[Any, int]]:
+        """The store with every uncommitted writer's before-image laid
+        over it, made by patching the last image: only the objects
+        changed since it, and those it overlaid, are read again.  A
+        store counts every object it was loaded with as changed, so the
+        first image after ``bootstrap`` or ``recover_from`` is a full
+        copy made the same way."""
+        image = self._image
+        changed = self.store.take_changed() | self._image_overlaid
+        fresh = self.store.read_many(changed)
+        image.update(fresh)
+        for obj in changed.difference(fresh):
+            image.pop(obj, None)
+        overlaid: Set[str] = set()
+        for writes in self._uncommitted_writes.values():
+            for obj, before_value, before_version in writes:
+                image[obj] = (before_value, before_version)
+                overlaid.add(obj)
+        self._image_overlaid = overlaid
+        return image
 
     # ------------------------------------------------------------------
     # Multiversion snapshots (log-filter strategy, section 4.6)

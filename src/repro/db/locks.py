@@ -137,6 +137,18 @@ class LockManager:
     def holds(self, txn_id: str, resource: str) -> bool:
         return txn_id in self._holders.get(resource, {})
 
+    def shared_grantable(self, resource: str) -> bool:
+        """Would a new transaction's shared request on the object
+        ``resource`` be granted now?  Only if no exclusive lock is held
+        or waited for on it or on the database."""
+        holders, queues = self._holders, self._queues
+        for key in (resource, DB_RESOURCE):
+            if key in holders and LockMode.EXCLUSIVE in holders[key].values():
+                return False
+            if key in queues and any(r.mode is LockMode.EXCLUSIVE for r in queues[key]):
+                return False
+        return True
+
     def waiting_requests(self) -> List[LockRequest]:
         """Every waiting request, in enqueue order."""
         waiting = [r for queue in self._queues.values() for r in queue]

@@ -10,7 +10,7 @@ the version-check transfer strategy (section 4.4) exploits.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 #: Version assigned to objects of the initial database image (no writer yet).
 INITIAL_VERSION = -1
@@ -22,10 +22,11 @@ class ObjectStore:
     def __init__(self, initial: Optional[Dict[str, Any]] = None) -> None:
         self._data: Dict[str, Any] = {}
         self._version: Dict[str, int] = {}
+        #: Objects written, removed or reloaded since :meth:`take_changed`
+        #: last emptied it: what a checkpoint must re-read.
+        self._changed: Set[str] = set()
         if initial:
-            for obj, value in initial.items():
-                self._data[obj] = value
-                self._version[obj] = INITIAL_VERSION
+            self.write_many(initial, INITIAL_VERSION)
 
     # ------------------------------------------------------------------
     def __contains__(self, obj: str) -> bool:
@@ -65,10 +66,18 @@ class ObjectStore:
         """Install ``value`` with writer version ``version`` (a gid)."""
         self._data[obj] = value
         self._version[obj] = version
+        self._changed.add(obj)
+
+    def write_many(self, values: Dict[str, Any], version: int) -> None:
+        """:meth:`write` every ``{obj: value}`` of ``values`` at ``version``."""
+        self._data.update(values)
+        self._version.update(dict.fromkeys(values, version))
+        self._changed.update(values)
 
     def remove(self, obj: str) -> None:
         self._data.pop(obj, None)
         self._version.pop(obj, None)
+        self._changed.add(obj)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Tuple[Any, int]]:
@@ -77,8 +86,10 @@ class ObjectStore:
 
     def load_snapshot(self, snapshot: Dict[str, Tuple[Any, int]]) -> None:
         """Replace the entire content (used when installing transferred state)."""
+        self._changed.update(self._data)
         self._data = {obj: value for obj, (value, _) in snapshot.items()}
         self._version = {obj: version for obj, (_, version) in snapshot.items()}
+        self._changed.update(self._data)
 
     def apply(self, items: Iterable[Tuple[str, Any, int]]) -> None:
         """Apply (obj, value, version) triples, keeping the newest version.
@@ -89,6 +100,17 @@ class ObjectStore:
         for obj, value, version in items:
             if obj not in self._version or self._version[obj] <= version:
                 self.write(obj, value, version)
+
+    def take_changed(self) -> Set[str]:
+        """The objects written, removed or reloaded since the last call
+        (present or not now), and start a new record."""
+        changed, self._changed = self._changed, set()
+        return changed
+
+    def read_many(self, objs: Iterable[str]) -> Dict[str, Tuple[Any, int]]:
+        """``{obj: (value, version)}`` of those ``objs`` the store holds."""
+        data, version = self._data, self._version
+        return {obj: (data[obj], version[obj]) for obj in objs if obj in data}
 
     def content_digest(self) -> Tuple[Tuple[str, Any, int], ...]:
         """Canonical content tuple, for equality checks across replicas."""

@@ -218,9 +218,10 @@ class PersistentStorage:
         ``image``); recovery therefore never needs to undo image state.
         The log is kept whole unless :meth:`truncate_through` is called —
         recovery replays committed after-images whose version exceeds the
-        image's.
+        image's.  The image is kept, not copied: its writer patches the
+        same dict at the next checkpoint.
         """
-        self.checkpoint_image = dict(image)
+        self.checkpoint_image = image
         self.flushes += 1
 
     def truncate_through(self, gid: int) -> int:

@@ -452,11 +452,23 @@ class PeerTransferSession:
             self.db.begin_version_snapshot(self._snapshot_limit)
         elif capture is Capture.OBJECT_LOCKS:
             # One atomic step, store order; each grant is filtered as
-            # soon as the cover is known.
-            objects = list(self.db.store.objects())
+            # soon as the cover is known.  With the cover known already
+            # (full: every object ships), an object no writer holds or
+            # waits for is read straight into the outbox: its read lock
+            # would be granted and given back in this same step.
+            store, locks = self.db.store, self.db.locks
+            objects = list(store.objects())
+            if self.strategy.filter is Filter.ALL:
+                locked = []
+                for obj in objects:
+                    if locks.shared_grantable(obj):
+                        self._outbox.append((obj, *store.read(obj)))
+                    else:
+                        locked.append(obj)
+                objects = locked
             self._remaining = len(objects)
             for obj in objects:
-                self.db.locks.request(self.owner, obj, LockMode.SHARED, self._on_object_grant)
+                locks.request(self.owner, obj, LockMode.SHARED, self._on_object_grant)
         else:
             self._request_db_lock()
 

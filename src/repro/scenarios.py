@@ -295,9 +295,7 @@ def run_recovery_experiment(
             "throughput_dip": float(dip),
             "mean_latency": latency.mean,
             "p95_latency": latency.p95,
-            # The sweep results record an idle total as the int 0; the
-            # collector's is the float 0.0.
-            "lock_wait_total": metrics["locks.wait_time_total"] or 0,
+            "lock_wait_total": float(metrics["locks.wait_time_total"]),
             "abort_rate": (
                 report.aborts / (report.commits + report.aborts)
                 if report.commits + report.aborts else 0.0

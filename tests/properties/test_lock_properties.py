@@ -60,6 +60,25 @@ def test_never_conflicting_holders(ops):
 
 
 @given(operations)
+@settings(max_examples=200, deadline=None)
+def test_shared_grantable_is_what_a_fresh_shared_request_gets(ops):
+    """The predicate a full transfer capture uses to skip a lock agrees,
+    after any history, with the grant a new transaction's shared request
+    on each object would get."""
+    lm = LockManager()
+    for op in ops:
+        if op[0] == "request":
+            lm.request(*op[1:])
+        else:
+            getattr(lm, op[0])(op[1])
+    for resource in RESOURCES[:-1]:
+        predicted = lm.shared_grantable(resource)
+        probe = lm.request("fresh", resource, LockMode.SHARED)
+        assert predicted == probe.granted, (resource, lm._holders, lm.waiting_requests())
+        lm.cancel("fresh")
+
+
+@given(operations)
 @settings(max_examples=100, deadline=None)
 def test_release_all_drains_everything(ops):
     lm = LockManager()

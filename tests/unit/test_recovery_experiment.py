@@ -13,6 +13,10 @@ class TestRecoveryExperiment:
                     "enqueue_high_watermark", "throughput_dip",
                     "mean_latency", "p95_latency", "lock_wait_total"):
             assert key in report.extra
+        # Every extra is a float, an idle lock-wait total (0.0) included,
+        # so a sweep's JSON keeps one type per column.
+        assert report.extra["lock_wait_total"] == 0.0
+        assert all(type(value) is float for value in report.extra.values()), report.extra
 
     def test_coordination_events_metric(self):
         report = ScenarioReport(

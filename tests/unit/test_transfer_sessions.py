@@ -207,6 +207,54 @@ class TestTransferOrder:
         assert joiner.shipped() == [obj for obj in fifo if obj != late] + [late]
         assert session.completed
 
+    def test_full_capture_locks_only_what_a_writer_holds(self):
+        """A writer delivered before the synchronisation point holds one
+        object.  The ``full`` capture reads every other object straight
+        into the outbox in store order, under no lock, and takes one read
+        lock, on the writer's object (one grant, not one per object):
+        that object ships last, with the writer's committed value."""
+        cluster = self.cluster()
+        node = cluster.nodes["S1"]
+        db = node.db
+        fifo = list(db.store.objects())
+        held = fifo[3]
+        gid = node.last_processed_gid + 1
+        db.log_begin(gid)
+        assert db.locks.request("W", held, LockMode.EXCLUSIVE).granted
+        db.apply_write(gid, held, "written")
+        grants = db.locks.grants
+        session = PeerTransferSession(node, "S3", strategy_by_name("full"), sync_gid=gid)
+        others = [(obj, *db.store.read(obj)) for obj in fifo if obj != held]
+        assert list(session._outbox) == others
+        assert db.locks.grants == grants
+        db.commit(gid)
+        db.locks.release("W")
+        assert db.locks.grants == grants + 1
+        assert not db.locks.holds(session.owner, held)
+        joiner = ScriptedJoiner(cluster, session)
+        accept(session)
+        cluster.run_for(1.0)
+        assert session.completed
+        assert [item for batch in joiner.batches for item in batch.items] == (
+            others + [(held, "written", gid)])
+
+    def test_version_check_holds_every_lock_until_the_accept(self):
+        """``version_check`` learns its cover only at the accept, so its
+        capture read-locks every object until then."""
+        cluster = self.cluster(strategy="version_check")
+        db = cluster.nodes["S1"].db
+        fifo = list(db.store.objects())
+        grants = db.locks.grants
+        session = make_session(cluster, strategy="version_check")
+        assert db.locks.grants == grants + len(fifo)
+        cluster.run_for(0.1)
+        assert all(db.locks.holds(session.owner, obj) for obj in fifo)
+        ScriptedJoiner(cluster, session)
+        accept(session)
+        assert not any(db.locks.holds(session.owner, obj) for obj in fifo)
+        cluster.run_for(1.0)
+        assert session.completed
+
     @pytest.mark.parametrize("waiter", [False, True], ids=["idle", "blocked-writer"])
     def test_totals_equal_fifo_shipping(self, waiter):
         """Every object ships exactly once, as captured, in as many
