@@ -46,9 +46,9 @@ def main() -> None:
 
     joiner_manager = cluster.nodes["S5"].reconfig
     assert cluster.await_condition(
-        lambda: len(joiner_manager._done_partitions) >= 2, timeout=20
+        lambda: len(joiner_manager.done_partitions) >= 2, timeout=20
     )
-    done = sorted(joiner_manager._done_partitions)
+    done = sorted(joiner_manager.done_partitions)
     received = joiner_manager.objects_received_total
     print(f"t={cluster.sim.now:.2f}  partitions complete at the joiner: {done} "
           f"({received} objects) — killing the peer NOW")

@@ -125,6 +125,8 @@ def _build_cases() -> Dict[str, AuditCase]:
     # A log_filter session that completed and was cancelled later gave
     # its snapshot back twice, dropping a sibling session's.
     cases.append(_chaos_case("vs", 16, duration=3.0, strategy="log_filter"))
+    # A lazy peer captured below the delimiter it labelled its state with.
+    cases.append(_chaos_case("vs", 10, duration=3.0, strategy="lazy"))
     # One storm carrying the observability-equivalence axis (PR 3's
     # claim) and the profiler-equivalence axis on top of determinism.
     cases.append(_chaos_case("vs", 7, axes=("obs", "profile"),

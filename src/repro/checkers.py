@@ -25,6 +25,7 @@ and ``on_transfer_install``).
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -48,8 +49,10 @@ class HistoryRecorder:
         self.events: List[TxnEvent] = []
         self.initial: Dict[str, Any] = dict(initial or {})  # version -1 values
         self.wrong_installs: List[str] = []  # check_installed_state's, in order
-        # obj -> {gid: value} committed in events[:_indexed] (built at installs)
+        # obj -> {gid: value} committed in events[:_indexed] (built at
+        # installs), and the same gids in ascending order
         self._writes: Dict[str, Dict[int, Any]] = {}
+        self._gids: Dict[str, List[int]] = {}
         self._indexed = 0
 
     def record(self, site: str, kind: str, gid: int, message: TransactionMessage) -> None:
@@ -63,11 +66,16 @@ class HistoryRecorder:
         for event in self.events[self._indexed:]:
             if event.kind == "commit":
                 for obj, value in event.message.write_set:
-                    self._writes.setdefault(obj, {})[event.gid] = value
+                    writes = self._writes.setdefault(obj, {})
+                    if event.gid not in writes:
+                        insort(self._gids.setdefault(obj, []), event.gid)
+                    writes[event.gid] = value
         self._indexed = len(self.events)
         for obj, value, version in items:
             writes = self._writes.get(obj, {})
-            last = max((gid for gid in writes if gid <= boundary), default=-1)
+            gids = self._gids.get(obj, ())
+            below = bisect_right(gids, boundary)
+            last = gids[below - 1] if below else -1
             expected = (last, writes.get(last, self.initial.get(obj)))
             if (version, value) != expected:
                 self.wrong_installs.append(

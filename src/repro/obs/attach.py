@@ -21,22 +21,90 @@ from repro.obs.export import RunData
 from repro.tracing import attach_tracer
 
 
-#: Backend-specific counters, read off ``manager.membership`` with
-#: ``getattr(..., 0)`` so every backend reports the full set (absent ones
-#: as 0) and diff metric tables stay column-stable across ``--mode``.
-BACKEND_COUNTER_KEYS: Dict[str, str] = {
-    "reconfig.svs_merges": "svs_merges_issued",          # EVS backend
-    "reconfig.sv_merges": "sv_merges_issued",            # EVS backend
-    "reconfig.config_proposals": "config_proposals_sent",  # logless backend
-    "reconfig.config_changes": "config_changes_applied",   # logless backend
-    "reconfig.config_conflicts": "config_conflicts",       # logless backend
-}
+def _peak(values):
+    return max(values, default=0)
+
+
+def _float_sum(values):
+    """A float total, also when every value is the int 0 (no lock waited)."""
+    return sum(values, 0.0)
+
+
+def _manager(attr: str):
+    """A counter the node's reconfiguration manager keeps."""
+    return lambda node: 0 if node.reconfig is None else getattr(node.reconfig, attr)
+
+
+def _membership(attr: str):
+    """A backend-specific counter, read off ``manager.membership`` with
+    ``getattr(..., 0)`` so every backend reports the full set (absent
+    ones as 0) and diff metric tables stay column-stable across
+    ``--mode``."""
+    return lambda node: (0 if node.reconfig is None
+                         else getattr(node.reconfig.membership, attr, 0))
+
+
+def _distinct_gids(kind: str):
+    return lambda cluster: len({e.gid for e in cluster.history.events if e.kind == kind})
+
+
+#: Every metric :func:`collect_cluster_metrics` emits, in emission order,
+#: as ``(key, reader, combine)``: a row with a ``combine`` reads every
+#: node and folds the per-node values with it; a row without one reads
+#: the cluster once.
+_METRICS = (
+    ("sim.virtual_time", lambda cluster: cluster.sim.now, None),
+    ("sim.events_processed", lambda cluster: cluster.sim.events_processed, None),
+    ("net.messages_sent", lambda cluster: sum(
+        endpoint.messages_sent for endpoint in cluster.network._endpoints.values()), None),
+    ("net.messages_delivered", lambda cluster: cluster.network.messages_delivered, None),
+    ("net.messages_dropped", lambda cluster: cluster.network.messages_dropped, None),
+    ("net.messages_duplicated", lambda cluster: cluster.network.messages_duplicated, None),
+    ("net.messages_injector_dropped",
+     lambda cluster: cluster.network.messages_injector_dropped, None),
+    ("net.delivery_batches", lambda cluster: cluster.network.delivery_batches, None),
+    ("net.messages_in_flight", lambda cluster: cluster.network.messages_in_flight, None),
+    ("txn.commits", _distinct_gids("commit"), None),
+    ("txn.aborts", _distinct_gids("abort"), None),
+    ("locks.grants", lambda node: node.db.locks.grants, sum),
+    ("locks.conflicts", lambda node: node.db.locks.conflicts, sum),
+    ("locks.queue_depth_peak", lambda node: node.db.locks.max_waiting, _peak),
+    ("locks.wait_time_total", lambda node: sum(node.db.locks.wait_times), _float_sum),
+    ("wal.records_appended", lambda node: node.storage.records_appended, sum),
+    ("wal.fsyncs", lambda node: node.storage.flushes, sum),
+    ("wal.torn_records", lambda node: node.storage.torn_records, sum),
+    ("wal.corrupt_records", lambda node: node.storage.corrupt_records, sum),
+    ("txn.site_commits", lambda node: node.commits, sum),
+    ("txn.local_aborts", lambda node: node.local_aborts, sum),
+    ("client.duplicates_suppressed", lambda node: node.duplicates_suppressed, sum),
+    ("client.outcome_entries", lambda node: len(node.db.outcomes), _peak),
+    ("gcs.views_installed", lambda node: len(node.member.views_installed), _peak),
+    ("gcs.messages_delivered", lambda node: node.member.messages_delivered, sum),
+    ("to.batches_sent", lambda node: node.member.to.batches_sent, sum),
+    ("xfer.transfers_started", _manager("transfers_started"), sum),
+    ("xfer.transfers_completed", _manager("transfers_completed"), sum),
+    ("xfer.objects_sent", _manager("objects_sent_total"), sum),
+    ("xfer.bytes_sent", _manager("bytes_sent_total"), sum),
+    ("xfer.objects_received", _manager("objects_received_total"), sum),
+    ("xfer.bytes_received", _manager("bytes_received_total"), sum),
+    ("xfer.retransmissions", _manager("transfer_retransmissions"), sum),
+    ("xfer.stalls", _manager("transfer_stalls"), sum),
+    ("xfer.failovers", _manager("transfer_failovers"), sum),
+    ("xfer.solicits", _manager("solicits_sent"), sum),
+    ("xfer.replayed_transactions", _manager("replayed_transactions"), sum),
+    ("xfer.announcements", _manager("announcements_sent"), sum),
+    ("reconfig.svs_merges", _membership("svs_merges_issued"), sum),  # evs
+    ("reconfig.sv_merges", _membership("sv_merges_issued"), sum),  # evs
+    ("reconfig.config_proposals", _membership("config_proposals_sent"), sum),  # logless
+    ("reconfig.config_changes", _membership("config_changes_applied"), sum),  # logless
+    ("reconfig.config_conflicts", _membership("config_conflicts"), sum),  # logless
+)
 
 
 def metric_key_set() -> tuple:
     """The canonical, backend-independent key set every snapshot from
     :func:`collect_cluster_metrics` contains — in emission order."""
-    return _CANONICAL_METRIC_KEYS
+    return tuple(key for key, _reader, _combine in _METRICS)
 
 
 def collect_cluster_metrics(cluster) -> Dict[str, float]:
@@ -47,129 +115,10 @@ def collect_cluster_metrics(cluster) -> Dict[str, float]:
     contains the same keys regardless of the reconfiguration backend:
     counters a backend does not maintain are reported as 0.
     """
-    network = cluster.network
-    metrics: Dict[str, float] = {
-        "sim.virtual_time": cluster.sim.now,
-        "sim.events_processed": cluster.sim.events_processed,
-        "net.messages_sent": sum(
-            endpoint.messages_sent for endpoint in network._endpoints.values()
-        ),
-        "net.messages_delivered": network.messages_delivered,
-        "net.messages_dropped": network.messages_dropped,
-        "net.messages_duplicated": network.messages_duplicated,
-        "net.messages_injector_dropped": network.messages_injector_dropped,
-        "net.delivery_batches": network.delivery_batches,
-        "net.messages_in_flight": network.messages_in_flight,
-    }
-    commits = {e.gid for e in cluster.history.events if e.kind == "commit"}
-    aborts = {e.gid for e in cluster.history.events if e.kind == "abort"}
-    metrics["txn.commits"] = len(commits)
-    metrics["txn.aborts"] = len(aborts)
-
-    lock_grants = lock_conflicts = lock_queue_peak = 0
-    lock_wait_total = 0.0
-    wal_records = wal_flushes = wal_torn = wal_corrupt = 0
-    node_commits = node_local_aborts = 0
-    dedup_suppressed = outcome_entries = 0
-    to_batches = gcs_delivered = views = 0
-    xfer = {
-        "started": 0, "completed": 0, "objects_sent": 0, "bytes_sent": 0,
-        "objects_received": 0, "bytes_received": 0, "retransmissions": 0,
-        "stalls": 0, "failovers": 0, "solicits": 0, "replayed": 0,
-        "announcements": 0,
-    }
-    backend_counters = {key: 0 for key in BACKEND_COUNTER_KEYS}
-    for node in cluster.nodes.values():
-        locks = node.db.locks
-        lock_grants += locks.grants
-        lock_conflicts += locks.conflicts
-        lock_queue_peak = max(lock_queue_peak, locks.max_waiting)
-        lock_wait_total += sum(locks.wait_times)
-        storage = node.storage
-        wal_records += storage.records_appended
-        wal_flushes += storage.flushes
-        wal_torn += storage.torn_records
-        wal_corrupt += storage.corrupt_records
-        node_commits += node.commits
-        node_local_aborts += node.local_aborts
-        dedup_suppressed += node.duplicates_suppressed
-        outcome_entries = max(outcome_entries, len(node.db.outcomes))
-        member = node.member
-        views = max(views, len(member.views_installed))
-        gcs_delivered += member.messages_delivered
-        to_batches += member.to.batches_sent
-        manager = node.reconfig
-        if manager is not None:
-            xfer["started"] += manager.transfers_started
-            xfer["completed"] += manager.transfers_completed
-            xfer["objects_sent"] += manager.objects_sent_total
-            xfer["bytes_sent"] += manager.bytes_sent_total
-            xfer["objects_received"] += manager.objects_received_total
-            xfer["bytes_received"] += manager.bytes_received_total
-            xfer["retransmissions"] += manager.transfer_retransmissions
-            xfer["stalls"] += manager.transfer_stalls
-            xfer["failovers"] += manager.transfer_failovers
-            xfer["solicits"] += manager.solicits_sent
-            xfer["replayed"] += manager.replayed_transactions
-            xfer["announcements"] += manager.announcements_sent
-            for key, attr in BACKEND_COUNTER_KEYS.items():
-                backend_counters[key] += getattr(manager.membership, attr, 0)
-    metrics.update({
-        "locks.grants": lock_grants,
-        "locks.conflicts": lock_conflicts,
-        "locks.queue_depth_peak": lock_queue_peak,
-        "locks.wait_time_total": lock_wait_total,
-        "wal.records_appended": wal_records,
-        "wal.fsyncs": wal_flushes,
-        "wal.torn_records": wal_torn,
-        "wal.corrupt_records": wal_corrupt,
-        "txn.site_commits": node_commits,
-        "txn.local_aborts": node_local_aborts,
-        "client.duplicates_suppressed": dedup_suppressed,
-        "client.outcome_entries": outcome_entries,
-        "gcs.views_installed": views,
-        "gcs.messages_delivered": gcs_delivered,
-        "to.batches_sent": to_batches,
-        "xfer.transfers_started": xfer["started"],
-        "xfer.transfers_completed": xfer["completed"],
-        "xfer.objects_sent": xfer["objects_sent"],
-        "xfer.bytes_sent": xfer["bytes_sent"],
-        "xfer.objects_received": xfer["objects_received"],
-        "xfer.bytes_received": xfer["bytes_received"],
-        "xfer.retransmissions": xfer["retransmissions"],
-        "xfer.stalls": xfer["stalls"],
-        "xfer.failovers": xfer["failovers"],
-        "xfer.solicits": xfer["solicits"],
-        "xfer.replayed_transactions": xfer["replayed"],
-        "xfer.announcements": xfer["announcements"],
-    })
-    metrics.update(backend_counters)
-    for key in _CANONICAL_METRIC_KEYS:
-        metrics.setdefault(key, 0)
-    return metrics
-
-
-#: Every key :func:`collect_cluster_metrics` emits, in order — the
-#: column set diff tables can rely on for any backend.
-_CANONICAL_METRIC_KEYS: tuple = (
-    "sim.virtual_time", "sim.events_processed",
-    "net.messages_sent", "net.messages_delivered", "net.messages_dropped",
-    "net.messages_duplicated", "net.messages_injector_dropped",
-    "net.delivery_batches", "net.messages_in_flight",
-    "txn.commits", "txn.aborts",
-    "locks.grants", "locks.conflicts", "locks.queue_depth_peak",
-    "locks.wait_time_total",
-    "wal.records_appended", "wal.fsyncs", "wal.torn_records",
-    "wal.corrupt_records",
-    "txn.site_commits", "txn.local_aborts",
-    "client.duplicates_suppressed", "client.outcome_entries",
-    "gcs.views_installed", "gcs.messages_delivered", "to.batches_sent",
-    "xfer.transfers_started", "xfer.transfers_completed",
-    "xfer.objects_sent", "xfer.bytes_sent",
-    "xfer.objects_received", "xfer.bytes_received",
-    "xfer.retransmissions", "xfer.stalls", "xfer.failovers",
-    "xfer.solicits", "xfer.replayed_transactions", "xfer.announcements",
-) + tuple(BACKEND_COUNTER_KEYS)
+    nodes = list(cluster.nodes.values())
+    return {key: reader(cluster) if combine is None
+            else combine([reader(node) for node in nodes])
+            for key, reader, combine in _METRICS}
 
 
 def run_data(cluster, tracer, name: str = "repro run") -> RunData:

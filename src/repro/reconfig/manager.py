@@ -3,7 +3,7 @@
 :class:`ReconfigManager` owns everything the ``vs``, ``evs`` and
 ``logless`` backends share: the peer-side session table, the joiner-side
 enqueue/replay machinery (the synchronization-point rule of section
-4.2), lazy-transfer resume state, the creation protocol after total
+4.2), lazy round 1's partition progress, the creation protocol after total
 failures (section 3), and the routing tables of both message channels.
 What a backend *is* is its membership object, which defines exactly the
 methods :data:`MEMBERSHIP_SEAM` names and is asked through them.
@@ -24,14 +24,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.db.recovery import RecoveryResult
 from repro.gcs.primary import most_recent
 from repro.gcs.view import View
-from repro.replication.messages import CreationReport, TransactionMessage, UpToDateAnnouncement
+from repro.replication.messages import (
+    CreationReport, LastRoundDelimiter, TransactionMessage, UpToDateAnnouncement)
 from repro.replication.node import ReplicatedDatabaseNode, SiteStatus
 from repro.reconfig.strategies import Strategy
 from repro.reconfig.transfer import (
     CatchUpComplete,
     JoinerTransferSession,
-    LastRoundReady,
-    LastRoundStart,
     PartitionComplete,
     PeerTransferSession,
     ReconcileAck,
@@ -58,11 +57,9 @@ TRANSFER_ROUTES = {
     TransferSolicit: ("manager", "_on_transfer_solicit"),
     TransferDecline: ("manager", "_on_transfer_decline"),
     TransferComplete: ("manager", "_on_transfer_complete"),
-    LastRoundStart: ("manager", "_on_last_round_start"),
     TransferAccept: ("peer", "on_accept"),
     ReconcileAck: ("peer", "on_reconcile_ack"),
     TransferBatchAck: ("peer", "on_batch_ack"),
-    LastRoundReady: ("peer", "on_last_round_ready"),
     TransferCompleteAck: ("peer", "on_complete_ack"),
     CatchUpComplete: ("peer", "on_catch_up_complete"),
     PartitionComplete: ("joiner", "on_partition_complete"),
@@ -100,7 +97,8 @@ class ReconfigManager:
     #: taking ``(message, gseq)``.  A membership routes the control
     #: messages of its own in its ``CONTROL_ROUTES``; the node routes
     #: through :meth:`on_control` and never names the type.
-    CONTROL_ROUTES = {CreationReport: "on_creation_report"}
+    CONTROL_ROUTES = {CreationReport: "on_creation_report",
+                      LastRoundDelimiter: "_on_last_round_delimiter"}
 
     #: Cost of replaying one write of an enqueued transaction at a joiner.
     REPLAY_OP_TIME = 0.0004
@@ -119,7 +117,6 @@ class ReconfigManager:
         self.joiner_session: Optional[JoinerTransferSession] = None
         self.enqueue_mode = False
         self.enqueued: List[Tuple[int, TransactionMessage]] = []
-        self.last_seen_gid = -1
         self.replaying = False
         #: The scheduled replay step, if one is in flight.  Its message
         #: stays at the head of ``enqueued`` until the step runs, so a
@@ -128,8 +125,9 @@ class ReconfigManager:
         self.caught_up = False
         self.activation_authorized = False
         self._announced = False
-        self._resume_through = -1
-        self._done_partitions: Dict[str, int] = {}
+        #: Lazy round 1's completed partitions (partition -> complete
+        #: through gid), offered to every later peer of this join.
+        self.done_partitions: Dict[str, int] = {}
         self._creation_reports: Dict[str, CreationReport] = {}
         self._creation_started = False
         # View the running creation round belongs to.  The round is
@@ -190,8 +188,7 @@ class ReconfigManager:
 
     def on_recover(self, recovery: RecoveryResult) -> None:
         self._reset_joiner_state()
-        self._resume_through = self.node.db.cover_gid()
-        self._done_partitions = {}
+        self.done_partitions = {}
 
     def on_control(self, payload: Any, gseq: int) -> None:
         """A delivered message that is neither a transaction nor pure
@@ -219,8 +216,8 @@ class ReconfigManager:
     def note_partition_complete(self, partition: str, boundary_gid: int) -> None:
         """Record lazy round-1 progress so a replacement peer can skip
         already-shipped partitions (section 4.7)."""
-        current = self._done_partitions.get(partition, -(2**60))
-        self._done_partitions[partition] = max(current, boundary_gid)
+        current = self.done_partitions.get(partition, -(2**60))
+        self.done_partitions[partition] = max(current, boundary_gid)
 
     def restart_join(self) -> None:
         """The GCS skipped sequence numbers while we were recovering (we
@@ -246,7 +243,7 @@ class ReconfigManager:
     def _enqueue_from_sync_point(self) -> None:
         """Section 4.2: this joiner stands at or past its synchronization
         point, so an eager strategy keeps every transaction delivered
-        from here on for replay (lazy discards until its last round)."""
+        from here on for replay (lazy discards until its delimiter)."""
         if not self.strategy.lazy:
             self.enqueue_mode = True
 
@@ -254,7 +251,6 @@ class ReconfigManager:
         self._drop_join()
         self.enqueue_mode = False
         self.enqueued = []
-        self.last_seen_gid = -1
         self._reset_creation()
 
     def _drop_join(self) -> None:
@@ -280,7 +276,6 @@ class ReconfigManager:
     # Joiner side: message enqueueing and replay (section 4.2)
     # ------------------------------------------------------------------
     def on_recovering_message(self, gid: int, message: TransactionMessage) -> None:
-        self.last_seen_gid = gid
         if not self.enqueue_mode:
             return
         self.enqueued.append((gid, message))
@@ -335,7 +330,6 @@ class ReconfigManager:
         # the baseline it would label their state as older than it is
         # (chaos --mode evs --seed 170; a creation source, --seed 179).
         self.node.last_processed_gid = max(self.node.last_processed_gid, msg.baseline_gid)
-        self._resume_through = max(self._resume_through, msg.baseline_gid)
         self.transfers_completed += 1
         self._start_replay()
 
@@ -621,10 +615,7 @@ class ReconfigManager:
         if self.replaying or self.caught_up:
             self._abort_replay()
             self.caught_up = False
-        resume = max(node.db.cover_gid(), self._resume_through)
-        self.joiner_session = JoinerTransferSession(
-            node, offer, resume, done_partitions=self._done_partitions
-        )
+        self.joiner_session = JoinerTransferSession(node, offer)
         self._enqueue_from_sync_point()
         node.trace("transfer", "accept",
                    data={"peer": offer.peer, **self._transfer_snapshot()})
@@ -638,15 +629,16 @@ class ReconfigManager:
             self.node.site_utd[msg.joiner] = True
             self.cancel_session(msg.joiner)
 
-    def _on_last_round_start(self, msg: LastRoundStart) -> None:
-        session = self.joiner_session
-        if session is not None and session.session_id == msg.session_id:
+    def _on_last_round_delimiter(self, msg: LastRoundDelimiter, gseq: int) -> None:
+        """Section 4.7's delimiter transaction, delivered at ``gseq``: the
+        lazy session it names captures as of it here, and its joiner
+        enqueues every transaction delivered after it."""
+        session = self._session_by_id(msg.session_id)
+        if session is not None:
+            session.on_delimiter(gseq)
+        joiner = self.joiner_session
+        if joiner is not None and joiner.session_id == msg.session_id:
             self.enqueue_mode = True
-            self.node.send_transfer(
-                session.peer,
-                LastRoundReady(session_id=msg.session_id,
-                               last_discarded_gid=self.last_seen_gid),
-            )
 
     def _session_by_id(self, session_id: str) -> Optional[PeerTransferSession]:
         for session in self.sessions_out.values():

@@ -13,9 +13,9 @@ offer/accept handshake, batching with a single in-flight batch,
 per-object marshalling cost and completion signalling.
 
 A :class:`JoinerTransferSession` lives at the joining site; it installs
-incoming batches, tracks lazy-transfer resume points for peer fail-over,
-and replays the enqueued transaction messages once the transfer
-completes (the synchronization-point rule of section 4.2/4.7).
+incoming batches and records the baseline the transfer completes at;
+the manager replays the enqueued transaction messages above it (the
+synchronization-point rule of section 4.2/4.7).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.db.locks import DB_RESOURCE, LockMode
 from repro.db.partitions import partition_names, partition_of
 from repro.reconfig.strategies import (
     NO_COVER, Capture, Filter, Strategy, changed_objects, effective_cover)
+from repro.replication.messages import LastRoundDelimiter
 from repro.replication.node import ReplicatedDatabaseNode
 
 
@@ -88,7 +89,6 @@ class TransferOffer:
 class TransferAccept:
     session_id: str
     cover_gid: int
-    resume_through: int  # lazy fail-over: data already held up to this gid
     needs_full: bool  # new site without any database copy (section 4.3)
     #: Locally committed gids above the cover: under plain reliable
     #: delivery these may be phantoms (section 2.3) and must be checked
@@ -137,7 +137,6 @@ class TransferBatch:
     boundary: int
     items: Tuple[Tuple[str, Any, int], ...]  # (object, value, version)
     payload_bytes: int
-    round_boundary: Optional[int] = None  # lazy: state complete through this gid
     #: Per-session monotone sequence number; lets the joiner recognise a
     #: retransmitted or duplicated batch (re-ack without re-counting) and
     #: the peer discard stale acks.
@@ -161,20 +160,6 @@ class TransferBatchAck:
     session_id: str
     count: int
     seq: int = 0
-
-
-@dataclass(frozen=True)
-class LastRoundStart:
-    """Lazy transfer: the peer announces the final round; the joiner must
-    start enqueueing and report the last gid it saw-and-discarded."""
-
-    session_id: str
-
-
-@dataclass(frozen=True)
-class LastRoundReady:
-    session_id: str
-    last_discarded_gid: int
 
 
 @dataclass(frozen=True)
@@ -284,13 +269,12 @@ class PeerTransferSession:
         self._outbox: Deque[Tuple[str, Any, int]] = deque()
         self._inflight: Optional[int] = None  # item count of the batch in flight
         self._finished_baseline: Optional[int] = None
-        self._round_boundary: Optional[int] = None
         self._batch_cb: Optional[Callable[[], None]] = None
         self._pending_accept: Optional[TransferAccept] = None
 
         # The capture, all of it given back by _close(), exactly once.
         #: The gid the captured state is as of: the synchronization
-        #: point; lazy: the delimiter, once the last round chose it.
+        #: point; lazy: the delimiter's, once it is delivered.
         self._capture_gid: Optional[int] = None if strategy.lazy else sync_gid
         #: The joiner's state is complete through this gid: fixed from the
         #: start when every object ships, else known at the accept (lazy:
@@ -475,14 +459,12 @@ class PeerTransferSession:
     def _begin(self, accept: TransferAccept) -> None:
         """The joiner accepted (and reconciled): its cover is known."""
         self._begun = True
+        if self._cover is None:
+            self._cover = effective_cover(accept)
         if self.strategy.lazy:
-            self._cover = (NO_COVER if accept.needs_full
-                           else max(accept.cover_gid, accept.resume_through))
             self._done_partitions = dict(accept.done_partitions)
             self._start_round()
             return
-        if self._cover is None:
-            self._cover = effective_cover(accept)
         capture = self.strategy.capture
         if capture is Capture.OBJECT_LOCKS:
             early, self._granted_early = self._granted_early, []
@@ -582,13 +564,13 @@ class PeerTransferSession:
     # ------------------------------------------------------------------
     # The joiner discards transaction messages while rounds ship the
     # objects updated during the previous one, under no lock.  The last
-    # round (the residual set is small or the round budget spent) is
-    # announced; the joiner starts enqueueing and reports the last gid it
-    # saw-and-discarded; the delimiter d = max(that, the last gid
-    # processed here) and — in the same atomic step — the database read
-    # lock make the capture above, with baseline d.  Round boundaries are
-    # piggybacked on each round's last batch, so a replacement peer
-    # resumes from the joiner's reported progress.
+    # round (the residual set is small or the round budget spent) starts
+    # with the delimiter transaction, multicast in the total order.  Where
+    # it is delivered, at gseq d, the peer requests the database read lock
+    # for the capture above, with baseline d, and the joiner starts
+    # enqueueing: one ordered point, as the view change is for the eager
+    # strategies.  Round 1 may go partition by partition; the joiner keeps
+    # the completed partitions, so a replacement peer skips them.
     def _start_round(self) -> None:
         if not self.active:
             return
@@ -608,16 +590,14 @@ class PeerTransferSession:
             return
         objects = changed_objects(self.db, self._cover)
         # Termination checks I and II: enter the last round when the
-        # residual set is small enough or the round budget is spent.
-        if self._round > 1 and (len(objects) <= config.lazy_round_threshold
-                                or self._round >= config.lazy_max_rounds):
-            self._announce_last_round()
-            return
-        if self._round == 1 and not objects:
-            self._announce_last_round()
+        # residual set is small enough or the round budget is spent
+        # (in round 1: when nothing changed since the cover).
+        if (not objects if self._round == 1
+                else (len(objects) <= config.lazy_round_threshold
+                      or self._round >= config.lazy_max_rounds)):
+            self.node._multicast(LastRoundDelimiter(session_id=self.session_id))
             return
         self._queue_committed(objects, g0)
-        self._round_boundary = g0
         self._cover = g0
         self._round += 1
         self._call_on_outbox_drained(self._start_round)
@@ -653,18 +633,10 @@ class PeerTransferSession:
 
         self._call_on_outbox_drained(partition_done)
 
-    def _announce_last_round(self) -> None:
-        # Tracked: acknowledged by LastRoundReady, retransmitted on loss —
-        # an unanswered announcement would otherwise hang the last round.
-        self.send_tracked("last_round", LastRoundStart(session_id=self.session_id))
-
-    def on_last_round_ready(self, msg: LastRoundReady) -> None:
-        if not self.active:
-            return
-        self.ack_tracked("last_round")
-        if self._capture_gid is not None:
-            return  # duplicate, or not a lazy session
-        self._capture_gid = max(msg.last_discarded_gid, self.node.last_processed_gid)
+    def on_delimiter(self, gid: int) -> None:
+        """The delimiter was delivered here at ``gid``: capture as of it,
+        under the database lock requested in this same ordered step."""
+        self._capture_gid = gid
         self._request_db_lock()
 
     # ------------------------------------------------------------------
@@ -683,9 +655,7 @@ class PeerTransferSession:
 
     def _finish(self) -> None:
         """Everything is queued: complete at the capture gid once the
-        outbox drains (lazy: the last round's boundary, too)."""
-        if self.strategy.lazy:
-            self._round_boundary = self._capture_gid
+        outbox drains."""
         self._finished_baseline = self._capture_gid
         self._maybe_send_batch()
 
@@ -730,9 +700,6 @@ class PeerTransferSession:
         else:
             payload_bytes = len(items) * self.OBJECT_SIZE_BYTES
             wire_items = items
-        round_boundary = None
-        if self._round_boundary is not None and not self._outbox:
-            round_boundary = self._round_boundary
         self._batch_seq += 1
         manager = self.node.reconfig
         manager.objects_sent_total += len(items)
@@ -744,7 +711,6 @@ class PeerTransferSession:
                 items=wire_items,
                 payload_bytes=payload_bytes,
                 boundary=self.boundary,
-                round_boundary=round_boundary,
                 seq=self._batch_seq,
                 blob=blob,
                 compressed=compressed,
@@ -825,18 +791,14 @@ class PeerTransferSession:
 # Joiner side
 # ----------------------------------------------------------------------
 class JoinerTransferSession:
-    """Joiner-side transfer state: installs batches, tracks resume info."""
+    """Joiner-side transfer state: installs batches, records the baseline."""
 
-    def __init__(self, node: ReplicatedDatabaseNode, offer: TransferOffer,
-                 resume_through: int,
-                 done_partitions: Optional[Dict[str, int]] = None) -> None:
+    def __init__(self, node: ReplicatedDatabaseNode, offer: TransferOffer) -> None:
         self.node = node
         self.session_id = offer.session_id
         self.peer = offer.peer
         self.sync_gid = offer.sync_gid
         self.offer_time = offer.created_at
-        self.resume_through = resume_through
-        self.done_partitions: Dict[str, int] = dict(done_partitions or {})
         self.active = True
         self.complete = False
         self.baseline_gid: Optional[int] = None
@@ -861,20 +823,16 @@ class JoinerTransferSession:
             TransferAccept(
                 session_id=self.session_id,
                 cover_gid=cover,
-                resume_through=self.resume_through,
                 needs_full=needs_full,
                 committed_above_cover=suspects,
-                done_partitions=tuple(sorted(self.done_partitions.items())),
+                done_partitions=tuple(sorted(
+                    self.node.reconfig.done_partitions.items())),
             ),
         )
 
     def on_partition_complete(self, msg: PartitionComplete) -> None:
-        if not self.active:
-            return
-        current = self.done_partitions.get(msg.partition, -(2**60))
-        self.done_partitions[msg.partition] = max(current, msg.boundary_gid)
-        self.node.reconfig.note_partition_complete(
-            msg.partition, self.done_partitions[msg.partition])
+        if self.active:
+            self.node.reconfig.note_partition_complete(msg.partition, msg.boundary_gid)
 
     def on_reconcile_notice(self, notice: ReconcileNotice) -> None:
         if not self.active:
@@ -909,8 +867,6 @@ class JoinerTransferSession:
             manager = self.node.reconfig
             manager.objects_received_total += len(items)
             manager.bytes_received_total += batch.payload_bytes
-            if batch.round_boundary is not None:
-                self.resume_through = max(self.resume_through, batch.round_boundary)
         # Always (re-)ack — the previous ack may have been lost.
         self.node.send_transfer(
             self.peer,
@@ -924,7 +880,6 @@ class JoinerTransferSession:
             return
         self.complete = True
         self.baseline_gid = msg.baseline_gid
-        self.resume_through = max(self.resume_through, msg.baseline_gid)
 
     def cancel(self) -> None:
         self.active = False

@@ -121,6 +121,17 @@ class ConfigChange:
 
 
 @dataclass(frozen=True)
+class LastRoundDelimiter:
+    """Lazy transfer's delimiter transaction (section 4.7), multicast by
+    the peer of session ``session_id`` when its rounds end.  Where the
+    total order delivers it is the last round's synchronization point:
+    the peer captures the state as of it, and the joiner enqueues every
+    transaction delivered after it."""
+
+    session_id: str
+
+
+@dataclass(frozen=True)
 class CreationReport:
     """One site's contribution to the creation protocol (section 3).
 

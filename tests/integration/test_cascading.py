@@ -4,6 +4,8 @@ failures during the data transfer, and the Figure 1 / Figure 2 scenarios."""
 import pytest
 
 from repro import LoadGenerator, NodeConfig, WorkloadConfig
+from repro.reconfig.strategies import changed_objects
+from repro.reconfig.transfer import TransferAccept, TransferBatch
 from repro.replication.node import SiteStatus
 from repro.scenarios import run_figure1_scenario
 from tests.conftest import quick_cluster
@@ -65,28 +67,41 @@ class TestPeerFailure:
         assert started >= 2
 
     def test_lazy_failover_resumes_not_restarts(self):
-        """Section 4.7: the new peer continues from the joiner's reported
-        progress instead of transferring everything again."""
+        """Section 4.7: the peer dies mid-transfer and the replacement
+        continues from the joiner's cover instead of sending the whole
+        database again: its rounds ship only objects the RecTable lists
+        as changed since that cover.  (What resumes is the cover, and
+        round 1's completed partitions when there are any — not the
+        round the dead peer had reached.)"""
         cluster, load = slow_transfer_cluster(strategy="lazy")
+        joiner = cluster.nodes["S5"]
         peer = start_recovery(cluster, "S5")
-        # Let at least one full round land so resume info exists.
-        cluster.await_condition(
-            lambda: cluster.nodes["S5"].reconfig._resume_through
-            > cluster.nodes["S5"].db.cover_gid(),
-            timeout=20,
-        )
-        first_round_bytes = cluster.nodes["S5"].reconfig.bytes_received_total
+        assert cluster.await_condition(
+            lambda: joiner.reconfig.objects_received_total > 0, timeout=20, step=0.001)
+        assert joiner.status is SiteStatus.RECOVERING
+        assert not joiner.reconfig.joiner_session.complete
+        shipped, accepted = set(), set()
+
+        def tap(src, dst, payload):
+            src, dst = src.split(":")[0], dst.split(":")[0]
+            if src not in (peer, "S5") and dst == "S5" and isinstance(payload, TransferBatch):
+                shipped.update(obj for obj, _value, _version in payload.decoded_items())
+            if src == "S5" and dst != peer and isinstance(payload, TransferAccept):
+                accepted.add((dst, payload.cover_gid))
+
+        cluster.network.add_tap(tap)
         cluster.crash(peer)
         ok = cluster.await_condition(
-            lambda: cluster.nodes["S5"].status is SiteStatus.ACTIVE, timeout=40
+            lambda: joiner.status is SiteStatus.ACTIVE, timeout=40
         )
         load.stop()
         cluster.settle(1.0)
         assert ok
-        total = cluster.nodes["S5"].reconfig.objects_received_total
-        # Resume means total received stays well below two full copies.
-        assert total < 2 * 300
         cluster.check()
+        (replacement, cover), = accepted
+        changed = changed_objects(cluster.nodes[replacement].db, cover)
+        assert shipped and shipped <= set(changed)
+        assert len(changed) < 300  # less than the whole database
 
     def test_full_strategy_failover_restarts(self):
         cluster, load = slow_transfer_cluster(strategy="full")

@@ -66,6 +66,15 @@ CASES = [
     ("logless", 2, "log_filter"),  # session, cancelled later, ended its
                    # snapshot a second time and dropped the one a sibling
                    # session at the same sync point still had to read
+    ("vs", 10, "lazy"),  # decision disagreement, and
+    ("logless", 61, "lazy"),  # a wrong install: the lazy peer took its
+                   # last round's delimiter from a point-to-point
+                   # handshake, max(the joiner's last discarded gid, its
+                   # own last processed one), so it could capture above
+                   # the last gid it had delivered (vs 10: 84, with 83
+                   # delivered), labelling older state with a gid the
+                   # joiner had already discarded.  The delimiter is an
+                   # ordered message now, captured where it is delivered.
 ]
 
 

@@ -91,7 +91,7 @@ class TestPartitionedLazyFailover:
         peer = next(s for s, n in cluster.nodes.items()
                     if n.alive and n.reconfig.sessions_out.get("S5"))
         assert cluster.await_condition(
-            lambda: len(cluster.nodes["S5"].reconfig._done_partitions) >= 2, timeout=20
+            lambda: len(cluster.nodes["S5"].reconfig.done_partitions) >= 2, timeout=20
         )
         received_before = cluster.nodes["S5"].reconfig.objects_received_total
         cluster.crash(peer)

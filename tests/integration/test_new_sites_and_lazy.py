@@ -4,7 +4,7 @@ import pytest
 
 from repro import ClusterBuilder, LoadGenerator, NodeConfig, WorkloadConfig
 from repro.reconfig.strategies import ALL_STRATEGY_NAMES, changed_objects
-from repro.reconfig.transfer import LastRoundStart
+from repro.replication.messages import LastRoundDelimiter
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster
 
@@ -107,8 +107,6 @@ class TestLazyInternals:
         )
         load.stop()
         cluster.settle(0.5)
-        # Round boundaries advanced the joiner's resume point beyond its
-        # cover before completion — evidence of multi-round operation.
         cluster.check()
 
     def test_lazy_discards_before_last_round(self):
@@ -132,29 +130,30 @@ class TestLazyInternals:
 
     def test_lazy_max_rounds_forces_termination(self, monkeypatch):
         """Termination check I: at threshold 0 only the round budget can
-        end the rounds, so the last round is announced at round
+        end the rounds, so the delimiter is multicast at round
         ``lazy_max_rounds`` with objects still stale.  Round 2's residual
         is a handful of objects here, so any positive threshold would
-        have ended the rounds one round earlier.  The announcement is
-        watched as the peer sends it: the round that announces has just
+        have ended the rounds one round earlier.  The delimiter is
+        watched as the peer multicasts it: the round that ends has just
         computed its residual against the session's cover, so the same
         query at that instant sees the same set."""
         last_rounds = {}
 
-        def watch(node, send):
-            def send_transfer(dst, payload):
-                if isinstance(payload, LastRoundStart) and payload.session_id not in last_rounds:
+        def watch(node, multicast):
+            def watched(payload):
+                if isinstance(payload, LastRoundDelimiter):
+                    assert payload.session_id not in last_rounds  # one per session
                     session = next(s for s in node.reconfig.sessions_out.values()
                                    if s.session_id == payload.session_id)
                     last_rounds[payload.session_id] = (
                         session._round, len(changed_objects(node.db, session._cover)))
-                send(dst, payload)
+                multicast(payload)
 
-            return send_transfer
+            return watched
 
         cluster, load = self.make(threshold=0, max_rounds=3, rate=60.0)
         for node in cluster.nodes.values():
-            monkeypatch.setattr(node, "send_transfer", watch(node, node.send_transfer))
+            monkeypatch.setattr(node, "_multicast", watch(node, node._multicast))
         cluster.run_for(0.4)
         cluster.crash("S3")
         cluster.run_for(0.6)

@@ -20,6 +20,7 @@ from repro.replication import messages
 from repro.replication.messages import (
     ConfigChange,
     CoverAnnouncement,
+    LastRoundDelimiter,
     RequestId,
     TransactionMessage,
     UpToDateAnnouncement,
@@ -184,6 +185,14 @@ def test_every_transfer_message_has_one_route_to_an_existing_handler():
         assert inspect.isfunction(handler), (message_type.__name__, side, method)
         # One signature for every route: the message and nothing else.
         assert len(inspect.signature(handler).parameters) == 2, method
+    # A peer session hears only the accept, acknowledgements and the
+    # catch-up on this channel: where it captures is never negotiated
+    # point to point, but read off the total order (the view change, or
+    # lazy's delimiter).
+    assert {message_type.__name__ for message_type, (side, _method)
+            in TRANSFER_ROUTES.items() if side == "peer"} == {
+        "TransferAccept", "ReconcileAck", "TransferBatchAck",
+        "TransferCompleteAck", "CatchUpComplete"}
 
 
 def test_every_ordered_message_is_bookkeeping_or_routed_by_a_backend():
@@ -200,6 +209,8 @@ def test_every_ordered_message_is_bookkeeping_or_routed_by_a_backend():
     assert control == routed | {CoverAnnouncement}
     # Pure cover bookkeeping is the node's, not a backend's.
     assert CoverAnnouncement not in routed
+    # Lazy's last round is an ordered point every backend shares.
+    assert ReconfigManager.CONTROL_ROUTES[LastRoundDelimiter] == "_on_last_round_delimiter"
 
 
 @dataclasses.dataclass(frozen=True)

@@ -132,8 +132,10 @@ def test_enqueue_mode_has_one_writer_per_reason():
     writers = methods_where(
         lambda item: isinstance(item, ast.Assign)
         and ast.unparse(item) == "self.enqueue_mode = True")
+    # An eager joiner enqueues from its synchronization point, a lazy
+    # one from where its delimiter is delivered: both ordered points.
     assert writers == ["manager.py:_enqueue_from_sync_point",
-                       "manager.py:_on_last_round_start"]
+                       "manager.py:_on_last_round_delimiter"]
 
 
 def test_view_change_rules_are_read_in_one_method_each():

@@ -110,5 +110,12 @@ def test_gate_comparison_flags_a_difference_in_any_compared_key(audit_against, k
     assert audit_against.compare_gate(ours, dict(ours))[1] == 0
     theirs = {**ours, "vs full clients=0 seed 1": {**STORM, key: value}}
     lines, differing = audit_against.compare_gate(ours, theirs)
-    assert differing == 1 and f"seed 1: DIFFERS in {key}" in "\n".join(lines)
+    text = "\n".join(lines)
+    assert differing == 1 and f"seed 1: DIFFERS in {key}" in text
+    # The line under it names what differs, with both values; inside
+    # ``epochs`` and ``metrics`` that is the entry's own name.
+    expected = {"epochs": "epochs.count: this=1 other=2",
+                "metrics": "metrics.txn.commits: this=3 other=4"}.get(
+        key, f"{key}: this={STORM.get(key)!r} other={value!r}")
+    assert f"    {expected}" in lines
     assert audit_against.compare_gate(ours, {"vs full clients=0 seed 0": STORM})[1] == 1

@@ -70,8 +70,7 @@ class TestRegistry:
 
 class TestEffectiveCover:
     def accept(self, cover, needs_full):
-        return TransferAccept(session_id="s", cover_gid=cover, resume_through=cover,
-                              needs_full=needs_full)
+        return TransferAccept(session_id="s", cover_gid=cover, needs_full=needs_full)
 
     def test_normal_cover(self):
         assert effective_cover(self.accept(42, False)) == 42

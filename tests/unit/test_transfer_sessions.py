@@ -9,7 +9,6 @@ from repro import NodeConfig
 from repro.db.locks import DB_RESOURCE, LockMode
 from repro.reconfig.strategies import strategy_by_name
 from repro.reconfig.transfer import (
-    LastRoundReady,
     PartitionComplete,
     PeerTransferSession,
     ReconcileNotice,
@@ -19,7 +18,7 @@ from repro.reconfig.transfer import (
     TransferComplete,
     TransferOffer,
 )
-from repro.replication.messages import TransactionMessage
+from repro.replication.messages import LastRoundDelimiter, TransactionMessage
 from repro.replication.node import SiteStatus
 from tests.conftest import quick_cluster
 
@@ -32,7 +31,7 @@ def make_session(cluster, peer="S1", joiner="S3", strategy="rectable"):
 
 def accept(session, needs_full=True):
     session.on_accept(TransferAccept(session_id=session.session_id, cover_gid=-1,
-                                     resume_through=-1, needs_full=needs_full))
+                                     needs_full=needs_full))
 
 
 class ScriptedJoiner:
@@ -107,7 +106,7 @@ class TestPeerSession:
         cluster = quick_cluster()
         session = make_session(cluster)
         accept = TransferAccept(session_id=session.session_id, cover_gid=-1,
-                                resume_through=-1, needs_full=False)
+                                needs_full=False)
         session.on_accept(accept)
         state_after_first = session.accepted
         session.on_accept(accept)
@@ -382,7 +381,7 @@ class TestJoinerSession:
 
         offer = TransferOffer(session_id="sess", peer="S1", strategy="rectable",
                               sync_gid=10)
-        return JoinerTransferSession(cluster.nodes[joiner], offer, resume_through=5)
+        return JoinerTransferSession(cluster.nodes[joiner], offer)
 
     def test_batch_applies_items(self):
         cluster = quick_cluster()
@@ -393,20 +392,11 @@ class TestJoinerSession:
         assert cluster.nodes["S3"].db.store.read("obj0") == ("new", 9)
         assert cluster.nodes["S3"].reconfig.objects_received_total == 1
 
-    def test_round_boundary_advances_resume(self):
-        cluster = quick_cluster()
-        joiner = self.make_joiner(cluster)
-        batch = TransferBatch(session_id="sess", items=(),
-                              payload_bytes=0, boundary=42, round_boundary=42)
-        joiner.on_batch(batch)
-        assert joiner.resume_through == 42
-
     def test_complete_records_baseline(self):
         cluster = quick_cluster()
         joiner = self.make_joiner(cluster)
         joiner.on_complete(TransferComplete(session_id="sess", baseline_gid=77))
         assert joiner.complete and joiner.baseline_gid == 77
-        assert joiner.resume_through == 77
 
     def test_duplicate_or_stale_complete_is_traced_once(self):
         """``transfer/complete`` means "a baseline was installed": the
@@ -438,15 +428,16 @@ class TestJoinerSession:
     def test_partition_complete_tracked(self):
         cluster = quick_cluster()
         joiner = self.make_joiner(cluster)
+        manager = cluster.nodes["S3"].reconfig
         joiner.on_partition_complete(
             PartitionComplete(session_id="sess", partition="part2", boundary_gid=30)
         )
-        assert joiner.done_partitions == {"part2": 30}
+        assert manager.done_partitions == {"part2": 30}
         # Boundaries are monotone.
         joiner.on_partition_complete(
             PartitionComplete(session_id="sess", partition="part2", boundary_gid=10)
         )
-        assert joiner.done_partitions == {"part2": 30}
+        assert manager.done_partitions == {"part2": 30}
 
     def test_reconcile_notice_triggers_compensation(self):
         cluster = quick_cluster()
@@ -505,3 +496,86 @@ class TestJoinerReplay:
         assert node.db.store.read("obj1") == (f"by-{in_flight}", in_flight)
         assert node.db.store.read("obj2") == (f"by-{behind}", behind)
         assert cluster.history.commits_of("S3").count(in_flight) == 1
+
+
+class TestLazyDelimiter:
+    """Section 4.7's delimiter transaction is one point in the total
+    order: the peer captures as of it, and the joiner enqueues every
+    transaction delivered after it."""
+
+    def test_baseline_is_the_delimiters_gseq(self, monkeypatch):
+        """The rounds end with one multicast delimiter.  The peer
+        captures where it is delivered, having processed every gid up to
+        it, and completes with that gseq as the baseline."""
+        cluster = quick_cluster(strategy="lazy", db_size=30)
+        peer, joiner = cluster.nodes["S1"], cluster.nodes["S3"]
+        # S3 stands in for a joiner: its own answers are scripted.
+        monkeypatch.setattr(joiner.reconfig, "_on_transfer_offer", lambda offer: None)
+        delivered = []
+        handler = peer.reconfig._on_last_round_delimiter
+
+        def on_delimiter(msg, gseq):
+            delivered.append((msg.session_id, gseq))
+            handler(msg, gseq)
+            assert peer.last_processed_gid == gseq
+
+        monkeypatch.setattr(peer.reconfig, "_on_last_round_delimiter", on_delimiter)
+        completes = []
+        cluster.network.add_tap(lambda _s, _d, p: completes.append(p)
+                                if isinstance(p, TransferComplete) else None)
+        session = make_session(cluster, strategy="lazy")
+        peer.reconfig.sessions_out["S3"] = session
+        ScriptedJoiner(cluster, session)
+        accept(session)
+        cluster.run_for(1.0)
+        assert delivered == [(session.session_id, delivered[0][1])]
+        assert session.completed
+        assert {msg.baseline_gid for msg in completes} == {delivered[0][1]}
+
+    @pytest.mark.parametrize("complete_first", [False, True],
+                             ids=["delimiter-first", "complete-first"])
+    def test_joiner_replays_exactly_the_gids_above_the_delimiter(self, complete_first):
+        """The joiner discards what is delivered before the delimiter and
+        replays what is delivered after it, also when the peer's
+        TransferComplete overtakes the joiner's own delivery of the
+        delimiter."""
+        cluster = quick_cluster(strategy="lazy")
+        node = cluster.nodes["S3"]
+        manager = node.reconfig
+        base = node.db.cover_gid() + 100
+        delimiter = base + 3
+        node._set_status(SiteStatus.RECOVERING, "scripted joiner")
+        manager.on_transfer_message("S1", TransferOffer(
+            session_id="lazy", peer="S1", strategy="lazy", sync_gid=base, created_at=1.0))
+        assert not manager.enqueue_mode
+
+        def complete():
+            manager.on_transfer_message("S1", TransferComplete(
+                session_id="lazy", baseline_gid=delimiter))
+
+        if complete_first:
+            complete()
+        for gid in range(base + 1, base + 6):
+            if gid == delimiter:
+                node.on_message("S1", LastRoundDelimiter(session_id="lazy"), gid)
+                assert manager.enqueue_mode
+                continue
+            node.on_message("S1", TransactionMessage(
+                origin="S1", local_id=f"T{gid}", read_set=(),
+                write_set=((f"obj{gid % 5}", f"by-{gid}"),)), gid)
+        assert [gid for gid, _message in manager.enqueued] == [base + 4, base + 5]
+        if not complete_first:
+            complete()
+        assert node.db.baseline_gid == delimiter
+        cluster.run_for(0.05)
+        assert manager.replayed_transactions == 2
+        assert cluster.history.commits_of("S3") == [base + 4, base + 5]
+
+    def test_a_delimiter_of_another_session_starts_no_enqueueing(self):
+        cluster = quick_cluster(strategy="lazy")
+        node = cluster.nodes["S3"]
+        node._set_status(SiteStatus.RECOVERING, "scripted joiner")
+        node.reconfig.on_transfer_message("S1", TransferOffer(
+            session_id="current", peer="S1", strategy="lazy", sync_gid=0, created_at=1.0))
+        node.on_message("S2", LastRoundDelimiter(session_id="superseded"), 10_000)
+        assert not node.reconfig.enqueue_mode

@@ -24,7 +24,9 @@ clone of the parent commit — one subprocess per tree with
 workers) on both trees, one tree after the other, each with
 ``PYTHONHASHSEED=0``.  A storm's ``ok``, ``error``, ``trace_digest``,
 ``schedule_digest``, ``epochs`` and ``metrics`` must be identical; any
-difference is printed per storm and makes the exit status non-zero.
+difference is printed per storm — for ``epochs`` and ``metrics`` each
+entry that differs, with both values — and makes the exit status
+non-zero.
 
 ``repro audit`` answers "is a run a pure function of its seed"; this
 answers "did my change move any of those runs".
@@ -103,9 +105,16 @@ def compare_gate(ours: Dict[str, Any], theirs: Dict[str, Any]) -> Tuple[List[str
         if keys:
             differing += 1
             lines.append(f"{cell}: DIFFERS in {', '.join(keys)}")
-            lines.extend(f"    {key}: this={ours[cell].get(key)!r} "
-                         f"other={theirs[cell].get(key)!r}"
-                         for key in keys if key not in ("epochs", "metrics"))
+            for key in keys:
+                mine, other = ours[cell].get(key), theirs[cell].get(key)
+                if key in ("epochs", "metrics") and mine and other:
+                    # The two dicts: name each entry that differs.
+                    lines.extend(f"    {key}.{name}: this={mine.get(name)!r} "
+                                 f"other={other.get(name)!r}"
+                                 for name in sorted(set(mine) | set(other))
+                                 if mine.get(name) != other.get(name))
+                else:
+                    lines.append(f"    {key}: this={mine!r} other={other!r}")
     passed = sum(1 for payload in ours.values() if payload.get("ok"))
     lines.append(f"{len(ours)} gate storms compared ({passed} pass here): "
                  + (f"{differing} differ" if differing else "every payload identical"))
