@@ -17,22 +17,27 @@ from repro.obs import collect_cluster_metrics
 
 
 @pytest.fixture(autouse=True)
-def verify_scenario_reports():
+def verify_scenario_reports(monkeypatch):
     """Re-verify every scenario a benchmark ran.
 
     Benchmarks measure; they should not each repeat the correctness
-    boilerplate.  This hook collects every :class:`ScenarioReport`
-    produced during the test (via the scenarios report-hook registry)
-    and asserts after the fact that the scenario completed and that its
-    cluster still passes the full invariant check — so a benchmark can
-    never silently time a broken or unfinished run.
+    boilerplate.  This fixture wraps ``scenarios._collect_report``, which
+    every scripted run ends with, to keep each :class:`ScenarioReport`
+    produced during the test, and asserts after the fact that the
+    scenario completed and that its cluster still passes the full
+    invariant check — so a benchmark can never silently time a broken
+    or unfinished run.
     """
     reports: List[scenarios.ScenarioReport] = []
-    hook = scenarios.add_report_hook(reports.append)
-    try:
-        yield reports
-    finally:
-        scenarios.remove_report_hook(hook)
+    collect = scenarios._collect_report
+
+    def keep(*args, **kwargs):
+        report = collect(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(scenarios, "_collect_report", keep)
+    yield reports
     for report in reports:
         assert report.completed, (
             f"benchmarked scenario did not complete: mode={report.mode} "

@@ -13,7 +13,7 @@ The package provides, from the bottom up:
   two-phase locking, write-ahead log, single-site recovery, RecTable.
 * :mod:`repro.replication` — the paper's replica control protocol
   (one total-order multicast per transaction, gid = sequence number).
-* :mod:`repro.reconfig` — the online reconfiguration suite: five data
+* :mod:`repro.reconfig` — the online reconfiguration suite: six data
   transfer strategies, cascading reconfiguration under plain virtual
   synchrony and under EVS, and the creation protocol for total failures.
 * :mod:`repro.cluster` / :mod:`repro.workload` — an experiment harness:
@@ -30,13 +30,13 @@ Quick start::
 
     cluster = ClusterBuilder(n_sites=3, db_size=100, seed=7).build()
     cluster.start()
-    cluster.run_for(1.0)
+    cluster.await_all_active()
     txn = cluster.node("S1").submit(reads=["obj0"], writes={"obj1": "x"})
-    cluster.run_until_quiescent()
+    cluster.settle()
     assert txn.committed
 """
 
-from repro.cluster import Cluster, ClusterBuilder, FaultEvent, FaultSchedule
+from repro.cluster import Cluster, ClusterBuilder
 from repro.faults import (
     ChaosConfig,
     ChaosEngine,
@@ -65,9 +65,7 @@ __all__ = [
     "Cluster",
     "ClusterBuilder",
     "DuplicateInjector",
-    "FaultEvent",
     "FaultInjector",
-    "FaultSchedule",
     "GCSConfig",
     "LatencySpikeInjector",
     "OneWayLinkInjector",

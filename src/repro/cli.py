@@ -32,34 +32,26 @@ import sys
 import time
 from typing import List, Optional
 
-from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
 from repro.faults.campaign import CampaignConfig
 from repro.reconfig.backends import ALL_BACKEND_NAMES
 from repro.reconfig.strategies import ALL_STRATEGY_NAMES, strategy_by_name
-from repro.replication.node import SiteStatus
-from repro.scenarios import run_figure1_scenario, run_recovery_experiment
-from repro.tracing import attach_tracer
+from repro.replication.node import NodeConfig
+from repro.scenarios import (run_figure1_scenario, run_recovery_experiment,
+                             run_steady_load)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
-                             seed=args.seed, strategy=args.strategy,
-                             mode=args.mode).build()
-    cluster.start()
-    if not cluster.await_all_active(timeout=15):
-        print("bootstrap failed", file=sys.stderr)
-        return 1
-    load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=args.rate))
-    load.start()
-    cluster.run_for(args.duration)
-    load.stop()
-    cluster.settle(0.5)
-    cluster.check()
+    report = run_steady_load(
+        mode=args.mode, strategy=args.strategy, n_sites=args.sites,
+        db_size=args.db_size, seed=args.seed, arrival_rate=args.rate,
+        duration=args.duration,
+    )
+    done = report.commits + report.aborts
     print(f"sites: {args.sites}  db: {args.db_size} objects  "
           f"strategy: {args.strategy}  backend: {args.mode}")
     print(f"ran {args.duration}s at {args.rate} txn/s: "
-          f"{len(load.committed())} commits, {len(load.aborted())} aborts, "
-          f"abort rate {load.abort_rate():.1%}")
+          f"{report.commits} commits, {report.aborts} aborts, "
+          f"abort rate {report.aborts / done if done else 0.0:.1%}")
     print("all correctness checks passed")
     return 0
 
@@ -103,51 +95,23 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     return 0 if report.completed else 1
 
 
-def _crash_and_recover(args: argparse.Namespace, attach=(), attach_late=()):
-    """The pinned crash + online-recovery run behind ``trace``, ``report``
-    and ``profile``: bootstrap, load, crash the last site, restart it
-    after ``--downtime``, wait for it to be ACTIVE again, settle, check.
-
-    ``attach`` callables observe the cluster from before ``start()``,
-    ``attach_late`` ones only once it is bootstrapped.  Returns
-    ``(cluster, victim, recovered)``, or None when bootstrap failed.
-    """
-    cluster = ClusterBuilder(n_sites=args.sites, db_size=args.db_size,
-                             seed=args.seed, strategy=args.strategy,
-                             mode=args.mode).build()
-    for observer in attach:
-        observer(cluster)
-    cluster.start()
-    if not cluster.await_all_active(timeout=15):
-        print("bootstrap failed", file=sys.stderr)
-        return None
-    for observer in attach_late:
-        observer(cluster)
-    load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=args.rate))
-    load.start()
-    cluster.run_for(0.5)
-    victim = f"S{args.sites}"
-    cluster.crash(victim)
-    cluster.run_for(args.downtime)
-    cluster.recover(victim)
-    recovered = cluster.await_condition(
-        lambda: cluster.nodes[victim].status is SiteStatus.ACTIVE, timeout=60
-    )
-    load.stop()
-    cluster.settle(0.5)
-    cluster.check()
-    return cluster, victim, recovered
+def _recovery_inputs(args: argparse.Namespace) -> dict:
+    """The recovery experiment ``trace``, ``report`` and ``profile`` run:
+    the command's inputs, a 2r+2w workload and the default
+    ``NodeConfig``."""
+    return dict(strategy=args.strategy, mode=args.mode, n_sites=args.sites,
+                db_size=args.db_size, seed=args.seed, arrival_rate=args.rate,
+                reads_per_txn=2, writes_per_txn=2, downtime=args.downtime,
+                node_config=NodeConfig())
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    run = _crash_and_recover(args, attach_late=(attach_tracer,))
-    if run is None:
-        return 1
-    cluster, victim, ok = run
-    print(cluster.tracer.timeline())
-    print(f"\nrecovery of {victim}: {'completed' if ok else 'TIMED OUT'}; "
+    report = run_recovery_experiment(**_recovery_inputs(args))
+    print(report.cluster.tracer.timeline())
+    print(f"\nrecovery of S{args.sites}: "
+          f"{'completed' if report.completed else 'TIMED OUT'}; "
           "all correctness checks passed")
-    return 0 if ok else 1
+    return 0 if report.completed else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -166,11 +130,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     # The one scenario that exercises every span category (txn, apply,
     # recovery, transfer).
-    outcome = _crash_and_recover(args, attach=(attach_observability,))
-    if outcome is None:
-        return 1
-    cluster, victim, ok = outcome
-    name = (f"recover {victim} (seed={args.seed} strategy={args.strategy} "
+    report = run_recovery_experiment(**_recovery_inputs(args),
+                                     attach=(attach_observability,))
+    cluster, ok = report.cluster, report.completed
+    name = (f"recover S{args.sites} (seed={args.seed} strategy={args.strategy} "
             f"mode={args.mode})")
     run = run_data(cluster, cluster.tracer, name)
     print(render(run))
@@ -205,13 +168,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         # Pinned reduced-scale scenario for the CI profile-smoke job.
         args.sites, args.db_size, args.rate = 3, 60, 80.0
         args.downtime = 0.4
-    run = _crash_and_recover(args, attach=(attach_tracer, attach_profiler))
-    if run is None:
-        return 1
-    cluster, victim, ok = run
+    report = run_recovery_experiment(**_recovery_inputs(args),
+                                     attach=(attach_profiler,))
+    cluster, ok = report.cluster, report.completed
     profiler = cluster.profiler
     epochs = extract_epochs(cluster.tracer.events, end_time=cluster.sim.now)
-    print(f"profiled recovery of {victim} (seed={args.seed} "
+    print(f"profiled recovery of S{args.sites} (seed={args.seed} "
           f"strategy={args.strategy} mode={args.mode}): "
           f"{'completed' if ok else 'TIMED OUT'}")
     print()

@@ -2,15 +2,16 @@
 
 This is the main entry point of the library.  A cluster owns one
 simulator, one network, N replicated-database sites, a history recorder
-for the correctness checkers, and helpers to script crashes, recoveries,
-partitions and merges (the fault schedule reproduces the view sequences
-of the paper's Figures 1 and 2).
+for the correctness checkers, and the crash, recover, partition and heal
+steps the scripted runs of :mod:`repro.scenarios` are written in (the
+Figure 1 and 2 view sequences among them).  A step at a fixed virtual
+time is one ``cluster.sim.schedule_at(time, cluster.partition, groups)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers import HistoryRecorder, run_all_checks
 from repro.gcs.config import GCSConfig
@@ -21,38 +22,6 @@ from repro.reconfig.strategies import Strategy, strategy_by_name
 from repro.replication.node import NodeConfig, ReplicatedDatabaseNode, SiteStatus
 from repro.replication.transaction import Transaction
 from repro.sim.core import Simulator
-
-
-@dataclass
-class FaultEvent:
-    """One scheduled fault action."""
-
-    time: float
-    action: str  # "crash" | "recover" | "partition" | "heal"
-    target: Any = None  # site id, or list of site groups for "partition"
-
-
-class FaultSchedule:
-    """A scripted sequence of crash / recover / partition / heal events."""
-
-    def __init__(self, events: Optional[Iterable[FaultEvent]] = None) -> None:
-        self.events: List[FaultEvent] = sorted(events or [], key=lambda e: e.time)
-
-    def crash(self, time: float, site: str) -> "FaultSchedule":
-        self.events.append(FaultEvent(time, "crash", site))
-        return self
-
-    def recover(self, time: float, site: str) -> "FaultSchedule":
-        self.events.append(FaultEvent(time, "recover", site))
-        return self
-
-    def partition(self, time: float, groups: Sequence[Sequence[str]]) -> "FaultSchedule":
-        self.events.append(FaultEvent(time, "partition", [list(g) for g in groups]))
-        return self
-
-    def heal(self, time: float) -> "FaultSchedule":
-        self.events.append(FaultEvent(time, "heal"))
-        return self
 
 
 class ClusterBuilder:
@@ -149,7 +118,6 @@ class Cluster:
         self.strategy = strategy
         self.initial_db = initial_db
         self.universe = tuple(sorted(nodes))
-        self._fault_schedule: Optional[FaultSchedule] = None
         self._gcs_config: Optional[GCSConfig] = None
         self._node_config = None
         self._backend: ReconfigBackend = backend_by_name("vs")
@@ -213,23 +181,6 @@ class Cluster:
         """Boot all (or the given) sites."""
         for site in only or self.universe:
             self.nodes[site].start()
-
-    def apply_fault_schedule(self, schedule: FaultSchedule) -> None:
-        self._fault_schedule = schedule
-        # The fluent builders append without re-sorting, so the events
-        # list may be out of time order; schedule_at with a past time
-        # would fire immediately and reorder the scripted faults.
-        for event in sorted(schedule.events, key=lambda e: e.time):
-            if event.action == "crash":
-                self.sim.schedule_at(event.time, self.crash, event.target)
-            elif event.action == "recover":
-                self.sim.schedule_at(event.time, self.recover, event.target)
-            elif event.action == "partition":
-                self.sim.schedule_at(event.time, self.partition, event.target)
-            elif event.action == "heal":
-                self.sim.schedule_at(event.time, self.heal)
-            else:
-                raise ValueError(f"unknown fault action {event.action!r}")
 
     def crash(self, site: str) -> None:
         self.nodes[site].crash()

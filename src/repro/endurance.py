@@ -17,7 +17,7 @@ client sessions keep serving traffic, and audits it along the way.
 * ``stabilize`` — a site rebooted from corrupted-but-CRC-valid stable
   state (the arXiv:1606.00195 recover-from-plausible-state model).
 
-Every ``sweep_interval`` of gene time a **quiescent sweep** heals and
+Every :data:`SWEEP_INTERVAL` of gene time a **quiescent sweep** heals and
 recovers everything, drains the clients and asserts the full invariant
 suite plus ``check_exactly_once``.  Committed client requests are
 sampled per time bin, and the verdict includes
@@ -64,8 +64,6 @@ class EnduranceConfig(CampaignConfig):
     #: from.  A single-element tuple pins a run to one family — the
     #: regression tests use this.
     segments: Tuple[str, ...] = ("rolling", "storm", "churn", "stabilize")
-    #: Gene time (virtual seconds) between quiescent invariant sweeps.
-    sweep_interval: float = 4.0
     #: Longest tolerated span with zero committed client requests
     #: (outside maintenance windows) before the run fails.
     availability_window: float = 1.5
@@ -84,8 +82,6 @@ class EnduranceConfig(CampaignConfig):
                 f"unknown segment(s) {', '.join(unknown)}; "
                 f"valid: {', '.join(sorted(FAMILIES))}"
             )
-        if self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
         if self.availability_window < AVAILABILITY_BIN:
             raise ValueError("availability_window must be at least the "
                              f"{AVAILABILITY_BIN}s sampling bin")
@@ -153,12 +149,16 @@ class EnduranceReport(CampaignReport):
 # ----------------------------------------------------------------------
 # Derivation: the config is a genome
 # ----------------------------------------------------------------------
+#: Gene time (virtual seconds) between quiescent invariant sweeps.
+SWEEP_INTERVAL = 4.0
+
+
 def derive_genome(config: EnduranceConfig) -> ScheduleGenome:
     """The schedule genome one endurance config describes.
 
     Draws from ``random.Random(f"endurance-{seed}")``: pick a family,
     emit its genes, and insert a :class:`~repro.search.genome.SweepGene`
-    whenever ``sweep_interval`` of gene time has passed since the last
+    whenever :data:`SWEEP_INTERVAL` of gene time has passed since the last
     one — until the genes' total duration reaches ``config.duration``.
     A pure function of the config."""
     # Call-time import: repro.search imports this module.
@@ -211,7 +211,7 @@ def derive_genome(config: EnduranceConfig) -> ScheduleGenome:
         length = sum(gene.duration() for gene in span)
         elapsed = round(elapsed + length, 6)
         since_sweep = round(since_sweep + length, 6)
-        if since_sweep >= config.sweep_interval:
+        if since_sweep >= SWEEP_INTERVAL:
             genes.append(SweepGene())
             since_sweep = 0.0
     return ScheduleGenome(

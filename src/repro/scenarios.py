@@ -1,24 +1,27 @@
-"""Scripted end-to-end scenarios, shared by tests, examples and benchmarks.
+"""Scripted end-to-end runs, each written once here and shared by the
+CLI, tests, examples, benchmarks and the audit:
 
-The two figure scenarios reproduce the paper's running examples:
-
+* :func:`run_steady_load` — bootstrap, a steady workload, no faults
+  (``repro demo`` and the audit's ``bench:throughput`` cell).
+* :func:`run_recovery_experiment` — the parameterised single-recovery
+  experiment of section 4: workload, crash, downtime, recovery,
+  measurement of transfer cost and interference (the strategy
+  benchmarks, the sweeps, ``repro recover``, ``trace``, ``report`` and
+  ``profile``).
 * :func:`run_figure1_scenario` — the cascading-reconfiguration sequence
   of Figure 1: a site fails and recovers, its peer fails *during* the
   data transfer, a replacement peer takes over, and a partition later
   isolates and returns part of the system.  Under plain virtual
   synchrony this exercises the explicit status sub-protocol; under EVS
   the same schedule is handled structurally (Figure 2, section 5.2).
-* :func:`run_recovery_experiment` — the parameterised single-recovery
-  experiment used by the strategy benchmarks: workload, crash, downtime,
-  recovery, measurement of transfer cost and interference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.cluster import Cluster, ClusterBuilder, FaultSchedule
+from repro.cluster import Cluster, ClusterBuilder
 from repro.obs.attach import collect_cluster_metrics
 from repro.replication.node import NodeConfig, SiteStatus
 from repro.workload.generator import LoadGenerator, WorkloadConfig
@@ -75,31 +78,10 @@ class ScenarioReport:
         }
 
 
-#: Observers called with every freshly collected ScenarioReport (which
-#: carries its cluster).  The benchmark conftest registers one to
-#: re-verify completion and consistency of every scenario a benchmark
-#: runs, without each benchmark repeating the assertions.
-ReportHook = Callable[[ScenarioReport], None]
-_report_hooks: List[ReportHook] = []
-
-
-def add_report_hook(hook: ReportHook) -> ReportHook:
-    """Register an observer for every collected scenario report."""
-    _report_hooks.append(hook)
-    return hook
-
-
-def remove_report_hook(hook: ReportHook) -> None:
-    try:
-        _report_hooks.remove(hook)
-    except ValueError:
-        pass
-
-
 def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy: str,
                     completed: bool) -> ScenarioReport:
     metrics = collect_cluster_metrics(cluster)
-    report = ScenarioReport(
+    return ScenarioReport(
         mode=mode,
         strategy=strategy,
         completed=completed,
@@ -114,9 +96,34 @@ def _collect_report(cluster: Cluster, load: LoadGenerator, mode: str, strategy: 
         replayed=metrics["xfer.replayed_transactions"],
         cluster=cluster,
     )
-    for hook in list(_report_hooks):
-        hook(report)
-    return report
+
+
+def run_steady_load(
+    mode: str = "vs",
+    strategy: str = "rectable",
+    n_sites: int = 3,
+    db_size: int = 200,
+    seed: int = 7,
+    arrival_rate: float = 120.0,
+    duration: float = 2.0,
+    batching: bool = True,
+) -> ScenarioReport:
+    """Bootstrap, ``duration`` seconds of the default 2r+2w workload at
+    ``arrival_rate``, no faults; then settle and check."""
+    cluster = ClusterBuilder(
+        n_sites=n_sites, db_size=db_size, seed=seed, strategy=strategy,
+        mode=mode, batching=batching,
+    ).build()
+    cluster.start()
+    if not cluster.await_all_active(timeout=15):
+        raise RuntimeError("bootstrap failed")
+    load = LoadGenerator(cluster, WorkloadConfig(arrival_rate=arrival_rate))
+    load.start()
+    cluster.run_for(duration)
+    load.stop()
+    cluster.settle(0.5)
+    cluster.check()
+    return _collect_report(cluster, load, mode, strategy, True)
 
 
 def run_figure1_scenario(
@@ -213,6 +220,7 @@ def run_recovery_experiment(
     rejoin_timeout: float = 60.0,
     check: bool = True,
     fault_storm: str = "none",
+    attach: Sequence[Callable[[Cluster], object]] = (),
 ) -> ScenarioReport:
     """One site crashes, stays down for ``downtime``, recovers, rejoins.
 
@@ -223,7 +231,9 @@ def run_recovery_experiment(
     of the crash: a bystander site is partitioned away while the victim
     is still down and healed mid-rejoin, at fixed virtual times — the
     same storm byte-for-byte regardless of backend, which is what makes
-    the E7 head-to-head comparison fair.
+    the E7 head-to-head comparison fair.  Each ``attach`` callable
+    observes the cluster from before ``start()`` (observability, the
+    profiler); the experiment's own tracer is attached first.
     """
     if fault_storm not in ("none", "partition"):
         raise ValueError(f"unknown fault_storm {fault_storm!r}")
@@ -241,6 +251,8 @@ def run_recovery_experiment(
     from repro.tracing import attach_tracer
 
     tracer = attach_tracer(cluster)
+    for observer in attach:
+        observer(cluster)
     cluster.start()
     if not cluster.await_all_active(timeout=15):
         raise RuntimeError("bootstrap failed")
@@ -259,14 +271,11 @@ def run_recovery_experiment(
     cluster.crash(victim)
     if fault_storm == "partition":
         bystander = f"S{n_sites - 1}"
-        majority = [s for s in cluster.universe
-                    if s not in (bystander,)]
+        majority = [s for s in cluster.universe if s != bystander]
         now = cluster.sim.now
-        cluster.apply_fault_schedule(
-            FaultSchedule()
-            .partition(now + downtime * 0.5, [majority, [bystander]])
-            .heal(now + downtime + 0.3)
-        )
+        cluster.sim.schedule_at(now + downtime * 0.5, cluster.partition,
+                                [majority, [bystander]])
+        cluster.sim.schedule_at(now + downtime + 0.3, cluster.heal)
     cluster.run_for(downtime)
     recover_at = cluster.sim.now
     cluster.recover(victim)

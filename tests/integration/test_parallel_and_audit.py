@@ -17,8 +17,7 @@ import json
 
 import pytest
 
-from repro.audit import run_audit
-from repro.bench import run_scenario
+from repro.audit import execute_variant, run_audit
 from repro.fleet import run_seed_fleet
 from tests import mutations
 
@@ -33,11 +32,12 @@ def test_chaos_fleet_jobs_payload_identical_to_serial():
     assert all(payload["ok"] for payload in fleet.values())
 
 
-def test_storm_scenarios_refuse_the_batching_axis():
-    """Silently running a storm with batching on as its own
+def test_storm_cases_refuse_the_batching_axis():
+    """A chaos storm has no batching-off equivalent (its injectors draw
+    per wire message); silently running it with batching on as its own
     ``no_batching`` twin would make that audit comparison vacuous."""
-    with pytest.raises(ValueError, match="no batching axis"):
-        run_scenario("chaos", smoke=True, batching=False)
+    with pytest.raises(TypeError, match="batching"):
+        execute_variant("chaos:vs:3", "no_batching")
 
 
 def test_audit_passes_on_pinned_chaos_case():

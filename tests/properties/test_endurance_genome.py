@@ -4,7 +4,7 @@ endurance config is one exact, well-formed schedule genome."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.endurance import FAMILIES, EnduranceConfig, derive_genome
+from repro.endurance import FAMILIES, SWEEP_INTERVAL, EnduranceConfig, derive_genome
 from repro.search.genome import (
     CorruptGene,
     CrashGene,
@@ -26,7 +26,6 @@ configs = st.builds(
                       unique=True).map(tuple),
     duration=st.floats(0.5, 30.0),
     n_sites=st.integers(3, 7),
-    sweep_interval=st.sampled_from([1.0, 2.5, 4.0]),
 )
 
 
@@ -51,15 +50,15 @@ def test_derivation_is_a_pure_well_formed_genome(config):
         elif isinstance(gene, CorruptGene):
             assert gene.victim < config.n_sites
 
-    # Sweeps at the configured cadence of gene time.
+    # Sweeps at the fixed cadence of gene time.
     since_sweep = 0.0
     for gene in genome.segments:
         if isinstance(gene, SweepGene):
-            assert since_sweep >= config.sweep_interval - 1e-9
+            assert since_sweep >= SWEEP_INTERVAL - 1e-9
             since_sweep = 0.0
         else:
             since_sweep += gene.duration()
-            assert since_sweep < config.sweep_interval + MAX_FAMILY_SPAN
+            assert since_sweep < SWEEP_INTERVAL + MAX_FAMILY_SPAN
 
     # Reaches the duration, and stops at the first family that does.
     total = genome.total_duration()

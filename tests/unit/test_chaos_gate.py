@@ -119,3 +119,36 @@ def test_gate_comparison_flags_a_difference_in_any_compared_key(audit_against, k
         key, f"{key}: this={STORM.get(key)!r} other={value!r}")
     assert f"    {expected}" in lines
     assert audit_against.compare_gate(ours, {"vs full clients=0 seed 0": STORM})[1] == 1
+
+
+def _cell(state="s", trace=("  0.100  S1    view     install  V1",)):
+    return {"digests": {"state": state, "trace": "t"}, "counters": {"commits": 3},
+            "materials": {"trace": list(trace)}}
+
+
+def test_cell_comparison_lists_one_tree_cells_apart_and_passes_them(audit_against):
+    """``audit_against.py`` cell mode: an audit case only one tree has is
+    listed in its own block and counted, and does not fail the run; a
+    shared cell that differs still does."""
+    ours = {"bench:figure1::a": _cell(), "chaos:vs:3::a": _cell()}
+    theirs = {"bench:figure1::a": _cell(), "bench:chaos::a": _cell()}
+    lines, differing = audit_against.compare_cells(ours, theirs, "OTHER")
+    assert differing == 0
+    assert "bench:figure1::a: same" in lines
+    block = lines.index("cells only one tree holds:")
+    assert lines[block + 1:block + 3] == [
+        "    bench:chaos::a: only in the other tree",
+        "    chaos:vs:3::a: only in the this tree"]
+    assert lines[-1] == ("1 cells compared against OTHER, 2 in one tree only: "
+                         "every digest and counter identical")
+
+    theirs["bench:figure1::a"] = _cell(state="s2")
+    lines, differing = audit_against.compare_cells(ours, theirs, "OTHER")
+    assert differing == 1
+    assert "bench:figure1::a: DIFFERS" in lines
+    assert "    state: this='s' other='s2'" in lines
+
+    # A trace difference alone is informational.
+    theirs["bench:figure1::a"] = _cell(trace=())
+    lines, differing = audit_against.compare_cells(ours, theirs, "OTHER")
+    assert differing == 0 and "bench:figure1::a: same (trace differs)" in lines

@@ -224,7 +224,7 @@ class TestAuditDumpDirGuard:
 
     def test_audit_cli_exits_2_before_running_any_case(self, capsys, tmp_path):
         (tmp_path / "stale.b.json").write_text("{}")
-        assert main(["audit", "--case", "bench:chaos",
+        assert main(["audit", "--case", "chaos:vs:3",
                      "--dump-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "--force" in err and "stale.b.json" in err

@@ -115,7 +115,6 @@ class TestDriverSpecificFields:
         EnduranceConfig(clients=0),
         EnduranceConfig(segments=()),
         EnduranceConfig(segments=("bogus",)),
-        EnduranceConfig(sweep_interval=0.0),
         EnduranceConfig(availability_window=0.1),
     ])
     def test_bad_values_rejected(self, config):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterBuilder, FaultEvent, FaultSchedule, LoadGenerator, WorkloadConfig
+from repro import ClusterBuilder, LoadGenerator, WorkloadConfig
 from repro.replication.node import SiteStatus
 from repro.replication.transaction import AbortReason
 from tests.conftest import quick_cluster
@@ -109,21 +109,11 @@ class TestLoadGenerator:
         }
 
 
-class TestFaultSchedule:
-    def test_fluent_builder_sorts_events(self):
-        schedule = FaultSchedule().heal(3.0).crash(1.0, "S1").recover(2.0, "S1")
-        # events are appended, applied in time order by the scheduler
-        kinds = [(e.time, e.action) for e in schedule.events]
-        assert (1.0, "crash") in kinds and (3.0, "heal") in kinds
-
-    def test_schedule_applied_to_cluster(self):
+class TestClusterHelpers:
+    def test_scheduled_crash_and_recover(self):
         cluster = quick_cluster()
-        schedule = (
-            FaultSchedule()
-            .crash(0.5, "S3")
-            .recover(1.2, "S3")
-        )
-        cluster.apply_fault_schedule(schedule)
+        cluster.sim.schedule_at(0.5, cluster.crash, "S3")
+        cluster.sim.schedule_at(1.2, cluster.recover, "S3")
         cluster.run_until(0.8)
         assert not cluster.nodes["S3"].alive
         cluster.run_until(1.5)
@@ -131,23 +121,16 @@ class TestFaultSchedule:
         assert cluster.await_all_active(timeout=20)
         cluster.check()
 
-    def test_partition_event(self):
+    def test_scheduled_partition_and_heal(self):
         cluster = quick_cluster(n_sites=5)
-        schedule = FaultSchedule().partition(0.5, [["S1", "S2", "S3"], ["S4", "S5"]]).heal(2.0)
-        cluster.apply_fault_schedule(schedule)
+        cluster.sim.schedule_at(0.5, cluster.partition,
+                                [["S1", "S2", "S3"], ["S4", "S5"]])
+        cluster.sim.schedule_at(2.0, cluster.heal)
         cluster.run_until(1.8)
         assert cluster.nodes["S4"].status is SiteStatus.STALLED
         cluster.run_until(3.0)
         assert cluster.await_all_active(timeout=20)
 
-    def test_unknown_action_rejected(self):
-        cluster = quick_cluster()
-        schedule = FaultSchedule([FaultEvent(1.0, "meteor", "S1")])
-        with pytest.raises(ValueError):
-            cluster.apply_fault_schedule(schedule)
-
-
-class TestClusterHelpers:
     def test_await_condition_times_out(self):
         cluster = quick_cluster()
         assert not cluster.await_condition(lambda: False, timeout=0.3)

@@ -16,8 +16,12 @@ clone of the parent commit — one subprocess per tree with
   status non-zero;
 * the trace, as a multiset of lines: lines only one tree emits are listed
   grouped by ``(category, kind, detail)`` with counts.  A trace
-  difference alone is informational (exit 0) — a PR that adds an event
-  differs here on purpose, but visibly.
+  difference alone is informational (exit 0) — a change that adds an
+  event differs here on purpose, but visibly.
+
+A cell only one tree runs (an audit case added or removed) is listed in
+a block of its own and counted in the summary line; it does not change
+the exit status.
 
 ``--gate`` compares the chaos gate instead: every storm of
 ``tools/chaos_gate.py`` (``COLUMNS x MODES x SEEDS``, 2 100 storms, two
@@ -183,6 +187,40 @@ def trace_lines(trace: Counter) -> List[str]:
             for (sign, category, kind, detail), count in sorted(trace.items())]
 
 
+def compare_cells(ours: Dict[str, Any], theirs: Dict[str, Any],
+                  other_name: str) -> Tuple[List[str], int]:
+    """Report lines and the number of shared cells with a non-trace
+    difference.  A cell only one tree holds (an audit case added or
+    removed) is listed in its own block and counted, but is no
+    difference: there is nothing to compare it with."""
+    lines: List[str] = []
+    differing = 0
+    trace_totals: Counter = Counter()
+    shared = sorted(set(ours) & set(theirs))
+    for cell in shared:
+        protocol, trace = compare_cell(ours[cell], theirs[cell])
+        differing += bool(protocol)
+        verdict = "DIFFERS" if protocol else ("same" if not trace else
+                                              "same (trace differs)")
+        lines.append(f"{cell}: {verdict}")
+        lines.extend(f"    {line}" for line in protocol + trace_lines(trace))
+        trace_totals += trace
+    if trace_totals:
+        lines.append("trace lines over all cells (+ only here, - only there):")
+        lines.extend(f"    {line}" for line in trace_lines(trace_totals))
+    one_tree = sorted(set(ours) ^ set(theirs))
+    if one_tree:
+        lines.append("cells only one tree holds:")
+        lines.extend(f"    {cell}: only in the "
+                     f"{'this' if cell in ours else 'other'} tree"
+                     for cell in one_tree)
+    lines.append(f"{len(shared)} cells compared against {other_name}, "
+                 f"{len(one_tree)} in one tree only: "
+                 + (f"{differing} with a non-trace difference" if differing
+                    else "every digest and counter identical"))
+    return lines, differing
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", nargs="?", metavar="OTHER_SRC_DIR",
@@ -227,33 +265,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.exit(f"error: the run on the {' and the '.join(failed)} tree failed")
         ours, theirs = _load(paths["this"]), _load(paths["other"])
 
-    if args.gate:
-        lines, differing = compare_gate(ours, theirs)
-        _emit("\n".join(lines), args.report)
-        return 1 if differing else 0
-
-    lines: List[str] = []
-    differing = 0
-    trace_totals: Counter = Counter()
-    for cell in sorted(set(ours) | set(theirs)):
-        if cell not in ours or cell not in theirs:
-            differing += 1
-            lines.append(f"{cell}: only in the "
-                         f"{'this' if cell in ours else 'other'} tree")
-            continue
-        protocol, trace = compare_cell(ours[cell], theirs[cell])
-        differing += bool(protocol)
-        verdict = "DIFFERS" if protocol else ("same" if not trace else
-                                              "same (trace differs)")
-        lines.append(f"{cell}: {verdict}")
-        lines.extend(f"    {line}" for line in protocol + trace_lines(trace))
-        trace_totals += trace
-    if trace_totals:
-        lines.append("trace lines over all cells (+ only here, - only there):")
-        lines.extend(f"    {line}" for line in trace_lines(trace_totals))
-    lines.append(f"{len(ours)} cells compared against {args.other_src}: "
-                 + (f"{differing} with a non-trace difference" if differing
-                    else "every digest and counter identical"))
+    lines, differing = (compare_gate(ours, theirs) if args.gate
+                        else compare_cells(ours, theirs, args.other_src))
     _emit("\n".join(lines), args.report)
     return 1 if differing else 0
 
