@@ -125,8 +125,13 @@ class ViewTotalOrder:
         self._ack_deferred = False
         self.batches_sent = 0
 
-        # Receiver-side state.
+        # Receiver-side state.  ``received`` and the sequencer's
+        # ``_history`` keep only what some member may still lack; both are
+        # trimmed up to ``_trimmed`` / ``_history_trimmed`` by
+        # :meth:`maintenance`.
         self.received: Dict[int, Ordered] = {}
+        self._trimmed = -1
+        self._history_trimmed = -1
         self.recv_highwater = -1  # highest gap-free seq held
         self.delivered_seq = -1  # highest seq delivered to the app
         self.ack_high: Dict[str, int] = {m: -1 for m in view.members}
@@ -223,7 +228,7 @@ class ViewTotalOrder:
         if msg.view_id != self.view.view_id:
             self._stray(msg)
             return
-        if msg.seq in self.received:
+        if msg.seq <= self.recv_highwater or msg.seq in self.received:
             return
         # Record even while closed (frozen for a membership round): the
         # message becomes part of the flush cut, and if the round aborts
@@ -255,7 +260,7 @@ class ViewTotalOrder:
             return
         advanced = False
         for msg in batch.items:
-            if msg.seq in self.received:
+            if msg.seq <= self.recv_highwater or msg.seq in self.received:
                 continue
             self.received[msg.seq] = msg
             while self.recv_highwater + 1 in self.received:
@@ -355,6 +360,7 @@ class ViewTotalOrder:
         can observe and repair without waiting for a view change."""
         if self.closed:
             return
+        self._trim()
         missing = self.gaps()
         if missing and self.me != self.sequencer:
             self._send(self.sequencer, Nak(sender=self.me, view_id=self.view.view_id, missing=missing))
@@ -380,6 +386,20 @@ class ViewTotalOrder:
                     ordered = self._history.get(seq)
                     if ordered is not None:
                         self._send(member, ordered)
+
+    def _trim(self) -> None:
+        """Drop what every member holds: ``received`` up to the
+        :meth:`flush_cut` floor (it only rises), ``_history`` up to the
+        lowest cumulative ack (no NAK or push reaches below it)."""
+        floor = min(self.delivered_seq, min(self.ack_high.values()))
+        for seq in range(self._trimmed + 1, floor + 1):
+            del self.received[seq]
+        self._trimmed = max(self._trimmed, floor)
+        if self.me == self.sequencer:
+            acked = min(self.ack_high.values())
+            for seq in range(self._history_trimmed + 1, acked + 1):
+                del self._history[seq]
+            self._history_trimmed = max(self._history_trimmed, acked)
 
     def flush_cut(self) -> Tuple[Ordered, ...]:
         """Everything received that some member may lack, for FLUSH:

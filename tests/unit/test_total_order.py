@@ -224,3 +224,44 @@ class TestFlushSupport:
         h.to.on_ordered(h.ordered(0))
         h.ack_from_all(0)
         assert h.delivered == []
+
+
+class TestBufferTrim:
+    """``received`` and the sequencer's history keep only what some
+    member may still lack; maintenance trims the rest."""
+
+    def test_received_keeps_what_the_flush_cut_may_still_need(self):
+        h = Harness(me="S2", quorum=2)
+        for seq in range(4):
+            h.to.on_ordered(h.ordered(seq))
+        h.to.on_ack(Ack(sender="S1", view_id=h.to.view.view_id, highwater=3))
+        h.to.on_ack(Ack(sender="S3", view_id=h.to.view.view_id, highwater=1))
+        assert [m.seq for m in h.delivered] == [0, 1, 2, 3]
+        cut = h.to.flush_cut()
+        h.to.maintenance()
+        assert sorted(h.to.received) == [2, 3]  # S3 may lack 2 and 3
+        assert h.to.flush_cut() == cut
+
+    def test_a_duplicate_below_the_highwater_is_not_re_inserted(self):
+        h = Harness(me="S2")
+        h.to.on_ordered(h.ordered(0))
+        h.ack_from_all(0)
+        h.to.maintenance()
+        assert h.to.received == {}
+        count = len(h.sent)
+        h.to.on_ordered(h.ordered(0))
+        assert h.to.received == {} and len(h.sent) == count
+        assert [m.seq for m in h.delivered] == [0]
+
+    def test_sequencer_history_keeps_what_the_lowest_ack_lacks(self):
+        h = Harness(me="S1")
+        for msg_id in range(3):
+            h.to.on_data(Data(sender="S2", msg_id=msg_id,
+                              view_id=h.to.view.view_id, payload=msg_id))
+        h.to.on_ack(Ack(sender="S2", view_id=h.to.view.view_id, highwater=2))
+        h.to.on_ack(Ack(sender="S3", view_id=h.to.view.view_id, highwater=0))
+        h.to.maintenance()
+        assert sorted(h.to._history) == [1, 2]
+        h.sent.clear()
+        h.to.on_nak(Nak(sender="S3", view_id=h.to.view.view_id, missing=(1,)))
+        assert [m.seq for _, m in h.sent] == [1]
