@@ -20,15 +20,11 @@ class GCSConfig:
     presence_interval:
         Period of the PRESENCE broadcast, which doubles as the in-view
         heartbeat and as the discovery beacon for joiners and merges.
-    suspect_timeout:
-        Silence threshold after which a node is suspected by the failure
-        detector.  Must be comfortably larger than ``presence_interval``.
-        The membership decision is re-taken at the exact instant a
-        suspicion expires, not at the next maintenance period.  A
-        removal starts its round then; any other mismatch (a newcomer,
-        a foreign or stale view claim) waits one ``presence_interval``
-        from when it appeared, so that the beacons of a concurrent
-        restart or merge coalesce into a single view change.
+        Detection is counted in these periods, not timed
+        (``failure_detector.THETA``).  A removal starts its round at
+        detection; any other mismatch (a newcomer, a foreign or stale
+        view claim) waits one ``presence_interval``, so that the beacons
+        of a concurrent restart or merge coalesce into one view change.
     flush_timeout:
         How long a round initiator waits for FLUSH replies before
         abandoning the round, force-suspecting the silent members and
@@ -58,7 +54,6 @@ class GCSConfig:
     """
 
     presence_interval: float = 0.05
-    suspect_timeout: float = 0.22
     flush_timeout: float = 0.5
     round_timeout: float = 1.0
     retransmit_interval: float = 0.1
@@ -83,8 +78,6 @@ class GCSConfig:
                 # Process.every(0, ...) re-arms at the same instant, so
                 # the run would spin at one virtual time forever.
                 raise ValueError(f"{name} must be positive")
-        if self.suspect_timeout <= self.presence_interval:
-            raise ValueError("suspect_timeout must exceed presence_interval")
         if self.round_timeout <= self.flush_timeout:
             raise ValueError("round_timeout must exceed flush_timeout")
         if self.primary_policy not in PRIMARY_POLICIES:

@@ -86,7 +86,7 @@ class GroupMember(Process):
         self.endpoint = network.endpoint(node_id)
         self.endpoint.attach(self._on_network)
         self.network = network
-        self.fd = FailureDetector(sim, node_id, self.config.suspect_timeout)
+        self.fd = FailureDetector(node_id)
         self.membership = MembershipEngine(self)
 
         # Stable-storage analogue: the epoch floor survives crashes so a
@@ -230,6 +230,8 @@ class GroupMember(Process):
         for node in self.universe:
             if node != self.node_id:
                 self.endpoint.send(node, presence)
+        self.fd.on_beacon(self.node_id)
+        self.membership.decide()
 
     def _maintenance(self) -> None:
         self.to.maintenance()

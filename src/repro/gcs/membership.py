@@ -24,9 +24,9 @@ round priority (higher epoch wins, ties broken toward the smaller
 initiator id) with explicit NACKs.
 
 Rounds are started and abandoned only by :meth:`MembershipEngine.decide`,
-which runs whenever one of its inputs changes and at the instants a
-suspicion, the join wait or a round deadline falls due — never on a
-period.
+which runs whenever one of its inputs changes — a beacon heard or sent,
+which is also when a suspicion falls due — and at the instants the join
+wait or a round deadline ends; never on a period.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ class MembershipEngine:
         """Take the membership decision that is due now, and arm the
         wake-up for the earliest instant it can next change.
 
-        Called when an input changes — a Presence, the end of a view
-        installation, an aborted or resumed round — and by the wake-up
-        itself at the next suspicion expiry, end of the join wait, flush
-        deadline or sync deadline; never on a period."""
+        Called when an input changes — a beacon heard or sent, the end
+        of a view installation, an aborted or resumed round — and by the
+        wake-up itself at the end of the join wait, flush deadline or
+        sync deadline; never on a period."""
         member = self.member
         if self.current_round is not None:
             now = member.sim.now
@@ -111,9 +111,6 @@ class MembershipEngine:
                 self._abort_round()
             else:
                 self._arm_deadline(self._sync_deadline)
-        suspicion = member.fd.suspicion_delay()
-        if suspicion is not None:
-            self._arm(suspicion)
         if self.current_round is None:
             self._maybe_initiate()
 
@@ -144,14 +141,13 @@ class MembershipEngine:
 
         A removal — the alive set a strict subset of the view, every
         remaining member advertising this view — starts at once: a crash
-        has already cost its detection.  It waits only while another
-        alive node's suspicion falls due within one ``presence_interval``
-        of the mismatch (a partition silences several nodes, and their
-        expiries spread over one beacon period).  Every other mismatch —
-        a newcomer, a foreign or stale view claim — waits one
-        ``presence_interval`` from when it appeared (the join wait):
-        every beacon of a concurrent restart or merge arrives within one
-        period."""
+        has already cost its detection.  It waits, at most one
+        ``presence_interval``, while another alive node is one beacon
+        from suspicion (a partition's suspicions spread over one beacon
+        period).  Every other mismatch — a newcomer, a foreign or stale
+        view claim — waits one ``presence_interval`` from when it
+        appeared (the join wait): every beacon of a concurrent restart
+        or merge arrives within one period."""
         member = self.member
         fd = member.fd
         view_id = member.view.view_id

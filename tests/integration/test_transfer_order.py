@@ -28,8 +28,11 @@ LINK_DELAY_S = (0.0008, 0.0012)
 #: stopped waiting the 60 ms debounce for one ``presence_interval``: the
 #: join installs 10 ms sooner, and at seed 1 the peer's first offer now
 #: reaches S3 just before S3's SYNC, is dropped and is retried 50 ms
-#: later (0.622 / 0.618 / 0.662 before).
-FIFO_RECOVERY_S = {1: 0.666, 2: 0.601, 3: 0.659}
+#: later (0.622 / 0.618 / 0.662 before); and again when the failure
+#: detector began counting beacons: S3's crash is installed out 70 ms
+#: sooner, so the joiner meets yet another lock queue at the sync point
+#: (0.666 / 0.601 / 0.659 before).
+FIFO_RECOVERY_S = {1: 0.666, 2: 0.667, 3: 0.617}
 
 
 def watch_transfer_lock_waits(cluster):

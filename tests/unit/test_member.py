@@ -29,7 +29,9 @@ class TestBootstrap:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GCSConfig(presence_interval=1.0, suspect_timeout=0.5).validate()
+            GCSConfig(flush_timeout=1.0, round_timeout=0.5).validate()
+        with pytest.raises(TypeError):  # detection counts beacons: no timeout
+            GCSConfig(suspect_timeout=0.5)
 
     def test_universe_membership_required(self):
         from repro.gcs.member import GroupMember

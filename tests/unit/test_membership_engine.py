@@ -6,6 +6,7 @@ round merges previous views."""
 import pytest
 
 from repro.gcs.config import GCSConfig
+from repro.gcs.failure_detector import THETA
 from repro.gcs.messages import (
     FlushReply,
     Ordered,
@@ -117,6 +118,16 @@ LINK_S = 0.001
 #: One membership round on 1 ms links: a beacon or PROPOSE out, FLUSH
 #: back, SYNC out — plus one more link delay of slack.
 ROUND_S = 4 * LINK_S
+#: One beacon period at the default ``presence_interval``.
+BEACON_S = GCSConfig().presence_interval
+
+
+def within_detection(blocked):
+    """Is ``blocked`` (an install minus the last beacon heard from the
+    removed side) THETA beacon periods and one round?  A third party's
+    beacon of the same round may land just after the last one heard and
+    count too, so detection takes between THETA - 1 and THETA periods."""
+    return (THETA - 1) * BEACON_S <= blocked <= THETA * BEACON_S + ROUND_S
 
 
 def install_times(sim, app):
@@ -145,8 +156,9 @@ def beacons_heard(sim, net, srcs, dst):
 class TestDecisionTiming:
     """The membership decision is taken when an input changes or a
     deadline falls due — never on the maintenance period, which only
-    drives loss repair.  A removal costs its detection and one round; a
-    join waits one ``presence_interval`` for concurrent beacons."""
+    drives loss repair.  A removal costs its detection (THETA beacon
+    periods) and one round; a join waits one ``presence_interval`` for
+    concurrent beacons."""
 
     def test_crash_installed_out_within_detection_and_one_round(
             self, retransmit_interval):
@@ -159,8 +171,7 @@ class TestDecisionTiming:
         sim.run(until=3.0)
         (installed, view), = installs
         assert view.members == ("S1", "S2")
-        blocked = installed - heard[-1]
-        assert config.suspect_timeout <= blocked <= config.suspect_timeout + ROUND_S
+        assert within_detection(installed - heard[-1])
 
     def test_join_installed_within_debounce_and_one_beacon(self, retransmit_interval):
         """The join wait — the debounce of every mismatch but a removal —
@@ -219,8 +230,90 @@ class TestPartitionDecision:
             initiator = members[side[0]].membership
             assert initiator.rounds_initiated == started[side[0]] + 1
             (installed, _), = installs[side[0]]
-            blocked = installed - heard[side[0]][-1]
-            assert config.suspect_timeout <= blocked <= config.suspect_timeout + ROUND_S
+            assert within_detection(installed - heard[side[0]][-1])
+
+    def test_split_on_tied_arrival_links_installs_one_view_per_side(self):
+        """Every member boots at once on 1 ms links: the beacons of a
+        round reach each member at one instant, so a silent node's last
+        beacon can land just after another silent node's and count as a
+        third party's.  Each side still suspects the whole other side and
+        installs one view."""
+        sim, net, members, apps = make_group(5, seed=1, latency=LINK_S)
+        sides = (("S1", "S2", "S3"), ("S4", "S5"))
+        sim.run(until=2.0)
+        installs = {site: install_times(sim, apps[site]) for site in members}
+        started = {site: m.membership.rounds_initiated for site, m in members.items()}
+        net.set_partitions(sides)
+        sim.run(until=3.0)
+        for side in sides:
+            for site in side:
+                (_, view), = installs[site]
+                assert view.members == side
+            initiator = members[side[0]].membership
+            assert initiator.rounds_initiated == started[side[0]] + 1
+
+
+class SlowEveryLink:
+    """Network injector: from ``start`` on, every message takes longer —
+    ``rate`` seconds more per second, up to ``extra`` — so each beacon
+    gap stretches by the same ``rate`` share, on every link alike."""
+
+    def __init__(self, start, rate, extra):
+        self.start, self.rate, self.extra = start, rate, extra
+
+    def transform(self, src, dst, payload, delays, rng, now):
+        added = min(self.extra, max(0.0, now - self.start) * self.rate)
+        return [delay + added for delay in delays]
+
+
+class DropBeacons:
+    """Network injector: drop the next beacon on each of ``links``."""
+
+    def __init__(self, *links):
+        self.pending = set(links)
+
+    def transform(self, src, dst, payload, delays, rng, now):
+        if isinstance(payload, Presence) and (src, dst) in self.pending:
+            self.pending.discard((src, dst))
+            return []
+        return delays
+
+
+class TestDetectorCountsBeacons:
+    """Suspicion is counted in beacons, not seconds: a latency every
+    beacon shares, or one lost beacon, suspects nobody."""
+
+    def test_a_uniform_slowdown_suspects_nobody(self):
+        """Every link slows until it takes 0.3 s longer — more than the
+        0.22 s timeout the detector used to have — and the beacons keep
+        their relative order: nobody is suspected.  (A sudden step that
+        silences every other member at once is another matter: it looks
+        like this member's partition, and the own-beacon count takes it
+        for one.)"""
+        sim, net, members, apps = make_group(3, seed=1, latency=LINK_S)
+        sim.run(until=2.0)
+        installs = {site: install_times(sim, apps[site]) for site in members}
+        suspected = []
+        for site, member in members.items():
+            real = member.fd._evaluate
+
+            def evaluate(site=site, member=member, real=real):
+                real()
+                if member.fd.alive_nodes() != set(members) - {site}:
+                    suspected.append((sim.now, site))
+            member.fd._evaluate = evaluate
+        net.add_injector(SlowEveryLink(start=2.0, rate=0.5, extra=0.3))
+        sim.run(until=4.0)
+        assert suspected == []
+        assert all(times == [] for times in installs.values())
+
+    def test_one_lost_beacon_suspects_nobody(self):
+        sim, net, members, apps = make_group(3, seed=1, latency=LINK_S)
+        sim.run(until=2.0)
+        installs = {site: install_times(sim, apps[site]) for site in members}
+        net.add_injector(DropBeacons(("S2", "S1"), ("S3", "S1"), ("S1", "S2")))
+        sim.run(until=4.0)
+        assert all(times == [] for times in installs.values())
 
 
 class DelaySync:

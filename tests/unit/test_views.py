@@ -1,9 +1,8 @@
 """Unit tests for views, view ids and the failure detector."""
 
-from repro.gcs.failure_detector import FailureDetector
+from repro.gcs.failure_detector import THETA, FailureDetector
 from repro.gcs.messages import Presence
 from repro.gcs.view import View, ViewId, majority, singleton_view
-from repro.sim.core import Simulator
 
 
 class TestViewId:
@@ -43,54 +42,81 @@ class TestView:
 
 
 class TestFailureDetector:
-    def make(self, timeout=1.0):
-        sim = Simulator()
-        fd = FailureDetector(sim, "S1", timeout)
-        return sim, fd
+    """The counting rule: p is suspected once THETA beacons have arrived
+    from every third party since p's own last one — in beacons, never in
+    seconds."""
+
+    def make(self):
+        return FailureDetector("S1")
 
     def presence(self, sender, epoch=1):
         return Presence(sender=sender, view_id=ViewId(epoch, sender), view_members=(sender,), epoch=epoch)
 
+    def hear(self, fd, *senders, times=1):
+        for _ in range(times):
+            for sender in senders:
+                fd.on_presence(self.presence(sender))
+
     def test_self_always_alive(self):
-        _, fd = self.make()
+        fd = self.make()
         assert fd.is_alive("S1")
 
     def test_unheard_node_not_alive(self):
-        _, fd = self.make()
+        fd = self.make()
         assert not fd.is_alive("S2")
 
-    def test_alive_within_timeout(self):
-        sim, fd = self.make(timeout=1.0)
-        fd.on_presence(self.presence("S2"))
-        sim.now = 0.9
+    def test_alive_until_theta_beacons_of_every_third_party(self):
+        fd = self.make()
+        self.hear(fd, "S2", "S3", "S4")  # S3 and S4 count one since S2
+        self.hear(fd, "S3", "S4", times=THETA - 2)
         assert fd.is_alive("S2")
-        sim.now = 1.1
+        self.hear(fd, "S3")  # S4 still owes one
+        assert fd.is_alive("S2")
+        self.hear(fd, "S4")
         assert not fd.is_alive("S2")
+        self.hear(fd, "S2")
+        assert fd.is_alive("S2")
 
     def test_alive_nodes_set(self):
-        sim, fd = self.make(timeout=1.0)
-        fd.on_presence(self.presence("S2"))
-        fd.on_presence(self.presence("S3"))
-        sim.now = 0.5
-        fd.on_presence(self.presence("S2"))
-        sim.now = 1.2
-        assert fd.alive_nodes() == {"S2"}
+        fd = self.make()
+        self.hear(fd, "S2", "S3", "S4")
+        self.hear(fd, "S3", "S4", times=THETA)
+        assert fd.alive_nodes() == {"S3", "S4"}
+
+    def test_a_view_of_two_counts_its_own_beacons(self):
+        fd = self.make()
+        self.hear(fd, "S2")
+        for _ in range(THETA - 1):
+            fd.on_beacon("S1")
+        assert fd.is_alive("S2")
+        fd.on_beacon("S1")
+        assert not fd.is_alive("S2")
+
+    def test_a_silent_third_party_does_not_shield_a_silent_node(self):
+        """Tied arrivals: S3's last beacon landed just after S2's, so it
+        counts once since S2's — but S3 is silent too, and once it is
+        suspected it no longer counts as a third party."""
+        fd = self.make()
+        self.hear(fd, "S4", "S2", "S3")
+        self.hear(fd, "S4", times=THETA)
+        assert fd.alive_nodes() == {"S4"}
 
     def test_force_suspect(self):
-        _, fd = self.make()
+        fd = self.make()
         fd.on_presence(self.presence("S2"))
         fd.force_suspect("S2")
         assert not fd.is_alive("S2")
 
     def test_claimed_view_only_for_alive(self):
-        sim, fd = self.make(timeout=1.0)
+        fd = self.make()
         fd.on_presence(self.presence("S2", epoch=4))
         assert fd.claimed_view("S2") == ViewId(4, "S2")
-        sim.now = 2.0
+        for _ in range(THETA):
+            fd.on_beacon("S1")
         assert fd.claimed_view("S2") is None
 
     def test_max_epoch_tracking(self):
-        _, fd = self.make()
+        fd = self.make()
         fd.on_presence(self.presence("S2", epoch=9))
         fd.note_epoch(4)
         assert fd.max_epoch_seen == 9
@@ -98,37 +124,21 @@ class TestFailureDetector:
         assert fd.max_epoch_seen == 12
 
     def test_reset_clears_everything(self):
-        _, fd = self.make()
+        fd = self.make()
         fd.on_presence(self.presence("S2"))
         fd.reset()
         assert not fd.is_alive("S2")
         assert fd.alive_nodes() == set()
 
-    def test_suspicion_delay_lands_on_the_first_suspected_instant(self):
-        """Armed with the delay it returns, a wake-up fires at the first
-        instant the liveness check calls the node stale — never while it
-        still calls it alive — on awkward floats, without an epsilon."""
-        import math
-        import random
-
-        rng = random.Random(7)
-        for _ in range(500):
-            sim, fd = self.make(timeout=0.22)
-            sim.now = rng.uniform(0.0, 20.0)
-            fd.on_presence(self.presence("S2"))
-            sim.now += rng.uniform(0.0, 0.2)
-            delay = fd.suspicion_delay()
-            fired = []
-            sim.schedule(delay, lambda: fired.append(fd.alive_nodes()))
-            before = math.nextafter(sim.now + delay, -math.inf)
-            sim.run()
-            assert fired == [set()]
-            sim.now = before
-            assert fd.is_alive("S2")
-
-    def test_no_suspicion_pending_when_nobody_is_alive(self):
-        sim, fd = self.make(timeout=1.0)
-        assert fd.suspicion_delay() is None
-        fd.on_presence(self.presence("S2"))
-        sim.now = 1.5
-        assert fd.suspicion_delay() is None
+    def test_suspicion_due_one_beacon_away_and_never_in_a_spent_window(self):
+        fd = self.make()
+        assert not fd.suspicion_due_within(0.05)  # nobody alive
+        self.hear(fd, "S2", "S3")  # S3 counts one since S2
+        self.hear(fd, "S3", times=THETA - 3)
+        assert not fd.suspicion_due_within(0.05)
+        self.hear(fd, "S3")  # THETA - 1: one beacon away
+        assert fd.suspicion_due_within(0.05)
+        # A spent window must say no, or the join-wait wake-up would
+        # re-arm at the same instant forever.
+        assert not fd.suspicion_due_within(0.0)
+        assert not fd.suspicion_due_within(-0.01)
