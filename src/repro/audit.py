@@ -125,6 +125,9 @@ def _build_cases() -> Dict[str, AuditCase]:
     cases.append(_chaos_case("vs", 16, duration=3.0, strategy="log_filter"))
     # A lazy peer captured below the delimiter it labelled its state with.
     cases.append(_chaos_case("vs", 10, duration=3.0, strategy="lazy"))
+    # A stalled joiner dropped a delivery; it refuses the offer anchored
+    # below it, and the peer re-anchors the session.
+    cases.append(_chaos_case("evs", 47, duration=3.0))
     # One open-loop storm on a seed no regression pins.
     cases.append(_chaos_case("vs", 3))
     # One storm carrying the observability-equivalence axis (PR 3's

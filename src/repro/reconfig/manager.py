@@ -117,6 +117,10 @@ class ReconfigManager:
         self.joiner_session: Optional[JoinerTransferSession] = None
         self.enqueue_mode = False
         self.enqueued: List[Tuple[int, TransactionMessage]] = []
+        #: One past the last delivery this site dropped while stalled
+        #: (:meth:`on_dropped`): a transfer anchored below it would leave
+        #: that delivery out of both the state and the replay.
+        self.stream_from = 0
         self.replaying = False
         #: The scheduled replay step, if one is in flight.  Its message
         #: stays at the head of ``enqueued`` until the step runs, so a
@@ -213,6 +217,11 @@ class ReconfigManager:
         self._reset_creation()
         self.membership.forget(crashed=False)
 
+    def on_dropped(self, gid: int) -> None:
+        """A stalled site dropped the delivery of ``gid`` (section 2.3):
+        only a transfer anchored at or above it can cover it."""
+        self.stream_from = gid + 1
+
     def note_partition_complete(self, partition: str, boundary_gid: int) -> None:
         """Record lazy round-1 progress so a replacement peer can skip
         already-shipped partitions (section 4.7)."""
@@ -251,6 +260,7 @@ class ReconfigManager:
         self._drop_join()
         self.enqueue_mode = False
         self.enqueued = []
+        self.stream_from = 0
         self._reset_creation()
 
     def _drop_join(self) -> None:
@@ -547,7 +557,11 @@ class ReconfigManager:
             return
         existing = self.sessions_out.get(joiner)
         if existing is not None and existing.active:
-            return  # already serving this joiner (offers may be in flight)
+            if existing.accepted:
+                return  # already serving this joiner
+            # Offers in flight, or refused as anchored below a delivery
+            # the joiner dropped while stalled: re-anchor here.
+            self.cancel_session(joiner)
         self.transfer_failovers += 1
         node.trace("fault", "xfer_failover", f"serving solicited joiner {joiner}")
         self.start_session(joiner, sync_gid=node.last_processed_gid)
@@ -593,6 +607,11 @@ class ReconfigManager:
                 node.send_transfer(
                     offer.peer,
                     TransferDecline(session_id=offer.session_id, joiner=node.site_id))
+            return
+        if offer.sync_gid + 1 < self.stream_from:
+            # Anchored below a delivery this site dropped while stalled:
+            # it would be in neither the state nor the replay.
+            node.send_transfer(offer.peer, TransferSolicit(joiner=node.site_id))
             return
         current = self.joiner_session
         if current is not None and current.session_id == offer.session_id:

@@ -433,6 +433,8 @@ class ReplicatedDatabaseNode:
         return {"repl": repl}
 
     def on_message(self, sender: str, payload: Any, gseq: int) -> None:
+        if self.status is SiteStatus.STALLED:
+            self.reconfig.on_dropped(gseq)
         if self.status in (SiteStatus.DOWN, SiteStatus.STALLED):
             return  # behaves as if failed (section 2.3)
         self._delivered_gseq = max(self._delivered_gseq, gseq)

@@ -9,6 +9,7 @@ invariant suite on quiescence, so ``report.ok`` is the whole assertion.
 import pytest
 
 from repro.faults.chaos import run_chaos
+from tests.detectors import use_timeout_detector
 
 CASES = [
     # (mode, seed[, strategy]) -> the bug the run originally exposed;
@@ -88,3 +89,22 @@ def test_pinned_chaos_regressions(case):
     strategy = strategy[0] if strategy else "rectable"
     report = run_chaos(seed=seed, mode=mode, strategy=strategy)
     assert report.ok, f"chaos {mode} seed={seed} strategy={strategy}: {report.error}"
+
+
+
+@pytest.mark.parametrize("strategy", ["rectable", "gcs_level", "version_check"])
+def test_a_stalled_joiner_refuses_a_transfer_below_a_dropped_delivery(
+        monkeypatch, strategy):
+    """Decision disagreement under a 0.12 s timeout detector, vs 24: "gid
+    81 abort at one site but commit at S4".  S4, a recovering joiner,
+    was demoted by the stale-view check (section 2.1's thin layer) while
+    gid 77 of its view was still undelivered.  The SYNC of the next
+    primary view delivered 77 while S4 was stalled, and S4 dropped it.
+    S2's session to S4, anchored at gid 68 before the stall and never
+    accepted, survived the view change; S4 accepted it, installed state
+    as of 68 and replayed 69..76 and 78.. without 77.  A stalled site
+    now refuses an offer anchored below a delivery it dropped, and the
+    peer re-anchors an unaccepted session when asked."""
+    use_timeout_detector(monkeypatch, timeout=0.12)
+    report = run_chaos(seed=24, mode="vs", strategy=strategy)
+    assert report.ok, report.error

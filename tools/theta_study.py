@@ -82,6 +82,7 @@ def _group(seed: int, condition: str) -> Tuple[Simulator, Dict[str, GroupMember]
     network = Network(sim)
     members = {site: GroupMember(sim, network, site, SITES) for site in SITES}
     for member in members.values():
+        member.install_log = []  # (time, view), by _record_installs
         member.start()
     sim.run(until=FORMED_S)
     for injector in CONDITIONS[condition]():
@@ -123,8 +124,6 @@ def _record_installs(mp: pytest.MonkeyPatch) -> None:
     real = GroupMember.install_view
 
     def install_view(self, view, *args, **kwargs):
-        if not hasattr(self, "install_log"):
-            self.install_log = []
         self.install_log.append((self.sim.now, view))
         return real(self, view, *args, **kwargs)
 
