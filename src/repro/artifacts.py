@@ -1,8 +1,7 @@
 """Shared failure-evidence artifact bundles.
 
 Every harness in this repository that can fail — the chaos storm, the
-endurance churn engine, the cross-backend differential runner and the
-adversarial schedule search — wants to leave the same evidence behind:
+endurance churn engine and the adversarial schedule search — wants to leave the same evidence behind:
 the fault schedule it ran, the full trace timeline, the availability
 timeline, the per-site WAL contents, summary metrics, and a one-line
 repro command.  The endurance engine grew that dump path first
@@ -12,7 +11,7 @@ get the whole evidence set from one call.
 
 Only the sections whose inputs are supplied are written; callers pass
 whatever their run kind has (a chaos storm has no availability
-timeline, a differential report has no single cluster).
+timeline).
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.artifacts import digest_lines
+from repro.bench import SCENARIOS
 
 #: Digest/counter keys that every repeated run must reproduce exactly
 #: ("determinism" axis).  ``trace`` and ``schedule`` exist only for
@@ -76,7 +77,7 @@ class AuditCase:
     """
 
     case_id: str
-    kind: str  # "bench", or a repro.faults.campaign kind
+    kind: str  # "scenario", or a repro.faults.campaign kind
     params: Dict[str, Any] = field(default_factory=dict)
     axes: Tuple[str, ...] = ()
 
@@ -97,12 +98,11 @@ def _chaos_case(mode: str, seed: int, axes: Tuple[str, ...] = (),
 
 def _build_cases() -> Dict[str, AuditCase]:
     cases: List[AuditCase] = []
-    # The scripted scenarios of repro.bench (smoke scale), each with the
-    # batching equivalence axis: batching on and off must end the same.
-    for scenario in ("throughput", "figure1", "figure2_evs"):
-        cases.append(AuditCase(case_id=f"bench:{scenario}", kind="bench",
-                               params={"scenario": scenario, "smoke": True},
-                               axes=("batching",)))
+    # The scripted runs of repro.bench, each with the batching
+    # equivalence axis: batching on and off must end the same.
+    for case_id, params in SCENARIOS.items():
+        cases.append(AuditCase(case_id=case_id, kind="scenario",
+                               params=dict(params), axes=("batching",)))
     # Seeds of tests/integration/test_chaos_regressions.py, which pins 26
     # storms at the 3.0 s chaos default.  Here 13 of those seeds run as
     # 1.5 s storms — a shorter run, so not the pinned storm — and 5 as
@@ -243,7 +243,7 @@ def _flatten(payload: Dict[str, Any]) -> Dict[str, Any]:
 #: field it flips, the digest keys the two runs must agree on).  The
 #: profiler wraps the event dispatch but must not change a single event,
 #: hence the full-key comparison there, not just the protocol subset.
-#: ``batching`` is an argument of ``bench.run_scenario`` only; no
+#: ``batching`` is an argument of the scripted scenarios only; no
 #: campaign config has that field, so a campaign case given the axis
 #: crashes in ``campaign_for`` instead of comparing a run with itself.
 _AXES = {
@@ -265,17 +265,15 @@ def execute_variant(case_id: str, variant: str,
     profiler attached.
     """
     case = CASES[case_id]
-    if case.kind == "bench":
-        from repro import bench
+    params = {**case.params, **_VARIANT_OVERRIDE.get(variant, {})}
+    if case.kind == "scenario":
+        from repro import scenarios
 
-        cluster, completed = bench.run_scenario(
-            case.params["scenario"], smoke=case.params.get("smoke", True),
-            batching=variant != "no_batching")
-        return _collect(cluster, tracer=cluster.tracer, ok=completed,
-                        materials=materials)
+        report = getattr(scenarios, params.pop("run"))(**params)
+        return _collect(report.cluster, tracer=report.cluster.tracer,
+                        ok=report.completed, materials=materials)
     from repro.faults.campaign import campaign_for
 
-    params = {**case.params, **_VARIANT_OVERRIDE.get(variant, {})}
     engine = campaign_for(case.kind, **params)  # raises on unknown kinds
     report = engine.run()
     return _collect(engine.cluster, tracer=report.tracer,

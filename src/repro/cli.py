@@ -11,9 +11,9 @@ Usage::
     python -m repro chaos --seeds 0..15 --jobs 4     # parallel seed fleet
     python -m repro chaos --endurance --seed 0       # long-horizon churn run
     python -m repro chaos --endurance --seeds 0..3 --jobs 4   # endurance fleet
+    python -m repro chaos --seeds 9,23 --mode evs,logless --jobs 2   # backends side by side
     python -m repro sweep --study db_size --jobs 4   # parameter-study grid
     python -m repro sweep --study E7                 # backend head-to-head
-    python -m repro diff --seeds 9,23 --jobs 2       # cross-backend differential
     python -m repro audit --jobs 4                   # determinism audit
     python -m repro report --out-dir obs_out         # observed run + artifacts
     python -m repro report --summary                 # one-screen digest
@@ -32,6 +32,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.differential import parse_mode_spec, phase_comparison
 from repro.faults.campaign import CampaignConfig
 from repro.reconfig.backends import ALL_BACKEND_NAMES
 from repro.reconfig.strategies import ALL_STRATEGY_NAMES, strategy_by_name
@@ -235,32 +236,40 @@ def _flag_value(args: argparse.Namespace, flag: str):
     return None if value is False else value
 
 
-def campaign_config(args: argparse.Namespace):
-    """The campaign config a parsed ``repro chaos`` command line
-    describes (validated; raises ValueError on bad values and on flags
-    the selected mode would silently ignore)."""
+def campaign_cells(args: argparse.Namespace) -> List[CampaignConfig]:
+    """The campaign configs a parsed ``repro chaos`` command line
+    describes, one per ``--mode`` backend and seed, in that order; a
+    single run is a list of one (validated; raises ValueError on bad
+    values and on flags the selected mode would silently ignore)."""
+    from dataclasses import replace
+
     from repro.faults.campaign import CLI_FLAGS, engine_class
+    from repro.fleet import parse_seed_spec
 
     cls = engine_class("endurance" if args.endurance else "chaos").CONFIG
     kwargs = {"seed": args.seed,
               "observe": args.trace is not None or args.metrics is not None}
     for name, flag in CLI_FLAGS:
         value = _flag_value(args, flag)
-        if value is None:
+        if value is None or name == "mode":
             continue
         if name not in cls.__dataclass_fields__:
             needs = ("plain chaos (drop --endurance)" if args.endurance
                      else "--endurance")
             raise ValueError(f"{flag} has no effect here: it needs {needs}")
         kwargs[name] = value
-    if args.seeds is not None:
+    if args.seeds is not None or len(args.mode) > 1:
         for flag in _SINGLE_RUN_FLAGS:
             if _flag_value(args, flag) is not None:
-                raise ValueError(f"{flag} has no effect on a --seeds fleet: "
-                                 f"it needs a single run (--seed)")
-    config = cls(**kwargs)
-    config.validate()
-    return config
+                raise ValueError(f"{flag} has no effect on a fleet: it needs "
+                                 "a single run (--seed and one --mode)")
+    seeds = [args.seed] if args.seeds is None else parse_seed_spec(args.seeds)
+    template = cls(**kwargs)
+    cells = [replace(template, mode=mode, seed=seed)
+             for mode in args.mode for seed in seeds]
+    for config in cells:
+        config.validate()
+    return cells
 
 
 def _print_campaign_run(args: argparse.Namespace, engine) -> None:
@@ -317,76 +326,84 @@ def _print_campaign_run(args: argparse.Namespace, engine) -> None:
         print(f"FAILURE: {report.error}", file=sys.stderr)
 
 
-def _print_campaign_fleet(kind: str, seeds: List[int], results,
+def _print_campaign_fleet(cells: List[CampaignConfig], payloads: List[dict],
                           wall: float, jobs: int) -> None:
-    """The per-seed table of a campaign fleet, in seed-spec order."""
-    view = _CAMPAIGN_VIEWS[kind]
-    header = (f"{'seed':>6s} {'verdict':8s} "
+    """The table of a campaign fleet, one row per (mode, seed) cell in
+    spec order; with several modes, their phase breakdowns side by
+    side."""
+    view = _CAMPAIGN_VIEWS[cells[0].KIND]
+    header = (f"{'mode':7s} {'seed':>6s} {'verdict':8s} "
               + " ".join(f"{name:>{width}s}"
                          for name, width, _fmt, _get in view["columns"])
               + f"  {view['digest'].replace('_', ' ')}")
     print(header)
     print("-" * len(header))
     passed = 0
-    for seed in seeds:
-        payload = results[seed]
+    for config, payload in zip(cells, payloads):
+        cell = f"{config.mode:7s} {config.seed:6d}"
         if "fleet_error" in payload:
-            print(f"{seed:6d} ERROR    worker crashed:")
+            print(f"{cell} ERROR    worker crashed:")
             print("    "
                   + payload["fleet_error"].strip().replace("\n", "\n    "))
             continue
-        print(f"{seed:6d} {'PASS' if payload['ok'] else 'FAIL':8s} "
+        print(f"{cell} {'PASS' if payload['ok'] else 'FAIL':8s} "
               + " ".join(format(get(payload), f"{width}{fmt}")
                          for _name, width, fmt, get in view["columns"])
               + f"  {payload[view['digest']][:16]}")
         if payload["ok"]:
             passed += 1
         else:
-            print(f"       error: {payload['error']}")
+            print(f"{'':15s}error: {payload['error']}")
             for path in payload.get("artifacts", ()):
-                print(f"       artifact: {path}")
-    print(f"\n{len(seeds)} {view['noun']} in {wall:.1f}s wall "
+                print(f"{'':15s}artifact: {path}")
+    phases = phase_comparison(cells, payloads)
+    if phases is not None:
+        print(f"\n{phases}")
+    print(f"\n{len(cells)} {view['noun']} in {wall:.1f}s wall "
           f"(--jobs {jobs}); {passed} passed, "
-          f"{len(seeds) - passed} failed")
+          f"{len(cells) - passed} failed")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """The one campaign command: ``chaos`` or ``chaos --endurance``, as
-    a single in-process run or — with ``--seeds`` — one run per seed
-    across worker processes, tabulated by seed, never by completion."""
-    from dataclasses import asdict, replace
+    a single in-process run or — with ``--seeds`` or a ``--mode`` list —
+    one run per (mode, seed) cell across worker processes, tabulated in
+    spec order, never by completion."""
+    from dataclasses import asdict
 
     from repro.faults.campaign import repro_command, run_cell
-    from repro.fleet import parse_seed_spec, run_seed_fleet
+    from repro.fleet import FleetTask, run_fleet
 
     try:
-        config = campaign_config(args)
-        seeds = ([config.seed] if args.seeds is None
-                 else parse_seed_spec(args.seeds))
+        cells = campaign_cells(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    kind = config.KIND
-    if args.seeds is None:
-        # A single run is a fleet of one that stays in this process, so
-        # the live report is still around for the detailed view.
-        engine, payload = run_cell(kind, args.artifacts_dir, **asdict(config))
+    if args.seeds is None and len(cells) == 1:
+        # A single run stays in this process, so the live report is
+        # still around for the detailed view.
+        (config,) = cells
+        engine, payload = run_cell(config.KIND, args.artifacts_dir,
+                                   **asdict(config))
         _print_campaign_run(args, engine)
         for path in payload.get("artifacts", ()):
             print(f"  artifact: {path}", file=sys.stderr)
-        results = {config.seed: payload}
+        payloads = [payload]
     else:
-        params = asdict(config)
-        del params["seed"]
+        tasks = [FleetTask(key=f"{config.mode}:{config.seed}",
+                           kind=config.KIND,
+                           params={**asdict(config),
+                                   "artifacts_dir": args.artifacts_dir})
+                 for config in cells]
         start = time.perf_counter()
-        results = run_seed_fleet(kind, seeds, jobs=args.jobs,
-                                 artifacts_dir=args.artifacts_dir, **params)
-        _print_campaign_fleet(kind, seeds, results,
-                              time.perf_counter() - start, args.jobs)
-    failed = [seed for seed in seeds if not results[seed].get("ok")]
-    for seed in failed[:3]:
-        print(f"reproduce: {repro_command(replace(config, seed=seed))}",
-              file=sys.stderr)
+        results = run_fleet(tasks, jobs=args.jobs)
+        payloads = [results[task.key] for task in tasks]
+        _print_campaign_fleet(cells, payloads, time.perf_counter() - start,
+                              args.jobs)
+    failed = [config for config, payload in zip(cells, payloads)
+              if not payload.get("ok")]
+    for config in failed[:3]:
+        print(f"reproduce: {repro_command(config)}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -472,44 +489,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.differential import run_differential
-    from repro.fleet import parse_seed_spec
-
-    try:
-        seeds = parse_seed_spec(args.seeds)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    kind = "endurance" if args.endurance else "chaos"
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if kind == "chaos":
-        overrides["intensity"] = args.intensity
-        overrides["clients"] = args.clients
-    start = time.perf_counter()
-    try:
-        report = run_differential(seeds, backends=backends, kind=kind,
-                                  jobs=args.jobs,
-                                  artifacts_dir=args.artifacts_dir,
-                                  **overrides)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    wall = time.perf_counter() - start
-    print(report.render())
-    print(f"({wall:.1f}s wall at --jobs {args.jobs})")
-    if not report.ok:
-        first = report.first_failure()
-        for path in first.get("artifacts", ()):
-            print(f"  artifact: {path}", file=sys.stderr)
-        if "repro" in first:  # a crashed worker has no payload to replay
-            print(f"reproduce: {first['repro']}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.search import SearchConfig, SearchEngine, replay_schedule
     from repro.search.genome import SearchSpace
@@ -558,6 +537,28 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _mode_spec(text: str) -> List[str]:
+    """``repro chaos --mode``: parsed into its list of backends, so a bad
+    backend exits 2 naming the flag."""
+    try:
+        return parse_mode_spec(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` of every fleet command: worker processes, at least one
+    (``run_fleet`` would run a lower count inline without a word)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -566,11 +567,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, strategy_default: str = "rectable") -> None:
+    def common(p: argparse.ArgumentParser, strategy_default: str = "rectable",
+               mode_list: bool = False) -> None:
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--mode", choices=ALL_BACKEND_NAMES, default="vs",
-                       help="reconfiguration backend "
-                            "(docs/RECONFIG_BACKENDS.md)")
+        if mode_list:
+            p.add_argument("--mode", type=_mode_spec,
+                           default="vs", metavar="MODE[,MODE...]",
+                           help="reconfiguration backend "
+                                "(docs/RECONFIG_BACKENDS.md); a comma list "
+                                "runs every seed on each, as one fleet "
+                                f"(choices: {', '.join(ALL_BACKEND_NAMES)})")
+        else:
+            p.add_argument("--mode", choices=ALL_BACKEND_NAMES, default="vs",
+                           help="reconfiguration backend "
+                                "(docs/RECONFIG_BACKENDS.md)")
         p.add_argument("--strategy", choices=ALL_STRATEGY_NAMES,
                        default=strategy_default)
         p.add_argument("--db-size", type=int, default=200)
@@ -637,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="seeded randomized fault storm + full invariant check"
     )
-    common(chaos)
+    common(chaos, mode_list=True)
     chaos.set_defaults(sites=CampaignConfig.n_sites,
                        db_size=CampaignConfig.db_size,
                        rate=CampaignConfig.arrival_rate)
@@ -688,10 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seeds", default=None, metavar="SPEC",
                        help="run a whole seed fleet instead of one storm: "
                             "'0..15', '1,2,5' or a mix; results are merged "
-                            "by seed (use with --jobs)")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --seeds fleets "
-                            "(default %(default)s)")
+                            "by (mode, seed) (use with --jobs)")
+    chaos.add_argument("--jobs", type=_jobs, default=1,
+                       help="worker processes for a fleet (--seeds or a "
+                            "--mode list) (default %(default)s)")
     chaos.set_defaults(fn=_cmd_chaos)
 
     sweep = sub.add_parser(
@@ -701,43 +711,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--study", default=None,
                        help="study name (see --list)")
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=_jobs, default=1,
                        help="worker processes (default %(default)s)")
     sweep.add_argument("--output", default=None, metavar="FILE",
                        help="also write the merged rows as JSON")
     sweep.add_argument("--list", action="store_true",
                        help="list the available studies and exit")
     sweep.set_defaults(fn=_cmd_sweep)
-
-    diff = sub.add_parser(
-        "diff",
-        help="differential runner: replay pinned fault storms on two "
-             "backends and diff the invariant verdicts",
-    )
-    diff.add_argument("--seeds", default="9,23", metavar="SPEC",
-                      help="seed spec: '9,23', '0..7' or a mix "
-                           "(default %(default)s)")
-    diff.add_argument("--backends", default="evs,logless", metavar="LIST",
-                      help="comma-separated backends to compare "
-                           f"(choices: {', '.join(ALL_BACKEND_NAMES)}; "
-                           "default %(default)s)")
-    diff.add_argument("--endurance", action="store_true",
-                      help="replay the long-horizon endurance churn "
-                           "schedule instead of the chaos storm")
-    diff.add_argument("--duration", type=float, default=None,
-                      help="storm length in virtual seconds "
-                           "(default 1.5, or 6.0 with --endurance)")
-    diff.add_argument("--intensity", type=float, default=0.5,
-                      help="chaos fault event rate scale (default %(default)s)")
-    diff.add_argument("--clients", type=int, default=6,
-                      help="closed-loop client sessions per chaos run, "
-                           "for exactly-once coverage (default %(default)s)")
-    diff.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (default %(default)s)")
-    diff.add_argument("--artifacts-dir", default="diff_out", metavar="DIR",
-                      help="evidence bundle for the first failing cell "
-                           "(default %(default)s)")
-    diff.set_defaults(fn=_cmd_diff)
 
     search = sub.add_parser(
         "search",
@@ -754,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--smoke", action="store_true",
                         help="CI preset: 2 generations x 4 candidates, "
                              "tight shrink budget")
-    search.add_argument("--jobs", type=int, default=1,
+    search.add_argument("--jobs", type=_jobs, default=1,
                         help="worker processes per generation "
                              "(default %(default)s)")
     search.add_argument("--sites", type=int, default=5,
@@ -785,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--case", action="append", metavar="CASE_ID",
                        help="audit only the given case (repeatable; "
                             "see --list)")
-    audit.add_argument("--jobs", type=int, default=1,
+    audit.add_argument("--jobs", type=_jobs, default=1,
                        help="worker processes; at >1 the paired runs land in "
                             "different interpreters with different hash "
                             "seeds — a stronger check (default %(default)s)")

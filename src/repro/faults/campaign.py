@@ -10,8 +10,8 @@ and :class:`repro.search.executor.ScheduleExecutor`, which runs both
 endurance configs and found schedules as genomes) subclass it with a
 ``drive()`` method and a small block of class-level data.
 
-Every consumer (CLI, seed fleets, determinism audit, differential
-runner, schedule search) reaches a run through :func:`run_cell` /
+Every consumer (CLI, campaign fleets, determinism audit, schedule
+search) reaches a run through :func:`run_cell` /
 :func:`campaign_for`, prints :func:`repro_command` and leaves evidence
 through :func:`dump_artifacts`.
 """
@@ -170,11 +170,11 @@ class CampaignReport:
 
     def payload(self) -> Dict[str, Any]:
         """A picklable plain-data view of the report for the
-        :mod:`repro.fleet` seed fleets and the differential runner: the
-        verdict, the aggregate metrics, and digests of the fault
-        schedule and the full trace (the trace itself can be thousands
-        of lines; a fleet only needs to compare runs, and a digest
-        mismatch pinpoints the seed to re-run locally)."""
+        :mod:`repro.fleet` campaign fleets: the verdict, the aggregate
+        metrics, and digests of the fault schedule and the full trace
+        (the trace itself can be thousands of lines; a fleet only needs
+        to compare runs, and a digest mismatch pinpoints the seed to
+        re-run locally)."""
         from repro.obs.epochs import epoch_summary
 
         trace = self.tracer.events if self.tracer is not None else ()

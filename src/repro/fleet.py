@@ -11,9 +11,11 @@ that property into throughput:
   order — never by completion order**.  A fleet at ``--jobs 8`` produces
   the same payload dictionary as ``--jobs 1``, byte for byte (modulo
   fields that measure the wall clock itself).
-* Chaos seed fleets (``python -m repro chaos --seeds A..B --jobs N``),
-  the parameter-study sweeps (``python -m repro sweep``) and the
-  determinism audit (``python -m repro audit``) all dispatch through it.
+* Campaign fleets (``python -m repro chaos --seeds A..B --mode
+  evs,logless --jobs N``: one cell per backend and seed), the chaos gate
+  (``tools/chaos_gate.py``), the parameter-study sweeps (``python -m
+  repro sweep``) and the determinism audit (``python -m repro audit``)
+  all dispatch through it; nothing else turns cells into a fleet.
 
 Workers are started with the ``spawn`` context: each worker is a fresh
 interpreter with its own (randomised) string-hash seed.  That is a
@@ -164,25 +166,9 @@ def parse_seed_spec(spec: str) -> List[int]:
                 raise ValueError(f"bad seed {term!r} in {spec!r}") from None
     if not seeds:
         raise ValueError(f"no seeds in spec {spec!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"a seed is named twice in {spec!r}")
     return seeds
-
-
-# ----------------------------------------------------------------------
-# Campaign seed fleets
-# ----------------------------------------------------------------------
-def run_seed_fleet(kind: str, seeds: Sequence[int], jobs: int = 1,
-                   **params: Any) -> Dict[int, Dict[str, Any]]:
-    """Run one ``kind`` campaign ("chaos" or "endurance") per seed;
-    results keyed by seed, in the given seed order.  ``params`` are the
-    campaign config fields shared by every run, plus an optional
-    ``artifacts_dir`` for the evidence of failing cells."""
-    tasks = [
-        FleetTask(key=f"seed={seed}", kind=kind,
-                  params={"seed": seed, **params})
-        for seed in seeds
-    ]
-    payloads = run_fleet(tasks, jobs=jobs)
-    return {seed: payloads[f"seed={seed}"] for seed in seeds}
 
 
 # ----------------------------------------------------------------------

@@ -411,7 +411,7 @@ def epoch_signatures(epochs: Sequence[EpochRecord],
 # ----------------------------------------------------------------------
 def epoch_summary(epochs: Sequence[EpochRecord]) -> Dict[str, Any]:
     """Aggregate, JSON-safe roll-up of a run's epochs — what
-    chaos/endurance payloads and the differential runner embed."""
+    chaos/endurance payloads embed."""
     phase_totals = {name: 0.0 for name in PHASE_ORDER}
     for epoch in epochs:
         for name, seconds in epoch.phase_durations().items():
@@ -503,7 +503,8 @@ def render_epoch_table(epochs: Sequence[EpochRecord],
 
 
 def render_phase_comparison(summaries: Dict[str, Dict[str, Any]]) -> str:
-    """Side-by-side per-backend phase table (``repro diff``, E7 sweep).
+    """Side-by-side per-backend phase table (a ``repro chaos --mode``
+    list fleet, the E7 sweep).
 
     ``summaries`` maps a label (backend name, cell name) to an
     :func:`epoch_summary` dict.

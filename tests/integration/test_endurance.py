@@ -298,22 +298,24 @@ class TestWiring:
         assert a == b
         assert a["counters"]["ok"] is True
 
-    def test_fleet_runs_seeds_in_order(self):
-        from repro.fleet import run_seed_fleet
+    def test_fleet_runs_seeds_in_order(self, capsys):
+        from repro.cli import main
 
-        results = run_seed_fleet("endurance", [1, 0], duration=4.0,
-                                 segments=("rolling",))
-        assert list(results) == [1, 0]
-        assert all(payload["ok"] for payload in results.values())
+        assert main(["chaos", "--endurance", "--seeds", "1,0",
+                     "--duration", "4", "--segments", "rolling"]) == 0
+        rows = [line.split()[:3] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("vs ")]
+        assert rows == [["vs", "1", "PASS"], ["vs", "0", "PASS"]]
 
     def test_fleet_dumps_artifacts_on_failure(self, monkeypatch, tmp_path):
         from repro.cli import main
-        from repro.fleet import run_seed_fleet
+        from repro.fleet import FleetTask, run_fleet
 
         mutations.skip_outcome_merge(monkeypatch, "S1")
-        results = run_seed_fleet(
-            "endurance", [136], duration=8.0, artifacts_dir=str(tmp_path))
-        payload = results[136]
+        task = FleetTask(key="136", kind="endurance",
+                         params={"seed": 136, "duration": 8.0,
+                                 "artifacts_dir": str(tmp_path)})
+        payload = run_fleet([task])["136"]
         assert not payload["ok"]
         assert payload["artifacts"], "failed worker left no evidence"
         assert any(path.endswith("repro.txt")

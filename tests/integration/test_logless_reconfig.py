@@ -265,41 +265,53 @@ class TestAuditAndSweepWiring:
         with pytest.raises(ValueError, match="n_sites >= 5"):
             run_recovery_experiment(fault_storm="partition", n_sites=3)
 
-    def test_differential_runner_gates_on_invariants(self):
-        from repro.differential import run_differential
+    def test_differential_runner_gates_on_invariants(self, capsys):
+        """``repro chaos --mode evs,logless`` replays the same pinned
+        storm on both backends as one fleet: one row per (mode, seed) in
+        spec order, with the mode in its own column, then the phase
+        table; the verdict is the invariant batteries'."""
+        from repro.cli import main
 
-        report = run_differential([9], backends=("evs", "logless"),
-                                  duration=1.0, clients=4)
-        assert report.ok, report.failures
-        rendered = report.render()
-        assert "PASS" in rendered and "FAIL" not in rendered
-        for backend in ("evs", "logless"):
-            assert report.metric(9, backend, "txn.commits") > 0
+        assert main(["chaos", "--seeds", "9", "--mode", "evs,logless",
+                     "--duration", "1.5", "--clients", "6"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0].split()[:3] == ["mode", "seed", "verdict"]
+        rows = [line.split() for line in lines[2:4]]
+        assert [row[:3] for row in rows] == [["evs", "9", "PASS"],
+                                             ["logless", "9", "PASS"]]
+        assert all(int(row[4]) > 0 for row in rows)  # commits
+        assert "FAIL" not in out
+        assert "reconfiguration downtime by phase" in out
+        assert "2 storms in" in out and "2 passed, 0 failed" in out
 
     def test_differential_failure_names_evidence_and_repro(
-            self, monkeypatch, tmp_path):
-        """A failing cell dumps the evidence; the report hands back its
-        paths and a command carrying the cell's real shape (clients 6,
-        not the CLI's 0).  The cells fail under the *no dedup* mutation,
-        which reaches them because ``jobs=1`` runs inline."""
-        from repro.differential import run_differential
+            self, monkeypatch, capsys, tmp_path):
+        """A failing cell dumps the evidence; the fleet prints its paths
+        and a command carrying the cell's own mode and shape.  The cells
+        fail under the *no dedup* mutation, which reaches them because
+        ``--jobs 1`` runs inline."""
+        from repro.cli import main
         from tests import mutations
 
         mutations.no_dedup(monkeypatch)
-        report = run_differential([23], backends=("evs", "logless"),
-                                  duration=3.0, artifacts_dir=str(tmp_path))
-        assert not report.ok
-        first = report.first_failure()
-        assert first["repro"].endswith(
-            "chaos --seed 23 --mode evs --clients 6")
+        assert main(["chaos", "--seeds", "23", "--mode", "evs,logless",
+                     "--clients", "6", "--artifacts-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        first = next(line for line in captured.err.splitlines()
+                     if line.startswith("reproduce: "))
+        assert first.endswith("chaos --seed 23 --mode evs --clients 6")
         bundle = tmp_path / "chaos-seed23-evs"
-        assert str(bundle / "repro.txt") in first["artifacts"]
-        assert first["repro"] in (bundle / "repro.txt").read_text()
+        assert f"artifact: {bundle / 'repro.txt'}" in captured.out
+        assert first[len("reproduce: "):] in (bundle / "repro.txt").read_text()
 
-    def test_differential_runner_rejects_bad_input(self):
-        from repro.differential import run_differential
+    def test_differential_runner_rejects_bad_input(self, capsys):
+        from repro.cli import main
 
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_differential([1], backends=("bogus",))
-        with pytest.raises(ValueError, match="kind"):
-            run_differential([1], kind="bench")
+        for spec, message in (("evs,bogus", "unknown backend 'bogus'"),
+                              ("evs,evs", "named twice")):
+            with pytest.raises(SystemExit) as caught:
+                main(["chaos", "--seeds", "1", "--mode", spec])
+            assert caught.value.code == 2
+            err = capsys.readouterr().err
+            assert "--mode" in err and message in err

@@ -18,15 +18,18 @@ import json
 import pytest
 
 from repro.audit import execute_variant, run_audit
-from repro.fleet import run_seed_fleet
+from repro.fleet import FleetTask, run_fleet
 from tests import mutations
 
 
 def test_chaos_fleet_jobs_payload_identical_to_serial():
     """Chaos payloads carry no wall-clock field, so the whole payload
     must survive pickling and the task-order merge unchanged."""
-    serial = run_seed_fleet("chaos", [3, 9], jobs=1, duration=1.0)
-    fleet = run_seed_fleet("chaos", [3, 9], jobs=2, duration=1.0)
+    tasks = [FleetTask(key=str(seed), kind="chaos",
+                       params={"seed": seed, "duration": 1.0})
+             for seed in (3, 9)]
+    serial = run_fleet(tasks, jobs=1)
+    fleet = run_fleet(tasks, jobs=2)
     assert json.dumps(fleet, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)
     assert all(payload["ok"] for payload in fleet.values())
@@ -38,6 +41,15 @@ def test_storm_cases_refuse_the_batching_axis():
     ``no_batching`` twin would make that audit comparison vacuous."""
     with pytest.raises(TypeError, match="batching"):
         execute_variant("chaos:vs:3", "no_batching")
+
+
+def test_scenario_cases_reach_the_batching_switch():
+    """The ``bench:*`` cases call a ``repro.scenarios`` function by name;
+    their ``no_batching`` twin must really run with batching off."""
+    batched = execute_variant("bench:figure1", "a")["counters"]
+    unbatched = execute_variant("bench:figure1", "no_batching")["counters"]
+    assert unbatched["commits"] == batched["commits"]
+    assert unbatched["messages_delivered"] > batched["messages_delivered"]
 
 
 def test_audit_passes_on_pinned_chaos_case():
@@ -79,7 +91,7 @@ CHURN_EXTRAS = {
 
 
 def test_campaign_payload_key_sets_are_pinned():
-    """The fleet tables, ``repro diff`` and the schedule search index
+    """The fleet tables and the schedule search index
     payloads by key across a process boundary; a silently dropped key
     would surface as a KeyError in some worker's consumer much later."""
     from repro.faults.campaign import campaign_for

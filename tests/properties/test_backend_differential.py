@@ -3,8 +3,8 @@ faults and writes, replayed on every reconfiguration backend, must end
 in the *same* committed store — and each run must satisfy the full
 invariant battery plus the exactly-once ledger.
 
-Where :mod:`repro.differential` compares invariant *verdicts* under the
-chaos engine (whose armed-crash strike timing makes commit counts
+Where ``repro chaos --mode evs,logless`` compares invariant *verdicts*
+under the chaos engine (whose armed-crash strike timing makes commit counts
 backend-sensitive), this suite is constructed to be timing-insensitive
 so strict state equality is a fair claim:
 

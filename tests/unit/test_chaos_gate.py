@@ -76,6 +76,18 @@ def test_the_gate_runs_every_strategy_and_backend(gate):
         ALL_STRATEGY_NAMES)
 
 
+def test_cells_list_every_storm_once_keyed_by_its_label(gate):
+    """The gate's one fleet, which ``audit_against.py --gate`` also runs."""
+    tasks = gate.cells()
+    assert len(tasks) == len(gate.COLUMNS) * len(gate.MODES) * len(gate.SEEDS) == 2100
+    assert list(tasks)[:2] == [("vs", "full", 0, 0), ("vs", "full", 0, 1)]
+    for (mode, strategy, clients, seed), task in tasks.items():
+        assert task.key == gate.label((mode, strategy, clients, seed))
+        assert task.kind == "chaos"
+        assert task.params == {"seed": seed, "mode": mode,
+                               "strategy": strategy, "clients": clients}
+
+
 def test_committed_list_is_well_formed(gate):
     known = gate.load_known(gate.KNOWN)
     for (mode, strategy, clients, seed), entry in known.items():

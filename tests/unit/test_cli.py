@@ -41,7 +41,7 @@ class TestParser:
         from repro.reconfig.backends import ALL_BACKEND_NAMES
 
         for name in ALL_BACKEND_NAMES:
-            assert build_parser().parse_args(["chaos", "--mode", name]).mode == name
+            assert build_parser().parse_args(["chaos", "--mode", name]).mode == [name]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--mode", "paxos"])
 
@@ -195,10 +195,34 @@ class TestChaosFlagCombinations:
         ["--duration", "-2"],
         ["--endurance", "--clients", "0"],
         ["--seeds", "3..1"],
+        ["--seeds", "3,1..3"],
     ])
     def test_bad_values_exit_2_without_a_traceback(self, capsys, argv):
         assert main(["chaos"] + argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestChaosFleet:
+    def test_rows_follow_the_spec_not_the_alphabet(self, capsys):
+        assert main(["chaos", "--seeds", "9,3", "--mode", "logless,evs",
+                     "--duration", "1.0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[2:6]] == [
+            ["logless", "9"], ["logless", "3"], ["evs", "9"], ["evs", "3"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--seeds", "3..1"], ["sweep", "--list"],
+    ["search", "--replay", "missing.json"], ["audit", "--list"]])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_exits_2_naming_the_flag(capsys, argv, jobs):
+    """Every fleet command refuses a worker count below one before it
+    does anything, instead of running serially without a word."""
+    with pytest.raises(SystemExit) as caught:
+        main(argv + ["--jobs", jobs])
+    assert caught.value.code == 2
+    assert f"argument --jobs: must be a whole number of at least 1, got {jobs!r}" \
+        in capsys.readouterr().err
 
 
 class TestAuditDumpDirGuard:

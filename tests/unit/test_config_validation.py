@@ -129,10 +129,10 @@ def _executor_for(mode):
     return ScheduleExecutor(ScheduleGenome(seed=0, n_sites=5, mode=mode))
 
 
-def _differential_over(mode):
-    from repro.differential import run_differential
+def _chaos_mode_list(mode):
+    from repro.differential import parse_mode_spec
 
-    return run_differential([9], backends=("vs", mode))
+    return parse_mode_spec(f"vs,{mode}")
 
 
 @pytest.mark.parametrize("surface", [
@@ -140,9 +140,9 @@ def _differential_over(mode):
     lambda mode: ChaosConfig(mode=mode).validate(),
     lambda mode: EnduranceConfig(mode=mode).validate(),
     _executor_for,
-    _differential_over,
+    _chaos_mode_list,
 ], ids=["ClusterBuilder.build", "ChaosConfig.validate",
-        "EnduranceConfig.validate", "ScheduleExecutor", "run_differential"])
+        "EnduranceConfig.validate", "ScheduleExecutor", "chaos_mode_list"])
 def test_unknown_mode_is_rejected_listing_the_backends(surface):
     """One selector, one failure: every surface that takes ``mode``
     names the registry's backends when handed anything else."""

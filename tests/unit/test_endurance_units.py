@@ -13,8 +13,7 @@ from repro.db.wal import (
     BaselineRecord, CommitRecord, PersistentStorage, WriteRecord,
     record_checksum,
 )
-from repro.cli import build_parser, campaign_config
-from repro.differential import CELL_DEFAULTS
+from repro.cli import build_parser, campaign_cells
 from repro.endurance import EnduranceConfig
 from repro.faults.campaign import repro_command
 from repro.faults import ChaosConfig
@@ -203,10 +202,12 @@ class TestRecTablePurgeFloor:
 REPRO_CASES = [
     EnduranceConfig(seed=3, mode="evs"),
     EnduranceConfig(seed=0, duration=8.0, segments=("storm", "churn")),
-    # The cells `repro diff` runs (duration 1.5 / clients 6, not the
-    # CLI's 3.0 / 0): a printed command must carry them.
-    ChaosConfig(seed=9, mode="evs", **CELL_DEFAULTS["chaos"]),
-    EnduranceConfig(seed=0, mode="logless", **CELL_DEFAULTS["endurance"]),
+    # Cells of the backend comparison `chaos --mode evs,logless` with
+    # duration 1.5 / clients 6 (not the CLI's 3.0 / 0) and its endurance
+    # form at duration 6: a printed command must carry them.
+    ChaosConfig(seed=9, mode="evs", intensity=0.5, n_sites=4, db_size=40,
+                duration=1.5, arrival_rate=60.0, clients=6),
+    EnduranceConfig(seed=0, mode="logless", duration=6.0),
     ChaosConfig(seed=5, mode="logless", n_sites=5),
     ChaosConfig(seed=12, mode="evs", clients=6, intensity=0.7,
                 strategy="lazy", db_size=80, arrival_rate=90.0),
@@ -230,7 +231,7 @@ class TestEnduranceHelpers:
         prefix = "PYTHONPATH=src python -m repro "
         assert command.startswith(prefix)
         args = build_parser().parse_args(shlex.split(command[len(prefix):]))
-        assert campaign_config(args) == config
+        assert campaign_cells(args) == [config]
 
     def test_render_availability_classifies_bins(self):
         samples = [(0.25, 0, False),   # warmup

@@ -24,7 +24,7 @@ a block of its own and counted in the summary line; it does not change
 the exit status.
 
 ``--gate`` compares the chaos gate instead: every storm of
-``tools/chaos_gate.py`` (``COLUMNS x MODES x SEEDS``, 2 100 storms, two
+``tools/chaos_gate.py`` (its ``cells()``, 2 100 storms, one fleet of two
 workers) on both trees, one tree after the other, each with
 ``PYTHONHASHSEED=0``.  A storm's ``ok``, ``error``, ``trace_digest``,
 ``schedule_digest``, ``epochs`` and ``metrics`` must be identical; any
@@ -79,15 +79,9 @@ def collect_gate(out_path: str) -> None:
     PYTHONPATH names, keyed by the gate's storm label."""
     sys.path.insert(0, TOOLS)
     import chaos_gate
-    from repro.fleet import FleetTask, run_fleet
+    from repro.fleet import run_fleet
 
-    tasks = [FleetTask(key=chaos_gate.label((mode, strategy, clients, seed)),
-                       kind="chaos",
-                       params={"seed": seed, "mode": mode, "strategy": strategy,
-                               "clients": clients})
-             for strategy, clients in chaos_gate.COLUMNS
-             for mode in chaos_gate.MODES for seed in chaos_gate.SEEDS]
-    payloads = run_fleet(tasks, jobs=chaos_gate.JOBS)
+    payloads = run_fleet(list(chaos_gate.cells().values()), jobs=chaos_gate.JOBS)
     cells = {key: {name: payload.get(name) for name in GATE_KEYS + ("fleet_error",)
                    if name in payload}
              for key, payload in payloads.items()}

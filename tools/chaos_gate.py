@@ -5,9 +5,10 @@
 
 Runs one ``repro chaos`` storm per cell — every transfer strategy with
 open-loop load, plus ``rectable`` under closed-loop client sessions, each
-on every backend for seeds 0..99 (2 100 storms) — two workers at a time
-(the fleet behind ``repro chaos --seeds 0..99 --jobs 2 --strategy S
-[--clients 6]``), and exits 1 when
+on every backend for seeds 0..99 (2 100 storms) — as one fleet, two
+workers at a time (each column is ``repro chaos --seeds 0..99 --mode
+vs,evs,logless --strategy S [--clients 6]``), prints one summary line per
+column and backend, and exits 1 when
 
 * a storm fails that ``chaos_known_failures.json`` does not list, or
   fails with an error that does not contain its entry's ``error`` text;
@@ -52,6 +53,24 @@ def load_known(path: str) -> Dict[Cell, Dict]:
             for entry in entries}
 
 
+def cells() -> Dict[Cell, FleetTask]:
+    """Every storm the gate runs, keyed by its cell: column by column,
+    then backend, then seed.  Each task is keyed by the cell's label,
+    which ``tools/audit_against.py --gate`` compares across trees."""
+    from repro.fleet import FleetTask
+
+    tasks = {}
+    for strategy, clients in COLUMNS:
+        for mode in MODES:
+            for seed in SEEDS:
+                cell = (mode, strategy, clients, seed)
+                tasks[cell] = FleetTask(
+                    key=label(cell), kind="chaos",
+                    params={"seed": seed, "mode": mode, "strategy": strategy,
+                            "clients": clients})
+    return tasks
+
+
 def label(cell: Cell) -> str:
     mode, strategy, clients, seed = cell
     return f"{mode} {strategy} clients={clients} seed {seed}"
@@ -82,19 +101,17 @@ def problems(results: Dict[Cell, Dict], known: Dict[Cell, Dict]) -> List[str]:
 
 
 def main() -> int:
-    from repro.fleet import run_seed_fleet
+    from repro.fleet import run_fleet
 
     known = load_known(KNOWN)
-    results: Dict[Cell, Dict] = {}
+    tasks = cells()
+    payloads = run_fleet(list(tasks.values()), jobs=JOBS)
+    results = {cell: payloads[task.key] for cell, task in tasks.items()}
     for strategy, clients in COLUMNS:
         for mode in MODES:
-            fleet = run_seed_fleet("chaos", SEEDS, jobs=JOBS, mode=mode,
-                                   strategy=strategy, clients=clients)
-            cells = {(mode, strategy, clients, seed): payload
-                     for seed, payload in fleet.items()}
-            results.update(cells)
-            passed = sum(1 for payload in cells.values() if payload.get("ok"))
-            listed = sum(1 for cell in cells if cell in known)
+            column = [(mode, strategy, clients, seed) for seed in SEEDS]
+            passed = sum(1 for cell in column if results[cell].get("ok"))
+            listed = sum(1 for cell in column if cell in known)
             print(f"{mode} {strategy} clients={clients}: {passed} of "
                   f"{len(SEEDS)} storms passed, {listed} failure(s) listed as known")
     bad = problems(results, known)
